@@ -29,7 +29,7 @@ def main():
     taus = [float(t) for t in args.taus.split(",")]
 
     t0 = time.perf_counter()
-    result = spde.tau_scan(cfg, taus)
+    result = spde.scan(cfg, taus)
     elapsed = time.perf_counter() - t0
 
     print(f"critical rank k* = {result.k_star}  (tau* = {result.tau_star:.4f})")

@@ -64,7 +64,6 @@ class Option:
 def _schema_common():
     return {
         "seed": Option(int, 1234, lambda v: v >= 0, "seed must be >= 0"),
-        "threads": Option(int, 1, lambda v: v >= 1, "threads must be >= 1"),
         "out_dir": Option(str, "out"),
     }
 
@@ -245,7 +244,6 @@ def _spde_config(cfg: dict) -> spde.SpdeRunConfig:
         master_seed=cfg["seed"], method=cfg["method"],
         neumann_order=cfg["neumann_order"], compute_reference=cfg["reference"],
         sample_conditions=cfg["sample_conditions"], force_neumann=cfg["force_neumann"],
-        out_dir=cfg["out_dir"],
     )
 
 
@@ -254,7 +252,7 @@ def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict]:
     timings: dict[str, float] = {}
     if cfg["tau_scan"]:
         t0 = time.perf_counter()
-        result = spde.tau_scan(_spde_config(cfg), cfg["tau_scan"])
+        result = spde.scan(_spde_config(cfg), cfg["tau_scan"])
         timings["scan"] = time.perf_counter() - t0
         write_csv(out_dir / "errors_vs_tau.csv",
                   ["tau", "rank", "err_l2", "rmsre"], result.rows)
@@ -384,8 +382,10 @@ def cmd_compress(out_dir: Path, cfg: dict) -> tuple[list, dict]:
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    factors = lowrank.compress(ensemble, cfg["tau"])
-    err = lowrank.rmsre(ensemble, factors)
+    rank = lowrank.rank_from_ratio(cfg["tau"], ensemble[0].shape[0])
+    spectrum = lowrank.gram_spectrum(ensemble, rank)
+    factors = lowrank.compress(ensemble, cfg["tau"], spectrum)
+    err = lowrank.rmsre(ensemble, spectrum, factors.rank)
     timings["compress"] = time.perf_counter() - t0
 
     lowrank.save_factors(out_dir / "factors.bin", factors)
@@ -409,16 +409,15 @@ def cmd_diagnose(out_dir: Path, cfg: dict) -> tuple[list, dict]:
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     ensemble, base = _load_ensemble(cfg)
-    curve = lowrank.energy_ratio(ensemble)
-    k_star, tau_star = spde.critical_tau(ensemble)
-    gram = lowrank.ensemble_gram(ensemble)
-    eigenvalues = numerics.sym_eig_topk(gram, min(20, gram.shape[0])).values
+    spectrum = lowrank.gram_spectrum(ensemble)
+    curve = spectrum.energy_curve()
+    k_star, tau_star = spde.critical_tau(curve)
     timings["diagnose"] = time.perf_counter() - t0
 
     write_csv(out_dir / "energy.csv", ["rank", "energy"], curve)
     outputs.append("energy.csv")
     write_csv(out_dir / "eigenvalues.csv", ["index", "eigenvalue"],
-              list(enumerate(eigenvalues, start=1)))
+              list(enumerate(spectrum.values[:20], start=1)))
     outputs.append("eigenvalues.csv")
     cond_base = float("nan") if base is None else numerics.condition_estimate(base)
     write_csv(out_dir / "diagnose.csv",
@@ -426,7 +425,9 @@ def cmd_diagnose(out_dir: Path, cfg: dict) -> tuple[list, dict]:
               [[ensemble[0].shape[0], len(ensemble), k_star, tau_star, cond_base]])
     outputs.append("diagnose.csv")
     if cfg["sample_conditions"]:
-        conds = [(m, numerics.condition_estimate(a)) for m, a in enumerate(ensemble)]
+        # of A + P_m; MatrixMarket input carries no base, so of P_m alone there
+        conds = [(m, numerics.condition_estimate(a if base is None else base + a))
+                 for m, a in enumerate(ensemble)]
         write_csv(out_dir / "sample_conditions.csv", ["sample", "cond"], conds)
         outputs.append("sample_conditions.csv")
     return outputs, timings
@@ -455,7 +456,6 @@ class _Parser(argparse.ArgumentParser):
 def _add_common_flags(parser):
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--seed", help="master seed")
-    parser.add_argument("--threads", help="worker count forwarded to modules")
     parser.add_argument("--out-dir", dest="out_dir", help="output directory")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override any config key (repeatable)")

@@ -106,3 +106,7 @@ class UnknownKeyError(ConfigError):
 
 class ConfigRangeError(ConfigError):
     """Config value is outside its admissible range."""
+
+
+class InputFileError(ConfigError):
+    """An input file could not be read or parsed."""

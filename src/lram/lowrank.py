@@ -5,9 +5,10 @@ orthonormal basis (N-by-k) and per-sample coefficient matrices (k-by-N) so
 that A_m is approximated by ``basis @ coeffs[m]`` with minimal summed squared
 Frobenius error.  The optimal basis consists of the leading eigenvectors of
 the accumulated Gram matrix ``sum_m A_m A_m^T``, and the optimal coefficients
-are ``basis^T A_m``.  A two-sided alternating baseline and spectral
-diagnostics (energy ratios, compression ratio) are included, plus binary and
-MatrixMarket serialization of the factors.
+are ``basis^T A_m``.  One eigendecomposition of that Gram matrix, held as a
+``GramSpectrum``, feeds the factors, their reconstruction error and the
+energy curve.  A two-sided alternating baseline and the compression ratio
+are included, plus binary and MatrixMarket serialization of the factors.
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ class LowRankFactors:
     @property
     def stored_scalars(self) -> int:
         return int(self.basis.size) + int(sum(c.size for c in self.coeffs))
-
-    def reconstruct(self, m: int) -> np.ndarray:
-        return self.basis @ self.coeffs[m]
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,91 +111,108 @@ def ensemble_gram(ensemble) -> np.ndarray:
     return gram
 
 
+@dataclass(frozen=True, eq=False)
+class GramSpectrum:
+    """Eigenpairs of one ensemble's Gram matrix ``sum_m A_m A_m^T``, descending.
+
+    Complete when it holds all N pairs (dense eigensolver route), else the
+    leading ones (Lanczos route).  ``trace`` is ``sum_m ||A_m||_F^2``.
+    """
+
+    values: np.ndarray   # (p,), non-increasing
+    vectors: np.ndarray  # (N, p), orthonormal columns
+    trace: float
+    num_samples: int
+
+    @property
+    def complete(self) -> bool:
+        return self.values.shape[0] == self.vectors.shape[0]
+
+    def check_rank(self, rank: int) -> None:
+        if not 1 <= rank <= self.values.shape[0]:
+            raise DimensionMismatchError(f"rank={rank} outside [1, {self.values.shape[0]}]")
+
+    def basis(self, rank: int) -> np.ndarray:
+        """The leading ``rank`` eigenvectors, copied C-contiguous."""
+        self.check_rank(rank)
+        return np.ascontiguousarray(self.vectors[:, :rank])
+
+    def energy_curve(self) -> list[tuple[int, float]]:
+        """Energy curve e(k) from plain partial sums of a complete spectrum.
+
+        e(k) is non-decreasing and e(N) equals 1 exactly, since both partial
+        and total sums come from the same accumulation.
+        """
+        if not self.complete:
+            raise DimensionMismatchError("the energy curve needs the complete spectrum")
+        partial = np.cumsum(np.maximum(self.values, 0.0))
+        total = partial[-1]
+        if total == 0.0:
+            raise ZeroEnsembleError("all ensemble members are zero")
+        return [(k + 1, float(partial[k] / total)) for k in range(partial.shape[0])]
+
+
+def gram_spectrum(ensemble, rank: int | None = None) -> GramSpectrum:
+    """One Gram build and one eigensolve, holding at least the leading ``rank`` pairs.
+
+    ``rank=None`` asks for all pairs.  The dense route computes all of them
+    anyway, so they are all kept; the Gram matrix itself is not.
+    """
+    n = _check_ensemble(ensemble)
+    gram = ensemble_gram(ensemble)
+    pairs = numerics.sym_eig_topk(gram, n if rank is None or numerics.dense_eig(n, rank) else rank)
+    return GramSpectrum(values=pairs.values, vectors=pairs.vectors,
+                        trace=float(np.trace(gram)), num_samples=len(ensemble))
+
+
 def _sample_coeffs(basis: np.ndarray, a) -> np.ndarray:
     if sp.issparse(a):
         return np.asarray((a.T @ basis).T)
     return basis.T @ np.asarray(a, dtype=float)
 
 
-def _compress_at(ensemble, rank: int, ratio: float) -> LowRankFactors:
-    n = _check_ensemble(ensemble)
-    if not 1 <= rank <= n:
-        raise DimensionMismatchError(f"rank={rank} outside [1, {n}]")
-    gram = ensemble_gram(ensemble)
-    pairs = numerics.sym_eig_topk(gram, rank)
-    basis = pairs.vectors
+def _factors(ensemble, rank: int, ratio: float, spectrum) -> LowRankFactors:
+    if spectrum is None:
+        spectrum = gram_spectrum(ensemble, rank)
+    basis = spectrum.basis(rank)
     coeffs = [_sample_coeffs(basis, a) for a in ensemble]
     return LowRankFactors(basis=basis, coeffs=coeffs, rank=rank, ratio=float(ratio))
 
 
-def compress_rank(ensemble, rank: int) -> LowRankFactors:
-    """Optimal shared-basis factorization at an explicit rank."""
+def compress_rank(ensemble, rank: int, spectrum: GramSpectrum | None = None) -> LowRankFactors:
+    """Optimal shared-basis factorization at an explicit rank, from ``spectrum`` if given."""
     n = _check_ensemble(ensemble)
-    return _compress_at(ensemble, rank, rank / n)
+    return _factors(ensemble, rank, rank / n, spectrum)
 
 
-def compress(ensemble, ratio: float) -> LowRankFactors:
+def compress(ensemble, ratio: float, spectrum: GramSpectrum | None = None) -> LowRankFactors:
     """Optimal shared-basis factorization at reduction ratio ``ratio``.
 
     The rank is ``ceil(ratio * N)``.  Among all rank-k factorizations with a
     shared orthonormal left factor, the result minimizes
-    ``sum_m ||A_m - basis @ coeffs[m]||_F^2``.
+    ``sum_m ||A_m - basis @ coeffs[m]||_F^2``.  Reads ``spectrum`` if given,
+    else computes the ensemble's ``GramSpectrum``.
     """
     n = _check_ensemble(ensemble)
-    return _compress_at(ensemble, rank_from_ratio(ratio, n), ratio)
+    return _factors(ensemble, rank_from_ratio(ratio, n), ratio, spectrum)
 
 
-def rmsre(ensemble, factors: LowRankFactors) -> float:
-    """Root mean square reconstruction error of the factorization.
+def rmsre(ensemble, spectrum: GramSpectrum, rank: int) -> float:
+    """Root mean square reconstruction error of the optimal rank-``rank`` factors.
 
-    sqrt( (1/M) * sum_m ||A_m - basis @ coeffs[m]||_F^2 ), computed by
-    explicit reconstruction so it is valid for arbitrary (not only optimal)
-    factors.
+    sqrt((1/M) sum_m ||A_m - U U^T A_m||_F^2) for the leading eigenvectors U.
+    A complete spectrum gives the tail projection sqrt((1/M) sum_m
+    ||V_tail^T A_m||_F^2), exact to round-off of the members.  A partial one
+    gives sqrt(max(trace - sum_{i<=k} lambda_i, 0) / M), which cancels to
+    about sqrt(eps) of the scale where the error vanishes.
     """
-    n = _check_ensemble(ensemble)
-    if factors.basis.shape[0] != n or factors.num_samples != len(ensemble):
-        raise DimensionMismatchError("factors do not match the ensemble")
-    total = 0.0
-    for a, c in zip(ensemble, factors.coeffs):
-        diff = numerics.to_dense(a) - factors.basis @ c
-        total += float(np.linalg.norm(diff, "fro")) ** 2
-    return math.sqrt(total / len(ensemble))
-
-
-def _descending_gram_eigenvalues(ensemble) -> np.ndarray:
-    gram = ensemble_gram(ensemble)
-    n = gram.shape[0]
-    values = numerics.sym_eig_topk(gram, n).values
-    return np.maximum(values, 0.0)
-
-
-def energy_ratio_eigen(ensemble) -> list[tuple[int, float]]:
-    """Energy curve e(k) from plain partial sums of the Gram eigenvalues.
-
-    e(k) is non-decreasing and e(N) equals 1 exactly, since both partial and
-    total sums come from the same accumulation.
-    """
-    values = _descending_gram_eigenvalues(ensemble)
-    partial = np.cumsum(values)
-    total = partial[-1]
-    if total == 0.0:
-        raise ZeroEnsembleError("all ensemble members are zero")
-    return [(k + 1, float(partial[k] / total)) for k in range(values.shape[0])]
-
-
-def energy_ratio_eigensq(ensemble) -> list[tuple[int, float]]:
-    """Energy curve from squared Gram eigenvalues (alternative convention)."""
-    values = _descending_gram_eigenvalues(ensemble) ** 2
-    partial = np.cumsum(values)
-    total = partial[-1]
-    if total == 0.0:
-        raise ZeroEnsembleError("all ensemble members are zero")
-    return [(k + 1, float(partial[k] / total)) for k in range(values.shape[0])]
-
-
-def energy_ratio(ensemble) -> list[tuple[int, float]]:
-    """Default energy curve; plain eigenvalue partial sums."""
-    return energy_ratio_eigen(ensemble)
+    spectrum.check_rank(rank)
+    if spectrum.complete:
+        tail = np.ascontiguousarray(spectrum.vectors[:, rank:])
+        total = sum(float(np.sum(_sample_coeffs(tail, a) ** 2)) for a in ensemble)
+    else:
+        total = max(spectrum.trace - float(np.sum(spectrum.values[:rank])), 0.0)
+    return math.sqrt(total / spectrum.num_samples)
 
 
 def compression_ratio(dim: int, rank: int, num_samples: int) -> float:
@@ -259,18 +274,6 @@ def glram_compress(ensemble, rank: int, max_iters: int = 50,
     cores = [left.T @ a @ right for a in dense]
     return GlramFactors(left=left, right=right, cores=cores,
                         iterations=iterations, rmsre_history=history)
-
-
-def glram_rmsre(ensemble, factors: GlramFactors) -> float:
-    """Reconstruction error of a two-sided factorization, by explicit rebuild."""
-    n = _check_ensemble(ensemble)
-    if factors.left.shape[0] != n or len(factors.cores) != len(ensemble):
-        raise DimensionMismatchError("factors do not match the ensemble")
-    total = 0.0
-    for a, core in zip(ensemble, factors.cores):
-        diff = numerics.to_dense(a) - factors.left @ core @ factors.right.T
-        total += float(np.linalg.norm(diff, "fro")) ** 2
-    return math.sqrt(total / len(ensemble))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import (
     DimensionMismatchError,
+    InputFileError,
     NoConvergenceError,
     NonSymmetricError,
     NotPositiveDefiniteError,
@@ -34,16 +35,12 @@ EIG_RESIDUAL_TOL = 1e-8
 SOLVE_TOL = 1e-10
 #: Relative accuracy target of the power-iteration spectral norm.
 SPECTRAL_NORM_TOL = 1e-6
-#: Dense symmetric eigendecomposition up to this dimension, Lanczos above.
+#: Dense symmetric eigendecomposition up to this dimension; above it, see ``dense_eig``.
 DENSE_EIG_MAX_DIM = 2000
 #: Dense Cholesky below this dimension, sparse factorization above.
 DENSE_CHOLESKY_MAX_DIM = 200
 
 _TINY = 1e-300
-
-
-def is_sparse(a) -> bool:
-    return sp.issparse(a)
 
 
 def to_dense(a) -> np.ndarray:
@@ -136,11 +133,20 @@ def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def dense_eig(n: int, k: int) -> bool:
+    """Whether ``sym_eig_topk`` takes the dense route for ``k`` of ``n`` pairs.
+
+    Dense cost does not grow with ``k``: at n = 2601 (one BLAS thread, 2-core
+    VM) dense took 15 s, Lanczos 10 s at k/n = 0.15 and 36 s at k/n = 0.3.
+    """
+    return n <= DENSE_EIG_MAX_DIM or 5 * k > n
+
+
 def sym_eig_topk(s, k, sym_tol=SYM_TOL) -> EigenPairs:
     """Return the ``k`` largest eigenvalues and eigenvectors of a symmetric matrix.
 
-    Uses a dense LAPACK decomposition up to ``DENSE_EIG_MAX_DIM`` and a Lanczos
-    solver above.  Raises ``NonSymmetricError`` if the asymmetry exceeds
+    Uses a dense LAPACK decomposition where ``dense_eig`` says so and a
+    Lanczos solver otherwise.  Raises ``NonSymmetricError`` if the asymmetry exceeds
     ``sym_tol * ||S||_F`` and ``NoConvergenceError`` if the iterative solver
     stalls.
     """
@@ -151,7 +157,7 @@ def sym_eig_topk(s, k, sym_tol=SYM_TOL) -> EigenPairs:
     if _asymmetry(s) > sym_tol * max(fro, _TINY):
         raise NonSymmetricError(f"asymmetry exceeds {sym_tol:g} * ||S||_F")
 
-    if n <= DENSE_EIG_MAX_DIM or k == n:
+    if dense_eig(n, k):
         sd = to_dense(s)
         sd = 0.5 * (sd + sd.T)
         w, v = sla.eigh(sd)
@@ -295,5 +301,8 @@ def save_matrix_market(path, a) -> None:
 
 
 def load_matrix_market(path):
-    """Read a MatrixMarket file, returning a CSR array."""
-    return to_csr(sio.mmread(str(path)))
+    """Read a MatrixMarket file, returning a CSR array; ``InputFileError`` if unreadable."""
+    try:
+        return to_csr(sio.mmread(str(path)))
+    except (OSError, ValueError) as exc:
+        raise InputFileError(f"cannot read MatrixMarket file {str(path)!r}: {exc}") from exc

@@ -14,7 +14,7 @@ quantity of interest is the sample mean, reduced in fixed order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp

@@ -11,7 +11,7 @@ reduction-ratio diagnostics and a Monte-Carlo convergence study.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class SpdeRunConfig:
     compute_reference: bool = True
     sample_conditions: bool = False
     force_neumann: bool = False
-    out_dir: str | None = None
 
     def __post_init__(self):
         if not 0.0 < self.ratio <= 1.0:
@@ -79,13 +78,12 @@ def build_spde_system(cfg: SpdeRunConfig):
     return mesh, system
 
 
-def critical_tau(ensemble) -> tuple[int, float]:
-    """Smallest rank whose energy ratio reaches 1, and the matching ratio.
+def critical_tau(curve) -> tuple[int, float]:
+    """Smallest rank whose energy ratio on ``curve`` reaches 1, and the matching ratio.
 
     The returned rank is the numerical rank of the accumulated Gram matrix;
     compressing at or above it reconstructs the ensemble exactly.
     """
-    curve = lowrank.energy_ratio(ensemble)
     n = len(curve)
     for k, e_k in curve:
         if e_k >= 1.0 - CRITICAL_ENERGY_TOL:
@@ -120,11 +118,12 @@ def run_spde(cfg: SpdeRunConfig) -> SpdeReport:
     )
 
     t0 = time.perf_counter()
+    spectrum = lowrank.gram_spectrum(system.perturbations)
     factors = None
     rmsre_value = None
     if cfg.method != "direct":
-        factors = lowrank.compress(system.perturbations, cfg.ratio)
-        rmsre_value = lowrank.rmsre(system.perturbations, factors)
+        factors = lowrank.compress(system.perturbations, cfg.ratio, spectrum)
+        rmsre_value = lowrank.rmsre(system.perturbations, spectrum, factors.rank)
     timings["compress"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -144,8 +143,8 @@ def run_spde(cfg: SpdeRunConfig) -> SpdeReport:
 
     t0 = time.perf_counter()
     try:
-        energy_curve = lowrank.energy_ratio(system.perturbations)
-        k_star, tau_star = critical_tau(system.perturbations)
+        energy_curve = spectrum.energy_curve()
+        k_star, tau_star = critical_tau(energy_curve)
     except ZeroEnsembleError:
         energy_curve = []
         k_star, tau_star = 0, 0.0
@@ -153,7 +152,7 @@ def run_spde(cfg: SpdeRunConfig) -> SpdeReport:
     sample_conds = None
     if cfg.sample_conditions:
         sample_conds = tuple(
-            numerics.condition_estimate(p) for p in system.perturbations
+            numerics.condition_estimate(system.base + p) for p in system.perturbations
         )
     timings["diagnostics"] = time.perf_counter() - t0
 
@@ -183,45 +182,27 @@ class ScanResult:
     tau_star: float
 
 
-def tau_scan(cfg: SpdeRunConfig, ratios) -> ScanResult:
-    """Solve at several reduction ratios against one shared direct reference."""
+def scan(cfg: SpdeRunConfig, ratios) -> ScanResult:
+    """Solve at several reduction ratios against one shared direct reference and spectrum.
+
+    Rank k is reached with the ratio k / N, which maps back to exactly k.
+    """
     _, system = build_spde_system(cfg)
     ensemble = perturbed.PerturbedEnsemble(
         base=system.base, perturbations=system.perturbations, rhs=system.load
     )
     reference = perturbed.solve_direct(ensemble)
-    energy_curve = lowrank.energy_ratio(system.perturbations)
-    k_star, tau_star = critical_tau(system.perturbations)
+    spectrum = lowrank.gram_spectrum(system.perturbations)
+    energy_curve = spectrum.energy_curve()
+    k_star, tau_star = critical_tau(energy_curve)
 
     rows = []
     for ratio in ratios:
-        factors = lowrank.compress(system.perturbations, ratio)
-        run_cfg = replace(cfg, ratio=ratio)
-        solution = _solve(run_cfg, ensemble, factors)
-        err = float(np.linalg.norm(reference.qoi - solution.qoi))
-        rows.append((float(ratio), factors.rank, err,
-                     lowrank.rmsre(system.perturbations, factors)))
-    return ScanResult(rows=rows, energy_curve=energy_curve,
-                      k_star=k_star, tau_star=tau_star)
-
-
-def rank_scan(cfg: SpdeRunConfig, ranks) -> ScanResult:
-    """Like ``tau_scan`` but at explicit ranks (used around the critical rank)."""
-    _, system = build_spde_system(cfg)
-    ensemble = perturbed.PerturbedEnsemble(
-        base=system.base, perturbations=system.perturbations, rhs=system.load
-    )
-    reference = perturbed.solve_direct(ensemble)
-    energy_curve = lowrank.energy_ratio(system.perturbations)
-    k_star, tau_star = critical_tau(system.perturbations)
-
-    rows = []
-    for rank in ranks:
-        factors = lowrank.compress_rank(system.perturbations, int(rank))
-        solution = _solve(replace(cfg, method="smw"), ensemble, factors)
+        factors = lowrank.compress(system.perturbations, ratio, spectrum)
+        solution = _solve(cfg, ensemble, factors)
         err = float(np.linalg.norm(reference.qoi - solution.qoi))
         rows.append((factors.ratio, factors.rank, err,
-                     lowrank.rmsre(system.perturbations, factors)))
+                     lowrank.rmsre(system.perturbations, spectrum, factors.rank)))
     return ScanResult(rows=rows, energy_curve=energy_curve,
                       k_star=k_star, tau_star=tau_star)
 

@@ -4,7 +4,10 @@ These deliberately avoid the library's own numerical paths (and LAPACK where
 the library relies on it) so that cross-checks stay meaningful.
 """
 
+import math
+
 import numpy as np
+import scipy.sparse as sp
 
 
 def jacobi_eigh(a, tol=1e-13, max_sweeps=200):
@@ -84,3 +87,25 @@ def rand_spd(rng, n, shift=None):
     if shift is None:
         shift = float(n)
     return m.T @ m + shift * np.eye(n)
+
+
+def _dense(a):
+    return a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
+
+
+def rmsre(ensemble, factors):
+    """Root mean square reconstruction error by explicit rebuild of every member.
+
+    sqrt((1/M) * sum_m ||A_m - basis @ coeffs[m]||_F^2); valid for any
+    factors, optimal or not.
+    """
+    total = sum(np.linalg.norm(_dense(a) - factors.basis @ c, "fro") ** 2
+                for a, c in zip(ensemble, factors.coeffs))
+    return math.sqrt(total / len(ensemble))
+
+
+def glram_rmsre(ensemble, factors):
+    """Reconstruction error of a two-sided factorization, by explicit rebuild."""
+    total = sum(np.linalg.norm(_dense(a) - factors.left @ core @ factors.right.T, "fro") ** 2
+                for a, core in zip(ensemble, factors.cores))
+    return math.sqrt(total / len(ensemble))

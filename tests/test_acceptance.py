@@ -13,6 +13,7 @@ import scipy.sparse as sp
 
 from lram import cli, fem, lowrank, numerics, perturbed, socp, spde
 
+import oracles
 from oracles import rand_orthonormal, rand_spd
 
 
@@ -58,11 +59,11 @@ def test_criterion_02_critical_ratio_gap():
     cfg = spde.SpdeRunConfig(h=0.1, num_samples=100, epsilon=0.2,
                              distribution="normal", master_seed=1234)
     mesh = fem.structured_mesh(cfg.h)
-    probe = spde.rank_scan(cfg, [1])  # cheap call to obtain k_star consistently
+    probe = spde.scan(cfg, [])  # no ratios: only k_star, from the same spectrum path
     k_star = probe.k_star
     interior = mesh.num_nodes - mesh.boundary_nodes.shape[0]
     ranks = list(range(k_star - 5, min(k_star + 3, mesh.num_nodes) + 1))
-    scan = spde.rank_scan(cfg, ranks)
+    scan = spde.scan(cfg, [k / mesh.num_nodes for k in ranks])
     errs = {rank: err for _, rank, err, _ in scan.rows}
 
     gap = errs[k_star - 5] / max(errs[k_star], 1e-300)
@@ -89,12 +90,13 @@ def test_criterion_03_lowrank_optimality():
         gram = lowrank.ensemble_gram(ensemble)
         lam = np.sort(np.maximum(np.linalg.eigvalsh(gram), 0.0))[::-1]
         k = int(rng.integers(1, n))
-        factors = lowrank.compress_rank(ensemble, k)
-        err = lowrank.rmsre(ensemble, factors)
+        spectrum = lowrank.gram_spectrum(ensemble)
+        factors = lowrank.compress_rank(ensemble, k, spectrum)
         expected = math.sqrt(np.sum(lam[k:]) / m)
-        if abs(err - expected) > 1e-8:
-            ok = False
-            detail.append(f"tail mismatch {abs(err - expected):.2e}")
+        for err in (oracles.rmsre(ensemble, factors), lowrank.rmsre(ensemble, spectrum, k)):
+            if abs(err - expected) > 1e-8:
+                ok = False
+                detail.append(f"tail mismatch {abs(err - expected):.2e}")
 
         def objective(basis):
             return sum(

@@ -248,7 +248,8 @@ def test_diagnose_rank_one_ensemble(tmp_path):
 
 def test_diagnose_fem_rank_bound(tmp_path):
     out = tmp_path / "diagfem"
-    code = run(["diagnose", "--h", "0.25", "--samples", "30", "--out-dir", str(out)])
+    code = run(["diagnose", "--h", "0.25", "--samples", "30", "--sample-conditions",
+                "--out-dir", str(out)])
     assert code == 0
     lines = (out / "diagnose.csv").read_text().splitlines()
     header = lines[0].split(",")
@@ -258,6 +259,19 @@ def test_diagnose_fem_rank_bound(tmp_path):
     assert float(row[header.index("cond_base")]) > 1.0
     eigen = (out / "eigenvalues.csv").read_text().splitlines()
     assert len(eigen) - 1 == 20
+    conds = [float(line.split(",")[1])
+             for line in (out / "sample_conditions.csv").read_text().splitlines()[1:]]
+    assert len(conds) == 30 and all(np.isfinite(c) and c >= 1.0 for c in conds)
+
+
+@pytest.mark.parametrize("subcommand", ["compress", "diagnose"])
+def test_malformed_matrix_market_is_usage_error(tmp_path, capsys, subcommand):
+    bad = tmp_path / "bad.mtx"
+    bad.write_text("%%MatrixMarket matrix coordinate real general\n3 3 1\n1 1 abc\n")
+    code = run([subcommand, "--input", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(bad) in err and "Traceback" not in err
 
 
 def test_config_file_through_cli(tmp_path):

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lram import lowrank
+from lram import lowrank, numerics
 from lram.errors import (
     ConfigRangeError,
     DimensionMismatchError,
@@ -14,6 +14,7 @@ from lram.errors import (
     ZeroEnsembleError,
 )
 
+import oracles
 from oracles import jacobi_eigh, rand_orthonormal
 
 
@@ -49,7 +50,7 @@ def test_compress_exact_rank_one():
     assert factors.rank == 1
     assert np.allclose(np.abs(factors.basis[:, 0]), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
     assert np.allclose(np.abs(factors.coeffs[0][0]), [1.0, 0.0, 0.0, 0.0], atol=1e-12)
-    assert lowrank.rmsre([e1], factors) <= 1e-12
+    assert oracles.rmsre([e1], factors) <= 1e-12
 
 
 def test_compress_full_ratio_reconstructs():
@@ -57,7 +58,7 @@ def test_compress_full_ratio_reconstructs():
     ensemble = random_ensemble(rng, 6, 4)
     factors = lowrank.compress(ensemble, 1.0)
     scale = max(np.linalg.norm(a, "fro") for a in ensemble)
-    assert lowrank.rmsre(ensemble, factors) <= 1e-10 * scale
+    assert oracles.rmsre(ensemble, factors) <= 1e-10 * scale
 
 
 def test_compress_rank_deficient_matches_gram_tail():
@@ -69,19 +70,19 @@ def test_compress_rank_deficient_matches_gram_tail():
     gram_rank = int(np.sum(lam > 1e-10 * lam[0]))
 
     exact = lowrank.compress_rank(ensemble, gram_rank)
-    assert lowrank.rmsre(ensemble, exact) <= 1e-9
+    assert oracles.rmsre(ensemble, exact) <= 1e-9
 
     for k in range(1, gram_rank):
         factors = lowrank.compress_rank(ensemble, k)
         expected = math.sqrt(np.sum(lam[k:]) / len(ensemble))
-        assert lowrank.rmsre(ensemble, factors) == pytest.approx(expected, abs=1e-8)
+        assert oracles.rmsre(ensemble, factors) == pytest.approx(expected, abs=1e-8)
 
 
 def test_compress_sparse_members():
     rng = np.random.default_rng(2)
     ensemble = [sp.csr_array(a) for a in random_ensemble(rng, 5, 3)]
     factors = lowrank.compress(ensemble, 1.0)
-    assert lowrank.rmsre(ensemble, factors) <= 1e-9
+    assert oracles.rmsre(ensemble, factors) <= 1e-9
 
 
 def test_compress_orthonormal_basis():
@@ -122,8 +123,8 @@ def test_compress_coeffs_are_optimal_given_basis():
 def test_rmsre_nested_in_rank():
     rng = np.random.default_rng(6)
     ensemble = random_ensemble(rng, 7, 3)
-    errs = [lowrank.rmsre(ensemble, lowrank.compress_rank(ensemble, k))
-            for k in range(1, 8)]
+    spectrum = lowrank.gram_spectrum(ensemble)
+    errs = [lowrank.rmsre(ensemble, spectrum, k) for k in range(1, 8)]
     assert all(errs[i] >= errs[i + 1] - 1e-10 for i in range(len(errs) - 1))
 
 
@@ -157,27 +158,51 @@ def test_ratio_rank_roundtrip():
 def test_rmsre_exact_factors_zero():
     rng = np.random.default_rng(7)
     ensemble = random_ensemble(rng, 5, 2)
-    factors = lowrank.compress(ensemble, 1.0)
-    assert lowrank.rmsre(ensemble, factors) <= 1e-10
+    assert lowrank.rmsre(ensemble, lowrank.gram_spectrum(ensemble), 5) <= 1e-10
 
 
 def test_rmsre_hand_checkable():
-    a = np.diag([0.0, 1.0])
+    a = np.diag([3.0, 4.0])  # rank 1 keeps the second axis and drops 3^2
+    assert lowrank.rmsre([a], lowrank.gram_spectrum([a]), 1) == pytest.approx(3.0, abs=1e-14)
+    # the oracle rebuilds any factors, here the worse first axis: error 4
     basis = np.array([[1.0], [0.0]])
-    coeffs = [basis.T @ a]
-    factors = lowrank.LowRankFactors(basis=basis, coeffs=coeffs, rank=1, ratio=0.5)
-    assert lowrank.rmsre([a], factors) == pytest.approx(1.0, abs=1e-14)
+    factors = lowrank.LowRankFactors(basis=basis, coeffs=[basis.T @ a], rank=1, ratio=0.5)
+    assert oracles.rmsre([a], factors) == pytest.approx(4.0, abs=1e-14)
 
 
 def test_rmsre_matches_direct_formula():
     rng = np.random.default_rng(8)
     ensemble = random_ensemble(rng, 5, 3)
-    factors = lowrank.compress_rank(ensemble, 2)
+    spectrum = lowrank.gram_spectrum(ensemble)
+    factors = lowrank.compress_rank(ensemble, 2, spectrum)
     direct = math.sqrt(
         sum(np.linalg.norm(a - factors.basis @ c, "fro") ** 2
             for a, c in zip(ensemble, factors.coeffs)) / len(ensemble)
     )
-    assert lowrank.rmsre(ensemble, factors) == pytest.approx(direct, rel=1e-12)
+    assert lowrank.rmsre(ensemble, spectrum, 2) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("complete", [True, False])
+def test_rmsre_matches_explicit_oracle(monkeypatch, complete):
+    """Both branches agree with the explicit rebuild, relative where the error is
+    large and absolute where it vanishes."""
+    if not complete:
+        monkeypatch.setattr(numerics, "DENSE_EIG_MAX_DIM", 10)
+    rng = np.random.default_rng(10)
+    n = 30
+    ensemble = [sp.csr_array(a) for a in random_ensemble(rng, n, 4, rank=4)]
+    scale = max(numerics.frobenius_norm(a) for a in ensemble)
+    ranks = (2, 5) if not complete else (2, 5, 16, 30)  # k* = 16
+    for k in ranks:
+        spectrum = lowrank.gram_spectrum(ensemble, k)
+        assert spectrum.complete is complete
+        factors = lowrank.compress_rank(ensemble, k, spectrum)
+        expected = oracles.rmsre(ensemble, factors)
+        got = lowrank.rmsre(ensemble, spectrum, k)
+        if expected > 1e-6 * scale:
+            assert got == pytest.approx(expected, rel=1e-8 if not complete else 1e-10)
+        else:
+            assert expected < 1e-13 * scale and got <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +213,7 @@ def test_rmsre_matches_direct_formula():
 def test_energy_rank_one_saturates_immediately():
     e1 = np.zeros((4, 4))
     e1[0, 0] = 2.0
-    curve = lowrank.energy_ratio([e1])
+    curve = lowrank.gram_spectrum([e1]).energy_curve()
     assert curve[0] == (1, pytest.approx(1.0, abs=1e-14))
     assert curve[-1][1] == 1.0
 
@@ -196,13 +221,9 @@ def test_energy_rank_one_saturates_immediately():
 def test_energy_explicit_eigenvalues():
     values = np.array([4.0, 3.0, 2.0, 1.0])
     a = np.diag(np.sqrt(values))  # Gram of [a] is diag(values)
-    plain = lowrank.energy_ratio_eigen([a])
-    squared = lowrank.energy_ratio_eigensq([a])
-    total = values.sum()
-    total_sq = (values ** 2).sum()
-    assert plain[1][1] == pytest.approx((4.0 + 3.0) / total, rel=1e-12)
-    assert squared[1][1] == pytest.approx((16.0 + 9.0) / total_sq, rel=1e-12)
-    assert lowrank.energy_ratio([a]) == plain
+    spectrum = lowrank.gram_spectrum([a])
+    assert spectrum.values == pytest.approx(values, rel=1e-12)
+    assert spectrum.energy_curve()[1][1] == pytest.approx((4.0 + 3.0) / values.sum(), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -210,7 +231,7 @@ def test_energy_explicit_eigenvalues():
 def test_energy_monotone_and_terminal(n, m, seed):
     rng = np.random.default_rng(seed)
     ensemble = random_ensemble(rng, n, m)
-    curve = lowrank.energy_ratio(ensemble)
+    curve = lowrank.gram_spectrum(ensemble).energy_curve()
     vals = [e for _, e in curve]
     assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
     assert vals[-1] == 1.0
@@ -222,16 +243,17 @@ def test_energy_relates_to_rmsre():
     ensemble = random_ensemble(rng, 6, 3)
     gram = lowrank.ensemble_gram(ensemble)
     lam_total = float(np.trace(gram))
-    curve = lowrank.energy_ratio(ensemble)
+    spectrum = lowrank.gram_spectrum(ensemble)
+    assert spectrum.trace == pytest.approx(lam_total, rel=1e-12)
     m = len(ensemble)
-    for k, e_k in curve:
-        err = lowrank.rmsre(ensemble, lowrank.compress_rank(ensemble, k))
+    for k, e_k in spectrum.energy_curve():
+        err = lowrank.rmsre(ensemble, spectrum, k)
         assert e_k == pytest.approx(1.0 - err ** 2 * m / lam_total, abs=1e-8)
 
 
 def test_energy_zero_ensemble_raises():
     with pytest.raises(ZeroEnsembleError):
-        lowrank.energy_ratio([np.zeros((3, 3)), np.zeros((3, 3))])
+        lowrank.gram_spectrum([np.zeros((3, 3)), np.zeros((3, 3))]).energy_curve()
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +316,7 @@ def test_glram_history_non_increasing_and_orthonormal():
     assert np.allclose(factors.left.T @ factors.left, np.eye(k), atol=1e-10)
     assert np.allclose(factors.right.T @ factors.right, np.eye(k), atol=1e-10)
     # recorded history agrees with an explicit reconstruction of the final state
-    assert lowrank.glram_rmsre(ensemble, factors) == pytest.approx(hist[-1], abs=1e-10)
+    assert oracles.glram_rmsre(ensemble, factors) == pytest.approx(hist[-1], abs=1e-10)
 
 
 def test_glram_errors():

@@ -85,6 +85,25 @@ def test_sym_eig_rejects_nonsymmetric():
         numerics.sym_eig_topk(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
 
 
+def test_sym_eig_route_follows_pair_fraction(monkeypatch):
+    """Above DENSE_EIG_MAX_DIM, many pairs go dense and few reach Lanczos."""
+    class LanczosReached(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise LanczosReached
+
+    monkeypatch.setattr(numerics, "DENSE_EIG_MAX_DIM", 4)
+    monkeypatch.setattr(numerics.spla, "eigsh", refuse)
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((20, 20))
+    s = m + m.T
+    pairs = numerics.sym_eig_topk(s, 18)  # k = 0.9 n
+    assert np.allclose(pairs.values, np.linalg.eigvalsh(s)[::-1][:18], atol=1e-10)
+    with pytest.raises(LanczosReached):
+        numerics.sym_eig_topk(s, 2)  # k = 0.1 n
+
+
 @pytest.mark.parametrize("k", [0, 4])
 def test_sym_eig_rejects_bad_k(k):
     with pytest.raises(DimensionMismatchError):

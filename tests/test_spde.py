@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from lram import fem, lowrank, spde
+from lram import cli, fem, lowrank, numerics, spde
 from lram.errors import ConfigRangeError, ZeroEnsembleError
+
+import oracles
 
 
 def small_cfg(**overrides):
@@ -55,6 +59,8 @@ def test_report_carries_diagnostics():
     report = spde.run_spde(small_cfg(sample_conditions=True))
     assert report.cond_base > 1.0
     assert len(report.sample_conditions) == 6
+    # of A + P_m, which is nonsingular; P_m alone is singular (boundary rows zero)
+    assert all(math.isfinite(c) and c >= 1.0 for c in report.sample_conditions)
     assert report.energy_curve[-1][1] == 1.0
     assert set(report.timings) >= {"assemble", "compress", "solve", "reference"}
 
@@ -78,7 +84,7 @@ def test_config_validation():
 def test_critical_rank_of_rank_one_ensemble():
     e1 = np.zeros((5, 5))
     e1[0, 0] = 1.0
-    k_star, tau_star = spde.critical_tau([e1, 2.0 * e1])
+    k_star, tau_star = spde.critical_tau(lowrank.gram_spectrum([e1, 2.0 * e1]).energy_curve())
     assert k_star == 1
     assert tau_star == pytest.approx(0.2)
 
@@ -87,7 +93,8 @@ def test_critical_rank_bounded_by_interior_nodes():
     mesh = fem.structured_mesh(0.25)
     fields = fem.sample_fields(mesh, 40, 0.2, "normal", master_seed=3)
     system = fem.assemble(mesh, fields, lambda x, y: 1.0)
-    k_star, tau_star = spde.critical_tau(system.perturbations)
+    k_star, tau_star = spde.critical_tau(
+        lowrank.gram_spectrum(system.perturbations).energy_curve())
     interior = mesh.num_nodes - mesh.boundary_nodes.shape[0]
     assert k_star <= interior
     assert tau_star == pytest.approx(k_star / mesh.num_nodes)
@@ -97,17 +104,19 @@ def test_critical_rank_bounded_by_interior_nodes():
 
 def test_critical_rank_zero_ensemble():
     with pytest.raises(ZeroEnsembleError):
-        spde.critical_tau([np.zeros((4, 4))])
+        spde.critical_tau(lowrank.gram_spectrum([np.zeros((4, 4))]).energy_curve())
 
 
 def test_compression_exact_at_critical_rank():
     mesh = fem.structured_mesh(0.25)
     fields = fem.sample_fields(mesh, 30, 0.2, "normal", master_seed=5)
     system = fem.assemble(mesh, fields, lambda x, y: 1.0)
-    k_star, _ = spde.critical_tau(system.perturbations)
-    factors = lowrank.compress_rank(system.perturbations, k_star)
+    spectrum = lowrank.gram_spectrum(system.perturbations)
+    k_star, _ = spde.critical_tau(spectrum.energy_curve())
+    factors = lowrank.compress_rank(system.perturbations, k_star, spectrum)
     scale = max(np.linalg.norm(p.toarray()) for p in system.perturbations)
-    assert lowrank.rmsre(system.perturbations, factors) <= 1e-9 * scale
+    assert oracles.rmsre(system.perturbations, factors) <= 1e-9 * scale
+    assert lowrank.rmsre(system.perturbations, spectrum, k_star) <= 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +126,7 @@ def test_compression_exact_at_critical_rank():
 
 def test_tau_scan_error_non_increasing():
     cfg = small_cfg(num_samples=12)
-    result = spde.tau_scan(cfg, [0.4, 0.6, 0.8, 1.0])
+    result = spde.scan(cfg, [0.4, 0.6, 0.8, 1.0])
     errs = [row[2] for row in result.rows]
     for a, b in zip(errs, errs[1:]):
         assert b <= a * 1.05 + 1e-9
@@ -126,10 +135,40 @@ def test_tau_scan_error_non_increasing():
 
 def test_rank_scan_basis_tracks_requested_ranks():
     cfg = small_cfg(num_samples=8)
-    result = spde.rank_scan(cfg, [3, 10, 20])
+    n = fem.structured_mesh(cfg.h).num_nodes
+    result = spde.scan(cfg, [k / n for k in (3, 10, 20)])
     assert [row[1] for row in result.rows] == [3, 10, 20]
     rmsres = [row[3] for row in result.rows]
     assert rmsres[0] >= rmsres[1] >= rmsres[2]
+
+
+@pytest.fixture
+def spectral_calls(monkeypatch):
+    """Counts of Gram builds and eigensolves made through the library."""
+    calls = {"gram": 0, "eig": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lowrank, "ensemble_gram", counted("gram", lowrank.ensemble_gram))
+    monkeypatch.setattr(numerics, "sym_eig_topk", counted("eig", numerics.sym_eig_topk))
+    return calls
+
+
+@pytest.mark.parametrize("run", [
+    lambda tmp: spde.run_spde(small_cfg()),
+    lambda tmp: spde.run_spde(small_cfg(method="neumann", neumann_order=8)),
+    lambda tmp: spde.run_spde(small_cfg(method="direct")),
+    lambda tmp: spde.scan(small_cfg(), [0.4, 0.6, 0.8, 1.0]),
+    lambda tmp: cli.main(["diagnose", "--h", "0.25", "--out-dir", str(tmp)]),
+    lambda tmp: cli.main(["compress", "--h", "0.25", "--tau", "0.5", "--out-dir", str(tmp)]),
+], ids=["smw", "neumann", "direct", "scan", "diagnose", "compress"])
+def test_one_spectral_pass_per_ensemble(spectral_calls, run, tmp_path):
+    run(tmp_path)
+    assert spectral_calls == {"gram": 1, "eig": 1}
 
 
 # ---------------------------------------------------------------------------
