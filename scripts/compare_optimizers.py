@@ -1,5 +1,12 @@
 #!/usr/bin/env python3
-"""Run the five minimizers on one control problem and print a comparison table."""
+"""Run the five minimizers on one control problem and print a comparison table.
+
+``passes`` counts evaluations in full passes over the sample operators (one
+forward and at most one adjoint application each); ``trials`` counts the
+line-search step sizes tried.
+
+    PYTHONPATH=src python scripts/compare_optimizers.py --h 0.05 --tau 0.88
+"""
 
 import argparse
 import sys
@@ -28,7 +35,8 @@ def main():
     _, _, _, problem = socp.build_control_problem(cfg)
     control0 = np.zeros(problem.dim)
 
-    print(f"{'method':>8} {'iters':>6} {'time(s)':>8} {'error':>10} {'ratio(%)':>9}")
+    print(f"{'method':>8} {'iters':>6} {'passes':>7} {'trials':>6} {'time(s)':>8} "
+          f"{'error':>10} {'ratio(%)':>9}")
     for method in socp.METHODS:
         spec = socp.OptimizerSpec(method=method, grad_tol=args.grad_tol)
         t0 = time.perf_counter()
@@ -37,8 +45,8 @@ def main():
         err = fem.mass_norm(problem.mass, res.state_mean - problem.desired_nodal)
         ratio = 100.0 * res.objective_final / res.objective_initial
         flag = "" if res.converged else "  (not converged)"
-        print(f"{method:>8} {res.iterations:6d} {elapsed:8.3f} {err:10.4f} "
-              f"{ratio:9.2f}{flag}")
+        print(f"{method:>8} {res.iterations:6d} {res.operator_passes:7.2f} "
+              f"{res.line_search_trials:6d} {elapsed:8.3f} {err:10.4f} {ratio:9.2f}{flag}")
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ are included, plus binary and MatrixMarket serialization of the factors.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +32,7 @@ from .errors import (
 
 _FACTORS_MAGIC = b"LRFB"
 _FACTORS_VERSION = 1
+_FACTORS_HEADER_BYTES = 32  # magic, version, N, k, M
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,18 +117,21 @@ def ensemble_gram(ensemble) -> np.ndarray:
 class GramSpectrum:
     """Eigenpairs of one ensemble's Gram matrix ``sum_m A_m A_m^T``, descending.
 
-    Complete when it holds all N pairs (dense eigensolver route), else the
+    Complete when it holds all N values (dense eigensolver route), else the
     leading ones (Lanczos route).  ``trace`` is ``sum_m ||A_m||_F^2``.
+    ``vectors`` is None for a values-only spectrum, which serves the energy
+    curve but no factors.
     """
 
     values: np.ndarray   # (p,), non-increasing
-    vectors: np.ndarray  # (N, p), orthonormal columns
+    vectors: np.ndarray | None  # (N, p), orthonormal columns
     trace: float
     num_samples: int
+    dim: int
 
     @property
     def complete(self) -> bool:
-        return self.values.shape[0] == self.vectors.shape[0]
+        return self.values.shape[0] == self.dim
 
     def check_rank(self, rank: int) -> None:
         if not 1 <= rank <= self.values.shape[0]:
@@ -152,17 +157,19 @@ class GramSpectrum:
         return [(k + 1, float(partial[k] / total)) for k in range(partial.shape[0])]
 
 
-def gram_spectrum(ensemble, rank: int | None = None) -> GramSpectrum:
+def gram_spectrum(ensemble, rank: int | None = None, vectors: bool = True) -> GramSpectrum:
     """One Gram build and one eigensolve, holding at least the leading ``rank`` pairs.
 
     ``rank=None`` asks for all pairs.  The dense route computes all of them
-    anyway, so they are all kept; the Gram matrix itself is not.
+    anyway, so they are all kept; the Gram matrix itself is not.  With
+    ``vectors=False`` only the eigenvalues are computed.
     """
     n = _check_ensemble(ensemble)
     gram = ensemble_gram(ensemble)
-    pairs = numerics.sym_eig_topk(gram, n if rank is None or numerics.dense_eig(n, rank) else rank)
+    k = n if rank is None or numerics.dense_eig(n, rank) else rank
+    pairs = numerics.sym_eig_topk(gram, k, vectors=vectors)
     return GramSpectrum(values=pairs.values, vectors=pairs.vectors,
-                        trace=float(np.trace(gram)), num_samples=len(ensemble))
+                        trace=float(np.trace(gram)), num_samples=len(ensemble), dim=n)
 
 
 def _sample_coeffs(basis: np.ndarray, a) -> np.ndarray:
@@ -298,14 +305,27 @@ def save_factors(path, factors: LowRankFactors) -> None:
 
 
 def load_factors(path) -> LowRankFactors:
+    """Read a ``save_factors`` container; ``ValueError`` if it is malformed.
+
+    The file must hold exactly the 32 header bytes plus the N*k + M*k*N
+    doubles its header announces.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _FACTORS_MAGIC:
-            raise ValueError(f"not a factor container: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        header = fh.read(_FACTORS_HEADER_BYTES)
+        if header[:4] != _FACTORS_MAGIC:
+            raise ValueError(f"not a factor container: bad magic {header[:4]!r}")
+        if len(header) < _FACTORS_HEADER_BYTES:
+            raise ValueError(f"factor container header is truncated: {len(header)} of "
+                             f"{_FACTORS_HEADER_BYTES} bytes")
+        (version,) = struct.unpack("<I", header[4:8])
         if version != _FACTORS_VERSION:
             raise ValueError(f"unsupported container version {version}")
-        dim, rank, num_samples = struct.unpack("<QQQ", fh.read(24))
+        dim, rank, num_samples = struct.unpack("<QQQ", header[8:])
+        expected = _FACTORS_HEADER_BYTES + 8 * (dim * rank + num_samples * rank * dim)
+        actual = os.fstat(fh.fileno()).st_size
+        if actual != expected:
+            raise ValueError(f"factor container {path} holds {actual} bytes; its header "
+                             f"(N={dim}, k={rank}, M={num_samples}) needs {expected}")
         basis = np.frombuffer(fh.read(8 * dim * rank), dtype="<f8").reshape(dim, rank)
         coeffs = []
         for _ in range(num_samples):

@@ -114,7 +114,7 @@ class EigenPairs:
     """Top-k eigenvalues in descending order with paired orthonormal vectors."""
 
     values: np.ndarray   # (k,), non-increasing
-    vectors: np.ndarray  # (n, k), column j pairs with values[j]
+    vectors: np.ndarray | None  # (n, k), column j pairs with values[j]; None if not asked
 
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
@@ -142,13 +142,15 @@ def dense_eig(n: int, k: int) -> bool:
     return n <= DENSE_EIG_MAX_DIM or 5 * k > n
 
 
-def sym_eig_topk(s, k, sym_tol=SYM_TOL) -> EigenPairs:
+def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True) -> EigenPairs:
     """Return the ``k`` largest eigenvalues and eigenvectors of a symmetric matrix.
 
     Uses a dense LAPACK decomposition where ``dense_eig`` says so and a
-    Lanczos solver otherwise.  Raises ``NonSymmetricError`` if the asymmetry exceeds
-    ``sym_tol * ||S||_F`` and ``NoConvergenceError`` if the iterative solver
-    stalls.
+    Lanczos solver otherwise.  With ``vectors=False`` only the eigenvalues
+    are computed (LAPACK takes a different route, so they can differ from the
+    paired ones in the last bits) and ``EigenPairs.vectors`` is None.  Raises
+    ``NonSymmetricError`` if the asymmetry exceeds ``sym_tol * ||S||_F`` and
+    ``NoConvergenceError`` if the iterative solver stalls.
     """
     n = _require_square(s)
     if not 1 <= k <= n:
@@ -160,17 +162,23 @@ def sym_eig_topk(s, k, sym_tol=SYM_TOL) -> EigenPairs:
     if dense_eig(n, k):
         sd = to_dense(s)
         sd = 0.5 * (sd + sd.T)
+        if not vectors:
+            w = sla.eigh(sd, eigvals_only=True)
+            return EigenPairs(values=w[::-1][:k].copy(), vectors=None)
         w, v = sla.eigh(sd)
         w = w[::-1][:k].copy()
         v = v[:, ::-1][:, :k]
     else:
         try:
-            w, v = spla.eigsh(s, k=k, which="LA")
+            out = spla.eigsh(s, k=k, which="LA", return_eigenvectors=vectors)
         except spla.ArpackNoConvergence as exc:
             got = len(exc.eigenvalues)
             raise NoConvergenceError(
                 f"Lanczos solver converged for {got} of {k} pairs"
             ) from exc
+        if not vectors:
+            return EigenPairs(values=np.sort(out)[::-1].copy(), vectors=None)
+        w, v = out
         order = np.argsort(w)[::-1]
         w = w[order]
         v = v[:, order]

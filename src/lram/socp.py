@@ -12,11 +12,13 @@ Y_m = (I_k + C_m B)^-1 acts through a cached k-by-k factorization.  Gradient
 and Hessian are exact; the Hessian is constant in f and is cached after the
 first assembly.  Five interchangeable minimizers are provided: steepest
 descent, single-sample stochastic gradient, Newton, BFGS, and a dogleg trust
-region, the first four with a weak-Wolfe line search.
+region.  Steepest descent, Newton and BFGS share a weak-Wolfe line search that
+reads the exact quadratic along each ray from one Hessian-vector product.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -135,6 +137,8 @@ class ReducedControlProblem:
     rank: int
     desired_mode: str = "interpolant"
     _hessian_cache: np.ndarray | None = field(default=None, repr=False)
+    # samples evaluated so far, each by one forward and at most one adjoint application
+    _sample_evals: int = field(default=0, repr=False)
 
     def __post_init__(self):
         if self.beta <= 0.0:
@@ -201,63 +205,72 @@ def build_reduced_problem(assembled: fem.AssembledSystem, factors: lowrank.LowRa
     )
 
 
-def objective(problem: ReducedControlProblem, control: np.ndarray) -> float:
-    """Mean tracking misfit plus the mass-weighted control penalty."""
+def _evaluate(problem: ReducedControlProblem, control, indices=None, target=None,
+              with_grad: bool = True):
+    """Mean misfit over ``indices`` plus the penalty, its gradient and the mean state.
+
+    The one per-sample loop behind every evaluation: each listed sample
+    operator (all by default) is applied once forward and, with
+    ``with_grad``, once adjoint.  ``target`` defaults to the problem's.
+    Returns (value, gradient or None, mean state).
+    """
     control = np.asarray(control, dtype=float)
     if control.shape[0] != problem.dim:
         raise DimensionMismatchError("control length does not match the problem")
-    target = problem.target
+    if indices is None:
+        indices = range(problem.num_samples)
+    if target is None:
+        target = problem.target
+    mass = problem.mass
     total = 0.0
-    for op in problem.operators:
-        diff = op.apply(control) - target
-        total += 0.5 * float(diff @ (problem.mass @ diff))
-    total /= problem.num_samples
-    total += 0.5 * problem.beta * float(control @ (problem.mass @ control))
-    return total
+    grad = np.zeros(problem.dim) if with_grad else None
+    state_sum = np.zeros(problem.dim)
+    for m in indices:
+        op = problem.operators[m]
+        state = op.apply(control)
+        state_sum += state
+        diff = state - target
+        weighted = mass @ diff
+        total += 0.5 * float(diff @ weighted)
+        if with_grad:
+            grad += op.apply_t(weighted)
+    count = len(indices)
+    problem._sample_evals += count
+    penalty = mass @ control
+    value = total / count + 0.5 * problem.beta * float(control @ penalty)
+    if with_grad:
+        grad = grad / count + problem.beta * penalty
+    return value, grad, state_sum / count
+
+
+def objective(problem: ReducedControlProblem, control: np.ndarray) -> float:
+    """Mean tracking misfit plus the mass-weighted control penalty."""
+    return _evaluate(problem, control, with_grad=False)[0]
 
 
 def gradient(problem: ReducedControlProblem, control: np.ndarray) -> np.ndarray:
     """Exact gradient via the transposed operator sequence."""
-    control = np.asarray(control, dtype=float)
-    if control.shape[0] != problem.dim:
-        raise DimensionMismatchError("control length does not match the problem")
-    target = problem.target
-    grad = np.zeros(problem.dim)
-    for op in problem.operators:
-        diff = op.apply(control) - target
-        grad += op.apply_t(problem.mass @ diff)
-    grad /= problem.num_samples
-    grad += problem.beta * (problem.mass @ control)
-    return grad
+    return _evaluate(problem, control)[1]
 
 
 def sample_gradient(problem: ReducedControlProblem, control: np.ndarray,
                     indices) -> np.ndarray:
     """Gradient restricted to a batch of sample indices (full penalty term)."""
-    control = np.asarray(control, dtype=float)
-    target = problem.target
-    grad = np.zeros(problem.dim)
-    for m in indices:
-        op = problem.operators[m]
-        diff = op.apply(control) - target
-        grad += op.apply_t(problem.mass @ diff)
-    grad /= len(indices)
-    grad += problem.beta * (problem.mass @ control)
-    return grad
+    return _evaluate(problem, control, indices)[1]
 
 
 def sample_objective(problem: ReducedControlProblem, control: np.ndarray,
                      indices) -> float:
-    control = np.asarray(control, dtype=float)
-    target = problem.target
-    total = 0.0
-    for m in indices:
-        op = problem.operators[m]
-        diff = op.apply(control) - target
-        total += 0.5 * float(diff @ (problem.mass @ diff))
-    total /= len(indices)
-    total += 0.5 * problem.beta * float(control @ (problem.mass @ control))
-    return total
+    return _evaluate(problem, control, indices, with_grad=False)[0]
+
+
+def hessian_vector(problem: ReducedControlProblem, direction: np.ndarray) -> np.ndarray:
+    """Hessian times ``direction``: one forward and one adjoint pass per sample.
+
+    The objective is quadratic, so this is its gradient at ``direction`` with
+    a zero target.
+    """
+    return _evaluate(problem, direction, target=np.zeros(problem.dim))[1]
 
 
 def hessian(problem: ReducedControlProblem) -> np.ndarray:
@@ -271,20 +284,14 @@ def hessian(problem: ReducedControlProblem) -> np.ndarray:
             f"dim {problem.dim} exceeds {HESSIAN_MAX_DIM}; use operator products instead"
         )
     if problem._hessian_cache is None:
-        mass_dense = numerics.to_dense(problem.mass)
         acc = np.zeros((problem.dim, problem.dim))
         for op in problem.operators:
             dense_op = op.to_dense()
-            acc += dense_op.T @ (mass_dense @ dense_op)
+            acc += dense_op.T @ (problem.mass @ dense_op)
         acc /= problem.num_samples
-        acc += problem.beta * mass_dense
+        acc += problem.beta * numerics.to_dense(problem.mass)
         problem._hessian_cache = 0.5 * (acc + acc.T)
     return problem._hessian_cache.copy()
-
-
-def state_mean(problem: ReducedControlProblem, control: np.ndarray) -> np.ndarray:
-    states = [op.apply(control) for op in problem.operators]
-    return np.mean(np.stack(states, axis=0), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +334,13 @@ class OptimizerSpec:
 
 @dataclass(frozen=True, eq=False)
 class SocpResult:
-    """Optimizer outcome with a full per-iteration trace."""
+    """Optimizer outcome with a full per-iteration trace.
+
+    ``operator_passes`` counts evaluations in units of one pass over all
+    samples, each sample operator applied once forward and at most once
+    adjoint (a batch of b samples counts b/M); the dense Hessian build is not
+    counted.  ``line_search_trials`` counts the step sizes tried.
+    """
 
     control: np.ndarray
     state_mean: np.ndarray
@@ -339,84 +352,105 @@ class SocpResult:
     converged: bool
     status: str
     method: str
+    line_search_trials: int = 0
+    operator_passes: float = 0.0  # set by ``optimize``
 
 
-def wolfe_line_search(value_and_grad, x, direction, fx, gx, c1=1e-4, c2=0.9,
-                      max_trials=50):
-    """Weak-Wolfe step by expansion and bisection.
+def wolfe_line_search(phi, value0, slope, c1=1e-4, c2=0.9, max_trials=50):
+    """Weak-Wolfe step along a ray by expansion and bisection.
 
-    Returns (step, value, gradient) at the accepted point or raises
-    ``LineSearchError`` once the trial budget is spent.
+    ``phi(t)`` returns the value and the directional derivative at step ``t``;
+    ``value0`` and ``slope`` are both taken at ``t = 0``.  Returns
+    (step, trials) or raises ``LineSearchError`` for a non-descent direction
+    or once the trial budget is spent.
     """
-    slope = float(gx @ direction)
     if slope >= 0.0:
         raise LineSearchError("search direction is not a descent direction")
     lo, hi = 0.0, math.inf
     t = 1.0
-    for _ in range(max_trials):
-        fx_t, gx_t = value_and_grad(x + t * direction)
-        if fx_t > fx + c1 * t * slope:
+    for trial in range(1, max_trials + 1):
+        value, derivative = phi(t)
+        if value > value0 + c1 * t * slope:
             hi = t
-        elif float(gx_t @ direction) < c2 * slope:
+        elif derivative < c2 * slope:
             lo = t
         else:
-            return t, fx_t, gx_t
+            return t, trial
         t = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
     raise LineSearchError(f"no acceptable step within {max_trials} trials")
 
 
-def _result(problem, method, control, j0, history, iterations, converged, status):
-    grad_norm = float(np.linalg.norm(gradient(problem, control)))
+def _result(problem, method, control, j0, history, iterations, converged, status,
+            trials=0):
+    value, grad, mean = _evaluate(problem, control)
     return SocpResult(
         control=control,
-        state_mean=state_mean(problem, control),
+        state_mean=mean,
         objective_initial=j0,
-        objective_final=objective(problem, control),
-        grad_norm_final=grad_norm,
+        objective_final=value,
+        grad_norm_final=float(np.linalg.norm(grad)),
         iterations=iterations,
         history=history,
         converged=converged,
         status=status,
         method=method,
+        line_search_trials=trials,
     )
+
+
+def _ray_model(value0, slope, curvature):
+    """Exact value and directional derivative of the quadratic J along a ray."""
+    def phi(t):
+        return value0 + t * slope + 0.5 * t * t * curvature, slope + t * curvature
+    return phi
 
 
 def _line_search_descent(problem, spec, control0, direction_state):
     """Shared loop for the Wolfe-based methods.
 
+    J is quadratic, so J(x + t d) = f + t g'd + t^2/2 d'Hd and its gradient is
+    g + t Hd: one Hessian-vector product per iteration answers every
+    line-search trial exactly, and no trial applies a sample operator.
     ``direction_state`` supplies the descent direction and may carry state
     between iterations (BFGS memory, factored Hessian).
     """
-    def value_and_grad(x):
-        return objective(problem, x), gradient(problem, x)
-
     x = np.array(control0, dtype=float)
-    fx, gx = value_and_grad(x)
+    fx, gx, _ = _evaluate(problem, x)
     j0 = fx
     if not np.isfinite(fx):
         raise ConfigRangeError("objective is not finite at the initial control")
     history: list[tuple[float, float, float]] = []
+    trials = 0
     best = (fx, x.copy())
     for it in range(spec.max_iters):
         gnorm = float(np.linalg.norm(gx))
         if gnorm <= spec.grad_tol:
-            return _result(problem, spec.method, x, j0, history, it, True, "converged")
+            return _result(problem, spec.method, x, j0, history, it, True, "converged",
+                           trials)
         direction = direction_state.direction(gx)
-        step, fx_new, gx_new = wolfe_line_search(
-            value_and_grad, x, direction, fx, gx,
+        hd = hessian_vector(problem, direction)
+        curvature = float(direction @ hd)
+        if curvature <= 0.0:
+            raise LineSearchError("objective has no positive curvature along the direction")
+        slope = float(gx @ direction)
+        phi = _ray_model(fx, slope, curvature)
+        step, used = wolfe_line_search(
+            phi, fx, slope,
             c1=spec.wolfe_c1, c2=spec.wolfe_c2, max_trials=spec.ls_max_trials,
         )
-        x_new = x + step * direction
-        direction_state.update(x_new - x, gx_new - gx)
-        x, fx, gx = x_new, fx_new, gx_new
+        trials += used
+        direction_state.update(step * direction, step * hd)
+        x = x + step * direction
+        fx = phi(step)[0]
+        gx = gx + step * hd
         history.append((fx, float(np.linalg.norm(gx)), step))
         if fx < best[0]:
             best = (fx, x.copy())
     if float(np.linalg.norm(gx)) <= spec.grad_tol:
         return _result(problem, spec.method, x, j0, history, spec.max_iters, True,
-                       "converged")
+                       "converged", trials)
     return _result(problem, spec.method, best[1], j0, history, spec.max_iters, False,
-                   "max-iterations")
+                   "max-iterations", trials)
 
 
 class _SteepestDirection:
@@ -480,8 +514,7 @@ def _optimize_trm(problem, spec, control0):
     hess = hessian(problem)
     factor = sla.cho_factor(hess, lower=True)
     x = np.array(control0, dtype=float)
-    fx = objective(problem, x)
-    gx = gradient(problem, x)
+    fx, gx, _ = _evaluate(problem, x)
     j0 = fx
     radius = spec.tr_radius0
     history: list[tuple[float, float, float]] = []
@@ -493,7 +526,8 @@ def _optimize_trm(problem, spec, control0):
         newton_step = -sla.cho_solve(factor, gx)
         step_vec = _dogleg_step(gx, hess, newton_step, radius)
         predicted = -(float(gx @ step_vec) + 0.5 * float(step_vec @ (hess @ step_vec)))
-        fx_trial = objective(problem, x + step_vec)
+        x_trial = x + step_vec
+        fx_trial, gx_trial, _ = _evaluate(problem, x_trial)
         ratio = (fx - fx_trial) / max(predicted, 1e-300)
         step_norm = float(np.linalg.norm(step_vec))
         if ratio < 0.25:
@@ -501,9 +535,7 @@ def _optimize_trm(problem, spec, control0):
         elif ratio > 0.75 and step_norm >= radius * (1.0 - 1e-12):
             radius = min(spec.tr_expand * radius, spec.tr_radius_max)
         if ratio > spec.tr_accept:
-            x = x + step_vec
-            fx = fx_trial
-            gx = gradient(problem, x)
+            x, fx, gx = x_trial, fx_trial, gx_trial
             history.append((fx, float(np.linalg.norm(gx)), step_norm))
         else:
             history.append((fx, gnorm, 0.0))
@@ -521,11 +553,13 @@ def _sgd_initial_step(problem, spec, x, indices):
     Doubling from 1.0 matters here: mass-weighted objectives have tiny
     curvature, so useful steps can be orders of magnitude above 1.
     """
-    gb = sample_gradient(problem, x, indices)
-    jb = sample_objective(problem, x, indices)
+    jb, gb, _ = _evaluate(problem, x, indices)
     slope = -float(gb @ gb)
+    trials = 0
 
     def armijo(t):
+        nonlocal trials
+        trials += 1
         return sample_objective(problem, x - t * gb, indices) <= jb + spec.wolfe_c1 * t * slope
 
     t = 1.0
@@ -534,11 +568,11 @@ def _sgd_initial_step(problem, spec, x, indices):
             if not armijo(2.0 * t):
                 break
             t *= 2.0
-        return t
+        return t, trials
     for _ in range(spec.ls_max_trials):
         t *= 0.5
         if armijo(t):
-            return t
+            return t, trials
     raise LineSearchError("no Armijo step for the first stochastic batch")
 
 
@@ -550,7 +584,7 @@ def _optimize_sgd(problem, spec, control0):
     m = problem.num_samples
 
     first_batch = rng.integers(0, m, size=spec.sgd_batch)
-    step0 = _sgd_initial_step(problem, spec, x, first_batch)
+    step0, trials = _sgd_initial_step(problem, spec, x, first_batch)
     best = (j0, x.copy())
     iterations = 0
     for k in range(spec.max_iters):
@@ -558,19 +592,21 @@ def _optimize_sgd(problem, spec, control0):
         batch = rng.integers(0, m, size=spec.sgd_batch)
         x = x - step * sample_gradient(problem, x, batch)
         iterations = k + 1
-        fx = objective(problem, x)
-        gnorm = float(np.linalg.norm(gradient(problem, x)))
+        fx, grad, _ = _evaluate(problem, x)
+        gnorm = float(np.linalg.norm(grad))
         history.append((fx, gnorm, step))
         if fx < best[0]:
             best = (fx, x.copy())
         # termination consults the full gradient only at the check cadence
         if iterations % spec.sgd_check_every == 0 and gnorm <= spec.grad_tol:
-            return _result(problem, "sgd", x, j0, history, iterations, True, "converged")
-    gnorm = float(np.linalg.norm(gradient(problem, x)))
+            return _result(problem, "sgd", x, j0, history, iterations, True, "converged",
+                           trials)
+    # gnorm is the full gradient norm at the last iterate
     if gnorm <= spec.grad_tol:
-        return _result(problem, "sgd", x, j0, history, iterations, True, "converged")
+        return _result(problem, "sgd", x, j0, history, iterations, True, "converged",
+                       trials)
     return _result(problem, "sgd", best[1], j0, history, iterations, False,
-                   "max-iterations")
+                   "max-iterations", trials)
 
 
 def optimize(problem: ReducedControlProblem, spec: OptimizerSpec,
@@ -579,15 +615,19 @@ def optimize(problem: ReducedControlProblem, spec: OptimizerSpec,
     control0 = np.asarray(control0, dtype=float)
     if control0.shape[0] != problem.dim:
         raise DimensionMismatchError("initial control length does not match the problem")
+    evals0 = problem._sample_evals
     if spec.method == "sdm":
-        return _line_search_descent(problem, spec, control0, _SteepestDirection())
-    if spec.method == "newton":
-        return _line_search_descent(problem, spec, control0, _NewtonDirection(problem))
-    if spec.method == "bfgs":
-        return _line_search_descent(problem, spec, control0, _BfgsDirection(problem.dim))
-    if spec.method == "trm":
-        return _optimize_trm(problem, spec, control0)
-    return _optimize_sgd(problem, spec, control0)
+        res = _line_search_descent(problem, spec, control0, _SteepestDirection())
+    elif spec.method == "newton":
+        res = _line_search_descent(problem, spec, control0, _NewtonDirection(problem))
+    elif spec.method == "bfgs":
+        res = _line_search_descent(problem, spec, control0, _BfgsDirection(problem.dim))
+    elif spec.method == "trm":
+        res = _optimize_trm(problem, spec, control0)
+    else:
+        res = _optimize_sgd(problem, spec, control0)
+    passes = (problem._sample_evals - evals0) / problem.num_samples
+    return dataclasses.replace(res, operator_passes=passes)
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,8 @@ def run_spde(cfg: SpdeRunConfig) -> SpdeReport:
     )
 
     t0 = time.perf_counter()
-    spectrum = lowrank.gram_spectrum(system.perturbations)
+    # the direct route reads only the energy curve and k*: eigenvalues suffice
+    spectrum = lowrank.gram_spectrum(system.perturbations, vectors=cfg.method != "direct")
     factors = None
     rmsre_value = None
     if cfg.method != "direct":

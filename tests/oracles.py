@@ -109,3 +109,52 @@ def glram_rmsre(ensemble, factors):
     total = sum(np.linalg.norm(_dense(a) - factors.left @ core @ factors.right.T, "fro") ** 2
                 for a, core in zip(ensemble, factors.cores))
     return math.sqrt(total / len(ensemble))
+
+
+def exact_wolfe_line_search(value_and_grad, x, direction, fx, gx, c1=1e-4, c2=0.9,
+                            max_trials=50):
+    """Weak-Wolfe step by expansion and bisection, evaluating J exactly at every trial.
+
+    Returns (step, value, gradient) at the accepted point.
+    """
+    slope = float(gx @ direction)
+    if slope >= 0.0:
+        raise ValueError("search direction is not a descent direction")
+    lo, hi = 0.0, math.inf
+    t = 1.0
+    for _ in range(max_trials):
+        fx_t, gx_t = value_and_grad(x + t * direction)
+        if fx_t > fx + c1 * t * slope:
+            hi = t
+        elif float(gx_t @ direction) < c2 * slope:
+            lo = t
+        else:
+            return t, fx_t, gx_t
+        t = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+    raise ValueError(f"no acceptable step within {max_trials} trials")
+
+
+def exact_line_search_descent(value_and_grad, x0, direction_state, spec):
+    """Line-search descent loop with exact per-trial evaluations.
+
+    ``direction_state`` supplies ``direction(grad)`` and ``update(s, y)``;
+    ``spec`` carries the stopping and Wolfe parameters.  Returns
+    (iterations, converged, history) with history rows (objective, grad
+    norm, step).
+    """
+    x = np.array(x0, dtype=float)
+    fx, gx = value_and_grad(x)
+    history = []
+    for it in range(spec.max_iters):
+        if float(np.linalg.norm(gx)) <= spec.grad_tol:
+            return it, True, history
+        direction = direction_state.direction(gx)
+        step, fx_new, gx_new = exact_wolfe_line_search(
+            value_and_grad, x, direction, fx, gx,
+            c1=spec.wolfe_c1, c2=spec.wolfe_c2, max_trials=spec.ls_max_trials,
+        )
+        x_new = x + step * direction
+        direction_state.update(x_new - x, gx_new - gx)
+        x, fx, gx = x_new, fx_new, gx_new
+        history.append((fx, float(np.linalg.norm(gx)), step))
+    return spec.max_iters, float(np.linalg.norm(gx)) <= spec.grad_tol, history

@@ -354,6 +354,21 @@ def test_factors_binary_roundtrip(tmp_path):
     assert (n, k, m) == (6, 2, 3)
 
 
+@pytest.mark.parametrize("edit", ["truncate", "append"])
+def test_load_factors_rejects_wrong_length(tmp_path, edit):
+    rng = np.random.default_rng(15)
+    factors = lowrank.compress_rank(random_ensemble(rng, 6, 3), 2)
+    path = tmp_path / "factors.bin"
+    lowrank.save_factors(path, factors)
+    raw = path.read_bytes()
+    expected = 32 + 8 * (6 * 2 + 3 * 2 * 6)
+    assert len(raw) == expected
+    damaged = raw[:-8] if edit == "truncate" else raw + b"\0" * 8
+    path.write_bytes(damaged)
+    with pytest.raises(ValueError, match=f"holds {len(damaged)} bytes.*needs {expected}"):
+        lowrank.load_factors(path)
+
+
 def test_factors_matrix_market_export(tmp_path):
     rng = np.random.default_rng(14)
     ensemble = random_ensemble(rng, 4, 2)

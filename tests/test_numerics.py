@@ -104,6 +104,17 @@ def test_sym_eig_route_follows_pair_fraction(monkeypatch):
         numerics.sym_eig_topk(s, 2)  # k = 0.1 n
 
 
+@pytest.mark.parametrize("max_dense, k", [(100, 20), (4, 3)], ids=["dense", "lanczos"])
+def test_sym_eig_values_only(monkeypatch, max_dense, k):
+    monkeypatch.setattr(numerics, "DENSE_EIG_MAX_DIM", max_dense)
+    rng = np.random.default_rng(6)
+    m = rng.standard_normal((20, 20))
+    s = m + m.T
+    pairs = numerics.sym_eig_topk(s, k, vectors=False)
+    assert pairs.vectors is None
+    assert np.allclose(pairs.values, np.linalg.eigvalsh(s)[::-1][:k], atol=1e-10)
+
+
 @pytest.mark.parametrize("k", [0, 4])
 def test_sym_eig_rejects_bad_k(k):
     with pytest.raises(DimensionMismatchError):

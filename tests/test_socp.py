@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from lram.errors import (
     LineSearchError,
 )
 
+import oracles
 from oracles import rand_spd
 
 
@@ -180,6 +183,18 @@ def test_hessian_constant_and_bitwise_identical():
     assert np.array_equal(h1, h2)
 
 
+@pytest.mark.parametrize("kind", ["fem", "dense"])
+def test_hessian_vector_matches_dense_hessian(kind):
+    rng = np.random.default_rng(9)
+    problem = fem_problem()[2] if kind == "fem" else synthetic_problem(rng)
+    h = socp.hessian(problem)
+    for _ in range(3):
+        d = rng.standard_normal(problem.dim)
+        expected = h @ d
+        err = np.linalg.norm(socp.hessian_vector(problem, d) - expected)
+        assert err <= 1e-12 * np.linalg.norm(expected)
+
+
 def test_hessian_size_guard():
     problem = socp.ReducedControlProblem(
         mass=sp.eye_array(6000).tocsr(),
@@ -294,12 +309,65 @@ def test_line_search_rejects_ascent_direction():
     f = np.zeros(problem.dim)
     g = socp.gradient(problem, f)
 
+    def phi(t):
+        x = f + t * g
+        return socp.objective(problem, x), float(socp.gradient(problem, x) @ g)
+
+    with pytest.raises(LineSearchError):
+        socp.wolfe_line_search(phi, socp.objective(problem, f), float(g @ g))
+
+
+def test_line_search_rejects_nonpositive_curvature():
+    # a negative definite "mass" makes J concave: no Wolfe step exists
+    n = 4
+    problem = socp.ReducedControlProblem(
+        mass=-sp.eye_array(n).tocsr(), operators=[socp.DenseStateOperator(np.eye(n))],
+        desired_nodal=np.ones(n), desired_proj=-np.ones(n), beta=1.0, rank=n,
+    )
+    with pytest.raises(LineSearchError):
+        socp.optimize(problem, socp.OptimizerSpec(method="sdm"), np.zeros(n))
+
+
+@pytest.mark.parametrize("method", ["sdm", "newton", "bfgs"])
+def test_model_line_search_matches_exact_oracle(method):
+    _, _, problem = fem_problem(h=0.25, num_samples=8, ratio=0.88)
+    f0 = np.zeros(problem.dim)
+    spec = socp.OptimizerSpec(method=method)
+    res = socp.optimize(problem, spec, f0)
+    direction_state = {
+        "sdm": lambda: socp._SteepestDirection(),
+        "newton": lambda: socp._NewtonDirection(problem),
+        "bfgs": lambda: socp._BfgsDirection(problem.dim),
+    }[method]()
+
     def value_and_grad(x):
         return socp.objective(problem, x), socp.gradient(problem, x)
 
-    with pytest.raises(LineSearchError):
-        socp.wolfe_line_search(value_and_grad, f, +g,
-                               socp.objective(problem, f), g)
+    iterations, converged, history = oracles.exact_line_search_descent(
+        value_and_grad, f0, direction_state, spec)
+    assert (res.iterations, res.converged) == (iterations, converged)
+    assert [row[2] for row in res.history] == [row[2] for row in history]
+    for ours, exact in zip(res.history, history):
+        assert ours[0] == pytest.approx(exact[0], rel=1e-10)
+
+
+def test_sdm_operator_applications_follow_iterations_not_trials(monkeypatch):
+    _, _, problem = fem_problem(h=0.25, num_samples=6)
+    counts = collections.Counter()
+    apply = socp.SampleStateOperator.apply
+
+    def counted(self, control):
+        counts[id(self)] += 1
+        return apply(self, control)
+
+    monkeypatch.setattr(socp.SampleStateOperator, "apply", counted)
+    res = socp.optimize(problem, socp.OptimizerSpec(method="sdm"), np.zeros(problem.dim))
+    assert res.iterations >= 2
+    assert res.line_search_trials > 2 * res.iterations
+    # the initial point, one Hessian-vector product per iteration, the final report
+    assert len(counts) == problem.num_samples
+    assert set(counts.values()) == {res.iterations + 2}
+    assert res.operator_passes == res.iterations + 2
 
 
 def test_sgd_deterministic_given_seed():

@@ -144,13 +144,19 @@ def test_rank_scan_basis_tracks_requested_ranks():
 
 @pytest.fixture
 def spectral_calls(monkeypatch):
-    """Counts of Gram builds and eigensolves made through the library."""
-    calls = {"gram": 0, "eig": 0}
+    """Counts of Gram builds and eigensolves made through the library.
+
+    ``vectors`` lists, per eigensolve, whether it built an eigenvector array.
+    """
+    calls = {"gram": 0, "eig": 0, "vectors": []}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
             calls[key] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if key == "eig":
+                calls["vectors"].append(result.vectors is not None)
+            return result
         return wrapper
 
     monkeypatch.setattr(lowrank, "ensemble_gram", counted("gram", lowrank.ensemble_gram))
@@ -158,17 +164,19 @@ def spectral_calls(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("run", [
-    lambda tmp: spde.run_spde(small_cfg()),
-    lambda tmp: spde.run_spde(small_cfg(method="neumann", neumann_order=8)),
-    lambda tmp: spde.run_spde(small_cfg(method="direct")),
-    lambda tmp: spde.scan(small_cfg(), [0.4, 0.6, 0.8, 1.0]),
-    lambda tmp: cli.main(["diagnose", "--h", "0.25", "--out-dir", str(tmp)]),
-    lambda tmp: cli.main(["compress", "--h", "0.25", "--tau", "0.5", "--out-dir", str(tmp)]),
+@pytest.mark.parametrize("run, vectors", [
+    (lambda tmp: spde.run_spde(small_cfg()), True),
+    (lambda tmp: spde.run_spde(small_cfg(method="neumann", neumann_order=8)), True),
+    # the direct route needs eigenvalues only: no eigenvector array is built
+    (lambda tmp: spde.run_spde(small_cfg(method="direct")), False),
+    (lambda tmp: spde.scan(small_cfg(), [0.4, 0.6, 0.8, 1.0]), True),
+    (lambda tmp: cli.main(["diagnose", "--h", "0.25", "--out-dir", str(tmp)]), True),
+    (lambda tmp: cli.main(["compress", "--h", "0.25", "--tau", "0.5", "--out-dir", str(tmp)]),
+     True),
 ], ids=["smw", "neumann", "direct", "scan", "diagnose", "compress"])
-def test_one_spectral_pass_per_ensemble(spectral_calls, run, tmp_path):
+def test_one_spectral_pass_per_ensemble(spectral_calls, run, vectors, tmp_path):
     run(tmp_path)
-    assert spectral_calls == {"gram": 1, "eig": 1}
+    assert spectral_calls == {"gram": 1, "eig": 1, "vectors": [vectors]}
 
 
 # ---------------------------------------------------------------------------
