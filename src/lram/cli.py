@@ -213,7 +213,9 @@ def _sha256(path) -> str:
 
 
 def write_manifest(out_dir: Path, subcommand: str, resolved: dict,
-                   timings: dict, outputs: list, error: str | None = None) -> None:
+                   timings: dict, outputs: list, error: str | None = None,
+                   record: dict | None = None) -> None:
+    """``manifest.txt``: config, timings, what the run did (``record``), output digests."""
     lines = [
         f"tool_version = {__version__}",
         f"subcommand = {subcommand}",
@@ -225,6 +227,8 @@ def write_manifest(out_dir: Path, subcommand: str, resolved: dict,
         lines.append(f"{key} = {_fmt(value)}")
     for phase in sorted(timings):
         lines.append(f"timing.{phase} = {timings[phase]:.6f}")
+    for key, value in (record or {}).items():
+        lines.append(f"{key} = {_fmt(value)}")
     for name in outputs:
         lines.append(f"sha256.{name} = {_sha256(out_dir / name)}")
     if error is not None:
@@ -247,9 +251,10 @@ def _spde_config(cfg: dict) -> spde.SpdeRunConfig:
     )
 
 
-def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict]:
+def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
     outputs = []
     timings: dict[str, float] = {}
+    record: dict = {}
     if cfg["tau_scan"]:
         t0 = time.perf_counter()
         result = spde.scan(_spde_config(cfg), cfg["tau_scan"])
@@ -259,10 +264,14 @@ def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict]:
         outputs.append("errors_vs_tau.csv")
         write_csv(out_dir / "energy.csv", ["rank", "energy"], result.energy_curve)
         outputs.append("energy.csv")
-        return outputs, timings
+        return outputs, timings, record
 
     report = spde.run_spde(_spde_config(cfg))
     timings.update(report.timings)
+    if report.woodbury_form is not None:
+        record["woodbury.form"] = report.woodbury_form
+        record["woodbury.update_rank"] = report.update_rank
+        record["woodbury.basis_form_samples"] = len(report.solution.basis_form_samples)
     write_csv(
         out_dir / "report.csv",
         ["nodes", "samples", "rank", "tau", "epsilon", "method",
@@ -286,7 +295,7 @@ def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict]:
         write_csv(out_dir / "sample_conditions.csv", ["sample", "cond"],
                   list(enumerate(report.sample_conditions)))
         outputs.append("sample_conditions.csv")
-    return outputs, timings
+    return outputs, timings, record
 
 
 def _socp_config(cfg: dict) -> socp.SocpRunConfig:
@@ -310,7 +319,7 @@ def _optimizer_spec(cfg: dict, method: str) -> socp.OptimizerSpec:
     )
 
 
-def cmd_socp(out_dir: Path, cfg: dict) -> tuple[list, dict]:
+def cmd_socp(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
     outputs = []
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -355,7 +364,7 @@ def cmd_socp(out_dir: Path, cfg: dict) -> tuple[list, dict]:
     write_csv(out_dir / "state_mean.csv", ["node", "value"],
               list(enumerate(primary.state_mean)))
     outputs.append("state_mean.csv")
-    return outputs, timings
+    return outputs, timings, {}
 
 
 def _load_ensemble(cfg: dict):
@@ -374,7 +383,7 @@ def _load_ensemble(cfg: dict):
     return system.perturbations, system.base
 
 
-def cmd_compress(out_dir: Path, cfg: dict) -> tuple[list, dict]:
+def cmd_compress(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
     outputs = []
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -401,15 +410,16 @@ def cmd_compress(out_dir: Path, cfg: dict) -> tuple[list, dict]:
         written = lowrank.factors_to_matrix_market(out_dir / "factors_mm", factors)
         for p in written:
             outputs.append(str(Path(p).relative_to(out_dir)))
-    return outputs, timings
+    return outputs, timings, {}
 
 
-def cmd_diagnose(out_dir: Path, cfg: dict) -> tuple[list, dict]:
+def cmd_diagnose(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
     outputs = []
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     ensemble, base = _load_ensemble(cfg)
-    spectrum = lowrank.gram_spectrum(ensemble)
+    # the energy curve, k* and the listed eigenvalues need no eigenvectors
+    spectrum = lowrank.gram_spectrum(ensemble, vectors=False)
     curve = spectrum.energy_curve()
     k_star, tau_star = spde.critical_tau(curve)
     timings["diagnose"] = time.perf_counter() - t0
@@ -430,7 +440,7 @@ def cmd_diagnose(out_dir: Path, cfg: dict) -> tuple[list, dict]:
                  for m, a in enumerate(ensemble)]
         write_csv(out_dir / "sample_conditions.csv", ["sample", "cond"], conds)
         outputs.append("sample_conditions.csv")
-    return outputs, timings
+    return outputs, timings, {}
 
 
 COMMANDS = {
@@ -550,7 +560,7 @@ def main(argv=None) -> int:
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        outputs, timings = COMMANDS[args.subcommand](out_dir, cfg)
+        outputs, timings, record = COMMANDS[args.subcommand](out_dir, cfg)
     except ConfigError as exc:
         print(f"lram: configuration error: {exc}", file=sys.stderr)
         return 1
@@ -559,7 +569,7 @@ def main(argv=None) -> int:
                        error=f"{type(exc).__name__}: {exc}")
         print(f"lram: numerical failure: {exc}", file=sys.stderr)
         return 2
-    write_manifest(out_dir, args.subcommand, cfg, timings, outputs)
+    write_manifest(out_dir, args.subcommand, cfg, timings, outputs, record=record)
     return 0
 
 

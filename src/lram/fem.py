@@ -135,28 +135,6 @@ def sample_fields(mesh: TriMesh, num_samples: int, epsilon: float,
     return fields
 
 
-def triangle_stiffness(coords) -> np.ndarray:
-    """P1 stiffness matrix of one triangle with unit coefficient."""
-    coords = np.asarray(coords, dtype=float)
-    x, y = coords[:, 0], coords[:, 1]
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
-    if area <= 0.0:
-        raise DegenerateElementError(f"triangle area {area} is not positive")
-    return (np.outer(b, b) + np.outer(c, c)) / (4.0 * area)
-
-
-def triangle_mass(coords) -> np.ndarray:
-    """Exact P1 mass matrix of one triangle: area/12 * [[2,1,1],[1,2,1],[1,1,2]]."""
-    coords = np.asarray(coords, dtype=float)
-    x, y = coords[:, 0], coords[:, 1]
-    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
-    if area <= 0.0:
-        raise DegenerateElementError(f"triangle area {area} is not positive")
-    return area / 12.0 * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
-
-
 @dataclass(frozen=True, eq=False)
 class AssembledSystem:
     """Assembled matrices and load for one mesh and one batch of field samples.

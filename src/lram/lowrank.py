@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,18 +36,40 @@ _FACTORS_VERSION = 1
 _FACTORS_HEADER_BYTES = 32  # magic, version, N, k, M
 
 
+class Projections(Sequence):
+    """Read-only sequence of ``basis^T A_m`` over ``members``, each built on access.
+
+    No k-by-N matrix is held; every access projects the member again.
+    """
+
+    def __init__(self, basis: np.ndarray, members):
+        self.basis = basis
+        self.members = members
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    def __getitem__(self, m: int) -> np.ndarray:
+        return _sample_coeffs(self.basis, self.members[m])
+
+
 @dataclass(frozen=True, eq=False)
 class LowRankFactors:
     """Shared orthonormal basis plus per-sample coefficient matrices.
 
     ``basis`` is N-by-k with orthonormal columns; ``coeffs[m]`` is k-by-N and
-    the reconstruction of sample m is ``basis @ coeffs[m]``.
+    the reconstruction of sample m is ``basis @ coeffs[m]``.  The compressors
+    give ``coeffs`` as ``Projections`` of the compressed members and, on a
+    complete spectrum, the N-by-(N-k) ``complement``: the trailing
+    eigenvectors, so ``[basis complement]`` is orthogonal.  Loaded and
+    hand-built factors hold plain coefficient lists and no complement.
     """
 
     basis: np.ndarray
-    coeffs: list[np.ndarray]
+    coeffs: Sequence[np.ndarray]
     rank: int
     ratio: float
+    complement: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -58,7 +81,8 @@ class LowRankFactors:
 
     @property
     def stored_scalars(self) -> int:
-        return int(self.basis.size) + int(sum(c.size for c in self.coeffs))
+        """Scalars of the basis plus M coefficient matrices of k-by-N."""
+        return int(self.basis.size) + self.num_samples * self.rank * self.dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +166,13 @@ class GramSpectrum:
         self.check_rank(rank)
         return np.ascontiguousarray(self.vectors[:, :rank])
 
+    def complement(self, rank: int) -> np.ndarray:
+        """The trailing N - ``rank`` eigenvectors of a complete spectrum, copied C-contiguous."""
+        self.check_rank(rank)
+        if not self.complete:
+            raise DimensionMismatchError("the complement needs the complete spectrum")
+        return np.ascontiguousarray(self.vectors[:, rank:])
+
     def energy_curve(self) -> list[tuple[int, float]]:
         """Energy curve e(k) from plain partial sums of a complete spectrum.
 
@@ -182,8 +213,9 @@ def _factors(ensemble, rank: int, ratio: float, spectrum) -> LowRankFactors:
     if spectrum is None:
         spectrum = gram_spectrum(ensemble, rank)
     basis = spectrum.basis(rank)
-    coeffs = [_sample_coeffs(basis, a) for a in ensemble]
-    return LowRankFactors(basis=basis, coeffs=coeffs, rank=rank, ratio=float(ratio))
+    complement = spectrum.complement(rank) if spectrum.complete else None
+    return LowRankFactors(basis=basis, coeffs=Projections(basis, ensemble), rank=rank,
+                          ratio=float(ratio), complement=complement)
 
 
 def compress_rank(ensemble, rank: int, spectrum: GramSpectrum | None = None) -> LowRankFactors:
@@ -215,8 +247,8 @@ def rmsre(ensemble, spectrum: GramSpectrum, rank: int) -> float:
     """
     spectrum.check_rank(rank)
     if spectrum.complete:
-        tail = np.ascontiguousarray(spectrum.vectors[:, rank:])
-        total = sum(float(np.sum(_sample_coeffs(tail, a) ** 2)) for a in ensemble)
+        tail = Projections(spectrum.complement(rank), ensemble)
+        total = sum(float(np.sum(c ** 2)) for c in tail)
     else:
         total = max(spectrum.trace - float(np.sum(spectrum.values[:rank])), 0.0)
     return math.sqrt(total / spectrum.num_samples)

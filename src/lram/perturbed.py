@@ -1,15 +1,29 @@
 """Solvers for ensembles of perturbed linear systems sharing one base matrix.
 
 Each sample solves ``(base + perturbation_m) u_m = rhs``.  With shared-basis
-factors ``perturbation_m ~ basis @ coeffs[m]`` the rank-k update identity
-turns every sample into one cached base solve plus a k-by-k dense inversion:
+factors ``perturbation_m ~ basis @ coeffs[m]`` (U = basis, C_m = coeffs[m],
+u0 = base^-1 rhs) ``solve_smw`` applies the Woodbury identity in one of two
+forms, chosen by the smaller update rank min(k, N - k):
 
-    u_m = u0 - (base^-1 basis) @ (I_k + coeffs[m] base^-1 basis)^-1 @ coeffs[m] @ u0
+* Basis form, rank k:
+  ``u_m = u0 - (base^-1 U) (I_k + C_m base^-1 U)^-1 C_m u0``.  Once per
+  ensemble: one factorization of the base and k solves for ``base^-1 U``.
+  Per sample: the k-by-k capacitance ``C_m base^-1 U`` (2 k^2 N flops), its
+  LU (2/3 k^3) and O(kN) vector work.  Cheaper than a per-sample sparse LU
+  only while k is small.
+* Complement form, rank N - k, taken when N - k < k and the factors carry
+  the complement W (the trailing Gram eigenvectors, so ``[U W]`` is
+  orthogonal and C_m = U^T P_m).  Then ``base + U C_m = (base + P_m) - W D_m``
+  with D_m = W^T P_m, and the correction ``delta_m = u0 - u_m`` solves
+  ``(base + P_m - W D_m) delta_m = U U^T P_m u0`` by Woodbury on one sparse LU
+  of ``base + P_m``.  Per sample: that LU, N - k + 1 solves with it, the
+  (N-k)-by-(N-k) capacitance (2 (N-k)^2 N flops) and its LU.  It includes a
+  per-sample sparse LU, so above half rank SMW costs at least the direct
+  route.  A sample whose ``base + P_m`` does not factor takes the basis form.
 
-where ``u0 = base^-1 rhs``.  ``base^-1 basis`` is materialized once per
-ensemble and reused for all samples.  A truncated alternating series and a
-per-sample direct factorization are provided as alternative routes; the
-quantity of interest is the sample mean, reduced in fixed order.
+A truncated alternating series and a per-sample direct factorization are
+provided as alternative routes; the quantity of interest is the sample mean,
+reduced in fixed order.
 """
 
 from __future__ import annotations
@@ -20,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import numerics
+from . import lowrank, numerics
 from .errors import (
     DimensionMismatchError,
     DivergenceRiskError,
@@ -33,6 +47,10 @@ from .errors import (
 CAPACITANCE_RESIDUAL_TOL = 1e-8
 #: Power-iteration count for the series contraction check.
 CONTRACTION_ITERS = 20
+#: Right-hand-side columns per solve with a sample LU.  Narrow blocks keep the
+#: dense kernels inside SuperLU small: on a 2-core VM with 2 OpenBLAS threads,
+#: 53 to 202 columns in one call solved 2 to 4 times slower than in blocks of 16.
+SOLVE_BLOCK_COLUMNS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +90,11 @@ class EnsembleSolution:
     method: str
     fallback_samples: tuple[int, ...] = ()
     truncation_residuals: tuple[float, ...] | None = None
+    # SMW only: "basis" (rank k) or "complement" (rank N - k), and that rank
+    woodbury_form: str | None = None
+    update_rank: int | None = None
+    # complement-form runs: samples whose base + P_m did not factor (basis form)
+    basis_form_samples: tuple[int, ...] = ()
 
 
 def qoi_mean(samples) -> np.ndarray:
@@ -92,10 +115,17 @@ def _check_factors(ensemble, factors):
         raise DimensionMismatchError("factor sample count differs from ensemble")
 
 
+def _sample_lu(matrix):
+    """Sparse LU of one sample matrix: ordering on A + A^T, partial pivoting kept.
+
+    Raises ``RuntimeError`` if the matrix is exactly singular.
+    """
+    return spla.splu(sp.csc_array(matrix), permc_spec="MMD_AT_PLUS_A")
+
+
 def _direct_sample(ensemble, m) -> np.ndarray:
-    matrix = (ensemble.base + ensemble.perturbations[m]).tocsc()
     try:
-        lu = spla.splu(matrix)
+        lu = _sample_lu(ensemble.base + ensemble.perturbations[m])
     except RuntimeError as exc:
         raise SingularSampleError(m, str(exc)) from exc
     u = lu.solve(ensemble.rhs)
@@ -104,44 +134,92 @@ def _direct_sample(ensemble, m) -> np.ndarray:
     return u
 
 
+def _capacitance_solve(m, update, rhs, residual_tol) -> np.ndarray:
+    """Solve one sample's small Woodbury system; ``SingularCapacitanceError`` if it fails.
+
+    A solve whose residual exceeds ``residual_tol * ||rhs||`` counts as singular
+    and carries a condition estimate.
+    """
+    try:
+        y = np.linalg.solve(update, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularCapacitanceError(m) from None
+    resid = np.linalg.norm(update @ y - rhs)
+    if resid > residual_tol * max(np.linalg.norm(rhs), 1e-300):
+        raise SingularCapacitanceError(m, cond=float(np.linalg.cond(update)))
+    return y
+
+
+def _complement_sample(m, base, member, complement, projected, u0, residual_tol):
+    """u_m by the rank-(N-k) form, or None if ``base + member`` does not factor.
+
+    ``projected`` is D_m = W^T P_m.  With B = base + P_m the correction is
+    delta = s + Z y, where [s Z] = B^-1 [r W], r = U U^T P_m u0 = P_m u0 - W D_m u0
+    and (I - D_m Z) y = D_m s.  Zero perturbations give delta = 0 exactly.
+    """
+    try:
+        lu = _sample_lu(base + member)
+    except RuntimeError:
+        return None
+    reduced_rhs = member @ u0 - complement @ (projected @ u0)
+    block = np.asfortranarray(np.column_stack([reduced_rhs, complement]))
+    solved = np.concatenate([lu.solve(block[:, j:j + SOLVE_BLOCK_COLUMNS])
+                             for j in range(0, block.shape[1], SOLVE_BLOCK_COLUMNS)], axis=1)
+    if not np.all(np.isfinite(solved)):
+        return None
+    s, z = solved[:, 0], solved[:, 1:]
+    update = np.eye(complement.shape[1]) - projected @ z
+    y = _capacitance_solve(m, update, projected @ s, residual_tol)
+    return u0 - (s + z @ y)
+
+
 def solve_smw(ensemble: PerturbedEnsemble, factors, fallback_direct: bool = False,
               residual_tol: float = CAPACITANCE_RESIDUAL_TOL) -> EnsembleSolution:
-    """Solve every sample through the rank-k update identity.
+    """Solve every sample through the Woodbury identity of the smaller update rank.
 
-    The base matrix is factorized once; ``base^-1 basis`` is solved once and
-    cached, so each sample costs one k-by-k dense solve plus matrix-vector
-    work.  A singular k-by-k update raises ``SingularCapacitanceError`` with
-    the sample index and a condition estimate unless ``fallback_direct`` is
-    set, in which case that sample is solved directly and recorded.
+    The base matrix is factorized once.  The complement form (see the module
+    docstring) runs when N - k < k and ``factors.complement`` is set; it solves
+    the samples the factors were compressed from.  Otherwise, and for any
+    sample whose ``base + P_m`` does not factor, the basis form runs with
+    ``base^-1 basis`` solved once on first need.  A singular small update
+    system raises ``SingularCapacitanceError`` with the sample index and a
+    condition estimate unless ``fallback_direct`` is set, in which case that
+    sample is solved directly and recorded.
     """
     _check_factors(ensemble, factors)
     fact = numerics.factorize_spd(ensemble.base)
     u0 = fact.solve(ensemble.rhs)
-    basis_solved = fact.solve(factors.basis)  # N x k, reused for all samples
 
-    k = factors.rank
-    eye_k = np.eye(k)
+    n, k = ensemble.dim, factors.rank
+    complement_form = factors.complement is not None and n - k < k
+    if complement_form:
+        members = factors.coeffs.members
+        projections = lowrank.Projections(factors.complement, members)
+    basis_solved = None  # N x k, solved on first need and reused
     samples = []
     fallbacks = []
-    for m, coeffs in enumerate(factors.coeffs):
-        update = eye_k + coeffs @ basis_solved
-        reduced_rhs = coeffs @ u0
-        failure = None
+    basis_form = []
+    for m in range(ensemble.num_samples):
         try:
-            y = np.linalg.solve(update, reduced_rhs)
-        except np.linalg.LinAlgError:
-            failure = SingularCapacitanceError(m)
-        else:
-            resid = np.linalg.norm(update @ y - reduced_rhs)
-            if resid > residual_tol * max(np.linalg.norm(reduced_rhs), 1e-300):
-                failure = SingularCapacitanceError(m, cond=float(np.linalg.cond(update)))
-        if failure is not None:
+            u = None
+            if complement_form:
+                u = _complement_sample(m, ensemble.base, members[m], factors.complement,
+                                       projections[m], u0, residual_tol)
+                if u is None:
+                    basis_form.append(m)
+            if u is None:
+                if basis_solved is None:
+                    basis_solved = fact.solve(factors.basis)
+                coeffs = factors.coeffs[m]
+                update = np.eye(k) + coeffs @ basis_solved
+                y = _capacitance_solve(m, update, coeffs @ u0, residual_tol)
+                u = u0 - basis_solved @ y
+        except SingularCapacitanceError:
             if not fallback_direct:
-                raise failure
-            samples.append(_direct_sample(ensemble, m))
+                raise
+            u = _direct_sample(ensemble, m)
             fallbacks.append(m)
-            continue
-        samples.append(u0 - basis_solved @ y)
+        samples.append(u)
 
     return EnsembleSolution(
         unperturbed=u0,
@@ -149,6 +227,9 @@ def solve_smw(ensemble: PerturbedEnsemble, factors, fallback_direct: bool = Fals
         qoi=qoi_mean(samples),
         method="SMW",
         fallback_samples=tuple(fallbacks),
+        woodbury_form="complement" if complement_form else "basis",
+        update_rank=n - k if complement_form else k,
+        basis_form_samples=tuple(basis_form),
     )
 
 

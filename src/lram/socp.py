@@ -13,7 +13,9 @@ and Hessian are exact; the Hessian is constant in f and is cached after the
 first assembly.  Five interchangeable minimizers are provided: steepest
 descent, single-sample stochastic gradient, Newton, BFGS, and a dogleg trust
 region.  Steepest descent, Newton and BFGS share a weak-Wolfe line search that
-reads the exact quadratic along each ray from one Hessian-vector product.
+reads the exact quadratic along each ray from one Hessian-vector product.  The
+trust region reads each trial's value and gradient from the cached Hessian,
+so it applies the sample operators only at the start and for the report.
 """
 
 from __future__ import annotations
@@ -525,9 +527,11 @@ def _optimize_trm(problem, spec, control0):
             return _result(problem, "trm", x, j0, history, it, True, "converged")
         newton_step = -sla.cho_solve(factor, gx)
         step_vec = _dogleg_step(gx, hess, newton_step, radius)
-        predicted = -(float(gx @ step_vec) + 0.5 * float(step_vec @ (hess @ step_vec)))
+        h_step = hess @ step_vec
+        predicted = -(float(gx @ step_vec) + 0.5 * float(step_vec @ h_step))
         x_trial = x + step_vec
-        fx_trial, gx_trial, _ = _evaluate(problem, x_trial)
+        # J is quadratic with Hessian ``hess``: the model is J itself at the trial
+        fx_trial, gx_trial = fx - predicted, gx + h_step
         ratio = (fx - fx_trial) / max(predicted, 1e-300)
         step_norm = float(np.linalg.norm(step_vec))
         if ratio < 0.25:

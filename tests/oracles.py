@@ -89,6 +89,30 @@ def rand_spd(rng, n, shift=None):
     return m.T @ m + shift * np.eye(n)
 
 
+def _triangle_area(coords):
+    x, y = coords[:, 0], coords[:, 1]
+    area = 0.5 * ((x[1] - x[0]) * (y[2] - y[0]) - (x[2] - x[0]) * (y[1] - y[0]))
+    if area <= 0.0:
+        raise ValueError(f"triangle area {area} is not positive")
+    return area
+
+
+def triangle_stiffness(coords):
+    """P1 stiffness matrix of one triangle with unit coefficient, one element at a time."""
+    coords = np.asarray(coords, dtype=float)
+    x, y = coords[:, 0], coords[:, 1]
+    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
+    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
+    return (np.outer(b, b) + np.outer(c, c)) / (4.0 * _triangle_area(coords))
+
+
+def triangle_mass(coords):
+    """Exact P1 mass matrix of one triangle: area/12 * [[2,1,1],[1,2,1],[1,1,2]]."""
+    coords = np.asarray(coords, dtype=float)
+    return _triangle_area(coords) / 12.0 * np.array(
+        [[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
+
+
 def _dense(a):
     return a.toarray() if sp.issparse(a) else np.asarray(a, dtype=float)
 

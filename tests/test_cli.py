@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lram import cli, numerics
+from lram import cli, numerics, spde
 from lram.errors import ConfigParseError, ConfigRangeError, UnknownKeyError
 
 
@@ -140,6 +140,26 @@ def test_spde_manifest_contents(tmp_path):
             "sha256.report.csv", "sha256.qoi.csv"} <= keys
 
 
+def test_spde_manifest_records_woodbury_form(tmp_path):
+    def record(out):
+        lines = (out / "manifest.txt").read_text().splitlines()
+        return dict(line.split(" = ") for line in lines if line.startswith("woodbury."))
+
+    above, below, direct = tmp_path / "above", tmp_path / "below", tmp_path / "direct"
+    assert run(["spde", "--h", "0.25", "--samples", "3", "--tau", "0.88",
+                "--out-dir", str(above)]) == 0
+    assert run(["spde", "--h", "0.25", "--samples", "3", "--tau", "0.4",
+                "--out-dir", str(below)]) == 0
+    assert run(["spde", "--h", "0.25", "--samples", "3", "--method", "direct",
+                "--out-dir", str(direct)]) == 0
+    # N = 25: rank 22 runs the rank-3 complement form, rank 10 the basis form
+    assert record(above) == {"woodbury.form": "complement", "woodbury.update_rank": "3",
+                             "woodbury.basis_form_samples": "0"}
+    assert record(below) == {"woodbury.form": "basis", "woodbury.update_rank": "10",
+                             "woodbury.basis_form_samples": "0"}
+    assert record(direct) == {}
+
+
 def test_usage_error_exit_1(tmp_path):
     assert run(["spde", "--tau", "1.5", "--out-dir", str(tmp_path / "x")]) == 1
     assert run(["frobnicate"]) == 1
@@ -227,6 +247,23 @@ def test_compress_from_fem_pipeline(tmp_path):
                 "--out-dir", str(out)])
     assert code == 0
     assert (out / "factors.bin").exists()
+
+
+def test_compress_factor_file_holds_eager_projections(tmp_path):
+    out = tmp_path / "fem"
+    assert run(["compress", "--h", "0.25", "--samples", "4", "--tau", "0.6",
+                "--out-dir", str(out)]) == 0
+    raw = (out / "factors.bin").read_bytes()
+    dim, rank, samples = np.frombuffer(raw, dtype="<u8", count=3, offset=8)
+    basis = np.frombuffer(raw, dtype="<f8", count=dim * rank, offset=32).reshape(dim, rank)
+    cfg = spde.SpdeRunConfig(h=0.25, num_samples=4, ratio=0.6, compute_reference=False)
+    _, system = spde.build_spde_system(cfg)
+    # coefficients computed up front, as one list, then laid out after the basis
+    coeffs = [np.asarray((p.T @ basis).T) for p in system.perturbations]
+    expected = raw[:32] + basis.astype("<f8").tobytes() + b"".join(
+        np.ascontiguousarray(c, dtype="<f8").tobytes() for c in coeffs)
+    assert samples == len(coeffs)
+    assert raw == expected
 
 
 def test_diagnose_rank_one_ensemble(tmp_path):

@@ -4,6 +4,8 @@ import pytest
 from lram import fem, lowrank, numerics
 from lram.errors import ConfigRangeError, InvalidMeshSizeError
 
+import oracles
+
 
 # ---------------------------------------------------------------------------
 # mesh generation
@@ -66,13 +68,23 @@ def test_mesh_rejects_bad_h(h):
 def test_reference_triangle_stiffness():
     coords = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
     expected = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-    assert np.allclose(fem.triangle_stiffness(coords), expected, atol=1e-14)
+    assert np.allclose(oracles.triangle_stiffness(coords), expected, atol=1e-14)
 
 
 def test_reference_triangle_mass():
     coords = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
     expected = (0.5 / 12.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
-    assert np.allclose(fem.triangle_mass(coords), expected, atol=1e-15)
+    assert np.allclose(oracles.triangle_mass(coords), expected, atol=1e-15)
+
+
+def test_vectorized_element_matrices_match_per_triangle_oracle():
+    mesh = fem.structured_mesh(0.25)
+    areas, k_geo, m_loc = fem._element_geometry(mesh)
+    for t, tri in enumerate(mesh.elements):
+        coords = mesh.nodes[tri]
+        assert np.allclose(k_geo[t], oracles.triangle_stiffness(coords), atol=1e-14)
+        assert np.allclose(m_loc[t], oracles.triangle_mass(coords), atol=1e-15)
+    assert np.isclose(areas.sum(), 1.0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lram import lowrank, perturbed
+from lram import fem, lowrank, perturbed, spde
 from lram.errors import (
     DimensionMismatchError,
     DivergenceRiskError,
@@ -141,6 +141,96 @@ def test_smw_exactness_property(seed):
     direct = perturbed.solve_direct(ensemble)
     for u, v in zip(smw.samples, direct.samples):
         assert np.linalg.norm(u - v) <= 1e-9 * np.linalg.norm(v)
+
+
+# ---------------------------------------------------------------------------
+# solve_smw: complement form above half rank
+# ---------------------------------------------------------------------------
+
+
+def fem_ensemble(h=0.1, num_samples=6, seed=21):
+    mesh = fem.structured_mesh(h)
+    fields = fem.sample_fields(mesh, num_samples, 0.2, "normal", seed)
+    system = fem.assemble(mesh, fields, lambda x, y: 1.0)
+    return perturbed.PerturbedEnsemble(base=system.base, perturbations=system.perturbations,
+                                       rhs=system.load)
+
+
+@pytest.mark.parametrize("rank_of, below_k_star", [
+    (lambda n, k_star: n - 1, False),
+    (lambda n, k_star: int(0.88 * n), False),
+    (lambda n, k_star: (n // 2 + k_star) // 2, True),
+], ids=["N-1", "0.88N", "below-k*"])
+def test_complement_form_matches_basis_form(rank_of, below_k_star):
+    ensemble = fem_ensemble()
+    spectrum = lowrank.gram_spectrum(ensemble.perturbations)
+    n = ensemble.dim
+    k_star, _ = spde.critical_tau(spectrum.energy_curve())
+    k = rank_of(n, k_star)
+    assert n / 2 < k < n and (k < k_star) == below_k_star
+    factors = lowrank.compress_rank(ensemble.perturbations, k, spectrum)
+    # hand-built factors hold no complement, so they take the basis form
+    hand = lowrank.LowRankFactors(basis=factors.basis, coeffs=list(factors.coeffs),
+                                  rank=k, ratio=factors.ratio)
+    sol = perturbed.solve_smw(ensemble, factors)
+    ref = perturbed.solve_smw(ensemble, hand)
+    assert (sol.woodbury_form, sol.update_rank) == ("complement", n - k)
+    assert (ref.woodbury_form, ref.update_rank) == ("basis", k)
+    assert sol.basis_form_samples == ()
+    for u, v in zip(sol.samples, ref.samples):
+        assert np.linalg.norm(u - v) <= 1e-10 * np.linalg.norm(v)
+
+
+def test_complement_form_only_above_half_rank():
+    ensemble = fem_ensemble(num_samples=3)
+    n = ensemble.dim
+    factors = lowrank.compress_rank(ensemble.perturbations, n // 2)
+    assert factors.complement is not None
+    sol = perturbed.solve_smw(ensemble, factors)
+    assert (sol.woodbury_form, sol.update_rank) == ("basis", n // 2)
+
+
+def test_complement_sample_that_does_not_factor_takes_basis_form():
+    # base + P_0 = diag(0, 1, 1, 1, 1) is singular, but at rank 3 the basis spans
+    # e2..e4, so base + U C_0 = I: the basis form still solves sample 0.
+    n = 5
+    eye = np.eye(n)
+    perturbations = [sp.csr_array(-np.outer(eye[0], eye[0]))]
+    perturbations += [sp.csr_array(5.0 * np.outer(eye[i], eye[i])) for i in (1, 2, 3)]
+    rhs = np.arange(1.0, n + 1.0)
+    ensemble = perturbed.PerturbedEnsemble(base=sp.csr_array(eye),
+                                           perturbations=perturbations, rhs=rhs)
+    factors = lowrank.compress_rank(perturbations, 3)
+    sol = perturbed.solve_smw(ensemble, factors)
+    assert (sol.woodbury_form, sol.update_rank) == ("complement", 2)
+    assert sol.basis_form_samples == (0,)
+    assert np.allclose(sol.samples[0], rhs, atol=1e-14)
+    for m in (1, 2, 3):
+        dense = eye + perturbations[m].toarray()
+        assert np.allclose(sol.samples[m], np.linalg.solve(dense, rhs), atol=1e-14)
+
+
+def test_singular_complement_capacitance_raises_or_falls_back():
+    # With U = [e1 e2 e3], W = [e4 e5] and P_0 = -e1 e1' + e1 e5' + e5 e1',
+    # base + P_0 factors but base + U U' P_0 is singular, and so is I - D_0 Z.
+    n = 5
+    eye = np.eye(n)
+    p0 = -np.outer(eye[0], eye[0]) + np.outer(eye[0], eye[4]) + np.outer(eye[4], eye[0])
+    members = [sp.csr_array(p0), sp.csr_array((n, n))]
+    basis = eye[:, :3].copy()
+    factors = lowrank.LowRankFactors(basis=basis, coeffs=lowrank.Projections(basis, members),
+                                     rank=3, ratio=3 / n, complement=eye[:, 3:].copy())
+    rhs = np.arange(1.0, n + 1.0)
+    ensemble = perturbed.PerturbedEnsemble(base=sp.csr_array(eye), perturbations=members,
+                                           rhs=rhs)
+    with pytest.raises(SingularCapacitanceError) as err:
+        perturbed.solve_smw(ensemble, factors)
+    assert err.value.sample == 0
+    sol = perturbed.solve_smw(ensemble, factors, fallback_direct=True)
+    assert sol.woodbury_form == "complement"
+    assert sol.fallback_samples == (0,)
+    assert np.allclose(sol.samples[0], np.linalg.solve(eye + p0, rhs), atol=1e-14)
+    assert np.array_equal(sol.samples[1], sol.unperturbed)
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,21 @@ def test_sdm_operator_applications_follow_iterations_not_trials(monkeypatch):
     assert res.operator_passes == res.iterations + 2
 
 
+def test_trm_operator_passes_do_not_follow_iterations():
+    _, _, problem = fem_problem(h=0.25, num_samples=6)
+    f0 = np.zeros(problem.dim)
+    newton = socp.optimize(problem, socp.OptimizerSpec(method="newton", grad_tol=1e-8), f0)
+    runs = [socp.optimize(problem, socp.OptimizerSpec(method="trm", grad_tol=tol), f0)
+            for tol in (1e-2, 1e-8)]
+    assert runs[0].iterations < runs[1].iterations
+    for res in runs:
+        assert res.converged
+        # the initial point and the final report; every trial reads the cached Hessian
+        assert res.operator_passes == 2
+    rel = abs(runs[1].objective_final - newton.objective_final) / newton.objective_final
+    assert rel <= 1e-8
+
+
 def test_sgd_deterministic_given_seed():
     _, _, problem = fem_problem(h=0.25, num_samples=6)
     f0 = np.zeros(problem.dim)

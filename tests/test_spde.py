@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lram import cli, fem, lowrank, numerics, spde
+from lram import cli, fem, lowrank, numerics, perturbed, spde
 from lram.errors import ConfigRangeError, ZeroEnsembleError
 
 import oracles
@@ -167,16 +167,46 @@ def spectral_calls(monkeypatch):
 @pytest.mark.parametrize("run, vectors", [
     (lambda tmp: spde.run_spde(small_cfg()), True),
     (lambda tmp: spde.run_spde(small_cfg(method="neumann", neumann_order=8)), True),
-    # the direct route needs eigenvalues only: no eigenvector array is built
+    # the direct route and diagnose need eigenvalues only: no eigenvector array is built
     (lambda tmp: spde.run_spde(small_cfg(method="direct")), False),
     (lambda tmp: spde.scan(small_cfg(), [0.4, 0.6, 0.8, 1.0]), True),
-    (lambda tmp: cli.main(["diagnose", "--h", "0.25", "--out-dir", str(tmp)]), True),
+    (lambda tmp: cli.main(["diagnose", "--h", "0.25", "--out-dir", str(tmp)]), False),
     (lambda tmp: cli.main(["compress", "--h", "0.25", "--tau", "0.5", "--out-dir", str(tmp)]),
      True),
 ], ids=["smw", "neumann", "direct", "scan", "diagnose", "compress"])
 def test_one_spectral_pass_per_ensemble(spectral_calls, run, vectors, tmp_path):
     run(tmp_path)
     assert spectral_calls == {"gram": 1, "eig": 1, "vectors": [vectors]}
+
+
+def test_smw_above_half_rank_builds_no_coefficient_matrix(monkeypatch):
+    calls = {"factorize": 0, "sample_lu": 0, "projections": []}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def recorded(basis, a):
+        out = sample_coeffs(basis, a)
+        calls["projections"].append(out.shape)
+        return out
+
+    sample_coeffs = lowrank._sample_coeffs
+    monkeypatch.setattr(lowrank, "_sample_coeffs", recorded)
+    monkeypatch.setattr(numerics, "factorize_spd", counted("factorize", numerics.factorize_spd))
+    monkeypatch.setattr(perturbed, "_sample_lu", counted("sample_lu", perturbed._sample_lu))
+    cfg = small_cfg(h=0.1, num_samples=5, ratio=0.88, compute_reference=False)
+    report = spde.run_spde(cfg)
+    n = report.qoi.shape[0]
+    k = report.rank
+    assert k > n / 2
+    assert (report.woodbury_form, report.update_rank) == ("complement", n - k)
+    assert calls["factorize"] == 1
+    assert calls["sample_lu"] == cfg.num_samples
+    # only (N-k)-by-N projections: rmsre's tail, then one D_m per sample
+    assert calls["projections"] == [(n - k, n)] * (2 * cfg.num_samples)
 
 
 # ---------------------------------------------------------------------------
