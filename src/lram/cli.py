@@ -268,10 +268,11 @@ def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
 
     report = spde.run_spde(_spde_config(cfg))
     timings.update(report.timings)
-    if report.woodbury_form is not None:
-        record["woodbury.form"] = report.woodbury_form
-        record["woodbury.update_rank"] = report.update_rank
-        record["woodbury.basis_form_samples"] = len(report.solution.basis_form_samples)
+    solution = report.solution
+    if solution.woodbury_form is not None:
+        record["woodbury.form"] = solution.woodbury_form
+        record["woodbury.update_rank"] = solution.update_rank
+        record["woodbury.basis_form_samples"] = len(solution.basis_form_samples)
     write_csv(
         out_dir / "report.csv",
         ["nodes", "samples", "rank", "tau", "epsilon", "method",

@@ -3,7 +3,7 @@
 Each sample solves ``(base + perturbation_m) u_m = rhs``.  With shared-basis
 factors ``perturbation_m ~ basis @ coeffs[m]`` (U = basis, C_m = coeffs[m],
 u0 = base^-1 rhs) ``solve_smw`` applies the Woodbury identity in one of two
-forms, chosen by the smaller update rank min(k, N - k):
+forms:
 
 * Basis form, rank k:
   ``u_m = u0 - (base^-1 U) (I_k + C_m base^-1 U)^-1 C_m u0``.  Once per
@@ -11,15 +11,19 @@ forms, chosen by the smaller update rank min(k, N - k):
   Per sample: the k-by-k capacitance ``C_m base^-1 U`` (2 k^2 N flops), its
   LU (2/3 k^3) and O(kN) vector work.  Cheaper than a per-sample sparse LU
   only while k is small.
-* Complement form, rank N - k, taken when N - k < k and the factors carry
-  the complement W (the trailing Gram eigenvectors, so ``[U W]`` is
-  orthogonal and C_m = U^T P_m).  Then ``base + U C_m = (base + P_m) - W D_m``
-  with D_m = W^T P_m, and the correction ``delta_m = u0 - u_m`` solves
+* Complement form, rank N - k, possible when the factors carry the
+  complement W (the trailing Gram eigenvectors, so ``[U W]`` is orthogonal
+  and C_m = U^T P_m).  Then ``base + U C_m = (base + P_m) - W D_m`` with
+  D_m = W^T P_m, and the correction ``delta_m = u0 - u_m`` solves
   ``(base + P_m - W D_m) delta_m = U U^T P_m u0`` by Woodbury on one sparse LU
   of ``base + P_m``.  Per sample: that LU, N - k + 1 solves with it, the
   (N-k)-by-(N-k) capacitance (2 (N-k)^2 N flops) and its LU.  It includes a
-  per-sample sparse LU, so above half rank SMW costs at least the direct
-  route.  A sample whose ``base + P_m`` does not factor takes the basis form.
+  per-sample sparse LU, so SMW in this form costs at least the direct route.
+  A sample whose ``base + P_m`` does not factor takes the basis form.
+
+Above half rank ``solve_smw`` picks the form that ``woodbury_costs`` models
+cheaper, reading the size of the first sample LU; below it the basis form
+always runs.
 
 A truncated alternating series and a per-sample direct factorization are
 provided as alternative routes; the quantity of interest is the sample mean,
@@ -51,6 +55,15 @@ CONTRACTION_ITERS = 20
 #: dense kernels inside SuperLU small: on a 2-core VM with 2 OpenBLAS threads,
 #: 53 to 202 columns in one call solved 2 to 4 times slower than in blocks of 16.
 SOLVE_BLOCK_COLUMNS = 16
+#: Dense-flop weights of the sparse work in ``woodbury_costs``: one flop of a
+#: solve with a sample LU, and one sample LU per entry of its L and U factors.
+#: Measured on a 2-core VM with 2 OpenBLAS threads at N = 1681: capacitance
+#: kernels at 50-80 GF/s, solves in blocks of 16 columns at 1.1-1.9 GF/s, and
+#: 100 ns per entry of L + U for a sample LU (ordering and call overhead
+#: included).  At smaller N the dense kernels run slower and the weights
+#: overstate the sparse work, so a near tie keeps the basis form.
+SPARSE_SOLVE_WEIGHT = 50
+SAMPLE_LU_WEIGHT = 6000
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +136,13 @@ def _sample_lu(matrix):
     return spla.splu(sp.csc_array(matrix), permc_spec="MMD_AT_PLUS_A")
 
 
+def _sample_lu_or_none(matrix):
+    try:
+        return _sample_lu(matrix)
+    except RuntimeError:
+        return None
+
+
 def _direct_sample(ensemble, m) -> np.ndarray:
     try:
         lu = _sample_lu(ensemble.base + ensemble.perturbations[m])
@@ -150,17 +170,52 @@ def _capacitance_solve(m, update, rhs, residual_tol) -> np.ndarray:
     return y
 
 
-def _complement_sample(m, base, member, complement, projected, u0, residual_tol):
-    """u_m by the rank-(N-k) form, or None if ``base + member`` does not factor.
+def woodbury_costs(n: int, k: int, factor_entries: int) -> tuple[float, float]:
+    """Modelled per-sample cost of the basis and the complement form, in dense flops.
+
+    Basis form: the k-by-k capacitance and its LU, 2 k^2 N + 2/3 k^3.
+    Complement form, r = N - k: the r-by-r capacitance and its LU,
+    2 r^2 N + 2/3 r^3, plus the sparse work weighted as measured: r + 1
+    solves with the sample LU (2 flops per entry of L + U each) and the LU
+    itself, ``factor_entries`` being the entry count of L + U.  Projections
+    of the member cost about as much in either form and are left out.
+    """
+    r = n - k
+    basis = 2.0 * k * k * n + 2.0 / 3.0 * k ** 3
+    complement = (2.0 * r * r * n + 2.0 / 3.0 * r ** 3
+                  + SPARSE_SOLVE_WEIGHT * 2.0 * (r + 1) * factor_entries
+                  + SAMPLE_LU_WEIGHT * factor_entries)
+    return basis, complement
+
+
+def _woodbury_plan(ensemble, factors):
+    """The form to run, with the first sample LU it was read from as ``(m, lu)``.
+
+    The complement form is a candidate only above half rank, with the
+    complement set and the coefficients ``Projections`` of the members; it
+    runs if ``woodbury_costs`` models it cheaper for the first sample whose
+    ``base + P_m`` factors.  That LU is handed on, so no sample is factored
+    twice; the samples before it did not factor.
+    """
+    n, k = ensemble.dim, factors.rank
+    if (factors.complement is None or n - k >= k
+            or not isinstance(factors.coeffs, lowrank.Projections)):
+        return "basis", None
+    for m, member in enumerate(factors.coeffs.members):
+        lu = _sample_lu_or_none(ensemble.base + member)
+        if lu is not None:
+            basis, complement = woodbury_costs(n, k, lu.L.nnz + lu.U.nnz)
+            return ("complement" if complement < basis else "basis"), (m, lu)
+    return "basis", None
+
+
+def _complement_sample(m, lu, member, complement, projected, u0, residual_tol):
+    """u_m by the rank-(N-k) form on ``lu`` of ``base + member``, or None if not finite.
 
     ``projected`` is D_m = W^T P_m.  With B = base + P_m the correction is
     delta = s + Z y, where [s Z] = B^-1 [r W], r = U U^T P_m u0 = P_m u0 - W D_m u0
     and (I - D_m Z) y = D_m s.  Zero perturbations give delta = 0 exactly.
     """
-    try:
-        lu = _sample_lu(base + member)
-    except RuntimeError:
-        return None
     reduced_rhs = member @ u0 - complement @ (projected @ u0)
     block = np.asfortranarray(np.column_stack([reduced_rhs, complement]))
     solved = np.concatenate([lu.solve(block[:, j:j + SOLVE_BLOCK_COLUMNS])
@@ -175,12 +230,12 @@ def _complement_sample(m, base, member, complement, projected, u0, residual_tol)
 
 def solve_smw(ensemble: PerturbedEnsemble, factors, fallback_direct: bool = False,
               residual_tol: float = CAPACITANCE_RESIDUAL_TOL) -> EnsembleSolution:
-    """Solve every sample through the Woodbury identity of the smaller update rank.
+    """Solve every sample through the Woodbury identity in the cheaper form.
 
     The base matrix is factorized once.  The complement form (see the module
-    docstring) runs when N - k < k and ``factors.complement`` is set; it solves
-    the samples the factors were compressed from.  Otherwise, and for any
-    sample whose ``base + P_m`` does not factor, the basis form runs with
+    docstring) runs when ``_woodbury_plan`` picks it; it solves the samples
+    the factors were compressed from.  Otherwise, and for any sample whose
+    ``base + P_m`` does not factor, the basis form runs with
     ``base^-1 basis`` solved once on first need.  A singular small update
     system raises ``SingularCapacitanceError`` with the sample index and a
     condition estimate unless ``fallback_direct`` is set, in which case that
@@ -191,8 +246,8 @@ def solve_smw(ensemble: PerturbedEnsemble, factors, fallback_direct: bool = Fals
     u0 = fact.solve(ensemble.rhs)
 
     n, k = ensemble.dim, factors.rank
-    complement_form = factors.complement is not None and n - k < k
-    if complement_form:
+    form, first = _woodbury_plan(ensemble, factors)
+    if form == "complement":
         members = factors.coeffs.members
         projections = lowrank.Projections(factors.complement, members)
     basis_solved = None  # N x k, solved on first need and reused
@@ -202,9 +257,16 @@ def solve_smw(ensemble: PerturbedEnsemble, factors, fallback_direct: bool = Fals
     for m in range(ensemble.num_samples):
         try:
             u = None
-            if complement_form:
-                u = _complement_sample(m, ensemble.base, members[m], factors.complement,
-                                       projections[m], u0, residual_tol)
+            if form == "complement":
+                # samples before the first LU did not factor
+                lu = None
+                if m == first[0]:
+                    lu = first[1]
+                elif m > first[0]:
+                    lu = _sample_lu_or_none(ensemble.base + members[m])
+                if lu is not None:
+                    u = _complement_sample(m, lu, members[m], factors.complement,
+                                           projections[m], u0, residual_tol)
                 if u is None:
                     basis_form.append(m)
             if u is None:
@@ -227,8 +289,8 @@ def solve_smw(ensemble: PerturbedEnsemble, factors, fallback_direct: bool = Fals
         qoi=qoi_mean(samples),
         method="SMW",
         fallback_samples=tuple(fallbacks),
-        woodbury_form="complement" if complement_form else "basis",
-        update_rank=n - k if complement_form else k,
+        woodbury_form=form,
+        update_rank=n - k if form == "complement" else k,
         basis_form_samples=tuple(basis_form),
     )
 

@@ -317,8 +317,6 @@ class OptimizerSpec:
     tr_radius0: float = 1.0
     tr_radius_max: float = 1e6
     tr_expand: float = 2.0
-    tr_shrink: float = 0.25
-    tr_accept: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -520,35 +518,23 @@ def _optimize_trm(problem, spec, control0):
     j0 = fx
     radius = spec.tr_radius0
     history: list[tuple[float, float, float]] = []
-    best = (fx, x.copy())
     for it in range(spec.max_iters):
-        gnorm = float(np.linalg.norm(gx))
-        if gnorm <= spec.grad_tol:
+        if float(np.linalg.norm(gx)) <= spec.grad_tol:
             return _result(problem, "trm", x, j0, history, it, True, "converged")
         newton_step = -sla.cho_solve(factor, gx)
         step_vec = _dogleg_step(gx, hess, newton_step, radius)
         h_step = hess @ step_vec
+        # J is quadratic with Hessian ``hess``, so the model is J itself: every
+        # dogleg step decreases J as predicted (ratio 1) and is accepted
         predicted = -(float(gx @ step_vec) + 0.5 * float(step_vec @ h_step))
-        x_trial = x + step_vec
-        # J is quadratic with Hessian ``hess``: the model is J itself at the trial
-        fx_trial, gx_trial = fx - predicted, gx + h_step
-        ratio = (fx - fx_trial) / max(predicted, 1e-300)
+        x, fx, gx = x + step_vec, fx - predicted, gx + h_step
         step_norm = float(np.linalg.norm(step_vec))
-        if ratio < 0.25:
-            radius *= spec.tr_shrink
-        elif ratio > 0.75 and step_norm >= radius * (1.0 - 1e-12):
+        if step_norm >= radius * (1.0 - 1e-12):
             radius = min(spec.tr_expand * radius, spec.tr_radius_max)
-        if ratio > spec.tr_accept:
-            x, fx, gx = x_trial, fx_trial, gx_trial
-            history.append((fx, float(np.linalg.norm(gx)), step_norm))
-        else:
-            history.append((fx, gnorm, 0.0))
-        if fx < best[0]:
-            best = (fx, x.copy())
-    if float(np.linalg.norm(gx)) <= spec.grad_tol:
-        return _result(problem, "trm", x, j0, history, spec.max_iters, True, "converged")
-    return _result(problem, "trm", best[1], j0, history, spec.max_iters, False,
-                   "max-iterations")
+        history.append((fx, float(np.linalg.norm(gx)), step_norm))
+    converged = float(np.linalg.norm(gx)) <= spec.grad_tol
+    return _result(problem, "trm", x, j0, history, spec.max_iters, converged,
+                   "converged" if converged else "max-iterations")
 
 
 def _sgd_initial_step(problem, spec, x, indices):

@@ -68,16 +68,6 @@ class SpdeReport:
     solution: perturbed.EnsembleSolution
     timings: dict[str, float]
 
-    @property
-    def woodbury_form(self) -> str | None:
-        """SMW only: "basis" (rank-k update) or "complement" (rank N - k)."""
-        return self.solution.woodbury_form
-
-    @property
-    def update_rank(self) -> int | None:
-        """SMW only: the rank of the Woodbury update that ran."""
-        return self.solution.update_rank
-
 
 def build_spde_system(cfg: SpdeRunConfig):
     """Mesh, sample fields, and assemble; shared by the run and scan paths."""

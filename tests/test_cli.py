@@ -146,16 +146,17 @@ def test_spde_manifest_records_woodbury_form(tmp_path):
         return dict(line.split(" = ") for line in lines if line.startswith("woodbury."))
 
     above, below, direct = tmp_path / "above", tmp_path / "below", tmp_path / "direct"
-    assert run(["spde", "--h", "0.25", "--samples", "3", "--tau", "0.88",
+    assert run(["spde", "--h", "0.05", "--samples", "3", "--tau", "0.95",
                 "--out-dir", str(above)]) == 0
-    assert run(["spde", "--h", "0.25", "--samples", "3", "--tau", "0.4",
+    assert run(["spde", "--h", "0.05", "--samples", "3", "--tau", "0.6",
                 "--out-dir", str(below)]) == 0
     assert run(["spde", "--h", "0.25", "--samples", "3", "--method", "direct",
                 "--out-dir", str(direct)]) == 0
-    # N = 25: rank 22 runs the rank-3 complement form, rank 10 the basis form
-    assert record(above) == {"woodbury.form": "complement", "woodbury.update_rank": "3",
+    # N = 441: rank 419 runs the rank-22 complement form; rank 265 is above half
+    # rank too, but its per-sample LU costs more than it saves, so the basis form runs
+    assert record(above) == {"woodbury.form": "complement", "woodbury.update_rank": "22",
                              "woodbury.basis_form_samples": "0"}
-    assert record(below) == {"woodbury.form": "basis", "woodbury.update_rank": "10",
+    assert record(below) == {"woodbury.form": "basis", "woodbury.update_rank": "265",
                              "woodbury.basis_form_samples": "0"}
     assert record(direct) == {}
 

@@ -156,12 +156,19 @@ def fem_ensemble(h=0.1, num_samples=6, seed=21):
                                        rhs=system.load)
 
 
+@pytest.fixture
+def dense_flop_model(monkeypatch):
+    """Weigh the sparse work as nothing: the complement form runs whenever N - k < k."""
+    monkeypatch.setattr(perturbed, "SPARSE_SOLVE_WEIGHT", 0)
+    monkeypatch.setattr(perturbed, "SAMPLE_LU_WEIGHT", 0)
+
+
 @pytest.mark.parametrize("rank_of, below_k_star", [
     (lambda n, k_star: n - 1, False),
     (lambda n, k_star: int(0.88 * n), False),
     (lambda n, k_star: (n // 2 + k_star) // 2, True),
 ], ids=["N-1", "0.88N", "below-k*"])
-def test_complement_form_matches_basis_form(rank_of, below_k_star):
+def test_complement_form_matches_basis_form(dense_flop_model, rank_of, below_k_star):
     ensemble = fem_ensemble()
     spectrum = lowrank.gram_spectrum(ensemble.perturbations)
     n = ensemble.dim
@@ -181,7 +188,7 @@ def test_complement_form_matches_basis_form(rank_of, below_k_star):
         assert np.linalg.norm(u - v) <= 1e-10 * np.linalg.norm(v)
 
 
-def test_complement_form_only_above_half_rank():
+def test_complement_form_only_above_half_rank(dense_flop_model):
     ensemble = fem_ensemble(num_samples=3)
     n = ensemble.dim
     factors = lowrank.compress_rank(ensemble.perturbations, n // 2)
@@ -190,7 +197,46 @@ def test_complement_form_only_above_half_rank():
     assert (sol.woodbury_form, sol.update_rank) == ("basis", n // 2)
 
 
-def test_complement_sample_that_does_not_factor_takes_basis_form():
+def test_woodbury_costs_weigh_the_sample_lu():
+    # L + U entry counts of the first sample LU at h = 0.1, 0.05 and 0.025
+    n121, n441, n1681 = 1044, 6620, 38850
+    for k in range(61, 121):
+        basis, complement = perturbed.woodbury_costs(121, k, n121)
+        assert basis < complement
+    for n, k, entries, form in [(441, 265, n441, "basis"), (441, 419, n441, "complement"),
+                                (1681, 1009, n1681, "basis"),
+                                (1681, 1597, n1681, "complement")]:
+        basis, complement = perturbed.woodbury_costs(n, k, entries)
+        assert ("complement" if complement < basis else "basis") == form
+
+
+def test_tau_06_keeps_the_basis_form():
+    # just above half rank the per-sample LU costs more than the rank-k update saves
+    ensemble = fem_ensemble(num_samples=3)
+    n = ensemble.dim
+    factors = lowrank.compress(ensemble.perturbations, 0.6)
+    assert n / 2 < factors.rank < n and factors.complement is not None
+    hand = lowrank.LowRankFactors(basis=factors.basis, coeffs=list(factors.coeffs),
+                                  rank=factors.rank, ratio=factors.ratio)
+    sol = perturbed.solve_smw(ensemble, factors)
+    ref = perturbed.solve_smw(ensemble, hand)
+    assert (sol.woodbury_form, sol.update_rank) == ("basis", factors.rank)
+    for u, v in zip(sol.samples, ref.samples):
+        assert np.array_equal(u, v)
+
+
+def test_complement_with_listed_coeffs_takes_basis_form(dense_flop_model):
+    ensemble = fem_ensemble(num_samples=2)
+    n = ensemble.dim
+    factors = lowrank.compress_rank(ensemble.perturbations, n - 1)
+    listed = lowrank.LowRankFactors(basis=factors.basis, coeffs=list(factors.coeffs),
+                                    rank=n - 1, ratio=factors.ratio,
+                                    complement=factors.complement)
+    sol = perturbed.solve_smw(ensemble, listed)
+    assert (sol.woodbury_form, sol.update_rank) == ("basis", n - 1)
+
+
+def test_complement_sample_that_does_not_factor_takes_basis_form(dense_flop_model):
     # base + P_0 = diag(0, 1, 1, 1, 1) is singular, but at rank 3 the basis spans
     # e2..e4, so base + U C_0 = I: the basis form still solves sample 0.
     n = 5
@@ -210,7 +256,7 @@ def test_complement_sample_that_does_not_factor_takes_basis_form():
         assert np.allclose(sol.samples[m], np.linalg.solve(dense, rhs), atol=1e-14)
 
 
-def test_singular_complement_capacitance_raises_or_falls_back():
+def test_singular_complement_capacitance_raises_or_falls_back(dense_flop_model):
     # With U = [e1 e2 e3], W = [e4 e5] and P_0 = -e1 e1' + e1 e5' + e5 e1',
     # base + P_0 factors but base + U U' P_0 is singular, and so is I - D_0 Z.
     n = 5

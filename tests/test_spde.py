@@ -197,12 +197,12 @@ def test_smw_above_half_rank_builds_no_coefficient_matrix(monkeypatch):
     monkeypatch.setattr(lowrank, "_sample_coeffs", recorded)
     monkeypatch.setattr(numerics, "factorize_spd", counted("factorize", numerics.factorize_spd))
     monkeypatch.setattr(perturbed, "_sample_lu", counted("sample_lu", perturbed._sample_lu))
-    cfg = small_cfg(h=0.1, num_samples=5, ratio=0.88, compute_reference=False)
+    cfg = small_cfg(h=0.05, num_samples=5, ratio=0.95, compute_reference=False)
     report = spde.run_spde(cfg)
     n = report.qoi.shape[0]
     k = report.rank
     assert k > n / 2
-    assert (report.woodbury_form, report.update_rank) == ("complement", n - k)
+    assert (report.solution.woodbury_form, report.solution.update_rank) == ("complement", n - k)
     assert calls["factorize"] == 1
     assert calls["sample_lu"] == cfg.num_samples
     # only (N-k)-by-N projections: rmsre's tail, then one D_m per sample
