@@ -251,6 +251,28 @@ def _spde_config(cfg: dict) -> spde.SpdeRunConfig:
     )
 
 
+def _record_woodbury(record: dict, run) -> None:
+    """The Woodbury form a solve or a control problem ran, its rank and its basis-form samples."""
+    if run.woodbury_form is not None:
+        record["woodbury.form"] = run.woodbury_form
+        record["woodbury.update_rank"] = run.update_rank
+        record["woodbury.basis_form_samples"] = len(run.basis_form_samples)
+
+
+def _record_field(record: dict, min_coefficient) -> list[str]:
+    """Record the sampled field's least coefficient; a warning if any sample's is nonpositive."""
+    least, nonpositive = float(np.min(min_coefficient)), int(np.sum(min_coefficient <= 0.0))
+    record["field.min_coefficient"] = least
+    record["field.nonpositive_samples"] = nonpositive
+    return [f"{nonpositive} of {len(min_coefficient)} samples have a nonpositive diffusion "
+            f"coefficient (least {least:.4g})"] if nonpositive else []
+
+
+def _warn(problems: list[str]) -> None:
+    if problems:
+        print(f"lram: warning: {'; '.join(problems)}", file=sys.stderr)
+
+
 def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
     outputs = []
     timings: dict[str, float] = {}
@@ -268,11 +290,13 @@ def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
 
     report = spde.run_spde(_spde_config(cfg))
     timings.update(report.timings)
-    solution = report.solution
-    if solution.woodbury_form is not None:
-        record["woodbury.form"] = solution.woodbury_form
-        record["woodbury.update_rank"] = solution.update_rank
-        record["woodbury.basis_form_samples"] = len(solution.basis_form_samples)
+    _record_woodbury(record, report.solution)
+    problems = _record_field(record, report.min_coefficient)
+    below = report.rank is not None and report.rank < report.k_star
+    record["rank_below_k_star"] = below
+    if below:
+        problems.append(f"rank {report.rank} is below the critical rank k* = {report.k_star}")
+    _warn(problems)
     write_csv(
         out_dir / "report.csv",
         ["nodes", "samples", "rank", "tau", "epsilon", "method",
@@ -323,9 +347,12 @@ def _optimizer_spec(cfg: dict, method: str) -> socp.OptimizerSpec:
 def cmd_socp(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
     outputs = []
     timings: dict[str, float] = {}
+    record: dict = {}
     t0 = time.perf_counter()
-    _, _, _, problem = socp.build_control_problem(_socp_config(cfg))
+    _, system, _, problem = socp.build_control_problem(_socp_config(cfg))
     timings["build"] = time.perf_counter() - t0
+    _record_woodbury(record, problem)
+    _warn(_record_field(record, system.min_coefficient))
     control0 = np.full(problem.dim, cfg["control_init"])
 
     methods = list(socp.METHODS) if cfg["compare_methods"] else [cfg["method"]]
@@ -365,7 +392,7 @@ def cmd_socp(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
     write_csv(out_dir / "state_mean.csv", ["node", "value"],
               list(enumerate(primary.state_mean)))
     outputs.append("state_mean.csv")
-    return outputs, timings, {}
+    return outputs, timings, record
 
 
 def _load_ensemble(cfg: dict):
@@ -402,10 +429,10 @@ def cmd_compress(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
     outputs.append("factors.bin")
     write_csv(out_dir / "factors.csv",
               ["dim", "rank", "samples", "tau", "rmsre", "compression_ratio",
-               "stored_scalars"],
+               "stored_scalars", "ensemble_nnz"],
               [[factors.dim, factors.rank, factors.num_samples, cfg["tau"], err,
                 lowrank.compression_ratio(factors.dim, factors.rank, factors.num_samples),
-                factors.stored_scalars]])
+                factors.stored_scalars, sum(int(p.nnz) for p in ensemble)]])
     outputs.append("factors.csv")
     if cfg["export_mm"]:
         written = lowrank.factors_to_matrix_market(out_dir / "factors_mm", factors)

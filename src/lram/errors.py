@@ -38,7 +38,7 @@ class ZeroEnsembleError(LramError):
 
 
 class SingularCapacitanceError(LramError):
-    """The k-by-k update matrix for one sample is singular."""
+    """The capacitance matrix of one sample's Woodbury solve is singular."""
 
     def __init__(self, sample, cond=float("inf")):
         super().__init__(

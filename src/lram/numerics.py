@@ -213,7 +213,9 @@ def factorize_spd(a, sym_tol=SYM_TOL, dense_max_dim=DENSE_CHOLESKY_MAX_DIM) -> S
 
     Below ``dense_max_dim`` a dense Cholesky is used; at and above it, a sparse
     LU in symmetric mode with a fill-reducing ordering and diagonal pivoting,
-    whose pivots certify positive definiteness.
+    whose pivots certify positive definiteness if all are positive and on the
+    diagonal (SuperLU pivots off a zero diagonal entry, so rows permuted
+    unlike columns are refused).
     """
     n = _require_square(a)
     fro = frobenius_norm(a)
@@ -240,8 +242,9 @@ def factorize_spd(a, sym_tol=SYM_TOL, dense_max_dim=DENSE_CHOLESKY_MAX_DIM) -> S
         )
     except RuntimeError as exc:
         raise NotPositiveDefiniteError(str(exc)) from exc
-    pivots = lu.U.diagonal()
-    if not np.all(pivots > 0):
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise NotPositiveDefiniteError("off-diagonal pivot encountered")
+    if not np.all(lu.U.diagonal() > 0):
         raise NotPositiveDefiniteError("nonpositive pivot encountered")
     return SpdFactorization(lu.solve, n, "sparse-lu-symmetric")
 
@@ -274,9 +277,9 @@ def dense_solve(a, b, rel_tol=SOLVE_TOL) -> np.ndarray:
 def condition_estimate(a, iters=100, seed=0) -> float:
     """Estimate the 2-norm condition number within a factor of 10.
 
-    Power iteration on ``A`` gives the largest singular value; power iteration
-    against the factorized inverse gives the smallest.  Returns ``inf`` for
-    singular input.
+    ``spectral_norm_estimate`` on ``A`` gives the largest singular value and,
+    capped at ``iters`` iterations, on the factorized inverse the reciprocal
+    of the smallest.  Returns ``inf`` for singular input or a non-finite solve.
     """
     n = _require_square(a)
     sigma_max = spectral_norm_estimate(a, seed=seed)
@@ -286,21 +289,12 @@ def condition_estimate(a, iters=100, seed=0) -> float:
         lu = spla.splu(to_csr(a).tocsc())
     except RuntimeError:
         return float("inf")
-    rng = np.random.default_rng(seed + 1)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = lu.solve(v)
-        z = lu.solve(w, trans="T")
-        if not np.all(np.isfinite(z)):
-            return float("inf")
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0:
-            return float("inf")
-        lam = nz
-        v = z / nz
-    return float(sigma_max * np.sqrt(lam))
+    inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float,
+                                  rmatvec=lambda w: lu.solve(w, trans="T"))
+    inverse_norm = spectral_norm_estimate(inverse, max_iters=iters, seed=seed + 1)
+    if not (np.isfinite(inverse_norm) and inverse_norm > 0.0):
+        return float("inf")
+    return float(sigma_max * inverse_norm)
 
 
 def save_matrix_market(path, a) -> None:

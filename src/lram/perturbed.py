@@ -1,29 +1,30 @@
 """Solvers for ensembles of perturbed linear systems sharing one base matrix.
 
 Each sample solves ``(base + perturbation_m) u_m = rhs``.  With shared-basis
-factors ``perturbation_m ~ basis @ coeffs[m]`` (U = basis, C_m = coeffs[m],
-u0 = base^-1 rhs) ``solve_smw`` applies the Woodbury identity in one of two
-forms:
+factors ``perturbation_m ~ basis @ coeffs[m]`` (U = basis, C_m = coeffs[m])
+every sample matrix ``base + U C_m`` is inverted through the Woodbury
+identity ``(F + X G)^-1 = F^-1 - F^-1 X (I + G F^-1 X)^-1 G F^-1`` in one of
+two forms.  ``WoodburySolvers`` builds one ``WoodburySolver`` per sample in
+the form it picks; ``solve_smw`` runs them on the ensemble's right-hand side
+and the control problem (``socp``) builds its state operators from them.
 
-* Basis form, rank k:
-  ``u_m = u0 - (base^-1 U) (I_k + C_m base^-1 U)^-1 C_m u0``.  Once per
-  ensemble: one factorization of the base and k solves for ``base^-1 U``.
-  Per sample: the k-by-k capacitance ``C_m base^-1 U`` (2 k^2 N flops), its
-  LU (2/3 k^3) and O(kN) vector work.  Cheaper than a per-sample sparse LU
-  only while k is small.
+* Basis form, rank k: F = base, X = U, G = C_m.  Once per ensemble: one
+  factorization of the base and k solves for ``base^-1 U``.  Per sample: the
+  k-by-k capacitance ``I_k + C_m base^-1 U`` (2 k^2 N flops), its LU
+  (2/3 k^3) and O(kN) vector work per solve.  Cheaper than a per-sample
+  sparse LU only while k is small.
 * Complement form, rank N - k, possible when the factors carry the
   complement W (the trailing Gram eigenvectors, so ``[U W]`` is orthogonal
   and C_m = U^T P_m).  Then ``base + U C_m = (base + P_m) - W D_m`` with
-  D_m = W^T P_m, and the correction ``delta_m = u0 - u_m`` solves
-  ``(base + P_m - W D_m) delta_m = U U^T P_m u0`` by Woodbury on one sparse LU
-  of ``base + P_m``.  Per sample: that LU, N - k + 1 solves with it, the
-  (N-k)-by-(N-k) capacitance (2 (N-k)^2 N flops) and its LU.  It includes a
-  per-sample sparse LU, so SMW in this form costs at least the direct route.
-  A sample whose ``base + P_m`` does not factor takes the basis form.
+  D_m = W^T P_m: F = base + P_m, X = -W, G = D_m.  Per sample: one sparse LU
+  of ``base + P_m``, N - k solves with it for F^-1 W, the (N-k)-by-(N-k)
+  capacitance (2 (N-k)^2 N flops) and its LU.  It includes a per-sample
+  sparse LU, so SMW in this form costs at least the direct route.  A sample
+  whose ``base + P_m`` does not factor takes the basis form.
 
-Above half rank ``solve_smw`` picks the form that ``woodbury_costs`` models
-cheaper, reading the size of the first sample LU; below it the basis form
-always runs.
+Above half rank the form is the one ``woodbury_costs`` models cheaper,
+reading the size of the first sample LU; below it the basis form always
+runs.
 
 A truncated alternating series and a per-sample direct factorization are
 provided as alternative routes; the quantity of interest is the sample mean,
@@ -32,9 +33,13 @@ reduced in fixed order.
 
 from __future__ import annotations
 
+import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -47,10 +52,8 @@ from .errors import (
     SingularSampleError,
 )
 
-#: Residual level beyond which a k-by-k update solve is declared singular.
+#: Residual level beyond which a capacitance solve is declared singular.
 CAPACITANCE_RESIDUAL_TOL = 1e-8
-#: Power-iteration count for the series contraction check.
-CONTRACTION_ITERS = 20
 #: Right-hand-side columns per solve with a sample LU.  Narrow blocks keep the
 #: dense kernels inside SuperLU small: on a 2-core VM with 2 OpenBLAS threads,
 #: 53 to 202 columns in one call solved 2 to 4 times slower than in blocks of 16.
@@ -131,43 +134,20 @@ def _check_factors(ensemble, factors):
 def _sample_lu(matrix):
     """Sparse LU of one sample matrix: ordering on A + A^T, partial pivoting kept.
 
-    Raises ``RuntimeError`` if the matrix is exactly singular.
+    None if the matrix is exactly singular.
     """
-    return spla.splu(sp.csc_array(matrix), permc_spec="MMD_AT_PLUS_A")
-
-
-def _sample_lu_or_none(matrix):
     try:
-        return _sample_lu(matrix)
+        return spla.splu(sp.csc_array(matrix), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError:
         return None
 
 
 def _direct_sample(ensemble, m) -> np.ndarray:
-    try:
-        lu = _sample_lu(ensemble.base + ensemble.perturbations[m])
-    except RuntimeError as exc:
-        raise SingularSampleError(m, str(exc)) from exc
-    u = lu.solve(ensemble.rhs)
-    if not np.all(np.isfinite(u)):
+    lu = _sample_lu(ensemble.base + ensemble.perturbations[m])
+    u = None if lu is None else lu.solve(ensemble.rhs)
+    if u is None or not np.all(np.isfinite(u)):
         raise SingularSampleError(m)
     return u
-
-
-def _capacitance_solve(m, update, rhs, residual_tol) -> np.ndarray:
-    """Solve one sample's small Woodbury system; ``SingularCapacitanceError`` if it fails.
-
-    A solve whose residual exceeds ``residual_tol * ||rhs||`` counts as singular
-    and carries a condition estimate.
-    """
-    try:
-        y = np.linalg.solve(update, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularCapacitanceError(m) from None
-    resid = np.linalg.norm(update @ y - rhs)
-    if resid > residual_tol * max(np.linalg.norm(rhs), 1e-300):
-        raise SingularCapacitanceError(m, cond=float(np.linalg.cond(update)))
-    return y
 
 
 def woodbury_costs(n: int, k: int, factor_entries: int) -> tuple[float, float]:
@@ -188,94 +168,143 @@ def woodbury_costs(n: int, k: int, factor_entries: int) -> tuple[float, float]:
     return basis, complement
 
 
-def _woodbury_plan(ensemble, factors):
-    """The form to run, with the first sample LU it was read from as ``(m, lu)``.
+def _solve_columns(solve, rhs):
+    """``solve`` on a vector, or on a matrix in blocks of ``SOLVE_BLOCK_COLUMNS`` columns."""
+    if rhs.ndim == 1 or rhs.shape[1] <= SOLVE_BLOCK_COLUMNS:
+        return solve(rhs)
+    rhs = np.asfortranarray(rhs)
+    return np.concatenate([solve(rhs[:, j:j + SOLVE_BLOCK_COLUMNS])
+                           for j in range(0, rhs.shape[1], SOLVE_BLOCK_COLUMNS)], axis=1)
 
-    The complement form is a candidate only above half rank, with the
-    complement set and the coefficients ``Projections`` of the members; it
-    runs if ``woodbury_costs`` models it cheaper for the first sample whose
-    ``base + P_m`` factors.  That LU is handed on, so no sample is factored
-    twice; the samples before it did not factor.
+
+class WoodburySolver:
+    """Solves with one sample matrix ``F + X G`` through the Woodbury identity.
+
+    ``solve_f`` and ``solve_ft`` solve with F and F^T, ``x_solved`` is F^-1 X
+    (N-by-r) and ``update`` is G (r-by-N).  The capacitance I + G F^-1 X is
+    LU-factored at construction.  A zero or non-finite pivot, or a solve with
+    it whose residual exceeds ``CAPACITANCE_RESIDUAL_TOL`` times its
+    right-hand side, raises ``SingularCapacitanceError`` with a condition
+    estimate.
     """
-    n, k = ensemble.dim, factors.rank
-    if (factors.complement is None or n - k >= k
-            or not isinstance(factors.coeffs, lowrank.Projections)):
-        return "basis", None
-    for m, member in enumerate(factors.coeffs.members):
-        lu = _sample_lu_or_none(ensemble.base + member)
-        if lu is not None:
-            basis, complement = woodbury_costs(n, k, lu.L.nnz + lu.U.nnz)
-            return ("complement" if complement < basis else "basis"), (m, lu)
-    return "basis", None
+
+    def __init__(self, sample, form, solve_f, solve_ft, x_solved, update):
+        self.sample = sample
+        self.form = form
+        self._solve_f = solve_f
+        self._solve_ft = solve_ft
+        self._x_solved = x_solved
+        self._update = update
+        self._capacitance = np.eye(update.shape[0]) + update @ x_solved
+        with warnings.catch_warnings():
+            # an exactly zero pivot is refused below
+            warnings.simplefilter("ignore", sla.LinAlgWarning)
+            self._cap_lu = sla.lu_factor(self._capacitance, check_finite=False)
+        if not np.all(np.isfinite(self._cap_lu[0])) or np.any(np.diag(self._cap_lu[0]) == 0.0):
+            raise self._singular()
+
+    def _singular(self):
+        cap = self._capacitance
+        cond = float(np.linalg.cond(cap)) if np.all(np.isfinite(cap)) else float("inf")
+        return SingularCapacitanceError(self.sample, cond=cond)
+
+    def _capacitance_solve(self, rhs, trans):
+        y = sla.lu_solve(self._cap_lu, rhs, trans=trans, check_finite=False)
+        capacitance = self._capacitance.T if trans else self._capacitance
+        resid = np.linalg.norm(capacitance @ y - rhs)
+        if not resid <= CAPACITANCE_RESIDUAL_TOL * max(np.linalg.norm(rhs), 1e-300):
+            raise self._singular()
+        return y
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """(F + X G)^-1 rhs for a vector or the columns of a matrix."""
+        s = _solve_columns(self._solve_f, rhs)
+        return s - self._x_solved @ self._capacitance_solve(self._update @ s, 0)
+
+    def solve_t(self, rhs: np.ndarray) -> np.ndarray:
+        """(F + X G)^-T rhs for a vector or the columns of a matrix."""
+        y = self._capacitance_solve(self._x_solved.T @ rhs, 1)
+        return _solve_columns(self._solve_ft, rhs - self._update.T @ y)
 
 
-def _complement_sample(m, lu, member, complement, projected, u0, residual_tol):
-    """u_m by the rank-(N-k) form on ``lu`` of ``base + member``, or None if not finite.
+class WoodburySolvers(Sequence):
+    """One ``WoodburySolver`` per sample of ``factors`` on ``base``, built on access.
 
-    ``projected`` is D_m = W^T P_m.  With B = base + P_m the correction is
-    delta = s + Z y, where [s Z] = B^-1 [r W], r = U U^T P_m u0 = P_m u0 - W D_m u0
-    and (I - D_m Z) y = D_m s.  Zero perturbations give delta = 0 exactly.
+    The form (module docstring) is chosen once.  The complement form needs
+    the complement and coefficients ``Projections`` of the members, and runs
+    if ``woodbury_costs`` prices it cheaper for the first sample whose
+    ``base + P_m`` factors; that LU is kept.  Samples before it, and any whose
+    LU fails or gives non-finite solves, take the basis form.  ``base_factor``
+    and ``base^-1 U`` are computed on first need.
     """
-    reduced_rhs = member @ u0 - complement @ (projected @ u0)
-    block = np.asfortranarray(np.column_stack([reduced_rhs, complement]))
-    solved = np.concatenate([lu.solve(block[:, j:j + SOLVE_BLOCK_COLUMNS])
-                             for j in range(0, block.shape[1], SOLVE_BLOCK_COLUMNS)], axis=1)
-    if not np.all(np.isfinite(solved)):
-        return None
-    s, z = solved[:, 0], solved[:, 1:]
-    update = np.eye(complement.shape[1]) - projected @ z
-    y = _capacitance_solve(m, update, projected @ s, residual_tol)
-    return u0 - (s + z @ y)
+
+    def __init__(self, base, factors):
+        self._base = base
+        self._factors = factors
+        self._base_factor = None
+        self._basis_solved = None
+        n, k = factors.dim, factors.rank
+        self.form, self.update_rank = "basis", k
+        if (factors.complement is None or n - k >= k
+                or not isinstance(factors.coeffs, lowrank.Projections)):
+            return
+        self._projections = lowrank.Projections(factors.complement, factors.coeffs.members)
+        for m, member in enumerate(self._projections.members):
+            lu = _sample_lu(base + member)
+            if lu is not None:
+                self._first = (m, lu)  # the first sample whose base + P_m factors
+                basis, complement = woodbury_costs(n, k, lu.L.nnz + lu.U.nnz)
+                if complement < basis:
+                    self.form, self.update_rank = "complement", n - k
+                return
+
+    @property
+    def base_factor(self) -> numerics.SpdFactorization:
+        if self._base_factor is None:
+            self._base_factor = numerics.factorize_spd(self._base)
+        return self._base_factor
+
+    def __len__(self) -> int:
+        return self._factors.num_samples
+
+    def __getitem__(self, m: int) -> WoodburySolver:
+        if not 0 <= m < len(self):
+            raise IndexError(m)
+        if self.form == "complement" and m >= self._first[0]:
+            lu = self._first[1] if m == self._first[0] else _sample_lu(
+                self._base + self._projections.members[m])
+            x_solved = None if lu is None else -_solve_columns(lu.solve, self._projections.basis)
+            if x_solved is not None and np.all(np.isfinite(x_solved)):
+                return WoodburySolver(m, "complement", lu.solve, partial(lu.solve, trans="T"),
+                                      x_solved, self._projections[m])
+        fact = self.base_factor
+        if self._basis_solved is None:
+            self._basis_solved = _solve_columns(fact.solve, self._factors.basis)
+        return WoodburySolver(m, "basis", fact.solve, fact.solve, self._basis_solved,
+                              self._factors.coeffs[m])
 
 
-def solve_smw(ensemble: PerturbedEnsemble, factors, fallback_direct: bool = False,
-              residual_tol: float = CAPACITANCE_RESIDUAL_TOL) -> EnsembleSolution:
+def solve_smw(ensemble: PerturbedEnsemble, factors,
+              fallback_direct: bool = False) -> EnsembleSolution:
     """Solve every sample through the Woodbury identity in the cheaper form.
 
-    The base matrix is factorized once.  The complement form (see the module
-    docstring) runs when ``_woodbury_plan`` picks it; it solves the samples
-    the factors were compressed from.  Otherwise, and for any sample whose
-    ``base + P_m`` does not factor, the basis form runs with
-    ``base^-1 basis`` solved once on first need.  A singular small update
-    system raises ``SingularCapacitanceError`` with the sample index and a
-    condition estimate unless ``fallback_direct`` is set, in which case that
-    sample is solved directly and recorded.
+    ``WoodburySolvers`` builds the samples' solvers one at a time.  A singular
+    capacitance raises ``SingularCapacitanceError`` with the sample index and
+    a condition estimate unless ``fallback_direct`` is set, in which case
+    that sample is solved directly and recorded.
     """
     _check_factors(ensemble, factors)
-    fact = numerics.factorize_spd(ensemble.base)
-    u0 = fact.solve(ensemble.rhs)
-
-    n, k = ensemble.dim, factors.rank
-    form, first = _woodbury_plan(ensemble, factors)
-    if form == "complement":
-        members = factors.coeffs.members
-        projections = lowrank.Projections(factors.complement, members)
-    basis_solved = None  # N x k, solved on first need and reused
+    solvers = WoodburySolvers(ensemble.base, factors)
+    u0 = solvers.base_factor.solve(ensemble.rhs)
     samples = []
     fallbacks = []
     basis_form = []
     for m in range(ensemble.num_samples):
         try:
-            u = None
-            if form == "complement":
-                # samples before the first LU did not factor
-                lu = None
-                if m == first[0]:
-                    lu = first[1]
-                elif m > first[0]:
-                    lu = _sample_lu_or_none(ensemble.base + members[m])
-                if lu is not None:
-                    u = _complement_sample(m, lu, members[m], factors.complement,
-                                           projections[m], u0, residual_tol)
-                if u is None:
-                    basis_form.append(m)
-            if u is None:
-                if basis_solved is None:
-                    basis_solved = fact.solve(factors.basis)
-                coeffs = factors.coeffs[m]
-                update = np.eye(k) + coeffs @ basis_solved
-                y = _capacitance_solve(m, update, coeffs @ u0, residual_tol)
-                u = u0 - basis_solved @ y
+            solver = solvers[m]
+            if solver.form != solvers.form:
+                basis_form.append(m)
+            u = solver.solve(ensemble.rhs)
         except SingularCapacitanceError:
             if not fallback_direct:
                 raise
@@ -289,28 +318,10 @@ def solve_smw(ensemble: PerturbedEnsemble, factors, fallback_direct: bool = Fals
         qoi=qoi_mean(samples),
         method="SMW",
         fallback_samples=tuple(fallbacks),
-        woodbury_form=form,
-        update_rank=n - k if form == "complement" else k,
+        woodbury_form=solvers.form,
+        update_rank=solvers.update_rank,
         basis_form_samples=tuple(basis_form),
     )
-
-
-def _contraction_estimate(basis_solved, coeffs, iters=CONTRACTION_ITERS, seed=0) -> float:
-    """Spectral-norm estimate of x -> (base^-1 basis) (coeffs x) by power iteration."""
-    n = basis_solved.shape[0]
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = basis_solved @ (coeffs @ v)
-        z = coeffs.T @ (basis_solved.T @ w)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            return 0.0
-        est = float(np.linalg.norm(w))
-        v = z / nz
-    return est
 
 
 def solve_neumann(ensemble: PerturbedEnsemble, factors, order: int,
@@ -332,7 +343,11 @@ def solve_neumann(ensemble: PerturbedEnsemble, factors, order: int,
     samples = []
     residuals = []
     for m, coeffs in enumerate(factors.coeffs):
-        norm_est = _contraction_estimate(basis_solved, coeffs)
+        contraction = spla.LinearOperator(
+            (ensemble.dim, ensemble.dim), dtype=float,
+            matvec=lambda v: basis_solved @ (coeffs @ v),
+            rmatvec=lambda w: coeffs.T @ (basis_solved.T @ w))
+        norm_est = numerics.spectral_norm_estimate(contraction)
         if norm_est >= 1.0 and not force:
             raise DivergenceRiskError(m, norm_est)
         term = u0.copy()

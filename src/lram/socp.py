@@ -7,15 +7,17 @@ control:
     J(f) = (1/M) sum_m 1/2 (S_m f - target)' Phi (S_m f - target)
            + beta/2 f' Phi f
 
-with S_m f = (I - B Y_m C_m) base^-1 Phi f, where B = base^-1 basis and
-Y_m = (I_k + C_m B)^-1 acts through a cached k-by-k factorization.  Gradient
-and Hessian are exact; the Hessian is constant in f and is cached after the
-first assembly.  Five interchangeable minimizers are provided: steepest
-descent, single-sample stochastic gradient, Newton, BFGS, and a dogleg trust
-region.  Steepest descent, Newton and BFGS share a weak-Wolfe line search that
-reads the exact quadratic along each ray from one Hessian-vector product.  The
-trust region reads each trial's value and gradient from the cached Hessian,
-so it applies the sample operators only at the start and for the report.
+with S_m f = (base + U C_m)^-1 Phi f applied by the per-sample Woodbury
+solvers of ``perturbed``, in the form its cost model picks: rank k on the one
+base factorization or, above half rank, rank N - k on a sparse LU of
+base + P_m.  Gradient and Hessian are exact; the Hessian is constant in f and
+is cached after the first assembly.  Five interchangeable minimizers are
+provided: steepest descent, single-sample stochastic gradient, Newton, BFGS,
+and a dogleg trust region.  Steepest descent, Newton and BFGS share a
+weak-Wolfe line search that reads the exact quadratic along each ray from one
+Hessian-vector product.  The trust region reads each trial's value and
+gradient from the cached Hessian, so it applies the sample operators only at
+the start and for the report.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .errors import (
     DimensionMismatchError,
     HessianTooLargeError,
     LineSearchError,
-    SingularCapacitanceError,
 )
 
 METHODS = ("sdm", "sgd", "newton", "bfgs", "trm")
@@ -58,37 +59,23 @@ def desired_state_function(name: str, amplitude: float = 1.0):
 class SampleStateOperator:
     """Action of one sample's control-to-state map and of its transpose.
 
-    Applications are sequenced solves and small products; the N-by-N operator
-    is only densified on request.  Read-only after construction.
+    ``S_m f = K_m^-1 Phi f`` with ``solver`` a ``perturbed.WoodburySolver``
+    of ``K_m = base + U C_m``; the N-by-N operator is only densified on
+    request.  Read-only after construction.
     """
 
-    def __init__(self, core, cap_lu, coeffs):
-        self._core = core
-        self._cap_lu = cap_lu
-        self._coeffs = coeffs
-
-    @property
-    def dim(self) -> int:
-        return self._coeffs.shape[1]
+    def __init__(self, solver, mass):
+        self._solver = solver
+        self._mass = mass
 
     def apply(self, control: np.ndarray) -> np.ndarray:
-        core = self._core
-        state = core.fact.solve(core.mass @ control)
-        reduced = sla.lu_solve(self._cap_lu, self._coeffs @ state, check_finite=False)
-        return state - core.basis_solved @ reduced
+        return self._solver.solve(self._mass @ control)
 
     def apply_t(self, vec: np.ndarray) -> np.ndarray:
-        core = self._core
-        reduced = sla.lu_solve(self._cap_lu, core.basis_solved.T @ vec, trans=1,
-                               check_finite=False)
-        adjusted = vec - self._coeffs.T @ reduced
-        return core.mass @ core.fact.solve(adjusted)
+        return self._mass @ self._solver.solve_t(vec)
 
     def to_dense(self) -> np.ndarray:
-        core = self._core
-        response = core.mean_response()
-        reduced = sla.lu_solve(self._cap_lu, self._coeffs @ response, check_finite=False)
-        return response - core.basis_solved @ reduced
+        return self._solver.solve(numerics.to_dense(self._mass))
 
 
 class DenseStateOperator:
@@ -96,10 +83,6 @@ class DenseStateOperator:
 
     def __init__(self, matrix):
         self.matrix = np.asarray(matrix, dtype=float)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
 
     def apply(self, control: np.ndarray) -> np.ndarray:
         return self.matrix @ control
@@ -111,22 +94,6 @@ class DenseStateOperator:
         return self.matrix.copy()
 
 
-class _SolverCore:
-    """Pieces shared by every sample operator of one problem."""
-
-    def __init__(self, fact, basis_solved, mass):
-        self.fact = fact
-        self.basis_solved = basis_solved
-        self.mass = mass
-        self._mean_response = None
-
-    def mean_response(self) -> np.ndarray:
-        # dense base^-1 Phi, built on first use and shared by all samples
-        if self._mean_response is None:
-            self._mean_response = self.fact.solve(numerics.to_dense(self.mass))
-        return self._mean_response
-
-
 @dataclass(eq=False)
 class ReducedControlProblem:
     """Reduced objective data: mass matrix, sample operators, targets, penalty."""
@@ -136,8 +103,11 @@ class ReducedControlProblem:
     desired_nodal: np.ndarray
     desired_proj: np.ndarray
     beta: float
-    rank: int
     desired_mode: str = "interpolant"
+    # Woodbury form of the sample operators, as in ``perturbed.EnsembleSolution``
+    woodbury_form: str | None = None
+    update_rank: int | None = None
+    basis_form_samples: tuple[int, ...] = ()
     _hessian_cache: np.ndarray | None = field(default=None, repr=False)
     # samples evaluated so far, each by one forward and at most one adjoint application
     _sample_evals: int = field(default=0, repr=False)
@@ -173,37 +143,28 @@ def build_reduced_problem(assembled: fem.AssembledSystem, factors: lowrank.LowRa
     ``desired_state`` is a callable of (x, y).  Its nodal interpolant enters
     the state mismatch by default; the mass-weighted projection of that
     interpolant is kept alongside for the gradient pairing and for the
-    alternative ``projection`` mismatch convention.
+    alternative ``projection`` mismatch convention.  The state operators take
+    the Woodbury form ``perturbed.WoodburySolvers`` picks; a singular
+    capacitance raises ``SingularCapacitanceError``.
     """
     if factors.basis.shape[0] != assembled.base.shape[0]:
         raise DimensionMismatchError("factors do not match the assembled system")
-    fact = numerics.factorize_spd(assembled.base)
-    basis_solved = fact.solve(factors.basis)
-    core = _SolverCore(fact, basis_solved, assembled.mass)
-
-    eye_k = np.eye(factors.rank)
-    operators = []
-    for m, coeffs in enumerate(factors.coeffs):
-        update = eye_k + coeffs @ basis_solved
-        try:
-            cap_lu = sla.lu_factor(update, check_finite=False)
-        except sla.LinAlgError as exc:
-            raise SingularCapacitanceError(m) from exc
-        if not np.all(np.isfinite(cap_lu[0])) or np.any(np.diag(cap_lu[0]) == 0.0):
-            raise SingularCapacitanceError(m, cond=float(np.linalg.cond(update)))
-        operators.append(SampleStateOperator(core, cap_lu, coeffs))
+    solvers = perturbed.WoodburySolvers(assembled.base, factors)
+    built = list(solvers)
 
     coords = assembled.node_coords
     desired_nodal = np.array([float(desired_state(x, y)) for x, y in coords])
     desired_proj = assembled.mass @ desired_nodal
     return ReducedControlProblem(
         mass=assembled.mass,
-        operators=operators,
+        operators=[SampleStateOperator(solver, assembled.mass) for solver in built],
         desired_nodal=desired_nodal,
         desired_proj=desired_proj,
         beta=float(beta),
-        rank=factors.rank,
         desired_mode=desired_mode,
+        woodbury_form=solvers.form,
+        update_rank=solvers.update_rank,
+        basis_form_samples=tuple(s.sample for s in built if s.form != solvers.form),
     )
 
 

@@ -67,6 +67,7 @@ class SpdeReport:
     sample_conditions: tuple[float, ...] | None
     solution: perturbed.EnsembleSolution
     timings: dict[str, float]
+    min_coefficient: np.ndarray  # per sample: min over elements of the diffusion field
 
 
 def build_spde_system(cfg: SpdeRunConfig):
@@ -170,6 +171,7 @@ def run_spde(cfg: SpdeRunConfig) -> SpdeReport:
         sample_conditions=sample_conds,
         solution=solution,
         timings=timings,
+        min_coefficient=system.min_coefficient,
     )
 
 

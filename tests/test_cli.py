@@ -12,6 +12,11 @@ def run(argv):
     return cli.main(argv)
 
 
+def manifest_record(out, *prefixes):
+    lines = (out / "manifest.txt").read_text().splitlines()
+    return dict(line.split(" = ") for line in lines if line.startswith(prefixes))
+
+
 def digest_all(out_dir, names):
     return {n: hashlib.sha256((out_dir / n).read_bytes()).hexdigest() for n in names}
 
@@ -141,10 +146,6 @@ def test_spde_manifest_contents(tmp_path):
 
 
 def test_spde_manifest_records_woodbury_form(tmp_path):
-    def record(out):
-        lines = (out / "manifest.txt").read_text().splitlines()
-        return dict(line.split(" = ") for line in lines if line.startswith("woodbury."))
-
     above, below, direct = tmp_path / "above", tmp_path / "below", tmp_path / "direct"
     assert run(["spde", "--h", "0.05", "--samples", "3", "--tau", "0.95",
                 "--out-dir", str(above)]) == 0
@@ -154,11 +155,13 @@ def test_spde_manifest_records_woodbury_form(tmp_path):
                 "--out-dir", str(direct)]) == 0
     # N = 441: rank 419 runs the rank-22 complement form; rank 265 is above half
     # rank too, but its per-sample LU costs more than it saves, so the basis form runs
-    assert record(above) == {"woodbury.form": "complement", "woodbury.update_rank": "22",
-                             "woodbury.basis_form_samples": "0"}
-    assert record(below) == {"woodbury.form": "basis", "woodbury.update_rank": "265",
-                             "woodbury.basis_form_samples": "0"}
-    assert record(direct) == {}
+    assert manifest_record(above, "woodbury.") == {
+        "woodbury.form": "complement", "woodbury.update_rank": "22",
+        "woodbury.basis_form_samples": "0"}
+    assert manifest_record(below, "woodbury.") == {
+        "woodbury.form": "basis", "woodbury.update_rank": "265",
+        "woodbury.basis_form_samples": "0"}
+    assert manifest_record(direct, "woodbury.") == {}
 
 
 def test_usage_error_exit_1(tmp_path):
@@ -222,6 +225,46 @@ def write_rank_one_ensemble(directory, n=5, m=3):
         a[0, 0] = float(i + 1)
         numerics.save_matrix_market(directory / f"member_{i}.mtx", sp.csr_array(a))
     return str(directory / "member_*.mtx")
+
+
+def test_spde_manifest_reports_field_and_critical_rank(tmp_path, capsys):
+    keys = ("field.", "rank_below_k_star")
+    below, rough, default = tmp_path / "below", tmp_path / "rough", tmp_path / "default"
+    # h = 0.1: tau = 0.5 asks for rank 61 of N = 121, below k* = 81
+    assert run(["spde", "--h", "0.1", "--tau", "0.5", "--out-dir", str(below)]) == 0
+    warned = capsys.readouterr().err
+    assert manifest_record(below, *keys)["rank_below_k_star"] == "true"
+    assert "warning" in warned and "rank 61" in warned and "k* = 81" in warned
+    assert run(["spde", "--h", "0.1", "--epsilon", "0.9", "--out-dir", str(rough)]) == 0
+    record = manifest_record(rough, *keys)
+    assert int(record["field.nonpositive_samples"]) > 0
+    assert float(record["field.min_coefficient"]) <= 0.0
+    assert "nonpositive diffusion coefficient" in capsys.readouterr().err
+    assert run(["spde", "--h", "0.1", "--out-dir", str(default)]) == 0
+    record = manifest_record(default, *keys)
+    assert (record["field.nonpositive_samples"], record["rank_below_k_star"]) == ("0", "false")
+    assert float(record["field.min_coefficient"]) > 0.0
+    assert capsys.readouterr().err == ""
+
+
+def test_socp_manifest_records_woodbury_form_and_field(tmp_path):
+    out = tmp_path / "socp"
+    assert run(["socp", "--h", "0.05", "--samples", "3", "--out-dir", str(out)]) == 0
+    # N = 441 at tau = 0.88: rank 389, and the model prices the rank-52 complement cheaper
+    assert manifest_record(out, "woodbury.", "field.nonpositive") == {
+        "woodbury.form": "complement", "woodbury.update_rank": "52",
+        "woodbury.basis_form_samples": "0", "field.nonpositive_samples": "0"}
+
+
+def test_compress_reports_ensemble_nonzeros(tmp_path):
+    out = tmp_path / "fem"
+    assert run(["compress", "--h", "0.1", "--out-dir", str(out)]) == 0
+    header, row = ((out / "factors.csv").read_text().splitlines()[i].split(",") for i in (0, 1))
+    cfg = cli.parse_config(cli.schema_compress())
+    _, system = spde.build_spde_system(spde.SpdeRunConfig(
+        h=0.1, num_samples=cfg["samples"], epsilon=cfg["epsilon"],
+        distribution=cfg["distribution"], master_seed=cfg["seed"]))
+    assert int(row[header.index("ensemble_nnz")]) == sum(p.nnz for p in system.perturbations)
 
 
 def test_compress_from_matrix_market(tmp_path):

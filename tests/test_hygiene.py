@@ -1,0 +1,35 @@
+"""Source checks over the ``lram`` package."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import lram
+
+MODULES = sorted(Path(lram.__file__).parent.glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads (``from __future__`` excepted)."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(name for name in imported if name not in used)
+
+
+def test_unused_import_is_found():
+    source = "from . import numerics, perturbed\nimport numpy as np\n\nnp.zeros(numerics.N)\n"
+    assert unused_imports(source) == ["perturbed"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []

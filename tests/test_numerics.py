@@ -158,6 +158,18 @@ def test_factorize_rejects_indefinite_sparse_path():
         numerics.factorize_spd(sp.diags_array(d).tocsr())
 
 
+def test_factorize_rejects_zero_diagonal_indefinite_sparse_path():
+    # [[0, 1], [1, 0]] is indefinite; SuperLU pivots off the zero diagonal and
+    # reaches positive pivots, so the pivot signs alone would pass it
+    n = 250
+    a = sp.lil_array(sp.eye_array(n))
+    a[0, 0] = 0.0
+    a[1, 1] = 0.0
+    a[0, 1] = a[1, 0] = 1.0
+    with pytest.raises(NotPositiveDefiniteError):
+        numerics.factorize_spd(a.tocsr())
+
+
 def test_factorize_sparse_path_roundtrip():
     n = 250
     main = 2.0 * np.ones(n)

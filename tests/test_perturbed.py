@@ -156,13 +156,6 @@ def fem_ensemble(h=0.1, num_samples=6, seed=21):
                                        rhs=system.load)
 
 
-@pytest.fixture
-def dense_flop_model(monkeypatch):
-    """Weigh the sparse work as nothing: the complement form runs whenever N - k < k."""
-    monkeypatch.setattr(perturbed, "SPARSE_SOLVE_WEIGHT", 0)
-    monkeypatch.setattr(perturbed, "SAMPLE_LU_WEIGHT", 0)
-
-
 @pytest.mark.parametrize("rank_of, below_k_star", [
     (lambda n, k_star: n - 1, False),
     (lambda n, k_star: int(0.88 * n), False),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lram import fem, lowrank, numerics, socp, spde
+from lram import fem, lowrank, numerics, perturbed, socp, spde
 from lram.errors import (
     ConfigRangeError,
     DimensionMismatchError,
@@ -33,7 +33,7 @@ def synthetic_problem(rng, n=8, m=3, beta=0.5):
     target = rng.standard_normal(n)
     return socp.ReducedControlProblem(
         mass=mass, operators=ops, desired_nodal=target,
-        desired_proj=mass @ target, beta=beta, rank=n,
+        desired_proj=mass @ target, beta=beta,
     )
 
 
@@ -81,6 +81,63 @@ def test_operator_linearity():
         assert np.allclose(lhs, rhs, atol=1e-12 * max(np.linalg.norm(rhs), 1.0))
 
 
+@pytest.mark.parametrize("h, forced, form", [
+    (0.05, False, "complement"),
+    (0.1, False, "basis"),
+    (0.1, True, "complement"),
+], ids=["h0.05-model", "h0.1-model", "h0.1-half-rank"])
+def test_operators_in_either_form_match_basis_form(request, h, forced, form):
+    if forced:
+        request.getfixturevalue("dense_flop_model")
+    system, factors, problem = fem_problem(h=h, num_samples=3, ratio=0.88, seed=5)
+    n = problem.dim
+    assert (problem.woodbury_form, problem.basis_form_samples) == (form, ())
+    assert problem.update_rank == (n - factors.rank if form == "complement" else factors.rank)
+    # listed coefficients and no complement: the basis form on the base factorization
+    hand = lowrank.LowRankFactors(basis=factors.basis, coeffs=list(factors.coeffs),
+                                  rank=factors.rank, ratio=factors.ratio)
+    ref = socp.build_reduced_problem(system, hand, socp.desired_state_function("sin-pi"),
+                                     problem.beta)
+    assert ref.woodbury_form == "basis"
+    rng = np.random.default_rng(4)
+    f = rng.standard_normal(n)
+    g = rng.standard_normal(n)
+    for op, ref_op in zip(problem.operators, ref.operators):
+        for ours, expected in [(op.apply(f), ref_op.apply(f)),
+                               (op.apply_t(g), ref_op.apply_t(g)),
+                               (op.to_dense(), ref_op.to_dense())]:
+            assert np.linalg.norm(ours - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_complement_build_factors_each_sample_once_and_no_coefficient_matrix(monkeypatch):
+    calls = {"factorize": 0, "sample_lu": 0, "projections": []}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def recorded(basis, a):
+        out = sample_coeffs(basis, a)
+        calls["projections"].append(out.shape)
+        return out
+
+    sample_coeffs = lowrank._sample_coeffs
+    monkeypatch.setattr(lowrank, "_sample_coeffs", recorded)
+    monkeypatch.setattr(numerics, "factorize_spd", counted("factorize", numerics.factorize_spd))
+    monkeypatch.setattr(perturbed, "_sample_lu", counted("sample_lu", perturbed._sample_lu))
+    num_samples = 4
+    _, factors, problem = fem_problem(h=0.05, num_samples=num_samples, ratio=0.88)
+    n, k = problem.dim, factors.rank
+    assert (problem.woodbury_form, problem.update_rank) == ("complement", n - k)
+    socp.hessian(problem)
+    # one LU per sample, the base never factored, only (N-k)-by-N projections D_m
+    assert calls["sample_lu"] == num_samples
+    assert calls["factorize"] == 0
+    assert calls["projections"] == [(n - k, n)] * num_samples
+
+
 # ---------------------------------------------------------------------------
 # objective / gradient / hessian
 # ---------------------------------------------------------------------------
@@ -102,7 +159,7 @@ def test_objective_penalty_term_alone():
     target = z @ f
     problem = socp.ReducedControlProblem(
         mass=mass, operators=[socp.DenseStateOperator(z)], desired_nodal=target,
-        desired_proj=mass @ target, beta=0.3, rank=n,
+        desired_proj=mass @ target, beta=0.3,
     )
     expected = 0.5 * 0.3 * float(f @ (mass @ f))
     assert socp.objective(problem, f) == pytest.approx(expected, rel=1e-12)
@@ -157,7 +214,7 @@ def test_gradient_matches_central_differences(mode):
 def test_hessian_identity_instance():
     problem = socp.ReducedControlProblem(
         mass=sp.eye_array(4).tocsr(), operators=[socp.DenseStateOperator(np.eye(4))],
-        desired_nodal=np.zeros(4), desired_proj=np.zeros(4), beta=1.0, rank=4,
+        desired_nodal=np.zeros(4), desired_proj=np.zeros(4), beta=1.0,
     )
     assert np.allclose(socp.hessian(problem), 2.0 * np.eye(4), atol=1e-15)
 
@@ -200,7 +257,7 @@ def test_hessian_size_guard():
         mass=sp.eye_array(6000).tocsr(),
         operators=[socp.DenseStateOperator(np.eye(2))],
         desired_nodal=np.zeros(6000), desired_proj=np.zeros(6000),
-        beta=1.0, rank=2,
+        beta=1.0,
     )
     with pytest.raises(HessianTooLargeError):
         socp.hessian(problem)
@@ -322,7 +379,7 @@ def test_line_search_rejects_nonpositive_curvature():
     n = 4
     problem = socp.ReducedControlProblem(
         mass=-sp.eye_array(n).tocsr(), operators=[socp.DenseStateOperator(np.eye(n))],
-        desired_nodal=np.ones(n), desired_proj=-np.ones(n), beta=1.0, rank=n,
+        desired_nodal=np.ones(n), desired_proj=-np.ones(n), beta=1.0,
     )
     with pytest.raises(LineSearchError):
         socp.optimize(problem, socp.OptimizerSpec(method="sdm"), np.zeros(n))
