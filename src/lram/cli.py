@@ -273,6 +273,17 @@ def _warn(problems: list[str]) -> None:
         print(f"lram: warning: {'; '.join(problems)}", file=sys.stderr)
 
 
+def _record_ranks(record: dict, ranks, k_star: int) -> list[str]:
+    """Record whether any compressed rank is below k*; a warning naming those that are."""
+    below = [rank for rank in ranks if rank < k_star]
+    record["rank_below_k_star"] = bool(below)
+    if not below:
+        return []
+    listed = ", ".join(str(rank) for rank in below)
+    return [f"rank {listed} {'is' if len(below) == 1 else 'are'} below the critical rank "
+            f"k* = {k_star}"]
+
+
 def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
     outputs = []
     timings: dict[str, float] = {}
@@ -281,6 +292,8 @@ def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
         t0 = time.perf_counter()
         result = spde.scan(_spde_config(cfg), cfg["tau_scan"])
         timings["scan"] = time.perf_counter() - t0
+        _warn(_record_field(record, result.min_coefficient)
+              + _record_ranks(record, [row[1] for row in result.rows], result.k_star))
         write_csv(out_dir / "errors_vs_tau.csv",
                   ["tau", "rank", "err_l2", "rmsre"], result.rows)
         outputs.append("errors_vs_tau.csv")
@@ -291,12 +304,9 @@ def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
     report = spde.run_spde(_spde_config(cfg))
     timings.update(report.timings)
     _record_woodbury(record, report.solution)
-    problems = _record_field(record, report.min_coefficient)
-    below = report.rank is not None and report.rank < report.k_star
-    record["rank_below_k_star"] = below
-    if below:
-        problems.append(f"rank {report.rank} is below the critical rank k* = {report.k_star}")
-    _warn(problems)
+    ranks = [] if report.rank is None else [report.rank]
+    _warn(_record_field(record, report.min_coefficient)
+          + _record_ranks(record, ranks, report.k_star))
     write_csv(
         out_dir / "report.csv",
         ["nodes", "samples", "rank", "tau", "epsilon", "method",

@@ -178,13 +178,27 @@ def _triplets(mesh: TriMesh):
     return rows, cols
 
 
+def _compressed(data, rows, cols, n) -> sp.csr_array:
+    """CSR array of summed triplets holding no explicit zeros.
+
+    An entry sums to exactly 0 where the coefficient vanishes on every element
+    sharing it, and on the diagonal edge of each square cell, where both
+    right-triangle stiffness entries are 0.
+    """
+    out = sp.csr_array((data, (rows, cols)), shape=(n, n))
+    out.sum_duplicates()
+    out.eliminate_zeros()
+    return out
+
+
 def assemble(mesh: TriMesh, field_samples, source, apply_bc: bool = True) -> AssembledSystem:
     """Assemble the base stiffness, perturbation stiffness matrices, mass, and load.
 
     ``source`` is a callable ``f(x, y)`` evaluated at the nodes; the load is
     the mass matrix applied to the nodal source values.  With ``apply_bc``
     (the default) homogeneous Dirichlet conditions are imposed by symmetric
-    elimination, which preserves positive definiteness of ``base``.
+    elimination, which preserves positive definiteness of ``base``.  Entries
+    that sum to 0 are not stored.
     """
     n = mesh.num_nodes
     areas, k_geo, m_loc = _element_geometry(mesh)
@@ -204,15 +218,11 @@ def assemble(mesh: TriMesh, field_samples, source, apply_bc: bool = True) -> Ass
             r = np.concatenate([r, mesh.boundary_nodes])
             c = np.concatenate([c, mesh.boundary_nodes])
             d = np.concatenate([d, np.ones(mesh.boundary_nodes.shape[0])])
-        out = sp.csr_array((d, (r, c)), shape=(n, n))
-        out.sum_duplicates()
-        return out
+        return _compressed(d, r, c, n)
 
     def perturbation_from(coeff):
         data = (k_geo * coeff[:, None, None]).ravel()
-        out = sp.csr_array((data[keep], (rows[keep], cols[keep])), shape=(n, n))
-        out.sum_duplicates()
-        return out
+        return _compressed(data[keep], rows[keep], cols[keep], n)
 
     base = stiffness_from(np.ones(mesh.num_elements))
     perturbations = []
@@ -226,9 +236,7 @@ def assemble(mesh: TriMesh, field_samples, source, apply_bc: bool = True) -> Ass
         perturbations.append(perturbation_from(coeff))
         min_coeff.append(float(np.min(1.0 + coeff)))
 
-    mass_data = m_loc.ravel()
-    mass = sp.csr_array((mass_data, (rows, cols)), shape=(n, n))
-    mass.sum_duplicates()
+    mass = _compressed(m_loc.ravel(), rows, cols, n)
 
     nodal_source = np.array([float(source(px, py)) for px, py in mesh.nodes])
     load = mass @ nodal_source

@@ -6,9 +6,12 @@ that A_m is approximated by ``basis @ coeffs[m]`` with minimal summed squared
 Frobenius error.  The optimal basis consists of the leading eigenvectors of
 the accumulated Gram matrix ``sum_m A_m A_m^T``, and the optimal coefficients
 are ``basis^T A_m``.  One eigendecomposition of that Gram matrix, held as a
-``GramSpectrum``, feeds the factors, their reconstruction error and the
-energy curve.  A two-sided alternating baseline and the compression ratio
-are included, plus binary and MatrixMarket serialization of the factors.
+``GramSpectrum``, feeds the factors, their reconstruction error, the energy
+curve and the ensemble's numerical rank k* (``numerical_rank``).  The Gram
+matrix stays sparse for sparse members, and the complete eigendecomposition
+runs on its support only.  A two-sided alternating baseline and the
+compression ratio are included, plus binary and MatrixMarket serialization of
+the factors.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ _FACTORS_MAGIC = b"LRFB"
 _FACTORS_VERSION = 1
 _FACTORS_HEADER_BYTES = 32  # magic, version, N, k, M
 
+#: Energy left out at the numerical rank k*, relative to the total.
+CRITICAL_ENERGY_TOL = 1e-12
+
 
 class Projections(Sequence):
     """Read-only sequence of ``basis^T A_m`` over ``members``, each built on access.
@@ -60,9 +66,12 @@ class LowRankFactors:
     ``basis`` is N-by-k with orthonormal columns; ``coeffs[m]`` is k-by-N and
     the reconstruction of sample m is ``basis @ coeffs[m]``.  The compressors
     give ``coeffs`` as ``Projections`` of the compressed members and, on a
-    complete spectrum, the N-by-(N-k) ``complement``: the trailing
-    eigenvectors, so ``[basis complement]`` is orthogonal.  Loaded and
-    hand-built factors hold plain coefficient lists and no complement.
+    complete spectrum, the ensemble's ``numerical_rank`` k* and the
+    ``complement``: eigenvectors k+1..k* (none at k >= k*), so that the
+    leading min(k, k*) basis vectors and the complement span the members'
+    columns up to ``CRITICAL_ENERGY_TOL`` of their energy.  Loaded and
+    hand-built factors hold plain coefficient lists, no numerical rank and no
+    complement.
     """
 
     basis: np.ndarray
@@ -70,6 +79,7 @@ class LowRankFactors:
     rank: int
     ratio: float
     complement: np.ndarray | None = None
+    numerical_rank: int | None = None
 
     @property
     def dim(self) -> int:
@@ -120,21 +130,35 @@ def rank_from_ratio(ratio: float, dim: int) -> int:
     return min(dim, max(1, math.ceil(ratio * dim - 1e-9)))
 
 
-def ensemble_gram(ensemble) -> np.ndarray:
-    """Accumulated Gram matrix ``sum_m A_m A_m^T`` in dense form.
+def ensemble_gram(ensemble):
+    """Accumulated Gram matrix ``sum_m A_m A_m^T``, CSR when every member is sparse.
 
-    Dense accumulation is deliberate: the product densifies even for sparse
-    inputs at the dimensions this library targets.
+    A sparse member couples few rows, so its Gram term does too: on FEM
+    ensembles the Gram matrix holds about a dozen entries per row.
     """
     n = _check_ensemble(ensemble)
+    if all(sp.issparse(a) for a in ensemble):
+        gram = sp.csr_array((n, n))
+        for a in ensemble:
+            gram = gram + a @ a.T
+        return gram
     gram = np.zeros((n, n))
     for a in ensemble:
-        if sp.issparse(a):
-            gram += (a @ a.T).toarray()
-        else:
-            ad = np.asarray(a, dtype=float)
-            gram += ad @ ad.T
+        ad = numerics.to_dense(a)
+        gram += ad @ ad.T
     return gram
+
+
+def numerical_rank(curve) -> int:
+    """k*: the smallest rank whose energy ratio on ``curve`` reaches 1 - ``CRITICAL_ENERGY_TOL``.
+
+    Factors at or above it reconstruct the ensemble up to that energy; the
+    Gram directions past it carry none of it.
+    """
+    for k, e_k in curve:
+        if e_k >= 1.0 - CRITICAL_ENERGY_TOL:
+            return k
+    return len(curve)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +168,8 @@ class GramSpectrum:
     Complete when it holds all N values (dense eigensolver route), else the
     leading ones (Lanczos route).  ``trace`` is ``sum_m ||A_m||_F^2``.
     ``vectors`` is None for a values-only spectrum, which serves the energy
-    curve but no factors.
+    curve but no factors.  Off the ensemble's support (rows where every
+    member is zero) a complete spectrum holds the value 0 with unit vectors.
     """
 
     values: np.ndarray   # (p,), non-increasing
@@ -191,16 +216,39 @@ class GramSpectrum:
 def gram_spectrum(ensemble, rank: int | None = None, vectors: bool = True) -> GramSpectrum:
     """One Gram build and one eigensolve, holding at least the leading ``rank`` pairs.
 
-    ``rank=None`` asks for all pairs.  The dense route computes all of them
-    anyway, so they are all kept; the Gram matrix itself is not.  With
+    ``rank=None`` asks for all pairs.  The Lanczos route runs on the Gram
+    matrix as built (sparse for sparse members).  The dense route computes
+    all pairs anyway, so they are all kept: it decomposes the Gram matrix on
+    its support S (nonzero diagonal) and pads with the value 0 and unit
+    vectors off S.  The Gram matrix itself is not kept.  With
     ``vectors=False`` only the eigenvalues are computed.
     """
     n = _check_ensemble(ensemble)
     gram = ensemble_gram(ensemble)
-    k = n if rank is None or numerics.dense_eig(n, rank) else rank
-    pairs = numerics.sym_eig_topk(gram, k, vectors=vectors)
-    return GramSpectrum(values=pairs.values, vectors=pairs.vectors,
-                        trace=float(np.trace(gram)), num_samples=len(ensemble), dim=n)
+    diagonal = gram.diagonal()
+    trace = float(np.sum(diagonal))
+    if rank is not None and not numerics.dense_eig(n, rank):
+        pairs = numerics.sym_eig_topk(gram, rank, vectors=vectors)
+        return GramSpectrum(values=pairs.values, vectors=pairs.vectors, trace=trace,
+                            num_samples=len(ensemble), dim=n)
+    support = np.flatnonzero(diagonal)
+    s = support.shape[0]
+    values = np.zeros(n)
+    basis = np.zeros((n, n)) if vectors else None
+    if s:
+        pairs = numerics.sym_eig_topk(gram[np.ix_(support, support)], s, vectors=vectors)
+        values[:s] = pairs.values
+        if vectors:
+            basis[support, :s] = pairs.vectors
+    if vectors:
+        basis[np.setdiff1d(np.arange(n), support), np.arange(s, n)] = 1.0
+    # rounding can leave support values below the exact zeros off the support
+    order = np.argsort(-values, kind="stable")
+    if np.any(order != np.arange(n)):
+        values = values[order]
+        basis = None if basis is None else basis[:, order]
+    return GramSpectrum(values=values, vectors=basis, trace=trace,
+                        num_samples=len(ensemble), dim=n)
 
 
 def _sample_coeffs(basis: np.ndarray, a) -> np.ndarray:
@@ -213,9 +261,12 @@ def _factors(ensemble, rank: int, ratio: float, spectrum) -> LowRankFactors:
     if spectrum is None:
         spectrum = gram_spectrum(ensemble, rank)
     basis = spectrum.basis(rank)
-    complement = spectrum.complement(rank) if spectrum.complete else None
+    complement = k_star = None
+    if spectrum.complete:
+        k_star = numerical_rank(spectrum.energy_curve()) if spectrum.trace > 0.0 else 0
+        complement = np.ascontiguousarray(spectrum.vectors[:, rank:max(rank, k_star)])
     return LowRankFactors(basis=basis, coeffs=Projections(basis, ensemble), rank=rank,
-                          ratio=float(ratio), complement=complement)
+                          ratio=float(ratio), complement=complement, numerical_rank=k_star)
 
 
 def compress_rank(ensemble, rank: int, spectrum: GramSpectrum | None = None) -> LowRankFactors:

@@ -2,8 +2,8 @@
 
 Dense matrices are plain ``numpy.ndarray``; sparse matrices are SciPy CSR/CSC
 arrays.  The module provides the symmetric top-k eigensolver, a reusable SPD
-factorization handle, small dense solves, norm and condition estimates, and
-MatrixMarket import/export.  All tolerances are module constants and can be
+factorization handle, norm and condition estimates, and MatrixMarket
+import/export.  All tolerances are module constants and can be
 overridden per call.  Matrices are treated as immutable after construction;
 factorization handles are read-only and safe to share across threads.
 """
@@ -24,21 +24,16 @@ from .errors import (
     NoConvergenceError,
     NonSymmetricError,
     NotPositiveDefiniteError,
-    SingularMatrixError,
 )
 
 #: Max asymmetry tolerated, relative to the Frobenius norm.
 SYM_TOL = 1e-10
 #: Per-pair eigen residual target, relative to the Frobenius norm.
 EIG_RESIDUAL_TOL = 1e-8
-#: Relative residual target for factorized solves.
-SOLVE_TOL = 1e-10
 #: Relative accuracy target of the power-iteration spectral norm.
 SPECTRAL_NORM_TOL = 1e-6
 #: Dense symmetric eigendecomposition up to this dimension; above it, see ``dense_eig``.
 DENSE_EIG_MAX_DIM = 2000
-#: Dense Cholesky below this dimension, sparse factorization above.
-DENSE_CHOLESKY_MAX_DIM = 200
 
 _TINY = 1e-300
 
@@ -136,17 +131,22 @@ def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
 def dense_eig(n: int, k: int) -> bool:
     """Whether ``sym_eig_topk`` takes the dense route for ``k`` of ``n`` pairs.
 
-    Dense cost does not grow with ``k``: at n = 2601 (one BLAS thread, 2-core
-    VM) dense took 15 s, Lanczos 10 s at k/n = 0.15 and 36 s at k/n = 0.3.
+    Dense cost does not grow with ``k``; Lanczos cost grows with ``k`` and, on
+    a sparse matrix, with its entries rather than n^2.  Measured on a FEM
+    Gram matrix at n = 2601 (11.6 entries per row, support 2401; one BLAS
+    thread, 2-core VM): dense on the support 3.9-4.0 s, Lanczos on the sparse
+    matrix 1.1 s at k/n = 0.05, 2.8 s at 0.1, 4.8 s at 0.125, 6.3 s at 0.15
+    and 14.3 s at 0.3.
     """
-    return n <= DENSE_EIG_MAX_DIM or 5 * k > n
+    return n <= DENSE_EIG_MAX_DIM or 10 * k > n
 
 
 def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True) -> EigenPairs:
     """Return the ``k`` largest eigenvalues and eigenvectors of a symmetric matrix.
 
     Uses a dense LAPACK decomposition where ``dense_eig`` says so and a
-    Lanczos solver otherwise.  With ``vectors=False`` only the eigenvalues
+    Lanczos solver otherwise, which applies ``s`` as given and never
+    densifies a sparse one.  With ``vectors=False`` only the eigenvalues
     are computed (LAPACK takes a different route, so they can differ from the
     paired ones in the last bits) and ``EigenPairs.vectors`` is None.  Raises
     ``NonSymmetricError`` if the asymmetry exceeds ``sym_tol * ||S||_F`` and
@@ -193,10 +193,9 @@ class SpdFactorization:
     against one handle are safe.
     """
 
-    def __init__(self, solver, dim, kind):
+    def __init__(self, solver, dim):
         self._solver = solver
         self.dim = dim
-        self.kind = kind
 
     def solve(self, rhs):
         """Solve ``A x = rhs`` for a vector or a stack of columns."""
@@ -208,29 +207,18 @@ class SpdFactorization:
         return self._solver(rhs)
 
 
-def factorize_spd(a, sym_tol=SYM_TOL, dense_max_dim=DENSE_CHOLESKY_MAX_DIM) -> SpdFactorization:
+def factorize_spd(a, sym_tol=SYM_TOL) -> SpdFactorization:
     """Factor an SPD matrix once for repeated solves.
 
-    Below ``dense_max_dim`` a dense Cholesky is used; at and above it, a sparse
-    LU in symmetric mode with a fill-reducing ordering and diagonal pivoting,
-    whose pivots certify positive definiteness if all are positive and on the
-    diagonal (SuperLU pivots off a zero diagonal entry, so rows permuted
-    unlike columns are refused).
+    A sparse LU in symmetric mode with a fill-reducing ordering and diagonal
+    pivoting, whose pivots certify positive definiteness if all are positive
+    and on the diagonal (SuperLU pivots off a zero diagonal entry, so rows
+    permuted unlike columns are refused).
     """
     n = _require_square(a)
     fro = frobenius_norm(a)
     if _asymmetry(a) > sym_tol * max(fro, _TINY):
         raise NonSymmetricError(f"asymmetry exceeds {sym_tol:g} * ||A||_F")
-
-    if n < dense_max_dim:
-        ad = to_dense(a)
-        try:
-            cf = sla.cho_factor(ad, lower=True, check_finite=False)
-        except sla.LinAlgError as exc:
-            raise NotPositiveDefiniteError(str(exc)) from exc
-        return SpdFactorization(
-            lambda b: sla.cho_solve(cf, b, check_finite=False), n, "dense-cholesky"
-        )
 
     acsc = to_csr(a).tocsc()
     try:
@@ -246,32 +234,7 @@ def factorize_spd(a, sym_tol=SYM_TOL, dense_max_dim=DENSE_CHOLESKY_MAX_DIM) -> S
         raise NotPositiveDefiniteError("off-diagonal pivot encountered")
     if not np.all(lu.U.diagonal() > 0):
         raise NotPositiveDefiniteError("nonpositive pivot encountered")
-    return SpdFactorization(lu.solve, n, "sparse-lu-symmetric")
-
-
-def dense_solve(a, b, rel_tol=SOLVE_TOL) -> np.ndarray:
-    """Solve the dense system ``A X = B`` and verify the residual.
-
-    Raises ``SingularMatrixError`` (carrying a condition estimate) when the
-    matrix is singular or the residual exceeds ``rel_tol * ||B||``.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n = _require_square(a)
-    if b.shape[0] != n:
-        raise DimensionMismatchError(f"rhs leading dimension {b.shape[0]} != {n}")
-    try:
-        x = sla.solve(a, b)
-    except sla.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from exc
-    resid = float(np.linalg.norm(a @ x - b))
-    scale = float(np.linalg.norm(b))
-    if resid > rel_tol * max(scale, _TINY):
-        raise SingularMatrixError(
-            f"residual {resid:.3e} exceeds {rel_tol:g} * ||B||",
-            cond=float(np.linalg.cond(a)),
-        )
-    return x
+    return SpdFactorization(lu.solve, n)
 
 
 def condition_estimate(a, iters=100, seed=0) -> float:

@@ -8,23 +8,31 @@ two forms.  ``WoodburySolvers`` builds one ``WoodburySolver`` per sample in
 the form it picks; ``solve_smw`` runs them on the ensemble's right-hand side
 and the control problem (``socp``) builds its state operators from them.
 
-* Basis form, rank k: F = base, X = U, G = C_m.  Once per ensemble: one
-  factorization of the base and k solves for ``base^-1 U``.  Per sample: the
-  k-by-k capacitance ``I_k + C_m base^-1 U`` (2 k^2 N flops), its LU
-  (2/3 k^3) and O(kN) vector work per solve.  Cheaper than a per-sample
-  sparse LU only while k is small.
-* Complement form, rank N - k, possible when the factors carry the
-  complement W (the trailing Gram eigenvectors, so ``[U W]`` is orthogonal
-  and C_m = U^T P_m).  Then ``base + U C_m = (base + P_m) - W D_m`` with
-  D_m = W^T P_m: F = base + P_m, X = -W, G = D_m.  Per sample: one sparse LU
-  of ``base + P_m``, N - k solves with it for F^-1 W, the (N-k)-by-(N-k)
-  capacitance (2 (N-k)^2 N flops) and its LU.  It includes a per-sample
-  sparse LU, so SMW in this form costs at least the direct route.  A sample
-  whose ``base + P_m`` does not factor takes the basis form.
+Both forms carry only the ensemble's numerical rank k* (``lowrank``): Gram
+directions past k* hold no energy, so their coefficients vanish and they
+only add work.  Factors from a complete spectrum record k* and the
+eigenvectors k+1..k*; loaded and hand-built factors record neither and run
+at rank k.
 
-Above half rank the form is the one ``woodbury_costs`` models cheaper,
-reading the size of the first sample LU; below it the basis form always
-runs.
+* Basis form, rank min(k, k*): F = base, X = U, G = C_m on the leading
+  min(k, k*) basis vectors.  Once per ensemble: one factorization of the
+  base and a solve for ``base^-1 U``.  Per sample: the capacitance
+  ``I + C_m base^-1 U`` (2 r^2 N flops for rank r), its LU (2/3 r^3) and
+  O(rN) vector work per solve.  Cheaper than a per-sample sparse LU only
+  while the rank is small.
+* Complement form, rank max(k* - k, 0), possible when the factors carry the
+  complement W (eigenvectors k+1..k*, so ``base + U C_m = (base + P_m) - W
+  D_m`` with D_m = W^T P_m): F = base + P_m, X = -W, G = D_m.  Per sample:
+  one sparse LU of ``base + P_m``, a solve for F^-1 W, the capacitance and
+  its LU.  At k >= k* the rank is 0 and this is the direct route: one
+  sparse LU and one solve per sample, no capacitance (form ``direct``).  It
+  includes a per-sample sparse LU, so SMW in this form costs at least the
+  direct route.  A sample whose ``base + P_m`` does not factor takes the
+  basis form.
+
+When the complement rank is below the basis rank (k > k*/2) the form is the
+one ``woodbury_costs`` models cheaper, reading the size of the first sample
+LU; otherwise the basis form runs.
 
 A truncated alternating series and a per-sample direct factorization are
 provided as alternative routes; the quantity of interest is the sample mean,
@@ -106,10 +114,10 @@ class EnsembleSolution:
     method: str
     fallback_samples: tuple[int, ...] = ()
     truncation_residuals: tuple[float, ...] | None = None
-    # SMW only: "basis" (rank k) or "complement" (rank N - k), and that rank
+    # SMW only: "basis", "complement" or "direct" (module docstring), and its rank
     woodbury_form: str | None = None
     update_rank: int | None = None
-    # complement-form runs: samples whose base + P_m did not factor (basis form)
+    # complement and direct runs: samples whose base + P_m did not factor (basis form)
     basis_form_samples: tuple[int, ...] = ()
 
 
@@ -150,22 +158,25 @@ def _direct_sample(ensemble, m) -> np.ndarray:
     return u
 
 
-def woodbury_costs(n: int, k: int, factor_entries: int) -> tuple[float, float]:
+def woodbury_costs(n: int, basis_rank: int, complement_rank: int,
+                   factor_entries: int) -> tuple[float, float]:
     """Modelled per-sample cost of the basis and the complement form, in dense flops.
 
-    Basis form: the k-by-k capacitance and its LU, 2 k^2 N + 2/3 k^3.
-    Complement form, r = N - k: the r-by-r capacitance and its LU,
-    2 r^2 N + 2/3 r^3, plus the sparse work weighted as measured: r + 1
-    solves with the sample LU (2 flops per entry of L + U each) and the LU
-    itself, ``factor_entries`` being the entry count of L + U.  Projections
-    of the member cost about as much in either form and are left out.
+    Basis form, rank r = ``basis_rank``: the r-by-r capacitance and its LU,
+    2 r^2 N + 2/3 r^3.  Complement form, rank r = ``complement_rank``: the
+    same dense terms plus the sparse work weighted as measured: r + 1 solves
+    with the sample LU (2 flops per entry of L + U each) and the LU itself,
+    ``factor_entries`` being the entry count of L + U.  At r = 0 that is the
+    direct route.  Projections of the member cost about as much in either
+    form and are left out.
     """
-    r = n - k
-    basis = 2.0 * k * k * n + 2.0 / 3.0 * k ** 3
-    complement = (2.0 * r * r * n + 2.0 / 3.0 * r ** 3
-                  + SPARSE_SOLVE_WEIGHT * 2.0 * (r + 1) * factor_entries
+    def dense(r):
+        return 2.0 * r * r * n + 2.0 / 3.0 * r ** 3
+
+    r = complement_rank
+    complement = (dense(r) + SPARSE_SOLVE_WEIGHT * 2.0 * (r + 1) * factor_entries
                   + SAMPLE_LU_WEIGHT * factor_entries)
-    return basis, complement
+    return dense(basis_rank), complement
 
 
 def _solve_columns(solve, rhs):
@@ -182,20 +193,23 @@ class WoodburySolver:
 
     ``solve_f`` and ``solve_ft`` solve with F and F^T, ``x_solved`` is F^-1 X
     (N-by-r) and ``update`` is G (r-by-N).  The capacitance I + G F^-1 X is
-    LU-factored at construction.  A zero or non-finite pivot, or a solve with
-    it whose residual exceeds ``CAPACITANCE_RESIDUAL_TOL`` times its
-    right-hand side, raises ``SingularCapacitanceError`` with a condition
-    estimate.
+    LU-factored at construction; at r = 0 there is none and the solver is
+    F's.  A zero or non-finite pivot, or a solve with it whose residual
+    exceeds ``CAPACITANCE_RESIDUAL_TOL`` times its right-hand side, raises
+    ``SingularCapacitanceError`` with a condition estimate.
     """
 
     def __init__(self, sample, form, solve_f, solve_ft, x_solved, update):
         self.sample = sample
         self.form = form
+        self.rank = update.shape[0]
         self._solve_f = solve_f
         self._solve_ft = solve_ft
         self._x_solved = x_solved
         self._update = update
-        self._capacitance = np.eye(update.shape[0]) + update @ x_solved
+        if not self.rank:
+            return
+        self._capacitance = np.eye(self.rank) + update @ x_solved
         with warnings.catch_warnings():
             # an exactly zero pivot is refused below
             warnings.simplefilter("ignore", sla.LinAlgWarning)
@@ -219,43 +233,54 @@ class WoodburySolver:
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """(F + X G)^-1 rhs for a vector or the columns of a matrix."""
         s = _solve_columns(self._solve_f, rhs)
+        if not self.rank:
+            return s
         return s - self._x_solved @ self._capacitance_solve(self._update @ s, 0)
 
     def solve_t(self, rhs: np.ndarray) -> np.ndarray:
         """(F + X G)^-T rhs for a vector or the columns of a matrix."""
-        y = self._capacitance_solve(self._x_solved.T @ rhs, 1)
-        return _solve_columns(self._solve_ft, rhs - self._update.T @ y)
+        if self.rank:
+            rhs = rhs - self._update.T @ self._capacitance_solve(self._x_solved.T @ rhs, 1)
+        return _solve_columns(self._solve_ft, rhs)
 
 
 class WoodburySolvers(Sequence):
     """One ``WoodburySolver`` per sample of ``factors`` on ``base``, built on access.
 
-    The form (module docstring) is chosen once.  The complement form needs
-    the complement and coefficients ``Projections`` of the members, and runs
-    if ``woodbury_costs`` prices it cheaper for the first sample whose
-    ``base + P_m`` factors; that LU is kept.  Samples before it, and any whose
-    LU fails or gives non-finite solves, take the basis form.  ``base_factor``
-    and ``base^-1 U`` are computed on first need.
+    The form (module docstring) is chosen once.  The basis form runs on the
+    leading min(k, k*) basis vectors when the factors record k*.  The
+    complement form needs the complement and coefficients ``Projections`` of
+    the members, and runs if its rank is below the basis rank and
+    ``woodbury_costs`` prices it cheaper for the first sample whose ``base +
+    P_m`` factors; that LU is kept.  Samples before it, and any whose LU fails
+    or gives non-finite solves, take the basis form.  ``base_factor`` and
+    ``base^-1 U`` are computed on first need.
     """
 
     def __init__(self, base, factors):
         self._base = base
-        self._factors = factors
         self._base_factor = None
         self._basis_solved = None
+        self._num_samples = factors.num_samples
         n, k = factors.dim, factors.rank
-        self.form, self.update_rank = "basis", k
-        if (factors.complement is None or n - k >= k
-                or not isinstance(factors.coeffs, lowrank.Projections)):
+        self._basis, self._coeffs = factors.basis, factors.coeffs
+        projected = isinstance(factors.coeffs, lowrank.Projections)
+        if projected and factors.numerical_rank is not None and factors.numerical_rank < k:
+            self._basis = np.ascontiguousarray(factors.basis[:, :factors.numerical_rank])
+            self._coeffs = lowrank.Projections(self._basis, factors.coeffs.members)
+        self.form, self.update_rank = "basis", self._basis.shape[1]
+        complement = factors.complement
+        if not projected or complement is None or complement.shape[1] >= self.update_rank:
             return
-        self._projections = lowrank.Projections(factors.complement, factors.coeffs.members)
+        self._projections = lowrank.Projections(complement, factors.coeffs.members)
         for m, member in enumerate(self._projections.members):
             lu = _sample_lu(base + member)
             if lu is not None:
                 self._first = (m, lu)  # the first sample whose base + P_m factors
-                basis, complement = woodbury_costs(n, k, lu.L.nnz + lu.U.nnz)
-                if complement < basis:
-                    self.form, self.update_rank = "complement", n - k
+                r = complement.shape[1]
+                basis, sampled = woodbury_costs(n, self.update_rank, r, lu.L.nnz + lu.U.nnz)
+                if sampled < basis:
+                    self.form, self.update_rank = ("complement" if r else "direct"), r
                 return
 
     @property
@@ -265,30 +290,42 @@ class WoodburySolvers(Sequence):
         return self._base_factor
 
     def __len__(self) -> int:
-        return self._factors.num_samples
+        return self._num_samples
 
     def __getitem__(self, m: int) -> WoodburySolver:
         if not 0 <= m < len(self):
             raise IndexError(m)
-        if self.form == "complement" and m >= self._first[0]:
+        if self.form != "basis" and m >= self._first[0]:
             lu = self._first[1] if m == self._first[0] else _sample_lu(
                 self._base + self._projections.members[m])
-            x_solved = None if lu is None else -_solve_columns(lu.solve, self._projections.basis)
-            if x_solved is not None and np.all(np.isfinite(x_solved)):
-                return WoodburySolver(m, "complement", lu.solve, partial(lu.solve, trans="T"),
-                                      x_solved, self._projections[m])
+            if lu is not None:
+                solver = self._sampled(m, lu)
+                if solver is not None:
+                    return solver
         fact = self.base_factor
         if self._basis_solved is None:
-            self._basis_solved = _solve_columns(fact.solve, self._factors.basis)
+            self._basis_solved = _solve_columns(fact.solve, self._basis)
         return WoodburySolver(m, "basis", fact.solve, fact.solve, self._basis_solved,
-                              self._factors.coeffs[m])
+                              self._coeffs[m])
+
+    def _sampled(self, m, lu):
+        """Sample m's solver on its LU (complement or direct form); None if a solve is not finite."""
+        w = self._projections.basis
+        update, x_solved = np.zeros((0, w.shape[0])), w
+        if self.update_rank:
+            update, x_solved = self._projections[m], -_solve_columns(lu.solve, w)
+            if not np.all(np.isfinite(x_solved)):
+                return None
+        return WoodburySolver(m, self.form, lu.solve, partial(lu.solve, trans="T"),
+                              x_solved, update)
 
 
 def solve_smw(ensemble: PerturbedEnsemble, factors,
               fallback_direct: bool = False) -> EnsembleSolution:
     """Solve every sample through the Woodbury identity in the cheaper form.
 
-    ``WoodburySolvers`` builds the samples' solvers one at a time.  A singular
+    ``WoodburySolvers`` builds the samples' solvers one at a time; at update
+    rank 0 each is a direct sparse LU of ``base + P_m``.  A singular
     capacitance raises ``SingularCapacitanceError`` with the sample index and
     a condition estimate unless ``fallback_direct`` is set, in which case
     that sample is solved directly and recorded.

@@ -8,9 +8,9 @@ control:
            + beta/2 f' Phi f
 
 with S_m f = (base + U C_m)^-1 Phi f applied by the per-sample Woodbury
-solvers of ``perturbed``, in the form its cost model picks: rank k on the one
-base factorization or, above half rank, rank N - k on a sparse LU of
-base + P_m.  Gradient and Hessian are exact; the Hessian is constant in f and
+solvers of ``perturbed``, in the form its cost model picks: rank min(k, k*)
+on the one base factorization or rank max(k* - k, 0) on a sparse LU of
+base + P_m, which at k >= k* is a direct solve.  Gradient and Hessian are exact; the Hessian is constant in f and
 is cached after the first assembly.  Five interchangeable minimizers are
 provided: steepest descent, single-sample stochastic gradient, Newton, BFGS,
 and a dogleg trust region.  Steepest descent, Newton and BFGS share a
@@ -76,22 +76,6 @@ class SampleStateOperator:
 
     def to_dense(self) -> np.ndarray:
         return self._solver.solve(numerics.to_dense(self._mass))
-
-
-class DenseStateOperator:
-    """State operator given as an explicit matrix; for small or constructed problems."""
-
-    def __init__(self, matrix):
-        self.matrix = np.asarray(matrix, dtype=float)
-
-    def apply(self, control: np.ndarray) -> np.ndarray:
-        return self.matrix @ control
-
-    def apply_t(self, vec: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ vec
-
-    def to_dense(self) -> np.ndarray:
-        return self.matrix.copy()
 
 
 @dataclass(eq=False)

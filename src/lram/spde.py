@@ -18,9 +18,6 @@ import numpy as np
 from . import fem, lowrank, numerics, perturbed
 from .errors import ConfigRangeError, ZeroEnsembleError
 
-#: Energy level treated as "everything captured" when locating the critical rank.
-CRITICAL_ENERGY_TOL = 1e-12
-
 METHODS = ("smw", "neumann", "direct")
 
 
@@ -80,16 +77,12 @@ def build_spde_system(cfg: SpdeRunConfig):
 
 
 def critical_tau(curve) -> tuple[int, float]:
-    """Smallest rank whose energy ratio on ``curve`` reaches 1, and the matching ratio.
+    """The critical rank k* of ``curve`` (``lowrank.numerical_rank``) and its ratio k*/N.
 
-    The returned rank is the numerical rank of the accumulated Gram matrix;
-    compressing at or above it reconstructs the ensemble exactly.
+    Compressing at or above it reconstructs the ensemble exactly.
     """
-    n = len(curve)
-    for k, e_k in curve:
-        if e_k >= 1.0 - CRITICAL_ENERGY_TOL:
-            return k, k / n
-    return n, 1.0
+    k_star = lowrank.numerical_rank(curve)
+    return k_star, k_star / len(curve)
 
 
 def _solve(cfg: SpdeRunConfig, ensemble, factors):
@@ -183,6 +176,7 @@ class ScanResult:
     energy_curve: list[tuple[int, float]]
     k_star: int
     tau_star: float
+    min_coefficient: np.ndarray  # per sample: min over elements of the diffusion field
 
 
 def scan(cfg: SpdeRunConfig, ratios) -> ScanResult:
@@ -206,8 +200,8 @@ def scan(cfg: SpdeRunConfig, ratios) -> ScanResult:
         err = float(np.linalg.norm(reference.qoi - solution.qoi))
         rows.append((factors.ratio, factors.rank, err,
                      lowrank.rmsre(system.perturbations, spectrum, factors.rank)))
-    return ScanResult(rows=rows, energy_curve=energy_curve,
-                      k_star=k_star, tau_star=tau_star)
+    return ScanResult(rows=rows, energy_curve=energy_curve, k_star=k_star,
+                      tau_star=tau_star, min_coefficient=system.min_coefficient)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,10 @@ the library relies on it) so that cross-checks stay meaningful.
 import math
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
+
+from lram.errors import SingularMatrixError
 
 
 def jacobi_eigh(a, tol=1e-13, max_sweeps=200):
@@ -73,6 +76,41 @@ def gauss_solve(a, b):
         x[col] -= a[col, col + 1:] @ x[col + 1:]
         x[col] /= a[col, col]
     return x[:, 0] if squeeze else x
+
+
+def dense_solve(a, b, rel_tol=1e-10):
+    """Solve the dense system ``A X = B`` by LAPACK and verify the residual.
+
+    Raises ``SingularMatrixError`` (carrying the condition number) when the
+    matrix is singular or the residual exceeds ``rel_tol * ||B||``.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    try:
+        x = sla.solve(a, b)
+    except sla.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from exc
+    resid = float(np.linalg.norm(a @ x - b))
+    if resid > rel_tol * max(float(np.linalg.norm(b)), 1e-300):
+        raise SingularMatrixError(f"residual {resid:.3e} exceeds {rel_tol:g} * ||B||",
+                                  cond=float(np.linalg.cond(a)))
+    return x
+
+
+class DenseStateOperator:
+    """Control-to-state operator given as an explicit matrix, for constructed control problems."""
+
+    def __init__(self, matrix):
+        self.matrix = np.asarray(matrix, dtype=float)
+
+    def apply(self, control):
+        return self.matrix @ control
+
+    def apply_t(self, vec):
+        return self.matrix.T @ vec
+
+    def to_dense(self):
+        return self.matrix.copy()
 
 
 def rand_orthonormal(rng, n, k):

@@ -156,33 +156,67 @@ def test_criterion_06_monte_carlo_rate():
     verdict(6, ok, f"fitted slope {study.slope:.3f} over M=25,100,400 x10 reps", elapsed)
 
 
+#: Rounding of one objective evaluation, in units of eps * |J| (at most 2.5 measured).
+ROUNDING_UNITS = 16.0
+
+
+def derivative_deviations(problem, seed, grad, directions=10, step=1e-6):
+    """Worst deviations of ``grad`` at a random control from the exact quadratic J.
+
+    J is quadratic, so along a unit direction d J(f + t d) = J(f) + t g'd +
+    t^2/2 d'Hd with no remainder.  At t = 1 the odd part of J(f + d) - J(f -
+    d) gives g'd and the even part d'Hd (``hessian_vector``), each up to the
+    rounding of three evaluations.  A central difference at ``step`` is
+    exact too, so its deviation from g'd is that rounding divided by the
+    step.  Returns (largest relative gradient deviation, largest quadratic
+    residual over the rounding bound, largest central-difference deviation
+    over the rounding bound).
+    """
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(problem.dim)
+    g = grad(problem, f)
+    j = socp.objective(problem, f)
+    eps = np.finfo(float).eps
+    relative = quadratic = difference = 0.0
+    for _ in range(directions):
+        d = rng.standard_normal(problem.dim)
+        d /= np.linalg.norm(d)
+        slope = float(g @ d)
+        up, down = socp.objective(problem, f + d), socp.objective(problem, f - d)
+        curvature = float(d @ socp.hessian_vector(problem, d))
+        odd = 0.5 * (up - down) - slope
+        even = 0.5 * (up + down) - j - 0.5 * curvature
+        rounding = ROUNDING_UNITS * eps * max(abs(up), abs(down), abs(j))
+        relative = max(relative, abs(odd) / abs(slope))
+        quadratic = max(quadratic, abs(odd) / rounding, abs(even) / rounding)
+        up, down = socp.objective(problem, f + step * d), socp.objective(problem, f - step * d)
+        rounding = ROUNDING_UNITS * eps * max(abs(up), abs(down))
+        difference = max(difference, abs(0.5 * (up - down) - step * slope) / rounding)
+    return relative, quadratic, difference
+
+
 def test_criterion_07_gradient_and_hessian():
-    """Analytic derivatives agree with differences; the Hessian is SPD."""
+    """Analytic derivatives match the exact quadratic to rounding; the Hessian is SPD."""
     t0 = time.perf_counter()
     cfg = socp.SocpRunConfig(h=0.1, num_samples=20, master_seed=1234)
     _, _, _, problem = socp.build_control_problem(cfg)
-    rng = np.random.default_rng(707)
-    f = rng.standard_normal(problem.dim)
-    grad = socp.gradient(problem, f)
-    step = 1e-6
-    worst = 0.0
-    for _ in range(10):
-        d = rng.standard_normal(problem.dim)
-        d /= np.linalg.norm(d)
-        fd = (socp.objective(problem, f + step * d)
-              - socp.objective(problem, f - step * d)) / (2.0 * step)
-        worst = max(worst, abs(fd - grad @ d) / abs(grad @ d))
+    worst, quadratic, difference = derivative_deviations(problem, 707, socp.gradient)
     hess = socp.hessian(problem)
     np.linalg.cholesky(hess)
+    rng = np.random.default_rng(707)
+    f = rng.standard_normal(problem.dim)
     j0 = socp.objective(problem, np.zeros(problem.dim))
     g0 = socp.gradient(problem, np.zeros(problem.dim))
     expansion = j0 + g0 @ f + 0.5 * f @ (hess @ f)
     actual = socp.objective(problem, f)
     quad_gap = abs(actual - expansion) / max(1.0, abs(actual))
     elapsed = time.perf_counter() - t0
-    ok = worst <= 1e-5 and quad_gap <= 1e-10 and elapsed < 60.0
-    verdict(7, ok, f"max FD deviation {worst:.2e}, expansion gap {quad_gap:.2e}, "
-                   "Cholesky succeeded", elapsed)
+    ok = (worst <= 1e-5 and quadratic <= 1.0 and difference <= 1.0
+          and quad_gap <= 1e-10 and elapsed < 60.0)
+    verdict(7, ok, f"max gradient deviation {worst:.2e}, quadratic residual "
+                   f"{quadratic:.2f} and central difference {difference:.2f} of the "
+                   f"rounding bound, expansion gap {quad_gap:.2e}, Cholesky succeeded",
+            elapsed)
 
 
 def test_criterion_08_optimizer_suite():

@@ -153,10 +153,11 @@ def test_spde_manifest_records_woodbury_form(tmp_path):
                 "--out-dir", str(below)]) == 0
     assert run(["spde", "--h", "0.25", "--samples", "3", "--method", "direct",
                 "--out-dir", str(direct)]) == 0
-    # N = 441: rank 419 runs the rank-22 complement form; rank 265 is above half
-    # rank too, but its per-sample LU costs more than it saves, so the basis form runs
+    # N = 441, k* = 361: rank 419 is above k*, so the update rank is 0 and each sample
+    # is solved directly; rank 265 leaves a rank-96 complement, but its per-sample LU
+    # costs more than it saves, so the basis form runs
     assert manifest_record(above, "woodbury.") == {
-        "woodbury.form": "complement", "woodbury.update_rank": "22",
+        "woodbury.form": "direct", "woodbury.update_rank": "0",
         "woodbury.basis_form_samples": "0"}
     assert manifest_record(below, "woodbury.") == {
         "woodbury.form": "basis", "woodbury.update_rank": "265",
@@ -250,10 +251,65 @@ def test_spde_manifest_reports_field_and_critical_rank(tmp_path, capsys):
 def test_socp_manifest_records_woodbury_form_and_field(tmp_path):
     out = tmp_path / "socp"
     assert run(["socp", "--h", "0.05", "--samples", "3", "--out-dir", str(out)]) == 0
-    # N = 441 at tau = 0.88: rank 389, and the model prices the rank-52 complement cheaper
+    # N = 441 at tau = 0.88: rank 389 is above k* = 361, so the samples are solved directly
     assert manifest_record(out, "woodbury.", "field.nonpositive") == {
-        "woodbury.form": "complement", "woodbury.update_rank": "52",
+        "woodbury.form": "direct", "woodbury.update_rank": "0",
         "woodbury.basis_form_samples": "0", "field.nonpositive_samples": "0"}
+
+
+def test_tau_scan_manifest_reports_field_and_critical_rank(tmp_path, capsys):
+    keys = ("field.", "rank_below_k_star")
+    crossing, above = tmp_path / "crossing", tmp_path / "above"
+    # h = 0.1, N = 121, k* = 81: tau 0.5 and 0.8 ask for ranks 61 and 97
+    assert run(["spde", "--h", "0.1", "--samples", "20", "--tau-scan", "0.5,0.8",
+                "--out-dir", str(crossing)]) == 0
+    record = manifest_record(crossing, *keys)
+    assert record["rank_below_k_star"] == "true"
+    assert (record["field.nonpositive_samples"], float(record["field.min_coefficient"]) > 0) \
+        == ("0", True)
+    warned = capsys.readouterr().err
+    assert "rank 61 is below" in warned and "97" not in warned and "k* = 81" in warned
+    assert run(["spde", "--h", "0.1", "--samples", "20", "--epsilon", "0.9",
+                "--tau-scan", "0.7,1.0", "--out-dir", str(above)]) == 0
+    record = manifest_record(above, *keys)
+    assert record["rank_below_k_star"] == "false"
+    assert int(record["field.nonpositive_samples"]) > 0
+    assert "nonpositive diffusion coefficient" in capsys.readouterr().err
+
+
+@pytest.fixture
+def sample_work(monkeypatch):
+    """Counts of per-sample sparse LUs and of capacitance LUs made by ``perturbed``."""
+    from lram import perturbed
+
+    calls = {"sample_lu": 0, "capacitance": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(perturbed, "_sample_lu", counted("sample_lu", perturbed._sample_lu))
+    monkeypatch.setattr(perturbed.sla, "lu_factor",
+                        counted("capacitance", perturbed.sla.lu_factor))
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ["spde", "--tau", "0.95", "--no-reference"],
+    ["socp", "--tau", "0.88"],
+], ids=["spde", "socp"])
+def test_direct_route_at_or_above_k_star(sample_work, tmp_path, argv):
+    # N = 441, k* = 361: ranks 419 and 389 leave no complement, so each of the M
+    # samples is one sparse LU and no capacitance is formed
+    samples = 4
+    out = tmp_path / "out"
+    assert run([*argv, "--h", "0.05", "--samples", str(samples), "--out-dir", str(out)]) == 0
+    assert manifest_record(out, "woodbury.") == {
+        "woodbury.form": "direct", "woodbury.update_rank": "0",
+        "woodbury.basis_form_samples": "0"}
+    assert sample_work == {"sample_lu": samples, "capacitance": 0}
 
 
 def test_compress_reports_ensemble_nonzeros(tmp_path):

@@ -139,12 +139,33 @@ def test_perturbation_boundary_rows_exactly_zero():
         assert np.all(dense[:, mesh.boundary_nodes] == 0.0)
 
 
+def test_assembly_stores_no_explicit_zeros():
+    # a field that vanishes on a patch of elements: its perturbation is zero there
+    mesh = fem.structured_mesh(0.1)
+    fields = fem.sample_fields(mesh, 2, 0.2, "normal", master_seed=11)
+    centres = mesh.nodes[mesh.elements].mean(axis=1)
+    patch = np.all(np.abs(centres - 0.5) < 0.25, axis=1)
+    fields[0].values[patch] = 0.0
+    system = fem.assemble(mesh, fields, lambda x, y: 1.0)
+    for matrix in [system.base, system.mass, *system.perturbations]:
+        assert matrix.nnz == np.count_nonzero(matrix.toarray())
+    zeroed, full = system.perturbations
+    assert zeroed.nnz < full.nnz
+    # nodes whose elements all lie in the patch couple to nothing: off the Gram support
+    gram = lowrank.ensemble_gram([zeroed])
+    assert gram.nnz == np.count_nonzero(gram.toarray())
+    inside = np.setdiff1d(np.arange(mesh.num_nodes), mesh.elements[~patch])
+    assert inside.size > 0 and np.all(gram.diagonal()[inside] == 0.0)
+    assert np.count_nonzero(gram.diagonal()) == mesh.num_nodes - inside.size - len(
+        mesh.boundary_nodes)
+
+
 def test_perturbation_gram_rank_bounded_by_interior():
     mesh = fem.structured_mesh(0.25)
     fields = fem.sample_fields(mesh, 12, 0.2, "normal", master_seed=7)
     system = fem.assemble(mesh, fields, lambda x, y: 1.0)
     gram = lowrank.ensemble_gram(system.perturbations)
-    lam = np.linalg.eigvalsh(gram)
+    lam = np.linalg.eigvalsh(gram.toarray())
     numerical_rank = int(np.sum(lam > 1e-10 * lam.max()))
     assert numerical_rank <= mesh.num_nodes - mesh.boundary_nodes.shape[0]
 

@@ -174,7 +174,9 @@ def test_complement_form_matches_basis_form(dense_flop_model, rank_of, below_k_s
                                   rank=k, ratio=factors.ratio)
     sol = perturbed.solve_smw(ensemble, factors)
     ref = perturbed.solve_smw(ensemble, hand)
-    assert (sol.woodbury_form, sol.update_rank) == ("complement", n - k)
+    # eigenvectors k+1..k* only: none at k >= k*, where the route is direct
+    expected = ("complement", k_star - k) if below_k_star else ("direct", 0)
+    assert (sol.woodbury_form, sol.update_rank) == expected
     assert (ref.woodbury_form, ref.update_rank) == ("basis", k)
     assert sol.basis_form_samples == ()
     for u, v in zip(sol.samples, ref.samples):
@@ -182,25 +184,46 @@ def test_complement_form_matches_basis_form(dense_flop_model, rank_of, below_k_s
 
 
 def test_complement_form_only_above_half_rank(dense_flop_model):
+    # the complement form needs a lower rank than the basis form: k > k*/2
     ensemble = fem_ensemble(num_samples=3)
-    n = ensemble.dim
-    factors = lowrank.compress_rank(ensemble.perturbations, n // 2)
+    spectrum = lowrank.gram_spectrum(ensemble.perturbations)
+    k_star, _ = spde.critical_tau(spectrum.energy_curve())
+    factors = lowrank.compress_rank(ensemble.perturbations, k_star // 2, spectrum)
     assert factors.complement is not None
     sol = perturbed.solve_smw(ensemble, factors)
-    assert (sol.woodbury_form, sol.update_rank) == ("basis", n // 2)
+    assert (sol.woodbury_form, sol.update_rank) == ("basis", k_star // 2)
+
+
+def test_complement_rank_below_k_star_is_k_star_minus_k(dense_flop_model):
+    ensemble = fem_ensemble(num_samples=3)
+    spectrum = lowrank.gram_spectrum(ensemble.perturbations)
+    k_star, _ = spde.critical_tau(spectrum.energy_curve())
+    direct = perturbed.solve_direct(ensemble)
+    for k in (k_star // 2 + 1, k_star - 9, k_star - 1):
+        factors = lowrank.compress_rank(ensemble.perturbations, k, spectrum)
+        assert (factors.numerical_rank, factors.complement.shape) == (k_star, (ensemble.dim,
+                                                                              k_star - k))
+        sol = perturbed.solve_smw(ensemble, factors)
+        assert (sol.woodbury_form, sol.update_rank) == ("complement", k_star - k)
+        # below k* the compressed ensemble differs from the sampled one
+        assert np.linalg.norm(sol.qoi - direct.qoi) > 1e-10 * np.linalg.norm(direct.qoi)
 
 
 def test_woodbury_costs_weigh_the_sample_lu():
     # L + U entry counts of the first sample LU at h = 0.1, 0.05 and 0.025
     n121, n441, n1681 = 1044, 6620, 38850
     for k in range(61, 121):
-        basis, complement = perturbed.woodbury_costs(121, k, n121)
+        basis, complement = perturbed.woodbury_costs(121, k, 121 - k, n121)
         assert basis < complement
     for n, k, entries, form in [(441, 265, n441, "basis"), (441, 419, n441, "complement"),
                                 (1681, 1009, n1681, "basis"),
                                 (1681, 1597, n1681, "complement")]:
-        basis, complement = perturbed.woodbury_costs(n, k, entries)
+        basis, complement = perturbed.woodbury_costs(n, k, n - k, entries)
         assert ("complement" if complement < basis else "basis") == form
+    # at the numerical rank (k* = 361 and 1521) the per-sample direct route is cheaper
+    for n, k_star, entries in [(441, 361, n441), (1681, 1521, n1681)]:
+        basis, direct = perturbed.woodbury_costs(n, k_star, 0, entries)
+        assert direct < basis
 
 
 def test_tau_06_keeps_the_basis_form():
@@ -241,7 +264,8 @@ def test_complement_sample_that_does_not_factor_takes_basis_form(dense_flop_mode
                                            perturbations=perturbations, rhs=rhs)
     factors = lowrank.compress_rank(perturbations, 3)
     sol = perturbed.solve_smw(ensemble, factors)
-    assert (sol.woodbury_form, sol.update_rank) == ("complement", 2)
+    # Gram diag(1, 25, 25, 25, 0): k* = 4, so the complement is e1 alone
+    assert (sol.woodbury_form, sol.update_rank) == ("complement", 1)
     assert sol.basis_form_samples == (0,)
     assert np.allclose(sol.samples[0], rhs, atol=1e-14)
     for m in (1, 2, 3):

@@ -29,7 +29,7 @@ def fem_problem(h=0.25, num_samples=4, epsilon=0.2, ratio=1.0, seed=3,
 def synthetic_problem(rng, n=8, m=3, beta=0.5):
     """Constructed instance with explicit dense operators and SPD mass."""
     mass = sp.csr_array(rand_spd(rng, n, shift=1.0) / n)
-    ops = [socp.DenseStateOperator(rng.standard_normal((n, n))) for _ in range(m)]
+    ops = [oracles.DenseStateOperator(rng.standard_normal((n, n))) for _ in range(m)]
     target = rng.standard_normal(n)
     return socp.ReducedControlProblem(
         mass=mass, operators=ops, desired_nodal=target,
@@ -81,18 +81,22 @@ def test_operator_linearity():
         assert np.allclose(lhs, rhs, atol=1e-12 * max(np.linalg.norm(rhs), 1.0))
 
 
-@pytest.mark.parametrize("h, forced, form", [
-    (0.05, False, "complement"),
-    (0.1, False, "basis"),
-    (0.1, True, "complement"),
+@pytest.mark.parametrize("h, ratio, forced, form", [
+    (0.05, 0.88, False, "direct"),
+    (0.1, 0.88, False, "basis"),
+    (0.1, 0.55, True, "complement"),
 ], ids=["h0.05-model", "h0.1-model", "h0.1-half-rank"])
-def test_operators_in_either_form_match_basis_form(request, h, forced, form):
+def test_operators_in_either_form_match_basis_form(request, h, ratio, forced, form):
     if forced:
         request.getfixturevalue("dense_flop_model")
-    system, factors, problem = fem_problem(h=h, num_samples=3, ratio=0.88, seed=5)
+    system, factors, problem = fem_problem(h=h, num_samples=3, ratio=ratio, seed=5)
     n = problem.dim
+    k, k_star = factors.rank, factors.numerical_rank
     assert (problem.woodbury_form, problem.basis_form_samples) == (form, ())
-    assert problem.update_rank == (n - factors.rank if form == "complement" else factors.rank)
+    # ranks truncated at k*: direct at k >= k* (h = 0.05), basis at min(k, k*) = k*
+    # (h = 0.1, where N is too small for a sample LU to pay), complement k* - k below k*
+    assert problem.update_rank == {"direct": 0, "basis": min(k, k_star),
+                                   "complement": k_star - k}[form]
     # listed coefficients and no complement: the basis form on the base factorization
     hand = lowrank.LowRankFactors(basis=factors.basis, coeffs=list(factors.coeffs),
                                   rank=factors.rank, ratio=factors.ratio)
@@ -110,7 +114,7 @@ def test_operators_in_either_form_match_basis_form(request, h, forced, form):
 
 
 def test_complement_build_factors_each_sample_once_and_no_coefficient_matrix(monkeypatch):
-    calls = {"factorize": 0, "sample_lu": 0, "projections": []}
+    calls = {"factorize": 0, "sample_lu": 0, "capacitance": 0, "projections": []}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -127,15 +131,18 @@ def test_complement_build_factors_each_sample_once_and_no_coefficient_matrix(mon
     monkeypatch.setattr(lowrank, "_sample_coeffs", recorded)
     monkeypatch.setattr(numerics, "factorize_spd", counted("factorize", numerics.factorize_spd))
     monkeypatch.setattr(perturbed, "_sample_lu", counted("sample_lu", perturbed._sample_lu))
+    monkeypatch.setattr(perturbed.sla, "lu_factor",
+                        counted("capacitance", perturbed.sla.lu_factor))
     num_samples = 4
     _, factors, problem = fem_problem(h=0.05, num_samples=num_samples, ratio=0.88)
-    n, k = problem.dim, factors.rank
-    assert (problem.woodbury_form, problem.update_rank) == ("complement", n - k)
+    assert factors.rank > factors.numerical_rank
+    assert (problem.woodbury_form, problem.update_rank) == ("direct", 0)
     socp.hessian(problem)
-    # one LU per sample, the base never factored, only (N-k)-by-N projections D_m
+    # at k >= k*: one LU per sample, the base never factored, no projection, no capacitance
     assert calls["sample_lu"] == num_samples
     assert calls["factorize"] == 0
-    assert calls["projections"] == [(n - k, n)] * num_samples
+    assert calls["projections"] == []
+    assert calls["capacitance"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +165,7 @@ def test_objective_penalty_term_alone():
     f = rng.standard_normal(n)
     target = z @ f
     problem = socp.ReducedControlProblem(
-        mass=mass, operators=[socp.DenseStateOperator(z)], desired_nodal=target,
+        mass=mass, operators=[oracles.DenseStateOperator(z)], desired_nodal=target,
         desired_proj=mass @ target, beta=0.3,
     )
     expected = 0.5 * 0.3 * float(f @ (mass @ f))
@@ -213,7 +220,7 @@ def test_gradient_matches_central_differences(mode):
 
 def test_hessian_identity_instance():
     problem = socp.ReducedControlProblem(
-        mass=sp.eye_array(4).tocsr(), operators=[socp.DenseStateOperator(np.eye(4))],
+        mass=sp.eye_array(4).tocsr(), operators=[oracles.DenseStateOperator(np.eye(4))],
         desired_nodal=np.zeros(4), desired_proj=np.zeros(4), beta=1.0,
     )
     assert np.allclose(socp.hessian(problem), 2.0 * np.eye(4), atol=1e-15)
@@ -255,7 +262,7 @@ def test_hessian_vector_matches_dense_hessian(kind):
 def test_hessian_size_guard():
     problem = socp.ReducedControlProblem(
         mass=sp.eye_array(6000).tocsr(),
-        operators=[socp.DenseStateOperator(np.eye(2))],
+        operators=[oracles.DenseStateOperator(np.eye(2))],
         desired_nodal=np.zeros(6000), desired_proj=np.zeros(6000),
         beta=1.0,
     )
@@ -378,7 +385,7 @@ def test_line_search_rejects_nonpositive_curvature():
     # a negative definite "mass" makes J concave: no Wolfe step exists
     n = 4
     problem = socp.ReducedControlProblem(
-        mass=-sp.eye_array(n).tocsr(), operators=[socp.DenseStateOperator(np.eye(n))],
+        mass=-sp.eye_array(n).tocsr(), operators=[oracles.DenseStateOperator(np.eye(n))],
         desired_nodal=np.ones(n), desired_proj=-np.ones(n), beta=1.0,
     )
     with pytest.raises(LineSearchError):

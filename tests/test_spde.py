@@ -180,7 +180,7 @@ def test_one_spectral_pass_per_ensemble(spectral_calls, run, vectors, tmp_path):
 
 
 def test_smw_above_half_rank_builds_no_coefficient_matrix(monkeypatch):
-    calls = {"factorize": 0, "sample_lu": 0, "projections": []}
+    calls = {"factorize": 0, "sample_lu": 0, "capacitance": 0, "projections": []}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -197,16 +197,20 @@ def test_smw_above_half_rank_builds_no_coefficient_matrix(monkeypatch):
     monkeypatch.setattr(lowrank, "_sample_coeffs", recorded)
     monkeypatch.setattr(numerics, "factorize_spd", counted("factorize", numerics.factorize_spd))
     monkeypatch.setattr(perturbed, "_sample_lu", counted("sample_lu", perturbed._sample_lu))
+    monkeypatch.setattr(perturbed.sla, "lu_factor",
+                        counted("capacitance", perturbed.sla.lu_factor))
     cfg = small_cfg(h=0.05, num_samples=5, ratio=0.95, compute_reference=False)
     report = spde.run_spde(cfg)
     n = report.qoi.shape[0]
     k = report.rank
-    assert k > n / 2
-    assert (report.solution.woodbury_form, report.solution.update_rank) == ("complement", n - k)
+    assert k > report.k_star
+    # at k >= k* the route is direct: the base factored once (for u0), one LU per
+    # sample, no capacitance, and only rmsre's (N-k)-by-N tail projections
+    assert (report.solution.woodbury_form, report.solution.update_rank) == ("direct", 0)
     assert calls["factorize"] == 1
     assert calls["sample_lu"] == cfg.num_samples
-    # only (N-k)-by-N projections: rmsre's tail, then one D_m per sample
-    assert calls["projections"] == [(n - k, n)] * (2 * cfg.num_samples)
+    assert calls["capacitance"] == 0
+    assert calls["projections"] == [(n - k, n)] * cfg.num_samples
 
 
 # ---------------------------------------------------------------------------
