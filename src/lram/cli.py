@@ -207,8 +207,11 @@ def write_csv(path, header, rows) -> None:
 
 
 def _sha256(path) -> str:
+    """Digest of a file read in 1 MiB chunks, so a large output is never held whole."""
     digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
     return digest.hexdigest()
 
 

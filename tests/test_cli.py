@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,6 +164,21 @@ def test_spde_manifest_records_woodbury_form(tmp_path):
         "woodbury.form": "basis", "woodbury.update_rank": "265",
         "woodbury.basis_form_samples": "0"}
     assert manifest_record(direct, "woodbury.") == {}
+
+
+def test_manifest_digest_streams_the_file(tmp_path):
+    # compress writes factor files of 100+ MB; the digest must not hold one whole
+    big = tmp_path / "factors.bin"
+    big.write_bytes(np.arange(1 << 20, dtype="<f8").tobytes())  # 8 MiB
+    tracemalloc.start()
+    try:
+        cli.write_manifest(tmp_path, "compress", {}, {}, ["factors.bin"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < big.stat().st_size // 2
+    assert manifest_record(tmp_path, "sha256.") == {
+        "sha256.factors.bin": hashlib.sha256(big.read_bytes()).hexdigest()}
 
 
 def test_usage_error_exit_1(tmp_path):
