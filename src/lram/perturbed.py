@@ -296,20 +296,24 @@ class WoodburySolvers(Sequence):
         if not 0 <= m < len(self):
             raise IndexError(m)
         if self.form != "basis" and m >= self._first[0]:
-            lu = self._first[1] if m == self._first[0] else _sample_lu(
-                self._base + self._projections.members[m])
-            if lu is not None:
-                solver = self._sampled(m, lu)
-                if solver is not None:
-                    return solver
+            solver = self._sampled(m)
+            if solver is not None:
+                return solver
         fact = self.base_factor
         if self._basis_solved is None:
             self._basis_solved = _solve_columns(fact.solve, self._basis)
         return WoodburySolver(m, "basis", fact.solve, fact.solve, self._basis_solved,
                               self._coeffs[m])
 
-    def _sampled(self, m, lu):
-        """Sample m's solver on its LU (complement or direct form); None if a solve is not finite."""
+    def _sampled(self, m):
+        """Sample m's solver on the LU of base + P_m (complement or direct form).
+
+        None if that matrix does not factor or a solve with it is not finite.
+        """
+        lu = self._first[1] if m == self._first[0] else _sample_lu(
+            self._base + self._projections.members[m])
+        if lu is None:
+            return None
         w = self._projections.basis
         update, x_solved = np.zeros((0, w.shape[0])), w
         if self.update_rank:
