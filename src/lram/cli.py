@@ -307,6 +307,8 @@ def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
     report = spde.run_spde(_spde_config(cfg))
     timings.update(report.timings)
     _record_woodbury(record, report.solution)
+    if cfg["reference"]:
+        record["reference.reused"] = report.reference_reused
     ranks = [] if report.rank is None else [report.rank]
     _warn(_record_field(record, report.min_coefficient)
           + _record_ranks(record, ranks, report.k_star))
@@ -374,6 +376,7 @@ def cmd_socp(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
         t0 = time.perf_counter()
         results[method] = socp.optimize(problem, _optimizer_spec(cfg, method), control0)
         timings[f"optimize.{method}"] = time.perf_counter() - t0
+        record[f"socp.operator_passes.{method}"] = results[method].operator_passes
 
     if cfg["compare_methods"]:
         rows = []
@@ -383,11 +386,12 @@ def cmd_socp(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
             rows.append([
                 method, res.iterations, res.converged, res.objective_initial,
                 res.objective_final, res.objective_final / res.objective_initial,
-                err, res.grad_norm_final,
+                err, res.grad_norm_final, res.grad_norm_initial,
             ])
         write_csv(out_dir / "methods.csv",
                   ["method", "iterations", "converged", "objective_initial",
-                   "objective_final", "ratio", "error", "grad_norm_final"], rows)
+                   "objective_final", "ratio", "error", "grad_norm_final",
+                   "grad_norm_initial"], rows)
         outputs.append("methods.csv")
         # wall-clock comparison lives outside the deterministic CSV set
         with open(out_dir / "methods_timing.txt", "w", newline="\n") as fh:

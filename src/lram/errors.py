@@ -80,10 +80,6 @@ class DegenerateElementError(LramError):
     """A mesh element has nonpositive area."""
 
 
-class HessianTooLargeError(LramError):
-    """Refusing to materialize a dense Hessian at this problem size."""
-
-
 class LineSearchError(LramError):
     """Line search exhausted its trial budget without an acceptable step."""
 

@@ -10,14 +10,13 @@ control:
 with S_m f = (base + U C_m)^-1 Phi f applied by the per-sample Woodbury
 solvers of ``perturbed``, in the form its cost model picks: rank min(k, k*)
 on the one base factorization or rank max(k* - k, 0) on a sparse LU of
-base + P_m, which at k >= k* is a direct solve.  Gradient and Hessian are exact; the Hessian is constant in f and
-is cached after the first assembly.  Five interchangeable minimizers are
-provided: steepest descent, single-sample stochastic gradient, Newton, BFGS,
-and a dogleg trust region.  Steepest descent, Newton and BFGS share a
-weak-Wolfe line search that reads the exact quadratic along each ray from one
-Hessian-vector product.  The trust region reads each trial's value and
-gradient from the cached Hessian, so it applies the sample operators only at
-the start and for the report.
+base + P_m, which at k >= k* is a direct solve.  Gradient and
+Hessian-vector products are exact; no N-by-N array is formed.  Five
+interchangeable minimizers: steepest descent, single-sample stochastic
+gradient, Newton, BFGS and a trust region.  Steepest descent, Newton and BFGS
+share a weak-Wolfe line search that reads the exact quadratic along each ray
+from one Hessian-vector product.  Newton and the trust region take their
+steps from one truncated-CG kernel (Steihaug-Toint) on that product.
 """
 
 from __future__ import annotations
@@ -27,22 +26,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
-from . import fem, lowrank, numerics, perturbed, spde
-from .errors import (
-    ConfigRangeError,
-    DimensionMismatchError,
-    HessianTooLargeError,
-    LineSearchError,
-)
+from . import fem, lowrank, perturbed, spde
+from .errors import ConfigRangeError, DimensionMismatchError, LineSearchError
 
 METHODS = ("sdm", "sgd", "newton", "bfgs", "trm")
 DESIRED_STATES = ("sin-pi", "sin-2pi", "sin-2pi-sq")
 DESIRED_MODES = ("interpolant", "projection")
 
-#: Dense Hessian assembly is refused above this dimension.
-HESSIAN_MAX_DIM = 5000
+#: Relative residual at which the truncated-CG step is solved.
+CG_RTOL = 1e-12
+#: Truncated-CG iterations allowed per control unknown.
+CG_ITERS_PER_DIM = 2
+#: Trust-region radius growth after a step that reaches the boundary.
+TR_EXPAND = 2.0
 
 
 def desired_state_function(name: str, amplitude: float = 1.0):
@@ -60,8 +57,7 @@ class SampleStateOperator:
     """Action of one sample's control-to-state map and of its transpose.
 
     ``S_m f = K_m^-1 Phi f`` with ``solver`` a ``perturbed.WoodburySolver``
-    of ``K_m = base + U C_m``; the N-by-N operator is only densified on
-    request.  Read-only after construction.
+    of ``K_m = base + U C_m``.  Read-only after construction.
     """
 
     def __init__(self, solver, mass):
@@ -73,9 +69,6 @@ class SampleStateOperator:
 
     def apply_t(self, vec: np.ndarray) -> np.ndarray:
         return self._mass @ self._solver.solve_t(vec)
-
-    def to_dense(self) -> np.ndarray:
-        return self._solver.solve(numerics.to_dense(self._mass))
 
 
 @dataclass(eq=False)
@@ -92,7 +85,6 @@ class ReducedControlProblem:
     woodbury_form: str | None = None
     update_rank: int | None = None
     basis_form_samples: tuple[int, ...] = ()
-    _hessian_cache: np.ndarray | None = field(default=None, repr=False)
     # samples evaluated so far, each by one forward and at most one adjoint application
     _sample_evals: int = field(default=0, repr=False)
 
@@ -220,27 +212,6 @@ def hessian_vector(problem: ReducedControlProblem, direction: np.ndarray) -> np.
     return _evaluate(problem, direction, target=np.zeros(problem.dim))[1]
 
 
-def hessian(problem: ReducedControlProblem) -> np.ndarray:
-    """Dense Hessian; constant in the control, assembled once and cached.
-
-    Repeated calls return copies of the same cached array, so the result is
-    bitwise identical regardless of the control context.
-    """
-    if problem.dim > HESSIAN_MAX_DIM:
-        raise HessianTooLargeError(
-            f"dim {problem.dim} exceeds {HESSIAN_MAX_DIM}; use operator products instead"
-        )
-    if problem._hessian_cache is None:
-        acc = np.zeros((problem.dim, problem.dim))
-        for op in problem.operators:
-            dense_op = op.to_dense()
-            acc += dense_op.T @ (problem.mass @ dense_op)
-        acc /= problem.num_samples
-        acc += problem.beta * numerics.to_dense(problem.mass)
-        problem._hessian_cache = 0.5 * (acc + acc.T)
-    return problem._hessian_cache.copy()
-
-
 # ---------------------------------------------------------------------------
 # optimizers
 # ---------------------------------------------------------------------------
@@ -261,7 +232,6 @@ class OptimizerSpec:
     sgd_check_every: int = 10
     tr_radius0: float = 1.0
     tr_radius_max: float = 1e6
-    tr_expand: float = 2.0
     seed: int = 0
 
     def __post_init__(self):
@@ -281,16 +251,17 @@ class OptimizerSpec:
 class SocpResult:
     """Optimizer outcome with a full per-iteration trace.
 
-    ``operator_passes`` counts evaluations in units of one pass over all
-    samples, each sample operator applied once forward and at most once
-    adjoint (a batch of b samples counts b/M); the dense Hessian build is not
-    counted.  ``line_search_trials`` counts the step sizes tried.
+    ``operator_passes`` counts every evaluation, Hessian-vector products
+    included, in units of one pass over all samples, each sample operator
+    applied once forward and at most once adjoint (a batch of b samples counts
+    b/M).  ``line_search_trials`` counts the step sizes tried.
     """
 
     control: np.ndarray
     state_mean: np.ndarray
     objective_initial: float
     objective_final: float
+    grad_norm_initial: float
     grad_norm_final: float
     iterations: int
     history: list[tuple[float, float, float]]  # (objective, grad norm, step size)
@@ -325,14 +296,16 @@ def wolfe_line_search(phi, value0, slope, c1=1e-4, c2=0.9, max_trials=50):
     raise LineSearchError(f"no acceptable step within {max_trials} trials")
 
 
-def _result(problem, method, control, j0, history, iterations, converged, status,
+def _result(problem, method, control, start, history, iterations, converged, status,
             trials=0):
+    """The outcome at ``control``; ``start`` is (objective, gradient) at the initial control."""
     value, grad, mean = _evaluate(problem, control)
     return SocpResult(
         control=control,
         state_mean=mean,
-        objective_initial=j0,
+        objective_initial=start[0],
         objective_final=value,
+        grad_norm_initial=float(np.linalg.norm(start[1])),
         grad_norm_final=float(np.linalg.norm(grad)),
         iterations=iterations,
         history=history,
@@ -356,12 +329,13 @@ def _line_search_descent(problem, spec, control0, direction_state):
     J is quadratic, so J(x + t d) = f + t g'd + t^2/2 d'Hd and its gradient is
     g + t Hd: one Hessian-vector product per iteration answers every
     line-search trial exactly, and no trial applies a sample operator.
-    ``direction_state`` supplies the descent direction and may carry state
-    between iterations (BFGS memory, factored Hessian).
+    ``direction_state`` supplies the descent direction, with its Hessian
+    product when it has one (Newton) and None otherwise, and may carry state
+    between iterations (BFGS memory).
     """
     x = np.array(control0, dtype=float)
     fx, gx, _ = _evaluate(problem, x)
-    j0 = fx
+    start = (fx, gx)
     if not np.isfinite(fx):
         raise ConfigRangeError("objective is not finite at the initial control")
     history: list[tuple[float, float, float]] = []
@@ -370,10 +344,11 @@ def _line_search_descent(problem, spec, control0, direction_state):
     for it in range(spec.max_iters):
         gnorm = float(np.linalg.norm(gx))
         if gnorm <= spec.grad_tol:
-            return _result(problem, spec.method, x, j0, history, it, True, "converged",
+            return _result(problem, spec.method, x, start, history, it, True, "converged",
                            trials)
-        direction = direction_state.direction(gx)
-        hd = hessian_vector(problem, direction)
+        direction, hd = direction_state.direction(gx)
+        if hd is None:
+            hd = hessian_vector(problem, direction)
         curvature = float(direction @ hd)
         if curvature <= 0.0:
             raise LineSearchError("objective has no positive curvature along the direction")
@@ -392,15 +367,15 @@ def _line_search_descent(problem, spec, control0, direction_state):
         if fx < best[0]:
             best = (fx, x.copy())
     if float(np.linalg.norm(gx)) <= spec.grad_tol:
-        return _result(problem, spec.method, x, j0, history, spec.max_iters, True,
+        return _result(problem, spec.method, x, start, history, spec.max_iters, True,
                        "converged", trials)
-    return _result(problem, spec.method, best[1], j0, history, spec.max_iters, False,
+    return _result(problem, spec.method, best[1], start, history, spec.max_iters, False,
                    "max-iterations", trials)
 
 
 class _SteepestDirection:
     def direction(self, grad):
-        return -grad
+        return -grad, None
 
     def update(self, step_vec, grad_diff):
         pass
@@ -408,10 +383,10 @@ class _SteepestDirection:
 
 class _NewtonDirection:
     def __init__(self, problem):
-        self._factor = sla.cho_factor(hessian(problem), lower=True)
+        self._problem = problem
 
     def direction(self, grad):
-        return -sla.cho_solve(self._factor, grad)
+        return _cg_step(self._problem, grad)
 
     def update(self, step_vec, grad_diff):
         pass
@@ -423,7 +398,7 @@ class _BfgsDirection:
         self._first = True
 
     def direction(self, grad):
-        return -self._inv @ grad
+        return -self._inv @ grad, None
 
     def update(self, s, y):
         sy = float(s @ y)
@@ -438,47 +413,59 @@ class _BfgsDirection:
         self._inv += rho * rho * (float(y @ v) + sy) * np.outer(s, s)
 
 
-def _dogleg_step(grad, hess, newton_step, radius):
-    if np.linalg.norm(newton_step) <= radius:
-        return newton_step
-    g_norm2 = float(grad @ grad)
-    curvature = float(grad @ (hess @ grad))
-    cauchy = -(g_norm2 / curvature) * grad
-    c_norm = np.linalg.norm(cauchy)
-    if c_norm >= radius:
-        return -(radius / math.sqrt(g_norm2)) * grad
-    d = newton_step - cauchy
-    a = float(d @ d)
-    b = 2.0 * float(cauchy @ d)
-    c = float(cauchy @ cauchy) - radius * radius
-    t = (-b + math.sqrt(max(b * b - 4.0 * a * c, 0.0))) / (2.0 * a)
-    return cauchy + t * d
+def _cg_step(problem, grad, radius=math.inf):
+    """Steihaug-Toint truncated CG on H s = -grad from s = 0; returns (s, H s).
+
+    Stops at a residual of ``CG_RTOL`` |grad|, after ``CG_ITERS_PER_DIM``
+    iterations per unknown, or on the sphere of ``radius`` when a step would
+    leave it or a direction has nonpositive curvature (at an infinite radius,
+    ``LineSearchError``).  H s is summed from the products: no further pass.
+    """
+    step, h_step = np.zeros(problem.dim), np.zeros(problem.dim)
+    residual = direction = -grad
+    rr = float(residual @ residual)
+    stop = CG_RTOL * CG_RTOL * rr
+    for _ in range(CG_ITERS_PER_DIM * problem.dim):
+        if rr <= stop:
+            break
+        hd = hessian_vector(problem, direction)
+        curvature = float(direction @ hd)
+        if curvature <= 0.0 and math.isinf(radius):
+            raise LineSearchError("objective has no positive curvature along the direction")
+        alpha = rr / curvature if curvature > 0.0 else math.inf
+        if curvature <= 0.0 or np.linalg.norm(step + alpha * direction) >= radius:
+            # the root tau >= 0 of |step + tau direction| = radius
+            sd, dd = float(step @ direction), float(direction @ direction)
+            tau = (math.sqrt(max(sd * sd + dd * (radius * radius - float(step @ step)), 0.0))
+                   - sd) / dd
+            return step + tau * direction, h_step + tau * hd
+        step, h_step = step + alpha * direction, h_step + alpha * hd
+        residual = residual - alpha * hd
+        rr, rr_old = float(residual @ residual), rr
+        direction = residual + (rr / rr_old) * direction
+    return step, h_step
 
 
 def _optimize_trm(problem, spec, control0):
-    hess = hessian(problem)
-    factor = sla.cho_factor(hess, lower=True)
     x = np.array(control0, dtype=float)
     fx, gx, _ = _evaluate(problem, x)
-    j0 = fx
+    start = (fx, gx)
     radius = spec.tr_radius0
     history: list[tuple[float, float, float]] = []
     for it in range(spec.max_iters):
         if float(np.linalg.norm(gx)) <= spec.grad_tol:
-            return _result(problem, "trm", x, j0, history, it, True, "converged")
-        newton_step = -sla.cho_solve(factor, gx)
-        step_vec = _dogleg_step(gx, hess, newton_step, radius)
-        h_step = hess @ step_vec
-        # J is quadratic with Hessian ``hess``, so the model is J itself: every
-        # dogleg step decreases J as predicted (ratio 1) and is accepted
+            return _result(problem, "trm", x, start, history, it, True, "converged")
+        step_vec, h_step = _cg_step(problem, gx, radius)
+        # J is quadratic, so the model is J itself: every step decreases J as
+        # predicted (ratio 1) and is accepted
         predicted = -(float(gx @ step_vec) + 0.5 * float(step_vec @ h_step))
         x, fx, gx = x + step_vec, fx - predicted, gx + h_step
         step_norm = float(np.linalg.norm(step_vec))
         if step_norm >= radius * (1.0 - 1e-12):
-            radius = min(spec.tr_expand * radius, spec.tr_radius_max)
+            radius = min(TR_EXPAND * radius, spec.tr_radius_max)
         history.append((fx, float(np.linalg.norm(gx)), step_norm))
     converged = float(np.linalg.norm(gx)) <= spec.grad_tol
-    return _result(problem, "trm", x, j0, history, spec.max_iters, converged,
+    return _result(problem, "trm", x, start, history, spec.max_iters, converged,
                    "converged" if converged else "max-iterations")
 
 
@@ -514,7 +501,8 @@ def _sgd_initial_step(problem, spec, x, indices):
 def _optimize_sgd(problem, spec, control0):
     rng = np.random.default_rng(spec.seed)
     x = np.array(control0, dtype=float)
-    j0 = objective(problem, x)
+    j0, g0, _ = _evaluate(problem, x)
+    start = (j0, g0)
     history: list[tuple[float, float, float]] = []
     m = problem.num_samples
 
@@ -534,13 +522,13 @@ def _optimize_sgd(problem, spec, control0):
             best = (fx, x.copy())
         # termination consults the full gradient only at the check cadence
         if iterations % spec.sgd_check_every == 0 and gnorm <= spec.grad_tol:
-            return _result(problem, "sgd", x, j0, history, iterations, True, "converged",
+            return _result(problem, "sgd", x, start, history, iterations, True, "converged",
                            trials)
     # gnorm is the full gradient norm at the last iterate
     if gnorm <= spec.grad_tol:
-        return _result(problem, "sgd", x, j0, history, iterations, True, "converged",
+        return _result(problem, "sgd", x, start, history, iterations, True, "converged",
                        trials)
-    return _result(problem, "sgd", best[1], j0, history, iterations, False,
+    return _result(problem, "sgd", best[1], start, history, iterations, False,
                    "max-iterations", trials)
 
 

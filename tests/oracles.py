@@ -109,8 +109,21 @@ class DenseStateOperator:
     def apply_t(self, vec):
         return self.matrix.T @ vec
 
-    def to_dense(self):
-        return self.matrix.copy()
+
+def hessian(problem):
+    """Dense Hessian of a reduced control problem, one sample operator column at a time.
+
+    (1/M) sum_m S_m' Phi S_m + beta Phi, symmetrized; each ``S_m`` is densified
+    as ``op.apply(I)``.
+    """
+    eye = np.eye(problem.dim)
+    acc = np.zeros((problem.dim, problem.dim))
+    for op in problem.operators:
+        dense_op = op.apply(eye)
+        acc += dense_op.T @ (problem.mass @ dense_op)
+    acc /= problem.num_samples
+    acc += problem.beta * _dense(problem.mass)
+    return 0.5 * (acc + acc.T)
 
 
 def rand_orthonormal(rng, n, k):
@@ -199,7 +212,8 @@ def exact_wolfe_line_search(value_and_grad, x, direction, fx, gx, c1=1e-4, c2=0.
 def exact_line_search_descent(value_and_grad, x0, direction_state, spec):
     """Line-search descent loop with exact per-trial evaluations.
 
-    ``direction_state`` supplies ``direction(grad)`` and ``update(s, y)``;
+    ``direction_state`` supplies ``direction(grad)`` (a pair whose first entry
+    is the direction) and ``update(s, y)``;
     ``spec`` carries the stopping and Wolfe parameters.  Returns
     (iterations, converged, history) with history rows (objective, grad
     norm, step).
@@ -210,7 +224,7 @@ def exact_line_search_descent(value_and_grad, x0, direction_state, spec):
     for it in range(spec.max_iters):
         if float(np.linalg.norm(gx)) <= spec.grad_tol:
             return it, True, history
-        direction = direction_state.direction(gx)
+        direction = direction_state.direction(gx)[0]
         step, fx_new, gx_new = exact_wolfe_line_search(
             value_and_grad, x, direction, fx, gx,
             c1=spec.wolfe_c1, c2=spec.wolfe_c2, max_trials=spec.ls_max_trials,

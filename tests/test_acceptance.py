@@ -201,7 +201,7 @@ def test_criterion_07_gradient_and_hessian():
     cfg = socp.SocpRunConfig(h=0.1, num_samples=20, master_seed=1234)
     _, _, _, problem = socp.build_control_problem(cfg)
     worst, quadratic, difference = derivative_deviations(problem, 707, socp.gradient)
-    hess = socp.hessian(problem)
+    hess = oracles.hessian(problem)
     np.linalg.cholesky(hess)
     rng = np.random.default_rng(707)
     f = rng.standard_normal(problem.dim)

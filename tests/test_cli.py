@@ -210,11 +210,18 @@ def test_socp_compare_methods_table(tmp_path):
     assert code == 0
     lines = (out / "methods.csv").read_text().splitlines()
     assert lines[0] == ("method,iterations,converged,objective_initial,"
-                        "objective_final,ratio,error,grad_norm_final")
+                        "objective_final,ratio,error,grad_norm_final,grad_norm_initial")
     assert len(lines) == 1 + 5
     assert [line.split(",")[0] for line in lines[1:]] == list(cli.socp.METHODS)
     timing_lines = (out / "methods_timing.txt").read_text().splitlines()
     assert len(timing_lines) == 5
+    # every method starts from the same control, so from the same gradient
+    initial = {line.split(",")[-1] for line in lines[1:]}
+    assert len(initial) == 1 and float(initial.pop()) > 1e-3
+    # operator passes go to the manifest, outside the deterministic CSV set
+    passes = manifest_record(out, "socp.operator_passes.")
+    assert sorted(passes) == sorted(f"socp.operator_passes.{m}" for m in cli.socp.METHODS)
+    assert all(float(value) >= 2.0 for value in passes.values())
 
 
 def test_socp_invalid_method_usage_error(tmp_path):
@@ -312,19 +319,21 @@ def sample_work(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("argv", [
-    ["spde", "--tau", "0.95", "--no-reference"],
-    ["socp", "--tau", "0.88"],
-], ids=["spde", "socp"])
-def test_direct_route_at_or_above_k_star(sample_work, tmp_path, argv):
+@pytest.mark.parametrize("argv, reference", [
+    (["spde", "--tau", "0.95", "--no-reference"], {}),
+    (["spde", "--tau", "0.95"], {"reference.reused": "true"}),
+    (["socp", "--tau", "0.88"], {}),
+], ids=["spde", "spde-reference", "socp"])
+def test_direct_route_at_or_above_k_star(sample_work, tmp_path, argv, reference):
     # N = 441, k* = 361: ranks 419 and 389 leave no complement, so each of the M
-    # samples is one sparse LU and no capacitance is formed
+    # samples is one sparse LU and no capacitance is formed; the direct reference
+    # reuses those solutions instead of making the same M LUs again
     samples = 4
     out = tmp_path / "out"
     assert run([*argv, "--h", "0.05", "--samples", str(samples), "--out-dir", str(out)]) == 0
-    assert manifest_record(out, "woodbury.") == {
+    assert manifest_record(out, "woodbury.", "reference.") == {
         "woodbury.form": "direct", "woodbury.update_rank": "0",
-        "woodbury.basis_form_samples": "0"}
+        "woodbury.basis_form_samples": "0", **reference}
     assert sample_work == {"sample_lu": samples, "capacitance": 0}
 
 

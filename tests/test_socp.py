@@ -1,16 +1,12 @@
 import collections
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from lram import fem, lowrank, numerics, perturbed, socp, spde
-from lram.errors import (
-    ConfigRangeError,
-    DimensionMismatchError,
-    HessianTooLargeError,
-    LineSearchError,
-)
+from lram.errors import ConfigRangeError, DimensionMismatchError, LineSearchError
 
 import oracles
 from oracles import rand_spd
@@ -67,7 +63,7 @@ def test_operator_matches_dense_oracle():
             @ base_inv @ mass
         assert np.allclose(op.apply(f), z @ f, atol=1e-9 * np.linalg.norm(z @ f))
         assert np.allclose(op.apply_t(g), z.T @ g, atol=1e-9 * np.linalg.norm(z.T @ g))
-        assert np.allclose(op.to_dense(), z, atol=1e-10)
+        assert np.allclose(op.apply(np.eye(n)), z, atol=1e-10)
 
 
 def test_operator_linearity():
@@ -109,7 +105,7 @@ def test_operators_in_either_form_match_basis_form(request, h, ratio, forced, fo
     for op, ref_op in zip(problem.operators, ref.operators):
         for ours, expected in [(op.apply(f), ref_op.apply(f)),
                                (op.apply_t(g), ref_op.apply_t(g)),
-                               (op.to_dense(), ref_op.to_dense())]:
+                               (op.apply(np.eye(n)), ref_op.apply(np.eye(n)))]:
             assert np.linalg.norm(ours - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -137,7 +133,7 @@ def test_complement_build_factors_each_sample_once_and_no_coefficient_matrix(mon
     _, factors, problem = fem_problem(h=0.05, num_samples=num_samples, ratio=0.88)
     assert factors.rank > factors.numerical_rank
     assert (problem.woodbury_form, problem.update_rank) == ("direct", 0)
-    socp.hessian(problem)
+    oracles.hessian(problem)
     # at k >= k*: one LU per sample, the base never factored, no projection, no capacitance
     assert calls["sample_lu"] == num_samples
     assert calls["factorize"] == 0
@@ -223,12 +219,12 @@ def test_hessian_identity_instance():
         mass=sp.eye_array(4).tocsr(), operators=[oracles.DenseStateOperator(np.eye(4))],
         desired_nodal=np.zeros(4), desired_proj=np.zeros(4), beta=1.0,
     )
-    assert np.allclose(socp.hessian(problem), 2.0 * np.eye(4), atol=1e-15)
+    assert np.allclose(oracles.hessian(problem), 2.0 * np.eye(4), atol=1e-15)
 
 
 def test_hessian_spd_and_quadratic_expansion():
     _, _, problem = fem_problem()
-    h = socp.hessian(problem)
+    h = oracles.hessian(problem)
     np.linalg.cholesky(h)  # raises if not SPD
     rng = np.random.default_rng(7)
     f = rng.standard_normal(problem.dim)
@@ -241,9 +237,9 @@ def test_hessian_spd_and_quadratic_expansion():
 
 def test_hessian_constant_and_bitwise_identical():
     _, _, problem = fem_problem()
-    h1 = socp.hessian(problem)
+    h1 = oracles.hessian(problem)
     socp.objective(problem, np.ones(problem.dim))  # unrelated evaluation in between
-    h2 = socp.hessian(problem)
+    h2 = oracles.hessian(problem)
     assert np.array_equal(h1, h2)
 
 
@@ -251,23 +247,12 @@ def test_hessian_constant_and_bitwise_identical():
 def test_hessian_vector_matches_dense_hessian(kind):
     rng = np.random.default_rng(9)
     problem = fem_problem()[2] if kind == "fem" else synthetic_problem(rng)
-    h = socp.hessian(problem)
+    h = oracles.hessian(problem)
     for _ in range(3):
         d = rng.standard_normal(problem.dim)
         expected = h @ d
         err = np.linalg.norm(socp.hessian_vector(problem, d) - expected)
         assert err <= 1e-12 * np.linalg.norm(expected)
-
-
-def test_hessian_size_guard():
-    problem = socp.ReducedControlProblem(
-        mass=sp.eye_array(6000).tocsr(),
-        operators=[oracles.DenseStateOperator(np.eye(2))],
-        desired_nodal=np.zeros(6000), desired_proj=np.zeros(6000),
-        beta=1.0,
-    )
-    with pytest.raises(HessianTooLargeError):
-        socp.hessian(problem)
 
 
 def test_dimension_checks():
@@ -345,7 +330,7 @@ def test_newton_optimality_via_normal_equations():
         problem, socp.OptimizerSpec(method="newton", grad_tol=1e-10),
         np.zeros(problem.dim),
     )
-    h = socp.hessian(problem)
+    h = oracles.hessian(problem)
     mass = problem.mass
     rhs = np.zeros(problem.dim)
     for op in problem.operators:
@@ -434,19 +419,65 @@ def test_sdm_operator_applications_follow_iterations_not_trials(monkeypatch):
     assert res.operator_passes == res.iterations + 2
 
 
-def test_trm_operator_passes_do_not_follow_iterations():
+def test_trm_operator_passes_do_not_follow_iterations(monkeypatch):
     _, _, problem = fem_problem(h=0.25, num_samples=6)
     f0 = np.zeros(problem.dim)
     newton = socp.optimize(problem, socp.OptimizerSpec(method="newton", grad_tol=1e-8), f0)
-    runs = [socp.optimize(problem, socp.OptimizerSpec(method="trm", grad_tol=tol), f0)
-            for tol in (1e-2, 1e-8)]
-    assert runs[0].iterations < runs[1].iterations
-    for res in runs:
+    counts = collections.Counter()
+    apply, hessian_vector = socp.SampleStateOperator.apply, socp.hessian_vector
+
+    def counted_apply(self, control):
+        counts["apply"] += 1
+        return apply(self, control)
+
+    def counted_product(problem, direction):
+        counts["products"] += 1
+        return hessian_vector(problem, direction)
+
+    monkeypatch.setattr(socp.SampleStateOperator, "apply", counted_apply)
+    monkeypatch.setattr(socp, "hessian_vector", counted_product)
+    runs = []
+    for tol in (1e-2, 1e-8):
+        counts.clear()
+        res = socp.optimize(problem, socp.OptimizerSpec(method="trm", grad_tol=tol), f0)
         assert res.converged
-        # the initial point and the final report; every trial reads the cached Hessian
-        assert res.operator_passes == 2
+        # every application is counted: the initial point, each truncated-CG
+        # product and the final report
+        assert res.operator_passes == counts["apply"] / problem.num_samples
+        assert res.operator_passes == counts["products"] + 2
+        assert res.operator_passes > res.iterations + 2
+        runs.append(res)
+    assert runs[0].iterations < runs[1].iterations
     rel = abs(runs[1].objective_final - newton.objective_final) / newton.objective_final
     assert rel <= 1e-8
+
+
+@pytest.mark.parametrize("method", ["newton", "trm"])
+def test_newton_and_trm_allocate_no_dense_square(method):
+    """The truncated-CG steps work on vectors: no N-by-N array at N = 1681."""
+    _, _, problem = fem_problem(h=0.025, num_samples=4, ratio=0.88)
+    n = problem.dim
+    tracemalloc.start()
+    try:
+        res = socp.optimize(problem, socp.OptimizerSpec(method=method), np.zeros(n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.converged
+    # one N-by-N array of doubles is 8 N^2 bytes
+    assert peak < 0.25 * 8 * n * n
+
+
+def test_newton_and_trm_reach_the_dense_hessian_minimizer():
+    _, _, problem = fem_problem(h=0.05, num_samples=6, ratio=0.88, seed=11)
+    f0 = np.zeros(problem.dim)
+    g0 = socp.gradient(problem, f0)
+    minimizer = np.linalg.solve(oracles.hessian(problem), -g0)
+    j_star = socp.objective(problem, minimizer)
+    for method in ("newton", "trm"):
+        res = socp.optimize(problem, socp.OptimizerSpec(method=method), f0)
+        assert res.converged, method
+        assert abs(res.objective_final - j_star) <= 1e-10 * abs(j_star), method
 
 
 def test_sgd_deterministic_given_seed():

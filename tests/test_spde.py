@@ -45,6 +45,23 @@ def test_direct_method_reference_is_itself():
     assert report.rank is None and report.rmsre is None
 
 
+def test_direct_form_reuses_solution_as_reference(monkeypatch):
+    direct_solves = []
+    solve_direct = perturbed.solve_direct
+    monkeypatch.setattr(perturbed, "solve_direct",
+                        lambda ensemble: direct_solves.append(1) or solve_direct(ensemble))
+    # N = 441, k* = 361: rank 419 runs SMW at update rank 0, one sample LU each
+    report = spde.run_spde(small_cfg(h=0.05, num_samples=3, ratio=0.95))
+    assert report.solution.woodbury_form == "direct"
+    assert report.reference_reused and report.err_l2 == 0.0
+    assert direct_solves == []
+    # rank 265 runs the basis form, which the reference checks
+    report = spde.run_spde(small_cfg(h=0.05, num_samples=3, ratio=0.6))
+    assert report.solution.woodbury_form == "basis"
+    assert not report.reference_reused and report.err_l2 > 0.0
+    assert direct_solves == [1]
+
+
 def test_seed_reproducibility_bitwise():
     a = spde.run_spde(small_cfg())
     b = spde.run_spde(small_cfg())
