@@ -373,8 +373,10 @@ def test_line_search_rejects_nonpositive_curvature():
         mass=-sp.eye_array(n).tocsr(), operators=[oracles.DenseStateOperator(np.eye(n))],
         desired_nodal=np.ones(n), desired_proj=-np.ones(n), beta=1.0,
     )
-    with pytest.raises(LineSearchError):
-        socp.optimize(problem, socp.OptimizerSpec(method="sdm"), np.zeros(n))
+    # Newton's truncated CG meets the nonpositive curvature before any line search
+    for method in ("sdm", "newton"):
+        with pytest.raises(LineSearchError):
+            socp.optimize(problem, socp.OptimizerSpec(method=method), np.zeros(n))
 
 
 @pytest.mark.parametrize("method", ["sdm", "newton", "bfgs"])
