@@ -2,8 +2,12 @@
 
 Subcommands: ``spde`` (mean-field estimation), ``socp`` (tracking control),
 ``compress`` (factorize an ensemble), ``diagnose`` (spectral diagnostics).
-Configuration is a flat key-value text file, one ``key = value`` per line;
-command-line flags override file values, which override documented defaults.
+Each subcommand's keys, defaults and checks are declared once, in its schema
+(``SCHEMAS``).  Configuration is a flat key-value text file, one ``key =
+value`` per line; command-line flags override file values, which override
+the defaults.  ``build_parser`` makes every key a flag: ``--key-with-dashes
+VALUE``, or for a boolean key the presence flag ``--key`` (true), ``--no-key``
+(false) when its default is true.  ``--set key=value`` reaches any key too.
 Every emitted CSV has a header row, a fixed column order, and full-precision
 (round-trip safe) numbers, so identical manifests produce byte-identical
 CSVs.  Wall-clock timings and output digests live in ``manifest.txt``, which
@@ -25,11 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fem, lowrank, numerics, perturbed, socp, spde
+from . import __version__, fem, lowrank, numerics, socp, spde
 from .errors import (
     ConfigError,
     ConfigParseError,
     ConfigRangeError,
+    InputFileError,
     LramError,
     UnknownKeyError,
 )
@@ -75,12 +80,18 @@ def _schema_field_sampling():
         "epsilon": Option(float, 0.2, lambda v: v >= 0.0, "epsilon must be >= 0"),
         "distribution": Option(str, "normal", lambda v: v in fem.DISTRIBUTIONS,
                                f"distribution must be one of {fem.DISTRIBUTIONS}"),
+    }
+
+
+def _schema_compressed():
+    """Keys of the commands that compress the ensemble at a reduction ratio."""
+    return _schema_common() | _schema_field_sampling() | {
         "tau": Option(float, 0.88, lambda v: 0.0 < v <= 1.0, "tau must lie in (0, 1]"),
     }
 
 
 def schema_spde():
-    schema = _schema_common() | _schema_field_sampling()
+    schema = _schema_compressed()
     schema.update({
         "method": Option(str, "smw", lambda v: v in spde.METHODS,
                          f"method must be one of {spde.METHODS}"),
@@ -95,7 +106,7 @@ def schema_spde():
 
 
 def schema_socp():
-    schema = _schema_common() | _schema_field_sampling()
+    schema = _schema_compressed()
     schema["samples"] = Option(int, 50, lambda v: v >= 1, "samples must be >= 1")
     schema["distribution"] = Option(str, "uniform", lambda v: v in fem.DISTRIBUTIONS,
                                     f"distribution must be one of {fem.DISTRIBUTIONS}")
@@ -125,7 +136,7 @@ def schema_socp():
 
 
 def schema_compress():
-    schema = _schema_common() | _schema_field_sampling()
+    schema = _schema_compressed()
     schema["samples"] = Option(int, 20, lambda v: v >= 1, "samples must be >= 1")
     schema.update({
         "input": Option(str, ""),
@@ -190,12 +201,13 @@ def parse_config(schema: dict, path=None, overrides=None) -> dict:
 
 
 def _fmt(value) -> str:
+    # floats first: they fill the CSVs, and no float is a bool or an int
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
     return str(value)
 
 
@@ -295,6 +307,7 @@ def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
         t0 = time.perf_counter()
         result = spde.scan(_spde_config(cfg), cfg["tau_scan"])
         timings["scan"] = time.perf_counter() - t0
+        record["k_star"] = result.k_star
         _warn(_record_field(record, result.min_coefficient)
               + _record_ranks(record, [row[1] for row in result.rows], result.k_star))
         write_csv(out_dir / "errors_vs_tau.csv",
@@ -326,8 +339,12 @@ def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
         ]],
     )
     outputs.append("report.csv")
-    perturbed.solution_to_csv(report.solution, out_dir / "qoi.csv",
-                              include_samples=cfg["export_samples"])
+    solution = report.solution
+    header, columns = ["node", "unperturbed", "qoi"], [solution.unperturbed, solution.qoi]
+    if cfg["export_samples"]:
+        header += [f"sample_{m:04d}" for m in range(len(solution.samples))]
+        columns += solution.samples
+    write_csv(out_dir / "qoi.csv", header, zip(range(len(solution.qoi)), *columns))
     outputs.append("qoi.csv")
     write_csv(out_dir / "energy.csv", ["rank", "energy"], report.energy_curve)
     outputs.append("energy.csv")
@@ -364,7 +381,7 @@ def cmd_socp(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
     timings: dict[str, float] = {}
     record: dict = {}
     t0 = time.perf_counter()
-    _, system, _, problem = socp.build_control_problem(_socp_config(cfg))
+    system, _, problem = socp.build_control_problem(_socp_config(cfg))
     timings["build"] = time.perf_counter() - t0
     _record_woodbury(record, problem)
     _warn(_record_field(record, system.min_coefficient))
@@ -377,6 +394,7 @@ def cmd_socp(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
         results[method] = socp.optimize(problem, _optimizer_spec(cfg, method), control0)
         timings[f"optimize.{method}"] = time.perf_counter() - t0
         record[f"socp.operator_passes.{method}"] = results[method].operator_passes
+        record[f"socp.line_search_trials.{method}"] = results[method].line_search_trials
 
     if cfg["compare_methods"]:
         rows = []
@@ -413,18 +431,24 @@ def cmd_socp(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
 
 
 def _load_ensemble(cfg: dict):
-    """Ensemble from MatrixMarket files when ``input`` is set, else from the FEM pipeline."""
+    """Ensemble from MatrixMarket files when ``input`` is set, else from the FEM pipeline.
+
+    The files carry no base.  Their matrices must be square and of one shape;
+    ``InputFileError`` names the first file that is not.
+    """
     if cfg["input"]:
         paths = sorted(globmod.glob(cfg["input"]))
         if not paths:
             raise ConfigRangeError(f"input pattern {cfg['input']!r} matches no files")
-        return [numerics.load_matrix_market(p) for p in paths], None
-    run_cfg = spde.SpdeRunConfig(
-        h=cfg["h"], num_samples=cfg["samples"], ratio=cfg["tau"],
-        epsilon=cfg["epsilon"], distribution=cfg["distribution"],
-        master_seed=cfg["seed"], compute_reference=False,
-    )
-    _, system = spde.build_spde_system(run_cfg)
+        ensemble = [numerics.load_matrix_market(p) for p in paths]
+        n = ensemble[0].shape[0]
+        for path, member in zip(paths, ensemble):
+            if member.shape != (n, n):
+                raise InputFileError(f"MatrixMarket file {path!r} holds a {member.shape[0]}x"
+                                     f"{member.shape[1]} matrix; the ensemble needs {n}x{n}")
+        return ensemble, None
+    system = fem.sampled_system(cfg["h"], cfg["samples"], cfg["epsilon"],
+                                cfg["distribution"], cfg["seed"])
     return system.perturbations, system.base
 
 
@@ -508,65 +532,41 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_common_flags(parser):
-    parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--seed", help="master seed")
-    parser.add_argument("--out-dir", dest="out_dir", help="output directory")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                        help="override any config key (repeatable)")
+def _add_schema_flags(parser, schema: dict) -> None:
+    """One flag per schema key, the key with dashes for underscores.
+
+    A value key takes ``--key VALUE``.  A boolean key is a presence flag:
+    ``--key`` sets true, or ``--no-key`` sets false when the default is true.
+    """
+    for key, opt in schema.items():
+        flag = key.replace("_", "-")
+        if opt.parse is not _parse_bool:
+            parser.add_argument(f"--{flag}", dest=key)
+        elif opt.default:
+            parser.add_argument(f"--no-{flag}", dest=key, action="store_const", const="false")
+        else:
+            parser.add_argument(f"--{flag}", dest=key, action="store_const", const="true")
+
+
+_HELP = {
+    "spde": "estimate the mean field of the random-diffusion problem",
+    "socp": "solve the tracking control problem",
+    "compress": "factorize an ensemble into shared-basis form",
+    "diagnose": "spectral diagnostics of an ensemble",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Subcommand parsers with ``--config``, ``--set`` and one flag per schema key."""
     parser = _Parser(prog="lram", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_spde = sub.add_parser("spde", help="estimate the mean field of the random-diffusion problem")
-    _add_common_flags(p_spde)
-    for flag, key in [("--h", "h"), ("--samples", "samples"), ("--tau", "tau"),
-                      ("--epsilon", "epsilon"), ("--distribution", "distribution"),
-                      ("--method", "method"), ("--neumann-order", "neumann_order"),
-                      ("--tau-scan", "tau_scan")]:
-        p_spde.add_argument(flag, dest=key)
-    p_spde.add_argument("--no-reference", dest="reference", action="store_const", const="false")
-    p_spde.add_argument("--export-samples", dest="export_samples",
-                        action="store_const", const="true")
-    p_spde.add_argument("--sample-conditions", dest="sample_conditions",
-                        action="store_const", const="true")
-    p_spde.add_argument("--force-neumann", dest="force_neumann",
-                        action="store_const", const="true")
-
-    p_socp = sub.add_parser("socp", help="solve the tracking control problem")
-    _add_common_flags(p_socp)
-    for flag, key in [("--h", "h"), ("--samples", "samples"), ("--tau", "tau"),
-                      ("--epsilon", "epsilon"), ("--distribution", "distribution"),
-                      ("--method", "method"), ("--beta", "beta"),
-                      ("--grad-tol", "grad_tol"), ("--max-iters", "max_iters"),
-                      ("--desired", "desired"),
-                      ("--desired-amplitude", "desired_amplitude"),
-                      ("--desired-mode", "desired_mode"),
-                      ("--control-init", "control_init")]:
-        p_socp.add_argument(flag, dest=key)
-    p_socp.add_argument("--compare-methods", dest="compare_methods",
-                        action="store_const", const="true")
-
-    p_compress = sub.add_parser("compress", help="factorize an ensemble into shared-basis form")
-    _add_common_flags(p_compress)
-    for flag, key in [("--input", "input"), ("--tau", "tau"), ("--h", "h"),
-                      ("--samples", "samples"), ("--epsilon", "epsilon"),
-                      ("--distribution", "distribution")]:
-        p_compress.add_argument(flag, dest=key)
-    p_compress.add_argument("--export-mm", dest="export_mm",
-                            action="store_const", const="true")
-
-    p_diag = sub.add_parser("diagnose", help="spectral diagnostics of an ensemble")
-    _add_common_flags(p_diag)
-    for flag, key in [("--input", "input"), ("--h", "h"), ("--samples", "samples"),
-                      ("--epsilon", "epsilon"), ("--distribution", "distribution"),
-                      ("--tau", "tau")]:
-        p_diag.add_argument(flag, dest=key)
-    p_diag.add_argument("--sample-conditions", dest="sample_conditions",
-                        action="store_const", const="true")
+    for name, schema in SCHEMAS.items():
+        command = sub.add_parser(name, help=_HELP[name])
+        command.add_argument("--config", help="flat key=value configuration file")
+        command.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                             help="override any config key (repeatable)")
+        _add_schema_flags(command, schema())
     return parser
 
 
@@ -578,7 +578,7 @@ def _collect_overrides(args, schema) -> dict:
             raise ConfigParseError(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key.strip()] = value
     for key in schema:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             overrides[key] = str(value)
     return overrides

@@ -33,10 +33,6 @@ class EmptyEnsembleError(LramError):
     """An operation requires at least one ensemble member."""
 
 
-class ZeroEnsembleError(LramError):
-    """Every ensemble member is zero, so spectral ratios are undefined."""
-
-
 class SingularCapacitanceError(LramError):
     """The capacitance matrix of one sample's Woodbury solve is singular."""
 

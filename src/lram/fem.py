@@ -255,6 +255,18 @@ def assemble(mesh: TriMesh, field_samples, source, apply_bc: bool = True) -> Ass
     )
 
 
+def sampled_system(h: float, num_samples: int, epsilon: float, distribution: str,
+                   master_seed: int) -> AssembledSystem:
+    """The system every sampled run solves.
+
+    The structured mesh of spacing ``h``, ``num_samples`` fields seeded by
+    ``master_seed`` (``sample_fields``), assembled with the unit source.
+    """
+    mesh = structured_mesh(h)
+    fields = sample_fields(mesh, num_samples, epsilon, distribution, master_seed)
+    return assemble(mesh, fields, lambda x, y: 1.0)
+
+
 def mass_norm(mass, vec) -> float:
     """Discrete L2 norm sqrt(v' * M * v) of nodal values."""
     vec = np.asarray(vec, dtype=float)
@@ -279,23 +291,3 @@ def manufactured_check(h_list) -> list[tuple[float, float]]:
         exact = np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
         out.append((mesh.h, mass_norm(system.mass, solution - exact)))
     return out
-
-
-def mesh_to_csv(mesh: TriMesh, nodes_path, elements_path) -> None:
-    with open(nodes_path, "w", newline="\n") as fh:
-        fh.write("node,x,y,boundary\n")
-        boundary = set(int(i) for i in mesh.boundary_nodes)
-        for i, (x, y) in enumerate(mesh.nodes):
-            flag = 1 if i in boundary else 0
-            fh.write(f"{i},{float(x)!r},{float(y)!r},{flag}\n")
-    with open(elements_path, "w", newline="\n") as fh:
-        fh.write("element,v0,v1,v2\n")
-        for e, (a, b, c) in enumerate(mesh.elements):
-            fh.write(f"{e},{a},{b},{c}\n")
-
-
-def field_to_csv(field: RandomField, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("element,value\n")
-        for e, v in enumerate(field.values):
-            fh.write(f"{e},{float(v)!r}\n")

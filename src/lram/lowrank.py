@@ -27,12 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import numerics
-from .errors import (
-    ConfigRangeError,
-    DimensionMismatchError,
-    EmptyEnsembleError,
-    ZeroEnsembleError,
-)
+from .errors import ConfigRangeError, DimensionMismatchError, EmptyEnsembleError
 
 _FACTORS_MAGIC = b"LRFB"
 _FACTORS_VERSION = 1
@@ -202,14 +197,16 @@ class GramSpectrum:
         """Energy curve e(k) from plain partial sums of a complete spectrum.
 
         e(k) is non-decreasing and e(N) equals 1 exactly, since both partial
-        and total sums come from the same accumulation.
+        and total sums come from the same accumulation.  An all-zero ensemble
+        has no energy to share out: its curve is empty, and ``numerical_rank``
+        reads k* = 0 from it.
         """
         if not self.complete:
             raise DimensionMismatchError("the energy curve needs the complete spectrum")
         partial = np.cumsum(np.maximum(self.values, 0.0))
         total = partial[-1]
         if total == 0.0:
-            raise ZeroEnsembleError("all ensemble members are zero")
+            return []
         return [(k + 1, float(partial[k] / total)) for k in range(partial.shape[0])]
 
 
@@ -263,7 +260,7 @@ def _factors(ensemble, rank: int, ratio: float, spectrum) -> LowRankFactors:
     basis = spectrum.basis(rank)
     complement = k_star = None
     if spectrum.complete:
-        k_star = numerical_rank(spectrum.energy_curve()) if spectrum.trace > 0.0 else 0
+        k_star = numerical_rank(spectrum.energy_curve())
         complement = np.ascontiguousarray(spectrum.vectors[:, rank:max(rank, k_star)])
     return LowRankFactors(basis=basis, coeffs=Projections(basis, ensemble), rank=rank,
                           ratio=float(ratio), complement=complement, numerical_rank=k_star)

@@ -112,7 +112,6 @@ class EnsembleSolution:
     samples: list[np.ndarray]
     qoi: np.ndarray
     method: str
-    fallback_samples: tuple[int, ...] = ()
     truncation_residuals: tuple[float, ...] | None = None
     # SMW only: "basis", "complement" or "direct" (module docstring), and its rank
     woodbury_form: str | None = None
@@ -324,41 +323,30 @@ class WoodburySolvers(Sequence):
                               x_solved, update)
 
 
-def solve_smw(ensemble: PerturbedEnsemble, factors,
-              fallback_direct: bool = False) -> EnsembleSolution:
+def solve_smw(ensemble: PerturbedEnsemble, factors) -> EnsembleSolution:
     """Solve every sample through the Woodbury identity in the cheaper form.
 
     ``WoodburySolvers`` builds the samples' solvers one at a time; at update
     rank 0 each is a direct sparse LU of ``base + P_m``.  A singular
     capacitance raises ``SingularCapacitanceError`` with the sample index and
-    a condition estimate unless ``fallback_direct`` is set, in which case
-    that sample is solved directly and recorded.
+    a condition estimate.
     """
     _check_factors(ensemble, factors)
     solvers = WoodburySolvers(ensemble.base, factors)
     u0 = solvers.base_factor.solve(ensemble.rhs)
     samples = []
-    fallbacks = []
     basis_form = []
     for m in range(ensemble.num_samples):
-        try:
-            solver = solvers[m]
-            if solver.form != solvers.form:
-                basis_form.append(m)
-            u = solver.solve(ensemble.rhs)
-        except SingularCapacitanceError:
-            if not fallback_direct:
-                raise
-            u = _direct_sample(ensemble, m)
-            fallbacks.append(m)
-        samples.append(u)
+        solver = solvers[m]
+        if solver.form != solvers.form:
+            basis_form.append(m)
+        samples.append(solver.solve(ensemble.rhs))
 
     return EnsembleSolution(
         unperturbed=u0,
         samples=samples,
         qoi=qoi_mean(samples),
         method="SMW",
-        fallback_samples=tuple(fallbacks),
         woodbury_form=solvers.form,
         update_rank=solvers.update_rank,
         basis_form_samples=tuple(basis_form),
@@ -420,17 +408,3 @@ def solve_direct(ensemble: PerturbedEnsemble) -> EnsembleSolution:
         qoi=qoi_mean(samples),
         method="Direct",
     )
-
-
-def solution_to_csv(solution: EnsembleSolution, path, include_samples: bool = False) -> None:
-    """Write one row per node: index, unperturbed value, mean, optional samples."""
-    header = ["node", "unperturbed", "qoi"]
-    if include_samples:
-        header += [f"sample_{m:04d}" for m in range(len(solution.samples))]
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(solution.qoi.shape[0]):
-            row = [str(i), repr(float(solution.unperturbed[i])), repr(float(solution.qoi[i]))]
-            if include_samples:
-                row += [repr(float(s[i])) for s in solution.samples]
-            fh.write(",".join(row) + "\n")

@@ -17,6 +17,8 @@ gradient, Newton, BFGS and a trust region.  Steepest descent, Newton and BFGS
 share a weak-Wolfe line search that reads the exact quadratic along each ray
 from one Hessian-vector product.  Newton and the trust region take their
 steps from one truncated-CG kernel (Steihaug-Toint) on that product.
+``build_control_problem`` compresses the sampled system of
+``fem.sampled_system``, the one every sampled run solves.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem, lowrank, perturbed, spde
+from . import fem, lowrank, perturbed
 from .errors import ConfigRangeError, DimensionMismatchError, LineSearchError
 
 METHODS = ("sdm", "sgd", "newton", "bfgs", "trm")
@@ -586,22 +588,18 @@ class SocpRunConfig:
 
 
 def build_control_problem(cfg: SocpRunConfig):
-    """Mesh, sample, assemble, compress, and build the reduced problem."""
-    spde_cfg = spde.SpdeRunConfig(
-        h=cfg.h, num_samples=cfg.num_samples, ratio=cfg.ratio, epsilon=cfg.epsilon,
-        distribution=cfg.distribution, master_seed=cfg.master_seed,
-        compute_reference=False,
-    )
-    mesh, system = spde.build_spde_system(spde_cfg)
+    """The sampled system (``fem.sampled_system``), its factors and the reduced problem."""
+    system = fem.sampled_system(cfg.h, cfg.num_samples, cfg.epsilon, cfg.distribution,
+                                cfg.master_seed)
     factors = lowrank.compress(system.perturbations, cfg.ratio)
     target = desired_state_function(cfg.desired, cfg.desired_amplitude)
     problem = build_reduced_problem(system, factors, target, cfg.beta,
                                     desired_mode=cfg.desired_mode)
-    return mesh, system, factors, problem
+    return system, factors, problem
 
 
 def run_socp(cfg: SocpRunConfig, spec: OptimizerSpec) -> tuple[ReducedControlProblem, SocpResult]:
     """Build the problem and minimize it with one method."""
-    _, _, _, problem = build_control_problem(cfg)
+    _, _, problem = build_control_problem(cfg)
     control0 = np.full(problem.dim, cfg.control_init)
     return problem, optimize(problem, spec, control0)

@@ -1,13 +1,13 @@
 """End-to-end Monte-Carlo driver for the random-diffusion Poisson problem.
 
-Samples per-element diffusion fields, assembles the perturbed stiffness
-ensemble, compresses it, solves all samples through the chosen route, and
-averages into the mean-field estimate.  When a reference is requested the
-direct per-sample solve consumes the identical sampled fields, so the
-reported gap isolates the compression error; a solve that already factored
-every sample (the direct method, or SMW at update rank 0) is its own
-reference.  Also hosts the critical reduction-ratio diagnostics and a
-Monte-Carlo convergence study.
+Takes the sampled stiffness ensemble of ``fem.sampled_system``, compresses
+it, solves all samples through the chosen route, and averages into the
+mean-field estimate.  When a reference is requested the direct per-sample
+solve consumes the identical sampled fields, so the reported gap isolates
+the compression error; a solve that already factored every sample (the
+direct method, or SMW at update rank 0) is its own reference.  Also hosts
+the critical reduction-ratio diagnostics (an all-zero ensemble has k* = 0)
+and a Monte-Carlo convergence study.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fem, lowrank, numerics, perturbed
-from .errors import ConfigRangeError, ZeroEnsembleError
+from .errors import ConfigRangeError
 
 METHODS = ("smw", "neumann", "direct")
 
@@ -71,22 +71,14 @@ class SpdeReport:
     min_coefficient: np.ndarray  # per sample: min over elements of the diffusion field
 
 
-def build_spde_system(cfg: SpdeRunConfig):
-    """Mesh, sample fields, and assemble; shared by the run and scan paths."""
-    mesh = fem.structured_mesh(cfg.h)
-    fields = fem.sample_fields(mesh, cfg.num_samples, cfg.epsilon,
-                               cfg.distribution, cfg.master_seed)
-    system = fem.assemble(mesh, fields, lambda x, y: 1.0)
-    return mesh, system
-
-
 def critical_tau(curve) -> tuple[int, float]:
     """The critical rank k* of ``curve`` (``lowrank.numerical_rank``) and its ratio k*/N.
 
-    Compressing at or above it reconstructs the ensemble exactly.
+    Compressing at or above it reconstructs the ensemble exactly.  An all-zero
+    ensemble has the empty curve, and k* = 0 with ratio 0.
     """
     k_star = lowrank.numerical_rank(curve)
-    return k_star, k_star / len(curve)
+    return k_star, (k_star / len(curve) if curve else 0.0)
 
 
 def _solve(cfg: SpdeRunConfig, ensemble, factors):
@@ -108,7 +100,8 @@ def run_spde(cfg: SpdeRunConfig) -> SpdeReport:
     timings: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    mesh, system = build_spde_system(cfg)
+    system = fem.sampled_system(cfg.h, cfg.num_samples, cfg.epsilon, cfg.distribution,
+                                cfg.master_seed)
     timings["assemble"] = time.perf_counter() - t0
 
     ensemble = perturbed.PerturbedEnsemble(
@@ -143,12 +136,8 @@ def run_spde(cfg: SpdeRunConfig) -> SpdeReport:
     timings["reference"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    try:
-        energy_curve = spectrum.energy_curve()
-        k_star, tau_star = critical_tau(energy_curve)
-    except ZeroEnsembleError:
-        energy_curve = []
-        k_star, tau_star = 0, 0.0
+    energy_curve = spectrum.energy_curve()
+    k_star, tau_star = critical_tau(energy_curve)
     cond_base = numerics.condition_estimate(system.base)
     sample_conds = None
     if cfg.sample_conditions:
@@ -191,7 +180,8 @@ def scan(cfg: SpdeRunConfig, ratios) -> ScanResult:
 
     Rank k is reached with the ratio k / N, which maps back to exactly k.
     """
-    _, system = build_spde_system(cfg)
+    system = fem.sampled_system(cfg.h, cfg.num_samples, cfg.epsilon, cfg.distribution,
+                                cfg.master_seed)
     ensemble = perturbed.PerturbedEnsemble(
         base=system.base, perturbations=system.perturbations, rhs=system.load
     )
@@ -235,12 +225,10 @@ def mc_convergence_study(cfg: SpdeRunConfig, m_list, repetitions: int = 10,
         raise ConfigRangeError("m_list must be ascending")
     m_ref = reference_factor * max(m_list)
 
-    mesh = fem.structured_mesh(cfg.h)
     errors = np.zeros((repetitions, len(m_list)))
     for rep in range(repetitions):
-        seed = cfg.master_seed + 7919 * rep
-        fields = fem.sample_fields(mesh, m_ref, cfg.epsilon, cfg.distribution, seed)
-        system = fem.assemble(mesh, fields, lambda x, y: 1.0)
+        system = fem.sampled_system(cfg.h, m_ref, cfg.epsilon, cfg.distribution,
+                                    cfg.master_seed + 7919 * rep)
         ensemble = perturbed.PerturbedEnsemble(
             base=system.base, perturbations=system.perturbations, rhs=system.load
         )

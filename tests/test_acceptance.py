@@ -199,7 +199,7 @@ def test_criterion_07_gradient_and_hessian():
     """Analytic derivatives match the exact quadratic to rounding; the Hessian is SPD."""
     t0 = time.perf_counter()
     cfg = socp.SocpRunConfig(h=0.1, num_samples=20, master_seed=1234)
-    _, _, _, problem = socp.build_control_problem(cfg)
+    _, _, problem = socp.build_control_problem(cfg)
     worst, quadratic, difference = derivative_deviations(problem, 707, socp.gradient)
     hess = oracles.hessian(problem)
     np.linalg.cholesky(hess)
@@ -224,7 +224,7 @@ def test_criterion_08_optimizer_suite():
     t0 = time.perf_counter()
     cfg = socp.SocpRunConfig(h=0.1, num_samples=50, ratio=0.88, epsilon=0.2,
                              distribution="uniform", master_seed=1234, beta=1e-4)
-    _, _, _, problem = socp.build_control_problem(cfg)
+    _, _, problem = socp.build_control_problem(cfg)
     f0 = np.zeros(problem.dim)
     results = {}
     for method in socp.METHODS:

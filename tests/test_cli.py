@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import tracemalloc
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lram import cli, numerics, spde
+from lram import cli, fem, numerics, spde
 from lram.errors import ConfigParseError, ConfigRangeError, UnknownKeyError
 
 
@@ -133,8 +134,16 @@ def test_spde_export_samples_columns(tmp_path):
     code = run(["spde", "--h", "0.5", "--samples", "2", "--export-samples",
                 "--out-dir", str(out)])
     assert code == 0
-    header = (out / "qoi.csv").read_text().splitlines()[0]
+    header, *rows = (out / "qoi.csv").read_text().splitlines()
     assert header == "node,unperturbed,qoi,sample_0000,sample_0001"
+    # every cell parses back to the value the run computed: repr round-trips exactly
+    solution = spde.run_spde(spde.SpdeRunConfig(h=0.5, num_samples=2)).solution
+    assert len(rows) == solution.qoi.shape[0] == 9
+    for i, row in enumerate(rows):
+        cells = row.split(",")
+        assert int(cells[0]) == i
+        assert [float(c) for c in cells[1:]] == [
+            solution.unperturbed[i], solution.qoi[i], *(u[i] for u in solution.samples)]
 
 
 def test_spde_manifest_contents(tmp_path):
@@ -218,10 +227,18 @@ def test_socp_compare_methods_table(tmp_path):
     # every method starts from the same control, so from the same gradient
     initial = {line.split(",")[-1] for line in lines[1:]}
     assert len(initial) == 1 and float(initial.pop()) > 1e-3
-    # operator passes go to the manifest, outside the deterministic CSV set
+    # operator passes and line-search trials go to the manifest, outside the
+    # deterministic CSV set
     passes = manifest_record(out, "socp.operator_passes.")
     assert sorted(passes) == sorted(f"socp.operator_passes.{m}" for m in cli.socp.METHODS)
     assert all(float(value) >= 2.0 for value in passes.values())
+    trials = manifest_record(out, "socp.line_search_trials.")
+    assert sorted(trials) == sorted(f"socp.line_search_trials.{m}" for m in cli.socp.METHODS)
+    iterations = {line.split(",")[0]: int(line.split(",")[1]) for line in lines[1:]}
+    # each Wolfe iteration tries at least one step; the trust region tries none
+    for method in ("sdm", "newton", "bfgs"):
+        assert int(trials[f"socp.line_search_trials.{method}"]) >= iterations[method] >= 1
+    assert trials["socp.line_search_trials.trm"] == "0"
 
 
 def test_socp_invalid_method_usage_error(tmp_path):
@@ -286,8 +303,8 @@ def test_tau_scan_manifest_reports_field_and_critical_rank(tmp_path, capsys):
     # h = 0.1, N = 121, k* = 81: tau 0.5 and 0.8 ask for ranks 61 and 97
     assert run(["spde", "--h", "0.1", "--samples", "20", "--tau-scan", "0.5,0.8",
                 "--out-dir", str(crossing)]) == 0
-    record = manifest_record(crossing, *keys)
-    assert record["rank_below_k_star"] == "true"
+    record = manifest_record(crossing, *keys, "k_star")
+    assert (record["rank_below_k_star"], record["k_star"]) == ("true", "81")
     assert (record["field.nonpositive_samples"], float(record["field.min_coefficient"]) > 0) \
         == ("0", True)
     warned = capsys.readouterr().err
@@ -342,9 +359,8 @@ def test_compress_reports_ensemble_nonzeros(tmp_path):
     assert run(["compress", "--h", "0.1", "--out-dir", str(out)]) == 0
     header, row = ((out / "factors.csv").read_text().splitlines()[i].split(",") for i in (0, 1))
     cfg = cli.parse_config(cli.schema_compress())
-    _, system = spde.build_spde_system(spde.SpdeRunConfig(
-        h=0.1, num_samples=cfg["samples"], epsilon=cfg["epsilon"],
-        distribution=cfg["distribution"], master_seed=cfg["seed"]))
+    system = fem.sampled_system(0.1, cfg["samples"], cfg["epsilon"], cfg["distribution"],
+                                cfg["seed"])
     assert int(row[header.index("ensemble_nnz")]) == sum(p.nnz for p in system.perturbations)
 
 
@@ -381,8 +397,8 @@ def test_compress_factor_file_holds_eager_projections(tmp_path):
     raw = (out / "factors.bin").read_bytes()
     dim, rank, samples = np.frombuffer(raw, dtype="<u8", count=3, offset=8)
     basis = np.frombuffer(raw, dtype="<f8", count=dim * rank, offset=32).reshape(dim, rank)
-    cfg = spde.SpdeRunConfig(h=0.25, num_samples=4, ratio=0.6, compute_reference=False)
-    _, system = spde.build_spde_system(cfg)
+    cfg = cli.parse_config(cli.schema_compress())
+    system = fem.sampled_system(0.25, 4, cfg["epsilon"], cfg["distribution"], cfg["seed"])
     # coefficients computed up front, as one list, then laid out after the basis
     coeffs = [np.asarray((p.T @ basis).T) for p in system.perturbations]
     expected = raw[:32] + basis.astype("<f8").tobytes() + b"".join(
@@ -428,12 +444,50 @@ def test_diagnose_fem_rank_bound(tmp_path):
 
 @pytest.mark.parametrize("subcommand", ["compress", "diagnose"])
 def test_malformed_matrix_market_is_usage_error(tmp_path, capsys, subcommand):
-    bad = tmp_path / "bad.mtx"
-    bad.write_text("%%MatrixMarket matrix coordinate real general\n3 3 1\n1 1 abc\n")
-    code = run([subcommand, "--input", str(bad), "--out-dir", str(tmp_path / "out")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and str(bad) in err and "Traceback" not in err
+    header = "%%MatrixMarket matrix coordinate real general\n"
+    # (file contents in glob order, the offending file): an unparsable entry, a
+    # non-square member, members of two shapes
+    cases = {
+        "garbled": (["3 3 1\n1 1 abc\n"], 0),
+        "nonsquare": (["3 2 1\n1 1 1.0\n"], 0),
+        "shapes": (["3 3 1\n1 1 1.0\n", "4 4 1\n1 1 1.0\n"], 1),
+    }
+    for name, (contents, offending) in cases.items():
+        paths = [tmp_path / name / f"member_{i}.mtx" for i in range(len(contents))]
+        paths[0].parent.mkdir()
+        for path, body in zip(paths, contents):
+            path.write_text(header + body)
+        code = run([subcommand, "--input", str(tmp_path / name / "member_*.mtx"),
+                    "--out-dir", str(tmp_path / "out")])
+        assert code == 1, name
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(paths[offending]) in err, name
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("subcommand", sorted(cli.SCHEMAS))
+def test_each_schema_key_has_exactly_one_flag(subcommand):
+    parsers = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+    flagged = [action.dest for action in parsers[subcommand]._actions
+               if action.option_strings and action.dest not in ("help", "config", "set")]
+    assert sorted(flagged) == sorted(cli.SCHEMAS[subcommand]())
+
+
+def test_zero_ensemble_has_critical_rank_zero(tmp_path):
+    # at epsilon = 0 every member is zero: k* = 0 in every command, not a failure
+    diag, scan = tmp_path / "diag", tmp_path / "scan"
+    assert run(["diagnose", "--h", "0.25", "--samples", "3", "--epsilon", "0",
+                "--out-dir", str(diag)]) == 0
+    header, row = ((diag / "diagnose.csv").read_text().splitlines()[i].split(",")
+                   for i in (0, 1))
+    assert (row[header.index("k_star")], row[header.index("tau_star")]) == ("0", "0.0")
+    assert (diag / "energy.csv").read_text() == "rank,energy\n"
+    assert run(["spde", "--h", "0.25", "--samples", "3", "--epsilon", "0",
+                "--tau-scan", "0.5,1.0", "--out-dir", str(scan)]) == 0
+    assert manifest_record(scan, "k_star") == {"k_star": "0"}
+    errors = [line.split(",") for line in (scan / "errors_vs_tau.csv").read_text().splitlines()]
+    assert [float(row[2]) for row in errors[1:]] == [0.0, 0.0]
 
 
 def test_config_file_through_cli(tmp_path):

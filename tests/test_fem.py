@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lram import fem, lowrank, numerics
+from lram import cli, fem, lowrank, numerics
 from lram.errors import ConfigRangeError, InvalidMeshSizeError
 
 import oracles
@@ -269,8 +269,13 @@ def test_manufactured_boundary_exactly_zero():
 
 
 def test_mesh_and_field_csv(tmp_path):
+    # meshes and fields go out through the CLI's one CSV writer
     mesh = fem.structured_mesh(0.5)
-    fem.mesh_to_csv(mesh, tmp_path / "nodes.csv", tmp_path / "elements.csv")
+    on_boundary = np.isin(np.arange(mesh.num_nodes), mesh.boundary_nodes)
+    cli.write_csv(tmp_path / "nodes.csv", ["node", "x", "y", "boundary"],
+                  zip(range(mesh.num_nodes), *mesh.nodes.T, on_boundary))
+    cli.write_csv(tmp_path / "elements.csv", ["element", "v0", "v1", "v2"],
+                  zip(range(mesh.num_elements), *mesh.elements.T))
     nodes = (tmp_path / "nodes.csv").read_text().splitlines()
     elements = (tmp_path / "elements.csv").read_text().splitlines()
     assert nodes[0] == "node,x,y,boundary"
@@ -279,7 +284,7 @@ def test_mesh_and_field_csv(tmp_path):
     assert len(elements) == 1 + 8
 
     field = fem.sample_fields(mesh, 1, 0.2, "uniform", 3)[0]
-    fem.field_to_csv(field, tmp_path / "field.csv")
+    cli.write_csv(tmp_path / "field.csv", ["element", "value"], enumerate(field.values))
     lines = (tmp_path / "field.csv").read_text().splitlines()
     assert lines[0] == "element,value"
     assert len(lines) == 1 + mesh.num_elements

@@ -12,7 +12,6 @@ from lram.errors import (
     ConfigRangeError,
     DimensionMismatchError,
     EmptyEnsembleError,
-    ZeroEnsembleError,
 )
 
 import oracles
@@ -348,9 +347,11 @@ def test_energy_relates_to_rmsre():
         assert e_k == pytest.approx(1.0 - err ** 2 * m / lam_total, abs=1e-8)
 
 
-def test_energy_zero_ensemble_raises():
-    with pytest.raises(ZeroEnsembleError):
-        lowrank.gram_spectrum([np.zeros((3, 3)), np.zeros((3, 3))]).energy_curve()
+def test_energy_curve_of_zero_ensemble_is_empty():
+    zeros = [np.zeros((3, 3)), np.zeros((3, 3))]
+    assert lowrank.gram_spectrum(zeros).energy_curve() == []
+    # the factors read the same rule: no direction carries energy, so k* = 0
+    assert lowrank.compress_rank(zeros, 2).numerical_rank == 0
 
 
 # ---------------------------------------------------------------------------

@@ -103,21 +103,6 @@ def test_smw_singular_update_raises_with_sample_index():
     assert err.value.sample == 0
 
 
-def test_smw_fallback_direct_records_sample():
-    rng = np.random.default_rng(5)
-    n = 5
-    base = sp.csr_array(np.eye(n))
-    basis = np.eye(n)[:, :1]
-    coeffs = [-basis.T.copy(), np.zeros((1, n))]
-    factors = lowrank.LowRankFactors(basis=basis, coeffs=coeffs, rank=1, ratio=1 / n)
-    zeros = [sp.csr_array((n, n)), sp.csr_array((n, n))]
-    ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=zeros, rhs=np.ones(n))
-    sol = perturbed.solve_smw(ensemble, factors, fallback_direct=True)
-    assert sol.fallback_samples == (0,)
-    # the fallback solves the actual (unperturbed) system
-    assert np.allclose(sol.samples[0], np.ones(n), atol=1e-12)
-
-
 def test_smw_dimension_mismatch():
     rng = np.random.default_rng(6)
     ensemble, _ = synthetic_instance(rng, 6, 2, 3)
@@ -273,7 +258,7 @@ def test_complement_sample_that_does_not_factor_takes_basis_form(dense_flop_mode
         assert np.allclose(sol.samples[m], np.linalg.solve(dense, rhs), atol=1e-14)
 
 
-def test_singular_complement_capacitance_raises_or_falls_back(dense_flop_model):
+def test_singular_complement_capacitance_raises(dense_flop_model):
     # With U = [e1 e2 e3], W = [e4 e5] and P_0 = -e1 e1' + e1 e5' + e5 e1',
     # base + P_0 factors but base + U U' P_0 is singular, and so is I - D_0 Z.
     n = 5
@@ -286,14 +271,10 @@ def test_singular_complement_capacitance_raises_or_falls_back(dense_flop_model):
     rhs = np.arange(1.0, n + 1.0)
     ensemble = perturbed.PerturbedEnsemble(base=sp.csr_array(eye), perturbations=members,
                                            rhs=rhs)
+    assert perturbed.WoodburySolvers(ensemble.base, factors).form == "complement"
     with pytest.raises(SingularCapacitanceError) as err:
         perturbed.solve_smw(ensemble, factors)
     assert err.value.sample == 0
-    sol = perturbed.solve_smw(ensemble, factors, fallback_direct=True)
-    assert sol.woodbury_form == "complement"
-    assert sol.fallback_samples == (0,)
-    assert np.allclose(sol.samples[0], np.linalg.solve(eye + p0, rhs), atol=1e-14)
-    assert np.array_equal(sol.samples[1], sol.unperturbed)
 
 
 # ---------------------------------------------------------------------------
@@ -448,22 +429,3 @@ def test_qoi_linearity(n, m, c, seed):
     assert np.allclose(perturbed.qoi_mean(scaled), c * perturbed.qoi_mean(samples),
                        atol=1e-12)
 
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-
-def test_solution_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(13)
-    ensemble, factors = synthetic_instance(rng, 5, 2, 2)
-    sol = perturbed.solve_smw(ensemble, factors)
-    path = tmp_path / "solution.csv"
-    perturbed.solution_to_csv(sol, path, include_samples=True)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "node,unperturbed,qoi,sample_0000,sample_0001"
-    assert len(lines) == 1 + 5
-    for i, line in enumerate(lines[1:]):
-        cells = line.split(",")
-        assert int(cells[0]) == i
-        assert float(cells[2]) == sol.qoi[i]  # repr round-trips exactly

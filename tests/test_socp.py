@@ -18,7 +18,7 @@ def fem_problem(h=0.25, num_samples=4, epsilon=0.2, ratio=1.0, seed=3,
                              epsilon=epsilon, master_seed=seed, beta=beta,
                              desired=desired, desired_amplitude=amplitude,
                              desired_mode=mode)
-    _, system, factors, problem = socp.build_control_problem(cfg)
+    system, factors, problem = socp.build_control_problem(cfg)
     return system, factors, problem
 
 
