@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lram import fem, lowrank, perturbed, spde
+from lram import cli, fem, lowrank, perturbed, spde
 from lram.errors import (
     DimensionMismatchError,
     DivergenceRiskError,
@@ -429,3 +429,26 @@ def test_qoi_linearity(n, m, c, seed):
     assert np.allclose(perturbed.qoi_mean(scaled), c * perturbed.qoi_mean(samples),
                        atol=1e-12)
 
+
+
+# ---------------------------------------------------------------------------
+# qoi.csv rows
+# ---------------------------------------------------------------------------
+
+
+def test_solution_csv_roundtrip(tmp_path):
+    rng = np.random.default_rng(13)
+    ensemble, factors = synthetic_instance(rng, 5, 2, 2)
+    sol = perturbed.solve_smw(ensemble, factors)
+    path = tmp_path / "solution.csv"
+    # the header and columns qoi.csv gets with --export-samples
+    header = ["node", "unperturbed", "qoi", "sample_0000", "sample_0001"]
+    cli.write_csv(path, header,
+                  zip(range(len(sol.qoi)), sol.unperturbed, sol.qoi, *sol.samples))
+    lines = path.read_text().splitlines()
+    assert lines[0] == "node,unperturbed,qoi,sample_0000,sample_0001"
+    assert len(lines) == 1 + 5
+    for i, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        assert int(cells[0]) == i
+        assert float(cells[2]) == sol.qoi[i]  # repr round-trips exactly
