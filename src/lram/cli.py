@@ -267,11 +267,10 @@ def _spde_config(cfg: dict) -> spde.SpdeRunConfig:
 
 
 def _record_woodbury(record: dict, run) -> None:
-    """The Woodbury form a solve or a control problem ran, its rank and its basis-form samples."""
+    """The Woodbury form a solve or a control problem ran, and its rank."""
     if run.woodbury_form is not None:
         record["woodbury.form"] = run.woodbury_form
         record["woodbury.update_rank"] = run.update_rank
-        record["woodbury.basis_form_samples"] = len(run.basis_form_samples)
 
 
 def _record_field(record: dict, min_coefficient) -> list[str]:
@@ -299,60 +298,56 @@ def _record_ranks(record: dict, ranks, k_star: int) -> list[str]:
             f"k* = {k_star}"]
 
 
-def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
-    outputs = []
-    timings: dict[str, float] = {}
-    record: dict = {}
-    if cfg["tau_scan"]:
-        t0 = time.perf_counter()
-        result = spde.scan(_spde_config(cfg), cfg["tau_scan"])
-        timings["scan"] = time.perf_counter() - t0
-        record["k_star"] = result.k_star
-        _warn(_record_field(record, result.min_coefficient)
-              + _record_ranks(record, [row[1] for row in result.rows], result.k_star))
-        write_csv(out_dir / "errors_vs_tau.csv",
-                  ["tau", "rank", "err_l2", "rmsre"], result.rows)
-        outputs.append("errors_vs_tau.csv")
-        write_csv(out_dir / "energy.csv", ["rank", "energy"], result.energy_curve)
-        outputs.append("energy.csv")
-        return outputs, timings, record
+def _nan_if_none(value):
+    return float("nan") if value is None else value
 
-    report = spde.run_spde(_spde_config(cfg))
-    timings.update(report.timings)
-    _record_woodbury(record, report.solution)
+
+def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
+    """One ``run_spde`` call: at ``tau``, or at each ratio of ``tau_scan``."""
+    outputs = []
+    record: dict = {}
+    scan = bool(cfg["tau_scan"])
+    report = spde.run_spde(_spde_config(cfg), cfg["tau_scan"] if scan else None)
     if cfg["reference"]:
         record["reference.reused"] = report.reference_reused
-    ranks = [] if report.rank is None else [report.rank]
+    ranks = [row[1] for row in report.rows if row[1] is not None]
     _warn(_record_field(record, report.min_coefficient)
           + _record_ranks(record, ranks, report.k_star))
-    write_csv(
-        out_dir / "report.csv",
-        ["nodes", "samples", "rank", "tau", "epsilon", "method",
-         "err_l2", "rmsre", "k_star", "tau_star", "cond_base"],
-        [[
-            report.qoi.shape[0], cfg["samples"],
-            -1 if report.rank is None else report.rank,
-            cfg["tau"], cfg["epsilon"], cfg["method"],
-            float("nan") if report.err_l2 is None else report.err_l2,
-            float("nan") if report.rmsre is None else report.rmsre,
-            report.k_star, report.tau_star, report.cond_base,
-        ]],
-    )
-    outputs.append("report.csv")
-    solution = report.solution
-    header, columns = ["node", "unperturbed", "qoi"], [solution.unperturbed, solution.qoi]
-    if cfg["export_samples"]:
-        header += [f"sample_{m:04d}" for m in range(len(solution.samples))]
-        columns += solution.samples
-    write_csv(out_dir / "qoi.csv", header, zip(range(len(solution.qoi)), *columns))
-    outputs.append("qoi.csv")
+    if scan:
+        record["k_star"] = report.k_star
+        write_csv(out_dir / "errors_vs_tau.csv", ["tau", "rank", "err_l2", "rmsre"],
+                  [(tau, rank, _nan_if_none(err), rmsre)
+                   for tau, rank, err, rmsre in report.rows])
+        outputs.append("errors_vs_tau.csv")
+    else:
+        _record_woodbury(record, report.solution)
+        write_csv(
+            out_dir / "report.csv",
+            ["nodes", "samples", "rank", "tau", "epsilon", "method",
+             "err_l2", "rmsre", "k_star", "tau_star", "cond_base"],
+            [[
+                report.qoi.shape[0], cfg["samples"],
+                -1 if report.rank is None else report.rank,
+                cfg["tau"], cfg["epsilon"], cfg["method"],
+                _nan_if_none(report.err_l2), _nan_if_none(report.rmsre),
+                report.k_star, report.tau_star, report.cond_base,
+            ]],
+        )
+        outputs.append("report.csv")
+        solution = report.solution
+        header, columns = ["node", "unperturbed", "qoi"], [solution.unperturbed, solution.qoi]
+        if cfg["export_samples"]:
+            header += [f"sample_{m:04d}" for m in range(len(solution.samples))]
+            columns += solution.samples
+        write_csv(out_dir / "qoi.csv", header, zip(range(len(solution.qoi)), *columns))
+        outputs.append("qoi.csv")
     write_csv(out_dir / "energy.csv", ["rank", "energy"], report.energy_curve)
     outputs.append("energy.csv")
     if cfg["sample_conditions"]:
         write_csv(out_dir / "sample_conditions.csv", ["sample", "cond"],
                   list(enumerate(report.sample_conditions)))
         outputs.append("sample_conditions.csv")
-    return outputs, timings, record
+    return outputs, report.timings, record
 
 
 def _socp_config(cfg: dict) -> socp.SocpRunConfig:

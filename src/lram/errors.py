@@ -50,7 +50,8 @@ class DivergenceRiskError(LramError):
     def __init__(self, sample, norm_estimate):
         super().__init__(
             f"series solve may diverge for sample {sample} "
-            f"(norm estimate {norm_estimate:.3e} >= 1); pass force=True to override"
+            f"(norm estimate {norm_estimate:.3e} >= 1); pass force=True, or --force-neumann "
+            "on the command line, to override"
         )
         self.sample = sample
         self.norm_estimate = norm_estimate

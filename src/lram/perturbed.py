@@ -27,16 +27,19 @@ at rank k.
   its LU.  At k >= k* the rank is 0 and this is the direct route: one
   sparse LU and one solve per sample, no capacitance (form ``direct``).  It
   includes a per-sample sparse LU, so SMW in this form costs at least the
-  direct route.  A sample whose ``base + P_m`` does not factor takes the
-  basis form.
+  direct route.
 
 When the complement rank is below the basis rank (k > k*/2) the form is the
-one ``woodbury_costs`` models cheaper, reading the size of the first sample
-LU; otherwise the basis form runs.
+one ``woodbury_costs`` models cheaper, reading the size of sample 0's LU;
+otherwise the basis form runs.
 
 A truncated alternating series and a per-sample direct factorization are
 provided as alternative routes; the quantity of interest is the sample mean,
 reduced in fixed order.
+
+One failure policy serves every route that factors or solves a sample: a
+sample m whose ``base + P_m`` does not factor, or whose solution is not
+finite, raises ``SingularSampleError(m)``; no sample switches form.
 """
 
 from __future__ import annotations
@@ -116,8 +119,6 @@ class EnsembleSolution:
     # SMW only: "basis", "complement" or "direct" (module docstring), and its rank
     woodbury_form: str | None = None
     update_rank: int | None = None
-    # complement and direct runs: samples whose base + P_m did not factor (basis form)
-    basis_form_samples: tuple[int, ...] = ()
 
 
 def qoi_mean(samples) -> np.ndarray:
@@ -138,21 +139,21 @@ def _check_factors(ensemble, factors):
         raise DimensionMismatchError("factor sample count differs from ensemble")
 
 
-def _sample_lu(matrix):
-    """Sparse LU of one sample matrix: ordering on A + A^T, partial pivoting kept.
+def _sample_lu(base, perturbation, m):
+    """Sparse LU of sample m's matrix ``base + perturbation``, ordered on A + A^T.
 
-    None if the matrix is exactly singular.
+    Partial pivoting is kept.  Raises ``SingularSampleError(m)`` if the
+    matrix is exactly singular.
     """
     try:
-        return spla.splu(sp.csc_array(matrix), permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(sp.csc_array(base + perturbation), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError:
-        return None
+        raise SingularSampleError(m) from None
 
 
-def _direct_sample(ensemble, m) -> np.ndarray:
-    lu = _sample_lu(ensemble.base + ensemble.perturbations[m])
-    u = None if lu is None else lu.solve(ensemble.rhs)
-    if u is None or not np.all(np.isfinite(u)):
+def _finite(u: np.ndarray, m: int) -> np.ndarray:
+    """Sample m's solution ``u``; ``SingularSampleError(m)`` if an entry is not finite."""
+    if not np.all(np.isfinite(u)):
         raise SingularSampleError(m)
     return u
 
@@ -198,9 +199,8 @@ class WoodburySolver:
     ``SingularCapacitanceError`` with a condition estimate.
     """
 
-    def __init__(self, sample, form, solve_f, solve_ft, x_solved, update):
+    def __init__(self, sample, solve_f, solve_ft, x_solved, update):
         self.sample = sample
-        self.form = form
         self.rank = update.shape[0]
         self._solve_f = solve_f
         self._solve_ft = solve_ft
@@ -250,10 +250,9 @@ class WoodburySolvers(Sequence):
     leading min(k, k*) basis vectors when the factors record k*.  The
     complement form needs the complement and coefficients ``Projections`` of
     the members, and runs if its rank is below the basis rank and
-    ``woodbury_costs`` prices it cheaper for the first sample whose ``base +
-    P_m`` factors; that LU is kept.  Samples before it, and any whose LU fails
-    or gives non-finite solves, take the basis form.  ``base_factor`` and
-    ``base^-1 U`` are computed on first need.
+    ``woodbury_costs`` prices it cheaper for sample 0's LU, which is then
+    kept for sample 0.  A sample LU that fails raises ``SingularSampleError``.
+    ``base_factor`` and ``base^-1 U`` are computed on first need.
     """
 
     def __init__(self, base, factors):
@@ -272,15 +271,12 @@ class WoodburySolvers(Sequence):
         if not projected or complement is None or complement.shape[1] >= self.update_rank:
             return
         self._projections = lowrank.Projections(complement, factors.coeffs.members)
-        for m, member in enumerate(self._projections.members):
-            lu = _sample_lu(base + member)
-            if lu is not None:
-                self._first = (m, lu)  # the first sample whose base + P_m factors
-                r = complement.shape[1]
-                basis, sampled = woodbury_costs(n, self.update_rank, r, lu.L.nnz + lu.U.nnz)
-                if sampled < basis:
-                    self.form, self.update_rank = ("complement" if r else "direct"), r
-                return
+        lu = _sample_lu(base, self._projections.members[0], 0)
+        r = complement.shape[1]
+        basis, sampled = woodbury_costs(n, self.update_rank, r, lu.L.nnz + lu.U.nnz)
+        if sampled < basis:
+            self.form, self.update_rank = ("complement" if r else "direct"), r
+            self._lu0 = lu
 
     @property
     def base_factor(self) -> numerics.SpdFactorization:
@@ -294,33 +290,19 @@ class WoodburySolvers(Sequence):
     def __getitem__(self, m: int) -> WoodburySolver:
         if not 0 <= m < len(self):
             raise IndexError(m)
-        if self.form != "basis" and m >= self._first[0]:
-            solver = self._sampled(m)
-            if solver is not None:
-                return solver
-        fact = self.base_factor
-        if self._basis_solved is None:
-            self._basis_solved = _solve_columns(fact.solve, self._basis)
-        return WoodburySolver(m, "basis", fact.solve, fact.solve, self._basis_solved,
-                              self._coeffs[m])
-
-    def _sampled(self, m):
-        """Sample m's solver on the LU of base + P_m (complement or direct form).
-
-        None if that matrix does not factor or a solve with it is not finite.
-        """
-        lu = self._first[1] if m == self._first[0] else _sample_lu(
-            self._base + self._projections.members[m])
-        if lu is None:
-            return None
+        if self.form == "basis":
+            fact = self.base_factor
+            if self._basis_solved is None:
+                self._basis_solved = _solve_columns(fact.solve, self._basis)
+            return WoodburySolver(m, fact.solve, fact.solve, self._basis_solved,
+                                  self._coeffs[m])
+        # complement or direct form, on the LU of base + P_m
+        lu = self._lu0 if m == 0 else _sample_lu(self._base, self._projections.members[m], m)
         w = self._projections.basis
         update, x_solved = np.zeros((0, w.shape[0])), w
         if self.update_rank:
             update, x_solved = self._projections[m], -_solve_columns(lu.solve, w)
-            if not np.all(np.isfinite(x_solved)):
-                return None
-        return WoodburySolver(m, self.form, lu.solve, partial(lu.solve, trans="T"),
-                              x_solved, update)
+        return WoodburySolver(m, lu.solve, partial(lu.solve, trans="T"), x_solved, update)
 
 
 def solve_smw(ensemble: PerturbedEnsemble, factors) -> EnsembleSolution:
@@ -329,18 +311,13 @@ def solve_smw(ensemble: PerturbedEnsemble, factors) -> EnsembleSolution:
     ``WoodburySolvers`` builds the samples' solvers one at a time; at update
     rank 0 each is a direct sparse LU of ``base + P_m``.  A singular
     capacitance raises ``SingularCapacitanceError`` with the sample index and
-    a condition estimate.
+    a condition estimate; a sample matrix that does not factor, or a
+    solution that is not finite, raises ``SingularSampleError``.
     """
     _check_factors(ensemble, factors)
     solvers = WoodburySolvers(ensemble.base, factors)
     u0 = solvers.base_factor.solve(ensemble.rhs)
-    samples = []
-    basis_form = []
-    for m in range(ensemble.num_samples):
-        solver = solvers[m]
-        if solver.form != solvers.form:
-            basis_form.append(m)
-        samples.append(solver.solve(ensemble.rhs))
+    samples = [_finite(solvers[m].solve(ensemble.rhs), m) for m in range(ensemble.num_samples)]
 
     return EnsembleSolution(
         unperturbed=u0,
@@ -349,7 +326,6 @@ def solve_smw(ensemble: PerturbedEnsemble, factors) -> EnsembleSolution:
         method="SMW",
         woodbury_form=solvers.form,
         update_rank=solvers.update_rank,
-        basis_form_samples=tuple(basis_form),
     )
 
 
@@ -398,10 +374,15 @@ def solve_neumann(ensemble: PerturbedEnsemble, factors, order: int,
 
 
 def solve_direct(ensemble: PerturbedEnsemble) -> EnsembleSolution:
-    """Factorize and solve each perturbed system separately (reference path)."""
+    """Factorize and solve each perturbed system separately (reference path).
+
+    A sample matrix that does not factor, or a solution that is not finite,
+    raises ``SingularSampleError``.
+    """
     fact = numerics.factorize_spd(ensemble.base)
     u0 = fact.solve(ensemble.rhs)
-    samples = [_direct_sample(ensemble, m) for m in range(ensemble.num_samples)]
+    samples = [_finite(_sample_lu(ensemble.base, p, m).solve(ensemble.rhs), m)
+               for m, p in enumerate(ensemble.perturbations)]
     return EnsembleSolution(
         unperturbed=u0,
         samples=samples,

@@ -86,7 +86,6 @@ class ReducedControlProblem:
     # Woodbury form of the sample operators, as in ``perturbed.EnsembleSolution``
     woodbury_form: str | None = None
     update_rank: int | None = None
-    basis_form_samples: tuple[int, ...] = ()
     # samples evaluated so far, each by one forward and at most one adjoint application
     _sample_evals: int = field(default=0, repr=False)
 
@@ -123,26 +122,25 @@ def build_reduced_problem(assembled: fem.AssembledSystem, factors: lowrank.LowRa
     interpolant is kept alongside for the gradient pairing and for the
     alternative ``projection`` mismatch convention.  The state operators take
     the Woodbury form ``perturbed.WoodburySolvers`` picks; a singular
-    capacitance raises ``SingularCapacitanceError``.
+    capacitance raises ``SingularCapacitanceError`` and a sample matrix that
+    does not factor ``SingularSampleError``.
     """
     if factors.basis.shape[0] != assembled.base.shape[0]:
         raise DimensionMismatchError("factors do not match the assembled system")
     solvers = perturbed.WoodburySolvers(assembled.base, factors)
-    built = list(solvers)
 
     coords = assembled.node_coords
     desired_nodal = np.array([float(desired_state(x, y)) for x, y in coords])
     desired_proj = assembled.mass @ desired_nodal
     return ReducedControlProblem(
         mass=assembled.mass,
-        operators=[SampleStateOperator(solver, assembled.mass) for solver in built],
+        operators=[SampleStateOperator(solver, assembled.mass) for solver in solvers],
         desired_nodal=desired_nodal,
         desired_proj=desired_proj,
         beta=float(beta),
         desired_mode=desired_mode,
         woodbury_form=solvers.form,
         update_rank=solvers.update_rank,
-        basis_form_samples=tuple(s.sample for s in built if s.form != solvers.form),
     )
 
 

@@ -1,13 +1,17 @@
 """End-to-end Monte-Carlo driver for the random-diffusion Poisson problem.
 
 Takes the sampled stiffness ensemble of ``fem.sampled_system``, compresses
-it, solves all samples through the chosen route, and averages into the
-mean-field estimate.  When a reference is requested the direct per-sample
-solve consumes the identical sampled fields, so the reported gap isolates
-the compression error; a solve that already factored every sample (the
-direct method, or SMW at update rank 0) is its own reference.  Also hosts
-the critical reduction-ratio diagnostics (an all-zero ensemble has k* = 0)
-and a Monte-Carlo convergence study.
+it at one or more reduction ratios, solves all samples through the chosen
+route, and averages into the mean-field estimate.  A ratio scan is the same
+run over several ratios: one sampled ensemble, one Gram spectrum and one
+reference serve them all, and each distinct solve is made once (SMW caps its
+update at the numerical rank k*, so its solves at every k >= k* are one
+solve).  When a reference is requested the direct per-sample solve consumes
+the identical sampled fields, so the reported gap isolates the compression
+error; a solve that already factored every sample (the direct method, or SMW
+in the direct form) is the reference itself.  Also hosts the critical
+reduction-ratio diagnostics (an all-zero ensemble has k* = 0) and a
+Monte-Carlo convergence study.
 """
 
 from __future__ import annotations
@@ -52,11 +56,14 @@ class SpdeRunConfig:
 
 @dataclass(frozen=True, eq=False)
 class SpdeReport:
-    """Outputs and diagnostics of one run."""
+    """Outputs and diagnostics of one run; all but ``rows`` describe its last ratio."""
 
+    # per ratio: (ratio, rank, err_l2, rmsre); rank and rmsre are None for the direct
+    # method, err_l2 is None without a reference
+    rows: list[tuple]
     qoi: np.ndarray
     qoi_reference: np.ndarray | None
-    # the reference is the solution itself: every sample was already solved by its own LU
+    # the reference is a solution of the run: every sample was already solved by its own LU
     reference_reused: bool
     err_l2: float | None
     rmsre: float | None
@@ -90,14 +97,21 @@ def _solve(cfg: SpdeRunConfig, ensemble, factors):
     return perturbed.solve_direct(ensemble)
 
 
-def run_spde(cfg: SpdeRunConfig) -> SpdeReport:
-    """Execute the full pipeline and return the mean-field report.
+def run_spde(cfg: SpdeRunConfig, ratios=None) -> SpdeReport:
+    """Execute the full pipeline at each of ``ratios`` in turn and return the report.
 
-    Two runs with identical configs produce bitwise-identical vectors: the
-    sampling is keyed per (seed, sample) and every reduction uses a fixed
-    order.
+    ``ratios`` defaults to ``(cfg.ratio,)``; rank k is reached with the
+    ratio k / N, which maps back to exactly k.  The direct method compresses
+    nothing, so it takes no ``ratios`` (``ConfigRangeError``).  Solves are
+    keyed by the update rank they run at, min(k, k*) for SMW and k for the
+    series, and each is made once.  Two runs with identical configs produce
+    bitwise-identical vectors: the sampling is keyed per (seed, sample) and
+    every reduction uses a fixed order.
     """
-    timings: dict[str, float] = {}
+    if ratios is not None and cfg.method == "direct":
+        raise ConfigRangeError("the direct method has no reduction ratio to scan")
+    ratios = (cfg.ratio,) if ratios is None else tuple(ratios)
+    timings = {"compress": 0.0, "solve": 0.0}
 
     t0 = time.perf_counter()
     system = fem.sampled_system(cfg.h, cfg.num_samples, cfg.epsilon, cfg.distribution,
@@ -111,33 +125,43 @@ def run_spde(cfg: SpdeRunConfig) -> SpdeReport:
     t0 = time.perf_counter()
     # the direct route reads only the energy curve and k*: eigenvalues suffice
     spectrum = lowrank.gram_spectrum(system.perturbations, vectors=cfg.method != "direct")
-    factors = None
-    rmsre_value = None
-    if cfg.method != "direct":
-        factors = lowrank.compress(system.perturbations, cfg.ratio, spectrum)
-        rmsre_value = lowrank.rmsre(system.perturbations, spectrum, factors.rank)
-    timings["compress"] = time.perf_counter() - t0
+    energy_curve = spectrum.energy_curve()
+    k_star, tau_star = critical_tau(energy_curve)
+    timings["compress"] += time.perf_counter() - t0
+
+    solutions = {}  # update rank -> solution
+    runs = []       # per ratio: (ratio, rank, rmsre, solution)
+    for ratio in ratios:
+        t0 = time.perf_counter()
+        factors, rank, rmsre_value = None, None, None
+        if cfg.method != "direct":
+            factors = lowrank.compress(system.perturbations, ratio, spectrum)
+            rank = factors.rank
+            rmsre_value = lowrank.rmsre(system.perturbations, spectrum, rank)
+        timings["compress"] += time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        key = min(rank, k_star) if cfg.method == "smw" else rank
+        if key not in solutions:
+            solutions[key] = _solve(cfg, ensemble, factors)
+        runs.append((ratio, rank, rmsre_value, solutions[key]))
+        timings["solve"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    solution = _solve(cfg, ensemble, factors)
-    timings["solve"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    reference = None
-    err = None
-    # the direct method, and SMW at update rank 0 with every sample factored,
-    # already made the reference's per-sample LUs
-    reused = cfg.compute_reference and (
-        cfg.method == "direct"
-        or (solution.woodbury_form == "direct" and not solution.basis_form_samples))
+    reference, reused = None, False
     if cfg.compute_reference:
-        reference = solution if reused else perturbed.solve_direct(ensemble)
-        err = float(np.linalg.norm(reference.qoi - solution.qoi))
+        # the direct method and the direct form already made the reference's sample LUs
+        reference = next((s for s in solutions.values()
+                          if cfg.method == "direct" or s.woodbury_form == "direct"), None)
+        reused = reference is not None
+        if not reused:
+            reference = perturbed.solve_direct(ensemble)
+    rows = [(float(ratio), rank,
+             None if reference is None else float(np.linalg.norm(reference.qoi - sol.qoi)),
+             rmsre_value) for ratio, rank, rmsre_value, sol in runs]
     timings["reference"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    energy_curve = spectrum.energy_curve()
-    k_star, tau_star = critical_tau(energy_curve)
     cond_base = numerics.condition_estimate(system.base)
     sample_conds = None
     if cfg.sample_conditions:
@@ -146,14 +170,17 @@ def run_spde(cfg: SpdeRunConfig) -> SpdeReport:
         )
     timings["diagnostics"] = time.perf_counter() - t0
 
+    _, rank, err, rmsre_value = rows[-1]
+    solution = runs[-1][3]
     return SpdeReport(
+        rows=rows,
         qoi=solution.qoi,
         qoi_reference=None if reference is None else reference.qoi,
         reference_reused=reused,
         err_l2=err,
         rmsre=rmsre_value,
         energy_curve=energy_curve,
-        rank=None if factors is None else factors.rank,
+        rank=rank,
         k_star=k_star,
         tau_star=tau_star,
         cond_base=cond_base,
@@ -162,43 +189,6 @@ def run_spde(cfg: SpdeRunConfig) -> SpdeReport:
         timings=timings,
         min_coefficient=system.min_coefficient,
     )
-
-
-@dataclass(frozen=True, eq=False)
-class ScanResult:
-    """Error-versus-ratio scan sharing one sampled ensemble and one reference."""
-
-    rows: list[tuple[float, int, float, float]]  # (ratio, rank, err_l2, rmsre)
-    energy_curve: list[tuple[int, float]]
-    k_star: int
-    tau_star: float
-    min_coefficient: np.ndarray  # per sample: min over elements of the diffusion field
-
-
-def scan(cfg: SpdeRunConfig, ratios) -> ScanResult:
-    """Solve at several reduction ratios against one shared direct reference and spectrum.
-
-    Rank k is reached with the ratio k / N, which maps back to exactly k.
-    """
-    system = fem.sampled_system(cfg.h, cfg.num_samples, cfg.epsilon, cfg.distribution,
-                                cfg.master_seed)
-    ensemble = perturbed.PerturbedEnsemble(
-        base=system.base, perturbations=system.perturbations, rhs=system.load
-    )
-    reference = perturbed.solve_direct(ensemble)
-    spectrum = lowrank.gram_spectrum(system.perturbations)
-    energy_curve = spectrum.energy_curve()
-    k_star, tau_star = critical_tau(energy_curve)
-
-    rows = []
-    for ratio in ratios:
-        factors = lowrank.compress(system.perturbations, ratio, spectrum)
-        solution = _solve(cfg, ensemble, factors)
-        err = float(np.linalg.norm(reference.qoi - solution.qoi))
-        rows.append((factors.ratio, factors.rank, err,
-                     lowrank.rmsre(system.perturbations, spectrum, factors.rank)))
-    return ScanResult(rows=rows, energy_curve=energy_curve, k_star=k_star,
-                      tau_star=tau_star, min_coefficient=system.min_coefficient)
 
 
 @dataclass(frozen=True, eq=False)

@@ -59,11 +59,10 @@ def test_criterion_02_critical_ratio_gap():
     cfg = spde.SpdeRunConfig(h=0.1, num_samples=100, epsilon=0.2,
                              distribution="normal", master_seed=1234)
     mesh = fem.structured_mesh(cfg.h)
-    probe = spde.scan(cfg, [])  # no ratios: only k_star, from the same spectrum path
-    k_star = probe.k_star
+    k_star = spde.run_spde(cfg).k_star  # from the same spectrum path
     interior = mesh.num_nodes - mesh.boundary_nodes.shape[0]
     ranks = list(range(k_star - 5, min(k_star + 3, mesh.num_nodes) + 1))
-    scan = spde.scan(cfg, [k / mesh.num_nodes for k in ranks])
+    scan = spde.run_spde(cfg, [k / mesh.num_nodes for k in ranks])
     errs = {rank: err for _, rank, err, _ in scan.rows}
 
     gap = errs[k_star - 5] / max(errs[k_star], 1e-300)

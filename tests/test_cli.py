@@ -120,13 +120,15 @@ def test_spde_determinism_byte_identical(tmp_path):
     assert digest_all(out1, names) == digest_all(out2, names)
 
 
-def test_spde_numerical_failure_exit_2(tmp_path):
+def test_spde_numerical_failure_exit_2(tmp_path, capsys):
     out = tmp_path / "diverge"
     code = run(["spde", "--h", "0.25", "--samples", "2", "--epsilon", "5.0",
                 "--method", "neumann", "--out-dir", str(out)])
     assert code == 2
     manifest = (out / "manifest.txt").read_text()
     assert "error = DivergenceRiskError" in manifest
+    # the refusal names the flag that overrides it
+    assert "--force-neumann" in capsys.readouterr().err
 
 
 def test_spde_export_samples_columns(tmp_path):
@@ -167,11 +169,9 @@ def test_spde_manifest_records_woodbury_form(tmp_path):
     # is solved directly; rank 265 leaves a rank-96 complement, but its per-sample LU
     # costs more than it saves, so the basis form runs
     assert manifest_record(above, "woodbury.") == {
-        "woodbury.form": "direct", "woodbury.update_rank": "0",
-        "woodbury.basis_form_samples": "0"}
+        "woodbury.form": "direct", "woodbury.update_rank": "0"}
     assert manifest_record(below, "woodbury.") == {
-        "woodbury.form": "basis", "woodbury.update_rank": "265",
-        "woodbury.basis_form_samples": "0"}
+        "woodbury.form": "basis", "woodbury.update_rank": "265"}
     assert manifest_record(direct, "woodbury.") == {}
 
 
@@ -294,7 +294,7 @@ def test_socp_manifest_records_woodbury_form_and_field(tmp_path):
     # N = 441 at tau = 0.88: rank 389 is above k* = 361, so the samples are solved directly
     assert manifest_record(out, "woodbury.", "field.nonpositive") == {
         "woodbury.form": "direct", "woodbury.update_rank": "0",
-        "woodbury.basis_form_samples": "0", "field.nonpositive_samples": "0"}
+        "field.nonpositive_samples": "0"}
 
 
 def test_tau_scan_manifest_reports_field_and_critical_rank(tmp_path, capsys):
@@ -349,9 +349,63 @@ def test_direct_route_at_or_above_k_star(sample_work, tmp_path, argv, reference)
     out = tmp_path / "out"
     assert run([*argv, "--h", "0.05", "--samples", str(samples), "--out-dir", str(out)]) == 0
     assert manifest_record(out, "woodbury.", "reference.") == {
-        "woodbury.form": "direct", "woodbury.update_rank": "0",
-        "woodbury.basis_form_samples": "0", **reference}
+        "woodbury.form": "direct", "woodbury.update_rank": "0", **reference}
     assert sample_work == {"sample_lu": samples, "capacitance": 0}
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Counts of sparse LUs made anywhere, base and condition estimates included."""
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw))
+    return calls
+
+
+def test_tau_scan_solves_each_sample_once(splu_calls, tmp_path):
+    # N = 441, k* = 361: ranks 265, 397 and 441.  Rank 265 takes the basis form
+    # after one probe LU of sample 0; ranks 397 and 441 are both SMW at update rank
+    # 0, one direct-form solve of M sample LUs, which is also the reference.  Plus
+    # the base factored for each of the two solves and once for its condition.
+    samples = 10
+    out = tmp_path / "scan"
+    assert run(["spde", "--h", "0.05", "--samples", str(samples),
+                "--tau-scan", "0.6,0.9,1.0", "--out-dir", str(out)]) == 0
+    assert len(splu_calls) == 1 + samples + 3
+    assert manifest_record(out, "reference.") == {"reference.reused": "true"}
+    rows = [line.split(",") for line in (out / "errors_vs_tau.csv").read_text().splitlines()]
+    assert [(row[1], float(row[2])) for row in rows[2:]] == [("397", 0.0), ("441", 0.0)]
+    assert float(rows[1][2]) > 0.0
+
+
+def test_direct_method_has_no_ratio_to_scan(splu_calls, tmp_path, capsys):
+    assert run(["spde", "--h", "0.05", "--samples", "3", "--method", "direct",
+                "--tau-scan", "0.6,1.0", "--out-dir", str(tmp_path / "out")]) == 1
+    assert "direct method" in capsys.readouterr().err
+    assert splu_calls == []
+
+
+def test_tau_scan_honours_reference_and_sample_condition_keys(tmp_path):
+    args = ["spde", "--h", "0.25", "--samples", "2", "--tau-scan", "0.5,1.0"]
+    plain, keyed = tmp_path / "plain", tmp_path / "keyed"
+    assert run([*args, "--out-dir", str(plain)]) == 0
+    assert run([*args, "--no-reference", "--sample-conditions", "--out-dir", str(keyed)]) == 0
+
+    def read(out):
+        return [line.split(",") for line in (out / "errors_vs_tau.csv").read_text().splitlines()]
+
+    # no reference: err_l2 reads nan, as in report.csv; every other cell is unchanged
+    assert [row[2] for row in read(keyed)[1:]] == ["nan", "nan"]
+    assert [row[:2] + row[3:] for row in read(keyed)] == [row[:2] + row[3:]
+                                                         for row in read(plain)]
+    assert "reference.reused" not in manifest_record(keyed, "reference.")
+    conds = (keyed / "sample_conditions.csv").read_text().splitlines()
+    assert conds[0] == "sample,cond" and len(conds) == 1 + 2
+    assert all(float(line.split(",")[1]) >= 1.0 for line in conds[1:])
+    assert "sha256.sample_conditions.csv" in manifest_record(keyed, "sha256.")
+    assert not (plain / "sample_conditions.csv").exists()
 
 
 def test_compress_reports_ensemble_nonzeros(tmp_path):

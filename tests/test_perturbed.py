@@ -10,6 +10,7 @@ from lram.errors import (
     DivergenceRiskError,
     EmptyInputError,
     SingularCapacitanceError,
+    SingularSampleError,
 )
 
 from oracles import rand_orthonormal, rand_spd
@@ -163,7 +164,6 @@ def test_complement_form_matches_basis_form(dense_flop_model, rank_of, below_k_s
     expected = ("complement", k_star - k) if below_k_star else ("direct", 0)
     assert (sol.woodbury_form, sol.update_rank) == expected
     assert (ref.woodbury_form, ref.update_rank) == ("basis", k)
-    assert sol.basis_form_samples == ()
     for u, v in zip(sol.samples, ref.samples):
         assert np.linalg.norm(u - v) <= 1e-10 * np.linalg.norm(v)
 
@@ -237,9 +237,10 @@ def test_complement_with_listed_coeffs_takes_basis_form(dense_flop_model):
     assert (sol.woodbury_form, sol.update_rank) == ("basis", n - 1)
 
 
-def test_complement_sample_that_does_not_factor_takes_basis_form(dense_flop_model):
-    # base + P_0 = diag(0, 1, 1, 1, 1) is singular, but at rank 3 the basis spans
-    # e2..e4, so base + U C_0 = I: the basis form still solves sample 0.
+def test_complement_sample_that_does_not_factor_raises(dense_flop_model):
+    # base + P_0 = diag(0, 1, 1, 1, 1) is singular.  At rank 3 the basis spans
+    # e2..e4, so base + U C_0 = I, but no sample switches form: the complement
+    # form raises on sample 0, as the direct reference does.
     n = 5
     eye = np.eye(n)
     perturbations = [sp.csr_array(-np.outer(eye[0], eye[0]))]
@@ -248,14 +249,30 @@ def test_complement_sample_that_does_not_factor_takes_basis_form(dense_flop_mode
     ensemble = perturbed.PerturbedEnsemble(base=sp.csr_array(eye),
                                            perturbations=perturbations, rhs=rhs)
     factors = lowrank.compress_rank(perturbations, 3)
-    sol = perturbed.solve_smw(ensemble, factors)
     # Gram diag(1, 25, 25, 25, 0): k* = 4, so the complement is e1 alone
-    assert (sol.woodbury_form, sol.update_rank) == ("complement", 1)
-    assert sol.basis_form_samples == (0,)
-    assert np.allclose(sol.samples[0], rhs, atol=1e-14)
-    for m in (1, 2, 3):
-        dense = eye + perturbations[m].toarray()
-        assert np.allclose(sol.samples[m], np.linalg.solve(dense, rhs), atol=1e-14)
+    assert (factors.numerical_rank, factors.complement.shape) == (4, (n, 1))
+    for solve in (lambda: perturbed.solve_smw(ensemble, factors),
+                  lambda: perturbed.solve_direct(ensemble)):
+        with pytest.raises(SingularSampleError) as err:
+            solve()
+        assert err.value.sample == 0
+
+
+def test_direct_form_overflow_raises(dense_flop_model):
+    # base + P_0 = diag(1, 1, 2^-52) factors, but its solve overflows to inf
+    eye = np.eye(3)
+    perturbations = [sp.csr_array(np.diag([0.0, 0.0, -(1.0 - 2.0 ** -52)])),
+                     sp.csr_array(np.diag([0.0, 0.5, 0.0]))]
+    ensemble = perturbed.PerturbedEnsemble(base=sp.csr_array(eye),
+                                           perturbations=perturbations, rhs=np.full(3, 1e300))
+    factors = lowrank.compress_rank(perturbations, 3)
+    # Gram diag(0, 0.25, ~1): k* = 2 <= k, so the update rank is 0
+    assert perturbed.WoodburySolvers(ensemble.base, factors).form == "direct"
+    for solve in (lambda: perturbed.solve_smw(ensemble, factors),
+                  lambda: perturbed.solve_direct(ensemble)):
+        with pytest.raises(SingularSampleError) as err:
+            solve()
+        assert err.value.sample == 0
 
 
 def test_singular_complement_capacitance_raises(dense_flop_model):

@@ -143,7 +143,7 @@ def test_compression_exact_at_critical_rank():
 
 def test_tau_scan_error_non_increasing():
     cfg = small_cfg(num_samples=12)
-    result = spde.scan(cfg, [0.4, 0.6, 0.8, 1.0])
+    result = spde.run_spde(cfg, [0.4, 0.6, 0.8, 1.0])
     errs = [row[2] for row in result.rows]
     for a, b in zip(errs, errs[1:]):
         assert b <= a * 1.05 + 1e-9
@@ -153,7 +153,7 @@ def test_tau_scan_error_non_increasing():
 def test_rank_scan_basis_tracks_requested_ranks():
     cfg = small_cfg(num_samples=8)
     n = fem.structured_mesh(cfg.h).num_nodes
-    result = spde.scan(cfg, [k / n for k in (3, 10, 20)])
+    result = spde.run_spde(cfg, [k / n for k in (3, 10, 20)])
     assert [row[1] for row in result.rows] == [3, 10, 20]
     rmsres = [row[3] for row in result.rows]
     assert rmsres[0] >= rmsres[1] >= rmsres[2]
@@ -186,7 +186,7 @@ def spectral_calls(monkeypatch):
     (lambda tmp: spde.run_spde(small_cfg(method="neumann", neumann_order=8)), True),
     # the direct route and diagnose need eigenvalues only: no eigenvector array is built
     (lambda tmp: spde.run_spde(small_cfg(method="direct")), False),
-    (lambda tmp: spde.scan(small_cfg(), [0.4, 0.6, 0.8, 1.0]), True),
+    (lambda tmp: spde.run_spde(small_cfg(), [0.4, 0.6, 0.8, 1.0]), True),
     (lambda tmp: cli.main(["diagnose", "--h", "0.25", "--out-dir", str(tmp)]), False),
     (lambda tmp: cli.main(["compress", "--h", "0.25", "--tau", "0.5", "--out-dir", str(tmp)]),
      True),
