@@ -2,10 +2,14 @@
 
 Subcommands: ``spde`` (mean-field estimation), ``socp`` (tracking control),
 ``compress`` (factorize an ensemble), ``diagnose`` (spectral diagnostics).
-Each subcommand's keys, defaults and checks are declared once, in its schema
-(``SCHEMAS``).  Configuration is a flat key-value text file, one ``key =
-value`` per line; command-line flags override file values, which override
-the defaults.  ``build_parser`` makes every key a flag: ``--key-with-dashes
+A subcommand's keys are the fields of its configs (``CONFIGS``): the library
+config that consumes a setting declares its default and its range check
+(``fem.Sampling``, ``spde.SpdeRunConfig``, ``socp.SocpRunConfig``,
+``socp.OptimizerSpec``), and the ``*Command`` subclasses here add the keys
+only a command reads.  A key's text parses after the type of its default.
+Configuration is a flat key-value text file, one ``key = value`` per line;
+command-line flags override file values, which override the defaults, and
+the configs check the resolved values.  ``build_parser`` makes every key a flag: ``--key-with-dashes
 VALUE``, or for a boolean key the presence flag ``--key`` (true), ``--no-key``
 (false) when its default is true.  ``--set key=value`` reaches any key too.
 Every emitted CSV has a header row, a fixed column order, and full-precision
@@ -24,7 +28,7 @@ import glob as globmod
 import hashlib
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +41,11 @@ from .errors import (
     InputFileError,
     LramError,
     UnknownKeyError,
+    check_range,
 )
 
 # ---------------------------------------------------------------------------
-# config schema
+# configuration
 # ---------------------------------------------------------------------------
 
 
@@ -58,126 +63,90 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(t) for t in items)
 
 
+def _parser(default):
+    """The parser of a key's text, after the type of its default."""
+    if isinstance(default, bool):
+        return _parse_bool
+    if isinstance(default, tuple):
+        return _parse_float_list
+    return type(default)
+
+
 @dataclass(frozen=True)
-class Option:
-    parse: object
-    default: object
-    check: object = None
-    message: str = ""
+class SpdeCommand(spde.SpdeRunConfig):
+    """``lram spde``: the run's config and the keys only the command reads."""
+
+    out_dir: str = "out"
+    export_samples: bool = False
+    tau_scan: tuple[float, ...] = ()
 
 
-def _schema_common():
-    return {
-        "seed": Option(int, 1234, lambda v: v >= 0, "seed must be >= 0"),
-        "out_dir": Option(str, "out"),
-    }
+@dataclass(frozen=True)
+class SocpCommand(socp.SocpRunConfig):
+    """``lram socp``: the problem's config and the keys only the command reads."""
+
+    out_dir: str = "out"
+    compare_methods: bool = False
 
 
-def _schema_field_sampling():
-    return {
-        "h": Option(float, 0.1, lambda v: 0.0 < v < 1.0, "h must lie in (0, 1)"),
-        "samples": Option(int, 100, lambda v: v >= 1, "samples must be >= 1"),
-        "epsilon": Option(float, 0.2, lambda v: v >= 0.0, "epsilon must be >= 0"),
-        "distribution": Option(str, "normal", lambda v: v in fem.DISTRIBUTIONS,
-                               f"distribution must be one of {fem.DISTRIBUTIONS}"),
-    }
+@dataclass(frozen=True)
+class CompressCommand(fem.Sampling):
+    """``lram compress``: the sampling (read without ``input``), the ratio, the outputs."""
+
+    samples: int = 20
+    tau: float = 0.88
+    input: str = ""
+    export_mm: bool = False
+    out_dir: str = "out"
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_range(0.0 < self.tau <= 1.0, "tau must lie in (0, 1]", self.tau)
 
 
-def _schema_compressed():
-    """Keys of the commands that compress the ensemble at a reduction ratio."""
-    return _schema_common() | _schema_field_sampling() | {
-        "tau": Option(float, 0.88, lambda v: 0.0 < v <= 1.0, "tau must lie in (0, 1]"),
-    }
+@dataclass(frozen=True)
+class DiagnoseCommand(fem.Sampling):
+    """``lram diagnose``: the sampling (read without ``input``) and the outputs."""
+
+    samples: int = 20
+    input: str = ""
+    sample_conditions: bool = False
+    out_dir: str = "out"
 
 
-def schema_spde():
-    schema = _schema_compressed()
-    schema.update({
-        "method": Option(str, "smw", lambda v: v in spde.METHODS,
-                         f"method must be one of {spde.METHODS}"),
-        "neumann_order": Option(int, 4, lambda v: v >= 0, "neumann_order must be >= 0"),
-        "reference": Option(_parse_bool, True),
-        "force_neumann": Option(_parse_bool, False),
-        "export_samples": Option(_parse_bool, False),
-        "sample_conditions": Option(_parse_bool, False),
-        "tau_scan": Option(_parse_float_list, ()),
-    })
-    return schema
-
-
-def schema_socp():
-    schema = _schema_compressed()
-    schema["samples"] = Option(int, 50, lambda v: v >= 1, "samples must be >= 1")
-    schema["distribution"] = Option(str, "uniform", lambda v: v in fem.DISTRIBUTIONS,
-                                    f"distribution must be one of {fem.DISTRIBUTIONS}")
-    schema.update({
-        "method": Option(str, "newton", lambda v: v in socp.METHODS,
-                         f"method must be one of {socp.METHODS}"),
-        "compare_methods": Option(_parse_bool, False),
-        "beta": Option(float, 1e-4, lambda v: v > 0.0, "beta must be > 0"),
-        "grad_tol": Option(float, 1e-3, lambda v: v > 0.0, "grad_tol must be > 0"),
-        "max_iters": Option(int, 5000, lambda v: v >= 1, "max_iters must be >= 1"),
-        "wolfe_c1": Option(float, 1e-4, lambda v: v > 0.0, "wolfe_c1 must be > 0"),
-        "wolfe_c2": Option(float, 0.9, lambda v: v < 1.0, "wolfe_c2 must be < 1"),
-        "ls_max_trials": Option(int, 50, lambda v: v >= 1, "ls_max_trials must be >= 1"),
-        "sgd_batch": Option(int, 1, lambda v: v >= 1, "sgd_batch must be >= 1"),
-        "sgd_decay": Option(float, 20.0, lambda v: v > 0.0, "sgd_decay must be > 0"),
-        "sgd_check_every": Option(int, 10, lambda v: v >= 1, "sgd_check_every must be >= 1"),
-        "tr_radius0": Option(float, 1.0, lambda v: v > 0.0, "tr_radius0 must be > 0"),
-        "tr_radius_max": Option(float, 1e6, lambda v: v > 0.0, "tr_radius_max must be > 0"),
-        "desired": Option(str, "sin-pi", lambda v: v in socp.DESIRED_STATES,
-                          f"desired must be one of {socp.DESIRED_STATES}"),
-        "desired_amplitude": Option(float, 10.0),
-        "desired_mode": Option(str, "interpolant", lambda v: v in socp.DESIRED_MODES,
-                               f"desired_mode must be one of {socp.DESIRED_MODES}"),
-        "control_init": Option(float, 0.0),
-    })
-    return schema
-
-
-def schema_compress():
-    schema = _schema_compressed()
-    schema["samples"] = Option(int, 20, lambda v: v >= 1, "samples must be >= 1")
-    schema.update({
-        "input": Option(str, ""),
-        "export_mm": Option(_parse_bool, False),
-    })
-    return schema
-
-
-def schema_diagnose():
-    schema = _schema_common() | _schema_field_sampling()
-    schema["samples"] = Option(int, 20, lambda v: v >= 1, "samples must be >= 1")
-    schema.update({
-        "input": Option(str, ""),
-        "sample_conditions": Option(_parse_bool, False),
-    })
-    return schema
-
-
-SCHEMAS = {
-    "spde": schema_spde,
-    "socp": schema_socp,
-    "compress": schema_compress,
-    "diagnose": schema_diagnose,
+#: Per subcommand, the configs its keys are the fields of, in the order its command takes them.
+CONFIGS = {
+    "spde": (SpdeCommand,),
+    "socp": (SocpCommand, socp.OptimizerSpec),
+    "compress": (CompressCommand,),
+    "diagnose": (DiagnoseCommand,),
 }
 
 
-def parse_config(schema: dict, path=None, overrides=None) -> dict:
-    """Resolve a configuration: defaults, then file values, then overrides."""
-    resolved = {key: opt.default for key, opt in schema.items()}
+def schema(name: str) -> dict:
+    """Each key of subcommand ``name`` with its default; a key of two configs takes the first's."""
+    keys: dict = {}
+    for config in CONFIGS[name]:
+        for f in fields(config):
+            keys.setdefault(f.name, f.default)
+    return keys
+
+
+def parse_config(name: str, path=None, overrides=None) -> tuple:
+    """Subcommand ``name``'s configs from the defaults, then file values, then overrides.
+
+    The configs check the resolved values (``ConfigRangeError``).
+    """
+    keys = schema(name)
+    resolved = dict(keys)
 
     def apply(key: str, text: str, line=None):
-        if key not in schema:
+        if key not in keys:
             raise UnknownKeyError(f"unknown key {key!r}")
-        opt = schema[key]
         try:
-            value = opt.parse(text.strip())
+            resolved[key] = _parser(keys[key])(text.strip())
         except ValueError as exc:
             raise ConfigParseError(f"bad value for {key!r}: {exc}", line=line) from exc
-        if opt.check is not None and not opt.check(value):
-            raise ConfigRangeError(opt.message or f"value out of range for {key!r}")
-        resolved[key] = value
 
     if path is not None:
         text = Path(path).read_text()
@@ -192,7 +161,8 @@ def parse_config(schema: dict, path=None, overrides=None) -> dict:
 
     for key, text in (overrides or {}).items():
         apply(key, text)
-    return resolved
+    return tuple(config(**{f.name: resolved[f.name] for f in fields(config)})
+                 for config in CONFIGS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +226,6 @@ def write_manifest(out_dir: Path, subcommand: str, resolved: dict,
 # ---------------------------------------------------------------------------
 
 
-def _spde_config(cfg: dict) -> spde.SpdeRunConfig:
-    return spde.SpdeRunConfig(
-        h=cfg["h"], num_samples=cfg["samples"], ratio=cfg["tau"],
-        epsilon=cfg["epsilon"], distribution=cfg["distribution"],
-        master_seed=cfg["seed"], method=cfg["method"],
-        neumann_order=cfg["neumann_order"], compute_reference=cfg["reference"],
-        sample_conditions=cfg["sample_conditions"], force_neumann=cfg["force_neumann"],
-    )
-
-
 def _record_woodbury(record: dict, run) -> None:
     """The Woodbury form a solve or a control problem ran, and its rank."""
     if run.woodbury_form is not None:
@@ -302,13 +262,13 @@ def _nan_if_none(value):
     return float("nan") if value is None else value
 
 
-def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
+def cmd_spde(out_dir: Path, cfg: SpdeCommand) -> tuple[list, dict, dict]:
     """One ``run_spde`` call: at ``tau``, or at each ratio of ``tau_scan``."""
     outputs = []
     record: dict = {}
-    scan = bool(cfg["tau_scan"])
-    report = spde.run_spde(_spde_config(cfg), cfg["tau_scan"] if scan else None)
-    if cfg["reference"]:
+    scan = bool(cfg.tau_scan)
+    report = spde.run_spde(cfg, cfg.tau_scan if scan else None)
+    if cfg.reference:
         record["reference.reused"] = report.reference_reused
     ranks = [row[1] for row in report.rows if row[1] is not None]
     _warn(_record_field(record, report.min_coefficient)
@@ -326,9 +286,9 @@ def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
             ["nodes", "samples", "rank", "tau", "epsilon", "method",
              "err_l2", "rmsre", "k_star", "tau_star", "cond_base"],
             [[
-                report.qoi.shape[0], cfg["samples"],
+                report.qoi.shape[0], cfg.samples,
                 -1 if report.rank is None else report.rank,
-                cfg["tau"], cfg["epsilon"], cfg["method"],
+                cfg.tau, cfg.epsilon, cfg.method,
                 _nan_if_none(report.err_l2), _nan_if_none(report.rmsre),
                 report.k_star, report.tau_star, report.cond_base,
             ]],
@@ -336,62 +296,43 @@ def cmd_spde(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
         outputs.append("report.csv")
         solution = report.solution
         header, columns = ["node", "unperturbed", "qoi"], [solution.unperturbed, solution.qoi]
-        if cfg["export_samples"]:
+        if cfg.export_samples:
             header += [f"sample_{m:04d}" for m in range(len(solution.samples))]
             columns += solution.samples
         write_csv(out_dir / "qoi.csv", header, zip(range(len(solution.qoi)), *columns))
         outputs.append("qoi.csv")
     write_csv(out_dir / "energy.csv", ["rank", "energy"], report.energy_curve)
     outputs.append("energy.csv")
-    if cfg["sample_conditions"]:
+    if cfg.sample_conditions:
         write_csv(out_dir / "sample_conditions.csv", ["sample", "cond"],
                   list(enumerate(report.sample_conditions)))
         outputs.append("sample_conditions.csv")
     return outputs, report.timings, record
 
 
-def _socp_config(cfg: dict) -> socp.SocpRunConfig:
-    return socp.SocpRunConfig(
-        h=cfg["h"], num_samples=cfg["samples"], ratio=cfg["tau"],
-        epsilon=cfg["epsilon"], distribution=cfg["distribution"],
-        master_seed=cfg["seed"], beta=cfg["beta"], desired=cfg["desired"],
-        desired_amplitude=cfg["desired_amplitude"], desired_mode=cfg["desired_mode"],
-        control_init=cfg["control_init"],
-    )
-
-
-def _optimizer_spec(cfg: dict, method: str) -> socp.OptimizerSpec:
-    return socp.OptimizerSpec(
-        method=method, grad_tol=cfg["grad_tol"], max_iters=cfg["max_iters"],
-        wolfe_c1=cfg["wolfe_c1"], wolfe_c2=cfg["wolfe_c2"],
-        ls_max_trials=cfg["ls_max_trials"], sgd_batch=cfg["sgd_batch"],
-        sgd_decay=cfg["sgd_decay"], sgd_check_every=cfg["sgd_check_every"],
-        tr_radius0=cfg["tr_radius0"], tr_radius_max=cfg["tr_radius_max"],
-        seed=cfg["seed"],
-    )
-
-
-def cmd_socp(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
+def cmd_socp(out_dir: Path, cfg: SocpCommand,
+             spec: socp.OptimizerSpec) -> tuple[list, dict, dict]:
+    """The control problem minimized by ``spec``'s method, or by each method to compare them."""
     outputs = []
     timings: dict[str, float] = {}
     record: dict = {}
     t0 = time.perf_counter()
-    system, _, problem = socp.build_control_problem(_socp_config(cfg))
+    system, _, problem = socp.build_control_problem(cfg)
     timings["build"] = time.perf_counter() - t0
     _record_woodbury(record, problem)
     _warn(_record_field(record, system.min_coefficient))
-    control0 = np.full(problem.dim, cfg["control_init"])
+    control0 = np.full(problem.dim, cfg.control_init)
 
-    methods = list(socp.METHODS) if cfg["compare_methods"] else [cfg["method"]]
+    methods = list(socp.METHODS) if cfg.compare_methods else [spec.method]
     results = {}
     for method in methods:
         t0 = time.perf_counter()
-        results[method] = socp.optimize(problem, _optimizer_spec(cfg, method), control0)
+        results[method] = socp.optimize(problem, replace(spec, method=method), control0)
         timings[f"optimize.{method}"] = time.perf_counter() - t0
         record[f"socp.operator_passes.{method}"] = results[method].operator_passes
         record[f"socp.line_search_trials.{method}"] = results[method].line_search_trials
 
-    if cfg["compare_methods"]:
+    if cfg.compare_methods:
         rows = []
         for method in methods:
             res = results[method]
@@ -411,7 +352,7 @@ def cmd_socp(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
             for method in methods:
                 fh.write(f"{method} = {timings[f'optimize.{method}']:.6f}\n")
 
-    primary = results[cfg["method"]]
+    primary = results[spec.method]
     write_csv(out_dir / "socp_history.csv",
               ["iteration", "objective", "grad_norm", "step"],
               [[i + 1, *row] for i, row in enumerate(primary.history)])
@@ -425,16 +366,16 @@ def cmd_socp(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
     return outputs, timings, record
 
 
-def _load_ensemble(cfg: dict):
+def _load_ensemble(cfg: CompressCommand | DiagnoseCommand):
     """Ensemble from MatrixMarket files when ``input`` is set, else from the FEM pipeline.
 
     The files carry no base.  Their matrices must be square and of one shape;
     ``InputFileError`` names the first file that is not.
     """
-    if cfg["input"]:
-        paths = sorted(globmod.glob(cfg["input"]))
+    if cfg.input:
+        paths = sorted(globmod.glob(cfg.input))
         if not paths:
-            raise ConfigRangeError(f"input pattern {cfg['input']!r} matches no files")
+            raise ConfigRangeError(f"input pattern {cfg.input!r} matches no files")
         ensemble = [numerics.load_matrix_market(p) for p in paths]
         n = ensemble[0].shape[0]
         for path, member in zip(paths, ensemble):
@@ -442,12 +383,11 @@ def _load_ensemble(cfg: dict):
                 raise InputFileError(f"MatrixMarket file {path!r} holds a {member.shape[0]}x"
                                      f"{member.shape[1]} matrix; the ensemble needs {n}x{n}")
         return ensemble, None
-    system = fem.sampled_system(cfg["h"], cfg["samples"], cfg["epsilon"],
-                                cfg["distribution"], cfg["seed"])
+    system = fem.sampled_system(cfg)
     return system.perturbations, system.base
 
 
-def cmd_compress(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
+def cmd_compress(out_dir: Path, cfg: CompressCommand) -> tuple[list, dict, dict]:
     outputs = []
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -455,9 +395,9 @@ def cmd_compress(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    rank = lowrank.rank_from_ratio(cfg["tau"], ensemble[0].shape[0])
+    rank = lowrank.rank_from_ratio(cfg.tau, ensemble[0].shape[0])
     spectrum = lowrank.gram_spectrum(ensemble, rank)
-    factors = lowrank.compress(ensemble, cfg["tau"], spectrum)
+    factors = lowrank.compress(ensemble, cfg.tau, spectrum)
     err = lowrank.rmsre(ensemble, spectrum, factors.rank)
     timings["compress"] = time.perf_counter() - t0
 
@@ -466,18 +406,18 @@ def cmd_compress(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
     write_csv(out_dir / "factors.csv",
               ["dim", "rank", "samples", "tau", "rmsre", "compression_ratio",
                "stored_scalars", "ensemble_nnz"],
-              [[factors.dim, factors.rank, factors.num_samples, cfg["tau"], err,
+              [[factors.dim, factors.rank, factors.num_samples, cfg.tau, err,
                 lowrank.compression_ratio(factors.dim, factors.rank, factors.num_samples),
                 factors.stored_scalars, sum(int(p.nnz) for p in ensemble)]])
     outputs.append("factors.csv")
-    if cfg["export_mm"]:
+    if cfg.export_mm:
         written = lowrank.factors_to_matrix_market(out_dir / "factors_mm", factors)
         for p in written:
             outputs.append(str(Path(p).relative_to(out_dir)))
     return outputs, timings, {}
 
 
-def cmd_diagnose(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
+def cmd_diagnose(out_dir: Path, cfg: DiagnoseCommand) -> tuple[list, dict, dict]:
     outputs = []
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -498,7 +438,7 @@ def cmd_diagnose(out_dir: Path, cfg: dict) -> tuple[list, dict, dict]:
               ["dim", "samples", "k_star", "tau_star", "cond_base"],
               [[ensemble[0].shape[0], len(ensemble), k_star, tau_star, cond_base]])
     outputs.append("diagnose.csv")
-    if cfg["sample_conditions"]:
+    if cfg.sample_conditions:
         # of A + P_m; MatrixMarket input carries no base, so of P_m alone there
         conds = [(m, numerics.condition_estimate(a if base is None else base + a))
                  for m, a in enumerate(ensemble)]
@@ -527,17 +467,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_schema_flags(parser, schema: dict) -> None:
-    """One flag per schema key, the key with dashes for underscores.
+def _add_schema_flags(parser, keys: dict) -> None:
+    """One flag per key, the key with dashes for underscores.
 
     A value key takes ``--key VALUE``.  A boolean key is a presence flag:
     ``--key`` sets true, or ``--no-key`` sets false when the default is true.
     """
-    for key, opt in schema.items():
+    for key, default in keys.items():
         flag = key.replace("_", "-")
-        if opt.parse is not _parse_bool:
+        if not isinstance(default, bool):
             parser.add_argument(f"--{flag}", dest=key)
-        elif opt.default:
+        elif default:
             parser.add_argument(f"--no-{flag}", dest=key, action="store_const", const="false")
         else:
             parser.add_argument(f"--{flag}", dest=key, action="store_const", const="true")
@@ -552,27 +492,27 @@ _HELP = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Subcommand parsers with ``--config``, ``--set`` and one flag per schema key."""
+    """Subcommand parsers with ``--config``, ``--set`` and one flag per key."""
     parser = _Parser(prog="lram", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, schema in SCHEMAS.items():
+    for name in CONFIGS:
         command = sub.add_parser(name, help=_HELP[name])
         command.add_argument("--config", help="flat key=value configuration file")
         command.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                              help="override any config key (repeatable)")
-        _add_schema_flags(command, schema())
+        _add_schema_flags(command, schema(name))
     return parser
 
 
-def _collect_overrides(args, schema) -> dict:
+def _collect_overrides(args, keys) -> dict:
     overrides = {}
     for item in args.set:
         key, sep, value = item.partition("=")
         if not sep:
             raise ConfigParseError(f"--set expects KEY=VALUE, got {item!r}")
         overrides[key.strip()] = value
-    for key in schema:
+    for key in keys:
         value = getattr(args, key)
         if value is not None:
             overrides[key] = str(value)
@@ -586,10 +526,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    schema = SCHEMAS[args.subcommand]()
     try:
-        overrides = _collect_overrides(args, schema)
-        cfg = parse_config(schema, path=args.config, overrides=overrides)
+        overrides = _collect_overrides(args, schema(args.subcommand))
+        configs = parse_config(args.subcommand, path=args.config, overrides=overrides)
     except ConfigError as exc:
         print(f"lram: configuration error: {exc}", file=sys.stderr)
         return 1
@@ -597,19 +536,22 @@ def main(argv=None) -> int:
         print(f"lram: cannot read config: {exc}", file=sys.stderr)
         return 1
 
-    out_dir = Path(cfg["out_dir"])
+    resolved = {}
+    for config in configs:
+        resolved |= asdict(config)
+    out_dir = Path(configs[0].out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        outputs, timings, record = COMMANDS[args.subcommand](out_dir, cfg)
+        outputs, timings, record = COMMANDS[args.subcommand](out_dir, *configs)
     except ConfigError as exc:
         print(f"lram: configuration error: {exc}", file=sys.stderr)
         return 1
     except LramError as exc:
-        write_manifest(out_dir, args.subcommand, cfg, {}, [],
+        write_manifest(out_dir, args.subcommand, resolved, {}, [],
                        error=f"{type(exc).__name__}: {exc}")
         print(f"lram: numerical failure: {exc}", file=sys.stderr)
         return 2
-    write_manifest(out_dir, args.subcommand, cfg, timings, outputs, record=record)
+    write_manifest(out_dir, args.subcommand, resolved, timings, outputs, record=record)
     return 0
 
 

@@ -14,19 +14,11 @@ class NonSymmetricError(LramError):
 
 
 class NoConvergenceError(LramError):
-    """An iterative solver stalled before reaching its residual target."""
+    """An iterative solver stalled, or a series diverged, before reaching its target."""
 
 
 class NotPositiveDefiniteError(LramError):
     """A nonpositive pivot was encountered while factorizing."""
-
-
-class SingularMatrixError(LramError):
-    """Matrix is singular or too ill-conditioned to solve reliably."""
-
-    def __init__(self, message, cond=float("inf")):
-        super().__init__(message)
-        self.cond = cond
 
 
 class EmptyEnsembleError(LramError):
@@ -103,3 +95,9 @@ class ConfigRangeError(ConfigError):
 
 class InputFileError(ConfigError):
     """An input file could not be read or parsed."""
+
+
+def check_range(ok: bool, message: str, value) -> None:
+    """Raise ``ConfigRangeError("<message>, got <value>")`` unless ``ok``."""
+    if not ok:
+        raise ConfigRangeError(f"{message}, got {value!r}")

@@ -21,6 +21,7 @@ from .errors import (
     DegenerateElementError,
     DimensionMismatchError,
     InvalidMeshSizeError,
+    check_range,
 )
 
 DISTRIBUTIONS = ("normal", "uniform")
@@ -255,15 +256,35 @@ def assemble(mesh: TriMesh, field_samples, source, apply_bc: bool = True) -> Ass
     )
 
 
-def sampled_system(h: float, num_samples: int, epsilon: float, distribution: str,
-                   master_seed: int) -> AssembledSystem:
-    """The system every sampled run solves.
+@dataclass(frozen=True)
+class Sampling:
+    """Mesh and Monte-Carlo draw of a sampled system (``sampled_system``).
 
-    The structured mesh of spacing ``h``, ``num_samples`` fields seeded by
-    ``master_seed`` (``sample_fields``), assembled with the unit source.
+    ``samples`` fields of ``distribution`` scaled by ``epsilon``, seeded by
+    ``seed`` (``sample_fields``), on the structured mesh of spacing ``h``.
+    Each value is range-checked at construction (``ConfigRangeError``).
     """
-    mesh = structured_mesh(h)
-    fields = sample_fields(mesh, num_samples, epsilon, distribution, master_seed)
+
+    h: float = 0.1
+    samples: int = 100
+    epsilon: float = 0.2
+    distribution: str = "normal"
+    seed: int = 1234
+
+    def __post_init__(self):
+        check_range(0.0 < self.h < 1.0, "h must lie in (0, 1)", self.h)
+        check_range(self.samples >= 1, "samples must be >= 1", self.samples)
+        check_range(self.epsilon >= 0.0, "epsilon must be >= 0", self.epsilon)
+        check_range(self.distribution in DISTRIBUTIONS,
+                    f"distribution must be one of {DISTRIBUTIONS}", self.distribution)
+        check_range(self.seed >= 0, "seed must be >= 0", self.seed)
+
+
+def sampled_system(sampling: Sampling) -> AssembledSystem:
+    """The system every sampled run solves: ``sampling``'s fields with the unit source."""
+    mesh = structured_mesh(sampling.h)
+    fields = sample_fields(mesh, sampling.samples, sampling.epsilon, sampling.distribution,
+                           sampling.seed)
     return assemble(mesh, fields, lambda x, y: 1.0)
 
 

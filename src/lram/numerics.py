@@ -237,23 +237,28 @@ def factorize_spd(a, sym_tol=SYM_TOL) -> SpdFactorization:
     return SpdFactorization(lu.solve, n)
 
 
-def condition_estimate(a, iters=100, seed=0) -> float:
+def condition_estimate(a, iters=100, seed=0, solve=None) -> float:
     """Estimate the 2-norm condition number within a factor of 10.
 
     ``spectral_norm_estimate`` on ``A`` gives the largest singular value and,
     capped at ``iters`` iterations, on the factorized inverse the reciprocal
-    of the smallest.  Returns ``inf`` for singular input or a non-finite solve.
+    of the smallest.  ``solve``, an existing solve with a symmetric ``A``
+    (``SpdFactorization.solve``), replaces the LU made here.  Returns ``inf``
+    for singular input or a non-finite solve.
     """
     n = _require_square(a)
     sigma_max = spectral_norm_estimate(a, seed=seed)
     if sigma_max == 0.0:
         return float("inf")
-    try:
-        lu = spla.splu(to_csr(a).tocsc())
-    except RuntimeError:
-        return float("inf")
-    inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float,
-                                  rmatvec=lambda w: lu.solve(w, trans="T"))
+    if solve is None:
+        try:
+            lu = spla.splu(to_csr(a).tocsc())
+        except RuntimeError:
+            return float("inf")
+        inverse = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float,
+                                      rmatvec=lambda w: lu.solve(w, trans="T"))
+    else:
+        inverse = spla.LinearOperator((n, n), matvec=solve, rmatvec=solve, dtype=float)
     inverse_norm = spectral_norm_estimate(inverse, max_iters=iters, seed=seed + 1)
     if not (np.isfinite(inverse_norm) and inverse_norm > 0.0):
         return float("inf")

@@ -47,7 +47,7 @@ from __future__ import annotations
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -59,6 +59,7 @@ from .errors import (
     DimensionMismatchError,
     DivergenceRiskError,
     EmptyInputError,
+    NoConvergenceError,
     SingularCapacitanceError,
     SingularSampleError,
 )
@@ -82,7 +83,10 @@ SAMPLE_LU_WEIGHT = 6000
 
 @dataclass(frozen=True, eq=False)
 class PerturbedEnsemble:
-    """Shared SPD base matrix, per-sample perturbations, and one right-hand side."""
+    """Shared SPD base matrix, per-sample perturbations, and one right-hand side.
+
+    ``base_factor`` is made on first use and serves every solve with the base.
+    """
 
     base: sp.csr_array
     perturbations: list
@@ -105,6 +109,10 @@ class PerturbedEnsemble:
     @property
     def num_samples(self) -> int:
         return len(self.perturbations)
+
+    @cached_property
+    def base_factor(self) -> numerics.SpdFactorization:
+        return numerics.factorize_spd(self.base)
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,7 +252,7 @@ class WoodburySolver:
 
 
 class WoodburySolvers(Sequence):
-    """One ``WoodburySolver`` per sample of ``factors`` on ``base``, built on access.
+    """One ``WoodburySolver`` per sample of ``factors`` on ``ensemble``'s base, built on access.
 
     The form (module docstring) is chosen once.  The basis form runs on the
     leading min(k, k*) basis vectors when the factors record k*.  The
@@ -252,12 +260,11 @@ class WoodburySolvers(Sequence):
     the members, and runs if its rank is below the basis rank and
     ``woodbury_costs`` prices it cheaper for sample 0's LU, which is then
     kept for sample 0.  A sample LU that fails raises ``SingularSampleError``.
-    ``base_factor`` and ``base^-1 U`` are computed on first need.
+    ``base^-1 U`` is computed on first need, with the ensemble's ``base_factor``.
     """
 
-    def __init__(self, base, factors):
-        self._base = base
-        self._base_factor = None
+    def __init__(self, ensemble: PerturbedEnsemble, factors):
+        self._ensemble = ensemble
         self._basis_solved = None
         self._num_samples = factors.num_samples
         n, k = factors.dim, factors.rank
@@ -271,18 +278,12 @@ class WoodburySolvers(Sequence):
         if not projected or complement is None or complement.shape[1] >= self.update_rank:
             return
         self._projections = lowrank.Projections(complement, factors.coeffs.members)
-        lu = _sample_lu(base, self._projections.members[0], 0)
+        lu = _sample_lu(ensemble.base, self._projections.members[0], 0)
         r = complement.shape[1]
         basis, sampled = woodbury_costs(n, self.update_rank, r, lu.L.nnz + lu.U.nnz)
         if sampled < basis:
             self.form, self.update_rank = ("complement" if r else "direct"), r
             self._lu0 = lu
-
-    @property
-    def base_factor(self) -> numerics.SpdFactorization:
-        if self._base_factor is None:
-            self._base_factor = numerics.factorize_spd(self._base)
-        return self._base_factor
 
     def __len__(self) -> int:
         return self._num_samples
@@ -291,13 +292,14 @@ class WoodburySolvers(Sequence):
         if not 0 <= m < len(self):
             raise IndexError(m)
         if self.form == "basis":
-            fact = self.base_factor
+            fact = self._ensemble.base_factor
             if self._basis_solved is None:
                 self._basis_solved = _solve_columns(fact.solve, self._basis)
             return WoodburySolver(m, fact.solve, fact.solve, self._basis_solved,
                                   self._coeffs[m])
         # complement or direct form, on the LU of base + P_m
-        lu = self._lu0 if m == 0 else _sample_lu(self._base, self._projections.members[m], m)
+        lu = (self._lu0 if m == 0
+              else _sample_lu(self._ensemble.base, self._projections.members[m], m))
         w = self._projections.basis
         update, x_solved = np.zeros((0, w.shape[0])), w
         if self.update_rank:
@@ -315,8 +317,8 @@ def solve_smw(ensemble: PerturbedEnsemble, factors) -> EnsembleSolution:
     solution that is not finite, raises ``SingularSampleError``.
     """
     _check_factors(ensemble, factors)
-    solvers = WoodburySolvers(ensemble.base, factors)
-    u0 = solvers.base_factor.solve(ensemble.rhs)
+    solvers = WoodburySolvers(ensemble, factors)
+    u0 = ensemble.base_factor.solve(ensemble.rhs)
     samples = [_finite(solvers[m].solve(ensemble.rhs), m) for m in range(ensemble.num_samples)]
 
     return EnsembleSolution(
@@ -336,12 +338,14 @@ def solve_neumann(ensemble: PerturbedEnsemble, factors, order: int,
     Evaluates ``sum_{j=0..order} (-(base^-1 basis) coeffs[m])^j u0`` by
     repeated application, never forming an N-by-N product.  Refuses samples
     whose contraction-norm estimate reaches 1 unless ``force`` is set, and
-    reports the norm of the first omitted term as a truncation residual.
+    reports the norm of the first omitted term as a truncation residual.  A
+    sample whose sum is not finite (a forced series that overflowed) raises
+    ``NoConvergenceError``.
     """
     _check_factors(ensemble, factors)
     if order < 0:
         raise DimensionMismatchError("series order must be >= 0")
-    fact = numerics.factorize_spd(ensemble.base)
+    fact = ensemble.base_factor
     u0 = fact.solve(ensemble.rhs)
     basis_solved = fact.solve(factors.basis)
 
@@ -357,10 +361,14 @@ def solve_neumann(ensemble: PerturbedEnsemble, factors, order: int,
             raise DivergenceRiskError(m, norm_est)
         term = u0.copy()
         total = u0.copy()
-        for _ in range(order):
-            term = -(basis_solved @ (coeffs @ term))
-            total += term
-        omitted = basis_solved @ (coeffs @ term)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(order):
+                term = -(basis_solved @ (coeffs @ term))
+                total += term
+            omitted = basis_solved @ (coeffs @ term)
+        if not np.all(np.isfinite(total)):
+            raise NoConvergenceError(f"series of order {order} diverged for sample {m}: "
+                                     "its sum is not finite")
         residuals.append(float(np.linalg.norm(omitted)))
         samples.append(total)
 
@@ -379,8 +387,7 @@ def solve_direct(ensemble: PerturbedEnsemble) -> EnsembleSolution:
     A sample matrix that does not factor, or a solution that is not finite,
     raises ``SingularSampleError``.
     """
-    fact = numerics.factorize_spd(ensemble.base)
-    u0 = fact.solve(ensemble.rhs)
+    u0 = ensemble.base_factor.solve(ensemble.rhs)
     samples = [_finite(_sample_lu(ensemble.base, p, m).solve(ensemble.rhs), m)
                for m, p in enumerate(ensemble.perturbations)]
     return EnsembleSolution(

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem, lowrank, perturbed
-from .errors import ConfigRangeError, DimensionMismatchError, LineSearchError
+from .errors import ConfigRangeError, DimensionMismatchError, LineSearchError, check_range
 
 METHODS = ("sdm", "sgd", "newton", "bfgs", "trm")
 DESIRED_STATES = ("sin-pi", "sin-2pi", "sin-2pi-sq")
@@ -127,7 +127,9 @@ def build_reduced_problem(assembled: fem.AssembledSystem, factors: lowrank.LowRa
     """
     if factors.basis.shape[0] != assembled.base.shape[0]:
         raise DimensionMismatchError("factors do not match the assembled system")
-    solvers = perturbed.WoodburySolvers(assembled.base, factors)
+    ensemble = perturbed.PerturbedEnsemble(assembled.base, assembled.perturbations,
+                                           assembled.load)
+    solvers = perturbed.WoodburySolvers(ensemble, factors)
 
     coords = assembled.node_coords
     desired_nodal = np.array([float(desired_state(x, y)) for x, y in coords])
@@ -235,16 +237,19 @@ class OptimizerSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ConfigRangeError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not 0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0:
-            raise ConfigRangeError("need 0 < c1 < c2 < 1 for the Wolfe conditions")
-        if self.grad_tol <= 0.0:
-            raise ConfigRangeError("grad_tol must be > 0")
-        if self.max_iters < 1:
-            raise ConfigRangeError("max_iters must be >= 1")
-        if self.sgd_batch < 1 or self.sgd_check_every < 1:
-            raise ConfigRangeError("sgd_batch and sgd_check_every must be >= 1")
+        check_range(self.method in METHODS, f"method must be one of {METHODS}", self.method)
+        check_range(0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0,
+                    "need 0 < wolfe_c1 < wolfe_c2 < 1", (self.wolfe_c1, self.wolfe_c2))
+        check_range(self.grad_tol > 0.0, "grad_tol must be > 0", self.grad_tol)
+        check_range(self.max_iters >= 1, "max_iters must be >= 1", self.max_iters)
+        check_range(self.ls_max_trials >= 1, "ls_max_trials must be >= 1", self.ls_max_trials)
+        check_range(self.sgd_batch >= 1, "sgd_batch must be >= 1", self.sgd_batch)
+        check_range(self.sgd_decay > 0.0, "sgd_decay must be > 0", self.sgd_decay)
+        check_range(self.sgd_check_every >= 1, "sgd_check_every must be >= 1",
+                    self.sgd_check_every)
+        check_range(self.tr_radius0 > 0.0, "tr_radius0 must be > 0", self.tr_radius0)
+        check_range(self.tr_radius_max > 0.0, "tr_radius_max must be > 0", self.tr_radius_max)
+        check_range(self.seed >= 0, "seed must be >= 0", self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -559,15 +564,15 @@ def optimize(problem: ReducedControlProblem, spec: OptimizerSpec,
 
 
 @dataclass(frozen=True)
-class SocpRunConfig:
-    """Inputs of one control-problem build (mesh, sampling, targets, penalty)."""
+class SocpRunConfig(fem.Sampling):
+    """Inputs of one control-problem build: the sampling, the ratio ``tau``, targets, penalty.
 
-    h: float = 0.1
-    num_samples: int = 50
-    ratio: float = 0.88
-    epsilon: float = 0.2
+    ``control_init`` is the constant value of the optimizers' initial control.
+    """
+
+    samples: int = 50
     distribution: str = "uniform"
-    master_seed: int = 1234
+    tau: float = 0.88
     beta: float = 1e-4
     desired: str = "sin-pi"
     desired_amplitude: float = 10.0
@@ -575,21 +580,19 @@ class SocpRunConfig:
     control_init: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.ratio <= 1.0:
-            raise ConfigRangeError(f"ratio must lie in (0, 1], got {self.ratio}")
-        if self.beta <= 0.0:
-            raise ConfigRangeError("beta must be > 0")
-        if self.desired not in DESIRED_STATES:
-            raise ConfigRangeError(
-                f"desired must be one of {DESIRED_STATES}, got {self.desired!r}"
-            )
+        super().__post_init__()
+        check_range(0.0 < self.tau <= 1.0, "tau must lie in (0, 1]", self.tau)
+        check_range(self.beta > 0.0, "beta must be > 0", self.beta)
+        check_range(self.desired in DESIRED_STATES,
+                    f"desired must be one of {DESIRED_STATES}", self.desired)
+        check_range(self.desired_mode in DESIRED_MODES,
+                    f"desired_mode must be one of {DESIRED_MODES}", self.desired_mode)
 
 
 def build_control_problem(cfg: SocpRunConfig):
     """The sampled system (``fem.sampled_system``), its factors and the reduced problem."""
-    system = fem.sampled_system(cfg.h, cfg.num_samples, cfg.epsilon, cfg.distribution,
-                                cfg.master_seed)
-    factors = lowrank.compress(system.perturbations, cfg.ratio)
+    system = fem.sampled_system(cfg)
+    factors = lowrank.compress(system.perturbations, cfg.tau)
     target = desired_state_function(cfg.desired, cfg.desired_amplitude)
     problem = build_reduced_problem(system, factors, target, cfg.beta,
                                     desired_mode=cfg.desired_mode)

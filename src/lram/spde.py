@@ -17,41 +17,36 @@ Monte-Carlo convergence study.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fem, lowrank, numerics, perturbed
-from .errors import ConfigRangeError
+from .errors import ConfigRangeError, check_range
 
 METHODS = ("smw", "neumann", "direct")
 
 
 @dataclass(frozen=True)
-class SpdeRunConfig:
-    """Inputs of one mean-field estimation run (all defaults overridable)."""
+class SpdeRunConfig(fem.Sampling):
+    """Inputs of one mean-field estimation run: the sampling, the ratio ``tau``, the route.
 
-    h: float = 0.1
-    num_samples: int = 100
-    ratio: float = 0.88
-    epsilon: float = 0.2
-    distribution: str = "normal"
-    master_seed: int = 1234
+    ``reference`` asks for the direct per-sample reference, and
+    ``sample_conditions`` for a condition estimate of every sample matrix.
+    """
+
+    tau: float = 0.88
     method: str = "smw"
     neumann_order: int = 4
-    compute_reference: bool = True
+    reference: bool = True
     sample_conditions: bool = False
     force_neumann: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.ratio <= 1.0:
-            raise ConfigRangeError(f"ratio must lie in (0, 1], got {self.ratio}")
-        if self.num_samples < 1:
-            raise ConfigRangeError(f"num_samples must be >= 1, got {self.num_samples}")
-        if self.method not in METHODS:
-            raise ConfigRangeError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.neumann_order < 0:
-            raise ConfigRangeError("neumann_order must be >= 0")
+        super().__post_init__()
+        check_range(0.0 < self.tau <= 1.0, "tau must lie in (0, 1]", self.tau)
+        check_range(self.method in METHODS, f"method must be one of {METHODS}", self.method)
+        check_range(self.neumann_order >= 0, "neumann_order must be >= 0", self.neumann_order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +95,7 @@ def _solve(cfg: SpdeRunConfig, ensemble, factors):
 def run_spde(cfg: SpdeRunConfig, ratios=None) -> SpdeReport:
     """Execute the full pipeline at each of ``ratios`` in turn and return the report.
 
-    ``ratios`` defaults to ``(cfg.ratio,)``; rank k is reached with the
+    ``ratios`` defaults to ``(cfg.tau,)``; rank k is reached with the
     ratio k / N, which maps back to exactly k.  The direct method compresses
     nothing, so it takes no ``ratios`` (``ConfigRangeError``).  Solves are
     keyed by the update rank they run at, min(k, k*) for SMW and k for the
@@ -110,12 +105,11 @@ def run_spde(cfg: SpdeRunConfig, ratios=None) -> SpdeReport:
     """
     if ratios is not None and cfg.method == "direct":
         raise ConfigRangeError("the direct method has no reduction ratio to scan")
-    ratios = (cfg.ratio,) if ratios is None else tuple(ratios)
+    ratios = (cfg.tau,) if ratios is None else tuple(ratios)
     timings = {"compress": 0.0, "solve": 0.0}
 
     t0 = time.perf_counter()
-    system = fem.sampled_system(cfg.h, cfg.num_samples, cfg.epsilon, cfg.distribution,
-                                cfg.master_seed)
+    system = fem.sampled_system(cfg)
     timings["assemble"] = time.perf_counter() - t0
 
     ensemble = perturbed.PerturbedEnsemble(
@@ -149,7 +143,7 @@ def run_spde(cfg: SpdeRunConfig, ratios=None) -> SpdeReport:
 
     t0 = time.perf_counter()
     reference, reused = None, False
-    if cfg.compute_reference:
+    if cfg.reference:
         # the direct method and the direct form already made the reference's sample LUs
         reference = next((s for s in solutions.values()
                           if cfg.method == "direct" or s.woodbury_form == "direct"), None)
@@ -162,7 +156,7 @@ def run_spde(cfg: SpdeRunConfig, ratios=None) -> SpdeReport:
     timings["reference"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cond_base = numerics.condition_estimate(system.base)
+    cond_base = numerics.condition_estimate(system.base, solve=ensemble.base_factor.solve)
     sample_conds = None
     if cfg.sample_conditions:
         sample_conds = tuple(
@@ -217,8 +211,7 @@ def mc_convergence_study(cfg: SpdeRunConfig, m_list, repetitions: int = 10,
 
     errors = np.zeros((repetitions, len(m_list)))
     for rep in range(repetitions):
-        system = fem.sampled_system(cfg.h, m_ref, cfg.epsilon, cfg.distribution,
-                                    cfg.master_seed + 7919 * rep)
+        system = fem.sampled_system(replace(cfg, samples=m_ref, seed=cfg.seed + 7919 * rep))
         ensemble = perturbed.PerturbedEnsemble(
             base=system.base, perturbations=system.perturbations, rhs=system.load
         )

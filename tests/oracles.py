@@ -10,7 +10,15 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from lram.errors import SingularMatrixError
+from lram.errors import LramError
+
+
+class SingularMatrixError(LramError):
+    """Matrix is singular or too ill-conditioned to solve reliably (``dense_solve``)."""
+
+    def __init__(self, message, cond=float("inf")):
+        super().__init__(message)
+        self.cond = cond
 
 
 def jacobi_eigh(a, tol=1e-13, max_sweeps=200):

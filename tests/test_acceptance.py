@@ -56,8 +56,8 @@ def test_criterion_01_smw_exactness():
 def test_criterion_02_critical_ratio_gap():
     """Error collapses by >= 6 orders at the critical rank, located by the energy curve."""
     t0 = time.perf_counter()
-    cfg = spde.SpdeRunConfig(h=0.1, num_samples=100, epsilon=0.2,
-                             distribution="normal", master_seed=1234)
+    cfg = spde.SpdeRunConfig(h=0.1, samples=100, epsilon=0.2,
+                             distribution="normal", seed=1234)
     mesh = fem.structured_mesh(cfg.h)
     k_star = spde.run_spde(cfg).k_star  # from the same spectrum path
     interior = mesh.num_nodes - mesh.boundary_nodes.shape[0]
@@ -147,8 +147,8 @@ def test_criterion_05_fem_convergence_rate():
 def test_criterion_06_monte_carlo_rate():
     """Sample-mean error decays like a power law with slope near -1/2."""
     t0 = time.perf_counter()
-    cfg = spde.SpdeRunConfig(h=0.25, num_samples=25, epsilon=0.2,
-                             distribution="normal", master_seed=1234)
+    cfg = spde.SpdeRunConfig(h=0.25, samples=25, epsilon=0.2,
+                             distribution="normal", seed=1234)
     study = spde.mc_convergence_study(cfg, [25, 100, 400], repetitions=10)
     elapsed = time.perf_counter() - t0
     ok = -0.8 <= study.slope <= -0.2 and elapsed < 300.0
@@ -197,7 +197,7 @@ def derivative_deviations(problem, seed, grad, directions=10, step=1e-6):
 def test_criterion_07_gradient_and_hessian():
     """Analytic derivatives match the exact quadratic to rounding; the Hessian is SPD."""
     t0 = time.perf_counter()
-    cfg = socp.SocpRunConfig(h=0.1, num_samples=20, master_seed=1234)
+    cfg = socp.SocpRunConfig(h=0.1, samples=20, seed=1234)
     _, _, problem = socp.build_control_problem(cfg)
     worst, quadratic, difference = derivative_deviations(problem, 707, socp.gradient)
     hess = oracles.hessian(problem)
@@ -221,8 +221,8 @@ def test_criterion_07_gradient_and_hessian():
 def test_criterion_08_optimizer_suite():
     """All five methods converge; the Hessian route wins the iteration count."""
     t0 = time.perf_counter()
-    cfg = socp.SocpRunConfig(h=0.1, num_samples=50, ratio=0.88, epsilon=0.2,
-                             distribution="uniform", master_seed=1234, beta=1e-4)
+    cfg = socp.SocpRunConfig(h=0.1, samples=50, tau=0.88, epsilon=0.2,
+                             distribution="uniform", seed=1234, beta=1e-4)
     _, _, problem = socp.build_control_problem(cfg)
     f0 = np.zeros(problem.dim)
     results = {}

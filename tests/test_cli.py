@@ -1,12 +1,13 @@
 import argparse
 import hashlib
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lram import cli, fem, numerics, spde
+from lram import cli, fem, numerics, socp, spde
 from lram.errors import ConfigParseError, ConfigRangeError, UnknownKeyError
 
 
@@ -31,42 +32,66 @@ def digest_all(out_dir, names):
 def test_empty_config_gives_documented_defaults(tmp_path):
     path = tmp_path / "empty.cfg"
     path.write_text("# nothing here\n\n")
-    cfg = cli.parse_config(cli.schema_spde(), path=path)
-    assert cfg["h"] == 0.1
-    assert cfg["samples"] == 100
-    assert cfg["tau"] == 0.88
-    assert cfg["epsilon"] == 0.2
-    assert cfg["distribution"] == "normal"
-    assert cfg["method"] == "smw"
-    assert cfg["seed"] == 1234
-    assert cfg["out_dir"] == "out"
+    (cfg,) = cli.parse_config("spde", path=path)
+    assert cfg.h == 0.1
+    assert cfg.samples == 100
+    assert cfg.tau == 0.88
+    assert cfg.epsilon == 0.2
+    assert cfg.distribution == "normal"
+    assert cfg.method == "smw"
+    assert cfg.seed == 1234
+    assert cfg.out_dir == "out"
 
 
 def test_flag_overrides_file_overrides_default(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("tau = 0.6\nsamples = 7\n")
-    cfg = cli.parse_config(cli.schema_spde(), path=path, overrides={"tau": "0.88"})
-    assert cfg["tau"] == 0.88   # flag wins
-    assert cfg["samples"] == 7  # file wins over default
+    (cfg,) = cli.parse_config("spde", path=path, overrides={"tau": "0.88"})
+    assert cfg.tau == 0.88   # flag wins
+    assert cfg.samples == 7  # file wins over default
 
 
 def test_out_of_range_value_rejected():
     with pytest.raises(ConfigRangeError):
-        cli.parse_config(cli.schema_spde(), overrides={"tau": "1.5"})
+        cli.parse_config("spde", overrides={"tau": "1.5"})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: spde.SpdeRunConfig(seed=-1),
+    lambda: spde.SpdeRunConfig(h=1.5),
+    lambda: socp.OptimizerSpec(method="sgd", sgd_decay=0.0),
+    lambda: socp.OptimizerSpec(tr_radius0=-1.0),
+    lambda: socp.SocpRunConfig(desired_mode="x"),
+], ids=["seed", "h", "sgd_decay", "tr_radius0", "desired_mode"])
+def test_library_config_checks_range_at_construction(make):
+    with pytest.raises(ConfigRangeError):
+        make()
+
+
+def test_optimizer_range_error_exits_before_assembly(monkeypatch, tmp_path):
+    assembled = []
+    assemble = fem.assemble
+    monkeypatch.setattr(fem, "assemble",
+                        lambda *a, **kw: assembled.append(1) or assemble(*a, **kw))
+    out = tmp_path / "out"
+    # each flag passes on its own; the Wolfe pair needs wolfe_c1 < wolfe_c2 = 0.9
+    assert run(["socp", "--h", "0.05", "--wolfe-c1", "0.95", "--out-dir", str(out)]) == 1
+    assert not out.exists()
+    assert assembled == []
 
 
 def test_unknown_key_rejected(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("taus = 0.5\n")
     with pytest.raises(UnknownKeyError):
-        cli.parse_config(cli.schema_spde(), path=path)
+        cli.parse_config("spde", path=path)
 
 
 def test_parse_error_reports_line(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("tau = 0.5\nnot a pair\n")
     with pytest.raises(ConfigParseError) as err:
-        cli.parse_config(cli.schema_spde(), path=path)
+        cli.parse_config("spde", path=path)
     assert "line 2" in str(err.value)
 
 
@@ -74,7 +99,7 @@ def test_bad_value_type_reports_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("samples = many\n")
     with pytest.raises(ConfigParseError) as err:
-        cli.parse_config(cli.schema_spde(), path=path)
+        cli.parse_config("spde", path=path)
     assert "samples" in str(err.value)
 
 
@@ -131,6 +156,19 @@ def test_spde_numerical_failure_exit_2(tmp_path, capsys):
     assert "--force-neumann" in capsys.readouterr().err
 
 
+def test_forced_series_that_overflows_exits_2(tmp_path):
+    out = tmp_path / "overflow"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["spde", "--h", "0.25", "--samples", "2", "--epsilon", "5",
+                    "--method", "neumann", "--force-neumann", "--neumann-order", "1000",
+                    "--out-dir", str(out)])
+    assert code == 2
+    error = manifest_record(out, "error")["error"]
+    assert error.startswith("NoConvergenceError") and "sample 0" in error
+    assert [str(w.message) for w in caught] == []
+
+
 def test_spde_export_samples_columns(tmp_path):
     out = tmp_path / "exp"
     code = run(["spde", "--h", "0.5", "--samples", "2", "--export-samples",
@@ -139,7 +177,7 @@ def test_spde_export_samples_columns(tmp_path):
     header, *rows = (out / "qoi.csv").read_text().splitlines()
     assert header == "node,unperturbed,qoi,sample_0000,sample_0001"
     # every cell parses back to the value the run computed: repr round-trips exactly
-    solution = spde.run_spde(spde.SpdeRunConfig(h=0.5, num_samples=2)).solution
+    solution = spde.run_spde(spde.SpdeRunConfig(h=0.5, samples=2)).solution
     assert len(rows) == solution.qoi.shape[0] == 9
     for i, row in enumerate(rows):
         cells = row.split(",")
@@ -368,12 +406,12 @@ def test_tau_scan_solves_each_sample_once(splu_calls, tmp_path):
     # N = 441, k* = 361: ranks 265, 397 and 441.  Rank 265 takes the basis form
     # after one probe LU of sample 0; ranks 397 and 441 are both SMW at update rank
     # 0, one direct-form solve of M sample LUs, which is also the reference.  Plus
-    # the base factored for each of the two solves and once for its condition.
+    # the base factored once, for both solves and its condition estimate.
     samples = 10
     out = tmp_path / "scan"
     assert run(["spde", "--h", "0.05", "--samples", str(samples),
                 "--tau-scan", "0.6,0.9,1.0", "--out-dir", str(out)]) == 0
-    assert len(splu_calls) == 1 + samples + 3
+    assert len(splu_calls) == 1 + samples + 1
     assert manifest_record(out, "reference.") == {"reference.reused": "true"}
     rows = [line.split(",") for line in (out / "errors_vs_tau.csv").read_text().splitlines()]
     assert [(row[1], float(row[2])) for row in rows[2:]] == [("397", 0.0), ("441", 0.0)]
@@ -412,9 +450,8 @@ def test_compress_reports_ensemble_nonzeros(tmp_path):
     out = tmp_path / "fem"
     assert run(["compress", "--h", "0.1", "--out-dir", str(out)]) == 0
     header, row = ((out / "factors.csv").read_text().splitlines()[i].split(",") for i in (0, 1))
-    cfg = cli.parse_config(cli.schema_compress())
-    system = fem.sampled_system(0.1, cfg["samples"], cfg["epsilon"], cfg["distribution"],
-                                cfg["seed"])
+    (cfg,) = cli.parse_config("compress", overrides={"h": "0.1"})
+    system = fem.sampled_system(cfg)
     assert int(row[header.index("ensemble_nnz")]) == sum(p.nnz for p in system.perturbations)
 
 
@@ -451,8 +488,8 @@ def test_compress_factor_file_holds_eager_projections(tmp_path):
     raw = (out / "factors.bin").read_bytes()
     dim, rank, samples = np.frombuffer(raw, dtype="<u8", count=3, offset=8)
     basis = np.frombuffer(raw, dtype="<f8", count=dim * rank, offset=32).reshape(dim, rank)
-    cfg = cli.parse_config(cli.schema_compress())
-    system = fem.sampled_system(0.25, 4, cfg["epsilon"], cfg["distribution"], cfg["seed"])
+    (cfg,) = cli.parse_config("compress", overrides={"h": "0.25", "samples": "4"})
+    system = fem.sampled_system(cfg)
     # coefficients computed up front, as one list, then laid out after the basis
     coeffs = [np.asarray((p.T @ basis).T) for p in system.perturbations]
     expected = raw[:32] + basis.astype("<f8").tobytes() + b"".join(
@@ -519,13 +556,13 @@ def test_malformed_matrix_market_is_usage_error(tmp_path, capsys, subcommand):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("subcommand", sorted(cli.SCHEMAS))
+@pytest.mark.parametrize("subcommand", sorted(cli.CONFIGS))
 def test_each_schema_key_has_exactly_one_flag(subcommand):
     parsers = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction)).choices
     flagged = [action.dest for action in parsers[subcommand]._actions
                if action.option_strings and action.dest not in ("help", "config", "set")]
-    assert sorted(flagged) == sorted(cli.SCHEMAS[subcommand]())
+    assert sorted(flagged) == sorted(cli.schema(subcommand))
 
 
 def test_zero_ensemble_has_critical_rank_zero(tmp_path):

@@ -1,11 +1,13 @@
 """Source checks over the ``lram`` package."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import lram
+from lram import errors
 
 MODULES = sorted(Path(lram.__file__).parent.glob("*.py"))
 
@@ -33,3 +35,12 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_error_class_is_raised_or_a_base():
+    source = "\n".join(p.read_text() for p in MODULES if p.name != "errors.py")
+    classes = [obj for obj in vars(errors).values()
+               if isinstance(obj, type) and obj.__module__ == errors.__name__]
+    unused = [cls.__name__ for cls in classes
+              if not re.search(rf"\b{cls.__name__}\b", source) and not cls.__subclasses__()]
+    assert unused == []

@@ -9,11 +9,10 @@ from lram.errors import (
     DimensionMismatchError,
     NonSymmetricError,
     NotPositiveDefiniteError,
-    SingularMatrixError,
 )
 
 import oracles
-from oracles import gauss_solve, jacobi_eigh, rand_spd
+from oracles import SingularMatrixError, gauss_solve, jacobi_eigh, rand_spd
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,7 @@ def test_direct_form_overflow_raises(dense_flop_model):
                                            perturbations=perturbations, rhs=np.full(3, 1e300))
     factors = lowrank.compress_rank(perturbations, 3)
     # Gram diag(0, 0.25, ~1): k* = 2 <= k, so the update rank is 0
-    assert perturbed.WoodburySolvers(ensemble.base, factors).form == "direct"
+    assert perturbed.WoodburySolvers(ensemble, factors).form == "direct"
     for solve in (lambda: perturbed.solve_smw(ensemble, factors),
                   lambda: perturbed.solve_direct(ensemble)):
         with pytest.raises(SingularSampleError) as err:
@@ -288,7 +288,7 @@ def test_singular_complement_capacitance_raises(dense_flop_model):
     rhs = np.arange(1.0, n + 1.0)
     ensemble = perturbed.PerturbedEnsemble(base=sp.csr_array(eye), perturbations=members,
                                            rhs=rhs)
-    assert perturbed.WoodburySolvers(ensemble.base, factors).form == "complement"
+    assert perturbed.WoodburySolvers(ensemble, factors).form == "complement"
     with pytest.raises(SingularCapacitanceError) as err:
         perturbed.solve_smw(ensemble, factors)
     assert err.value.sample == 0

@@ -14,8 +14,8 @@ from oracles import rand_spd
 
 def fem_problem(h=0.25, num_samples=4, epsilon=0.2, ratio=1.0, seed=3,
                 desired="sin-pi", amplitude=10.0, beta=1e-4, mode="interpolant"):
-    cfg = socp.SocpRunConfig(h=h, num_samples=num_samples, ratio=ratio,
-                             epsilon=epsilon, master_seed=seed, beta=beta,
+    cfg = socp.SocpRunConfig(h=h, samples=num_samples, tau=ratio,
+                             epsilon=epsilon, seed=seed, beta=beta,
                              desired=desired, desired_amplitude=amplitude,
                              desired_mode=mode)
     system, factors, problem = socp.build_control_problem(cfg)
@@ -534,7 +534,7 @@ def test_desired_mode_exposes_both_pairings():
 
 
 def test_run_socp_end_to_end():
-    cfg = socp.SocpRunConfig(h=0.25, num_samples=6)
+    cfg = socp.SocpRunConfig(h=0.25, samples=6)
     problem, res = socp.run_socp(cfg, socp.OptimizerSpec(method="newton"))
     assert res.converged
     assert res.state_mean.shape == (problem.dim,)

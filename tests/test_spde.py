@@ -10,8 +10,8 @@ import oracles
 
 
 def small_cfg(**overrides):
-    base = dict(h=0.25, num_samples=6, ratio=1.0, epsilon=0.2,
-                distribution="normal", master_seed=11, method="smw")
+    base = dict(h=0.25, samples=6, tau=1.0, epsilon=0.2,
+                distribution="normal", seed=11, method="smw")
     base.update(overrides)
     return spde.SpdeRunConfig(**base)
 
@@ -51,12 +51,12 @@ def test_direct_form_reuses_solution_as_reference(monkeypatch):
     monkeypatch.setattr(perturbed, "solve_direct",
                         lambda ensemble: direct_solves.append(1) or solve_direct(ensemble))
     # N = 441, k* = 361: rank 419 runs SMW at update rank 0, one sample LU each
-    report = spde.run_spde(small_cfg(h=0.05, num_samples=3, ratio=0.95))
+    report = spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.95))
     assert report.solution.woodbury_form == "direct"
     assert report.reference_reused and report.err_l2 == 0.0
     assert direct_solves == []
     # rank 265 runs the basis form, which the reference checks
-    report = spde.run_spde(small_cfg(h=0.05, num_samples=3, ratio=0.6))
+    report = spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.6))
     assert report.solution.woodbury_form == "basis"
     assert not report.reference_reused and report.err_l2 > 0.0
     assert direct_solves == [1]
@@ -68,7 +68,7 @@ def test_seed_reproducibility_bitwise():
     assert np.array_equal(a.qoi, b.qoi)
     assert np.array_equal(a.qoi_reference, b.qoi_reference)
     assert a.err_l2 == b.err_l2
-    c = spde.run_spde(small_cfg(master_seed=12))
+    c = spde.run_spde(small_cfg(seed=12))
     assert not np.array_equal(a.qoi, c.qoi)
 
 
@@ -84,11 +84,11 @@ def test_report_carries_diagnostics():
 
 def test_config_validation():
     with pytest.raises(ConfigRangeError):
-        small_cfg(ratio=0.0)
+        small_cfg(tau=0.0)
     with pytest.raises(ConfigRangeError):
-        small_cfg(ratio=1.5)
+        small_cfg(tau=1.5)
     with pytest.raises(ConfigRangeError):
-        small_cfg(num_samples=0)
+        small_cfg(samples=0)
     with pytest.raises(ConfigRangeError):
         small_cfg(method="qr")
 
@@ -142,7 +142,7 @@ def test_compression_exact_at_critical_rank():
 
 
 def test_tau_scan_error_non_increasing():
-    cfg = small_cfg(num_samples=12)
+    cfg = small_cfg(samples=12)
     result = spde.run_spde(cfg, [0.4, 0.6, 0.8, 1.0])
     errs = [row[2] for row in result.rows]
     for a, b in zip(errs, errs[1:]):
@@ -151,7 +151,7 @@ def test_tau_scan_error_non_increasing():
 
 
 def test_rank_scan_basis_tracks_requested_ranks():
-    cfg = small_cfg(num_samples=8)
+    cfg = small_cfg(samples=8)
     n = fem.structured_mesh(cfg.h).num_nodes
     result = spde.run_spde(cfg, [k / n for k in (3, 10, 20)])
     assert [row[1] for row in result.rows] == [3, 10, 20]
@@ -216,7 +216,7 @@ def test_smw_above_half_rank_builds_no_coefficient_matrix(monkeypatch):
     monkeypatch.setattr(perturbed, "_sample_lu", counted("sample_lu", perturbed._sample_lu))
     monkeypatch.setattr(perturbed.sla, "lu_factor",
                         counted("capacitance", perturbed.sla.lu_factor))
-    cfg = small_cfg(h=0.05, num_samples=5, ratio=0.95, compute_reference=False)
+    cfg = small_cfg(h=0.05, samples=5, tau=0.95, reference=False)
     report = spde.run_spde(cfg)
     n = report.qoi.shape[0]
     k = report.rank
@@ -225,9 +225,9 @@ def test_smw_above_half_rank_builds_no_coefficient_matrix(monkeypatch):
     # sample, no capacitance, and only rmsre's (N-k)-by-N tail projections
     assert (report.solution.woodbury_form, report.solution.update_rank) == ("direct", 0)
     assert calls["factorize"] == 1
-    assert calls["sample_lu"] == cfg.num_samples
+    assert calls["sample_lu"] == cfg.samples
     assert calls["capacitance"] == 0
-    assert calls["projections"] == [(n - k, n)] * cfg.num_samples
+    assert calls["projections"] == [(n - k, n)] * cfg.samples
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +236,7 @@ def test_smw_above_half_rank_builds_no_coefficient_matrix(monkeypatch):
 
 
 def test_mc_error_zero_when_m_equals_reference():
-    cfg = small_cfg(h=0.5, num_samples=4)
+    cfg = small_cfg(h=0.5, samples=4)
     study = spde.mc_convergence_study(cfg, [2, 8], repetitions=2, reference_factor=1)
     # last point uses every reference sample, so the error vanishes exactly
     assert study.points[-1][1] == 0.0
