@@ -19,8 +19,7 @@ def main():
     parser.add_argument("--repetitions", type=int, default=10)
     args = parser.parse_args()
 
-    cfg = spde.SpdeRunConfig(h=args.h, num_samples=25, epsilon=args.epsilon,
-                             master_seed=args.seed)
+    cfg = spde.SpdeRunConfig(h=args.h, samples=25, epsilon=args.epsilon, seed=args.seed)
     m_list = [int(m) for m in args.m_list.split(",")]
     study = spde.mc_convergence_study(cfg, m_list, repetitions=args.repetitions)
 

@@ -9,9 +9,10 @@ config that consumes a setting declares its default and its range check
 only a command reads.  A key's text parses after the type of its default.
 Configuration is a flat key-value text file, one ``key = value`` per line;
 command-line flags override file values, which override the defaults, and
-the configs check the resolved values.  ``build_parser`` makes every key a flag: ``--key-with-dashes
-VALUE``, or for a boolean key the presence flag ``--key`` (true), ``--no-key``
-(false) when its default is true.  ``--set key=value`` reaches any key too.
+the configs check the resolved values.  ``build_parser`` makes every key a
+flag: ``--key-with-dashes VALUE``, or for a boolean key the presence flag
+``--key`` (true), ``--no-key`` (false) when its default is true.  ``--set
+key=value`` reaches any key too.
 Every emitted CSV has a header row, a fixed column order, and full-precision
 (round-trip safe) numbers, so identical manifests produce byte-identical
 CSVs.  Wall-clock timings and output digests live in ``manifest.txt``, which
