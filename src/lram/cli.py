@@ -42,7 +42,6 @@ from .errors import (
     InputFileError,
     LramError,
     UnknownKeyError,
-    check_range,
 )
 
 # ---------------------------------------------------------------------------
@@ -91,18 +90,13 @@ class SocpCommand(socp.SocpRunConfig):
 
 
 @dataclass(frozen=True)
-class CompressCommand(fem.Sampling):
+class CompressCommand(fem.CompressedSampling):
     """``lram compress``: the sampling (read without ``input``), the ratio, the outputs."""
 
     samples: int = 20
-    tau: float = 0.88
     input: str = ""
     export_mm: bool = False
     out_dir: str = "out"
-
-    def __post_init__(self):
-        super().__post_init__()
-        check_range(0.0 < self.tau <= 1.0, "tau must lie in (0, 1]", self.tau)
 
 
 @dataclass(frozen=True)
@@ -263,17 +257,20 @@ def _nan_if_none(value):
     return float("nan") if value is None else value
 
 
-def cmd_spde(out_dir: Path, cfg: SpdeCommand) -> tuple[list, dict, dict]:
+def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict]:
     """One ``run_spde`` call: at ``tau``, or at each ratio of ``tau_scan``."""
     outputs = []
-    record: dict = {}
     scan = bool(cfg.tau_scan)
-    report = spde.run_spde(cfg, cfg.tau_scan if scan else None)
+    t0 = time.perf_counter()
+    system = fem.sampled_system(cfg)
+    assemble_s = time.perf_counter() - t0
+    # recorded before solving: a run that fails with exit 2 still reports its field
+    _warn(_record_field(record, system.min_coefficient))
+    report = spde.run_spde(cfg, cfg.tau_scan if scan else None, system)
     if cfg.reference:
         record["reference.reused"] = report.reference_reused
     ranks = [row[1] for row in report.rows if row[1] is not None]
-    _warn(_record_field(record, report.min_coefficient)
-          + _record_ranks(record, ranks, report.k_star))
+    _warn(_record_ranks(record, ranks, report.k_star))
     if scan:
         record["k_star"] = report.k_star
         write_csv(out_dir / "errors_vs_tau.csv", ["tau", "rank", "err_l2", "rmsre"],
@@ -308,15 +305,14 @@ def cmd_spde(out_dir: Path, cfg: SpdeCommand) -> tuple[list, dict, dict]:
         write_csv(out_dir / "sample_conditions.csv", ["sample", "cond"],
                   list(enumerate(report.sample_conditions)))
         outputs.append("sample_conditions.csv")
-    return outputs, report.timings, record
+    return outputs, {"assemble": assemble_s, **report.timings}
 
 
-def cmd_socp(out_dir: Path, cfg: SocpCommand,
-             spec: socp.OptimizerSpec) -> tuple[list, dict, dict]:
+def cmd_socp(out_dir: Path, record: dict, cfg: SocpCommand,
+             spec: socp.OptimizerSpec) -> tuple[list, dict]:
     """The control problem minimized by ``spec``'s method, or by each method to compare them."""
     outputs = []
     timings: dict[str, float] = {}
-    record: dict = {}
     t0 = time.perf_counter()
     system, _, problem = socp.build_control_problem(cfg)
     timings["build"] = time.perf_counter() - t0
@@ -364,7 +360,7 @@ def cmd_socp(out_dir: Path, cfg: SocpCommand,
     write_csv(out_dir / "state_mean.csv", ["node", "value"],
               list(enumerate(primary.state_mean)))
     outputs.append("state_mean.csv")
-    return outputs, timings, record
+    return outputs, timings
 
 
 def _load_ensemble(cfg: CompressCommand | DiagnoseCommand):
@@ -388,7 +384,7 @@ def _load_ensemble(cfg: CompressCommand | DiagnoseCommand):
     return system.perturbations, system.base
 
 
-def cmd_compress(out_dir: Path, cfg: CompressCommand) -> tuple[list, dict, dict]:
+def cmd_compress(out_dir: Path, record: dict, cfg: CompressCommand) -> tuple[list, dict]:
     outputs = []
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -415,10 +411,10 @@ def cmd_compress(out_dir: Path, cfg: CompressCommand) -> tuple[list, dict, dict]
         written = lowrank.factors_to_matrix_market(out_dir / "factors_mm", factors)
         for p in written:
             outputs.append(str(Path(p).relative_to(out_dir)))
-    return outputs, timings, {}
+    return outputs, timings
 
 
-def cmd_diagnose(out_dir: Path, cfg: DiagnoseCommand) -> tuple[list, dict, dict]:
+def cmd_diagnose(out_dir: Path, record: dict, cfg: DiagnoseCommand) -> tuple[list, dict]:
     outputs = []
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -445,7 +441,7 @@ def cmd_diagnose(out_dir: Path, cfg: DiagnoseCommand) -> tuple[list, dict, dict]
                  for m, a in enumerate(ensemble)]
         write_csv(out_dir / "sample_conditions.csv", ["sample", "cond"], conds)
         outputs.append("sample_conditions.csv")
-    return outputs, timings, {}
+    return outputs, timings
 
 
 COMMANDS = {
@@ -542,14 +538,15 @@ def main(argv=None) -> int:
         resolved |= asdict(config)
     out_dir = Path(configs[0].out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    record: dict = {}  # what the run did, filled in as it goes; kept on failure
     try:
-        outputs, timings, record = COMMANDS[args.subcommand](out_dir, *configs)
+        outputs, timings = COMMANDS[args.subcommand](out_dir, record, *configs)
     except ConfigError as exc:
         print(f"lram: configuration error: {exc}", file=sys.stderr)
         return 1
     except LramError as exc:
         write_manifest(out_dir, args.subcommand, resolved, {}, [],
-                       error=f"{type(exc).__name__}: {exc}")
+                       error=f"{type(exc).__name__}: {exc}", record=record)
         print(f"lram: numerical failure: {exc}", file=sys.stderr)
         return 2
     write_manifest(out_dir, args.subcommand, resolved, timings, outputs, record=record)

@@ -280,6 +280,21 @@ class Sampling:
         check_range(self.seed >= 0, "seed must be >= 0", self.seed)
 
 
+@dataclass(frozen=True)
+class CompressedSampling(Sampling):
+    """A ``Sampling`` whose ensemble a run compresses at the reduction ratio ``tau``.
+
+    The rank is ceil(tau * N) (``lowrank.rank_from_ratio``).  The one
+    declaration of ``tau`` for every run config that reads it.
+    """
+
+    tau: float = 0.88
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_range(0.0 < self.tau <= 1.0, "tau must lie in (0, 1]", self.tau)
+
+
 def sampled_system(sampling: Sampling) -> AssembledSystem:
     """The system every sampled run solves: ``sampling``'s fields with the unit source."""
     mesh = structured_mesh(sampling.h)

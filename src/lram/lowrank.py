@@ -9,7 +9,9 @@ are ``basis^T A_m``.  One eigendecomposition of that Gram matrix, held as a
 ``GramSpectrum``, feeds the factors, their reconstruction error, the energy
 curve and the ensemble's numerical rank k* (``numerical_rank``).  The Gram
 matrix stays sparse for sparse members, and the complete eigendecomposition
-runs on its support only.  A two-sided alternating baseline and the
+runs on its support only.  Its eigenvalues alone serve the energy curve, k*
+and the reconstruction error; only the factors read its eigenvectors.  A
+two-sided alternating baseline and the
 compression ratio are included, plus binary and MatrixMarket serialization of
 the factors.
 """
@@ -163,8 +165,10 @@ class GramSpectrum:
     Complete when it holds all N values (dense eigensolver route), else the
     leading ones (Lanczos route).  ``trace`` is ``sum_m ||A_m||_F^2``.
     ``vectors`` is None for a values-only spectrum, which serves the energy
-    curve but no factors.  Off the ensemble's support (rows where every
-    member is zero) a complete spectrum holds the value 0 with unit vectors.
+    curve and the reconstruction error but no factors.  ``support`` is the
+    size |S| of the ensemble's support, the rows where some member is nonzero.
+    Off it a complete spectrum holds the value 0 with unit vectors, so at most
+    |S| values are nonzero and the numerical rank k* is at most |S|.
     """
 
     values: np.ndarray   # (p,), non-increasing
@@ -172,6 +176,7 @@ class GramSpectrum:
     trace: float
     num_samples: int
     dim: int
+    support: int
 
     @property
     def complete(self) -> bool:
@@ -210,26 +215,36 @@ class GramSpectrum:
         return [(k + 1, float(partial[k] / total)) for k in range(partial.shape[0])]
 
 
-def gram_spectrum(ensemble, rank: int | None = None, vectors: bool = True) -> GramSpectrum:
-    """One Gram build and one eigensolve, holding at least the leading ``rank`` pairs.
+def gram_support(gram) -> np.ndarray:
+    """The support S of a Gram matrix: the rows of its nonzero diagonal entries, ascending."""
+    return np.flatnonzero(gram.diagonal())
 
-    ``rank=None`` asks for all pairs.  The Lanczos route runs on the Gram
-    matrix as built (sparse for sparse members).  The dense route computes
-    all pairs anyway, so they are all kept: it decomposes the Gram matrix on
-    its support S (nonzero diagonal) and pads with the value 0 and unit
-    vectors off S.  The Gram matrix itself is not kept.  With
-    ``vectors=False`` only the eigenvalues are computed.
+
+def gram_spectrum(ensemble, rank: int | None = None, vectors: bool = True,
+                  gram=None) -> GramSpectrum:
+    """One eigensolve of the Gram matrix, holding at least the leading ``rank`` pairs.
+
+    ``rank=None`` asks for all pairs.  ``gram`` is the ensemble's
+    ``ensemble_gram`` if the caller built it already; otherwise it is built
+    here and not kept.  The Lanczos route runs on the Gram matrix as built
+    (sparse for sparse members).  The dense route computes all pairs anyway,
+    so they are all kept: it decomposes the Gram matrix on its support S
+    (``gram_support``) and pads with the value 0 and unit vectors off S.
+    With ``vectors=False`` only the eigenvalues are computed: on a FEM
+    support of 1521 rows (2-core VM) that took about 0.4 of the paired
+    solve's time.
     """
     n = _check_ensemble(ensemble)
-    gram = ensemble_gram(ensemble)
+    if gram is None:
+        gram = ensemble_gram(ensemble)
     diagonal = gram.diagonal()
     trace = float(np.sum(diagonal))
+    support = gram_support(gram)
+    s = support.shape[0]
     if rank is not None and not numerics.dense_eig(n, rank):
         pairs = numerics.sym_eig_topk(gram, rank, vectors=vectors)
         return GramSpectrum(values=pairs.values, vectors=pairs.vectors, trace=trace,
-                            num_samples=len(ensemble), dim=n)
-    support = np.flatnonzero(diagonal)
-    s = support.shape[0]
+                            num_samples=len(ensemble), dim=n, support=s)
     values = np.zeros(n)
     basis = np.zeros((n, n)) if vectors else None
     if s:
@@ -245,7 +260,7 @@ def gram_spectrum(ensemble, rank: int | None = None, vectors: bool = True) -> Gr
         values = values[order]
         basis = None if basis is None else basis[:, order]
     return GramSpectrum(values=values, vectors=basis, trace=trace,
-                        num_samples=len(ensemble), dim=n)
+                        num_samples=len(ensemble), dim=n, support=s)
 
 
 def _sample_coeffs(basis: np.ndarray, a) -> np.ndarray:
@@ -288,17 +303,23 @@ def rmsre(ensemble, spectrum: GramSpectrum, rank: int) -> float:
     """Root mean square reconstruction error of the optimal rank-``rank`` factors.
 
     sqrt((1/M) sum_m ||A_m - U U^T A_m||_F^2) for the leading eigenvectors U.
-    A complete spectrum gives the tail projection sqrt((1/M) sum_m
-    ||V_tail^T A_m||_F^2), exact to round-off of the members.  A partial one
-    gives sqrt(max(trace - sum_{i<=k} lambda_i, 0) / M), which cancels to
-    about sqrt(eps) of the scale where the error vanishes.
+    A complete spectrum with vectors gives the tail projection sqrt((1/M)
+    sum_m ||V_tail^T A_m||_F^2), exact to round-off of the members.  A
+    complete values-only one gives the eigenvalue tail sqrt(sum_{i>k}
+    max(lambda_i, 0) / M): exactly 0 at k >= |S|, where the tail holds only
+    the zeros off the support, and about sqrt(eps) of the scale where the
+    error vanishes below |S|.  A partial spectrum gives sqrt(max(trace -
+    sum_{i<=k} lambda_i, 0) / M), which cancels to about sqrt(eps) of the
+    scale where the error vanishes.
     """
     spectrum.check_rank(rank)
-    if spectrum.complete:
+    if not spectrum.complete:
+        total = max(spectrum.trace - float(np.sum(spectrum.values[:rank])), 0.0)
+    elif spectrum.vectors is None:
+        total = float(np.sum(np.maximum(spectrum.values[rank:], 0.0)))
+    else:
         tail = Projections(spectrum.complement(rank), ensemble)
         total = sum(float(np.sum(c ** 2)) for c in tail)
-    else:
-        total = max(spectrum.trace - float(np.sum(spectrum.values[:rank])), 0.0)
     return math.sqrt(total / spectrum.num_samples)
 
 

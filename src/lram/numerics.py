@@ -113,19 +113,16 @@ class EigenPairs:
 
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so each one's first nonzero entry is positive.
+    """Flip columns in place so each one's first entry above 1e-12 of its largest is positive.
 
     Makes eigenvector output deterministic so downstream factorizations and
-    golden files are stable.
+    golden files are stable.  Returns ``vectors``.
     """
-    out = np.array(vectors, copy=True)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        scale = max(float(np.max(np.abs(col))), _TINY)
-        idx = int(np.argmax(np.abs(col) > 1e-12 * scale))
-        if col[idx] < 0:
-            out[:, j] = -col
-    return out
+    magnitude = np.abs(vectors)
+    scale = np.maximum(magnitude.max(axis=0), _TINY)
+    lead = np.argmax(magnitude > 1e-12 * scale, axis=0)
+    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+    return vectors
 
 
 def dense_eig(n: int, k: int) -> bool:

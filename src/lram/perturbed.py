@@ -5,8 +5,8 @@ factors ``perturbation_m ~ basis @ coeffs[m]`` (U = basis, C_m = coeffs[m])
 every sample matrix ``base + U C_m`` is inverted through the Woodbury
 identity ``(F + X G)^-1 = F^-1 - F^-1 X (I + G F^-1 X)^-1 G F^-1`` in one of
 two forms.  ``WoodburySolvers`` builds one ``WoodburySolver`` per sample in
-the form it picks; ``solve_smw`` runs them on the ensemble's right-hand side
-and the control problem (``socp``) builds its state operators from them.
+one form; ``solve_smw`` runs them on the ensemble's right-hand side and the
+control problem (``socp``) builds its state operators from them.
 
 Both forms carry only the ensemble's numerical rank k* (``lowrank``): Gram
 directions past k* hold no energy, so their coefficients vanish and they
@@ -31,7 +31,12 @@ at rank k.
 
 When the complement rank is below the basis rank (k > k*/2) the form is the
 one ``woodbury_costs`` models cheaper, reading the size of sample 0's LU;
-otherwise the basis form runs.
+otherwise the basis form runs.  That choice (``woodbury_form``) needs only
+N, k, k* and sample 0's LU, no factors.  ``plan_smw`` makes it before any
+eigenvector exists, from the support size |S| >= k* of the Gram matrix:
+where the direct form wins at every rank, the Gram spectrum is computed
+without eigenvectors and nothing is compressed, since the direct form reads
+no factors (it is ``solve_direct``).
 
 A truncated alternating series and a per-sample direct factorization are
 provided as alternative routes; the quantity of interest is the sample mean,
@@ -127,6 +132,8 @@ class EnsembleSolution:
     # SMW only: "basis", "complement" or "direct" (module docstring), and its rank
     woodbury_form: str | None = None
     update_rank: int | None = None
+    # per sample, the condition estimate of base + P_m, if asked of a route that factors it
+    sample_conditions: tuple[float, ...] | None = None
 
 
 def qoi_mean(samples) -> np.ndarray:
@@ -251,42 +258,132 @@ class WoodburySolver:
         return _solve_columns(self._solve_ft, rhs)
 
 
-class WoodburySolvers(Sequence):
-    """One ``WoodburySolver`` per sample of ``factors`` on ``ensemble``'s base, built on access.
+@dataclass(frozen=True, eq=False)
+class WoodburyForm:
+    """The form an SMW solve runs in (module docstring) and its update rank.
 
-    The form (module docstring) is chosen once.  The basis form runs on the
-    leading min(k, k*) basis vectors when the factors record k*.  The
-    complement form needs the complement and coefficients ``Projections`` of
-    the members, and runs if its rank is below the basis rank and
-    ``woodbury_costs`` prices it cheaper for sample 0's LU, which is then
-    kept for sample 0.  A sample LU that fails raises ``SingularSampleError``.
-    ``base^-1 U`` is computed on first need, with the ensemble's ``base_factor``.
+    ``lu0`` is the LU of sample 0's ``base + P_0`` if pricing made one: the
+    complement and direct forms take it as sample 0's, and a later pricing
+    reuses it, so no sample is factored twice.
     """
 
-    def __init__(self, ensemble: PerturbedEnsemble, factors):
+    name: str   # "basis", "complement" or "direct"
+    update_rank: int
+    lu0: object = None
+
+    @property
+    def reads_vectors(self) -> bool:
+        """Whether the form reads Gram eigenvectors: all but the direct form do."""
+        return self.name != "direct"
+
+
+def woodbury_form(ensemble: PerturbedEnsemble, basis_rank: int, complement_rank: int,
+                  lu0=None) -> WoodburyForm:
+    """The cheaper of the basis form at ``basis_rank`` and the complement form at ``complement_rank``.
+
+    Needs no factors: only N, the two ranks and sample 0's LU.  The basis
+    form runs unless the complement rank is below the basis rank and
+    ``woodbury_costs`` prices the complement form cheaper for sample 0's LU,
+    made here unless ``lu0`` is given (``SingularSampleError`` if it fails).
+    The complement form at rank 0 is the direct form.
+    """
+    if complement_rank >= basis_rank:
+        return WoodburyForm("basis", basis_rank, lu0)
+    if lu0 is None:
+        lu0 = _sample_lu(ensemble.base, ensemble.perturbations[0], 0)
+    basis, sampled = woodbury_costs(ensemble.dim, basis_rank, complement_rank,
+                                    lu0.L.nnz + lu0.U.nnz)
+    if sampled < basis:
+        return WoodburyForm("complement" if complement_rank else "direct", complement_rank, lu0)
+    return WoodburyForm("basis", basis_rank, lu0)
+
+
+def _factors_form(ensemble: PerturbedEnsemble, factors) -> WoodburyForm:
+    """The form of ``factors``: priced when they carry coefficient ``Projections`` and the complement.
+
+    The basis rank is min(k, k*) when the factors record k*, else k; the
+    complement rank is the complement's width, max(k* - k, 0).
+    """
+    basis_rank = factors.rank
+    if not isinstance(factors.coeffs, lowrank.Projections):
+        return WoodburyForm("basis", basis_rank)
+    if factors.numerical_rank is not None:
+        basis_rank = min(basis_rank, factors.numerical_rank)
+    if factors.complement is None:
+        return WoodburyForm("basis", basis_rank)
+    return woodbury_form(ensemble, basis_rank, factors.complement.shape[1])
+
+
+def plan_smw(ensemble: PerturbedEnsemble, ranks):
+    """The Gram spectrum SMW needs at each of ``ranks``, and the form each runs in.
+
+    One Gram build.  Eigenvectors are computed only if a form reads them.
+    The numerical rank k* is at most the support size |S| (``GramSpectrum``),
+    so where every rank is at least |S| each form is the basis form at rank
+    k* or the direct form.  If the direct form is priced cheaper against the
+    basis form at rank |S|, the eigensolve computes eigenvalues only; the
+    forms are then priced at the true k*, and if the basis form wins there
+    (k* well below |S|) the eigenvectors are computed after all, from the
+    same Gram matrix.  Otherwise one eigensolve computes the pairs.  The
+    spectrum is complete (``GramSpectrum``).  Pricing makes at most one LU,
+    of sample 0, kept in the forms.  Returns (spectrum, forms).
+    """
+    members = ensemble.perturbations
+    gram = lowrank.ensemble_gram(members)
+    support = lowrank.gram_support(gram).shape[0]
+    lu0, vectors = None, True
+    if min(ranks) >= support:
+        gate = woodbury_form(ensemble, support, 0)
+        lu0, vectors = gate.lu0, gate.reads_vectors
+    spectrum = lowrank.gram_spectrum(members, vectors=vectors, gram=gram)
+    forms = _price_forms(ensemble, ranks, spectrum, lu0)
+    if not vectors and any(form.reads_vectors for form in forms):
+        spectrum = lowrank.gram_spectrum(members, gram=gram)
+        forms = _price_forms(ensemble, ranks, spectrum, lu0)
+    return spectrum, forms
+
+
+def _price_forms(ensemble, ranks, spectrum, lu0) -> list[WoodburyForm]:
+    """``woodbury_form`` at each rank k: basis rank min(k, k*), complement rank max(k* - k, 0)."""
+    k_star = lowrank.numerical_rank(spectrum.energy_curve())
+    forms = []
+    for k in ranks:
+        forms.append(woodbury_form(ensemble, min(k, k_star), max(k_star - k, 0), lu0))
+        lu0 = forms[-1].lu0
+    return forms
+
+
+class WoodburySolvers(Sequence):
+    """One ``WoodburySolver`` per sample of ``ensemble`` in one form, built on access.
+
+    ``form`` is a ``WoodburyForm`` for ``factors``; by default it is priced
+    from them (``woodbury_form``) when they carry coefficient
+    ``Projections`` and the complement, and is the basis form at rank
+    min(k, k*) otherwise (rank k without a recorded k*).  The basis form runs
+    on the leading ``update_rank`` basis vectors with ``base^-1 U``, computed
+    on first need with the ensemble's ``base_factor``.  The complement form
+    reads the complement and the members.  The direct form reads no factors,
+    which may then be None.  The complement and direct forms make sample m's
+    LU on access (sample 0's is the form's ``lu0`` if pricing made one); one
+    that fails raises ``SingularSampleError``.
+    """
+
+    def __init__(self, ensemble: PerturbedEnsemble, factors, form: WoodburyForm | None = None):
         self._ensemble = ensemble
         self._basis_solved = None
-        self._num_samples = factors.num_samples
-        n, k = factors.dim, factors.rank
-        self._basis, self._coeffs = factors.basis, factors.coeffs
-        projected = isinstance(factors.coeffs, lowrank.Projections)
-        if projected and factors.numerical_rank is not None and factors.numerical_rank < k:
-            self._basis = np.ascontiguousarray(factors.basis[:, :factors.numerical_rank])
-            self._coeffs = lowrank.Projections(self._basis, factors.coeffs.members)
-        self.form, self.update_rank = "basis", self._basis.shape[1]
-        complement = factors.complement
-        if not projected or complement is None or complement.shape[1] >= self.update_rank:
-            return
-        self._projections = lowrank.Projections(complement, factors.coeffs.members)
-        lu = _sample_lu(ensemble.base, self._projections.members[0], 0)
-        r = complement.shape[1]
-        basis, sampled = woodbury_costs(n, self.update_rank, r, lu.L.nnz + lu.U.nnz)
-        if sampled < basis:
-            self.form, self.update_rank = ("complement" if r else "direct"), r
-            self._lu0 = lu
+        if form is None:
+            form = _factors_form(ensemble, factors)
+        self.form, self.update_rank, self._lu0 = form.name, form.update_rank, form.lu0
+        if form.name == "basis":
+            self._basis, self._coeffs = factors.basis, factors.coeffs
+            if form.update_rank < factors.rank:  # Projections, truncated at k*
+                self._basis = np.ascontiguousarray(factors.basis[:, :form.update_rank])
+                self._coeffs = lowrank.Projections(self._basis, factors.coeffs.members)
+        elif form.name == "complement":
+            self._projections = lowrank.Projections(factors.complement, ensemble.perturbations)
 
     def __len__(self) -> int:
-        return self._num_samples
+        return self._ensemble.num_samples
 
     def __getitem__(self, m: int) -> WoodburySolver:
         if not 0 <= m < len(self):
@@ -298,26 +395,32 @@ class WoodburySolvers(Sequence):
             return WoodburySolver(m, fact.solve, fact.solve, self._basis_solved,
                                   self._coeffs[m])
         # complement or direct form, on the LU of base + P_m
-        lu = (self._lu0 if m == 0
-              else _sample_lu(self._ensemble.base, self._projections.members[m], m))
-        w = self._projections.basis
-        update, x_solved = np.zeros((0, w.shape[0])), w
+        lu = (self._lu0 if m == 0 and self._lu0 is not None
+              else _sample_lu(self._ensemble.base, self._ensemble.perturbations[m], m))
+        n = self._ensemble.dim
+        update, x_solved = np.zeros((0, n)), np.zeros((n, 0))
         if self.update_rank:
+            w = self._projections.basis
             update, x_solved = self._projections[m], -_solve_columns(lu.solve, w)
         return WoodburySolver(m, lu.solve, partial(lu.solve, trans="T"), x_solved, update)
 
 
-def solve_smw(ensemble: PerturbedEnsemble, factors) -> EnsembleSolution:
+def solve_smw(ensemble: PerturbedEnsemble, factors, form: WoodburyForm | None = None
+              ) -> EnsembleSolution:
     """Solve every sample through the Woodbury identity in the cheaper form.
 
-    ``WoodburySolvers`` builds the samples' solvers one at a time; at update
-    rank 0 each is a direct sparse LU of ``base + P_m``.  A singular
+    ``form`` is as in ``WoodburySolvers``.  At update rank 0 (the direct
+    form) this is ``solve_direct``, reporting that form.  A singular
     capacitance raises ``SingularCapacitanceError`` with the sample index and
     a condition estimate; a sample matrix that does not factor, or a
     solution that is not finite, raises ``SingularSampleError``.
     """
     _check_factors(ensemble, factors)
-    solvers = WoodburySolvers(ensemble, factors)
+    if form is None:
+        form = _factors_form(ensemble, factors)
+    if form.name == "direct":
+        return solve_direct(ensemble, form)
+    solvers = WoodburySolvers(ensemble, factors, form)
     u0 = ensemble.base_factor.solve(ensemble.rhs)
     samples = [_finite(solvers[m].solve(ensemble.rhs), m) for m in range(ensemble.num_samples)]
 
@@ -381,18 +484,31 @@ def solve_neumann(ensemble: PerturbedEnsemble, factors, order: int,
     )
 
 
-def solve_direct(ensemble: PerturbedEnsemble) -> EnsembleSolution:
+def solve_direct(ensemble: PerturbedEnsemble, form: WoodburyForm | None = None,
+                 conditions: bool = False) -> EnsembleSolution:
     """Factorize and solve each perturbed system separately (reference path).
 
-    A sample matrix that does not factor, or a solution that is not finite,
-    raises ``SingularSampleError``.
+    This is also SMW in the direct form, which reads no factors: given that
+    ``form``, sample 0 takes its ``lu0`` if it has one, and the solution
+    reports the form (method ``SMW``).  With ``conditions``, each sample
+    matrix's ``numerics.condition_estimate`` is made with the LU that solved
+    it, as ``sample_conditions``.  A sample matrix that does not factor, or a
+    solution that is not finite, raises ``SingularSampleError``.
     """
     u0 = ensemble.base_factor.solve(ensemble.rhs)
-    samples = [_finite(_sample_lu(ensemble.base, p, m).solve(ensemble.rhs), m)
-               for m, p in enumerate(ensemble.perturbations)]
+    lu0 = None if form is None else form.lu0
+    samples, conds = [], []
+    for m, p in enumerate(ensemble.perturbations):
+        lu = lu0 if m == 0 and lu0 is not None else _sample_lu(ensemble.base, p, m)
+        samples.append(_finite(lu.solve(ensemble.rhs), m))
+        if conditions:
+            conds.append(numerics.condition_estimate(ensemble.base + p, solve=lu.solve))
     return EnsembleSolution(
         unperturbed=u0,
         samples=samples,
         qoi=qoi_mean(samples),
-        method="Direct",
+        method="Direct" if form is None else "SMW",
+        woodbury_form=None if form is None else form.name,
+        update_rank=None if form is None else form.update_rank,
+        sample_conditions=tuple(conds) if conditions else None,
     )

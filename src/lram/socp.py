@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem, lowrank, perturbed
+from . import fem, lowrank, numerics, perturbed
 from .errors import ConfigRangeError, DimensionMismatchError, LineSearchError, check_range
 
 METHODS = ("sdm", "sgd", "newton", "bfgs", "trm")
@@ -112,24 +112,26 @@ class ReducedControlProblem:
         return self.desired_proj
 
 
-def build_reduced_problem(assembled: fem.AssembledSystem, factors: lowrank.LowRankFactors,
-                          desired_state, beta: float,
-                          desired_mode: str = "interpolant") -> ReducedControlProblem:
+def build_reduced_problem(assembled: fem.AssembledSystem,
+                          factors: lowrank.LowRankFactors | None,
+                          desired_state, beta: float, desired_mode: str = "interpolant",
+                          form: perturbed.WoodburyForm | None = None) -> ReducedControlProblem:
     """Assemble the reduced problem from one FEM system and its factors.
 
     ``desired_state`` is a callable of (x, y).  Its nodal interpolant enters
     the state mismatch by default; the mass-weighted projection of that
     interpolant is kept alongside for the gradient pairing and for the
     alternative ``projection`` mismatch convention.  The state operators take
-    the Woodbury form ``perturbed.WoodburySolvers`` picks; a singular
-    capacitance raises ``SingularCapacitanceError`` and a sample matrix that
-    does not factor ``SingularSampleError``.
+    the Woodbury form ``form``, by default the one ``perturbed.WoodburySolvers``
+    picks for ``factors`` (None in the direct form, which reads none); a
+    singular capacitance raises ``SingularCapacitanceError`` and a sample
+    matrix that does not factor ``SingularSampleError``.
     """
-    if factors.basis.shape[0] != assembled.base.shape[0]:
+    if factors is not None and factors.basis.shape[0] != assembled.base.shape[0]:
         raise DimensionMismatchError("factors do not match the assembled system")
     ensemble = perturbed.PerturbedEnsemble(assembled.base, assembled.perturbations,
                                            assembled.load)
-    solvers = perturbed.WoodburySolvers(ensemble, factors)
+    solvers = perturbed.WoodburySolvers(ensemble, factors, form)
 
     coords = assembled.node_coords
     desired_nodal = np.array([float(desired_state(x, y)) for x, y in coords])
@@ -564,7 +566,7 @@ def optimize(problem: ReducedControlProblem, spec: OptimizerSpec,
 
 
 @dataclass(frozen=True)
-class SocpRunConfig(fem.Sampling):
+class SocpRunConfig(fem.CompressedSampling):
     """Inputs of one control-problem build: the sampling, the ratio ``tau``, targets, penalty.
 
     ``control_init`` is the constant value of the optimizers' initial control.
@@ -572,7 +574,6 @@ class SocpRunConfig(fem.Sampling):
 
     samples: int = 50
     distribution: str = "uniform"
-    tau: float = 0.88
     beta: float = 1e-4
     desired: str = "sin-pi"
     desired_amplitude: float = 10.0
@@ -581,7 +582,6 @@ class SocpRunConfig(fem.Sampling):
 
     def __post_init__(self):
         super().__post_init__()
-        check_range(0.0 < self.tau <= 1.0, "tau must lie in (0, 1]", self.tau)
         check_range(self.beta > 0.0, "beta must be > 0", self.beta)
         check_range(self.desired in DESIRED_STATES,
                     f"desired must be one of {DESIRED_STATES}", self.desired)
@@ -590,12 +590,24 @@ class SocpRunConfig(fem.Sampling):
 
 
 def build_control_problem(cfg: SocpRunConfig):
-    """The sampled system (``fem.sampled_system``), its factors and the reduced problem."""
+    """The sampled system (``fem.sampled_system``), its factors and the reduced problem.
+
+    On the dense eigensolver route (``numerics.dense_eig``) the form is
+    priced before any eigenvector exists (``perturbed.plan_smw``), and in the
+    direct form nothing is compressed and the factors are None.  On the
+    Lanczos route the factors hold no k*, so they take the basis form.
+    """
     system = fem.sampled_system(cfg)
-    factors = lowrank.compress(system.perturbations, cfg.tau)
+    ensemble = perturbed.PerturbedEnsemble(system.base, system.perturbations, system.load)
+    rank = lowrank.rank_from_ratio(cfg.tau, ensemble.dim)
+    spectrum = form = factors = None
+    if numerics.dense_eig(ensemble.dim, rank):
+        spectrum, (form,) = perturbed.plan_smw(ensemble, [rank])
+    if form is None or form.reads_vectors:
+        factors = lowrank.compress(system.perturbations, cfg.tau, spectrum)
     target = desired_state_function(cfg.desired, cfg.desired_amplitude)
     problem = build_reduced_problem(system, factors, target, cfg.beta,
-                                    desired_mode=cfg.desired_mode)
+                                    desired_mode=cfg.desired_mode, form=form)
     return system, factors, problem
 
 

@@ -6,10 +6,14 @@ route, and averages into the mean-field estimate.  A ratio scan is the same
 run over several ratios: one sampled ensemble, one Gram spectrum and one
 reference serve them all, and each distinct solve is made once (SMW caps its
 update at the numerical rank k*, so its solves at every k >= k* are one
-solve).  When a reference is requested the direct per-sample solve consumes
-the identical sampled fields, so the reported gap isolates the compression
-error; a solve that already factored every sample (the direct method, or SMW
-in the direct form) is the reference itself.  Also hosts the critical
+solve).  SMW picks its form before the eigensolve (``perturbed.plan_smw``):
+in the direct form, the one the paper's full-domain fields take at k >= k*,
+the spectrum holds eigenvalues only and nothing is compressed.  When a
+reference is requested the direct per-sample solve consumes the identical
+sampled fields, so the reported gap isolates the compression error; a solve
+that already factored every sample (the direct method, or SMW in the direct
+form) is the reference itself, and its sample LUs also serve the sample
+condition estimates.  Also hosts the critical
 reduction-ratio diagnostics (an all-zero ensemble has k* = 0) and a
 Monte-Carlo convergence study.
 """
@@ -28,14 +32,13 @@ METHODS = ("smw", "neumann", "direct")
 
 
 @dataclass(frozen=True)
-class SpdeRunConfig(fem.Sampling):
+class SpdeRunConfig(fem.CompressedSampling):
     """Inputs of one mean-field estimation run: the sampling, the ratio ``tau``, the route.
 
     ``reference`` asks for the direct per-sample reference, and
     ``sample_conditions`` for a condition estimate of every sample matrix.
     """
 
-    tau: float = 0.88
     method: str = "smw"
     neumann_order: int = 4
     reference: bool = True
@@ -44,7 +47,6 @@ class SpdeRunConfig(fem.Sampling):
 
     def __post_init__(self):
         super().__post_init__()
-        check_range(0.0 < self.tau <= 1.0, "tau must lie in (0, 1]", self.tau)
         check_range(self.method in METHODS, f"method must be one of {METHODS}", self.method)
         check_range(self.neumann_order >= 0, "neumann_order must be >= 0", self.neumann_order)
 
@@ -83,61 +85,74 @@ def critical_tau(curve) -> tuple[int, float]:
     return k_star, (k_star / len(curve) if curve else 0.0)
 
 
-def _solve(cfg: SpdeRunConfig, ensemble, factors):
-    if cfg.method == "smw":
-        return perturbed.solve_smw(ensemble, factors)
+def _solve(cfg: SpdeRunConfig, ensemble, factors, form):
     if cfg.method == "neumann":
         return perturbed.solve_neumann(ensemble, factors, cfg.neumann_order,
                                        force=cfg.force_neumann)
-    return perturbed.solve_direct(ensemble)
+    if factors is None:
+        # the direct method, or SMW in the direct form: one LU per sample, no factors read
+        return perturbed.solve_direct(ensemble, form, conditions=cfg.sample_conditions)
+    return perturbed.solve_smw(ensemble, factors, form)
 
 
-def run_spde(cfg: SpdeRunConfig, ratios=None) -> SpdeReport:
+def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     """Execute the full pipeline at each of ``ratios`` in turn and return the report.
 
     ``ratios`` defaults to ``(cfg.tau,)``; rank k is reached with the
     ratio k / N, which maps back to exactly k.  The direct method compresses
-    nothing, so it takes no ``ratios`` (``ConfigRangeError``).  Solves are
-    keyed by the update rank they run at, min(k, k*) for SMW and k for the
-    series, and each is made once.  Two runs with identical configs produce
-    bitwise-identical vectors: the sampling is keyed per (seed, sample) and
-    every reduction uses a fixed order.
+    nothing, so it takes no ``ratios`` (``ConfigRangeError``).  ``system`` is
+    ``fem.sampled_system(cfg)`` if the caller built it already.  SMW prices
+    its form at every rank before any eigenvector exists
+    (``perturbed.plan_smw``), so a run whose every form is direct computes
+    eigenvalues only and compresses nothing.  Solves are keyed by the update
+    rank they run at, min(k, k*) for SMW and k for the series, and each is
+    made once.  Two runs with identical configs produce bitwise-identical
+    vectors: the sampling is keyed per (seed, sample) and every reduction
+    uses a fixed order.
     """
     if ratios is not None and cfg.method == "direct":
         raise ConfigRangeError("the direct method has no reduction ratio to scan")
     ratios = (cfg.tau,) if ratios is None else tuple(ratios)
     timings = {"compress": 0.0, "solve": 0.0}
 
-    t0 = time.perf_counter()
-    system = fem.sampled_system(cfg)
-    timings["assemble"] = time.perf_counter() - t0
+    if system is None:
+        t0 = time.perf_counter()
+        system = fem.sampled_system(cfg)
+        timings["assemble"] = time.perf_counter() - t0
+    members = system.perturbations
+    ensemble = perturbed.PerturbedEnsemble(base=system.base, perturbations=members,
+                                           rhs=system.load)
 
-    ensemble = perturbed.PerturbedEnsemble(
-        base=system.base, perturbations=system.perturbations, rhs=system.load
-    )
-
     t0 = time.perf_counter()
-    # the direct route reads only the energy curve and k*: eigenvalues suffice
-    spectrum = lowrank.gram_spectrum(system.perturbations, vectors=cfg.method != "direct")
+    ranks, forms = [None] * len(ratios), [None] * len(ratios)
+    if cfg.method == "direct":
+        # the direct route reads only the energy curve and k*: eigenvalues suffice
+        spectrum = lowrank.gram_spectrum(members, vectors=False)
+    else:
+        ranks = [lowrank.rank_from_ratio(ratio, ensemble.dim) for ratio in ratios]
+        if cfg.method == "smw":
+            spectrum, forms = perturbed.plan_smw(ensemble, ranks)
+        else:
+            spectrum = lowrank.gram_spectrum(members)
     energy_curve = spectrum.energy_curve()
     k_star, tau_star = critical_tau(energy_curve)
     timings["compress"] += time.perf_counter() - t0
 
     solutions = {}  # update rank -> solution
     runs = []       # per ratio: (ratio, rank, rmsre, solution)
-    for ratio in ratios:
+    for ratio, rank, form in zip(ratios, ranks, forms):
         t0 = time.perf_counter()
-        factors, rank, rmsre_value = None, None, None
-        if cfg.method != "direct":
-            factors = lowrank.compress(system.perturbations, ratio, spectrum)
-            rank = factors.rank
-            rmsre_value = lowrank.rmsre(system.perturbations, spectrum, rank)
+        factors, rmsre_value = None, None
+        if rank is not None:
+            if form is None or form.reads_vectors:
+                factors = lowrank.compress(members, ratio, spectrum)
+            rmsre_value = lowrank.rmsre(members, spectrum, rank)
         timings["compress"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
         key = min(rank, k_star) if cfg.method == "smw" else rank
         if key not in solutions:
-            solutions[key] = _solve(cfg, ensemble, factors)
+            solutions[key] = _solve(cfg, ensemble, factors, form)
         runs.append((ratio, rank, rmsre_value, solutions[key]))
         timings["solve"] += time.perf_counter() - t0
 
@@ -149,7 +164,7 @@ def run_spde(cfg: SpdeRunConfig, ratios=None) -> SpdeReport:
                           if cfg.method == "direct" or s.woodbury_form == "direct"), None)
         reused = reference is not None
         if not reused:
-            reference = perturbed.solve_direct(ensemble)
+            reference = perturbed.solve_direct(ensemble, conditions=cfg.sample_conditions)
     rows = [(float(ratio), rank,
              None if reference is None else float(np.linalg.norm(reference.qoi - sol.qoi)),
              rmsre_value) for ratio, rank, rmsre_value, sol in runs]
@@ -159,9 +174,13 @@ def run_spde(cfg: SpdeRunConfig, ratios=None) -> SpdeReport:
     cond_base = numerics.condition_estimate(system.base, solve=ensemble.base_factor.solve)
     sample_conds = None
     if cfg.sample_conditions:
-        sample_conds = tuple(
-            numerics.condition_estimate(system.base + p) for p in system.perturbations
-        )
+        # a solve that factored every sample estimated with those LUs
+        sample_conds = next((s.sample_conditions for s in (*solutions.values(), reference)
+                             if s is not None and s.sample_conditions is not None), None)
+        if sample_conds is None:
+            sample_conds = tuple(
+                numerics.condition_estimate(system.base + p) for p in members
+            )
     timings["diagnostics"] = time.perf_counter() - t0
 
     _, rank, err, rmsre_value = rows[-1]

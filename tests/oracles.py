@@ -59,6 +59,18 @@ def jacobi_eigh(a, tol=1e-13, max_sweeps=200):
     return w[order], v[:, order]
 
 
+def fix_column_signs(vectors):
+    """Column by column: negate each column whose first entry above 1e-12 of its largest is negative."""
+    out = np.array(vectors, copy=True)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        scale = max(float(np.max(np.abs(col))), 1e-300)
+        idx = int(np.argmax(np.abs(col) > 1e-12 * scale))
+        if col[idx] < 0:
+            out[:, j] = -col
+    return out
+
+
 def gauss_solve(a, b):
     """Dense Gaussian elimination with partial pivoting, plain loops."""
     a = np.array(a, dtype=float, copy=True)

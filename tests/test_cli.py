@@ -169,6 +169,20 @@ def test_forced_series_that_overflows_exits_2(tmp_path):
     assert [str(w.message) for w in caught] == []
 
 
+def test_failed_run_records_its_field(tmp_path, capsys):
+    # the series overflows in the solve; the field that caused it was recorded before
+    out = tmp_path / "overflow"
+    code = run(["spde", "--h", "0.25", "--samples", "2", "--epsilon", "5",
+                "--method", "neumann", "--force-neumann", "--neumann-order", "1000",
+                "--out-dir", str(out)])
+    assert code == 2
+    record = manifest_record(out, "field.", "error")
+    assert record["error"].startswith("NoConvergenceError")
+    assert float(record["field.min_coefficient"]) < 0.0
+    assert int(record["field.nonpositive_samples"]) > 0
+    assert "nonpositive diffusion coefficient" in capsys.readouterr().err
+
+
 def test_spde_export_samples_columns(tmp_path):
     out = tmp_path / "exp"
     code = run(["spde", "--h", "0.5", "--samples", "2", "--export-samples",
@@ -405,13 +419,14 @@ def splu_calls(monkeypatch):
 def test_tau_scan_solves_each_sample_once(splu_calls, tmp_path):
     # N = 441, k* = 361: ranks 265, 397 and 441.  Rank 265 takes the basis form
     # after one probe LU of sample 0; ranks 397 and 441 are both SMW at update rank
-    # 0, one direct-form solve of M sample LUs, which is also the reference.  Plus
-    # the base factored once, for both solves and its condition estimate.
+    # 0, one direct-form solve of M sample LUs (sample 0's is the probe), which is
+    # also the reference.  Plus the base factored once, for both solves and its
+    # condition estimate.
     samples = 10
     out = tmp_path / "scan"
     assert run(["spde", "--h", "0.05", "--samples", str(samples),
                 "--tau-scan", "0.6,0.9,1.0", "--out-dir", str(out)]) == 0
-    assert len(splu_calls) == 1 + samples + 1
+    assert len(splu_calls) == samples + 1
     assert manifest_record(out, "reference.") == {"reference.reused": "true"}
     rows = [line.split(",") for line in (out / "errors_vs_tau.csv").read_text().splitlines()]
     assert [(row[1], float(row[2])) for row in rows[2:]] == [("397", 0.0), ("441", 0.0)]
@@ -589,3 +604,19 @@ def test_config_file_through_cli(tmp_path):
     assert code == 0
     manifest = (out / "manifest.txt").read_text()
     assert "samples = 3" in manifest
+
+
+def test_sample_conditions_reuse_the_solve_lus(splu_calls, tmp_path):
+    # --method direct factors every sample once; the condition estimates read those
+    # LUs: 10 sample LUs and the base, where a second LU per sample made 21
+    samples = 10
+    out = tmp_path / "conds"
+    assert run(["spde", "--h", "0.1", "--samples", str(samples), "--method", "direct",
+                "--sample-conditions", "--out-dir", str(out)]) == 0
+    assert len(splu_calls) == samples + 1
+    rows = (out / "sample_conditions.csv").read_text().splitlines()[1:]
+    got = [float(row.split(",")[1]) for row in rows]
+    # against estimates made on a fresh general LU of each sample matrix
+    system = fem.sampled_system(fem.Sampling(h=0.1, samples=samples))
+    fresh = [numerics.condition_estimate(system.base + p) for p in system.perturbations]
+    assert np.allclose(got, fresh, rtol=1e-8, atol=0.0)

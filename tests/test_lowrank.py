@@ -301,6 +301,29 @@ def test_rmsre_matches_explicit_oracle(monkeypatch, complete):
             assert expected < 1e-13 * scale and got <= 1e-12 * scale
 
 
+def test_rmsre_from_values_only_spectrum_reads_the_eigenvalue_tail():
+    # members U C_m with a shared rank-4 U on rows 0..19 of 30: k* = 4 < |S| = 20
+    rng = np.random.default_rng(11)
+    n, m, support = 30, 5, 20
+    basis = np.zeros((n, 4))
+    basis[:support] = rng.standard_normal((support, 4))
+    ensemble = [sp.csr_array(basis @ rng.standard_normal((4, n))) for _ in range(m)]
+    spectrum = lowrank.gram_spectrum(ensemble)
+    values_only = lowrank.gram_spectrum(ensemble, vectors=False)
+    k_star = lowrank.numerical_rank(values_only.energy_curve())
+    assert (values_only.vectors, values_only.support, k_star) == (None, support, 4)
+    scale = math.sqrt(values_only.trace / m)
+    for k in range(1, n + 1):
+        got = lowrank.rmsre(ensemble, values_only, k)
+        expected = oracles.rmsre(ensemble, lowrank.compress_rank(ensemble, k, spectrum))
+        if k >= support:
+            assert got == 0.0  # the tail holds only the exact zeros off the support
+        elif k >= k_star:
+            assert abs(got - expected) <= 1e-7 * scale
+        else:
+            assert got == pytest.approx(expected, rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # energy ratios
 # ---------------------------------------------------------------------------

@@ -115,6 +115,23 @@ def test_sym_eig_values_only(monkeypatch, max_dense, k):
     assert np.allclose(pairs.values, np.linalg.eigvalsh(s)[::-1][:k], atol=1e-10)
 
 
+def test_fix_column_signs_matches_column_loop_oracle():
+    rng = np.random.default_rng(12)
+    v = rng.standard_normal((40, 30))
+    v[0, :10] = -np.abs(v[0, :10])       # negative leading entries: flipped
+    v[:3, 10:20] = 1e-13 * v[:3, 10:20]  # leading entries below 1e-12 of the column's
+    v[3, 10:15] = -np.abs(v[3, 10:15])   # largest are skipped: the sign is read at row 3
+    v[3, 15:20] = np.abs(v[3, 15:20])
+    v[:5, 20:25] = 0.0                   # exact zeros, and negative zeros
+    v[:5, 25:30] = -0.0
+    v[:, 29] = 0.0                       # an all-zero column stays as it is
+    expected = oracles.fix_column_signs(v)
+    got = numerics._fix_column_signs(v.copy())
+    assert got.tobytes() == expected.tobytes()
+    assert np.all(got[0, :10] > 0) and np.all(got[3, 10:20] > 0)
+    assert np.array_equal(np.abs(got), np.abs(v))
+
+
 @pytest.mark.parametrize("k", [0, 4])
 def test_sym_eig_rejects_bad_k(k):
     with pytest.raises(DimensionMismatchError):

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lram import cli, fem, lowrank, perturbed, spde
+from lram import cli, fem, lowrank, numerics, perturbed, spde
 from lram.errors import (
     DimensionMismatchError,
     DivergenceRiskError,
@@ -209,6 +209,49 @@ def test_woodbury_costs_weigh_the_sample_lu():
     for n, k_star, entries in [(441, 361, n441), (1681, 1521, n1681)]:
         basis, direct = perturbed.woodbury_costs(n, k_star, 0, entries)
         assert direct < basis
+
+
+def test_basis_form_wins_after_repricing_at_k_star(monkeypatch):
+    # P_m = a_m (u e_0' + e_0 u') with u dense on a 20 x 20 grid: |S| = N = 400 but
+    # k* = 2.  At rank |S| the gate prices one sparse LU per sample below the basis
+    # form, so only eigenvalues are computed; at k* = 2 the basis form wins, so the
+    # eigenvectors are computed after all, from the same Gram matrix.
+    side = 20
+    n = side * side
+    lap = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(side, side))
+    base = sp.csr_array(sp.kronsum(lap, lap))
+    rng = np.random.default_rng(3)
+    u = rng.uniform(0.5, 1.0, n) / np.sqrt(n)
+    e0 = np.zeros(n)
+    e0[0] = 1.0
+    arrow = sp.csr_array(np.outer(u, e0) + np.outer(e0, u))
+    members = [a * arrow for a in rng.uniform(-0.2, 0.2, 4)]
+    ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=members,
+                                           rhs=np.ones(n))
+    calls = {"gram": 0, "vectors": []}
+    ensemble_gram, sym_eig_topk = lowrank.ensemble_gram, numerics.sym_eig_topk
+
+    def gram(*args, **kwargs):
+        calls["gram"] += 1
+        return ensemble_gram(*args, **kwargs)
+
+    def eig(*args, **kwargs):
+        pairs = sym_eig_topk(*args, **kwargs)
+        calls["vectors"].append(pairs.vectors is not None)
+        return pairs
+
+    monkeypatch.setattr(lowrank, "ensemble_gram", gram)
+    monkeypatch.setattr(numerics, "sym_eig_topk", eig)
+    spectrum, (form,) = perturbed.plan_smw(ensemble, [n])
+    assert spectrum.support == n
+    assert lowrank.numerical_rank(spectrum.energy_curve()) == 2
+    assert (form.name, form.update_rank) == ("basis", 2)
+    assert calls == {"gram": 1, "vectors": [False, True]}
+    factors = lowrank.compress_rank(members, n, spectrum)
+    sol = perturbed.solve_smw(ensemble, factors, form)
+    direct = perturbed.solve_direct(ensemble)
+    assert (sol.woodbury_form, sol.update_rank) == ("basis", 2)
+    assert np.linalg.norm(sol.qoi - direct.qoi) <= 1e-10 * np.linalg.norm(direct.qoi)
 
 
 def test_tau_06_keeps_the_basis_form():

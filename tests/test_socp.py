@@ -87,8 +87,12 @@ def test_operators_in_either_form_match_basis_form(request, h, ratio, forced, fo
         request.getfixturevalue("dense_flop_model")
     system, factors, problem = fem_problem(h=h, num_samples=3, ratio=ratio, seed=5)
     n = problem.dim
-    k, k_star = factors.rank, factors.numerical_rank
     assert problem.woodbury_form == form
+    # the direct form reads no factors, so the build compresses nothing
+    assert (factors is None) == (form == "direct")
+    if factors is None:
+        factors = lowrank.compress(system.perturbations, ratio)
+    k, k_star = factors.rank, factors.numerical_rank
     # ranks truncated at k*: direct at k >= k* (h = 0.05), basis at min(k, k*) = k*
     # (h = 0.1, where N is too small for a sample LU to pay), complement k* - k below k*
     assert problem.update_rank == {"direct": 0, "basis": min(k, k_star),
@@ -131,10 +135,11 @@ def test_complement_build_factors_each_sample_once_and_no_coefficient_matrix(mon
                         counted("capacitance", perturbed.sla.lu_factor))
     num_samples = 4
     _, factors, problem = fem_problem(h=0.05, num_samples=num_samples, ratio=0.88)
-    assert factors.rank > factors.numerical_rank
     assert (problem.woodbury_form, problem.update_rank) == ("direct", 0)
     oracles.hessian(problem)
-    # at k >= k*: one LU per sample, the base never factored, no projection, no capacitance
+    # at k >= k*: nothing compressed, one LU per sample (sample 0's made once, for
+    # pricing), the base never factored, no projection, no capacitance
+    assert factors is None
     assert calls["sample_lu"] == num_samples
     assert calls["factorize"] == 0
     assert calls["projections"] == []

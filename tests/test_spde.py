@@ -46,20 +46,22 @@ def test_direct_method_reference_is_itself():
 
 
 def test_direct_form_reuses_solution_as_reference(monkeypatch):
-    direct_solves = []
+    direct_solves = []  # the form of each solve_direct call, None for the reference
     solve_direct = perturbed.solve_direct
     monkeypatch.setattr(perturbed, "solve_direct",
-                        lambda ensemble: direct_solves.append(1) or solve_direct(ensemble))
-    # N = 441, k* = 361: rank 419 runs SMW at update rank 0, one sample LU each
+                        lambda ensemble, form=None, **kw:
+                        direct_solves.append(form) or solve_direct(ensemble, form, **kw))
+    # N = 441, k* = 361: rank 419 runs SMW at update rank 0, one sample LU each; that
+    # solve is the run's only direct one, and the reference is no second one
     report = spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.95))
     assert report.solution.woodbury_form == "direct"
     assert report.reference_reused and report.err_l2 == 0.0
-    assert direct_solves == []
+    assert [form.name for form in direct_solves] == ["direct"]
     # rank 265 runs the basis form, which the reference checks
     report = spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.6))
     assert report.solution.woodbury_form == "basis"
     assert not report.reference_reused and report.err_l2 > 0.0
-    assert direct_solves == [1]
+    assert direct_solves[1:] == [None]
 
 
 def test_seed_reproducibility_bitwise():
@@ -190,7 +192,10 @@ def spectral_calls(monkeypatch):
     (lambda tmp: cli.main(["diagnose", "--h", "0.25", "--out-dir", str(tmp)]), False),
     (lambda tmp: cli.main(["compress", "--h", "0.25", "--tau", "0.5", "--out-dir", str(tmp)]),
      True),
-], ids=["smw", "neumann", "direct", "scan", "diagnose", "compress"])
+    # N = 441, |S| = k* = 361: rank 419 prices SMW in the direct form, which reads
+    # no eigenvector
+    (lambda tmp: spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.95)), False),
+], ids=["smw", "neumann", "direct", "scan", "diagnose", "compress", "smw-direct-form"])
 def test_one_spectral_pass_per_ensemble(spectral_calls, run, vectors, tmp_path):
     run(tmp_path)
     assert spectral_calls == {"gram": 1, "eig": 1, "vectors": [vectors]}
@@ -222,12 +227,14 @@ def test_smw_above_half_rank_builds_no_coefficient_matrix(monkeypatch):
     k = report.rank
     assert k > report.k_star
     # at k >= k* the route is direct: the base factored once (for u0), one LU per
-    # sample, no capacitance, and only rmsre's (N-k)-by-N tail projections
+    # sample (sample 0's made once, for pricing), no capacitance, and no projection:
+    # rmsre reads the eigenvalue tail of a values-only spectrum
     assert (report.solution.woodbury_form, report.solution.update_rank) == ("direct", 0)
     assert calls["factorize"] == 1
     assert calls["sample_lu"] == cfg.samples
     assert calls["capacitance"] == 0
-    assert calls["projections"] == [(n - k, n)] * cfg.samples
+    assert calls["projections"] == []
+    assert k < n and report.rmsre == 0.0
 
 
 # ---------------------------------------------------------------------------
