@@ -264,7 +264,7 @@ def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict]
     t0 = time.perf_counter()
     system = fem.sampled_system(cfg)
     assemble_s = time.perf_counter() - t0
-    # recorded before solving: a run that fails with exit 2 still reports its field
+    # recorded before any solve: a run that fails with exit 2 still reports its field
     _warn(_record_field(record, system.min_coefficient))
     report = spde.run_spde(cfg, cfg.tau_scan if scan else None, system)
     if cfg.reference:
@@ -314,10 +314,12 @@ def cmd_socp(out_dir: Path, record: dict, cfg: SocpCommand,
     outputs = []
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    system, _, problem = socp.build_control_problem(cfg)
+    system = fem.sampled_system(cfg)
+    # recorded before any solve: a build that fails with exit 2 still reports its field
+    _warn(_record_field(record, system.min_coefficient))
+    _, _, problem = socp.build_control_problem(cfg, system)
     timings["build"] = time.perf_counter() - t0
     _record_woodbury(record, problem)
-    _warn(_record_field(record, system.min_coefficient))
     control0 = np.full(problem.dim, cfg.control_init)
 
     methods = list(socp.METHODS) if cfg.compare_methods else [spec.method]

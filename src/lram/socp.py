@@ -18,7 +18,8 @@ share a weak-Wolfe line search that reads the exact quadratic along each ray
 from one Hessian-vector product.  Newton and the trust region take their
 steps from one truncated-CG kernel (Steihaug-Toint) on that product.
 ``build_control_problem`` compresses the sampled system of
-``fem.sampled_system``, the one every sampled run solves.
+``fem.sampled_system``, the one every sampled run solves, unless its
+Woodbury form is the direct one, which reads no factors.
 """
 
 from __future__ import annotations
@@ -589,15 +590,17 @@ class SocpRunConfig(fem.CompressedSampling):
                     f"desired_mode must be one of {DESIRED_MODES}", self.desired_mode)
 
 
-def build_control_problem(cfg: SocpRunConfig):
+def build_control_problem(cfg: SocpRunConfig, system: fem.AssembledSystem | None = None):
     """The sampled system (``fem.sampled_system``), its factors and the reduced problem.
 
+    ``system`` is ``fem.sampled_system(cfg)`` if the caller built it already.
     On the dense eigensolver route (``numerics.dense_eig``) the form is
     priced before any eigenvector exists (``perturbed.plan_smw``), and in the
     direct form nothing is compressed and the factors are None.  On the
     Lanczos route the factors hold no k*, so they take the basis form.
     """
-    system = fem.sampled_system(cfg)
+    if system is None:
+        system = fem.sampled_system(cfg)
     ensemble = perturbed.PerturbedEnsemble(system.base, system.perturbations, system.load)
     rank = lowrank.rank_from_ratio(cfg.tau, ensemble.dim)
     spectrum = form = factors = None

@@ -7,8 +7,8 @@ run over several ratios: one sampled ensemble, one Gram spectrum and one
 reference serve them all, and each distinct solve is made once (SMW caps its
 update at the numerical rank k*, so its solves at every k >= k* are one
 solve).  SMW picks its form before the eigensolve (``perturbed.plan_smw``):
-in the direct form, the one the paper's full-domain fields take at k >= k*,
-the spectrum holds eigenvalues only and nothing is compressed.  When a
+in the direct form, which full-domain fields take at k >= k* from h = 0.05
+down, the spectrum holds eigenvalues only and nothing is compressed.  When a
 reference is requested the direct per-sample solve consumes the identical
 sampled fields, so the reported gap isolates the compression error; a solve
 that already factored every sample (the direct method, or SMW in the direct
@@ -72,7 +72,6 @@ class SpdeReport:
     sample_conditions: tuple[float, ...] | None
     solution: perturbed.EnsembleSolution
     timings: dict[str, float]
-    min_coefficient: np.ndarray  # per sample: min over elements of the diffusion field
 
 
 def critical_tau(curve) -> tuple[int, float]:
@@ -200,7 +199,6 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
         sample_conditions=sample_conds,
         solution=solution,
         timings=timings,
-        min_coefficient=system.min_coefficient,
     )
 
 
