@@ -279,7 +279,7 @@ class WoodburyForm:
 
 def woodbury_form(ensemble: PerturbedEnsemble, basis_rank: int, complement_rank: int,
                   lu0=None) -> WoodburyForm:
-    """The cheaper of the basis form at ``basis_rank`` and the complement form at ``complement_rank``.
+    """The cheaper of the basis form and the complement form at the given ranks.
 
     Needs no factors: only N, the two ranks and sample 0's LU.  The basis
     form runs unless the complement rank is below the basis rank and
@@ -299,7 +299,7 @@ def woodbury_form(ensemble: PerturbedEnsemble, basis_rank: int, complement_rank:
 
 
 def _factors_form(ensemble: PerturbedEnsemble, factors) -> WoodburyForm:
-    """The form of ``factors``: priced when they carry coefficient ``Projections`` and the complement.
+    """The form of ``factors``, priced if they carry coefficient ``Projections`` and a complement.
 
     The basis rank is min(k, k*) when the factors record k*, else k; the
     complement rank is the complement's width, max(k* - k, 0).

@@ -60,7 +60,7 @@ def jacobi_eigh(a, tol=1e-13, max_sweeps=200):
 
 
 def fix_column_signs(vectors):
-    """Column by column: negate each column whose first entry above 1e-12 of its largest is negative."""
+    """Column by column: negate a column whose first entry above 1e-12 of its largest is < 0."""
     out = np.array(vectors, copy=True)
     for j in range(out.shape[1]):
         col = out[:, j]
