@@ -317,7 +317,7 @@ def cmd_socp(out_dir: Path, record: dict, cfg: SocpCommand,
     system = fem.sampled_system(cfg)
     # recorded before any solve: a build that fails with exit 2 still reports its field
     _warn(_record_field(record, system.min_coefficient))
-    _, _, problem = socp.build_control_problem(cfg, system)
+    _, problem = socp.build_control_problem(cfg, system)
     timings["build"] = time.perf_counter() - t0
     _record_woodbury(record, problem)
     control0 = np.full(problem.dim, cfg.control_init)

@@ -17,7 +17,6 @@ import scipy.sparse as sp
 
 from . import numerics
 from .errors import (
-    ConfigRangeError,
     DegenerateElementError,
     DimensionMismatchError,
     InvalidMeshSizeError,
@@ -108,22 +107,25 @@ class RandomField:
     sample_index: int
 
 
+def _check_draw(samples: int, epsilon: float, distribution: str, seed: int) -> None:
+    """The range checks of a Monte-Carlo draw, for ``Sampling`` and ``sample_fields``."""
+    check_range(samples >= 1, "samples must be >= 1", samples)
+    check_range(epsilon >= 0.0, "epsilon must be >= 0", epsilon)
+    check_range(distribution in DISTRIBUTIONS,
+                f"distribution must be one of {DISTRIBUTIONS}", distribution)
+    check_range(seed >= 0, "seed must be >= 0", seed)
+
+
 def sample_fields(mesh: TriMesh, num_samples: int, epsilon: float,
                   distribution: str, master_seed: int) -> list[RandomField]:
     """Draw ``num_samples`` independent per-element fields.
 
     Sample ``m`` is generated from a dedicated stream keyed by
     ``(master_seed, m)``, so it is bitwise reproducible regardless of how many
-    samples are requested or in which order they are consumed.
+    samples are requested or in which order they are consumed.  Each argument
+    but ``mesh`` is range-checked as in ``Sampling`` (``ConfigRangeError``).
     """
-    if num_samples < 1:
-        raise ConfigRangeError(f"num_samples must be >= 1, got {num_samples}")
-    if epsilon < 0.0:
-        raise ConfigRangeError(f"epsilon must be >= 0, got {epsilon}")
-    if distribution not in DISTRIBUTIONS:
-        raise ConfigRangeError(
-            f"distribution must be one of {DISTRIBUTIONS}, got {distribution!r}"
-        )
+    _check_draw(num_samples, epsilon, distribution, master_seed)
     fields = []
     for m in range(num_samples):
         rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(m,)))
@@ -273,11 +275,7 @@ class Sampling:
 
     def __post_init__(self):
         check_range(0.0 < self.h < 1.0, "h must lie in (0, 1)", self.h)
-        check_range(self.samples >= 1, "samples must be >= 1", self.samples)
-        check_range(self.epsilon >= 0.0, "epsilon must be >= 0", self.epsilon)
-        check_range(self.distribution in DISTRIBUTIONS,
-                    f"distribution must be one of {DISTRIBUTIONS}", self.distribution)
-        check_range(self.seed >= 0, "seed must be >= 0", self.seed)
+        _check_draw(self.samples, self.epsilon, self.distribution, self.seed)
 
 
 @dataclass(frozen=True)

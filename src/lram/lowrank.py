@@ -10,10 +10,10 @@ are ``basis^T A_m``.  One eigendecomposition of that Gram matrix, held as a
 curve and the ensemble's numerical rank k* (``numerical_rank``).  The Gram
 matrix stays sparse for sparse members, and the complete eigendecomposition
 runs on its support only.  Its eigenvalues alone serve the energy curve, k*
-and the reconstruction error; only the factors read its eigenvectors.  A
-two-sided alternating baseline and the
-compression ratio are included, plus binary and MatrixMarket serialization of
-the factors.
+and the reconstruction error; its eigenvectors serve the factors and the
+Woodbury forms of ``perturbed.plan_smw``, which read them without any
+factors.  A two-sided alternating baseline and the compression ratio are
+included, plus binary and MatrixMarket serialization of the factors.
 """
 
 from __future__ import annotations
@@ -61,22 +61,18 @@ class LowRankFactors:
     """Shared orthonormal basis plus per-sample coefficient matrices.
 
     ``basis`` is N-by-k with orthonormal columns; ``coeffs[m]`` is k-by-N and
-    the reconstruction of sample m is ``basis @ coeffs[m]``.  The compressors
-    give ``coeffs`` as ``Projections`` of the compressed members and, on a
-    complete spectrum, the ensemble's ``numerical_rank`` k* and the
-    ``complement``: eigenvectors k+1..k* (none at k >= k*), so that the
-    leading min(k, k*) basis vectors and the complement span the members'
-    columns up to ``CRITICAL_ENERGY_TOL`` of their energy.  Loaded and
-    hand-built factors hold plain coefficient lists, no numerical rank and no
-    complement.
+    the reconstruction of sample m is ``basis @ coeffs[m]``.  ``compress``
+    gives ``coeffs`` as ``Projections`` of the compressed members; loaded and
+    hand-built factors hold plain coefficient lists.  Plain data: they serve
+    ``lram compress``, ``save_factors`` and the series route
+    (``perturbed.solve_neumann``).  SMW reads no factors: its forms carry the
+    eigenvectors they read (``perturbed.plan_smw``).
     """
 
     basis: np.ndarray
     coeffs: Sequence[np.ndarray]
     rank: int
     ratio: float
-    complement: np.ndarray | None = None
-    numerical_rank: int | None = None
 
     @property
     def dim(self) -> int:
@@ -269,34 +265,21 @@ def _sample_coeffs(basis: np.ndarray, a) -> np.ndarray:
     return basis.T @ np.asarray(a, dtype=float)
 
 
-def _factors(ensemble, rank: int, ratio: float, spectrum) -> LowRankFactors:
-    if spectrum is None:
-        spectrum = gram_spectrum(ensemble, rank)
-    basis = spectrum.basis(rank)
-    complement = k_star = None
-    if spectrum.complete:
-        k_star = numerical_rank(spectrum.energy_curve())
-        complement = np.ascontiguousarray(spectrum.vectors[:, rank:max(rank, k_star)])
-    return LowRankFactors(basis=basis, coeffs=Projections(basis, ensemble), rank=rank,
-                          ratio=float(ratio), complement=complement, numerical_rank=k_star)
-
-
-def compress_rank(ensemble, rank: int, spectrum: GramSpectrum | None = None) -> LowRankFactors:
-    """Optimal shared-basis factorization at an explicit rank, from ``spectrum`` if given."""
-    n = _check_ensemble(ensemble)
-    return _factors(ensemble, rank, rank / n, spectrum)
-
-
 def compress(ensemble, ratio: float, spectrum: GramSpectrum | None = None) -> LowRankFactors:
     """Optimal shared-basis factorization at reduction ratio ``ratio``.
 
-    The rank is ``ceil(ratio * N)``.  Among all rank-k factorizations with a
-    shared orthonormal left factor, the result minimizes
-    ``sum_m ||A_m - basis @ coeffs[m]||_F^2``.  Reads ``spectrum`` if given,
-    else computes the ensemble's ``GramSpectrum``.
+    The rank is ``ceil(ratio * N)``, so ratio k / N gives rank k.  Among all
+    rank-k factorizations with a shared orthonormal left factor, the result
+    minimizes ``sum_m ||A_m - basis @ coeffs[m]||_F^2``.  Reads ``spectrum``
+    if given, else computes the ensemble's ``GramSpectrum`` (the leading
+    pairs only where ``numerics.dense_eig`` declines the dense route).
     """
-    n = _check_ensemble(ensemble)
-    return _factors(ensemble, rank_from_ratio(ratio, n), ratio, spectrum)
+    rank = rank_from_ratio(ratio, _check_ensemble(ensemble))
+    if spectrum is None:
+        spectrum = gram_spectrum(ensemble, rank)
+    basis = spectrum.basis(rank)
+    return LowRankFactors(basis=basis, coeffs=Projections(basis, ensemble), rank=rank,
+                          ratio=float(ratio))
 
 
 def rmsre(ensemble, spectrum: GramSpectrum, rank: int) -> float:

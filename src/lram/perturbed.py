@@ -1,46 +1,46 @@
 """Solvers for ensembles of perturbed linear systems sharing one base matrix.
 
-Each sample solves ``(base + perturbation_m) u_m = rhs``.  With shared-basis
-factors ``perturbation_m ~ basis @ coeffs[m]`` (U = basis, C_m = coeffs[m])
-every sample matrix ``base + U C_m`` is inverted through the Woodbury
-identity ``(F + X G)^-1 = F^-1 - F^-1 X (I + G F^-1 X)^-1 G F^-1`` in one of
-two forms.  ``WoodburySolvers`` builds one ``WoodburySolver`` per sample in
-one form; ``solve_smw`` runs them on the ensemble's right-hand side and the
-control problem (``socp``) builds its state operators from them.
+Each sample solves ``(base + P_m) u_m = rhs``.  SMW replaces P_m by its part
+in the span of Gram eigenvectors (``lowrank``) and inverts the result through
+the Woodbury identity ``(F + X G)^-1 = F^-1 - F^-1 X (I + G F^-1 X)^-1 G
+F^-1`` in one of three forms.  ``plan_smw`` is the one router: it picks the
+form at each rank from one Gram spectrum, and each ``WoodburyForm`` carries
+the eigenvectors V its update reads.  ``WoodburySolvers`` builds one
+``WoodburySolver`` per sample from the ensemble and the form alone, with
+coefficients C_m = V^T P_m; ``solve_smw`` runs them on the ensemble's
+right-hand side and the control problem (``socp``) builds its state
+operators from them.
 
-Both forms carry only the ensemble's numerical rank k* (``lowrank``): Gram
+Every form stops at the ensemble's numerical rank k* (``lowrank``): Gram
 directions past k* hold no energy, so their coefficients vanish and they
-only add work.  Factors from a complete spectrum record k* and the
-eigenvectors k+1..k*; loaded and hand-built factors record neither and run
-at rank k.
+only add work.
 
-* Basis form, rank min(k, k*): F = base, X = U, G = C_m on the leading
-  min(k, k*) basis vectors.  Once per ensemble: one factorization of the
-  base and a solve for ``base^-1 U``.  Per sample: the capacitance
-  ``I + C_m base^-1 U`` (2 r^2 N flops for rank r), its LU (2/3 r^3) and
-  O(rN) vector work per solve.  Cheaper than a per-sample sparse LU only
-  while the rank is small.
-* Complement form, rank max(k* - k, 0), possible when the factors carry the
-  complement W (eigenvectors k+1..k*, so ``base + U C_m = (base + P_m) - W
-  D_m`` with D_m = W^T P_m): F = base + P_m, X = -W, G = D_m.  Per sample:
-  one sparse LU of ``base + P_m``, a solve for F^-1 W, the capacitance and
-  its LU.  At k >= k* the rank is 0 and this is the direct route: one
-  sparse LU and one solve per sample, no capacitance (form ``direct``).  It
-  includes a per-sample sparse LU, so SMW in this form costs at least the
-  direct route.
+* Basis form, rank min(k, k*), V = eigenvectors 1..min(k, k*): F = base,
+  X = V, G = C_m, so the sample matrix is ``base + V V^T P_m``.  Once per
+  ensemble: one factorization of the base and a solve for ``base^-1 V``.
+  Per sample: the capacitance ``I + C_m base^-1 V`` (2 r^2 N flops for rank
+  r), its LU (2/3 r^3) and O(rN) vector work per solve.  Cheaper than a
+  per-sample sparse LU only while the rank is small.
+* Complement form, rank k* - k for k < k*, V = eigenvectors k+1..k*: with
+  U the leading k, ``base + U U^T P_m = (base + P_m) - V V^T P_m`` up to the
+  energy past k*, so F = base + P_m, X = -V, G = C_m.  Per sample: one
+  sparse LU of ``base + P_m``, a solve for F^-1 V, the capacitance and its
+  LU.  It includes a per-sample sparse LU, so SMW in this form costs at
+  least the direct route.
+* Direct form, rank 0 at k >= k*: no V and no capacitance, one sparse LU and
+  one solve per sample (``solve_direct``).
 
 When the complement rank is below the basis rank (k > k*/2) the form is the
 one ``woodbury_costs`` models cheaper, reading the size of sample 0's LU;
 otherwise the basis form runs.  That choice (``woodbury_form``) needs only
-N, k, k* and sample 0's LU, no factors.  ``plan_smw`` makes it before any
-eigenvector exists, from the support size |S| >= k* of the Gram matrix:
+N, k, k* and sample 0's LU, no eigenvectors.  ``plan_smw`` makes it before
+any eigenvector exists, from the support size |S| >= k* of the Gram matrix:
 where the direct form wins at every rank, the Gram spectrum is computed
-without eigenvectors and nothing is compressed, since the direct form reads
-no factors (it is ``solve_direct``).
+without eigenvectors.
 
-A truncated alternating series and a per-sample direct factorization are
-provided as alternative routes; the quantity of interest is the sample mean,
-reduced in fixed order.
+A truncated alternating series on shared-basis factors and a per-sample
+direct factorization are provided as alternative routes; the quantity of
+interest is the sample mean, reduced in fixed order.
 
 One failure policy serves every route that factors or solves a sample: a
 sample m whose ``base + P_m`` does not factor, or whose solution is not
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
 import numpy as np
@@ -260,16 +260,20 @@ class WoodburySolver:
 
 @dataclass(frozen=True, eq=False)
 class WoodburyForm:
-    """The form an SMW solve runs in (module docstring) and its update rank.
+    """The form an SMW solve runs in (module docstring), its update rank and eigenvectors.
 
-    ``lu0`` is the LU of sample 0's ``base + P_0`` if pricing made one: the
-    complement and direct forms take it as sample 0's, and a later pricing
-    reuses it, so no sample is factored twice.
+    ``vectors`` are the N-by-``update_rank`` Gram eigenvectors the update
+    reads: the leading min(k, k*) in the basis form, k+1..k* in the
+    complement form, and None in the direct form.  ``lu0`` is the LU of
+    sample 0's ``base + P_0`` if pricing made one: the complement and direct
+    forms take it as sample 0's, and a later pricing reuses it, so no sample
+    is factored twice.
     """
 
     name: str   # "basis", "complement" or "direct"
     update_rank: int
     lu0: object = None
+    vectors: np.ndarray | None = None
 
     @property
     def reads_vectors(self) -> bool:
@@ -281,11 +285,12 @@ def woodbury_form(ensemble: PerturbedEnsemble, basis_rank: int, complement_rank:
                   lu0=None) -> WoodburyForm:
     """The cheaper of the basis form and the complement form at the given ranks.
 
-    Needs no factors: only N, the two ranks and sample 0's LU.  The basis
+    Needs no eigenvectors: only N, the two ranks and sample 0's LU.  The basis
     form runs unless the complement rank is below the basis rank and
     ``woodbury_costs`` prices the complement form cheaper for sample 0's LU,
     made here unless ``lu0`` is given (``SingularSampleError`` if it fails).
-    The complement form at rank 0 is the direct form.
+    The complement form at rank 0 is the direct form.  The form returned
+    holds no vectors.
     """
     if complement_rank >= basis_rank:
         return WoodburyForm("basis", basis_rank, lu0)
@@ -298,26 +303,11 @@ def woodbury_form(ensemble: PerturbedEnsemble, basis_rank: int, complement_rank:
     return WoodburyForm("basis", basis_rank, lu0)
 
 
-def _factors_form(ensemble: PerturbedEnsemble, factors) -> WoodburyForm:
-    """The form of ``factors``, priced if they carry coefficient ``Projections`` and a complement.
-
-    The basis rank is min(k, k*) when the factors record k*, else k; the
-    complement rank is the complement's width, max(k* - k, 0).
-    """
-    basis_rank = factors.rank
-    if not isinstance(factors.coeffs, lowrank.Projections):
-        return WoodburyForm("basis", basis_rank)
-    if factors.numerical_rank is not None:
-        basis_rank = min(basis_rank, factors.numerical_rank)
-    if factors.complement is None:
-        return WoodburyForm("basis", basis_rank)
-    return woodbury_form(ensemble, basis_rank, factors.complement.shape[1])
-
-
 def plan_smw(ensemble: PerturbedEnsemble, ranks):
     """The Gram spectrum SMW needs at each of ``ranks``, and the form each runs in.
 
-    One Gram build.  Eigenvectors are computed only if a form reads them.
+    The one router of SMW solves.  One Gram build.  Eigenvectors are
+    computed only if a form reads them.
     The numerical rank k* is at most the support size |S| (``GramSpectrum``),
     so where every rank is at least |S| each form is the basis form at rank
     k* or the direct form.  If the direct form is priced cheaper against the
@@ -325,8 +315,9 @@ def plan_smw(ensemble: PerturbedEnsemble, ranks):
     forms are then priced at the true k*, and if the basis form wins there
     (k* well below |S|) the eigenvectors are computed after all, from the
     same Gram matrix.  Otherwise one eigensolve computes the pairs.  The
-    spectrum is complete (``GramSpectrum``).  Pricing makes at most one LU,
-    of sample 0, kept in the forms.  Returns (spectrum, forms).
+    spectrum is complete (``GramSpectrum``), and each form holds the
+    eigenvectors it reads as a view of it.  Pricing makes at most one LU, of
+    sample 0, kept in the forms.  Returns (spectrum, forms).
     """
     members = ensemble.perturbations
     gram = lowrank.ensemble_gram(members)
@@ -344,43 +335,50 @@ def plan_smw(ensemble: PerturbedEnsemble, ranks):
 
 
 def _price_forms(ensemble, ranks, spectrum, lu0) -> list[WoodburyForm]:
-    """``woodbury_form`` at each rank k: basis rank min(k, k*), complement rank max(k* - k, 0)."""
+    """``woodbury_form`` at each rank k: basis rank min(k, k*), complement rank max(k* - k, 0).
+
+    Once ``spectrum`` holds eigenvectors, each form that reads them gets its
+    columns: the first min(k, k*) in the basis form, k+1..k* in the complement form.
+    """
     k_star = lowrank.numerical_rank(spectrum.energy_curve())
     forms = []
     for k in ranks:
-        forms.append(woodbury_form(ensemble, min(k, k_star), max(k_star - k, 0), lu0))
-        lu0 = forms[-1].lu0
+        form = woodbury_form(ensemble, min(k, k_star), max(k_star - k, 0), lu0)
+        lu0 = form.lu0
+        if form.reads_vectors and spectrum.vectors is not None:
+            start = k if form.name == "complement" else 0
+            form = replace(form, vectors=spectrum.vectors[:, start:start + form.update_rank])
+        forms.append(form)
     return forms
 
 
 class WoodburySolvers(Sequence):
-    """One ``WoodburySolver`` per sample of ``ensemble`` in one form, built on access.
+    """One ``WoodburySolver`` per sample of ``ensemble`` in ``form``, built on access.
 
-    ``form`` is a ``WoodburyForm`` for ``factors``; by default it is priced
-    from them (``woodbury_form``) when they carry coefficient
-    ``Projections`` and the complement, and is the basis form at rank
-    min(k, k*) otherwise (rank k without a recorded k*).  The basis form runs
-    on the leading ``update_rank`` basis vectors with ``base^-1 U``, computed
-    on first need with the ensemble's ``base_factor``.  The complement form
-    reads the complement and the members.  The direct form reads no factors,
-    which may then be None.  The complement and direct forms make sample m's
-    LU on access (sample 0's is the form's ``lu0`` if pricing made one); one
-    that fails raises ``SingularSampleError``.
+    Both update forms read the form's eigenvectors V one way: C_m = V^T P_m
+    (``lowrank.Projections``).  The basis form solves with the ensemble's
+    ``base_factor`` and ``base^-1 V``, computed on first need; the complement
+    form solves with sample m's LU and ``-(base + P_m)^-1 V``.  At rank 0
+    (the direct form) there is no solve with V and no projection.  The
+    complement and direct forms make sample m's LU on access (sample 0's is
+    the form's ``lu0`` if pricing made one); one that fails raises
+    ``SingularSampleError``.  Vectors not of shape (N, ``update_rank``) raise
+    ``DimensionMismatchError``.
     """
 
-    def __init__(self, ensemble: PerturbedEnsemble, factors, form: WoodburyForm | None = None):
+    def __init__(self, ensemble: PerturbedEnsemble, form: WoodburyForm):
+        n = ensemble.dim
+        shape = (n, 0) if form.vectors is None else form.vectors.shape
+        if shape != (n, form.update_rank):
+            raise DimensionMismatchError(f"form vectors of shape {shape}, but rank "
+                                         f"{form.update_rank} at N = {n} reads ({n}, "
+                                         f"{form.update_rank})")
         self._ensemble = ensemble
-        self._basis_solved = None
-        if form is None:
-            form = _factors_form(ensemble, factors)
         self.form, self.update_rank, self._lu0 = form.name, form.update_rank, form.lu0
-        if form.name == "basis":
-            self._basis, self._coeffs = factors.basis, factors.coeffs
-            if form.update_rank < factors.rank:  # Projections, truncated at k*
-                self._basis = np.ascontiguousarray(factors.basis[:, :form.update_rank])
-                self._coeffs = lowrank.Projections(self._basis, factors.coeffs.members)
-        elif form.name == "complement":
-            self._projections = lowrank.Projections(factors.complement, ensemble.perturbations)
+        self._basis_solved = None
+        if self.update_rank:
+            self._vectors = np.ascontiguousarray(form.vectors)
+            self._projections = lowrank.Projections(self._vectors, ensemble.perturbations)
 
     def __len__(self) -> int:
         return self._ensemble.num_samples
@@ -389,38 +387,31 @@ class WoodburySolvers(Sequence):
         if not 0 <= m < len(self):
             raise IndexError(m)
         if self.form == "basis":
-            fact = self._ensemble.base_factor
+            solve_f = solve_ft = self._ensemble.base_factor.solve
+        else:
+            lu = (self._lu0 if m == 0 and self._lu0 is not None
+                  else _sample_lu(self._ensemble.base, self._ensemble.perturbations[m], m))
+            solve_f, solve_ft = lu.solve, partial(lu.solve, trans="T")
+        if not self.update_rank:
+            n = self._ensemble.dim
+            return WoodburySolver(m, solve_f, solve_ft, np.zeros((n, 0)), np.zeros((0, n)))
+        if self.form == "basis":
             if self._basis_solved is None:
-                self._basis_solved = _solve_columns(fact.solve, self._basis)
-            return WoodburySolver(m, fact.solve, fact.solve, self._basis_solved,
-                                  self._coeffs[m])
-        # complement or direct form, on the LU of base + P_m
-        lu = (self._lu0 if m == 0 and self._lu0 is not None
-              else _sample_lu(self._ensemble.base, self._ensemble.perturbations[m], m))
-        n = self._ensemble.dim
-        update, x_solved = np.zeros((0, n)), np.zeros((n, 0))
-        if self.update_rank:
-            w = self._projections.basis
-            update, x_solved = self._projections[m], -_solve_columns(lu.solve, w)
-        return WoodburySolver(m, lu.solve, partial(lu.solve, trans="T"), x_solved, update)
+                self._basis_solved = _solve_columns(solve_f, self._vectors)
+            x_solved = self._basis_solved
+        else:
+            x_solved = -_solve_columns(solve_f, self._vectors)
+        return WoodburySolver(m, solve_f, solve_ft, x_solved, self._projections[m])
 
 
-def solve_smw(ensemble: PerturbedEnsemble, factors, form: WoodburyForm | None = None
-              ) -> EnsembleSolution:
-    """Solve every sample through the Woodbury identity in the cheaper form.
+def solve_smw(ensemble: PerturbedEnsemble, form: WoodburyForm) -> EnsembleSolution:
+    """Solve every sample through the Woodbury identity in ``form`` (``WoodburySolvers``).
 
-    ``form`` is as in ``WoodburySolvers``.  At update rank 0 (the direct
-    form) this is ``solve_direct``, reporting that form.  A singular
-    capacitance raises ``SingularCapacitanceError`` with the sample index and
-    a condition estimate; a sample matrix that does not factor, or a
-    solution that is not finite, raises ``SingularSampleError``.
+    A singular capacitance raises ``SingularCapacitanceError`` with the
+    sample index and a condition estimate; a sample matrix that does not
+    factor, or a solution that is not finite, raises ``SingularSampleError``.
     """
-    _check_factors(ensemble, factors)
-    if form is None:
-        form = _factors_form(ensemble, factors)
-    if form.name == "direct":
-        return solve_direct(ensemble, form)
-    solvers = WoodburySolvers(ensemble, factors, form)
+    solvers = WoodburySolvers(ensemble, form)
     u0 = ensemble.base_factor.solve(ensemble.rhs)
     samples = [_finite(solvers[m].solve(ensemble.rhs), m) for m in range(ensemble.num_samples)]
 
@@ -429,8 +420,8 @@ def solve_smw(ensemble: PerturbedEnsemble, factors, form: WoodburyForm | None = 
         samples=samples,
         qoi=qoi_mean(samples),
         method="SMW",
-        woodbury_form=solvers.form,
-        update_rank=solvers.update_rank,
+        woodbury_form=form.name,
+        update_rank=form.update_rank,
     )
 
 

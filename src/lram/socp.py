@@ -7,19 +7,21 @@ control:
     J(f) = (1/M) sum_m 1/2 (S_m f - target)' Phi (S_m f - target)
            + beta/2 f' Phi f
 
-with S_m f = (base + U C_m)^-1 Phi f applied by the per-sample Woodbury
-solvers of ``perturbed``, in the form its cost model picks: rank min(k, k*)
-on the one base factorization or rank max(k* - k, 0) on a sparse LU of
-base + P_m, which at k >= k* is a direct solve.  Gradient and
+with S_m f = (base + U U^T P_m)^-1 Phi f for the leading k Gram eigenvectors
+U, applied by the per-sample Woodbury solvers of ``perturbed`` in the form
+its cost model picks: rank min(k, k*) on the one base factorization or rank
+max(k* - k, 0) on a sparse LU of base + P_m, which at k >= k* is a direct
+solve.  Gradient and
 Hessian-vector products are exact; no N-by-N array is formed.  Five
 interchangeable minimizers: steepest descent, single-sample stochastic
 gradient, Newton, BFGS and a trust region.  Steepest descent, Newton and BFGS
 share a weak-Wolfe line search that reads the exact quadratic along each ray
 from one Hessian-vector product.  Newton and the trust region take their
 steps from one truncated-CG kernel (Steihaug-Toint) on that product.
-``build_control_problem`` compresses the sampled system of
-``fem.sampled_system``, the one every sampled run solves, unless its
-Woodbury form is the direct one, which reads no factors.
+``build_control_problem`` takes the Woodbury form of the sampled system of
+``fem.sampled_system``, the one every sampled run solves, from
+``perturbed.plan_smw``; the form carries the eigenvectors it reads, so
+nothing is compressed.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class SampleStateOperator:
     """Action of one sample's control-to-state map and of its transpose.
 
     ``S_m f = K_m^-1 Phi f`` with ``solver`` a ``perturbed.WoodburySolver``
-    of ``K_m = base + U C_m``.  Read-only after construction.
+    of K_m, sample m's matrix in the problem's Woodbury form.  Read-only after
+    construction.
     """
 
     def __init__(self, solver, mass):
@@ -113,26 +116,22 @@ class ReducedControlProblem:
         return self.desired_proj
 
 
-def build_reduced_problem(assembled: fem.AssembledSystem,
-                          factors: lowrank.LowRankFactors | None,
-                          desired_state, beta: float, desired_mode: str = "interpolant",
-                          form: perturbed.WoodburyForm | None = None) -> ReducedControlProblem:
-    """Assemble the reduced problem from one FEM system and its factors.
+def build_reduced_problem(assembled: fem.AssembledSystem, form: perturbed.WoodburyForm,
+                          desired_state, beta: float,
+                          desired_mode: str = "interpolant") -> ReducedControlProblem:
+    """Assemble the reduced problem from one FEM system and its Woodbury form.
 
     ``desired_state`` is a callable of (x, y).  Its nodal interpolant enters
     the state mismatch by default; the mass-weighted projection of that
     interpolant is kept alongside for the gradient pairing and for the
-    alternative ``projection`` mismatch convention.  The state operators take
-    the Woodbury form ``form``, by default the one ``perturbed.WoodburySolvers``
-    picks for ``factors`` (None in the direct form, which reads none); a
-    singular capacitance raises ``SingularCapacitanceError`` and a sample
-    matrix that does not factor ``SingularSampleError``.
+    alternative ``projection`` mismatch convention.  The state operators are
+    the ``perturbed.WoodburySolvers`` of ``form``; a singular capacitance
+    raises ``SingularCapacitanceError`` and a sample matrix that does not
+    factor ``SingularSampleError``.
     """
-    if factors is not None and factors.basis.shape[0] != assembled.base.shape[0]:
-        raise DimensionMismatchError("factors do not match the assembled system")
     ensemble = perturbed.PerturbedEnsemble(assembled.base, assembled.perturbations,
                                            assembled.load)
-    solvers = perturbed.WoodburySolvers(ensemble, factors, form)
+    solvers = perturbed.WoodburySolvers(ensemble, form)
 
     coords = assembled.node_coords
     desired_nodal = np.array([float(desired_state(x, y)) for x, y in coords])
@@ -591,31 +590,31 @@ class SocpRunConfig(fem.CompressedSampling):
 
 
 def build_control_problem(cfg: SocpRunConfig, system: fem.AssembledSystem | None = None):
-    """The sampled system (``fem.sampled_system``), its factors and the reduced problem.
+    """The sampled system (``fem.sampled_system``) and its reduced problem.
 
     ``system`` is ``fem.sampled_system(cfg)`` if the caller built it already.
     On the dense eigensolver route (``numerics.dense_eig``) the form is
-    priced before any eigenvector exists (``perturbed.plan_smw``), and in the
-    direct form nothing is compressed and the factors are None.  On the
-    Lanczos route the factors hold no k*, so they take the basis form.
+    ``perturbed.plan_smw``'s.  On the Lanczos route the spectrum holds the
+    leading pairs only and no k*, so the form is the basis form at rank k.
+    Nothing is compressed.
     """
     if system is None:
         system = fem.sampled_system(cfg)
     ensemble = perturbed.PerturbedEnsemble(system.base, system.perturbations, system.load)
     rank = lowrank.rank_from_ratio(cfg.tau, ensemble.dim)
-    spectrum = form = factors = None
     if numerics.dense_eig(ensemble.dim, rank):
-        spectrum, (form,) = perturbed.plan_smw(ensemble, [rank])
-    if form is None or form.reads_vectors:
-        factors = lowrank.compress(system.perturbations, cfg.tau, spectrum)
+        _, (form,) = perturbed.plan_smw(ensemble, [rank])
+    else:
+        spectrum = lowrank.gram_spectrum(system.perturbations, rank)
+        form = perturbed.WoodburyForm("basis", rank, vectors=spectrum.vectors[:, :rank])
     target = desired_state_function(cfg.desired, cfg.desired_amplitude)
-    problem = build_reduced_problem(system, factors, target, cfg.beta,
-                                    desired_mode=cfg.desired_mode, form=form)
-    return system, factors, problem
+    problem = build_reduced_problem(system, form, target, cfg.beta,
+                                    desired_mode=cfg.desired_mode)
+    return system, problem
 
 
 def run_socp(cfg: SocpRunConfig, spec: OptimizerSpec) -> tuple[ReducedControlProblem, SocpResult]:
     """Build the problem and minimize it with one method."""
-    _, _, problem = build_control_problem(cfg)
+    _, problem = build_control_problem(cfg)
     control0 = np.full(problem.dim, cfg.control_init)
     return problem, optimize(problem, spec, control0)

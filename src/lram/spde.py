@@ -1,21 +1,22 @@
 """End-to-end Monte-Carlo driver for the random-diffusion Poisson problem.
 
-Takes the sampled stiffness ensemble of ``fem.sampled_system``, compresses
-it at one or more reduction ratios, solves all samples through the chosen
-route, and averages into the mean-field estimate.  A ratio scan is the same
-run over several ratios: one sampled ensemble, one Gram spectrum and one
-reference serve them all, and each distinct solve is made once (SMW caps its
-update at the numerical rank k*, so its solves at every k >= k* are one
-solve).  SMW picks its form before the eigensolve (``perturbed.plan_smw``):
-in the direct form, which full-domain fields take at k >= k* from h = 0.05
-down, the spectrum holds eigenvalues only and nothing is compressed.  When a
-reference is requested the direct per-sample solve consumes the identical
-sampled fields, so the reported gap isolates the compression error; a solve
-that already factored every sample (the direct method, or SMW in the direct
-form) is the reference itself, and its sample LUs also serve the sample
-condition estimates.  Also hosts the critical
-reduction-ratio diagnostics (an all-zero ensemble has k* = 0) and a
-Monte-Carlo convergence study.
+Takes the sampled stiffness ensemble of ``fem.sampled_system``, decomposes
+its Gram matrix once, solves all samples through the chosen route at one or
+more reduction ratios, and averages into the mean-field estimate.  A ratio
+scan is the same run over several ratios: one sampled ensemble, one Gram
+spectrum and one reference serve them all, and each distinct solve is made
+once (SMW caps its update at the numerical rank k*, so its solves at every
+k >= k* are one solve).  SMW takes its form at each ratio, with the
+eigenvectors that form reads, from ``perturbed.plan_smw`` and compresses
+nothing: in the direct form, which full-domain fields take at k >= k* from
+h = 0.05 down, the spectrum holds eigenvalues only.  Only the series route
+compresses (``lowrank.compress``).  When a reference is requested the
+direct per-sample solve consumes the identical sampled fields, so the
+reported gap isolates the compression error; a solve that already factored
+every sample (the direct method, or SMW in the direct form) is the
+reference itself, and its sample LUs also serve the sample condition
+estimates.  Also hosts the critical reduction-ratio diagnostics (an
+all-zero ensemble has k* = 0) and a Monte-Carlo convergence study.
 """
 
 from __future__ import annotations
@@ -88,10 +89,10 @@ def _solve(cfg: SpdeRunConfig, ensemble, factors, form):
     if cfg.method == "neumann":
         return perturbed.solve_neumann(ensemble, factors, cfg.neumann_order,
                                        force=cfg.force_neumann)
-    if factors is None:
-        # the direct method, or SMW in the direct form: one LU per sample, no factors read
+    if form is None or form.name == "direct":
+        # the direct method, or SMW in the direct form: one LU per sample
         return perturbed.solve_direct(ensemble, form, conditions=cfg.sample_conditions)
-    return perturbed.solve_smw(ensemble, factors, form)
+    return perturbed.solve_smw(ensemble, form)
 
 
 def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
@@ -103,7 +104,8 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     ``fem.sampled_system(cfg)`` if the caller built it already.  SMW prices
     its form at every rank before any eigenvector exists
     (``perturbed.plan_smw``), so a run whose every form is direct computes
-    eigenvalues only and compresses nothing.  Solves are keyed by the update
+    eigenvalues only; SMW compresses nothing, and the series route
+    compresses once per ratio.  Solves are keyed by the update
     rank they run at, min(k, k*) for SMW and k for the series, and each is
     made once.  Two runs with identical configs produce bitwise-identical
     vectors: the sampling is keyed per (seed, sample) and every reduction
@@ -143,7 +145,7 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
         t0 = time.perf_counter()
         factors, rmsre_value = None, None
         if rank is not None:
-            if form is None or form.reads_vectors:
+            if cfg.method == "neumann":
                 factors = lowrank.compress(members, ratio, spectrum)
             rmsre_value = lowrank.rmsre(members, spectrum, rank)
         timings["compress"] += time.perf_counter() - t0

@@ -43,8 +43,7 @@ def test_criterion_01_smw_exactness():
             perturbations=[sp.csr_array(basis @ c) for c in coeffs],
             rhs=rng.standard_normal(n),
         )
-        factors = lowrank.LowRankFactors(basis=basis, coeffs=coeffs, rank=k, ratio=k / n)
-        fast = perturbed.solve_smw(ensemble, factors)
+        fast = perturbed.solve_smw(ensemble, perturbed.WoodburyForm("basis", k, vectors=basis))
         direct = perturbed.solve_direct(ensemble)
         for u, v in zip(fast.samples, direct.samples):
             worst = max(worst, np.linalg.norm(u - v) / np.linalg.norm(v))
@@ -90,7 +89,7 @@ def test_criterion_03_lowrank_optimality():
         lam = np.sort(np.maximum(np.linalg.eigvalsh(gram), 0.0))[::-1]
         k = int(rng.integers(1, n))
         spectrum = lowrank.gram_spectrum(ensemble)
-        factors = lowrank.compress_rank(ensemble, k, spectrum)
+        factors = lowrank.compress(ensemble, k / n, spectrum)
         expected = math.sqrt(np.sum(lam[k:]) / m)
         for err in (oracles.rmsre(ensemble, factors), lowrank.rmsre(ensemble, spectrum, k)):
             if abs(err - expected) > 1e-8:
@@ -124,7 +123,7 @@ def test_criterion_04_compression_ratio_accounting():
         k = int(rng.integers(1, n + 1))
         m = int(rng.integers(1, 9))
         ensemble = [rng.standard_normal((n, n)) for _ in range(m)]
-        factors = lowrank.compress_rank(ensemble, k)
+        factors = lowrank.compress(ensemble, k / n)
         if factors.stored_scalars != n * k + m * n * k:
             ok = False
         r = lowrank.compression_ratio(n, k, m)
@@ -198,7 +197,7 @@ def test_criterion_07_gradient_and_hessian():
     """Analytic derivatives match the exact quadratic to rounding; the Hessian is SPD."""
     t0 = time.perf_counter()
     cfg = socp.SocpRunConfig(h=0.1, samples=20, seed=1234)
-    _, _, problem = socp.build_control_problem(cfg)
+    _, problem = socp.build_control_problem(cfg)
     worst, quadratic, difference = derivative_deviations(problem, 707, socp.gradient)
     hess = oracles.hessian(problem)
     np.linalg.cholesky(hess)
@@ -223,7 +222,7 @@ def test_criterion_08_optimizer_suite():
     t0 = time.perf_counter()
     cfg = socp.SocpRunConfig(h=0.1, samples=50, tau=0.88, epsilon=0.2,
                              distribution="uniform", seed=1234, beta=1e-4)
-    _, _, problem = socp.build_control_problem(cfg)
+    _, problem = socp.build_control_problem(cfg)
     f0 = np.zeros(problem.dim)
     results = {}
     for method in socp.METHODS:

@@ -69,11 +69,11 @@ def test_compress_rank_deficient_matches_gram_tail():
     lam = np.maximum(lam, 0.0)
     gram_rank = int(np.sum(lam > 1e-10 * lam[0]))
 
-    exact = lowrank.compress_rank(ensemble, gram_rank)
+    exact = lowrank.compress(ensemble, gram_rank / 6)
     assert oracles.rmsre(ensemble, exact) <= 1e-9
 
     for k in range(1, gram_rank):
-        factors = lowrank.compress_rank(ensemble, k)
+        factors = lowrank.compress(ensemble, k / 6)
         expected = math.sqrt(np.sum(lam[k:]) / len(ensemble))
         assert oracles.rmsre(ensemble, factors) == pytest.approx(expected, abs=1e-8)
 
@@ -96,7 +96,7 @@ def test_compress_orthonormal_basis():
 def test_compress_beats_random_competitors():
     rng = np.random.default_rng(4)
     ensemble = random_ensemble(rng, 8, 4)
-    factors = lowrank.compress_rank(ensemble, 3)
+    factors = lowrank.compress(ensemble, 3 / 8)
     best = shared_basis_objective(ensemble, factors.basis)
     for _ in range(20):
         competitor = rand_orthonormal(rng, 8, 3)
@@ -106,7 +106,7 @@ def test_compress_beats_random_competitors():
 def test_compress_coeffs_are_optimal_given_basis():
     rng = np.random.default_rng(5)
     ensemble = random_ensemble(rng, 6, 3)
-    factors = lowrank.compress_rank(ensemble, 2)
+    factors = lowrank.compress(ensemble, 2 / 6)
 
     def objective(coeffs):
         return sum(
@@ -224,22 +224,6 @@ def test_dense_route_decomposes_the_support_only(monkeypatch):
     assert np.allclose(values_only.values, spectrum.values, rtol=0.0, atol=1e-13 * scale)
 
 
-def test_factors_carry_numerical_rank_and_trailing_vectors_to_it():
-    _, members = fem_members()
-    spectrum = lowrank.gram_spectrum(members)
-    k_star = lowrank.numerical_rank(spectrum.energy_curve())
-    assert k_star == 81  # every interior node of h = 0.1
-    for k, width in [(40, k_star - 40), (k_star, 0), (100, 0)]:
-        factors = lowrank.compress_rank(members, k, spectrum)
-        assert factors.numerical_rank == k_star
-        assert factors.complement.shape == (spectrum.dim, width)
-        assert np.array_equal(factors.complement, spectrum.vectors[:, k:k + width])
-    partial = lowrank.LowRankFactors(basis=spectrum.basis(3), coeffs=[], rank=3, ratio=0.1)
-    assert (partial.numerical_rank, partial.complement) == (None, None)
-    zero = lowrank.compress_rank([np.zeros((3, 3))], 2)
-    assert (zero.numerical_rank, zero.complement.shape) == (0, (3, 0))
-
-
 def test_numerical_rank_is_the_critical_energy_rule():
     curve = [(1, 0.5), (2, 1.0 - 2e-12), (3, 1.0 - 0.5e-12), (4, 1.0)]
     assert lowrank.numerical_rank(curve) == 3
@@ -270,7 +254,7 @@ def test_rmsre_matches_direct_formula():
     rng = np.random.default_rng(8)
     ensemble = random_ensemble(rng, 5, 3)
     spectrum = lowrank.gram_spectrum(ensemble)
-    factors = lowrank.compress_rank(ensemble, 2, spectrum)
+    factors = lowrank.compress(ensemble, 2 / 5, spectrum)
     direct = math.sqrt(
         sum(np.linalg.norm(a - factors.basis @ c, "fro") ** 2
             for a, c in zip(ensemble, factors.coeffs)) / len(ensemble)
@@ -292,7 +276,7 @@ def test_rmsre_matches_explicit_oracle(monkeypatch, complete):
     for k in ranks:
         spectrum = lowrank.gram_spectrum(ensemble, k)
         assert spectrum.complete is complete
-        factors = lowrank.compress_rank(ensemble, k, spectrum)
+        factors = lowrank.compress(ensemble, k / n, spectrum)
         expected = oracles.rmsre(ensemble, factors)
         got = lowrank.rmsre(ensemble, spectrum, k)
         if expected > 1e-6 * scale:
@@ -315,7 +299,7 @@ def test_rmsre_from_values_only_spectrum_reads_the_eigenvalue_tail():
     scale = math.sqrt(values_only.trace / m)
     for k in range(1, n + 1):
         got = lowrank.rmsre(ensemble, values_only, k)
-        expected = oracles.rmsre(ensemble, lowrank.compress_rank(ensemble, k, spectrum))
+        expected = oracles.rmsre(ensemble, lowrank.compress(ensemble, k / n, spectrum))
         if k >= support:
             assert got == 0.0  # the tail holds only the exact zeros off the support
         elif k >= k_star:
@@ -373,8 +357,8 @@ def test_energy_relates_to_rmsre():
 def test_energy_curve_of_zero_ensemble_is_empty():
     zeros = [np.zeros((3, 3)), np.zeros((3, 3))]
     assert lowrank.gram_spectrum(zeros).energy_curve() == []
-    # the factors read the same rule: no direction carries energy, so k* = 0
-    assert lowrank.compress_rank(zeros, 2).numerical_rank == 0
+    # no direction carries energy, so k* = 0
+    assert lowrank.numerical_rank(lowrank.gram_spectrum(zeros).energy_curve()) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +441,7 @@ def test_glram_errors():
 def test_factors_binary_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     ensemble = random_ensemble(rng, 6, 3)
-    factors = lowrank.compress_rank(ensemble, 2)
+    factors = lowrank.compress(ensemble, 2 / 6)
     path = tmp_path / "factors.bin"
     lowrank.save_factors(path, factors)
     back = lowrank.load_factors(path)
@@ -478,7 +462,7 @@ def test_factors_binary_roundtrip(tmp_path):
 @pytest.mark.parametrize("edit", ["truncate", "append"])
 def test_load_factors_rejects_wrong_length(tmp_path, edit):
     rng = np.random.default_rng(15)
-    factors = lowrank.compress_rank(random_ensemble(rng, 6, 3), 2)
+    factors = lowrank.compress(random_ensemble(rng, 6, 3), 2 / 6)
     path = tmp_path / "factors.bin"
     lowrank.save_factors(path, factors)
     raw = path.read_bytes()
@@ -493,7 +477,7 @@ def test_load_factors_rejects_wrong_length(tmp_path, edit):
 def test_factors_matrix_market_export(tmp_path):
     rng = np.random.default_rng(14)
     ensemble = random_ensemble(rng, 4, 2)
-    factors = lowrank.compress_rank(ensemble, 2)
+    factors = lowrank.compress(ensemble, 2 / 4)
     written = lowrank.factors_to_matrix_market(tmp_path / "mm", factors)
     assert len(written) == 3
     from lram import numerics
@@ -505,5 +489,5 @@ def test_factors_matrix_market_export(tmp_path):
 def test_stored_scalars_accounting():
     rng = np.random.default_rng(15)
     ensemble = random_ensemble(rng, 9, 4)
-    factors = lowrank.compress_rank(ensemble, 3)
+    factors = lowrank.compress(ensemble, 3 / 9)
     assert factors.stored_scalars == 9 * 3 + 4 * 9 * 3

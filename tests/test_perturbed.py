@@ -17,21 +17,25 @@ from oracles import rand_orthonormal, rand_spd
 
 
 def synthetic_instance(rng, n, k, m, scale=0.1):
-    """Ensemble whose perturbations are exactly rank-k in a shared basis."""
+    """Ensemble of members U C_m, exactly rank k in a shared basis U, and U's basis form."""
     base = sp.csr_array(rand_spd(rng, n))
     basis = rand_orthonormal(rng, n, k)
     coeffs = [scale * rng.standard_normal((k, n)) for _ in range(m)]
     perturbations = [sp.csr_array(basis @ c) for c in coeffs]
     rhs = rng.standard_normal(n)
     ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=perturbations, rhs=rhs)
-    factors = lowrank.LowRankFactors(basis=basis, coeffs=coeffs, rank=k, ratio=k / n)
-    return ensemble, factors
+    return ensemble, perturbed.WoodburyForm("basis", k, vectors=basis)
 
 
 def zero_factors(rng, n, k, m):
     basis = rand_orthonormal(rng, n, k)
     coeffs = [np.zeros((k, n)) for _ in range(m)]
     return lowrank.LowRankFactors(basis=basis, coeffs=coeffs, rank=k, ratio=k / n)
+
+
+def basis_form(rng, n, k):
+    """The basis form at rank k on a random orthonormal basis."""
+    return perturbed.WoodburyForm("basis", k, vectors=rand_orthonormal(rng, n, k))
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +50,7 @@ def test_smw_zero_perturbations_return_base_solution():
     zeros = [sp.csr_array((n, n)) for _ in range(m)]
     rhs = rng.standard_normal(n)
     ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=zeros, rhs=rhs)
-    sol = perturbed.solve_smw(ensemble, zero_factors(rng, n, k, m))
+    sol = perturbed.solve_smw(ensemble, basis_form(rng, n, k))
     for u in sol.samples:
         assert np.allclose(u, sol.unperturbed, atol=1e-14)
     assert np.allclose(sol.qoi, sol.unperturbed, atol=1e-14)
@@ -55,8 +59,8 @@ def test_smw_zero_perturbations_return_base_solution():
 
 def test_smw_matches_dense_direct_oracle():
     rng = np.random.default_rng(1)
-    ensemble, factors = synthetic_instance(rng, 8, 2, 3)
-    sol = perturbed.solve_smw(ensemble, factors)
+    ensemble, form = synthetic_instance(rng, 8, 2, 3)
+    sol = perturbed.solve_smw(ensemble, form)
     for m, u in enumerate(sol.samples):
         dense = ensemble.base.toarray() + ensemble.perturbations[m].toarray()
         expected = np.linalg.solve(dense, ensemble.rhs)
@@ -66,23 +70,22 @@ def test_smw_matches_dense_direct_oracle():
 
 def test_smw_residual_identity():
     rng = np.random.default_rng(2)
-    ensemble, factors = synthetic_instance(rng, 10, 3, 4)
-    sol = perturbed.solve_smw(ensemble, factors)
+    ensemble, form = synthetic_instance(rng, 10, 3, 4)
+    sol = perturbed.solve_smw(ensemble, form)
+    coeffs = lowrank.Projections(form.vectors, ensemble.perturbations)
     rhs_norm = np.linalg.norm(ensemble.rhs)
     for m, u in enumerate(sol.samples):
-        resid = ensemble.base @ u + factors.basis @ (factors.coeffs[m] @ u) - ensemble.rhs
+        resid = ensemble.base @ u + form.vectors @ (coeffs[m] @ u) - ensemble.rhs
         assert np.linalg.norm(resid) <= 1e-9 * rhs_norm
 
 
 def test_smw_update_stays_in_solved_basis_span():
     rng = np.random.default_rng(3)
-    ensemble, factors = synthetic_instance(rng, 12, 3, 3)
-    import lram.numerics as numerics
-
+    ensemble, form = synthetic_instance(rng, 12, 3, 3)
     fact = numerics.factorize_spd(ensemble.base)
-    basis_solved = fact.solve(factors.basis)
+    basis_solved = fact.solve(form.vectors)
     q, _ = np.linalg.qr(basis_solved)
-    sol = perturbed.solve_smw(ensemble, factors)
+    sol = perturbed.solve_smw(ensemble, form)
     for u in sol.samples:
         delta = u - sol.unperturbed
         resid = delta - q @ (q.T @ delta)
@@ -94,25 +97,38 @@ def test_smw_singular_update_raises_with_sample_index():
     n = 5
     base = sp.csr_array(np.eye(n))
     basis = np.eye(n)[:, :1]
-    coeffs = [-basis.T.copy()]  # update matrix 1 + (-1) = 0
-    factors = lowrank.LowRankFactors(basis=basis, coeffs=coeffs, rank=1, ratio=1 / n)
+    # P_0 = -e1 e1', so C_0 = -e1' and the update matrix is 1 + (-1) = 0
+    form = perturbed.WoodburyForm("basis", 1, vectors=basis)
     ensemble = perturbed.PerturbedEnsemble(
-        base=base, perturbations=[sp.csr_array((n, n))], rhs=np.ones(n)
+        base=base, perturbations=[sp.csr_array(-basis @ basis.T)], rhs=np.ones(n)
     )
     with pytest.raises(SingularCapacitanceError) as err:
-        perturbed.solve_smw(ensemble, factors)
+        perturbed.solve_smw(ensemble, form)
     assert err.value.sample == 0
 
 
 def test_smw_dimension_mismatch():
     rng = np.random.default_rng(6)
     ensemble, _ = synthetic_instance(rng, 6, 2, 3)
-    bad = zero_factors(rng, 7, 2, 3)
     with pytest.raises(DimensionMismatchError):
-        perturbed.solve_smw(ensemble, bad)
-    bad_m = zero_factors(rng, 6, 2, 4)
+        perturbed.solve_smw(ensemble, basis_form(rng, 7, 2))
+
+
+@pytest.mark.parametrize("name, rank, shape", [
+    ("basis", 2, (6, 3)),
+    ("complement", 3, (6, 2)),
+    ("basis", 2, None),
+    ("direct", 0, (6, 1)),
+], ids=["wider", "narrower", "none", "direct-with-vectors"])
+def test_form_vectors_not_n_by_update_rank_raise(name, rank, shape):
+    rng = np.random.default_rng(6)
+    ensemble, _ = synthetic_instance(rng, 6, 2, 3)
+    vectors = None if shape is None else np.zeros(shape)
+    form = perturbed.WoodburyForm(name, rank, vectors=vectors)
     with pytest.raises(DimensionMismatchError):
-        perturbed.solve_smw(ensemble, bad_m)
+        perturbed.WoodburySolvers(ensemble, form)
+    with pytest.raises(DimensionMismatchError):
+        perturbed.solve_smw(ensemble, form)
 
 
 @settings(max_examples=15, deadline=None)
@@ -122,8 +138,8 @@ def test_smw_exactness_property(seed):
     n = int(rng.integers(4, 24))
     k = int(rng.integers(1, max(2, n // 2)))
     m = int(rng.integers(1, 6))
-    ensemble, factors = synthetic_instance(rng, n, k, m)
-    smw = perturbed.solve_smw(ensemble, factors)
+    ensemble, form = synthetic_instance(rng, n, k, m)
+    smw = perturbed.solve_smw(ensemble, form)
     direct = perturbed.solve_direct(ensemble)
     for u, v in zip(smw.samples, direct.samples):
         assert np.linalg.norm(u - v) <= 1e-9 * np.linalg.norm(v)
@@ -154,11 +170,10 @@ def test_complement_form_matches_basis_form(dense_flop_model, rank_of, below_k_s
     k_star, _ = spde.critical_tau(spectrum.energy_curve())
     k = rank_of(n, k_star)
     assert n / 2 < k < n and (k < k_star) == below_k_star
-    factors = lowrank.compress_rank(ensemble.perturbations, k, spectrum)
-    # hand-built factors hold no complement, so they take the basis form
-    hand = lowrank.LowRankFactors(basis=factors.basis, coeffs=list(factors.coeffs),
-                                  rank=k, ratio=factors.ratio)
-    sol = perturbed.solve_smw(ensemble, factors)
+    _, (form,) = perturbed.plan_smw(ensemble, [k])
+    # the basis form at rank k, past k*, as a reference
+    hand = perturbed.WoodburyForm("basis", k, vectors=spectrum.vectors[:, :k])
+    sol = perturbed.solve_smw(ensemble, form)
     ref = perturbed.solve_smw(ensemble, hand)
     # eigenvectors k+1..k* only: none at k >= k*, where the route is direct
     expected = ("complement", k_star - k) if below_k_star else ("direct", 0)
@@ -173,9 +188,9 @@ def test_complement_form_only_above_half_rank(dense_flop_model):
     ensemble = fem_ensemble(num_samples=3)
     spectrum = lowrank.gram_spectrum(ensemble.perturbations)
     k_star, _ = spde.critical_tau(spectrum.energy_curve())
-    factors = lowrank.compress_rank(ensemble.perturbations, k_star // 2, spectrum)
-    assert factors.complement is not None
-    sol = perturbed.solve_smw(ensemble, factors)
+    plan, (form,) = perturbed.plan_smw(ensemble, [k_star // 2])
+    assert np.array_equal(form.vectors, plan.vectors[:, :k_star // 2])
+    sol = perturbed.solve_smw(ensemble, form)
     assert (sol.woodbury_form, sol.update_rank) == ("basis", k_star // 2)
 
 
@@ -184,14 +199,50 @@ def test_complement_rank_below_k_star_is_k_star_minus_k(dense_flop_model):
     spectrum = lowrank.gram_spectrum(ensemble.perturbations)
     k_star, _ = spde.critical_tau(spectrum.energy_curve())
     direct = perturbed.solve_direct(ensemble)
-    for k in (k_star // 2 + 1, k_star - 9, k_star - 1):
-        factors = lowrank.compress_rank(ensemble.perturbations, k, spectrum)
-        assert (factors.numerical_rank, factors.complement.shape) == (k_star, (ensemble.dim,
-                                                                              k_star - k))
-        sol = perturbed.solve_smw(ensemble, factors)
+    ranks = (k_star // 2 + 1, k_star - 9, k_star - 1)
+    _, forms = perturbed.plan_smw(ensemble, ranks)
+    for k, form in zip(ranks, forms):
+        assert form.vectors.shape == (ensemble.dim, k_star - k)
+        sol = perturbed.solve_smw(ensemble, form)
         assert (sol.woodbury_form, sol.update_rank) == ("complement", k_star - k)
         # below k* the compressed ensemble differs from the sampled one
         assert np.linalg.norm(sol.qoi - direct.qoi) > 1e-10 * np.linalg.norm(direct.qoi)
+
+
+@pytest.mark.parametrize("dense, expected", [
+    (False, {40: "basis", 41: "basis", 81: "basis", 100: "basis"}),
+    # the complement form needs k > k*/2: at k = 40 its rank 41 exceeds the basis rank
+    (True, {40: "basis", 41: "complement", 81: "direct", 100: "direct"}),
+], ids=["model", "dense-flops"])
+def test_forms_carry_the_spectrum_columns_they_read(request, dense, expected):
+    if dense:
+        request.getfixturevalue("dense_flop_model")
+    ensemble = fem_ensemble()
+    spectrum, forms = perturbed.plan_smw(ensemble, list(expected))
+    k_star = lowrank.numerical_rank(spectrum.energy_curve())
+    assert k_star == 81  # every interior node of h = 0.1
+    for (k, name), form in zip(expected.items(), forms):
+        assert form.name == name
+        if name == "direct":
+            assert (form.update_rank, form.vectors) == (0, None)
+            continue
+        columns = slice(0, min(k, k_star)) if name == "basis" else slice(k, k_star)
+        assert np.array_equal(form.vectors, spectrum.vectors[:, columns])
+        assert np.shares_memory(form.vectors, spectrum.vectors)
+        assert form.vectors.shape == (ensemble.dim, form.update_rank)
+
+
+def test_zero_ensemble_takes_the_basis_form_at_rank_zero():
+    # no direction carries energy, so k* = 0: no solve with vectors and no projection
+    n = 3
+    ensemble = perturbed.PerturbedEnsemble(base=sp.csr_array(2.0 * np.eye(n)),
+                                           perturbations=[sp.csr_array((n, n))] * 2,
+                                           rhs=np.ones(n))
+    _, (form,) = perturbed.plan_smw(ensemble, [2])
+    assert (form.name, form.update_rank, form.vectors.shape) == ("basis", 0, (n, 0))
+    sol = perturbed.solve_smw(ensemble, form)
+    for u in sol.samples:
+        assert np.array_equal(u, sol.unperturbed)
 
 
 def test_woodbury_costs_weigh_the_sample_lu():
@@ -247,8 +298,8 @@ def test_basis_form_wins_after_repricing_at_k_star(monkeypatch):
     assert lowrank.numerical_rank(spectrum.energy_curve()) == 2
     assert (form.name, form.update_rank) == ("basis", 2)
     assert calls == {"gram": 1, "vectors": [False, True]}
-    factors = lowrank.compress_rank(members, n, spectrum)
-    sol = perturbed.solve_smw(ensemble, factors, form)
+    assert np.array_equal(form.vectors, spectrum.vectors[:, :2])
+    sol = perturbed.solve_smw(ensemble, form)
     direct = perturbed.solve_direct(ensemble)
     assert (sol.woodbury_form, sol.update_rank) == ("basis", 2)
     assert np.linalg.norm(sol.qoi - direct.qoi) <= 1e-10 * np.linalg.norm(direct.qoi)
@@ -258,26 +309,16 @@ def test_tau_06_keeps_the_basis_form():
     # just above half rank the per-sample LU costs more than the rank-k update saves
     ensemble = fem_ensemble(num_samples=3)
     n = ensemble.dim
-    factors = lowrank.compress(ensemble.perturbations, 0.6)
-    assert n / 2 < factors.rank < n and factors.complement is not None
-    hand = lowrank.LowRankFactors(basis=factors.basis, coeffs=list(factors.coeffs),
-                                  rank=factors.rank, ratio=factors.ratio)
-    sol = perturbed.solve_smw(ensemble, factors)
+    k = lowrank.rank_from_ratio(0.6, n)
+    spectrum, (form,) = perturbed.plan_smw(ensemble, [k])
+    k_star = lowrank.numerical_rank(spectrum.energy_curve())
+    assert n / 2 < k < k_star < n
+    hand = perturbed.WoodburyForm("basis", k, vectors=spectrum.basis(k))
+    sol = perturbed.solve_smw(ensemble, form)
     ref = perturbed.solve_smw(ensemble, hand)
-    assert (sol.woodbury_form, sol.update_rank) == ("basis", factors.rank)
+    assert (sol.woodbury_form, sol.update_rank) == ("basis", k)
     for u, v in zip(sol.samples, ref.samples):
         assert np.array_equal(u, v)
-
-
-def test_complement_with_listed_coeffs_takes_basis_form(dense_flop_model):
-    ensemble = fem_ensemble(num_samples=2)
-    n = ensemble.dim
-    factors = lowrank.compress_rank(ensemble.perturbations, n - 1)
-    listed = lowrank.LowRankFactors(basis=factors.basis, coeffs=list(factors.coeffs),
-                                    rank=n - 1, ratio=factors.ratio,
-                                    complement=factors.complement)
-    sol = perturbed.solve_smw(ensemble, listed)
-    assert (sol.woodbury_form, sol.update_rank) == ("basis", n - 1)
 
 
 def test_complement_sample_that_does_not_factor_raises(dense_flop_model):
@@ -291,10 +332,13 @@ def test_complement_sample_that_does_not_factor_raises(dense_flop_model):
     rhs = np.arange(1.0, n + 1.0)
     ensemble = perturbed.PerturbedEnsemble(base=sp.csr_array(eye),
                                            perturbations=perturbations, rhs=rhs)
-    factors = lowrank.compress_rank(perturbations, 3)
-    # Gram diag(1, 25, 25, 25, 0): k* = 4, so the complement is e1 alone
-    assert (factors.numerical_rank, factors.complement.shape) == (4, (n, 1))
-    for solve in (lambda: perturbed.solve_smw(ensemble, factors),
+    # Gram diag(1, 25, 25, 25, 0): k* = 4, so the complement is e1 alone.  Pricing
+    # the complement form against the basis form factors sample 0, which fails.
+    with pytest.raises(SingularSampleError) as err:
+        perturbed.plan_smw(ensemble, [3])
+    assert err.value.sample == 0
+    form = perturbed.WoodburyForm("complement", 1, vectors=eye[:, :1])
+    for solve in (lambda: perturbed.solve_smw(ensemble, form),
                   lambda: perturbed.solve_direct(ensemble)):
         with pytest.raises(SingularSampleError) as err:
             solve()
@@ -308,10 +352,12 @@ def test_direct_form_overflow_raises(dense_flop_model):
                      sp.csr_array(np.diag([0.0, 0.5, 0.0]))]
     ensemble = perturbed.PerturbedEnsemble(base=sp.csr_array(eye),
                                            perturbations=perturbations, rhs=np.full(3, 1e300))
-    factors = lowrank.compress_rank(perturbations, 3)
+    _, (form,) = perturbed.plan_smw(ensemble, [3])
     # Gram diag(0, 0.25, ~1): k* = 2 <= k, so the update rank is 0
-    assert perturbed.WoodburySolvers(ensemble, factors).form == "direct"
-    for solve in (lambda: perturbed.solve_smw(ensemble, factors),
+    assert (form.name, form.vectors) == ("direct", None)
+    assert perturbed.WoodburySolvers(ensemble, form).form == "direct"
+    for solve in (lambda: perturbed.solve_smw(ensemble, form),
+                  lambda: perturbed.solve_direct(ensemble, form),
                   lambda: perturbed.solve_direct(ensemble)):
         with pytest.raises(SingularSampleError) as err:
             solve()
@@ -325,15 +371,13 @@ def test_singular_complement_capacitance_raises(dense_flop_model):
     eye = np.eye(n)
     p0 = -np.outer(eye[0], eye[0]) + np.outer(eye[0], eye[4]) + np.outer(eye[4], eye[0])
     members = [sp.csr_array(p0), sp.csr_array((n, n))]
-    basis = eye[:, :3].copy()
-    factors = lowrank.LowRankFactors(basis=basis, coeffs=lowrank.Projections(basis, members),
-                                     rank=3, ratio=3 / n, complement=eye[:, 3:].copy())
+    form = perturbed.WoodburyForm("complement", 2, vectors=eye[:, 3:])
     rhs = np.arange(1.0, n + 1.0)
     ensemble = perturbed.PerturbedEnsemble(base=sp.csr_array(eye), perturbations=members,
                                            rhs=rhs)
-    assert perturbed.WoodburySolvers(ensemble, factors).form == "complement"
+    assert perturbed.WoodburySolvers(ensemble, form).form == "complement"
     with pytest.raises(SingularCapacitanceError) as err:
-        perturbed.solve_smw(ensemble, factors)
+        perturbed.solve_smw(ensemble, form)
     assert err.value.sample == 0
 
 
@@ -380,7 +424,8 @@ def test_neumann_geometric_decay_toward_smw():
     ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=pert,
                                            rhs=rng.standard_normal(n))
     factors = lowrank.LowRankFactors(basis=basis, coeffs=coeffs, rank=k, ratio=k / n)
-    exact = perturbed.solve_smw(ensemble, factors).samples[0]
+    exact = perturbed.solve_smw(ensemble, perturbed.WoodburyForm("basis", k, vectors=basis))
+    exact = exact.samples[0]
     errs = []
     for order in range(1, 7):
         approx = perturbed.solve_neumann(ensemble, factors, order).samples[0]
@@ -445,8 +490,8 @@ def test_direct_agrees_with_smw_at_full_ratio():
     perts = [sp.csr_array(0.05 * rng.standard_normal((n, n))) for _ in range(m)]
     rhs = rng.standard_normal(n)
     ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=perts, rhs=rhs)
-    factors = lowrank.compress(perts, 1.0)
-    smw = perturbed.solve_smw(ensemble, factors)
+    _, (form,) = perturbed.plan_smw(ensemble, [n])
+    smw = perturbed.solve_smw(ensemble, form)
     direct = perturbed.solve_direct(ensemble)
     for u, v in zip(smw.samples, direct.samples):
         assert np.linalg.norm(u - v) <= 1e-9 * np.linalg.norm(v)
@@ -498,8 +543,8 @@ def test_qoi_linearity(n, m, c, seed):
 
 def test_solution_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
-    ensemble, factors = synthetic_instance(rng, 5, 2, 2)
-    sol = perturbed.solve_smw(ensemble, factors)
+    ensemble, form = synthetic_instance(rng, 5, 2, 2)
+    sol = perturbed.solve_smw(ensemble, form)
     path = tmp_path / "solution.csv"
     # the header and columns qoi.csv gets with --export-samples
     header = ["node", "unperturbed", "qoi", "sample_0000", "sample_0001"]

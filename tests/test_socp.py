@@ -18,8 +18,7 @@ def fem_problem(h=0.25, num_samples=4, epsilon=0.2, ratio=1.0, seed=3,
                              epsilon=epsilon, seed=seed, beta=beta,
                              desired=desired, desired_amplitude=amplitude,
                              desired_mode=mode)
-    system, factors, problem = socp.build_control_problem(cfg)
-    return system, factors, problem
+    return socp.build_control_problem(cfg)
 
 
 def synthetic_problem(rng, n=8, m=3, beta=0.5):
@@ -39,7 +38,7 @@ def synthetic_problem(rng, n=8, m=3, beta=0.5):
 
 
 def test_zero_perturbations_reduce_to_mean_response():
-    system, factors, problem = fem_problem(epsilon=0.0)
+    system, problem = fem_problem(epsilon=0.0)
     fact = numerics.factorize_spd(system.base)
     rng = np.random.default_rng(0)
     f = rng.standard_normal(problem.dim)
@@ -49,7 +48,8 @@ def test_zero_perturbations_reduce_to_mean_response():
 
 
 def test_operator_matches_dense_oracle():
-    system, factors, problem = fem_problem(h=1 / 3, num_samples=3)
+    system, problem = fem_problem(h=1 / 3, num_samples=3)
+    factors = lowrank.compress(system.perturbations, 1.0)
     n = system.base.shape[0]
     base_inv = np.linalg.inv(system.base.toarray())
     mass = system.mass.toarray()
@@ -67,7 +67,7 @@ def test_operator_matches_dense_oracle():
 
 
 def test_operator_linearity():
-    _, _, problem = fem_problem()
+    _, problem = fem_problem()
     rng = np.random.default_rng(2)
     f = rng.standard_normal(problem.dim)
     g = rng.standard_normal(problem.dim)
@@ -85,21 +85,17 @@ def test_operator_linearity():
 def test_operators_in_either_form_match_basis_form(request, h, ratio, forced, form):
     if forced:
         request.getfixturevalue("dense_flop_model")
-    system, factors, problem = fem_problem(h=h, num_samples=3, ratio=ratio, seed=5)
+    system, problem = fem_problem(h=h, num_samples=3, ratio=ratio, seed=5)
     n = problem.dim
     assert problem.woodbury_form == form
-    # the direct form reads no factors, so the build compresses nothing
-    assert (factors is None) == (form == "direct")
-    if factors is None:
-        factors = lowrank.compress(system.perturbations, ratio)
-    k, k_star = factors.rank, factors.numerical_rank
+    spectrum = lowrank.gram_spectrum(system.perturbations)
+    k, k_star = lowrank.rank_from_ratio(ratio, n), spde.critical_tau(spectrum.energy_curve())[0]
     # ranks truncated at k*: direct at k >= k* (h = 0.05), basis at min(k, k*) = k*
     # (h = 0.1, where N is too small for a sample LU to pay), complement k* - k below k*
     assert problem.update_rank == {"direct": 0, "basis": min(k, k_star),
                                    "complement": k_star - k}[form]
-    # listed coefficients and no complement: the basis form on the base factorization
-    hand = lowrank.LowRankFactors(basis=factors.basis, coeffs=list(factors.coeffs),
-                                  rank=factors.rank, ratio=factors.ratio)
+    # the basis form at rank k, past k*, on the base factorization
+    hand = perturbed.WoodburyForm("basis", k, vectors=spectrum.vectors[:, :k])
     ref = socp.build_reduced_problem(system, hand, socp.desired_state_function("sin-pi"),
                                      problem.beta)
     assert ref.woodbury_form == "basis"
@@ -114,7 +110,8 @@ def test_operators_in_either_form_match_basis_form(request, h, ratio, forced, fo
 
 
 def test_complement_build_factors_each_sample_once_and_no_coefficient_matrix(monkeypatch):
-    calls = {"factorize": 0, "sample_lu": 0, "capacitance": 0, "projections": []}
+    calls = {"factorize": 0, "sample_lu": 0, "capacitance": 0, "compress": 0,
+             "projections": []}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -131,15 +128,16 @@ def test_complement_build_factors_each_sample_once_and_no_coefficient_matrix(mon
     monkeypatch.setattr(lowrank, "_sample_coeffs", recorded)
     monkeypatch.setattr(numerics, "factorize_spd", counted("factorize", numerics.factorize_spd))
     monkeypatch.setattr(perturbed, "_sample_lu", counted("sample_lu", perturbed._sample_lu))
+    monkeypatch.setattr(lowrank, "compress", counted("compress", lowrank.compress))
     monkeypatch.setattr(perturbed.sla, "lu_factor",
                         counted("capacitance", perturbed.sla.lu_factor))
     num_samples = 4
-    _, factors, problem = fem_problem(h=0.05, num_samples=num_samples, ratio=0.88)
+    _, problem = fem_problem(h=0.05, num_samples=num_samples, ratio=0.88)
     assert (problem.woodbury_form, problem.update_rank) == ("direct", 0)
     oracles.hessian(problem)
     # at k >= k*: nothing compressed, one LU per sample (sample 0's made once, for
     # pricing), the base never factored, no projection, no capacitance
-    assert factors is None
+    assert calls["compress"] == 0
     assert calls["sample_lu"] == num_samples
     assert calls["factorize"] == 0
     assert calls["projections"] == []
@@ -152,7 +150,7 @@ def test_complement_build_factors_each_sample_once_and_no_coefficient_matrix(mon
 
 
 def test_objective_zero_control_zero_target():
-    _, _, problem = fem_problem(amplitude=0.0)
+    _, problem = fem_problem(amplitude=0.0)
     assert socp.objective(problem, np.zeros(problem.dim)) == 0.0
     assert np.allclose(socp.gradient(problem, np.zeros(problem.dim)), 0.0, atol=1e-16)
 
@@ -206,7 +204,7 @@ def test_gradient_vanishes_at_dense_normal_equations_solution():
 
 @pytest.mark.parametrize("mode", ["interpolant", "projection"])
 def test_gradient_matches_central_differences(mode):
-    _, _, problem = fem_problem(mode=mode)
+    _, problem = fem_problem(mode=mode)
     rng = np.random.default_rng(6)
     f = rng.standard_normal(problem.dim)
     grad = socp.gradient(problem, f)
@@ -228,7 +226,7 @@ def test_hessian_identity_instance():
 
 
 def test_hessian_spd_and_quadratic_expansion():
-    _, _, problem = fem_problem()
+    _, problem = fem_problem()
     h = oracles.hessian(problem)
     np.linalg.cholesky(h)  # raises if not SPD
     rng = np.random.default_rng(7)
@@ -241,7 +239,7 @@ def test_hessian_spd_and_quadratic_expansion():
 
 
 def test_hessian_constant_and_bitwise_identical():
-    _, _, problem = fem_problem()
+    _, problem = fem_problem()
     h1 = oracles.hessian(problem)
     socp.objective(problem, np.ones(problem.dim))  # unrelated evaluation in between
     h2 = oracles.hessian(problem)
@@ -251,7 +249,7 @@ def test_hessian_constant_and_bitwise_identical():
 @pytest.mark.parametrize("kind", ["fem", "dense"])
 def test_hessian_vector_matches_dense_hessian(kind):
     rng = np.random.default_rng(9)
-    problem = fem_problem()[2] if kind == "fem" else synthetic_problem(rng)
+    problem = fem_problem()[1] if kind == "fem" else synthetic_problem(rng)
     h = oracles.hessian(problem)
     for _ in range(3):
         d = rng.standard_normal(problem.dim)
@@ -261,7 +259,7 @@ def test_hessian_vector_matches_dense_hessian(kind):
 
 
 def test_dimension_checks():
-    _, _, problem = fem_problem()
+    _, problem = fem_problem()
     with pytest.raises(DimensionMismatchError):
         socp.objective(problem, np.zeros(problem.dim + 1))
     with pytest.raises(DimensionMismatchError):
@@ -274,7 +272,7 @@ def test_dimension_checks():
 
 
 def test_newton_single_iteration_exact_quadratic():
-    _, _, problem = fem_problem()
+    _, problem = fem_problem()
     spec = socp.OptimizerSpec(method="newton", grad_tol=1e-10)
     res = socp.optimize(problem, spec, np.zeros(problem.dim))
     assert res.converged
@@ -283,7 +281,7 @@ def test_newton_single_iteration_exact_quadratic():
 
 
 def test_all_methods_converge_and_newton_fewest():
-    _, _, problem = fem_problem(h=0.25, num_samples=8, ratio=0.88)
+    _, problem = fem_problem(h=0.25, num_samples=8, ratio=0.88)
     f0 = np.zeros(problem.dim)
     results = {}
     for method in ("sdm", "sgd", "newton", "bfgs", "trm"):
@@ -301,7 +299,7 @@ def test_methods_agree_at_matched_tolerance():
     # At grad tolerance 1e-3 the beta-dominated soft modes still admit a few
     # percent of control spread, so cross-method agreement is asserted at a
     # tolerance tight enough to pin the minimizer.
-    _, _, problem = fem_problem(h=0.25, num_samples=8, ratio=0.88)
+    _, problem = fem_problem(h=0.25, num_samples=8, ratio=0.88)
     f0 = np.zeros(problem.dim)
     newton = socp.optimize(problem, socp.OptimizerSpec(method="newton"), f0)
     scale = np.linalg.norm(newton.control)
@@ -321,7 +319,7 @@ def test_methods_agree_at_matched_tolerance():
 
 
 def test_wolfe_methods_strictly_decrease():
-    _, _, problem = fem_problem(h=0.25, num_samples=6)
+    _, problem = fem_problem(h=0.25, num_samples=6)
     f0 = np.zeros(problem.dim)
     for method in ("sdm", "newton", "bfgs"):
         res = socp.optimize(problem, socp.OptimizerSpec(method=method), f0)
@@ -330,7 +328,7 @@ def test_wolfe_methods_strictly_decrease():
 
 
 def test_newton_optimality_via_normal_equations():
-    _, _, problem = fem_problem()
+    _, problem = fem_problem()
     res = socp.optimize(
         problem, socp.OptimizerSpec(method="newton", grad_tol=1e-10),
         np.zeros(problem.dim),
@@ -349,7 +347,7 @@ def test_ratio_bounded_and_stable_across_ratios():
     # reduction ratio grows toward exact reconstruction
     ratios = []
     for tau in (0.4, 0.6, 0.8, 1.0):
-        _, _, problem = fem_problem(h=0.25, num_samples=8, ratio=tau)
+        _, problem = fem_problem(h=0.25, num_samples=8, ratio=tau)
         res = socp.optimize(problem, socp.OptimizerSpec(method="newton"),
                             np.zeros(problem.dim))
         ratios.append(res.objective_final / res.objective_initial)
@@ -359,7 +357,7 @@ def test_ratio_bounded_and_stable_across_ratios():
 
 
 def test_line_search_rejects_ascent_direction():
-    _, _, problem = fem_problem()
+    _, problem = fem_problem()
     f = np.zeros(problem.dim)
     g = socp.gradient(problem, f)
 
@@ -386,7 +384,7 @@ def test_line_search_rejects_nonpositive_curvature():
 
 @pytest.mark.parametrize("method", ["sdm", "newton", "bfgs"])
 def test_model_line_search_matches_exact_oracle(method):
-    _, _, problem = fem_problem(h=0.25, num_samples=8, ratio=0.88)
+    _, problem = fem_problem(h=0.25, num_samples=8, ratio=0.88)
     f0 = np.zeros(problem.dim)
     spec = socp.OptimizerSpec(method=method)
     res = socp.optimize(problem, spec, f0)
@@ -408,7 +406,7 @@ def test_model_line_search_matches_exact_oracle(method):
 
 
 def test_sdm_operator_applications_follow_iterations_not_trials(monkeypatch):
-    _, _, problem = fem_problem(h=0.25, num_samples=6)
+    _, problem = fem_problem(h=0.25, num_samples=6)
     counts = collections.Counter()
     apply = socp.SampleStateOperator.apply
 
@@ -427,7 +425,7 @@ def test_sdm_operator_applications_follow_iterations_not_trials(monkeypatch):
 
 
 def test_trm_operator_passes_do_not_follow_iterations(monkeypatch):
-    _, _, problem = fem_problem(h=0.25, num_samples=6)
+    _, problem = fem_problem(h=0.25, num_samples=6)
     f0 = np.zeros(problem.dim)
     newton = socp.optimize(problem, socp.OptimizerSpec(method="newton", grad_tol=1e-8), f0)
     counts = collections.Counter()
@@ -462,7 +460,7 @@ def test_trm_operator_passes_do_not_follow_iterations(monkeypatch):
 @pytest.mark.parametrize("method", ["newton", "trm"])
 def test_newton_and_trm_allocate_no_dense_square(method):
     """The truncated-CG steps work on vectors: no N-by-N array at N = 1681."""
-    _, _, problem = fem_problem(h=0.025, num_samples=4, ratio=0.88)
+    _, problem = fem_problem(h=0.025, num_samples=4, ratio=0.88)
     n = problem.dim
     tracemalloc.start()
     try:
@@ -476,7 +474,7 @@ def test_newton_and_trm_allocate_no_dense_square(method):
 
 
 def test_newton_and_trm_reach_the_dense_hessian_minimizer():
-    _, _, problem = fem_problem(h=0.05, num_samples=6, ratio=0.88, seed=11)
+    _, problem = fem_problem(h=0.05, num_samples=6, ratio=0.88, seed=11)
     f0 = np.zeros(problem.dim)
     g0 = socp.gradient(problem, f0)
     minimizer = np.linalg.solve(oracles.hessian(problem), -g0)
@@ -488,7 +486,7 @@ def test_newton_and_trm_reach_the_dense_hessian_minimizer():
 
 
 def test_sgd_deterministic_given_seed():
-    _, _, problem = fem_problem(h=0.25, num_samples=6)
+    _, problem = fem_problem(h=0.25, num_samples=6)
     f0 = np.zeros(problem.dim)
     a = socp.optimize(problem, socp.OptimizerSpec(method="sgd", seed=5), f0)
     b = socp.optimize(problem, socp.OptimizerSpec(method="sgd", seed=5), f0)
@@ -496,7 +494,7 @@ def test_sgd_deterministic_given_seed():
 
 
 def test_max_iters_flagged_with_best_iterate():
-    _, _, problem = fem_problem(h=0.25, num_samples=4)
+    _, problem = fem_problem(h=0.25, num_samples=4)
     res = socp.optimize(
         problem,
         socp.OptimizerSpec(method="sdm", grad_tol=1e-12, max_iters=3),
@@ -522,8 +520,8 @@ def test_spec_validation():
 
 
 def test_desired_mode_exposes_both_pairings():
-    _, _, interp = fem_problem(mode="interpolant")
-    _, _, proj = fem_problem(mode="projection")
+    _, interp = fem_problem(mode="interpolant")
+    _, proj = fem_problem(mode="projection")
     f = np.ones(interp.dim)
     assert socp.objective(interp, f) != socp.objective(proj, f)
     # both are self-consistent quadratics with the analytic gradient

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lram import cli, fem, lowrank, numerics, perturbed, spde
+from lram import cli, fem, lowrank, numerics, perturbed, socp, spde
 from lram.errors import ConfigRangeError
 
 import oracles
@@ -132,7 +132,7 @@ def test_compression_exact_at_critical_rank():
     system = fem.assemble(mesh, fields, lambda x, y: 1.0)
     spectrum = lowrank.gram_spectrum(system.perturbations)
     k_star, _ = spde.critical_tau(spectrum.energy_curve())
-    factors = lowrank.compress_rank(system.perturbations, k_star, spectrum)
+    factors = lowrank.compress(system.perturbations, k_star / mesh.num_nodes, spectrum)
     scale = max(np.linalg.norm(p.toarray()) for p in system.perturbations)
     assert oracles.rmsre(system.perturbations, factors) <= 1e-9 * scale
     assert lowrank.rmsre(system.perturbations, spectrum, k_star) <= 1e-9 * scale
@@ -199,6 +199,35 @@ def spectral_calls(monkeypatch):
 def test_one_spectral_pass_per_ensemble(spectral_calls, run, vectors, tmp_path):
     run(tmp_path)
     assert spectral_calls == {"gram": 1, "eig": 1, "vectors": [vectors]}
+
+
+@pytest.mark.parametrize("run, form, compressions", [
+    (lambda: spde.run_spde(small_cfg(tau=0.6)), "basis", 0),
+    (lambda: spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.7)), "complement", 0),
+    (lambda: spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.95)), "direct", 0),
+    (lambda: spde.run_spde(small_cfg(method="neumann", neumann_order=3, force_neumann=True),
+                           [0.2, 0.3]), None, 2),
+    (lambda: socp.build_control_problem(socp.SocpRunConfig(h=0.25, samples=4, tau=1.0))[1],
+     "basis", 0),
+    # rank 2 of N = 25 with the dense route capped below N: Lanczos, no k*
+    (lambda: socp.build_control_problem(socp.SocpRunConfig(h=0.25, samples=4, tau=0.05))[1],
+     "basis", 0),
+], ids=["smw-basis", "smw-complement", "smw-direct", "neumann-scan", "socp-dense",
+        "socp-lanczos"])
+def test_only_the_series_route_compresses(monkeypatch, run, form, compressions):
+    calls = []
+    compress = lowrank.compress
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return compress(*args, **kwargs)
+
+    monkeypatch.setattr(lowrank, "compress", counted)
+    monkeypatch.setattr(numerics, "DENSE_EIG_MAX_DIM", 10)
+    result = run()
+    solution = getattr(result, "solution", result)
+    assert solution.woodbury_form == form
+    assert len(calls) == compressions
 
 
 def test_smw_above_half_rank_builds_no_coefficient_matrix(monkeypatch):
