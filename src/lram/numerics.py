@@ -28,8 +28,6 @@ from .errors import (
 
 #: Max asymmetry tolerated, relative to the Frobenius norm.
 SYM_TOL = 1e-10
-#: Per-pair eigen residual target, relative to the Frobenius norm.
-EIG_RESIDUAL_TOL = 1e-8
 #: Relative accuracy target of the power-iteration spectral norm.
 SPECTRAL_NORM_TOL = 1e-6
 #: Dense symmetric eigendecomposition up to this dimension; above it, see ``dense_eig``.

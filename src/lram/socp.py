@@ -1,26 +1,29 @@
 """Discretize-then-optimize solver for the tracking control problem.
 
-The state equation is eliminated through per-sample solution operators built
+The state equation is eliminated through per-sample state matrices built
 from the compressed ensemble, leaving an unconstrained quadratic in the
 control:
 
     J(f) = (1/M) sum_m 1/2 (S_m f - target)' Phi (S_m f - target)
            + beta/2 f' Phi f
 
-with S_m f = (base + U U^T P_m)^-1 Phi f for the leading k Gram eigenvectors
-U, applied by the per-sample Woodbury solvers of ``perturbed`` in the form
-its cost model picks: rank min(k, k*) on the one base factorization or rank
-max(k* - k, 0) on a sparse LU of base + P_m, which at k >= k* is a direct
-solve.  Gradient and
-Hessian-vector products are exact; no N-by-N array is formed.  Five
-interchangeable minimizers: steepest descent, single-sample stochastic
-gradient, Newton, BFGS and a trust region.  Steepest descent, Newton and BFGS
-share a weak-Wolfe line search that reads the exact quadratic along each ray
-from one Hessian-vector product.  Newton and the trust region take their
-steps from one truncated-CG kernel (Steihaug-Toint) on that product.
-``build_control_problem`` takes the Woodbury form of the sampled system of
-``fem.sampled_system``, the one every sampled run solves, from
-``perturbed.plan_smw``; the form carries the eigenvectors it reads, so
+with S_m f = K_m^-1 Phi f and K_m = base + U U^T P_m for the leading k Gram
+eigenvectors U.  K_m is solved by the per-sample Woodbury solvers of
+``perturbed`` in the form its cost model picks: rank min(k, k*) on the one
+base factorization or rank max(k* - k, 0) on a sparse LU of base + P_m,
+which at k >= k* is a direct solve.  No S_m object exists: one pass over the
+listed samples I forms Phi f once, makes |I| forward solves with it, weights
+every state residual by Phi in one product, and applies Phi once to the sum
+of the |I| adjoint solves, so a pass makes at most 3 mass products whatever
+M is.  Gradient and Hessian-vector products are exact; no N-by-N array is
+formed.  Five interchangeable minimizers: steepest descent, single-sample
+stochastic gradient, Newton, BFGS and a trust region.  Steepest descent,
+Newton and BFGS share a weak-Wolfe line search that reads the exact
+quadratic along each ray from one Hessian-vector product.  Newton and the
+trust region take their steps from one truncated-CG kernel (Steihaug-Toint)
+on that product.  ``build_control_problem`` takes the Woodbury form of the
+sampled system of ``fem.sampled_system``, the one every sampled run solves,
+from ``perturbed.plan_smw``; the form carries the eigenvectors it reads, so
 nothing is compressed.
 """
 
@@ -33,7 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import fem, lowrank, numerics, perturbed
-from .errors import ConfigRangeError, DimensionMismatchError, LineSearchError, check_range
+from .errors import (
+    ConfigRangeError,
+    DimensionMismatchError,
+    EmptyInputError,
+    LineSearchError,
+    check_range,
+)
 
 METHODS = ("sdm", "sgd", "newton", "bfgs", "trm")
 DESIRED_STATES = ("sin-pi", "sin-2pi", "sin-2pi-sq")
@@ -58,39 +67,25 @@ def desired_state_function(name: str, amplitude: float = 1.0):
     raise ConfigRangeError(f"desired state must be one of {DESIRED_STATES}, got {name!r}")
 
 
-class SampleStateOperator:
-    """Action of one sample's control-to-state map and of its transpose.
-
-    ``S_m f = K_m^-1 Phi f`` with ``solver`` a ``perturbed.WoodburySolver``
-    of K_m, sample m's matrix in the problem's Woodbury form.  Read-only after
-    construction.
-    """
-
-    def __init__(self, solver, mass):
-        self._solver = solver
-        self._mass = mass
-
-    def apply(self, control: np.ndarray) -> np.ndarray:
-        return self._solver.solve(self._mass @ control)
-
-    def apply_t(self, vec: np.ndarray) -> np.ndarray:
-        return self._mass @ self._solver.solve_t(vec)
-
-
 @dataclass(eq=False)
 class ReducedControlProblem:
-    """Reduced objective data: mass matrix, sample operators, targets, penalty."""
+    """Reduced objective data: mass matrix, sample solvers, targets, penalty.
+
+    ``solvers[m]`` solves with sample m's state matrix K_m (``solve`` and
+    ``solve_t``), as a ``perturbed.WoodburySolver`` does; the control enters
+    the state equation through ``mass``.
+    """
 
     mass: object
-    operators: list
+    solvers: list
     desired_nodal: np.ndarray
     desired_proj: np.ndarray
     beta: float
     desired_mode: str = "interpolant"
-    # Woodbury form of the sample operators, as in ``perturbed.EnsembleSolution``
+    # Woodbury form of the sample solvers, as in ``perturbed.EnsembleSolution``
     woodbury_form: str | None = None
     update_rank: int | None = None
-    # samples evaluated so far, each by one forward and at most one adjoint application
+    # samples evaluated so far, each by one forward and at most one adjoint solve
     _sample_evals: int = field(default=0, repr=False)
 
     def __post_init__(self):
@@ -107,7 +102,7 @@ class ReducedControlProblem:
 
     @property
     def num_samples(self) -> int:
-        return len(self.operators)
+        return len(self.solvers)
 
     @property
     def target(self) -> np.ndarray:
@@ -124,7 +119,7 @@ def build_reduced_problem(assembled: fem.AssembledSystem, form: perturbed.Woodbu
     ``desired_state`` is a callable of (x, y).  Its nodal interpolant enters
     the state mismatch by default; the mass-weighted projection of that
     interpolant is kept alongside for the gradient pairing and for the
-    alternative ``projection`` mismatch convention.  The state operators are
+    alternative ``projection`` mismatch convention.  The sample solvers are
     the ``perturbed.WoodburySolvers`` of ``form``; a singular capacitance
     raises ``SingularCapacitanceError`` and a sample matrix that does not
     factor ``SingularSampleError``.
@@ -138,7 +133,7 @@ def build_reduced_problem(assembled: fem.AssembledSystem, form: perturbed.Woodbu
     desired_proj = assembled.mass @ desired_nodal
     return ReducedControlProblem(
         mass=assembled.mass,
-        operators=[SampleStateOperator(solver, assembled.mass) for solver in solvers],
+        solvers=list(solvers),
         desired_nodal=desired_nodal,
         desired_proj=desired_proj,
         beta=float(beta),
@@ -152,38 +147,42 @@ def _evaluate(problem: ReducedControlProblem, control, indices=None, target=None
               with_grad: bool = True):
     """Mean misfit over ``indices`` plus the penalty, its gradient and the mean state.
 
-    The one per-sample loop behind every evaluation: each listed sample
-    operator (all by default) is applied once forward and, with
-    ``with_grad``, once adjoint.  ``target`` defaults to the problem's.
+    The one batched pass behind every evaluation.  The forcing Phi f is
+    formed once and is also the penalty's; each listed sample (all by
+    default, repeats allowed) makes one forward solve with it and, with
+    ``with_grad``, one adjoint solve; the residuals are weighted by Phi in
+    one product and the adjoint solves summed before one last product with
+    Phi.  ``target`` defaults to the problem's.  An empty ``indices`` raises
+    ``EmptyInputError`` and an index outside [0, M) ``ConfigRangeError``.
     Returns (value, gradient or None, mean state).
     """
     control = np.asarray(control, dtype=float)
     if control.shape[0] != problem.dim:
         raise DimensionMismatchError("control length does not match the problem")
+    solvers = problem.solvers
     if indices is None:
-        indices = range(problem.num_samples)
+        indices = range(len(solvers))
+    elif len(indices) == 0:
+        raise EmptyInputError("no sample indices to evaluate")
+    elif not all(0 <= m < len(solvers) for m in indices):
+        raise ConfigRangeError(f"sample indices must lie in [0, {len(solvers)}), "
+                               f"got {list(indices)!r}")
     if target is None:
         target = problem.target
     mass = problem.mass
-    total = 0.0
-    grad = np.zeros(problem.dim) if with_grad else None
-    state_sum = np.zeros(problem.dim)
-    for m in indices:
-        op = problem.operators[m]
-        state = op.apply(control)
-        state_sum += state
-        diff = state - target
-        weighted = mass @ diff
-        total += 0.5 * float(diff @ weighted)
-        if with_grad:
-            grad += op.apply_t(weighted)
     count = len(indices)
     problem._sample_evals += count
-    penalty = mass @ control
-    value = total / count + 0.5 * problem.beta * float(control @ penalty)
+    forcing = mass @ control
+    states = np.column_stack([solvers[m].solve(forcing) for m in indices])
+    diff = states - target[:, None]
+    weighted = mass @ diff
+    misfit = 0.5 * float(np.vdot(diff, weighted))
+    value = misfit / count + 0.5 * problem.beta * float(control @ forcing)
+    grad = None
     if with_grad:
-        grad = grad / count + problem.beta * penalty
-    return value, grad, state_sum / count
+        adjoint = sum(solvers[m].solve_t(weighted[:, j]) for j, m in enumerate(indices))
+        grad = (mass @ adjoint) / count + problem.beta * forcing
+    return value, grad, states.mean(axis=1)
 
 
 def objective(problem: ReducedControlProblem, control: np.ndarray) -> float:
@@ -192,7 +191,7 @@ def objective(problem: ReducedControlProblem, control: np.ndarray) -> float:
 
 
 def gradient(problem: ReducedControlProblem, control: np.ndarray) -> np.ndarray:
-    """Exact gradient via the transposed operator sequence."""
+    """Exact gradient from one adjoint solve per sample."""
     return _evaluate(problem, control)[1]
 
 
@@ -208,7 +207,7 @@ def sample_objective(problem: ReducedControlProblem, control: np.ndarray,
 
 
 def hessian_vector(problem: ReducedControlProblem, direction: np.ndarray) -> np.ndarray:
-    """Hessian times ``direction``: one forward and one adjoint pass per sample.
+    """Hessian times ``direction``: one forward and one adjoint solve per sample.
 
     The objective is quadratic, so this is its gradient at ``direction`` with
     a zero target.
@@ -259,8 +258,8 @@ class SocpResult:
     """Optimizer outcome with a full per-iteration trace.
 
     ``operator_passes`` counts every evaluation, Hessian-vector products
-    included, in units of one pass over all samples, each sample operator
-    applied once forward and at most once adjoint (a batch of b samples counts
+    included, in units of one pass over all samples, each sample solved
+    once forward and at most once adjoint (a batch of b samples counts
     b/M).  ``line_search_trials`` counts the step sizes tried.
     """
 
@@ -335,7 +334,7 @@ def _line_search_descent(problem, spec, control0, direction_state):
 
     J is quadratic, so J(x + t d) = f + t g'd + t^2/2 d'Hd and its gradient is
     g + t Hd: one Hessian-vector product per iteration answers every
-    line-search trial exactly, and no trial applies a sample operator.
+    line-search trial exactly, and no trial solves a sample.
     ``direction_state`` supplies the descent direction, with its Hessian
     product when it has one (Newton) and None otherwise, and may carry state
     between iterations (BFGS memory).

@@ -117,33 +117,62 @@ def dense_solve(a, b, rel_tol=1e-10):
     return x
 
 
-class DenseStateOperator:
-    """Control-to-state operator given as an explicit matrix, for constructed control problems."""
+class DenseSolver:
+    """Solves with a state matrix K given by its explicit inverse, for constructed control problems."""
 
-    def __init__(self, matrix):
-        self.matrix = np.asarray(matrix, dtype=float)
+    def __init__(self, inverse):
+        self.inverse = np.asarray(inverse, dtype=float)
 
-    def apply(self, control):
-        return self.matrix @ control
+    def solve(self, rhs):
+        return self.inverse @ rhs
 
-    def apply_t(self, vec):
-        return self.matrix.T @ vec
+    def solve_t(self, rhs):
+        return self.inverse.T @ rhs
 
 
 def hessian(problem):
-    """Dense Hessian of a reduced control problem, one sample operator column at a time.
+    """Dense Hessian of a reduced control problem, one sample solver at a time.
 
     (1/M) sum_m S_m' Phi S_m + beta Phi, symmetrized; each ``S_m`` is densified
-    as ``op.apply(I)``.
+    as ``solver.solve(Phi @ I)``.
     """
     eye = np.eye(problem.dim)
     acc = np.zeros((problem.dim, problem.dim))
-    for op in problem.operators:
-        dense_op = op.apply(eye)
+    for solver in problem.solvers:
+        dense_op = solver.solve(problem.mass @ eye)
         acc += dense_op.T @ (problem.mass @ dense_op)
     acc /= problem.num_samples
     acc += problem.beta * _dense(problem.mass)
     return 0.5 * (acc + acc.T)
+
+
+def evaluate_per_sample(problem, control, indices=None, target=None):
+    """Mean misfit plus penalty, its gradient and the mean state, one sample at a time.
+
+    Applies S_m f = K_m^-1 Phi f and S_m' w = Phi K_m^-T w per listed sample
+    (all by default), with Phi applied inside each; the reference for the
+    library's batched pass.  Returns (value, gradient, mean state).
+    """
+    if indices is None:
+        indices = range(problem.num_samples)
+    if target is None:
+        target = problem.target
+    mass = problem.mass
+    total = 0.0
+    grad = np.zeros(problem.dim)
+    state_sum = np.zeros(problem.dim)
+    for m in indices:
+        solver = problem.solvers[m]
+        state = solver.solve(mass @ control)
+        state_sum += state
+        diff = state - target
+        weighted = mass @ diff
+        total += 0.5 * float(diff @ weighted)
+        grad += mass @ solver.solve_t(weighted)
+    count = len(indices)
+    penalty = mass @ control
+    value = total / count + 0.5 * problem.beta * float(control @ penalty)
+    return value, grad / count + problem.beta * penalty, state_sum / count
 
 
 def rand_orthonormal(rng, n, k):

@@ -37,6 +37,38 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
+def unread_constants(sources) -> list[str]:
+    """Module-level UPPER_CASE names assigned in ``sources`` that none of them reads.
+
+    A read is a loaded name or an attribute of that name (``numerics.SYM_TOL``).
+    """
+    trees = [ast.parse(source) for source in sources]
+    assigned = set()
+    for tree in trees:
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                node.target] if isinstance(node, ast.AnnAssign) else []
+            assigned.update(t.id for t in targets
+                            if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id))
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(assigned - read)
+
+
+def test_unread_constant_is_found():
+    sources = ["TOL = 1e-8\nLIMIT: int = 3\nlower = 1\n", "from . import a\n\na.LIMIT + 1\n"]
+    assert unread_constants(sources) == ["TOL"]
+
+
+def test_every_constant_is_read():
+    assert unread_constants([p.read_text() for p in MODULES]) == []
+
+
 def test_every_error_class_is_raised_or_a_base():
     source = "\n".join(p.read_text() for p in MODULES if p.name != "errors.py")
     classes = [obj for obj in vars(errors).values()

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,12 @@ import pytest
 import scipy.sparse as sp
 
 from lram import fem, lowrank, numerics, perturbed, socp, spde
-from lram.errors import ConfigRangeError, DimensionMismatchError, LineSearchError
+from lram.errors import (
+    ConfigRangeError,
+    DimensionMismatchError,
+    EmptyInputError,
+    LineSearchError,
+)
 
 import oracles
 from oracles import rand_spd
@@ -22,18 +28,18 @@ def fem_problem(h=0.25, num_samples=4, epsilon=0.2, ratio=1.0, seed=3,
 
 
 def synthetic_problem(rng, n=8, m=3, beta=0.5):
-    """Constructed instance with explicit dense operators and SPD mass."""
+    """Constructed instance with explicit dense inverse state matrices and SPD mass."""
     mass = sp.csr_array(rand_spd(rng, n, shift=1.0) / n)
-    ops = [oracles.DenseStateOperator(rng.standard_normal((n, n))) for _ in range(m)]
+    solvers = [oracles.DenseSolver(rng.standard_normal((n, n))) for _ in range(m)]
     target = rng.standard_normal(n)
     return socp.ReducedControlProblem(
-        mass=mass, operators=ops, desired_nodal=target,
+        mass=mass, solvers=solvers, desired_nodal=target,
         desired_proj=mass @ target, beta=beta,
     )
 
 
 # ---------------------------------------------------------------------------
-# state operators
+# state maps S_m f = K_m^-1 Phi f
 # ---------------------------------------------------------------------------
 
 
@@ -43,8 +49,8 @@ def test_zero_perturbations_reduce_to_mean_response():
     rng = np.random.default_rng(0)
     f = rng.standard_normal(problem.dim)
     expected = fact.solve(system.mass @ f)
-    for op in problem.operators:
-        assert np.allclose(op.apply(f), expected, atol=1e-12)
+    for solver in problem.solvers:
+        assert np.allclose(solver.solve(problem.mass @ f), expected, atol=1e-12)
 
 
 def test_operator_matches_dense_oracle():
@@ -56,14 +62,15 @@ def test_operator_matches_dense_oracle():
     rng = np.random.default_rng(1)
     f = rng.standard_normal(n)
     g = rng.standard_normal(n)
-    for m, op in enumerate(problem.operators):
+    for m, solver in enumerate(problem.solvers):
         coeffs = factors.coeffs[m]
         update = np.eye(factors.rank) + coeffs @ base_inv @ factors.basis
         z = (np.eye(n) - base_inv @ factors.basis @ np.linalg.inv(update) @ coeffs) \
             @ base_inv @ mass
-        assert np.allclose(op.apply(f), z @ f, atol=1e-9 * np.linalg.norm(z @ f))
-        assert np.allclose(op.apply_t(g), z.T @ g, atol=1e-9 * np.linalg.norm(z.T @ g))
-        assert np.allclose(op.apply(np.eye(n)), z, atol=1e-10)
+        assert np.allclose(solver.solve(mass @ f), z @ f, atol=1e-9 * np.linalg.norm(z @ f))
+        assert np.allclose(mass @ solver.solve_t(g), z.T @ g,
+                           atol=1e-9 * np.linalg.norm(z.T @ g))
+        assert np.allclose(solver.solve(mass), z, atol=1e-10)
 
 
 def test_operator_linearity():
@@ -71,9 +78,10 @@ def test_operator_linearity():
     rng = np.random.default_rng(2)
     f = rng.standard_normal(problem.dim)
     g = rng.standard_normal(problem.dim)
-    for op in problem.operators:
-        lhs = op.apply(2.5 * f + g)
-        rhs = 2.5 * op.apply(f) + op.apply(g)
+    mass = problem.mass
+    for solver in problem.solvers:
+        lhs = solver.solve(mass @ (2.5 * f + g))
+        rhs = 2.5 * solver.solve(mass @ f) + solver.solve(mass @ g)
         assert np.allclose(lhs, rhs, atol=1e-12 * max(np.linalg.norm(rhs), 1.0))
 
 
@@ -102,10 +110,11 @@ def test_operators_in_either_form_match_basis_form(request, h, ratio, forced, fo
     rng = np.random.default_rng(4)
     f = rng.standard_normal(n)
     g = rng.standard_normal(n)
-    for op, ref_op in zip(problem.operators, ref.operators):
-        for ours, expected in [(op.apply(f), ref_op.apply(f)),
-                               (op.apply_t(g), ref_op.apply_t(g)),
-                               (op.apply(np.eye(n)), ref_op.apply(np.eye(n)))]:
+    mass, dense_mass = problem.mass, problem.mass.toarray()
+    for solver, ref_solver in zip(problem.solvers, ref.solvers):
+        for ours, expected in [(solver.solve(mass @ f), ref_solver.solve(mass @ f)),
+                               (mass @ solver.solve_t(g), mass @ ref_solver.solve_t(g)),
+                               (solver.solve(dense_mass), ref_solver.solve(dense_mass))]:
             assert np.linalg.norm(ours - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -162,9 +171,9 @@ def test_objective_penalty_term_alone():
     mass = sp.csr_array(rand_spd(rng, n, shift=1.0) / n)
     z = rng.standard_normal((n, n))
     f = rng.standard_normal(n)
-    target = z @ f
+    target = z @ (mass @ f)
     problem = socp.ReducedControlProblem(
-        mass=mass, operators=[oracles.DenseStateOperator(z)], desired_nodal=target,
+        mass=mass, solvers=[oracles.DenseSolver(z)], desired_nodal=target,
         desired_proj=mass @ target, beta=0.3,
     )
     expected = 0.5 * 0.3 * float(f @ (mass @ f))
@@ -177,10 +186,10 @@ def test_objective_matches_summation_oracle():
     f = rng.standard_normal(problem.dim)
     mass = problem.mass.toarray()
     total = 0.0
-    for op in problem.operators:
-        diff = op.matrix @ f - problem.desired_nodal
+    for solver in problem.solvers:
+        diff = solver.inverse @ mass @ f - problem.desired_nodal
         total += 0.5 * diff @ mass @ diff
-    total /= len(problem.operators)
+    total /= len(problem.solvers)
     total += 0.5 * problem.beta * f @ mass @ f
     assert socp.objective(problem, f) == pytest.approx(total, rel=1e-12)
 
@@ -191,11 +200,12 @@ def test_gradient_vanishes_at_dense_normal_equations_solution():
     mass = problem.mass.toarray()
     h = np.zeros((problem.dim, problem.dim))
     rhs = np.zeros(problem.dim)
-    for op in problem.operators:
-        h += op.matrix.T @ mass @ op.matrix
-        rhs += op.matrix.T @ mass @ problem.desired_nodal
-    h /= len(problem.operators)
-    rhs /= len(problem.operators)
+    for solver in problem.solvers:
+        state_map = solver.inverse @ mass
+        h += state_map.T @ mass @ state_map
+        rhs += state_map.T @ mass @ problem.desired_nodal
+    h /= len(problem.solvers)
+    rhs /= len(problem.solvers)
     h += problem.beta * mass
     f_star = np.linalg.solve(h, rhs)
     grad = socp.gradient(problem, f_star)
@@ -219,7 +229,7 @@ def test_gradient_matches_central_differences(mode):
 
 def test_hessian_identity_instance():
     problem = socp.ReducedControlProblem(
-        mass=sp.eye_array(4).tocsr(), operators=[oracles.DenseStateOperator(np.eye(4))],
+        mass=sp.eye_array(4).tocsr(), solvers=[oracles.DenseSolver(np.eye(4))],
         desired_nodal=np.zeros(4), desired_proj=np.zeros(4), beta=1.0,
     )
     assert np.allclose(oracles.hessian(problem), 2.0 * np.eye(4), atol=1e-15)
@@ -264,6 +274,84 @@ def test_dimension_checks():
         socp.objective(problem, np.zeros(problem.dim + 1))
     with pytest.raises(DimensionMismatchError):
         socp.gradient(problem, np.zeros(3))
+
+
+@pytest.mark.parametrize("h, ratio, forced, form, batch", [
+    (0.1, 0.88, False, "basis", None),
+    (0.1, 0.55, True, "complement", None),
+    (0.05, 0.88, False, "direct", None),
+    (0.1, 0.88, False, "basis", [2, 0, 2]),
+], ids=["basis", "complement", "direct", "sgd-batch-repeats"])
+def test_batched_pass_matches_per_sample_oracle(request, h, ratio, forced, form, batch):
+    if forced:
+        request.getfixturevalue("dense_flop_model")
+    _, problem = fem_problem(h=h, num_samples=3, ratio=ratio, seed=5)
+    assert problem.woodbury_form == form
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal(problem.dim)
+    d = rng.standard_normal(problem.dim)
+    value, grad, mean = socp._evaluate(problem, f, batch)
+    ref_value, ref_grad, ref_mean = oracles.evaluate_per_sample(problem, f, batch)
+    assert abs(value - ref_value) <= 1e-13 * abs(ref_value)
+    for ours, expected in [(grad, ref_grad), (mean, ref_mean)]:
+        assert np.linalg.norm(ours - expected) <= 1e-13 * np.linalg.norm(expected)
+    zero = np.zeros(problem.dim)
+    hd = (socp.hessian_vector(problem, d) if batch is None
+          else socp._evaluate(problem, d, batch, target=zero)[1])
+    ref_hd = oracles.evaluate_per_sample(problem, d, batch, target=zero)[1]
+    assert np.linalg.norm(hd - ref_hd) <= 1e-13 * np.linalg.norm(ref_hd)
+
+
+class CountingMass:
+    """A mass matrix that counts its products."""
+
+    def __init__(self, mass):
+        self.mass, self.products = mass, 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.mass @ other
+
+
+def test_pass_makes_three_mass_products_and_one_solve_each_way_per_sample(monkeypatch):
+    _, problem = fem_problem(h=0.25, num_samples=6)
+    mass = CountingMass(problem.mass)
+    problem = dataclasses.replace(problem, mass=mass)
+    counts = collections.Counter()
+    for name in ("solve", "solve_t"):
+        def counted(self, rhs, name=name, fn=getattr(perturbed.WoodburySolver, name)):
+            counts[name] += 1
+            return fn(self, rhs)
+        monkeypatch.setattr(perturbed.WoodburySolver, name, counted)
+
+    def work(evaluate, *args):
+        mass.products = 0
+        counts.clear()
+        evaluate(problem, *args)
+        return mass.products, counts["solve"], counts["solve_t"]
+
+    f, m = np.ones(problem.dim), problem.num_samples
+    # (mass products, forward solves, adjoint solves)
+    assert work(socp.gradient, f) == (3, m, m)
+    assert work(socp.hessian_vector, f) == (3, m, m)
+    assert work(socp.objective, f) == (2, m, 0)
+    assert work(socp.sample_gradient, f, [1, 4, 1]) == (3, 3, 3)
+    assert work(socp.sample_objective, f, [5]) == (2, 1, 0)
+
+
+@pytest.mark.parametrize("indices, error", [
+    ([], EmptyInputError),
+    ([-1], ConfigRangeError),
+    ([0, 6], ConfigRangeError),
+], ids=["empty", "negative", "past-last"])
+def test_bad_sample_indices_raise(indices, error):
+    _, problem = fem_problem(h=0.25, num_samples=6)
+    f = np.zeros(problem.dim)
+    with pytest.raises(error):
+        socp.sample_gradient(problem, f, indices)
+    with pytest.raises(error):
+        socp.sample_objective(problem, f, indices)
+    assert problem._sample_evals == 0
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +424,8 @@ def test_newton_optimality_via_normal_equations():
     h = oracles.hessian(problem)
     mass = problem.mass
     rhs = np.zeros(problem.dim)
-    for op in problem.operators:
-        rhs += op.apply_t(mass @ problem.target)
+    for solver in problem.solvers:
+        rhs += mass @ solver.solve_t(mass @ problem.target)
     rhs /= problem.num_samples
     assert np.linalg.norm(h @ res.control - rhs) <= 1e-6 * np.linalg.norm(rhs)
 
@@ -371,9 +459,10 @@ def test_line_search_rejects_ascent_direction():
 
 def test_line_search_rejects_nonpositive_curvature():
     # a negative definite "mass" makes J concave: no Wolfe step exists
+    # (S = K^-1 Phi = I)
     n = 4
     problem = socp.ReducedControlProblem(
-        mass=-sp.eye_array(n).tocsr(), operators=[oracles.DenseStateOperator(np.eye(n))],
+        mass=-sp.eye_array(n).tocsr(), solvers=[oracles.DenseSolver(-np.eye(n))],
         desired_nodal=np.ones(n), desired_proj=-np.ones(n), beta=1.0,
     )
     # Newton's truncated CG meets the nonpositive curvature before any line search
@@ -408,13 +497,13 @@ def test_model_line_search_matches_exact_oracle(method):
 def test_sdm_operator_applications_follow_iterations_not_trials(monkeypatch):
     _, problem = fem_problem(h=0.25, num_samples=6)
     counts = collections.Counter()
-    apply = socp.SampleStateOperator.apply
+    solve = perturbed.WoodburySolver.solve
 
-    def counted(self, control):
+    def counted(self, rhs):
         counts[id(self)] += 1
-        return apply(self, control)
+        return solve(self, rhs)
 
-    monkeypatch.setattr(socp.SampleStateOperator, "apply", counted)
+    monkeypatch.setattr(perturbed.WoodburySolver, "solve", counted)
     res = socp.optimize(problem, socp.OptimizerSpec(method="sdm"), np.zeros(problem.dim))
     assert res.iterations >= 2
     assert res.line_search_trials > 2 * res.iterations
@@ -429,17 +518,17 @@ def test_trm_operator_passes_do_not_follow_iterations(monkeypatch):
     f0 = np.zeros(problem.dim)
     newton = socp.optimize(problem, socp.OptimizerSpec(method="newton", grad_tol=1e-8), f0)
     counts = collections.Counter()
-    apply, hessian_vector = socp.SampleStateOperator.apply, socp.hessian_vector
+    solve, hessian_vector = perturbed.WoodburySolver.solve, socp.hessian_vector
 
-    def counted_apply(self, control):
-        counts["apply"] += 1
-        return apply(self, control)
+    def counted_solve(self, rhs):
+        counts["solve"] += 1
+        return solve(self, rhs)
 
     def counted_product(problem, direction):
         counts["products"] += 1
         return hessian_vector(problem, direction)
 
-    monkeypatch.setattr(socp.SampleStateOperator, "apply", counted_apply)
+    monkeypatch.setattr(perturbed.WoodburySolver, "solve", counted_solve)
     monkeypatch.setattr(socp, "hessian_vector", counted_product)
     runs = []
     for tol in (1e-2, 1e-8):
@@ -448,7 +537,7 @@ def test_trm_operator_passes_do_not_follow_iterations(monkeypatch):
         assert res.converged
         # every application is counted: the initial point, each truncated-CG
         # product and the final report
-        assert res.operator_passes == counts["apply"] / problem.num_samples
+        assert res.operator_passes == counts["solve"] / problem.num_samples
         assert res.operator_passes == counts["products"] + 2
         assert res.operator_passes > res.iterations + 2
         runs.append(res)
