@@ -118,7 +118,7 @@ def dense_solve(a, b, rel_tol=1e-10):
 
 
 class DenseSolver:
-    """Solves with a state matrix K given by its explicit inverse, for constructed control problems."""
+    """Solves with K and K^T from K^-1 given explicitly, for constructed control problems."""
 
     def __init__(self, inverse):
         self.inverse = np.asarray(inverse, dtype=float)

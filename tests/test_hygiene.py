@@ -42,16 +42,13 @@ def unread_constants(sources) -> list[str]:
 
     A read is a loaded name or an attribute of that name (``numerics.SYM_TOL``).
     """
-    trees = [ast.parse(source) for source in sources]
-    assigned = set()
-    for tree in trees:
+    assigned, read = set(), set()
+    for tree in map(ast.parse, sources):
         for node in tree.body:
-            targets = node.targets if isinstance(node, ast.Assign) else [
-                node.target] if isinstance(node, ast.AnnAssign) else []
-            assigned.update(t.id for t in targets
-                            if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id))
-    read = set()
-    for tree in trees:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                assigned.update(t.id for t in targets if isinstance(t, ast.Name)
+                                and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
