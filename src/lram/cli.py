@@ -42,6 +42,7 @@ from .errors import (
     InputFileError,
     LramError,
     UnknownKeyError,
+    check_range,
 )
 
 # ---------------------------------------------------------------------------
@@ -79,6 +80,13 @@ class SpdeCommand(spde.SpdeRunConfig):
     out_dir: str = "out"
     export_samples: bool = False
     tau_scan: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_range(all(0.0 < tau <= 1.0 for tau in self.tau_scan),
+                    "tau_scan ratios must lie in (0, 1]", self.tau_scan)
+        check_range(not (self.tau_scan and self.method == "direct"),
+                    "the direct method has no reduction ratio to scan", self.tau_scan)
 
 
 @dataclass(frozen=True)
@@ -223,9 +231,8 @@ def write_manifest(out_dir: Path, subcommand: str, resolved: dict,
 
 def _record_woodbury(record: dict, run) -> None:
     """The Woodbury form a solve or a control problem ran, and its rank."""
-    if run.woodbury_form is not None:
-        record["woodbury.form"] = run.woodbury_form
-        record["woodbury.update_rank"] = run.update_rank
+    record["woodbury.form"] = run.woodbury_form
+    record["woodbury.update_rank"] = run.update_rank
 
 
 def _record_field(record: dict, min_coefficient) -> list[str]:
@@ -279,6 +286,8 @@ def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict]
         outputs.append("errors_vs_tau.csv")
     else:
         _record_woodbury(record, report.solution)
+        if report.solution.truncation_residuals is not None:
+            record["series.truncation_residual_max"] = max(report.solution.truncation_residuals)
         write_csv(
             out_dir / "report.csv",
             ["nodes", "samples", "rank", "tau", "epsilon", "method",

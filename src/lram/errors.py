@@ -1,4 +1,7 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the range checks of the configs."""
+
+import math
+from dataclasses import fields
 
 
 class LramError(Exception):
@@ -101,3 +104,11 @@ def check_range(ok: bool, message: str, value) -> None:
     """Raise ``ConfigRangeError("<message>, got <value>")`` unless ``ok``."""
     if not ok:
         raise ConfigRangeError(f"{message}, got {value!r}")
+
+
+def check_finite(config) -> None:
+    """``check_range`` on every float field of the dataclass ``config``: each must be finite."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float):
+            check_range(math.isfinite(value), f"{f.name} must be finite", value)

@@ -20,6 +20,7 @@ from .errors import (
     DegenerateElementError,
     DimensionMismatchError,
     InvalidMeshSizeError,
+    check_finite,
     check_range,
 )
 
@@ -264,7 +265,8 @@ class Sampling:
 
     ``samples`` fields of ``distribution`` scaled by ``epsilon``, seeded by
     ``seed`` (``sample_fields``), on the structured mesh of spacing ``h``.
-    Each value is range-checked at construction (``ConfigRangeError``).
+    Each value is range-checked at construction (``ConfigRangeError``), and
+    every float field, a subclass's too, must be finite.
     """
 
     h: float = 0.1
@@ -274,6 +276,7 @@ class Sampling:
     seed: int = 1234
 
     def __post_init__(self):
+        check_finite(self)
         check_range(0.0 < self.h < 1.0, "h must lie in (0, 1)", self.h)
         _check_draw(self.samples, self.epsilon, self.distribution, self.seed)
 

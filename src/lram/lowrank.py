@@ -10,10 +10,11 @@ are ``basis^T A_m``.  One eigendecomposition of that Gram matrix, held as a
 curve and the ensemble's numerical rank k* (``numerical_rank``).  The Gram
 matrix stays sparse for sparse members, and the complete eigendecomposition
 runs on its support only.  Its eigenvalues alone serve the energy curve, k*
-and the reconstruction error; its eigenvectors serve the factors and the
-Woodbury forms of ``perturbed.plan_smw``, which read them without any
-factors.  A two-sided alternating baseline and the compression ratio are
-included, plus binary and MatrixMarket serialization of the factors.
+and the reconstruction error; its eigenvectors serve the factors of ``lram
+compress`` and the Woodbury forms every ``perturbed`` solve reads (SMW's and
+the series'), which hold no factors.  A two-sided alternating baseline and
+the compression ratio are included, plus binary and MatrixMarket
+serialization of the factors.
 """
 
 from __future__ import annotations
@@ -58,21 +59,23 @@ class Projections(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class LowRankFactors:
-    """Shared orthonormal basis plus per-sample coefficient matrices.
+    """Shared orthonormal basis plus per-sample coefficient matrices, for ``lram compress``.
 
     ``basis`` is N-by-k with orthonormal columns; ``coeffs[m]`` is k-by-N and
     the reconstruction of sample m is ``basis @ coeffs[m]``.  ``compress``
     gives ``coeffs`` as ``Projections`` of the compressed members; loaded and
-    hand-built factors hold plain coefficient lists.  Plain data: they serve
-    ``lram compress``, ``save_factors`` and the series route
-    (``perturbed.solve_neumann``).  SMW reads no factors: its forms carry the
-    eigenvectors they read (``perturbed.plan_smw``).
+    hand-built factors hold plain coefficient lists.  Plain data for
+    ``save_factors`` and the MatrixMarket export: no solve reads factors, and
+    every ``perturbed`` solve reads the eigenvectors its ``WoodburyForm``
+    carries.
     """
 
     basis: np.ndarray
     coeffs: Sequence[np.ndarray]
-    rank: int
-    ratio: float
+
+    @property
+    def rank(self) -> int:
+        return self.basis.shape[1]
 
     @property
     def dim(self) -> int:
@@ -278,8 +281,7 @@ def compress(ensemble, ratio: float, spectrum: GramSpectrum | None = None) -> Lo
     if spectrum is None:
         spectrum = gram_spectrum(ensemble, rank)
     basis = spectrum.basis(rank)
-    return LowRankFactors(basis=basis, coeffs=Projections(basis, ensemble), rank=rank,
-                          ratio=float(ratio))
+    return LowRankFactors(basis=basis, coeffs=Projections(basis, ensemble))
 
 
 def rmsre(ensemble, spectrum: GramSpectrum, rank: int) -> float:
@@ -415,8 +417,7 @@ def load_factors(path) -> LowRankFactors:
         for _ in range(num_samples):
             c = np.frombuffer(fh.read(8 * rank * dim), dtype="<f8").reshape(rank, dim)
             coeffs.append(np.array(c))
-    return LowRankFactors(basis=np.array(basis), coeffs=coeffs,
-                          rank=int(rank), ratio=rank / dim)
+    return LowRankFactors(basis=np.array(basis), coeffs=coeffs)
 
 
 def factors_to_matrix_market(directory, factors: LowRankFactors) -> list[str]:

@@ -1,15 +1,16 @@
 """Solvers for ensembles of perturbed linear systems sharing one base matrix.
 
-Each sample solves ``(base + P_m) u_m = rhs``.  SMW replaces P_m by its part
-in the span of Gram eigenvectors (``lowrank``) and inverts the result through
-the Woodbury identity ``(F + X G)^-1 = F^-1 - F^-1 X (I + G F^-1 X)^-1 G
-F^-1`` in one of three forms.  ``plan_smw`` is the one router: it picks the
-form at each rank from one Gram spectrum, and each ``WoodburyForm`` carries
+Each sample solves ``(base + P_m) u_m = rhs`` in a ``WoodburyForm``.  SMW
+replaces P_m by its part in the span of Gram eigenvectors (``lowrank``) and
+inverts the result through the Woodbury identity ``(F + X G)^-1 = F^-1 -
+F^-1 X (I + G F^-1 X)^-1 G F^-1`` in one of three forms; the per-sample
+direct solve is the update at rank 0.  ``plan_smw`` is the one router: it
+picks the form at each rank from one Gram spectrum, and each form carries
 the eigenvectors V its update reads.  ``WoodburySolvers`` builds one
 ``WoodburySolver`` per sample from the ensemble and the form alone, with
-coefficients C_m = V^T P_m; ``solve_smw`` runs them on the ensemble's
-right-hand side and the control problem (``socp``) builds its state
-operators from them.
+coefficients C_m = V^T P_m; ``solve_ensemble``, the one per-sample loop,
+runs them on the ensemble's right-hand side, and ``socp`` solves its states
+with them.
 
 Every form stops at the ensemble's numerical rank k* (``lowrank``): Gram
 directions past k* hold no energy, so their coefficients vanish and they
@@ -27,8 +28,8 @@ only add work.
   sparse LU of ``base + P_m``, a solve for F^-1 V, the capacitance and its
   LU.  It includes a per-sample sparse LU, so SMW in this form costs at
   least the direct route.
-* Direct form, rank 0 at k >= k*: no V and no capacitance, one sparse LU and
-  one solve per sample (``solve_direct``).
+* Direct form, rank 0 at k >= k* (``DIRECT`` at any k): no V and no
+  capacitance, one sparse LU and one solve per sample.
 
 When the complement rank is below the basis rank (k > k*/2) the form is the
 one ``woodbury_costs`` models cheaper, reading the size of sample 0's LU;
@@ -38,9 +39,9 @@ any eigenvector exists, from the support size |S| >= k* of the Gram matrix:
 where the direct form wins at every rank, the Gram spectrum is computed
 without eigenvectors.
 
-A truncated alternating series on shared-basis factors and a per-sample
-direct factorization are provided as alternative routes; the quantity of
-interest is the sample mean, reduced in fixed order.
+A truncated alternating series in the basis form (``solve_neumann``) is the
+alternative route; the quantity of interest is the sample mean, reduced in
+fixed order.
 
 One failure policy serves every route that factors or solves a sample: a
 sample m whose ``base + P_m`` does not factor, or whose solution is not
@@ -61,6 +62,7 @@ import scipy.sparse.linalg as spla
 
 from . import lowrank, numerics
 from .errors import (
+    ConfigRangeError,
     DimensionMismatchError,
     DivergenceRiskError,
     EmptyInputError,
@@ -127,12 +129,12 @@ class EnsembleSolution:
     unperturbed: np.ndarray
     samples: list[np.ndarray]
     qoi: np.ndarray
-    method: str
+    # the form the solve ran in: "basis", "complement" or "direct" (module docstring)
+    woodbury_form: str
+    update_rank: int
+    # the series only: per sample, the norm of the first omitted term
     truncation_residuals: tuple[float, ...] | None = None
-    # SMW only: "basis", "complement" or "direct" (module docstring), and its rank
-    woodbury_form: str | None = None
-    update_rank: int | None = None
-    # per sample, the condition estimate of base + P_m, if asked of a route that factors it
+    # per sample, the condition estimate of base + P_m, if asked of the direct form
     sample_conditions: tuple[float, ...] | None = None
 
 
@@ -145,13 +147,6 @@ def qoi_mean(samples) -> np.ndarray:
         if s.shape[0] != n:
             raise DimensionMismatchError("samples differ in length")
     return np.mean(np.stack(samples, axis=0), axis=0)
-
-
-def _check_factors(ensemble, factors):
-    if factors.basis.shape[0] != ensemble.dim:
-        raise DimensionMismatchError("factor basis dimension differs from ensemble")
-    if factors.num_samples != ensemble.num_samples:
-        raise DimensionMismatchError("factor sample count differs from ensemble")
 
 
 def _sample_lu(base, perturbation, m):
@@ -281,6 +276,20 @@ class WoodburyForm:
         return self.name != "direct"
 
 
+#: The per-sample direct solve: the direct form, with no LU made in advance.
+DIRECT = WoodburyForm("direct", 0)
+
+
+def _form_vectors(ensemble: PerturbedEnsemble, form: WoodburyForm) -> np.ndarray:
+    """``form``'s vectors, C-contiguous; ``DimensionMismatchError`` unless of shape (N, rank)."""
+    n = ensemble.dim
+    vectors = np.zeros((n, 0)) if form.vectors is None else form.vectors
+    if vectors.shape != (n, form.update_rank):
+        raise DimensionMismatchError(f"form vectors of shape {vectors.shape}, but rank "
+                                     f"{form.update_rank} reads {(n, form.update_rank)}")
+    return np.ascontiguousarray(vectors)
+
+
 def woodbury_form(ensemble: PerturbedEnsemble, basis_rank: int, complement_rank: int,
                   lu0=None) -> WoodburyForm:
     """The cheaper of the basis form and the complement form at the given ranks.
@@ -367,18 +376,11 @@ class WoodburySolvers(Sequence):
     """
 
     def __init__(self, ensemble: PerturbedEnsemble, form: WoodburyForm):
-        n = ensemble.dim
-        shape = (n, 0) if form.vectors is None else form.vectors.shape
-        if shape != (n, form.update_rank):
-            raise DimensionMismatchError(f"form vectors of shape {shape}, but rank "
-                                         f"{form.update_rank} at N = {n} reads ({n}, "
-                                         f"{form.update_rank})")
+        self._vectors = _form_vectors(ensemble, form)
         self._ensemble = ensemble
         self.form, self.update_rank, self._lu0 = form.name, form.update_rank, form.lu0
         self._basis_solved = None
-        if self.update_rank:
-            self._vectors = np.ascontiguousarray(form.vectors)
-            self._projections = lowrank.Projections(self._vectors, ensemble.perturbations)
+        self._projections = lowrank.Projections(self._vectors, ensemble.perturbations)
 
     def __len__(self) -> int:
         return self._ensemble.num_samples
@@ -393,8 +395,7 @@ class WoodburySolvers(Sequence):
                   else _sample_lu(self._ensemble.base, self._ensemble.perturbations[m], m))
             solve_f, solve_ft = lu.solve, partial(lu.solve, trans="T")
         if not self.update_rank:
-            n = self._ensemble.dim
-            return WoodburySolver(m, solve_f, solve_ft, np.zeros((n, 0)), np.zeros((0, n)))
+            return WoodburySolver(m, solve_f, solve_ft, self._vectors, self._vectors.T)
         if self.form == "basis":
             if self._basis_solved is None:
                 self._basis_solved = _solve_columns(solve_f, self._vectors)
@@ -404,48 +405,63 @@ class WoodburySolvers(Sequence):
         return WoodburySolver(m, solve_f, solve_ft, x_solved, self._projections[m])
 
 
-def solve_smw(ensemble: PerturbedEnsemble, form: WoodburyForm) -> EnsembleSolution:
-    """Solve every sample through the Woodbury identity in ``form`` (``WoodburySolvers``).
+def solve_ensemble(ensemble: PerturbedEnsemble, form: WoodburyForm,
+                   conditions: bool = False) -> EnsembleSolution:
+    """Solve every sample with its ``WoodburySolver`` in ``form``: the one per-sample loop.
 
-    A singular capacitance raises ``SingularCapacitanceError`` with the
-    sample index and a condition estimate; a sample matrix that does not
-    factor, or a solution that is not finite, raises ``SingularSampleError``.
+    In the direct form (``DIRECT``, or ``plan_smw``'s at rank 0) this is the
+    per-sample direct solve.  ``conditions`` is accepted in the direct form
+    only (``ConfigRangeError``): each sample matrix's
+    ``numerics.condition_estimate`` is then made with the LU that solved it,
+    as ``sample_conditions``.  A singular capacitance raises
+    ``SingularCapacitanceError`` with the sample index and a condition
+    estimate; a sample matrix that does not factor, or a solution that is not
+    finite, raises ``SingularSampleError``.
     """
-    solvers = WoodburySolvers(ensemble, form)
+    if conditions and form.reads_vectors:
+        raise ConfigRangeError(f"sample conditions need the direct form, not the {form.name} form")
     u0 = ensemble.base_factor.solve(ensemble.rhs)
-    samples = [_finite(solvers[m].solve(ensemble.rhs), m) for m in range(ensemble.num_samples)]
-
+    samples, conds = [], []
+    for m, solver in enumerate(WoodburySolvers(ensemble, form)):
+        samples.append(_finite(solver.solve(ensemble.rhs), m))
+        if conditions:
+            # at rank 0 the solver is the sample's LU
+            conds.append(numerics.condition_estimate(ensemble.base + ensemble.perturbations[m],
+                                                     solve=solver.solve))
     return EnsembleSolution(
         unperturbed=u0,
         samples=samples,
         qoi=qoi_mean(samples),
-        method="SMW",
         woodbury_form=form.name,
         update_rank=form.update_rank,
+        sample_conditions=tuple(conds) if conditions else None,
     )
 
 
-def solve_neumann(ensemble: PerturbedEnsemble, factors, order: int,
+def solve_neumann(ensemble: PerturbedEnsemble, form: WoodburyForm, order: int,
                   force: bool = False) -> EnsembleSolution:
     """Solve every sample by a truncated alternating series of ``order`` terms.
 
-    Evaluates ``sum_{j=0..order} (-(base^-1 basis) coeffs[m])^j u0`` by
-    repeated application, never forming an N-by-N product.  Refuses samples
-    whose contraction-norm estimate reaches 1 unless ``force`` is set, and
-    reports the norm of the first omitted term as a truncation residual.  A
-    sample whose sum is not finite (a forced series that overflowed) raises
-    ``NoConvergenceError``.
+    Reads the basis form's vectors V, with C_m = V^T P_m: evaluates
+    ``sum_{j=0..order} (-(base^-1 V) C_m)^j u0`` by repeated application,
+    never forming an N-by-N product.  Refuses samples whose
+    contraction-norm estimate reaches 1 unless ``force`` is set, and reports
+    the norm of the first omitted term as a truncation residual.  A sample
+    whose sum is not finite (a forced series that overflowed) raises
+    ``NoConvergenceError``.  Any other form raises ``ConfigRangeError``.
     """
-    _check_factors(ensemble, factors)
+    if form.name != "basis":
+        raise ConfigRangeError(f"the series reads the basis form, not the {form.name} form")
     if order < 0:
         raise DimensionMismatchError("series order must be >= 0")
+    vectors = _form_vectors(ensemble, form)
     fact = ensemble.base_factor
     u0 = fact.solve(ensemble.rhs)
-    basis_solved = fact.solve(factors.basis)
+    basis_solved = fact.solve(vectors)
 
     samples = []
     residuals = []
-    for m, coeffs in enumerate(factors.coeffs):
+    for m, coeffs in enumerate(lowrank.Projections(vectors, ensemble.perturbations)):
         contraction = spla.LinearOperator(
             (ensemble.dim, ensemble.dim), dtype=float,
             matvec=lambda v: basis_solved @ (coeffs @ v),
@@ -470,36 +486,7 @@ def solve_neumann(ensemble: PerturbedEnsemble, factors, order: int,
         unperturbed=u0,
         samples=samples,
         qoi=qoi_mean(samples),
-        method=f"Neumann(K={order})",
+        woodbury_form=form.name,
+        update_rank=form.update_rank,
         truncation_residuals=tuple(residuals),
-    )
-
-
-def solve_direct(ensemble: PerturbedEnsemble, form: WoodburyForm | None = None,
-                 conditions: bool = False) -> EnsembleSolution:
-    """Factorize and solve each perturbed system separately (reference path).
-
-    This is also SMW in the direct form, which reads no factors: given that
-    ``form``, sample 0 takes its ``lu0`` if it has one, and the solution
-    reports the form (method ``SMW``).  With ``conditions``, each sample
-    matrix's ``numerics.condition_estimate`` is made with the LU that solved
-    it, as ``sample_conditions``.  A sample matrix that does not factor, or a
-    solution that is not finite, raises ``SingularSampleError``.
-    """
-    u0 = ensemble.base_factor.solve(ensemble.rhs)
-    lu0 = None if form is None else form.lu0
-    samples, conds = [], []
-    for m, p in enumerate(ensemble.perturbations):
-        lu = lu0 if m == 0 and lu0 is not None else _sample_lu(ensemble.base, p, m)
-        samples.append(_finite(lu.solve(ensemble.rhs), m))
-        if conditions:
-            conds.append(numerics.condition_estimate(ensemble.base + p, solve=lu.solve))
-    return EnsembleSolution(
-        unperturbed=u0,
-        samples=samples,
-        qoi=qoi_mean(samples),
-        method="Direct" if form is None else "SMW",
-        woodbury_form=None if form is None else form.name,
-        update_rank=None if form is None else form.update_rank,
-        sample_conditions=tuple(conds) if conditions else None,
     )

@@ -41,6 +41,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     LineSearchError,
+    check_finite,
     check_range,
 )
 
@@ -222,7 +223,7 @@ def hessian_vector(problem: ReducedControlProblem, direction: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class OptimizerSpec:
-    """Method choice and stopping/step-control parameters."""
+    """Method choice and stopping/step-control parameters; every float must be finite."""
 
     method: str = "newton"
     grad_tol: float = 1e-3
@@ -238,6 +239,7 @@ class OptimizerSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         check_range(self.method in METHODS, f"method must be one of {METHODS}", self.method)
         check_range(0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0,
                     "need 0 < wolfe_c1 < wolfe_c2 < 1", (self.wolfe_c1, self.wolfe_c2))

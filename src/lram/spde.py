@@ -1,22 +1,21 @@
 """End-to-end Monte-Carlo driver for the random-diffusion Poisson problem.
 
 Takes the sampled stiffness ensemble of ``fem.sampled_system``, decomposes
-its Gram matrix once, solves all samples through the chosen route at one or
-more reduction ratios, and averages into the mean-field estimate.  A ratio
-scan is the same run over several ratios: one sampled ensemble, one Gram
-spectrum and one reference serve them all, and each distinct solve is made
-once (SMW caps its update at the numerical rank k*, so its solves at every
-k >= k* are one solve).  SMW takes its form at each ratio, with the
-eigenvectors that form reads, from ``perturbed.plan_smw`` and compresses
-nothing: in the direct form, which full-domain fields take at k >= k* from
-h = 0.05 down, the spectrum holds eigenvalues only.  Only the series route
-compresses (``lowrank.compress``).  When a reference is requested the
-direct per-sample solve consumes the identical sampled fields, so the
-reported gap isolates the compression error; a solve that already factored
-every sample (the direct method, or SMW in the direct form) is the
-reference itself, and its sample LUs also serve the sample condition
-estimates.  Also hosts the critical reduction-ratio diagnostics (an
-all-zero ensemble has k* = 0) and a Monte-Carlo convergence study.
+its Gram matrix once, solves all samples at one or more reduction ratios,
+and averages into the mean-field estimate.  Every method solves in a
+``perturbed.WoodburyForm``: the direct method in ``perturbed.DIRECT``, SMW
+in the forms of ``perturbed.plan_smw`` (in the direct form, which
+full-domain fields take at k >= k* from h = 0.05 down, the spectrum holds
+eigenvalues only), and the series in the basis form at rank min(k, k*).
+Nothing is compressed.  A ratio scan is the same run over several ratios:
+one sampled ensemble, one Gram spectrum and one reference serve them all,
+and solves are keyed by form and update rank, so each is made once (every
+k >= k* is one solve).  The reference is the direct-form solve of that same
+key: the one the run already made (the direct method, or SMW in the direct
+form), so the reported gap isolates the compression error, and its sample
+LUs also serve the sample condition estimates.  Also hosts the critical
+reduction-ratio diagnostics (an all-zero ensemble has k* = 0) and a
+Monte-Carlo convergence study.
 """
 
 from __future__ import annotations
@@ -85,16 +84,6 @@ def critical_tau(curve) -> tuple[int, float]:
     return k_star, (k_star / len(curve) if curve else 0.0)
 
 
-def _solve(cfg: SpdeRunConfig, ensemble, factors, form):
-    if cfg.method == "neumann":
-        return perturbed.solve_neumann(ensemble, factors, cfg.neumann_order,
-                                       force=cfg.force_neumann)
-    if form is None or form.name == "direct":
-        # the direct method, or SMW in the direct form: one LU per sample
-        return perturbed.solve_direct(ensemble, form, conditions=cfg.sample_conditions)
-    return perturbed.solve_smw(ensemble, form)
-
-
 def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     """Execute the full pipeline at each of ``ratios`` in turn and return the report.
 
@@ -104,17 +93,16 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     ``fem.sampled_system(cfg)`` if the caller built it already.  SMW prices
     its form at every rank before any eigenvector exists
     (``perturbed.plan_smw``), so a run whose every form is direct computes
-    eigenvalues only; SMW compresses nothing, and the series route
-    compresses once per ratio.  Solves are keyed by the update
-    rank they run at, min(k, k*) for SMW and k for the series, and each is
-    made once.  Two runs with identical configs produce bitwise-identical
-    vectors: the sampling is keyed per (seed, sample) and every reduction
-    uses a fixed order.
+    eigenvalues only.  Solves are keyed by (form, update rank), and each is
+    made once; the reference is the direct form's, and takes the LU of
+    sample 0 that pricing made.  Two runs with identical configs produce
+    bitwise-identical vectors: the sampling is keyed per (seed, sample) and
+    every reduction uses a fixed order.
     """
     if ratios is not None and cfg.method == "direct":
         raise ConfigRangeError("the direct method has no reduction ratio to scan")
     ratios = (cfg.tau,) if ratios is None else tuple(ratios)
-    timings = {"compress": 0.0, "solve": 0.0}
+    timings = {}
 
     if system is None:
         t0 = time.perf_counter()
@@ -125,67 +113,64 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
                                            rhs=system.load)
 
     t0 = time.perf_counter()
-    ranks, forms = [None] * len(ratios), [None] * len(ratios)
-    if cfg.method == "direct":
-        # the direct route reads only the energy curve and k*: eigenvalues suffice
-        spectrum = lowrank.gram_spectrum(members, vectors=False)
+    ranks = [None if cfg.method == "direct" else lowrank.rank_from_ratio(ratio, ensemble.dim)
+             for ratio in ratios]
+    if cfg.method == "smw":
+        spectrum, forms = perturbed.plan_smw(ensemble, ranks)
     else:
-        ranks = [lowrank.rank_from_ratio(ratio, ensemble.dim) for ratio in ratios]
-        if cfg.method == "smw":
-            spectrum, forms = perturbed.plan_smw(ensemble, ranks)
-        else:
-            spectrum = lowrank.gram_spectrum(members)
+        # the direct route reads only the energy curve and k*: eigenvalues suffice
+        spectrum = lowrank.gram_spectrum(members, vectors=cfg.method == "neumann")
     energy_curve = spectrum.energy_curve()
     k_star, tau_star = critical_tau(energy_curve)
-    timings["compress"] += time.perf_counter() - t0
+    if cfg.method == "direct":
+        forms = [perturbed.DIRECT]
+    elif cfg.method == "neumann":
+        # the series runs in the basis form at rank min(k, k*), as SMW does
+        forms = [perturbed.WoodburyForm("basis", r, vectors=spectrum.vectors[:, :r])
+                 for r in (min(k, k_star) for k in ranks)]
+    rmsres = [None if k is None else lowrank.rmsre(members, spectrum, k) for k in ranks]
+    timings["compress"] = time.perf_counter() - t0
 
-    solutions = {}  # update rank -> solution
-    runs = []       # per ratio: (ratio, rank, rmsre, solution)
-    for ratio, rank, form in zip(ratios, ranks, forms):
-        t0 = time.perf_counter()
-        factors, rmsre_value = None, None
-        if rank is not None:
-            if cfg.method == "neumann":
-                factors = lowrank.compress(members, ratio, spectrum)
-            rmsre_value = lowrank.rmsre(members, spectrum, rank)
-        timings["compress"] += time.perf_counter() - t0
+    solutions = {}  # (form, update rank) -> solution
 
-        t0 = time.perf_counter()
-        key = min(rank, k_star) if cfg.method == "smw" else rank
+    def solve(form):
+        key = (form.name, form.update_rank)
         if key not in solutions:
-            solutions[key] = _solve(cfg, ensemble, factors, form)
-        runs.append((ratio, rank, rmsre_value, solutions[key]))
-        timings["solve"] += time.perf_counter() - t0
+            if cfg.method == "neumann" and form.reads_vectors:
+                solutions[key] = perturbed.solve_neumann(ensemble, form, cfg.neumann_order,
+                                                         force=cfg.force_neumann)
+            else:
+                conditions = cfg.sample_conditions and not form.reads_vectors
+                solutions[key] = perturbed.solve_ensemble(ensemble, form, conditions)
+        return solutions[key]
+
+    t0 = time.perf_counter()
+    runs = [solve(form) for form in forms]
+    timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     reference, reused = None, False
     if cfg.reference:
-        # the direct method and the direct form already made the reference's sample LUs
-        reference = next((s for s in solutions.values()
-                          if cfg.method == "direct" or s.woodbury_form == "direct"), None)
-        reused = reference is not None
-        if not reused:
-            reference = perturbed.solve_direct(ensemble, conditions=cfg.sample_conditions)
+        reused = ("direct", 0) in solutions
+        reference = solve(replace(perturbed.DIRECT, lu0=forms[-1].lu0))
     rows = [(float(ratio), rank,
              None if reference is None else float(np.linalg.norm(reference.qoi - sol.qoi)),
-             rmsre_value) for ratio, rank, rmsre_value, sol in runs]
+             rmsre_value) for ratio, rank, rmsre_value, sol in zip(ratios, ranks, rmsres, runs)]
     timings["reference"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     cond_base = numerics.condition_estimate(system.base, solve=ensemble.base_factor.solve)
     sample_conds = None
     if cfg.sample_conditions:
-        # a solve that factored every sample estimated with those LUs
-        sample_conds = next((s.sample_conditions for s in (*solutions.values(), reference)
-                             if s is not None and s.sample_conditions is not None), None)
+        # a direct-form solve estimated with its sample LUs
+        sample_conds = next((s.sample_conditions for s in solutions.values()
+                             if s.sample_conditions is not None), None)
         if sample_conds is None:
-            sample_conds = tuple(
-                numerics.condition_estimate(system.base + p) for p in members
-            )
+            sample_conds = tuple(numerics.condition_estimate(system.base + p) for p in members)
     timings["diagnostics"] = time.perf_counter() - t0
 
     _, rank, err, rmsre_value = rows[-1]
-    solution = runs[-1][3]
+    solution = runs[-1]
     return SpdeReport(
         rows=rows,
         qoi=solution.qoi,
@@ -234,7 +219,7 @@ def mc_convergence_study(cfg: SpdeRunConfig, m_list, repetitions: int = 10,
         ensemble = perturbed.PerturbedEnsemble(
             base=system.base, perturbations=system.perturbations, rhs=system.load
         )
-        solution = perturbed.solve_direct(ensemble)
+        solution = perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
         stacked = np.stack(solution.samples, axis=0)
         reference = stacked.mean(axis=0)
         for j, m in enumerate(m_list):

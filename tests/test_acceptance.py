@@ -43,8 +43,9 @@ def test_criterion_01_smw_exactness():
             perturbations=[sp.csr_array(basis @ c) for c in coeffs],
             rhs=rng.standard_normal(n),
         )
-        fast = perturbed.solve_smw(ensemble, perturbed.WoodburyForm("basis", k, vectors=basis))
-        direct = perturbed.solve_direct(ensemble)
+        fast = perturbed.solve_ensemble(ensemble,
+                                        perturbed.WoodburyForm("basis", k, vectors=basis))
+        direct = perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
         for u, v in zip(fast.samples, direct.samples):
             worst = max(worst, np.linalg.norm(u - v) / np.linalg.norm(v))
     elapsed = time.perf_counter() - t0

@@ -219,12 +219,31 @@ def test_spde_manifest_records_woodbury_form(tmp_path):
                 "--out-dir", str(direct)]) == 0
     # N = 441, k* = 361: rank 419 is above k*, so the update rank is 0 and each sample
     # is solved directly; rank 265 leaves a rank-96 complement, but its per-sample LU
-    # costs more than it saves, so the basis form runs
+    # costs more than it saves, so the basis form runs.  The direct method is the
+    # direct form.
     assert manifest_record(above, "woodbury.") == {
         "woodbury.form": "direct", "woodbury.update_rank": "0"}
     assert manifest_record(below, "woodbury.") == {
         "woodbury.form": "basis", "woodbury.update_rank": "265"}
-    assert manifest_record(direct, "woodbury.") == {}
+    assert manifest_record(direct, "woodbury.") == {
+        "woodbury.form": "direct", "woodbury.update_rank": "0"}
+
+
+def test_series_manifest_records_its_form_and_truncation_residual(tmp_path):
+    out = tmp_path / "series"
+    assert run(["spde", "--h", "0.1", "--samples", "4", "--method", "neumann", "--tau", "0.95",
+                "--out-dir", str(out)]) == 0
+    # N = 121, k* = 81: rank 115 runs the series in the basis form at rank 81
+    record = manifest_record(out, "woodbury.", "series.")
+    assert {key: record[key] for key in ("woodbury.form", "woodbury.update_rank")} == {
+        "woodbury.form": "basis", "woodbury.update_rank": "81"}
+    solution = spde.run_spde(spde.SpdeRunConfig(h=0.1, samples=4, method="neumann",
+                                                tau=0.95)).solution
+    assert float(record["series.truncation_residual_max"]) == max(
+        solution.truncation_residuals) > 0.0
+    smw = tmp_path / "smw"
+    assert run(["spde", "--h", "0.25", "--samples", "3", "--out-dir", str(smw)]) == 0
+    assert manifest_record(smw, "series.") == {}
 
 
 def test_manifest_digest_streams_the_file(tmp_path):
@@ -438,6 +457,36 @@ def test_direct_method_has_no_ratio_to_scan(splu_calls, tmp_path, capsys):
                 "--tau-scan", "0.6,1.0", "--out-dir", str(tmp_path / "out")]) == 1
     assert "direct method" in capsys.readouterr().err
     assert splu_calls == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tau-scan", "0.5,2"],
+    ["--tau-scan", "0,0.5"],
+    ["--method", "direct", "--tau-scan", "0.5,1.0"],
+], ids=["above-one", "zero", "direct"])
+def test_tau_scan_checked_before_any_work(monkeypatch, tmp_path, capsys, argv):
+    assembled = []
+    assemble = fem.assemble
+    monkeypatch.setattr(fem, "assemble",
+                        lambda *a, **kw: assembled.append(1) or assemble(*a, **kw))
+    out = tmp_path / "out"
+    assert run(["spde", "--h", "0.5", "--samples", "2", *argv, "--out-dir", str(out)]) == 1
+    assert "configuration error" in capsys.readouterr().err
+    assert not out.exists()
+    assert assembled == []
+
+
+FLOAT_KEYS = [(name, key) for name in cli.CONFIGS
+              for key, default in cli.schema(name).items() if isinstance(default, float)]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("name, key", FLOAT_KEYS, ids=[f"{n}-{k}" for n, k in FLOAT_KEYS])
+def test_non_finite_float_is_refused_before_any_work(tmp_path, capsys, name, key, value):
+    out = tmp_path / "out"
+    assert run([name, "--set", f"{key}={value}", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err.strip().endswith(f", got {value}")
+    assert not out.exists()
 
 
 def test_tau_scan_honours_reference_and_sample_condition_keys(tmp_path):

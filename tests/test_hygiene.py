@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import lram
-from lram import errors
+from lram import cli, errors
 
 MODULES = sorted(Path(lram.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -74,3 +75,30 @@ def test_every_error_class_is_raised_or_a_base():
     unused = [cls.__name__ for cls in classes
               if not re.search(rf"\b{cls.__name__}\b", source) and cls not in bases]
     assert unused == []
+
+
+def documented_keys(readme: str) -> set[str]:
+    """Keys named by the README's "Config keys and defaults" section.
+
+    Those are the backticked names in the first column of its table and on
+    its "Common:" line.
+    """
+    section = readme.split("### Config keys and defaults", 1)[1].split("\n## ", 1)[0]
+    keys = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys.update(re.findall(r"`(\w+)`", line.split("|")[1]))
+        elif line.startswith("Common:"):
+            keys.update(re.findall(r"`(\w+)`", line))
+    return keys
+
+
+def test_documented_keys_are_read_from_table_and_common_line():
+    readme = ("### Config keys and defaults\n\nCommon: `seed` (1).\n\n| key | default |\n"
+              "|---|---|\n| `a`, `b` (spde) | `c` |\n\n## Outputs\n\n| `d` | 1 |\n")
+    assert documented_keys(readme) == {"seed", "a", "b"}
+
+
+def test_readme_documents_every_config_key():
+    keys = set().union(*(cli.schema(name) for name in cli.CONFIGS))
+    assert documented_keys(README.read_text()) == keys

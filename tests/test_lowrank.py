@@ -246,7 +246,7 @@ def test_rmsre_hand_checkable():
     assert lowrank.rmsre([a], lowrank.gram_spectrum([a]), 1) == pytest.approx(3.0, abs=1e-14)
     # the oracle rebuilds any factors, here the worse first axis: error 4
     basis = np.array([[1.0], [0.0]])
-    factors = lowrank.LowRankFactors(basis=basis, coeffs=[basis.T @ a], rank=1, ratio=0.5)
+    factors = lowrank.LowRankFactors(basis=basis, coeffs=[basis.T @ a])
     assert oracles.rmsre([a], factors) == pytest.approx(4.0, abs=1e-14)
 
 

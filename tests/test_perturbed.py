@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from lram import cli, fem, lowrank, numerics, perturbed, spde
 from lram.errors import (
+    ConfigRangeError,
     DimensionMismatchError,
     DivergenceRiskError,
     EmptyInputError,
@@ -27,19 +28,13 @@ def synthetic_instance(rng, n, k, m, scale=0.1):
     return ensemble, perturbed.WoodburyForm("basis", k, vectors=basis)
 
 
-def zero_factors(rng, n, k, m):
-    basis = rand_orthonormal(rng, n, k)
-    coeffs = [np.zeros((k, n)) for _ in range(m)]
-    return lowrank.LowRankFactors(basis=basis, coeffs=coeffs, rank=k, ratio=k / n)
-
-
 def basis_form(rng, n, k):
     """The basis form at rank k on a random orthonormal basis."""
     return perturbed.WoodburyForm("basis", k, vectors=rand_orthonormal(rng, n, k))
 
 
 # ---------------------------------------------------------------------------
-# solve_smw
+# solve_ensemble
 # ---------------------------------------------------------------------------
 
 
@@ -50,17 +45,17 @@ def test_smw_zero_perturbations_return_base_solution():
     zeros = [sp.csr_array((n, n)) for _ in range(m)]
     rhs = rng.standard_normal(n)
     ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=zeros, rhs=rhs)
-    sol = perturbed.solve_smw(ensemble, basis_form(rng, n, k))
+    sol = perturbed.solve_ensemble(ensemble, basis_form(rng, n, k))
     for u in sol.samples:
         assert np.allclose(u, sol.unperturbed, atol=1e-14)
     assert np.allclose(sol.qoi, sol.unperturbed, atol=1e-14)
-    assert sol.method == "SMW"
+    assert (sol.woodbury_form, sol.update_rank) == ("basis", k)
 
 
 def test_smw_matches_dense_direct_oracle():
     rng = np.random.default_rng(1)
     ensemble, form = synthetic_instance(rng, 8, 2, 3)
-    sol = perturbed.solve_smw(ensemble, form)
+    sol = perturbed.solve_ensemble(ensemble, form)
     for m, u in enumerate(sol.samples):
         dense = ensemble.base.toarray() + ensemble.perturbations[m].toarray()
         expected = np.linalg.solve(dense, ensemble.rhs)
@@ -71,7 +66,7 @@ def test_smw_matches_dense_direct_oracle():
 def test_smw_residual_identity():
     rng = np.random.default_rng(2)
     ensemble, form = synthetic_instance(rng, 10, 3, 4)
-    sol = perturbed.solve_smw(ensemble, form)
+    sol = perturbed.solve_ensemble(ensemble, form)
     coeffs = lowrank.Projections(form.vectors, ensemble.perturbations)
     rhs_norm = np.linalg.norm(ensemble.rhs)
     for m, u in enumerate(sol.samples):
@@ -85,7 +80,7 @@ def test_smw_update_stays_in_solved_basis_span():
     fact = numerics.factorize_spd(ensemble.base)
     basis_solved = fact.solve(form.vectors)
     q, _ = np.linalg.qr(basis_solved)
-    sol = perturbed.solve_smw(ensemble, form)
+    sol = perturbed.solve_ensemble(ensemble, form)
     for u in sol.samples:
         delta = u - sol.unperturbed
         resid = delta - q @ (q.T @ delta)
@@ -103,7 +98,7 @@ def test_smw_singular_update_raises_with_sample_index():
         base=base, perturbations=[sp.csr_array(-basis @ basis.T)], rhs=np.ones(n)
     )
     with pytest.raises(SingularCapacitanceError) as err:
-        perturbed.solve_smw(ensemble, form)
+        perturbed.solve_ensemble(ensemble, form)
     assert err.value.sample == 0
 
 
@@ -111,7 +106,7 @@ def test_smw_dimension_mismatch():
     rng = np.random.default_rng(6)
     ensemble, _ = synthetic_instance(rng, 6, 2, 3)
     with pytest.raises(DimensionMismatchError):
-        perturbed.solve_smw(ensemble, basis_form(rng, 7, 2))
+        perturbed.solve_ensemble(ensemble, basis_form(rng, 7, 2))
 
 
 @pytest.mark.parametrize("name, rank, shape", [
@@ -128,7 +123,7 @@ def test_form_vectors_not_n_by_update_rank_raise(name, rank, shape):
     with pytest.raises(DimensionMismatchError):
         perturbed.WoodburySolvers(ensemble, form)
     with pytest.raises(DimensionMismatchError):
-        perturbed.solve_smw(ensemble, form)
+        perturbed.solve_ensemble(ensemble, form)
 
 
 @settings(max_examples=15, deadline=None)
@@ -139,14 +134,14 @@ def test_smw_exactness_property(seed):
     k = int(rng.integers(1, max(2, n // 2)))
     m = int(rng.integers(1, 6))
     ensemble, form = synthetic_instance(rng, n, k, m)
-    smw = perturbed.solve_smw(ensemble, form)
-    direct = perturbed.solve_direct(ensemble)
+    smw = perturbed.solve_ensemble(ensemble, form)
+    direct = perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
     for u, v in zip(smw.samples, direct.samples):
         assert np.linalg.norm(u - v) <= 1e-9 * np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------
-# solve_smw: complement form above half rank
+# solve_ensemble: complement form above half rank
 # ---------------------------------------------------------------------------
 
 
@@ -173,8 +168,8 @@ def test_complement_form_matches_basis_form(dense_flop_model, rank_of, below_k_s
     _, (form,) = perturbed.plan_smw(ensemble, [k])
     # the basis form at rank k, past k*, as a reference
     hand = perturbed.WoodburyForm("basis", k, vectors=spectrum.vectors[:, :k])
-    sol = perturbed.solve_smw(ensemble, form)
-    ref = perturbed.solve_smw(ensemble, hand)
+    sol = perturbed.solve_ensemble(ensemble, form)
+    ref = perturbed.solve_ensemble(ensemble, hand)
     # eigenvectors k+1..k* only: none at k >= k*, where the route is direct
     expected = ("complement", k_star - k) if below_k_star else ("direct", 0)
     assert (sol.woodbury_form, sol.update_rank) == expected
@@ -190,7 +185,7 @@ def test_complement_form_only_above_half_rank(dense_flop_model):
     k_star, _ = spde.critical_tau(spectrum.energy_curve())
     plan, (form,) = perturbed.plan_smw(ensemble, [k_star // 2])
     assert np.array_equal(form.vectors, plan.vectors[:, :k_star // 2])
-    sol = perturbed.solve_smw(ensemble, form)
+    sol = perturbed.solve_ensemble(ensemble, form)
     assert (sol.woodbury_form, sol.update_rank) == ("basis", k_star // 2)
 
 
@@ -198,12 +193,12 @@ def test_complement_rank_below_k_star_is_k_star_minus_k(dense_flop_model):
     ensemble = fem_ensemble(num_samples=3)
     spectrum = lowrank.gram_spectrum(ensemble.perturbations)
     k_star, _ = spde.critical_tau(spectrum.energy_curve())
-    direct = perturbed.solve_direct(ensemble)
+    direct = perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
     ranks = (k_star // 2 + 1, k_star - 9, k_star - 1)
     _, forms = perturbed.plan_smw(ensemble, ranks)
     for k, form in zip(ranks, forms):
         assert form.vectors.shape == (ensemble.dim, k_star - k)
-        sol = perturbed.solve_smw(ensemble, form)
+        sol = perturbed.solve_ensemble(ensemble, form)
         assert (sol.woodbury_form, sol.update_rank) == ("complement", k_star - k)
         # below k* the compressed ensemble differs from the sampled one
         assert np.linalg.norm(sol.qoi - direct.qoi) > 1e-10 * np.linalg.norm(direct.qoi)
@@ -240,7 +235,7 @@ def test_zero_ensemble_takes_the_basis_form_at_rank_zero():
                                            rhs=np.ones(n))
     _, (form,) = perturbed.plan_smw(ensemble, [2])
     assert (form.name, form.update_rank, form.vectors.shape) == ("basis", 0, (n, 0))
-    sol = perturbed.solve_smw(ensemble, form)
+    sol = perturbed.solve_ensemble(ensemble, form)
     for u in sol.samples:
         assert np.array_equal(u, sol.unperturbed)
 
@@ -299,8 +294,8 @@ def test_basis_form_wins_after_repricing_at_k_star(monkeypatch):
     assert (form.name, form.update_rank) == ("basis", 2)
     assert calls == {"gram": 1, "vectors": [False, True]}
     assert np.array_equal(form.vectors, spectrum.vectors[:, :2])
-    sol = perturbed.solve_smw(ensemble, form)
-    direct = perturbed.solve_direct(ensemble)
+    sol = perturbed.solve_ensemble(ensemble, form)
+    direct = perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
     assert (sol.woodbury_form, sol.update_rank) == ("basis", 2)
     assert np.linalg.norm(sol.qoi - direct.qoi) <= 1e-10 * np.linalg.norm(direct.qoi)
 
@@ -314,8 +309,8 @@ def test_tau_06_keeps_the_basis_form():
     k_star = lowrank.numerical_rank(spectrum.energy_curve())
     assert n / 2 < k < k_star < n
     hand = perturbed.WoodburyForm("basis", k, vectors=spectrum.basis(k))
-    sol = perturbed.solve_smw(ensemble, form)
-    ref = perturbed.solve_smw(ensemble, hand)
+    sol = perturbed.solve_ensemble(ensemble, form)
+    ref = perturbed.solve_ensemble(ensemble, hand)
     assert (sol.woodbury_form, sol.update_rank) == ("basis", k)
     for u, v in zip(sol.samples, ref.samples):
         assert np.array_equal(u, v)
@@ -338,8 +333,8 @@ def test_complement_sample_that_does_not_factor_raises(dense_flop_model):
         perturbed.plan_smw(ensemble, [3])
     assert err.value.sample == 0
     form = perturbed.WoodburyForm("complement", 1, vectors=eye[:, :1])
-    for solve in (lambda: perturbed.solve_smw(ensemble, form),
-                  lambda: perturbed.solve_direct(ensemble)):
+    for solve in (lambda: perturbed.solve_ensemble(ensemble, form),
+                  lambda: perturbed.solve_ensemble(ensemble, perturbed.DIRECT)):
         with pytest.raises(SingularSampleError) as err:
             solve()
         assert err.value.sample == 0
@@ -356,9 +351,8 @@ def test_direct_form_overflow_raises(dense_flop_model):
     # Gram diag(0, 0.25, ~1): k* = 2 <= k, so the update rank is 0
     assert (form.name, form.vectors) == ("direct", None)
     assert perturbed.WoodburySolvers(ensemble, form).form == "direct"
-    for solve in (lambda: perturbed.solve_smw(ensemble, form),
-                  lambda: perturbed.solve_direct(ensemble, form),
-                  lambda: perturbed.solve_direct(ensemble)):
+    for solve in (lambda: perturbed.solve_ensemble(ensemble, form),
+                  lambda: perturbed.solve_ensemble(ensemble, perturbed.DIRECT)):
         with pytest.raises(SingularSampleError) as err:
             solve()
         assert err.value.sample == 0
@@ -377,7 +371,7 @@ def test_singular_complement_capacitance_raises(dense_flop_model):
                                            rhs=rhs)
     assert perturbed.WoodburySolvers(ensemble, form).form == "complement"
     with pytest.raises(SingularCapacitanceError) as err:
-        perturbed.solve_smw(ensemble, form)
+        perturbed.solve_ensemble(ensemble, form)
     assert err.value.sample == 0
 
 
@@ -394,7 +388,7 @@ def test_neumann_zero_coeffs_any_order():
     ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=zeros,
                                            rhs=rng.standard_normal(n))
     for order in (0, 3):
-        sol = perturbed.solve_neumann(ensemble, zero_factors(rng, n, k, m), order)
+        sol = perturbed.solve_neumann(ensemble, basis_form(rng, n, k), order)
         for u in sol.samples:
             assert np.allclose(u, sol.unperturbed, atol=1e-14)
         assert all(r == 0.0 for r in sol.truncation_residuals)
@@ -406,12 +400,10 @@ def test_neumann_scalar_partial_sum():
     pert = sp.csr_array(np.array([[1.0]]))
     ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=[pert],
                                            rhs=np.array([2.0]))
-    factors = lowrank.LowRankFactors(
-        basis=np.array([[1.0]]), coeffs=[np.array([[1.0]])], rank=1, ratio=1.0
-    )
-    sol = perturbed.solve_neumann(ensemble, factors, order=3)
+    form = perturbed.WoodburyForm("basis", 1, vectors=np.array([[1.0]]))
+    sol = perturbed.solve_neumann(ensemble, form, order=3)
     assert sol.samples[0][0] == pytest.approx(0.625, abs=1e-14)
-    assert sol.method == "Neumann(K=3)"
+    assert (sol.woodbury_form, sol.update_rank) == ("basis", 1)
 
 
 def test_neumann_geometric_decay_toward_smw():
@@ -423,12 +415,11 @@ def test_neumann_geometric_decay_toward_smw():
     pert = [sp.csr_array(basis @ coeffs[0])]
     ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=pert,
                                            rhs=rng.standard_normal(n))
-    factors = lowrank.LowRankFactors(basis=basis, coeffs=coeffs, rank=k, ratio=k / n)
-    exact = perturbed.solve_smw(ensemble, perturbed.WoodburyForm("basis", k, vectors=basis))
-    exact = exact.samples[0]
+    form = perturbed.WoodburyForm("basis", k, vectors=basis)
+    exact = perturbed.solve_ensemble(ensemble, form).samples[0]
     errs = []
     for order in range(1, 7):
-        approx = perturbed.solve_neumann(ensemble, factors, order).samples[0]
+        approx = perturbed.solve_neumann(ensemble, form, order).samples[0]
         errs.append(np.linalg.norm(approx - exact))
     ratios = [errs[i + 1] / errs[i] for i in range(len(errs) - 1)]
     assert all(0.25 <= r <= 0.35 for r in ratios)
@@ -445,16 +436,25 @@ def test_neumann_refuses_divergent_then_forced():
     pert = [sp.csr_array(basis @ coeffs[0])]
     ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=pert,
                                            rhs=np.ones(n))
-    factors = lowrank.LowRankFactors(basis=basis, coeffs=coeffs, rank=k, ratio=k / n)
+    form = perturbed.WoodburyForm("basis", k, vectors=basis)
     with pytest.raises(DivergenceRiskError) as err:
-        perturbed.solve_neumann(ensemble, factors, order=2)
+        perturbed.solve_neumann(ensemble, form, order=2)
     assert err.value.norm_estimate >= 1.0
-    sol = perturbed.solve_neumann(ensemble, factors, order=2, force=True)
+    sol = perturbed.solve_neumann(ensemble, form, order=2, force=True)
     assert len(sol.samples) == 1
 
 
+def test_neumann_reads_the_basis_form_alone():
+    rng = np.random.default_rng(9)
+    ensemble, _ = synthetic_instance(rng, 6, 2, 2)
+    complement = perturbed.WoodburyForm("complement", 2, vectors=rand_orthonormal(rng, 6, 2))
+    for form in (complement, perturbed.DIRECT):
+        with pytest.raises(ConfigRangeError):
+            perturbed.solve_neumann(ensemble, form, order=2)
+
+
 # ---------------------------------------------------------------------------
-# solve_direct
+# solve_ensemble in the direct form
 # ---------------------------------------------------------------------------
 
 
@@ -465,7 +465,7 @@ def test_direct_zero_perturbations():
     zeros = [sp.csr_array((n, n)) for _ in range(3)]
     ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=zeros,
                                            rhs=rng.standard_normal(n))
-    sol = perturbed.solve_direct(ensemble)
+    sol = perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
     for u in sol.samples:
         assert np.allclose(u, sol.unperturbed, atol=1e-12)
 
@@ -477,10 +477,20 @@ def test_direct_residuals():
     perts = [sp.csr_array(0.1 * rand_spd(rng, n, shift=0.0)) for _ in range(m)]
     rhs = rng.standard_normal(n)
     ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=perts, rhs=rhs)
-    sol = perturbed.solve_direct(ensemble)
+    sol = perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
     for mm, u in enumerate(sol.samples):
         resid = (ensemble.base + ensemble.perturbations[mm]) @ u - rhs
         assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(rhs)
+
+
+def test_sample_conditions_need_the_direct_form():
+    rng = np.random.default_rng(12)
+    ensemble, form = synthetic_instance(rng, 6, 2, 2)
+    with pytest.raises(ConfigRangeError):
+        perturbed.solve_ensemble(ensemble, form, conditions=True)
+    sol = perturbed.solve_ensemble(ensemble, perturbed.DIRECT, conditions=True)
+    assert (sol.woodbury_form, sol.update_rank) == ("direct", 0)
+    assert len(sol.sample_conditions) == 2 and np.all(np.isfinite(sol.sample_conditions))
 
 
 def test_direct_agrees_with_smw_at_full_ratio():
@@ -491,8 +501,8 @@ def test_direct_agrees_with_smw_at_full_ratio():
     rhs = rng.standard_normal(n)
     ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=perts, rhs=rhs)
     _, (form,) = perturbed.plan_smw(ensemble, [n])
-    smw = perturbed.solve_smw(ensemble, form)
-    direct = perturbed.solve_direct(ensemble)
+    smw = perturbed.solve_ensemble(ensemble, form)
+    direct = perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
     for u, v in zip(smw.samples, direct.samples):
         assert np.linalg.norm(u - v) <= 1e-9 * np.linalg.norm(v)
 
@@ -544,7 +554,7 @@ def test_qoi_linearity(n, m, c, seed):
 def test_solution_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     ensemble, form = synthetic_instance(rng, 5, 2, 2)
-    sol = perturbed.solve_smw(ensemble, form)
+    sol = perturbed.solve_ensemble(ensemble, form)
     path = tmp_path / "solution.csv"
     # the header and columns qoi.csv gets with --export-samples
     header = ["node", "unperturbed", "qoi", "sample_0000", "sample_0001"]

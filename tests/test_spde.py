@@ -46,22 +46,24 @@ def test_direct_method_reference_is_itself():
 
 
 def test_direct_form_reuses_solution_as_reference(monkeypatch):
-    direct_solves = []  # the form of each solve_direct call, None for the reference
-    solve_direct = perturbed.solve_direct
-    monkeypatch.setattr(perturbed, "solve_direct",
-                        lambda ensemble, form=None, **kw:
-                        direct_solves.append(form) or solve_direct(ensemble, form, **kw))
-    # N = 441, k* = 361: rank 419 runs SMW at update rank 0, one sample LU each; that
-    # solve is the run's only direct one, and the reference is no second one
+    sample_lus = []
+    sample_lu = perturbed._sample_lu
+    monkeypatch.setattr(perturbed, "_sample_lu",
+                        lambda base, p, m: sample_lus.append(m) or sample_lu(base, p, m))
+    # N = 441, k* = 361: rank 419 runs SMW at update rank 0, one sample LU each (sample
+    # 0's made for pricing); that solve is the run's only direct one, and the
+    # reference is no second one
     report = spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.95))
     assert report.solution.woodbury_form == "direct"
     assert report.reference_reused and report.err_l2 == 0.0
-    assert [form.name for form in direct_solves] == ["direct"]
-    # rank 265 runs the basis form, which the reference checks
+    assert sorted(sample_lus) == [0, 1, 2]
+    # rank 265 runs the basis form, which the reference checks: its LUs are the only
+    # ones, sample 0's being the LU pricing made
+    sample_lus.clear()
     report = spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.6))
     assert report.solution.woodbury_form == "basis"
     assert not report.reference_reused and report.err_l2 > 0.0
-    assert direct_solves[1:] == [None]
+    assert sorted(sample_lus) == [0, 1, 2]
 
 
 def test_seed_reproducibility_bitwise():
@@ -201,20 +203,20 @@ def test_one_spectral_pass_per_ensemble(spectral_calls, run, vectors, tmp_path):
     assert spectral_calls == {"gram": 1, "eig": 1, "vectors": [vectors]}
 
 
-@pytest.mark.parametrize("run, form, compressions", [
-    (lambda: spde.run_spde(small_cfg(tau=0.6)), "basis", 0),
-    (lambda: spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.7)), "complement", 0),
-    (lambda: spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.95)), "direct", 0),
+@pytest.mark.parametrize("run, form", [
+    (lambda: spde.run_spde(small_cfg(tau=0.6)), "basis"),
+    (lambda: spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.7)), "complement"),
+    (lambda: spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.95)), "direct"),
     (lambda: spde.run_spde(small_cfg(method="neumann", neumann_order=3, force_neumann=True),
-                           [0.2, 0.3]), None, 2),
+                           [0.2, 0.3]), "basis"),
     (lambda: socp.build_control_problem(socp.SocpRunConfig(h=0.25, samples=4, tau=1.0))[1],
-     "basis", 0),
+     "basis"),
     # rank 2 of N = 25 with the dense route capped below N: Lanczos, no k*
     (lambda: socp.build_control_problem(socp.SocpRunConfig(h=0.25, samples=4, tau=0.05))[1],
-     "basis", 0),
+     "basis"),
 ], ids=["smw-basis", "smw-complement", "smw-direct", "neumann-scan", "socp-dense",
         "socp-lanczos"])
-def test_only_the_series_route_compresses(monkeypatch, run, form, compressions):
+def test_nothing_in_spde_or_socp_compresses(monkeypatch, run, form):
     calls = []
     compress = lowrank.compress
 
@@ -227,7 +229,22 @@ def test_only_the_series_route_compresses(monkeypatch, run, form, compressions):
     result = run()
     solution = getattr(result, "solution", result)
     assert solution.woodbury_form == form
-    assert len(calls) == compressions
+    assert calls == []
+
+
+def test_neumann_scan_at_or_above_k_star_is_one_series_solve(monkeypatch):
+    # N = 121, k* = 81: ranks 109 and 121 both run the series in the basis form at
+    # rank 81, one solve
+    series = []
+    solve_neumann = perturbed.solve_neumann
+    monkeypatch.setattr(perturbed, "solve_neumann",
+                        lambda ensemble, form, *a, **kw:
+                        series.append(form.update_rank) or solve_neumann(ensemble, form, *a, **kw))
+    report = spde.run_spde(small_cfg(h=0.1, samples=4, method="neumann"), [0.9, 1.0])
+    assert [row[1] for row in report.rows] == [109, 121]
+    assert report.k_star == 81 and series == [81]
+    assert (report.solution.woodbury_form, report.solution.update_rank) == ("basis", 81)
+    assert report.rows[0][2] == report.rows[1][2]
 
 
 def test_smw_above_half_rank_builds_no_coefficient_matrix(monkeypatch):
