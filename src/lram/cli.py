@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, fem, lowrank, numerics, socp, spde
+from . import __version__, fem, lowrank, numerics, perturbed, socp, spde
 from .errors import (
     ConfigError,
     ConfigParseError,
@@ -377,8 +377,10 @@ def cmd_socp(out_dir: Path, record: dict, cfg: SocpCommand,
 def _load_ensemble(cfg: CompressCommand | DiagnoseCommand):
     """Ensemble from MatrixMarket files when ``input`` is set, else from the FEM pipeline.
 
-    The files carry no base.  Their matrices must be square and of one shape;
-    ``InputFileError`` names the first file that is not.
+    Returns the members and, from the FEM pipeline, its
+    ``perturbed.PerturbedEnsemble`` (base, members and load).  The files
+    carry no base, so there it is None.  Their matrices must be square and of
+    one shape; ``InputFileError`` names the first file that is not.
     """
     if cfg.input:
         paths = sorted(globmod.glob(cfg.input))
@@ -392,7 +394,8 @@ def _load_ensemble(cfg: CompressCommand | DiagnoseCommand):
                                      f"{member.shape[1]} matrix; the ensemble needs {n}x{n}")
         return ensemble, None
     system = fem.sampled_system(cfg)
-    return system.perturbations, system.base
+    return system.perturbations, perturbed.PerturbedEnsemble(system.base, system.perturbations,
+                                                             system.load)
 
 
 def cmd_compress(out_dir: Path, record: dict, cfg: CompressCommand) -> tuple[list, dict]:
@@ -429,7 +432,7 @@ def cmd_diagnose(out_dir: Path, record: dict, cfg: DiagnoseCommand) -> tuple[lis
     outputs = []
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    ensemble, base = _load_ensemble(cfg)
+    ensemble, sampled = _load_ensemble(cfg)
     # the energy curve, k* and the listed eigenvalues need no eigenvectors
     spectrum = lowrank.gram_spectrum(ensemble, vectors=False)
     curve = spectrum.energy_curve()
@@ -441,16 +444,17 @@ def cmd_diagnose(out_dir: Path, record: dict, cfg: DiagnoseCommand) -> tuple[lis
     write_csv(out_dir / "eigenvalues.csv", ["index", "eigenvalue"],
               list(enumerate(spectrum.values[:20], start=1)))
     outputs.append("eigenvalues.csv")
-    cond_base = float("nan") if base is None else numerics.condition_estimate(base)
+    cond_base = float("nan") if sampled is None else numerics.condition_estimate(sampled.base)
     write_csv(out_dir / "diagnose.csv",
               ["dim", "samples", "k_star", "tau_star", "cond_base"],
               [[ensemble[0].shape[0], len(ensemble), k_star, tau_star, cond_base]])
     outputs.append("diagnose.csv")
     if cfg.sample_conditions:
-        # of A + P_m; MatrixMarket input carries no base, so of P_m alone there
-        conds = [(m, numerics.condition_estimate(a if base is None else base + a))
-                 for m, a in enumerate(ensemble)]
-        write_csv(out_dir / "sample_conditions.csv", ["sample", "cond"], conds)
+        # of A + P_m with its sample LU; MatrixMarket input carries no base, so of
+        # P_m alone there
+        conds = (perturbed.sample_conditions(sampled) if sampled is not None
+                 else [numerics.condition_estimate(a) for a in ensemble])
+        write_csv(out_dir / "sample_conditions.csv", ["sample", "cond"], list(enumerate(conds)))
         outputs.append("sample_conditions.csv")
     return outputs, timings
 

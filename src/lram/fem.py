@@ -203,6 +203,13 @@ def assemble(mesh: TriMesh, field_samples, source, apply_bc: bool = True) -> Ass
     (the default) homogeneous Dirichlet conditions are imposed by symmetric
     elimination, which preserves positive definiteness of ``base``.  Entries
     that sum to 0 are not stored.
+
+    Every perturbation sums the same triplets, so their pattern is computed
+    once: the CSR pattern of the kept triplets with a nonzero element
+    stiffness, and each triplet's slot in it.  A perturbation is then one
+    weighted count into those slots.  The perturbations share the pattern's
+    index arrays (matrices are immutable, ``numerics``); one with an entry
+    that sums to exactly 0 gets its own copy without it.
     """
     n = mesh.num_nodes
     areas, k_geo, m_loc = _element_geometry(mesh)
@@ -224,9 +231,23 @@ def assemble(mesh: TriMesh, field_samples, source, apply_bc: bool = True) -> Ass
             d = np.concatenate([d, np.ones(mesh.boundary_nodes.shape[0])])
         return _compressed(d, r, c, n)
 
+    # the summation map: a triplet whose element stiffness is exactly 0 adds
+    # nothing to any perturbation
+    geo = k_geo.ravel()
+    summed = keep & (geo != 0.0)
+    element = np.repeat(np.arange(mesh.num_elements), 9)[summed]
+    geo = geo[summed]
+    keys, slots = np.unique(rows[summed] * n + cols[summed], return_inverse=True)
+    pattern = sp.csr_array((np.ones(keys.size), keys % n,
+                            np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
+
     def perturbation_from(coeff):
-        data = (k_geo * coeff[:, None, None]).ravel()
-        return _compressed(data[keep], rows[keep], cols[keep], n)
+        data = np.bincount(slots, weights=geo * coeff[element], minlength=keys.size)
+        out = sp.csr_array((data, pattern.indices, pattern.indptr), shape=(n, n))
+        if not np.all(data):
+            out = out.copy()
+            out.eliminate_zeros()
+        return out
 
     base = stiffness_from(np.ones(mesh.num_elements))
     perturbations = []

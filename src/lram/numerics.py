@@ -71,13 +71,15 @@ def spectral_norm_estimate(a, rel_tol=SPECTRAL_NORM_TOL, max_iters=10_000, seed=
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(cols)
     v /= np.linalg.norm(v)
+    # built once: a LinearOperator builds a new transposed operator on every ``.T``
+    at = a.T
     est = 0.0
     for _ in range(max_iters):
         w = a @ v
         est_new = float(np.linalg.norm(w))
         if est_new == 0.0:
             return 0.0
-        z = a.T @ w
+        z = at @ w
         nz = float(np.linalg.norm(z))
         if nz == 0.0:
             return est_new

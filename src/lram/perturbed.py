@@ -31,6 +31,13 @@ only add work.
 * Direct form, rank 0 at k >= k* (``DIRECT`` at any k): no V and no
   capacitance, one sparse LU and one solve per sample.
 
+The sample matrices of a FEM ensemble share one sparsity pattern, so the
+ensemble orders it once: sample 0's LU (``PerturbedEnsemble.sample_lu0``)
+runs the fill-reducing ordering, and every later sample LU is a numeric
+factorization in that ordering (``_sample_lu``).  Sample 0's LU belongs to
+the ensemble, so pricing and the solves share it and no sample is factored
+twice.
+
 When the complement rank is below the basis rank (k > k*/2) the form is the
 one ``woodbury_costs`` models cheaper, reading the size of sample 0's LU;
 otherwise the basis form runs.  That choice (``woodbury_form``) needs only
@@ -81,11 +88,19 @@ SOLVE_BLOCK_COLUMNS = 16
 #: solve with a sample LU, and one sample LU per entry of its L and U factors.
 #: Measured on a 2-core VM with 2 OpenBLAS threads at N = 1681: capacitance
 #: kernels at 50-80 GF/s, solves in blocks of 16 columns at 1.1-1.9 GF/s, and
-#: 100 ns per entry of L + U for a sample LU (ordering and call overhead
-#: included).  At smaller N the dense kernels run slower and the weights
-#: overstate the sparse work, so a near tie keeps the basis form.
+#: about 60 ns per entry of L + U for a sample LU in the shared ordering
+#: (matrix sum, permutation and call overhead included; median 64 ns over 8
+#: runs of 100 LUs, 47-76 ns, where an LU that ordered itself took 114 ns).
+#: At smaller N the dense kernels run slower and the weights overstate the
+#: sparse work, so a near tie keeps the basis form.
 SPARSE_SOLVE_WEIGHT = 50
-SAMPLE_LU_WEIGHT = 6000
+SAMPLE_LU_WEIGHT = 3600
+#: SuperLU supernode settings of every sample LU: no relaxed supernodes and
+#: panels of one column.  FEM sample matrices have small supernodes, so the
+#: defaults (relax 3, panel 8 here) only add padded work.  Per sample LU at
+#: N = 1681 (2-core VM, 1 BLAS thread, shared ordering): 2.2 ms at relax 1,
+#: panel 1; 2.8 ms at 2/2 or 4/4 and 3.0 ms at 8/8; 3.6 ms at the defaults.
+SAMPLE_LU_SUPERNODES = {"relax": 1, "panel_size": 1}
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +108,10 @@ class PerturbedEnsemble:
     """Shared SPD base matrix, per-sample perturbations, and one right-hand side.
 
     ``base_factor`` is made on first use and serves every solve with the base.
+    ``sample_lu0``, sample 0's LU, is made on first use too: pricing reads
+    its size, sample 0 solves with it, and its fill-reducing ordering
+    (``sample_order``) serves every later sample LU, so an ensemble makes
+    one ordering.
     """
 
     base: sp.csr_array
@@ -120,6 +139,15 @@ class PerturbedEnsemble:
     @cached_property
     def base_factor(self) -> numerics.SpdFactorization:
         return numerics.factorize_spd(self.base)
+
+    @cached_property
+    def sample_lu0(self) -> SampleLU:
+        return _sample_lu(self, 0)
+
+    @cached_property
+    def sample_order(self) -> np.ndarray:
+        """Sample 0's column ordering: ``A_0[:, sample_order]`` is the matrix its LU factored."""
+        return np.argsort(self.sample_lu0.lu.perm_c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,14 +177,56 @@ def qoi_mean(samples) -> np.ndarray:
     return np.mean(np.stack(samples, axis=0), axis=0)
 
 
-def _sample_lu(base, perturbation, m):
-    """Sparse LU of sample m's matrix ``base + perturbation``, ordered on A + A^T.
+@dataclass(frozen=True, eq=False)
+class SampleLU:
+    """Sparse LU ``lu`` of sample m's matrix A_m = ``base + P_m``.
 
-    Partial pivoting is kept.  Raises ``SingularSampleError(m)`` if the
-    matrix is exactly singular.
+    ``lu`` factors ``A_m[order][:, order]``, or A_m itself where ``order`` is
+    None (sample 0, which SuperLU ordered).
     """
+
+    lu: spla.SuperLU
+    order: np.ndarray | None = None
+
+    @property
+    def entries(self) -> int:
+        """Entry count of L + U, which ``woodbury_costs`` prices."""
+        return self.lu.L.nnz + self.lu.U.nnz
+
+    def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+        """A_m^-1 rhs (A_m^-T rhs with ``trans="T"``) for a vector or the columns of a matrix."""
+        if self.order is None:
+            return self.lu.solve(rhs, trans=trans)
+        out = np.empty(rhs.shape)
+        out[self.order] = self.lu.solve(rhs[self.order], trans=trans)
+        return out
+
+
+def _sample_lu(ensemble: PerturbedEnsemble, m: int) -> SampleLU:
+    """Sparse LU of sample m's matrix ``base + P_m``, with partial pivoting.
+
+    Sample 0's is ordered by MMD on A + A^T.  Every later sample takes that
+    column ordering (``PerturbedEnsemble.sample_order``): it factors its
+    matrix symmetrically permuted by it, in natural order.  Sample matrices
+    of one ensemble usually share one pattern, so one ordering serves them
+    all; any ordering factors exactly, one made for another pattern only
+    costs fill.  Raises ``SingularSampleError(m)`` if the matrix is exactly
+    singular.
+    """
+    matrix = sp.csr_array(ensemble.base + ensemble.perturbations[m])
+    if m == 0:
+        order, permc_spec = None, "MMD_AT_PLUS_A"
+        matrix = matrix.tocsc()
+    else:
+        order, permc_spec = ensemble.sample_order, "NATURAL"
+        # matrix[order][:, order] as CSC: gather the rows, rename the columns,
+        # then the transposing copy that CSC needs anyway
+        rows = matrix[order]
+        rename = ensemble.sample_lu0.lu.perm_c  # the inverse of order
+        matrix = sp.csr_array((rows.data, rename[rows.indices], rows.indptr),
+                              shape=matrix.shape).tocsc()
     try:
-        return spla.splu(sp.csc_array(base + perturbation), permc_spec="MMD_AT_PLUS_A")
+        return SampleLU(spla.splu(matrix, permc_spec=permc_spec, **SAMPLE_LU_SUPERNODES), order)
     except RuntimeError:
         raise SingularSampleError(m) from None
 
@@ -259,15 +329,11 @@ class WoodburyForm:
 
     ``vectors`` are the N-by-``update_rank`` Gram eigenvectors the update
     reads: the leading min(k, k*) in the basis form, k+1..k* in the
-    complement form, and None in the direct form.  ``lu0`` is the LU of
-    sample 0's ``base + P_0`` if pricing made one: the complement and direct
-    forms take it as sample 0's, and a later pricing reuses it, so no sample
-    is factored twice.
+    complement form, and None in the direct form.
     """
 
     name: str   # "basis", "complement" or "direct"
     update_rank: int
-    lu0: object = None
     vectors: np.ndarray | None = None
 
     @property
@@ -276,7 +342,7 @@ class WoodburyForm:
         return self.name != "direct"
 
 
-#: The per-sample direct solve: the direct form, with no LU made in advance.
+#: The per-sample direct solve: the direct form.
 DIRECT = WoodburyForm("direct", 0)
 
 
@@ -290,26 +356,23 @@ def _form_vectors(ensemble: PerturbedEnsemble, form: WoodburyForm) -> np.ndarray
     return np.ascontiguousarray(vectors)
 
 
-def woodbury_form(ensemble: PerturbedEnsemble, basis_rank: int, complement_rank: int,
-                  lu0=None) -> WoodburyForm:
+def woodbury_form(ensemble: PerturbedEnsemble, basis_rank: int, complement_rank: int
+                  ) -> WoodburyForm:
     """The cheaper of the basis form and the complement form at the given ranks.
 
     Needs no eigenvectors: only N, the two ranks and sample 0's LU.  The basis
     form runs unless the complement rank is below the basis rank and
-    ``woodbury_costs`` prices the complement form cheaper for sample 0's LU,
-    made here unless ``lu0`` is given (``SingularSampleError`` if it fails).
-    The complement form at rank 0 is the direct form.  The form returned
-    holds no vectors.
+    ``woodbury_costs`` prices the complement form cheaper for the ensemble's
+    ``sample_lu0`` (``SingularSampleError`` if it fails).  The complement
+    form at rank 0 is the direct form.  The form returned holds no vectors.
     """
     if complement_rank >= basis_rank:
-        return WoodburyForm("basis", basis_rank, lu0)
-    if lu0 is None:
-        lu0 = _sample_lu(ensemble.base, ensemble.perturbations[0], 0)
+        return WoodburyForm("basis", basis_rank)
     basis, sampled = woodbury_costs(ensemble.dim, basis_rank, complement_rank,
-                                    lu0.L.nnz + lu0.U.nnz)
+                                    ensemble.sample_lu0.entries)
     if sampled < basis:
-        return WoodburyForm("complement" if complement_rank else "direct", complement_rank, lu0)
-    return WoodburyForm("basis", basis_rank, lu0)
+        return WoodburyForm("complement" if complement_rank else "direct", complement_rank)
+    return WoodburyForm("basis", basis_rank)
 
 
 def plan_smw(ensemble: PerturbedEnsemble, ranks):
@@ -325,25 +388,22 @@ def plan_smw(ensemble: PerturbedEnsemble, ranks):
     (k* well below |S|) the eigenvectors are computed after all, from the
     same Gram matrix.  Otherwise one eigensolve computes the pairs.  The
     spectrum is complete (``GramSpectrum``), and each form holds the
-    eigenvectors it reads as a view of it.  Pricing makes at most one LU, of
-    sample 0, kept in the forms.  Returns (spectrum, forms).
+    eigenvectors it reads as a view of it.  Pricing makes at most one LU, the
+    ensemble's ``sample_lu0``.  Returns (spectrum, forms).
     """
     members = ensemble.perturbations
     gram = lowrank.ensemble_gram(members)
     support = lowrank.gram_support(gram).shape[0]
-    lu0, vectors = None, True
-    if min(ranks) >= support:
-        gate = woodbury_form(ensemble, support, 0)
-        lu0, vectors = gate.lu0, gate.reads_vectors
+    vectors = min(ranks) < support or woodbury_form(ensemble, support, 0).reads_vectors
     spectrum = lowrank.gram_spectrum(members, vectors=vectors, gram=gram)
-    forms = _price_forms(ensemble, ranks, spectrum, lu0)
+    forms = _price_forms(ensemble, ranks, spectrum)
     if not vectors and any(form.reads_vectors for form in forms):
         spectrum = lowrank.gram_spectrum(members, gram=gram)
-        forms = _price_forms(ensemble, ranks, spectrum, lu0)
+        forms = _price_forms(ensemble, ranks, spectrum)
     return spectrum, forms
 
 
-def _price_forms(ensemble, ranks, spectrum, lu0) -> list[WoodburyForm]:
+def _price_forms(ensemble, ranks, spectrum) -> list[WoodburyForm]:
     """``woodbury_form`` at each rank k: basis rank min(k, k*), complement rank max(k* - k, 0).
 
     Once ``spectrum`` holds eigenvectors, each form that reads them gets its
@@ -352,8 +412,7 @@ def _price_forms(ensemble, ranks, spectrum, lu0) -> list[WoodburyForm]:
     k_star = lowrank.numerical_rank(spectrum.energy_curve())
     forms = []
     for k in ranks:
-        form = woodbury_form(ensemble, min(k, k_star), max(k_star - k, 0), lu0)
-        lu0 = form.lu0
+        form = woodbury_form(ensemble, min(k, k_star), max(k_star - k, 0))
         if form.reads_vectors and spectrum.vectors is not None:
             start = k if form.name == "complement" else 0
             form = replace(form, vectors=spectrum.vectors[:, start:start + form.update_rank])
@@ -369,8 +428,8 @@ class WoodburySolvers(Sequence):
     ``base_factor`` and ``base^-1 V``, computed on first need; the complement
     form solves with sample m's LU and ``-(base + P_m)^-1 V``.  At rank 0
     (the direct form) there is no solve with V and no projection.  The
-    complement and direct forms make sample m's LU on access (sample 0's is
-    the form's ``lu0`` if pricing made one); one that fails raises
+    complement and direct forms make sample m's LU on access (``_sample_lu``;
+    sample 0's is the ensemble's ``sample_lu0``); one that fails raises
     ``SingularSampleError``.  Vectors not of shape (N, ``update_rank``) raise
     ``DimensionMismatchError``.
     """
@@ -378,7 +437,7 @@ class WoodburySolvers(Sequence):
     def __init__(self, ensemble: PerturbedEnsemble, form: WoodburyForm):
         self._vectors = _form_vectors(ensemble, form)
         self._ensemble = ensemble
-        self.form, self.update_rank, self._lu0 = form.name, form.update_rank, form.lu0
+        self.form, self.update_rank = form.name, form.update_rank
         self._basis_solved = None
         self._projections = lowrank.Projections(self._vectors, ensemble.perturbations)
 
@@ -391,8 +450,7 @@ class WoodburySolvers(Sequence):
         if self.form == "basis":
             solve_f = solve_ft = self._ensemble.base_factor.solve
         else:
-            lu = (self._lu0 if m == 0 and self._lu0 is not None
-                  else _sample_lu(self._ensemble.base, self._ensemble.perturbations[m], m))
+            lu = self._ensemble.sample_lu0 if m == 0 else _sample_lu(self._ensemble, m)
             solve_f, solve_ft = lu.solve, partial(lu.solve, trans="T")
         if not self.update_rank:
             return WoodburySolver(m, solve_f, solve_ft, self._vectors, self._vectors.T)
@@ -425,9 +483,7 @@ def solve_ensemble(ensemble: PerturbedEnsemble, form: WoodburyForm,
     for m, solver in enumerate(WoodburySolvers(ensemble, form)):
         samples.append(_finite(solver.solve(ensemble.rhs), m))
         if conditions:
-            # at rank 0 the solver is the sample's LU
-            conds.append(numerics.condition_estimate(ensemble.base + ensemble.perturbations[m],
-                                                     solve=solver.solve))
+            conds.append(_sample_condition(ensemble, m, solver))
     return EnsembleSolution(
         unperturbed=u0,
         samples=samples,
@@ -436,6 +492,22 @@ def solve_ensemble(ensemble: PerturbedEnsemble, form: WoodburyForm,
         update_rank=form.update_rank,
         sample_conditions=tuple(conds) if conditions else None,
     )
+
+
+def _sample_condition(ensemble: PerturbedEnsemble, m: int, solver: WoodburySolver) -> float:
+    """``numerics.condition_estimate`` of sample m's matrix with its direct-form solver, its LU."""
+    return numerics.condition_estimate(ensemble.base + ensemble.perturbations[m],
+                                       solve=solver.solve)
+
+
+def sample_conditions(ensemble: PerturbedEnsemble) -> tuple[float, ...]:
+    """The condition estimate of every sample matrix ``base + P_m``, each with its sample LU.
+
+    The LUs are the direct form's (``WoodburySolvers``); a sample matrix that
+    does not factor raises ``SingularSampleError``.
+    """
+    return tuple(_sample_condition(ensemble, m, solver)
+                 for m, solver in enumerate(WoodburySolvers(ensemble, DIRECT)))
 
 
 def solve_neumann(ensemble: PerturbedEnsemble, form: WoodburyForm, order: int,

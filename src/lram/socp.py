@@ -112,21 +112,21 @@ class ReducedControlProblem:
         return self.desired_proj
 
 
-def build_reduced_problem(assembled: fem.AssembledSystem, form: perturbed.WoodburyForm,
-                          desired_state, beta: float,
+def build_reduced_problem(assembled: fem.AssembledSystem, ensemble: perturbed.PerturbedEnsemble,
+                          form: perturbed.WoodburyForm, desired_state, beta: float,
                           desired_mode: str = "interpolant") -> ReducedControlProblem:
-    """Assemble the reduced problem from one FEM system and its Woodbury form.
+    """Assemble the reduced problem from one FEM system and a Woodbury form of its ensemble.
 
-    ``desired_state`` is a callable of (x, y).  Its nodal interpolant enters
-    the state mismatch by default; the mass-weighted projection of that
-    interpolant is kept alongside for the gradient pairing and for the
-    alternative ``projection`` mismatch convention.  The sample solvers are
+    ``ensemble`` is the system's base, perturbations and load, the one
+    ``form`` was priced on, so sample 0's LU is made once (its
+    ``sample_lu0``).  ``desired_state`` is a callable of (x, y).  Its nodal
+    interpolant enters the state mismatch by default; the mass-weighted
+    projection of that interpolant is kept alongside for the gradient pairing
+    and for the alternative ``projection`` mismatch convention.  The sample solvers are
     the ``perturbed.WoodburySolvers`` of ``form``; a singular capacitance
     raises ``SingularCapacitanceError`` and a sample matrix that does not
     factor ``SingularSampleError``.
     """
-    ensemble = perturbed.PerturbedEnsemble(assembled.base, assembled.perturbations,
-                                           assembled.load)
     solvers = perturbed.WoodburySolvers(ensemble, form)
 
     coords = assembled.node_coords
@@ -609,7 +609,7 @@ def build_control_problem(cfg: SocpRunConfig, system: fem.AssembledSystem | None
         spectrum = lowrank.gram_spectrum(system.perturbations, rank)
         form = perturbed.WoodburyForm("basis", rank, vectors=spectrum.vectors[:, :rank])
     target = desired_state_function(cfg.desired, cfg.desired_amplitude)
-    problem = build_reduced_problem(system, form, target, cfg.beta,
+    problem = build_reduced_problem(system, ensemble, form, target, cfg.beta,
                                     desired_mode=cfg.desired_mode)
     return system, problem
 

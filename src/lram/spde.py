@@ -94,10 +94,10 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     its form at every rank before any eigenvector exists
     (``perturbed.plan_smw``), so a run whose every form is direct computes
     eigenvalues only.  Solves are keyed by (form, update rank), and each is
-    made once; the reference is the direct form's, and takes the LU of
-    sample 0 that pricing made.  Two runs with identical configs produce
-    bitwise-identical vectors: the sampling is keyed per (seed, sample) and
-    every reduction uses a fixed order.
+    made once; the reference is the direct form's, and its sample LUs are
+    the ensemble's (sample 0's is the one pricing made).  Two runs with
+    identical configs produce bitwise-identical vectors: the sampling is
+    keyed per (seed, sample) and every reduction uses a fixed order.
     """
     if ratios is not None and cfg.method == "direct":
         raise ConfigRangeError("the direct method has no reduction ratio to scan")
@@ -152,7 +152,7 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     reference, reused = None, False
     if cfg.reference:
         reused = ("direct", 0) in solutions
-        reference = solve(replace(perturbed.DIRECT, lu0=forms[-1].lu0))
+        reference = solve(perturbed.DIRECT)
     rows = [(float(ratio), rank,
              None if reference is None else float(np.linalg.norm(reference.qoi - sol.qoi)),
              rmsre_value) for ratio, rank, rmsre_value, sol in zip(ratios, ranks, rmsres, runs)]

@@ -426,12 +426,14 @@ def test_direct_route_at_or_above_k_star(sample_work, tmp_path, argv, reference)
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """Counts of sparse LUs made anywhere, base and condition estimates included."""
+    """The column ordering asked of each sparse LU made anywhere, base and condition estimates
+    included (None for SuperLU's default)."""
     import scipy.sparse.linalg as spla
 
     calls = []
     splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw))
+    monkeypatch.setattr(spla, "splu",
+                        lambda *a, **kw: calls.append(kw.get("permc_spec")) or splu(*a, **kw))
     return calls
 
 
@@ -655,14 +657,19 @@ def test_config_file_through_cli(tmp_path):
     assert "samples = 3" in manifest
 
 
-def test_sample_conditions_reuse_the_solve_lus(splu_calls, tmp_path):
+@pytest.mark.parametrize("argv", [["spde", "--method", "direct"], ["diagnose"]],
+                         ids=["spde", "diagnose"])
+def test_sample_conditions_reuse_the_solve_lus(splu_calls, tmp_path, argv):
     # --method direct factors every sample once; the condition estimates read those
-    # LUs: 10 sample LUs and the base, where a second LU per sample made 21
+    # LUs: 10 sample LUs and the base, where a second LU per sample made 21.
+    # diagnose solves nothing, but estimates with the same sample LUs.  One ordering
+    # per ensemble: every sample LU but sample 0's reuses its ordering.
     samples = 10
     out = tmp_path / "conds"
-    assert run(["spde", "--h", "0.1", "--samples", str(samples), "--method", "direct",
+    assert run([*argv, "--h", "0.1", "--samples", str(samples),
                 "--sample-conditions", "--out-dir", str(out)]) == 0
     assert len(splu_calls) == samples + 1
+    assert splu_calls.count("NATURAL") == samples - 1
     rows = (out / "sample_conditions.csv").read_text().splitlines()[1:]
     got = [float(row.split(",")[1]) for row in rows]
     # against estimates made on a fresh general LU of each sample matrix

@@ -139,17 +139,28 @@ def test_perturbation_boundary_rows_exactly_zero():
         assert np.all(dense[:, mesh.boundary_nodes] == 0.0)
 
 
-def test_assembly_stores_no_explicit_zeros():
-    # a field that vanishes on a patch of elements: its perturbation is zero there
+@pytest.mark.parametrize("draws", [("patch", "full"), ("full", "patch", "zero", "full")],
+                         ids=["patch-full", "summation-map"])
+def test_assembly_stores_no_explicit_zeros(draws):
+    # a field that vanishes on a patch of elements: its perturbation is zero there.
+    # The members share one summation map, so a zero and a patched field between
+    # two copies of one field must leave both copies whole.
     mesh = fem.structured_mesh(0.1)
-    fields = fem.sample_fields(mesh, 2, 0.2, "normal", master_seed=11)
+    patched, full = fem.sample_fields(mesh, 2, 0.2, "normal", master_seed=11)
     centres = mesh.nodes[mesh.elements].mean(axis=1)
     patch = np.all(np.abs(centres - 0.5) < 0.25, axis=1)
-    fields[0].values[patch] = 0.0
-    system = fem.assemble(mesh, fields, lambda x, y: 1.0)
+    patched.values[patch] = 0.0
+    zero = fem.RandomField(epsilon=0.2, distribution="normal",
+                           values=np.zeros(mesh.num_elements), master_seed=11, sample_index=2)
+    fields = {"patch": patched, "full": full, "zero": zero}
+    system = fem.assemble(mesh, [fields[d] for d in draws], lambda x, y: 1.0)
     for matrix in [system.base, system.mass, *system.perturbations]:
         assert matrix.nnz == np.count_nonzero(matrix.toarray())
-    zeroed, full = system.perturbations
+    members = dict(zip(draws, system.perturbations))
+    copies = [p.toarray() for d, p in zip(draws, system.perturbations) if d == "full"]
+    assert all(np.array_equal(c, copies[0]) for c in copies)
+    assert "zero" not in members or members["zero"].nnz == 0
+    zeroed, full = members["patch"], members["full"]
     assert zeroed.nnz < full.nnz
     # nodes whose elements all lie in the patch couple to nothing: off the Gram support
     gram = lowrank.ensemble_gram([zeroed])

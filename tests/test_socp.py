@@ -104,8 +104,9 @@ def test_operators_in_either_form_match_basis_form(request, h, ratio, forced, fo
                                    "complement": k_star - k}[form]
     # the basis form at rank k, past k*, on the base factorization
     hand = perturbed.WoodburyForm("basis", k, vectors=spectrum.vectors[:, :k])
-    ref = socp.build_reduced_problem(system, hand, socp.desired_state_function("sin-pi"),
-                                     problem.beta)
+    ensemble = perturbed.PerturbedEnsemble(system.base, system.perturbations, system.load)
+    ref = socp.build_reduced_problem(system, ensemble, hand,
+                                     socp.desired_state_function("sin-pi"), problem.beta)
     assert ref.woodbury_form == "basis"
     rng = np.random.default_rng(4)
     f = rng.standard_normal(n)

@@ -49,7 +49,7 @@ def test_direct_form_reuses_solution_as_reference(monkeypatch):
     sample_lus = []
     sample_lu = perturbed._sample_lu
     monkeypatch.setattr(perturbed, "_sample_lu",
-                        lambda base, p, m: sample_lus.append(m) or sample_lu(base, p, m))
+                        lambda *args: sample_lus.append(args[-1]) or sample_lu(*args))
     # N = 441, k* = 361: rank 419 runs SMW at update rank 0, one sample LU each (sample
     # 0's made for pricing); that solve is the run's only direct one, and the
     # reference is no second one
