@@ -238,12 +238,11 @@ def assemble(mesh: TriMesh, field_samples, source, apply_bc: bool = True) -> Ass
     element = np.repeat(np.arange(mesh.num_elements), 9)[summed]
     geo = geo[summed]
     keys, slots = np.unique(rows[summed] * n + cols[summed], return_inverse=True)
-    pattern = sp.csr_array((np.ones(keys.size), keys % n,
-                            np.searchsorted(keys, np.arange(n + 1) * n)), shape=(n, n))
+    indices, indptr = keys % n, np.searchsorted(keys, np.arange(n + 1) * n)
 
     def perturbation_from(coeff):
         data = np.bincount(slots, weights=geo * coeff[element], minlength=keys.size)
-        out = sp.csr_array((data, pattern.indices, pattern.indptr), shape=(n, n))
+        out = sp.csr_array((data, indices, indptr), shape=(n, n))
         if not np.all(data):
             out = out.copy()
             out.eliminate_zeros()

@@ -97,9 +97,9 @@ SPARSE_SOLVE_WEIGHT = 50
 SAMPLE_LU_WEIGHT = 3600
 #: SuperLU supernode settings of every sample LU: no relaxed supernodes and
 #: panels of one column.  FEM sample matrices have small supernodes, so the
-#: defaults (relax 3, panel 8 here) only add padded work.  Per sample LU at
-#: N = 1681 (2-core VM, 1 BLAS thread, shared ordering): 2.2 ms at relax 1,
-#: panel 1; 2.8 ms at 2/2 or 4/4 and 3.0 ms at 8/8; 3.6 ms at the defaults.
+#: defaults only add padded work.  Per sample LU in the shared ordering at
+#: N = 1681 (2-core VM, 2 OpenBLAS threads): 2.2 ms at relax 1, panel 1;
+#: 2.8 ms at 2/2 or 4/4, 3.0 ms at 8/8 and 3.6 ms at the defaults.
 SAMPLE_LU_SUPERNODES = {"relax": 1, "panel_size": 1}
 
 

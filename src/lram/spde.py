@@ -166,7 +166,7 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
         sample_conds = next((s.sample_conditions for s in solutions.values()
                              if s.sample_conditions is not None), None)
         if sample_conds is None:
-            sample_conds = tuple(numerics.condition_estimate(system.base + p) for p in members)
+            sample_conds = perturbed.sample_conditions(ensemble)
     timings["diagnostics"] = time.perf_counter() - t0
 
     _, rank, err, rmsre_value = rows[-1]
