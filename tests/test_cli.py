@@ -426,8 +426,7 @@ def test_direct_route_at_or_above_k_star(sample_work, tmp_path, argv, reference)
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """The column ordering asked of each sparse LU made anywhere, base and condition estimates
-    included (None for SuperLU's default)."""
+    """The ``permc_spec`` of each sparse LU made anywhere (None: SuperLU's default)."""
     import scipy.sparse.linalg as spla
 
     calls = []
@@ -657,22 +656,22 @@ def test_config_file_through_cli(tmp_path):
     assert "samples = 3" in manifest
 
 
-@pytest.mark.parametrize("argv", [["spde", "--method", "direct"], ["diagnose"]],
-                         ids=["spde", "diagnose"])
-def test_sample_conditions_reuse_the_solve_lus(splu_calls, tmp_path, argv):
+def test_sample_conditions_reuse_the_solve_lus(splu_calls, tmp_path):
     # --method direct factors every sample once; the condition estimates read those
     # LUs: 10 sample LUs and the base, where a second LU per sample made 21.
     # diagnose solves nothing, but estimates with the same sample LUs.  One ordering
     # per ensemble: every sample LU but sample 0's reuses its ordering.
     samples = 10
-    out = tmp_path / "conds"
-    assert run([*argv, "--h", "0.1", "--samples", str(samples),
-                "--sample-conditions", "--out-dir", str(out)]) == 0
-    assert len(splu_calls) == samples + 1
-    assert splu_calls.count("NATURAL") == samples - 1
-    rows = (out / "sample_conditions.csv").read_text().splitlines()[1:]
-    got = [float(row.split(",")[1]) for row in rows]
-    # against estimates made on a fresh general LU of each sample matrix
     system = fem.sampled_system(fem.Sampling(h=0.1, samples=samples))
+    # against estimates made on a fresh general LU of each sample matrix
     fresh = [numerics.condition_estimate(system.base + p) for p in system.perturbations]
-    assert np.allclose(got, fresh, rtol=1e-8, atol=0.0)
+    for argv in [["spde", "--method", "direct"], ["diagnose"]]:
+        splu_calls.clear()
+        out = tmp_path / argv[0]
+        assert run([*argv, "--h", "0.1", "--samples", str(samples),
+                    "--sample-conditions", "--out-dir", str(out)]) == 0
+        assert len(splu_calls) == samples + 1
+        assert splu_calls.count("NATURAL") == samples - 1
+        rows = (out / "sample_conditions.csv").read_text().splitlines()[1:]
+        got = [float(row.split(",")[1]) for row in rows]
+        assert np.allclose(got, fresh, rtol=1e-8, atol=0.0)
