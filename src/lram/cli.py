@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import glob as globmod
 import hashlib
+import resource
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -203,7 +204,11 @@ def _sha256(path) -> str:
 def write_manifest(out_dir: Path, subcommand: str, resolved: dict,
                    timings: dict, outputs: list, error: str | None = None,
                    record: dict | None = None) -> None:
-    """``manifest.txt``: config, timings, what the run did (``record``), output digests."""
+    """``manifest.txt``: config, timings, peak memory, what the run did (``record``), digests.
+
+    ``peak_rss_mb`` is the process's own peak resident size (``ru_maxrss``)
+    when the manifest is written.
+    """
     lines = [
         f"tool_version = {__version__}",
         f"subcommand = {subcommand}",
@@ -215,6 +220,7 @@ def write_manifest(out_dir: Path, subcommand: str, resolved: dict,
         lines.append(f"{key} = {_fmt(value)}")
     for phase in sorted(timings):
         lines.append(f"timing.{phase} = {timings[phase]:.6f}")
+    lines.append(f"peak_rss_mb = {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.3f}")
     for key, value in (record or {}).items():
         lines.append(f"{key} = {_fmt(value)}")
     for name in outputs:
@@ -233,6 +239,13 @@ def _record_woodbury(record: dict, run) -> None:
     """The Woodbury form a solve or a control problem ran, and its rank."""
     record["woodbury.form"] = run.woodbury_form
     record["woodbury.update_rank"] = run.update_rank
+
+
+def _record_spectrum(record: dict, route: str, bandwidth: int | None) -> None:
+    """The route of the Gram eigensolve (``lowrank.GramSpectrum``), and its band's width."""
+    record["spectrum.route"] = route
+    if bandwidth is not None:
+        record["spectrum.bandwidth"] = bandwidth
 
 
 def _record_field(record: dict, min_coefficient) -> list[str]:
@@ -274,14 +287,15 @@ def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict]
     # recorded before any solve: a run that fails with exit 2 still reports its field
     _warn(_record_field(record, system.min_coefficient))
     report = spde.run_spde(cfg, cfg.tau_scan if scan else None, system)
+    _record_spectrum(record, report.spectrum_route, report.spectrum_bandwidth)
     if cfg.reference:
         record["reference.reused"] = report.reference_reused
     ranks = [row[1] for row in report.rows if row[1] is not None]
     _warn(_record_ranks(record, ranks, report.k_star))
     if scan:
         record["k_star"] = report.k_star
-        write_csv(out_dir / "errors_vs_tau.csv", ["tau", "rank", "err_l2", "rmsre"],
-                  [(tau, rank, _nan_if_none(err), rmsre)
+        write_csv(out_dir / "errors_vs_tau.csv", ["tau", "rank", "err_l2", "err_l2_u0", "rmsre"],
+                  [(tau, rank, _nan_if_none(err), _nan_if_none(report.err_l2_u0), rmsre)
                    for tau, rank, err, rmsre in report.rows])
         outputs.append("errors_vs_tau.csv")
     else:
@@ -291,12 +305,13 @@ def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict]
         write_csv(
             out_dir / "report.csv",
             ["nodes", "samples", "rank", "tau", "epsilon", "method",
-             "err_l2", "rmsre", "k_star", "tau_star", "cond_base"],
+             "err_l2", "err_l2_u0", "rmsre", "k_star", "tau_star", "cond_base"],
             [[
                 report.qoi.shape[0], cfg.samples,
                 -1 if report.rank is None else report.rank,
                 cfg.tau, cfg.epsilon, cfg.method,
-                _nan_if_none(report.err_l2), _nan_if_none(report.rmsre),
+                _nan_if_none(report.err_l2), _nan_if_none(report.err_l2_u0),
+                _nan_if_none(report.rmsre),
                 report.k_star, report.tau_star, report.cond_base,
             ]],
         )
@@ -329,6 +344,7 @@ def cmd_socp(out_dir: Path, record: dict, cfg: SocpCommand,
     _, problem = socp.build_control_problem(cfg, system)
     timings["build"] = time.perf_counter() - t0
     _record_woodbury(record, problem)
+    _record_spectrum(record, problem.spectrum_route, problem.spectrum_bandwidth)
     control0 = np.full(problem.dim, cfg.control_init)
 
     methods = list(socp.METHODS) if cfg.compare_methods else [spec.method]
@@ -408,6 +424,7 @@ def cmd_compress(out_dir: Path, record: dict, cfg: CompressCommand) -> tuple[lis
     t0 = time.perf_counter()
     rank = lowrank.rank_from_ratio(cfg.tau, ensemble[0].shape[0])
     spectrum = lowrank.gram_spectrum(ensemble, rank)
+    _record_spectrum(record, spectrum.route, spectrum.bandwidth)
     factors = lowrank.compress(ensemble, cfg.tau, spectrum)
     err = lowrank.rmsre(ensemble, spectrum, factors.rank)
     timings["compress"] = time.perf_counter() - t0
@@ -435,6 +452,7 @@ def cmd_diagnose(out_dir: Path, record: dict, cfg: DiagnoseCommand) -> tuple[lis
     ensemble, sampled = _load_ensemble(cfg)
     # the energy curve, k* and the listed eigenvalues need no eigenvectors
     spectrum = lowrank.gram_spectrum(ensemble, vectors=False)
+    _record_spectrum(record, spectrum.route, spectrum.bandwidth)
     curve = spectrum.energy_curve()
     k_star, tau_star = spde.critical_tau(curve)
     timings["diagnose"] = time.perf_counter() - t0

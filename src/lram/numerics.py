@@ -32,6 +32,15 @@ SYM_TOL = 1e-10
 SPECTRAL_NORM_TOL = 1e-6
 #: Dense symmetric eigendecomposition up to this dimension; above it, see ``dense_eig``.
 DENSE_EIG_MAX_DIM = 2000
+#: Eigenvalues of a sparse matrix on the dense route come from its band when its
+#: reverse Cuthill-McKee bandwidth is at most this fraction of n, else from the
+#: dense matrix.  The band solver needs O(n bw) memory against O(n^2), and its
+#: time grows with bw.  Measured on a 2-core VM with 2 BLAS threads, values
+#: only: FEM Gram supports of 1521 rows (bandwidth 78, fraction 0.051) took
+#: 0.25-0.36 s on the band against 0.24-0.42 s dense, and of 6241 rows (158,
+#: 0.025) 11.4 s against 17.1 s; a wide-band random ``a @ a.T`` took 316 ms on
+#: the band against 49 ms dense at n = 800, and 2.04 s against 0.25 s at 1500.
+BAND_EIG_MAX_FRACTION = 0.1
 
 _TINY = 1e-300
 
@@ -106,10 +115,17 @@ def _require_square(a):
 
 @dataclass(frozen=True, eq=False)
 class EigenPairs:
-    """Top-k eigenvalues in descending order with paired orthonormal vectors."""
+    """Top-k eigenvalues in descending order with paired orthonormal vectors.
+
+    ``route`` is how they were computed: ``"dense"``, ``"band"`` or
+    ``"lanczos"`` (``sym_eig_topk``); ``bandwidth`` is the band's, on the
+    band route only.
+    """
 
     values: np.ndarray   # (k,), non-increasing
     vectors: np.ndarray | None  # (n, k), column j pairs with values[j]; None if not asked
+    route: str = "dense"
+    bandwidth: int | None = None
 
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
@@ -138,6 +154,32 @@ def dense_eig(n: int, k: int) -> bool:
     return n <= DENSE_EIG_MAX_DIM or 10 * k > n
 
 
+def _lower_band(s) -> np.ndarray | None:
+    """The lower band of symmetric CSR ``s`` in reverse Cuthill-McKee order, or None.
+
+    Row d, column j of the result holds entry (j + d, j) of the reordered
+    matrix, the layout ``scipy.linalg.eig_banded(lower=True)`` reads.  None
+    when the bandwidth exceeds ``BAND_EIG_MAX_FRACTION`` of n.
+    """
+    # imported here: scipy.sparse.csgraph adds about 1 MB and 5 ms to every start of
+    # lram, and only this check reads it
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    n = s.shape[0]
+    position = np.empty(n, dtype=np.intp)
+    position[reverse_cuthill_mckee(s, symmetric_mode=True)] = np.arange(n)
+    coo = s.tocoo()
+    rows, cols = position[coo.row], position[coo.col]
+    lower = rows >= cols
+    offsets, cols = rows[lower] - cols[lower], cols[lower]
+    bandwidth = int(offsets.max(initial=0))
+    if bandwidth > BAND_EIG_MAX_FRACTION * n:
+        return None
+    band = np.zeros((bandwidth + 1, n), order="F")
+    band[offsets, cols] = coo.data[lower]
+    return band
+
+
 def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True) -> EigenPairs:
     """Return the ``k`` largest eigenvalues and eigenvectors of a symmetric matrix.
 
@@ -145,26 +187,47 @@ def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True) -> EigenPairs:
     Lanczos solver otherwise, which applies ``s`` as given and never
     densifies a sparse one.  With ``vectors=False`` only the eigenvalues
     are computed (LAPACK takes a different route, so they can differ from the
-    paired ones in the last bits) and ``EigenPairs.vectors`` is None.  Raises
-    ``NonSymmetricError`` if the asymmetry exceeds ``sym_tol * ||S||_F`` and
-    ``NoConvergenceError`` if the iterative solver stalls.
+    paired ones in the last bits) and ``EigenPairs.vectors`` is None; on the
+    dense route a sparse ``s`` whose reverse Cuthill-McKee bandwidth is at
+    most ``BAND_EIG_MAX_FRACTION`` of n is then decomposed as a band, never
+    densified: on a FEM Gram support of 1521 rows that holds 0.9 MB where the
+    dense matrix holds 18.5 MB.  The dense route symmetrizes as
+    ``0.5 * (S + S^T)``, a sparse ``s`` before it densifies once, and LAPACK
+    overwrites that one copy.  Raises ``NonSymmetricError`` if the asymmetry
+    exceeds ``sym_tol * ||S||_F``, ``ValueError`` if an entry is not finite
+    and ``NoConvergenceError`` if the iterative solver stalls.
     """
     n = _require_square(s)
     if not 1 <= k <= n:
         raise DimensionMismatchError(f"k={k} outside [1, {n}]")
     fro = frobenius_norm(s)
+    if not np.isfinite(fro):
+        raise ValueError("matrix must not contain infs or NaNs")
     if _asymmetry(s) > sym_tol * max(fro, _TINY):
         raise NonSymmetricError(f"asymmetry exceeds {sym_tol:g} * ||S||_F")
 
     if dense_eig(n, k):
-        sd = to_dense(s)
-        sd = 0.5 * (sd + sd.T)
+        if sp.issparse(s):
+            sym = to_csr((s + s.T) * 0.5)
+            band = None if vectors else _lower_band(sym)
+            if band is not None:
+                w = sla.eig_banded(band, lower=True, eigvals_only=True,
+                                   overwrite_a_band=True, check_finite=False)
+                return EigenPairs(values=w[::-1][:k].copy(), vectors=None, route="band",
+                                  bandwidth=band.shape[0] - 1)
+            sd = sym.toarray(order="F")
+            del sym
+        else:
+            sd = np.asarray(s, dtype=float)
+            sd = 0.5 * (sd + sd.T)
         if not vectors:
-            w = sla.eigh(sd, eigvals_only=True)
+            w = sla.eigh(sd, eigvals_only=True, overwrite_a=True, check_finite=False)
             return EigenPairs(values=w[::-1][:k].copy(), vectors=None)
-        w, v = sla.eigh(sd)
+        w, v = sla.eigh(sd, overwrite_a=True, check_finite=False)
+        del sd
         w = w[::-1][:k].copy()
         v = v[:, ::-1][:, :k]
+        route = "dense"
     else:
         try:
             out = spla.eigsh(s, k=k, which="LA", return_eigenvectors=vectors)
@@ -174,13 +237,14 @@ def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True) -> EigenPairs:
                 f"Lanczos solver converged for {got} of {k} pairs"
             ) from exc
         if not vectors:
-            return EigenPairs(values=np.sort(out)[::-1].copy(), vectors=None)
+            return EigenPairs(values=np.sort(out)[::-1].copy(), vectors=None, route="lanczos")
         w, v = out
         order = np.argsort(w)[::-1]
         w = w[order]
         v = v[:, order]
+        route = "lanczos"
     return EigenPairs(values=np.asarray(w, dtype=float),
-                      vectors=_fix_column_signs(np.ascontiguousarray(v)))
+                      vectors=_fix_column_signs(np.ascontiguousarray(v)), route=route)
 
 
 class SpdFactorization:

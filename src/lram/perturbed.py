@@ -85,16 +85,18 @@ CAPACITANCE_RESIDUAL_TOL = 1e-8
 #: 53 to 202 columns in one call solved 2 to 4 times slower than in blocks of 16.
 SOLVE_BLOCK_COLUMNS = 16
 #: Dense-flop weights of the sparse work in ``woodbury_costs``: one flop of a
-#: solve with a sample LU, and one sample LU per entry of its L and U factors.
-#: Measured on a 2-core VM with 2 OpenBLAS threads at N = 1681: capacitance
-#: kernels at 50-80 GF/s, solves in blocks of 16 columns at 1.1-1.9 GF/s, and
-#: about 60 ns per entry of L + U for a sample LU in the shared ordering
-#: (matrix sum, permutation and call overhead included; median 64 ns over 8
-#: runs of 100 LUs, 47-76 ns, where an LU that ordered itself took 114 ns).
-#: At smaller N the dense kernels run slower and the weights overstate the
-#: sparse work, so a near tie keeps the basis form.
+#: solve with a sample LU, one sample LU per entry of its L and U factors, and
+#: one sample LU whatever its size.  Measured on a 2-core VM with 2 OpenBLAS
+#: threads: capacitance kernels at 50-80 GF/s at N = 1681, so about 60 dense
+#: flops per ns; solves in blocks of 16 columns at 1.1-1.9 GF/s; and a sample
+#: LU in the shared ordering (matrix sum, permutation and call overhead
+#: included) at a median 359 us for 1044 entries of L + U at N = 121 and
+#: 2358 us for 38850 at N = 1681 (5 runs of 8 x 100 LUs each), which is 53 ns
+#: per entry plus 300 us per LU.  At smaller N the dense kernels run slower
+#: than the weights assume, so a near tie keeps the basis form.
 SPARSE_SOLVE_WEIGHT = 50
-SAMPLE_LU_WEIGHT = 3600
+SAMPLE_LU_WEIGHT = 3200
+SAMPLE_LU_OVERHEAD = 1.8e7
 #: SuperLU supernode settings of every sample LU: no relaxed supernodes and
 #: panels of one column.  FEM sample matrices have small supernodes, so the
 #: defaults only add padded work.  Per sample LU in the shared ordering at
@@ -245,17 +247,17 @@ def woodbury_costs(n: int, basis_rank: int, complement_rank: int,
     Basis form, rank r = ``basis_rank``: the r-by-r capacitance and its LU,
     2 r^2 N + 2/3 r^3.  Complement form, rank r = ``complement_rank``: the
     same dense terms plus the sparse work weighted as measured: r + 1 solves
-    with the sample LU (2 flops per entry of L + U each) and the LU itself,
-    ``factor_entries`` being the entry count of L + U.  At r = 0 that is the
-    direct route.  Projections of the member cost about as much in either
-    form and are left out.
+    with the sample LU (2 flops per entry of L + U each) and the LU itself, a
+    fixed cost plus one per entry, ``factor_entries`` being the entry count of
+    L + U.  At r = 0 that is the direct route.  Projections of the member
+    cost about as much in either form and are left out.
     """
     def dense(r):
         return 2.0 * r * r * n + 2.0 / 3.0 * r ** 3
 
     r = complement_rank
     complement = (dense(r) + SPARSE_SOLVE_WEIGHT * 2.0 * (r + 1) * factor_entries
-                  + SAMPLE_LU_WEIGHT * factor_entries)
+                  + SAMPLE_LU_WEIGHT * factor_entries + SAMPLE_LU_OVERHEAD)
     return dense(basis_rank), complement
 
 

@@ -86,6 +86,9 @@ class ReducedControlProblem:
     # Woodbury form of the sample solvers, as in ``perturbed.EnsembleSolution``
     woodbury_form: str | None = None
     update_rank: int | None = None
+    # route and band of the Gram eigensolve the form came from, as in ``lowrank.GramSpectrum``
+    spectrum_route: str | None = None
+    spectrum_bandwidth: int | None = None
     # samples evaluated so far, each by one forward and at most one adjoint solve
     _sample_evals: int = field(default=0, repr=False)
 
@@ -604,13 +607,14 @@ def build_control_problem(cfg: SocpRunConfig, system: fem.AssembledSystem | None
     ensemble = perturbed.PerturbedEnsemble(system.base, system.perturbations, system.load)
     rank = lowrank.rank_from_ratio(cfg.tau, ensemble.dim)
     if numerics.dense_eig(ensemble.dim, rank):
-        _, (form,) = perturbed.plan_smw(ensemble, [rank])
+        spectrum, (form,) = perturbed.plan_smw(ensemble, [rank])
     else:
         spectrum = lowrank.gram_spectrum(system.perturbations, rank)
         form = perturbed.WoodburyForm("basis", rank, vectors=spectrum.vectors[:, :rank])
     target = desired_state_function(cfg.desired, cfg.desired_amplitude)
     problem = build_reduced_problem(system, ensemble, form, target, cfg.beta,
                                     desired_mode=cfg.desired_mode)
+    problem.spectrum_route, problem.spectrum_bandwidth = spectrum.route, spectrum.bandwidth
     return system, problem
 
 

@@ -63,6 +63,8 @@ class SpdeReport:
     # the reference is a solution of the run: every sample was already solved by its own LU
     reference_reused: bool
     err_l2: float | None
+    # the unperturbed solution u0 against the reference: the error of compressing to rank 0
+    err_l2_u0: float | None
     rmsre: float | None
     energy_curve: list[tuple[int, float]]
     rank: int | None
@@ -72,6 +74,9 @@ class SpdeReport:
     sample_conditions: tuple[float, ...] | None
     solution: perturbed.EnsembleSolution
     timings: dict[str, float]
+    # the Gram eigensolve's route and band, as in ``lowrank.GramSpectrum``
+    spectrum_route: str
+    spectrum_bandwidth: int | None
 
 
 def critical_tau(curve) -> tuple[int, float]:
@@ -177,6 +182,8 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
         qoi_reference=None if reference is None else reference.qoi,
         reference_reused=reused,
         err_l2=err,
+        err_l2_u0=(None if reference is None
+                   else float(np.linalg.norm(reference.qoi - solution.unperturbed))),
         rmsre=rmsre_value,
         energy_curve=energy_curve,
         rank=rank,
@@ -186,6 +193,8 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
         sample_conditions=sample_conds,
         solution=solution,
         timings=timings,
+        spectrum_route=spectrum.route,
+        spectrum_bandwidth=spectrum.bandwidth,
     )
 
 

@@ -124,13 +124,36 @@ def test_spde_zero_epsilon_matches_deterministic(tmp_path):
     assert float(row[header.index("err_l2")]) <= 1e-12
 
 
+def test_err_l2_u0_matches_independent_solves(tmp_path):
+    single, scan = tmp_path / "single", tmp_path / "scan"
+    args = ["spde", "--h", "0.1", "--samples", "5", "--seed", "3"]
+    assert run([*args, "--tau", "0.5", "--out-dir", str(single)]) == 0
+    assert run([*args, "--tau-scan", "0.5,1.0", "--out-dir", str(scan)]) == 0
+    # u0 and the reference mean from SciPy's spsolve on the same assembly
+    (cfg,) = cli.parse_config("spde", overrides={"h": "0.1", "samples": "5", "seed": "3"})
+    system = fem.sampled_system(cfg)
+    u0 = sp.linalg.spsolve(system.base.tocsc(), system.load)
+    mean = np.mean([sp.linalg.spsolve((system.base + p).tocsc(), system.load)
+                    for p in system.perturbations], axis=0)
+    expected = np.linalg.norm(mean - u0)
+    header, row = ((single / "report.csv").read_text().splitlines()[i].split(",")
+                   for i in (0, 1))
+    assert header[header.index("err_l2") + 1] == "err_l2_u0"
+    assert abs(float(row[header.index("err_l2_u0")]) - expected) <= 1e-12
+    rows = [line.split(",") for line in (scan / "errors_vs_tau.csv").read_text().splitlines()]
+    assert [abs(float(r[rows[0].index("err_l2_u0")]) - expected) <= 1e-12
+            for r in rows[1:]] == [True, True]
+    # well above the compression error at k* and below: k = 61 of N = 121 is below k* = 81
+    assert expected > 1e-3 and float(row[header.index("err_l2")]) < expected
+
+
 def test_spde_tau_scan_monotone_error_column(tmp_path):
     out = tmp_path / "scan"
     code = run(["spde", "--h", "0.25", "--samples", "8", "--seed", "5",
                 "--tau-scan", "0.4,0.6,0.8,1.0", "--out-dir", str(out)])
     assert code == 0
     lines = (out / "errors_vs_tau.csv").read_text().splitlines()
-    assert lines[0] == "tau,rank,err_l2,rmsre"
+    assert lines[0] == "tau,rank,err_l2,err_l2_u0,rmsre"
     errs = [float(line.split(",")[2]) for line in lines[1:]]
     for a, b in zip(errs, errs[1:]):
         assert b <= a * 1.05 + 1e-9
@@ -143,6 +166,42 @@ def test_spde_determinism_byte_identical(tmp_path):
     assert run(args + ["--out-dir", str(out2)]) == 0
     names = ["report.csv", "qoi.csv", "energy.csv"]
     assert digest_all(out1, names) == digest_all(out2, names)
+
+
+def test_band_route_energy_csv_byte_identical(tmp_path, monkeypatch):
+    # the band route at h = 0.1, whose support is too wide for it by default; the
+    # direct method reads eigenvalues only
+    monkeypatch.setattr(numerics, "BAND_EIG_MAX_FRACTION", 1.0)
+    args = ["spde", "--h", "0.1", "--samples", "6", "--seed", "9", "--method", "direct"]
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert run(args + ["--out-dir", str(out1)]) == 0
+    assert run(args + ["--out-dir", str(out2)]) == 0
+    assert manifest_record(out1, "spectrum.") == {"spectrum.route": "band",
+                                                  "spectrum.bandwidth": "18"}
+    assert (out1 / "energy.csv").read_bytes() == (out2 / "energy.csv").read_bytes()
+
+
+def test_manifest_records_spectrum_route_and_peak_rss(tmp_path, monkeypatch):
+    outs = {name: tmp_path / name for name in ("spde", "socp", "compress", "diagnose")}
+    # h = 0.1: the support's bandwidth 18 of 81 rows keeps the values dense
+    assert run(["spde", "--h", "0.1", "--samples", "3", "--tau", "0.95",
+                "--out-dir", str(outs["spde"])]) == 0
+    assert run(["socp", "--h", "0.1", "--samples", "3", "--out-dir", str(outs["socp"])]) == 0
+    assert run(["diagnose", "--h", "0.025", "--samples", "3",
+                "--out-dir", str(outs["diagnose"])]) == 0
+    monkeypatch.setattr(numerics, "DENSE_EIG_MAX_DIM", 10)
+    assert run(["compress", "--h", "0.1", "--samples", "3", "--tau", "0.05",
+                "--out-dir", str(outs["compress"])]) == 0
+    routes = {name: manifest_record(out, "spectrum.") for name, out in outs.items()}
+    assert routes == {
+        "spde": {"spectrum.route": "dense"},
+        "socp": {"spectrum.route": "dense"},
+        # h = 0.025: |S| = 1521 with bandwidth 78, under a tenth
+        "diagnose": {"spectrum.route": "band", "spectrum.bandwidth": "78"},
+        "compress": {"spectrum.route": "lanczos"},
+    }
+    for out in outs.values():
+        assert float(manifest_record(out, "peak_rss_mb")["peak_rss_mb"]) > 1.0
 
 
 def test_spde_numerical_failure_exit_2(tmp_path, capsys):
@@ -499,9 +558,10 @@ def test_tau_scan_honours_reference_and_sample_condition_keys(tmp_path):
     def read(out):
         return [line.split(",") for line in (out / "errors_vs_tau.csv").read_text().splitlines()]
 
-    # no reference: err_l2 reads nan, as in report.csv; every other cell is unchanged
-    assert [row[2] for row in read(keyed)[1:]] == ["nan", "nan"]
-    assert [row[:2] + row[3:] for row in read(keyed)] == [row[:2] + row[3:]
+    # no reference: err_l2 and err_l2_u0 read nan, as in report.csv; every other cell
+    # is unchanged
+    assert [row[2:4] for row in read(keyed)[1:]] == [["nan", "nan"]] * 2
+    assert [row[:2] + row[4:] for row in read(keyed)] == [row[:2] + row[4:]
                                                          for row in read(plain)]
     assert "reference.reused" not in manifest_record(keyed, "reference.")
     conds = (keyed / "sample_conditions.csv").read_text().splitlines()

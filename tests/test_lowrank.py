@@ -224,6 +224,54 @@ def test_dense_route_decomposes_the_support_only(monkeypatch):
     assert np.allclose(values_only.values, spectrum.values, rtol=0.0, atol=1e-13 * scale)
 
 
+def test_band_route_matches_dense_eigenvalues(monkeypatch):
+    """Values-only spectra on the band route agree with dense LAPACK to 1e-13 of the largest."""
+    monkeypatch.setattr(numerics, "BAND_EIG_MAX_FRACTION", 1.0)
+    _, fem_ensemble = fem_members()
+    # rank-deficient: members u_m v_m^T with u_m on 6 neighbouring rows, so k* = 4 < |S|
+    rng = np.random.default_rng(21)
+    n = 60
+    deficient = []
+    for start in (0, 5, 20, 40):
+        u = np.zeros(n)
+        u[start:start + 6] = rng.standard_normal(6)
+        deficient.append(sp.csr_array(np.outer(u, rng.standard_normal(n))))
+    for members, k_star in [(fem_ensemble, None), (deficient, 4)]:
+        spectrum = lowrank.gram_spectrum(members, vectors=False)
+        assert spectrum.route == "band" and spectrum.bandwidth >= 1
+        expected = np.linalg.eigvalsh(lowrank.ensemble_gram(members).toarray())[::-1]
+        assert np.max(np.abs(spectrum.values - expected)) <= 1e-13 * expected[0]
+        if k_star is not None:
+            assert lowrank.numerical_rank(spectrum.energy_curve()) == k_star
+
+
+def test_band_route_fraction_decides_for_fem_gram():
+    # h = 0.1: |S| = 81, bandwidth 18 after reverse Cuthill-McKee, above a tenth: dense
+    _, members = fem_members()
+    spectrum = lowrank.gram_spectrum(members, vectors=False)
+    assert (spectrum.route, spectrum.bandwidth) == ("dense", None)
+    # with the vectors, always dense; a zero ensemble needs no eigensolve
+    assert lowrank.gram_spectrum(members).route == "dense"
+    zero = lowrank.gram_spectrum([sp.csr_array((4, 4))], vectors=False)
+    assert (zero.route, zero.bandwidth) == ("none", None)
+
+
+def test_values_only_spectrum_holds_no_dense_square():
+    """At h = 0.025 (|S| = 1521, bandwidth 78) the values never densify the support."""
+    _, members = fem_members(h=0.025, num_samples=10)
+    gram = lowrank.ensemble_gram(members)
+    s = lowrank.gram_support(gram).shape[0]
+    tracemalloc.start()
+    try:
+        spectrum = lowrank.gram_spectrum(members, vectors=False, gram=gram)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (s, spectrum.route, spectrum.bandwidth) == (1521, "band", 78)
+    # one |S|-by-|S| array of doubles is 8 |S|^2 bytes (18.5 MB)
+    assert peak < 0.25 * 8 * s * s
+
+
 def test_numerical_rank_is_the_critical_energy_rule():
     curve = [(1, 0.5), (2, 1.0 - 2e-12), (3, 1.0 - 0.5e-12), (4, 1.0)]
     assert lowrank.numerical_rank(curve) == 3

@@ -115,6 +115,42 @@ def test_sym_eig_values_only(monkeypatch, max_dense, k):
     assert np.allclose(pairs.values, np.linalg.eigvalsh(s)[::-1][:k], atol=1e-10)
 
 
+def test_wide_band_sparse_input_stays_dense():
+    # a random a a^T has no narrow band in any ordering: the band route would be slower
+    rng = np.random.default_rng(22)
+    a = rng.standard_normal((200, 200))
+    s = sp.csr_array(a @ a.T)
+    pairs = numerics.sym_eig_topk(s, 200, vectors=False)
+    assert (pairs.route, pairs.bandwidth) == ("dense", None)
+    expected = np.linalg.eigvalsh(s.toarray())[::-1]
+    assert np.allclose(pairs.values, expected, rtol=0.0, atol=1e-12 * expected[0])
+
+
+def test_dense_route_symmetrizes_sparse_input_as_dense():
+    # the sparse side's 0.5 * (S + S^T) holds the dense one's values, so the pairs agree
+    rng = np.random.default_rng(23)
+    m = sp.random_array((30, 30), density=0.2, rng=rng, format="csr")
+    s = m + m.T
+    s = s + sp.csr_array(1e-13 * sp.random_array((30, 30), density=0.1, rng=rng))
+    for vectors in (True, False):
+        sparse, dense = (numerics.sym_eig_topk(x, 30, vectors=vectors)
+                         for x in (s, s.toarray()))
+        assert sparse.values.tobytes() == dense.values.tobytes()
+        if vectors:
+            assert sparse.vectors.tobytes() == dense.vectors.tobytes()
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_sym_eig_refuses_non_finite_input(monkeypatch, vectors):
+    # LAPACK runs without its own finiteness check, on the dense and the band route
+    monkeypatch.setattr(numerics, "BAND_EIG_MAX_FRACTION", 1.0)
+    s = np.eye(4)
+    s[2, 2] = np.nan
+    for matrix in (s, sp.csr_array(s)):
+        with pytest.raises(ValueError):
+            numerics.sym_eig_topk(matrix, 4, vectors=vectors)
+
+
 def test_fix_column_signs_matches_column_loop_oracle():
     rng = np.random.default_rng(12)
     v = rng.standard_normal((40, 30))

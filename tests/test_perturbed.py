@@ -244,11 +244,12 @@ def test_zero_ensemble_takes_the_basis_form_at_rank_zero():
 def test_woodbury_costs_weigh_the_sample_lu():
     # L + U entry counts of the first sample LU at h = 0.1, 0.05 and 0.025
     n121, n441, n1681 = 1044, 6620, 38850
-    # at N = 121 the model prices a complement of at most 4 columns cheaper; the
-    # weights are measured at N = 1681 (timed at N = 121, the basis form still wins)
+    # timed at N = 121 (2-core VM, 2 BLAS threads), the basis form wins at every
+    # k > N/2, 0.52 ms per sample against 0.63 ms at k = 120: the fixed cost of a
+    # sample LU keeps the complement form pricier there
     for k in range(61, 121):
         basis, complement = perturbed.woodbury_costs(121, k, 121 - k, n121)
-        assert (complement < basis) == (k >= 117)
+        assert complement > basis
     for n, k, entries, form in [(441, 265, n441, "basis"), (441, 419, n441, "complement"),
                                 (1681, 1009, n1681, "basis"),
                                 (1681, 1597, n1681, "complement")]:

@@ -45,6 +45,13 @@ def test_direct_method_reference_is_itself():
     assert report.rank is None and report.rmsre is None
 
 
+def test_err_l2_u0_is_the_unperturbed_solution_against_the_reference():
+    report = spde.run_spde(small_cfg(tau=0.5))
+    assert report.err_l2_u0 == np.linalg.norm(report.qoi_reference
+                                              - report.solution.unperturbed) > 0.0
+    assert spde.run_spde(small_cfg(tau=0.5, reference=False)).err_l2_u0 is None
+
+
 def test_direct_form_reuses_solution_as_reference(monkeypatch):
     sample_lus = []
     sample_lu = perturbed._sample_lu
