@@ -237,7 +237,7 @@ def gram_spectrum(ensemble, rank: int | None = None, vectors: bool = True,
     ``vectors=False`` only the eigenvalues are computed, and a sparse Gram
     matrix is never densified where its support is a narrow band
     (``numerics.sym_eig_topk``): on a FEM support of 1521 rows, bandwidth
-    78, the values took 0.25-0.36 s and 0.7 MB more resident memory, against
+    78, the values took 0.27 s and 1.9 MB more resident memory, against
     0.81 s and 64 MB with the vectors (2-core VM, 2 BLAS threads).
     """
     n = _check_ensemble(ensemble)

@@ -38,8 +38,9 @@ DENSE_EIG_MAX_DIM = 2000
 #: time grows with bw.  Measured on a 2-core VM with 2 BLAS threads, values
 #: only: FEM Gram supports of 1521 rows (bandwidth 78, fraction 0.051) took
 #: 0.25-0.36 s on the band against 0.24-0.42 s dense, and of 6241 rows (158,
-#: 0.025) 11.4 s against 17.1 s; a wide-band random ``a @ a.T`` took 316 ms on
-#: the band against 49 ms dense at n = 800, and 2.04 s against 0.25 s at 1500.
+#: 0.025) 9.6-11.4 s against 12.1-17.1 s; a wide-band random ``a @ a.T`` took
+#: 316 ms on the band against 49 ms dense at n = 800, and 2.04 s against
+#: 0.25 s at n = 1500.
 BAND_EIG_MAX_FRACTION = 0.1
 
 _TINY = 1e-300
