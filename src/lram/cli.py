@@ -86,8 +86,8 @@ class SpdeCommand(spde.SpdeRunConfig):
         super().__post_init__()
         check_range(all(0.0 < tau <= 1.0 for tau in self.tau_scan),
                     "tau_scan ratios must lie in (0, 1]", self.tau_scan)
-        check_range(not (self.tau_scan and self.method == "direct"),
-                    "the direct method has no reduction ratio to scan", self.tau_scan)
+        check_range(not (self.tau_scan and self.method != "smw"),
+                    f"the {self.method} method has no reduction ratio to scan", self.tau_scan)
 
 
 @dataclass(frozen=True)
@@ -300,8 +300,9 @@ def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict]
         outputs.append("errors_vs_tau.csv")
     else:
         _record_woodbury(record, report.solution)
-        if report.solution.truncation_residuals is not None:
-            record["series.truncation_residual_max"] = max(report.solution.truncation_residuals)
+        if report.solution.iterations is not None:
+            record["cg.iterations"] = report.solution.iterations
+            record["cg.residual_max"] = max(report.solution.residuals)
         write_csv(
             out_dir / "report.csv",
             ["nodes", "samples", "rank", "tau", "epsilon", "method",

@@ -17,7 +17,7 @@ class NonSymmetricError(LramError):
 
 
 class NoConvergenceError(LramError):
-    """An iterative solver stalled, or a series diverged, before reaching its target."""
+    """An iterative solver stalled or broke down before reaching its target."""
 
 
 class NotPositiveDefiniteError(LramError):
@@ -37,19 +37,6 @@ class SingularCapacitanceError(LramError):
         )
         self.sample = sample
         self.cond = cond
-
-
-class DivergenceRiskError(LramError):
-    """Series solve refused: the contraction norm estimate is >= 1."""
-
-    def __init__(self, sample, norm_estimate):
-        super().__init__(
-            f"series solve may diverge for sample {sample} "
-            f"(norm estimate {norm_estimate:.3e} >= 1); pass force=True, or --force-neumann "
-            "on the command line, to override"
-        )
-        self.sample = sample
-        self.norm_estimate = norm_estimate
 
 
 class SingularSampleError(LramError):

@@ -11,10 +11,9 @@ curve and the ensemble's numerical rank k* (``numerical_rank``).  The Gram
 matrix stays sparse for sparse members, and the complete eigendecomposition
 runs on its support only.  Its eigenvalues alone serve the energy curve, k*
 and the reconstruction error; its eigenvectors serve the factors of ``lram
-compress`` and the Woodbury forms every ``perturbed`` solve reads (SMW's and
-the series'), which hold no factors.  A two-sided alternating baseline and
-the compression ratio are included, plus binary and MatrixMarket
-serialization of the factors.
+compress`` and the Woodbury forms SMW reads, which hold no factors.  A
+two-sided alternating baseline and the compression ratio are included, plus
+binary and MatrixMarket serialization of the factors.
 """
 
 from __future__ import annotations
@@ -257,25 +256,22 @@ def gram_spectrum(ensemble, rank: int | None = None, vectors: bool = True,
     if rank is not None and not numerics.dense_eig(n, rank):
         pairs = numerics.sym_eig_topk(gram, rank, vectors=vectors)
         return spectrum(pairs.values, pairs.vectors, pairs)
-    pairs = None
-    if s:
-        pairs = numerics.sym_eig_topk(gram[np.ix_(support, support)], s, vectors=vectors)
-        if s == n:
-            return spectrum(pairs.values, pairs.vectors, pairs)
-    values = np.zeros(n)
-    basis = np.zeros((n, n)) if vectors else None
-    if s:
-        values[:s] = pairs.values
-        if vectors:
-            basis[support, :s] = pairs.vectors
-    if vectors:
-        basis[np.setdiff1d(np.arange(n), support), np.arange(s, n)] = 1.0
+    if not s:
+        return spectrum(np.zeros(n), np.eye(n) if vectors else None, None)
+    pairs = numerics.sym_eig_topk(gram[np.ix_(support, support)], s, vectors=vectors)
+    if s == n:
+        return spectrum(pairs.values, pairs.vectors, pairs)
+    values = np.concatenate([pairs.values, np.zeros(n - s)])
     # rounding can leave support values below the exact zeros off the support
     order = np.argsort(-values, kind="stable")
-    if np.any(order != np.arange(n)):
-        values = values[order]
-        basis = None if basis is None else basis[:, order]
-    return spectrum(values, basis, pairs)
+    basis = None
+    if vectors:
+        # each column is written once, at its sorted position: no reordered copy
+        position = np.argsort(order)
+        basis = np.zeros((n, n))
+        basis[support[:, None], position[:s]] = pairs.vectors
+        basis[np.setdiff1d(np.arange(n), support), position[s:]] = 1.0
+    return spectrum(values[order], basis, pairs)
 
 
 def _sample_coeffs(basis: np.ndarray, a) -> np.ndarray:

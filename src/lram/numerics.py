@@ -133,12 +133,15 @@ def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip columns in place so each one's first entry above 1e-12 of its largest is positive.
 
     Makes eigenvector output deterministic so downstream factorizations and
-    golden files are stable.  Returns ``vectors``.
+    golden files are stable.  Works through 64 columns at a time, so its
+    temporaries stay small beside ``vectors``.  Returns ``vectors``.
     """
-    magnitude = np.abs(vectors)
-    scale = np.maximum(magnitude.max(axis=0), _TINY)
-    lead = np.argmax(magnitude > 1e-12 * scale, axis=0)
-    vectors *= np.where(vectors[lead, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+    for start in range(0, vectors.shape[1], 64):
+        block = vectors[:, start:start + 64]
+        magnitude = np.abs(block)
+        scale = np.maximum(magnitude.max(axis=0), _TINY)
+        lead = np.argmax(magnitude > 1e-12 * scale, axis=0)
+        block *= np.where(block[lead, np.arange(block.shape[1])] < 0, -1.0, 1.0)
     return vectors
 
 

@@ -31,28 +31,24 @@ only add work.
 * Direct form, rank 0 at k >= k* (``DIRECT`` at any k): no V and no
   capacitance, one sparse LU and one solve per sample.
 
-The sample matrices of a FEM ensemble share one sparsity pattern, so the
-ensemble orders it once: sample 0's LU (``PerturbedEnsemble.sample_lu0``)
-runs the fill-reducing ordering, and every later sample LU is a numeric
-factorization in that ordering (``_sample_lu``).  Sample 0's LU belongs to
-the ensemble, so pricing and the solves share it and no sample is factored
-twice.
+Every sample LU (``_sample_lu``) takes the fill-reducing ordering of sample
+0's, which belongs to the ensemble (``PerturbedEnsemble.sample_lu0``): pricing
+and the solves share it, and no sample is factored twice.
 
-When the complement rank is below the basis rank (k > k*/2) the form is the
-one ``woodbury_costs`` models cheaper, reading the size of sample 0's LU;
-otherwise the basis form runs.  That choice (``woodbury_form``) needs only
-N, k, k* and sample 0's LU, no eigenvectors.  ``plan_smw`` makes it before
-any eigenvector exists, from the support size |S| >= k* of the Gram matrix:
-where the direct form wins at every rank, the Gram spectrum is computed
-without eigenvectors.
+The form (``woodbury_form``, priced by ``woodbury_costs``) needs only N, k,
+k* and sample 0's LU, so ``plan_smw`` picks it before any eigenvector
+exists, and computes none where the direct form wins at every rank.
 
-A truncated alternating series in the basis form (``solve_neumann``) is the
-alternative route; the quantity of interest is the sample mean, reduced in
-fixed order.
+``solve_cg`` compresses nothing and factors only the base: one block CG over
+every sample on the uncompressed ``base + P_m``, preconditioned by
+``base_factor``, whose iteration count grows with the perturbation's size,
+not with 1/h (Powell & Elman, IMA J. Numer. Anal. 29(2), 2009).  The
+quantity of interest is the sample mean, reduced in fixed order.
 
 One failure policy serves every route that factors or solves a sample: a
 sample m whose ``base + P_m`` does not factor, or whose solution is not
-finite, raises ``SingularSampleError(m)``; no sample switches form.
+finite, raises ``SingularSampleError(m)``; no sample switches form.  Block CG
+factors no sample: it raises ``NoConvergenceError`` naming the sample.
 """
 
 from __future__ import annotations
@@ -71,7 +67,6 @@ from . import lowrank, numerics
 from .errors import (
     ConfigRangeError,
     DimensionMismatchError,
-    DivergenceRiskError,
     EmptyInputError,
     NoConvergenceError,
     SingularCapacitanceError,
@@ -103,6 +98,8 @@ SAMPLE_LU_OVERHEAD = 1.8e7
 #: N = 1681 (2-core VM, 2 OpenBLAS threads): 2.2 ms at relax 1, panel 1;
 #: 2.8 ms at 2/2 or 4/4, 3.0 ms at 8/8 and 3.6 ms at the defaults.
 SAMPLE_LU_SUPERNODES = {"relax": 1, "panel_size": 1}
+#: ``solve_cg`` stops sample m once |rhs - (base + P_m) u_m| <= CG_RTOL |rhs|.
+CG_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,11 +156,12 @@ class EnsembleSolution:
     unperturbed: np.ndarray
     samples: list[np.ndarray]
     qoi: np.ndarray
-    # the form the solve ran in: "basis", "complement" or "direct" (module docstring)
+    # the form the solve ran in (module docstring); "none" for block CG, which has no update
     woodbury_form: str
     update_rank: int
-    # the series only: per sample, the norm of the first omitted term
-    truncation_residuals: tuple[float, ...] | None = None
+    # block CG only: its iteration count, and per sample the final relative residual
+    iterations: int | None = None
+    residuals: tuple[float, ...] | None = None
     # per sample, the condition estimate of base + P_m, if asked of the direct form
     sample_conditions: tuple[float, ...] | None = None
 
@@ -348,16 +346,6 @@ class WoodburyForm:
 DIRECT = WoodburyForm("direct", 0)
 
 
-def _form_vectors(ensemble: PerturbedEnsemble, form: WoodburyForm) -> np.ndarray:
-    """``form``'s vectors, C-contiguous; ``DimensionMismatchError`` unless of shape (N, rank)."""
-    n = ensemble.dim
-    vectors = np.zeros((n, 0)) if form.vectors is None else form.vectors
-    if vectors.shape != (n, form.update_rank):
-        raise DimensionMismatchError(f"form vectors of shape {vectors.shape}, but rank "
-                                     f"{form.update_rank} reads {(n, form.update_rank)}")
-    return np.ascontiguousarray(vectors)
-
-
 def woodbury_form(ensemble: PerturbedEnsemble, basis_rank: int, complement_rank: int
                   ) -> WoodburyForm:
     """The cheaper of the basis form and the complement form at the given ranks.
@@ -437,7 +425,12 @@ class WoodburySolvers(Sequence):
     """
 
     def __init__(self, ensemble: PerturbedEnsemble, form: WoodburyForm):
-        self._vectors = _form_vectors(ensemble, form)
+        shape = (ensemble.dim, form.update_rank)
+        vectors = np.zeros((ensemble.dim, 0)) if form.vectors is None else form.vectors
+        if vectors.shape != shape:
+            raise DimensionMismatchError(f"form vectors of shape {vectors.shape}, but rank "
+                                         f"{form.update_rank} reads {shape}")
+        self._vectors = np.ascontiguousarray(vectors)
         self._ensemble = ensemble
         self.form, self.update_rank = form.name, form.update_rank
         self._basis_solved = None
@@ -512,55 +505,53 @@ def sample_conditions(ensemble: PerturbedEnsemble) -> tuple[float, ...]:
                  for m, solver in enumerate(WoodburySolvers(ensemble, DIRECT)))
 
 
-def solve_neumann(ensemble: PerturbedEnsemble, form: WoodburyForm, order: int,
-                  force: bool = False) -> EnsembleSolution:
-    """Solve every sample by a truncated alternating series of ``order`` terms.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # refused below, by sample
+def solve_cg(ensemble: PerturbedEnsemble) -> EnsembleSolution:
+    """Solve every sample by one block CG on ``base + P_m``, preconditioned by ``base_factor``.
 
-    Reads the basis form's vectors V, with C_m = V^T P_m: evaluates
-    ``sum_{j=0..order} (-(base^-1 V) C_m)^j u0`` by repeated application,
-    never forming an N-by-N product.  Refuses samples whose
-    contraction-norm estimate reaches 1 unless ``force`` is set, and reports
-    the norm of the first omitted term as a truncation residual.  A sample
-    whose sum is not finite (a forced series that overflowed) raises
-    ``NoConvergenceError``.  Any other form raises ``ConfigRangeError``.
+    Each column starts from u0 = base^-1 rhs (residual -P_m u0), takes its own
+    steps, and takes none once its residual is at most ``CG_RTOL`` |rhs|.
+    ``NoConvergenceError`` names the sample on a curvature ``p^T (base + P_m)
+    p <= 0``, a non-finite iterate, or N iterations without convergence.
+    ``residuals`` are the samples' |rhs - (base + P_m) u_m| / |rhs|.
     """
-    if form.name != "basis":
-        raise ConfigRangeError(f"the series reads the basis form, not the {form.name} form")
-    if order < 0:
-        raise DimensionMismatchError("series order must be >= 0")
-    vectors = _form_vectors(ensemble, form)
-    fact = ensemble.base_factor
-    u0 = fact.solve(ensemble.rhs)
-    basis_solved = fact.solve(vectors)
+    members, rhs = ensemble.perturbations, ensemble.rhs
 
-    samples = []
-    residuals = []
-    for m, coeffs in enumerate(lowrank.Projections(vectors, ensemble.perturbations)):
-        contraction = spla.LinearOperator(
-            (ensemble.dim, ensemble.dim), dtype=float,
-            matvec=lambda v: basis_solved @ (coeffs @ v),
-            rmatvec=lambda w: coeffs.T @ (basis_solved.T @ w))
-        norm_est = numerics.spectral_norm_estimate(contraction)
-        if norm_est >= 1.0 and not force:
-            raise DivergenceRiskError(m, norm_est)
-        term = u0.copy()
-        total = u0.copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(order):
-                term = -(basis_solved @ (coeffs @ term))
-                total += term
-            omitted = basis_solved @ (coeffs @ term)
-        if not np.all(np.isfinite(total)):
-            raise NoConvergenceError(f"series of order {order} diverged for sample {m}: "
-                                     "its sum is not finite")
-        residuals.append(float(np.linalg.norm(omitted)))
-        samples.append(total)
+    def apply(x, columns):  # (base + P_m) x_m for the sample m of each column
+        return ensemble.base @ x + np.column_stack([members[m] @ x[:, j]
+                                                    for j, m in enumerate(columns)])
 
-    return EnsembleSolution(
-        unperturbed=u0,
-        samples=samples,
-        qoi=qoi_mean(samples),
-        woodbury_form=form.name,
-        update_rank=form.update_rank,
-        truncation_residuals=tuple(residuals),
-    )
+    def check(ok, columns, problem):
+        if not np.all(ok):
+            raise NoConvergenceError(f"block CG {problem} for sample {columns[np.argmin(ok)]}")
+
+    u0 = ensemble.base_factor.solve(rhs)
+    x = np.repeat(u0[:, None], len(members), axis=1)
+    r = np.column_stack([-(member @ u0) for member in members])
+    # the first direction is the preconditioned residual: beta = 0 on p = 0
+    p, rz = np.zeros_like(r), np.full(len(members), np.inf)
+    scale = max(float(np.linalg.norm(rhs)), 1e-300)
+    active, norms, iterations = np.arange(len(members)), np.linalg.norm(r, axis=0), 0
+    while True:
+        check(np.isfinite(norms) & np.all(np.isfinite(x[:, active]), axis=0), active,
+              "met a non-finite iterate")
+        active = active[norms > CG_RTOL * scale]
+        if not active.size:
+            break
+        check(iterations < ensemble.dim, active, f"reached {iterations} iterations unconverged")
+        z = _solve_columns(ensemble.base_factor.solve, r[:, active])
+        rz_new = np.einsum("ij,ij->j", r[:, active], z)
+        p[:, active] = direction = z + (rz_new / rz[active]) * p[:, active]
+        rz[active] = rz_new
+        q = apply(direction, active)
+        curvature = np.einsum("ij,ij->j", direction, q)
+        check(curvature > 0.0, active, "met nonpositive curvature")
+        x[:, active] += rz_new / curvature * direction
+        r[:, active] -= rz_new / curvature * q
+        norms, iterations = np.linalg.norm(r[:, active], axis=0), iterations + 1
+
+    samples = list(np.array(x.T))
+    residuals = np.linalg.norm(rhs[:, None] - apply(x, range(len(members))), axis=0) / scale
+    return EnsembleSolution(unperturbed=u0, samples=samples, qoi=qoi_mean(samples),
+                            woodbury_form="none", update_rank=0, iterations=iterations,
+                            residuals=tuple(residuals.tolist()))

@@ -1,21 +1,22 @@
 """End-to-end Monte-Carlo driver for the random-diffusion Poisson problem.
 
 Takes the sampled stiffness ensemble of ``fem.sampled_system``, decomposes
-its Gram matrix once, solves all samples at one or more reduction ratios,
-and averages into the mean-field estimate.  Every method solves in a
-``perturbed.WoodburyForm``: the direct method in ``perturbed.DIRECT``, SMW
-in the forms of ``perturbed.plan_smw`` (in the direct form, which
-full-domain fields take at k >= k* from h = 0.05 down, the spectrum holds
-eigenvalues only), and the series in the basis form at rank min(k, k*).
-Nothing is compressed.  A ratio scan is the same run over several ratios:
-one sampled ensemble, one Gram spectrum and one reference serve them all,
-and solves are keyed by form and update rank, so each is made once (every
-k >= k* is one solve).  The reference is the direct-form solve of that same
-key: the one the run already made (the direct method, or SMW in the direct
-form), so the reported gap isolates the compression error, and its sample
-LUs also serve the sample condition estimates.  Also hosts the critical
-reduction-ratio diagnostics (an all-zero ensemble has k* = 0) and a
-Monte-Carlo convergence study.
+its Gram matrix once, solves all samples and averages into the mean-field
+estimate.  SMW solves at one or more reduction ratios, each in the
+``perturbed.WoodburyForm`` of ``perturbed.plan_smw`` (in the direct form,
+which full-domain fields take at k >= k* from h = 0.05 down, the spectrum
+holds eigenvalues only).  The direct method (``perturbed.DIRECT``) and
+``cg`` (``perturbed.solve_cg``, block CG on the one factorization of the
+base) read eigenvalues only and take no ratio.  Nothing is compressed.  A
+ratio scan is the same run over several ratios: one sampled ensemble, one
+Gram spectrum and one reference serve them all, and solves are keyed by
+form and update rank, so each is made once (every k >= k* is one solve).
+The reference is the direct-form solve of that same key: the one the run
+already made (the direct method, or SMW in the direct form), so the reported
+gap isolates the compression error, and its sample LUs also serve the
+sample condition estimates.  Also hosts the critical reduction-ratio
+diagnostics (an all-zero ensemble has k* = 0) and a Monte-Carlo convergence
+study.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import fem, lowrank, numerics, perturbed
 from .errors import ConfigRangeError, check_range
 
-METHODS = ("smw", "neumann", "direct")
+METHODS = ("smw", "cg", "direct")
 
 
 @dataclass(frozen=True)
@@ -40,15 +41,12 @@ class SpdeRunConfig(fem.CompressedSampling):
     """
 
     method: str = "smw"
-    neumann_order: int = 4
     reference: bool = True
     sample_conditions: bool = False
-    force_neumann: bool = False
 
     def __post_init__(self):
         super().__post_init__()
         check_range(self.method in METHODS, f"method must be one of {METHODS}", self.method)
-        check_range(self.neumann_order >= 0, "neumann_order must be >= 0", self.neumann_order)
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +54,7 @@ class SpdeReport:
     """Outputs and diagnostics of one run; all but ``rows`` describe its last ratio."""
 
     # per ratio: (ratio, rank, err_l2, rmsre); rank and rmsre are None for the direct
-    # method, err_l2 is None without a reference
+    # and cg methods, err_l2 is None without a reference
     rows: list[tuple]
     qoi: np.ndarray
     qoi_reference: np.ndarray | None
@@ -93,9 +91,9 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     """Execute the full pipeline at each of ``ratios`` in turn and return the report.
 
     ``ratios`` defaults to ``(cfg.tau,)``; rank k is reached with the
-    ratio k / N, which maps back to exactly k.  The direct method compresses
-    nothing, so it takes no ``ratios`` (``ConfigRangeError``).  ``system`` is
-    ``fem.sampled_system(cfg)`` if the caller built it already.  SMW prices
+    ratio k / N, which maps back to exactly k.  Only SMW takes ``ratios``
+    (``ConfigRangeError``).  ``system`` is ``fem.sampled_system(cfg)`` if the
+    caller built it already.  SMW prices
     its form at every rank before any eigenvector exists
     (``perturbed.plan_smw``), so a run whose every form is direct computes
     eigenvalues only.  Solves are keyed by (form, update rank), and each is
@@ -104,8 +102,8 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     identical configs produce bitwise-identical vectors: the sampling is
     keyed per (seed, sample) and every reduction uses a fixed order.
     """
-    if ratios is not None and cfg.method == "direct":
-        raise ConfigRangeError("the direct method has no reduction ratio to scan")
+    if ratios is not None and cfg.method != "smw":
+        raise ConfigRangeError(f"the {cfg.method} method has no reduction ratio to scan")
     ratios = (cfg.tau,) if ratios is None else tuple(ratios)
     timings = {}
 
@@ -118,21 +116,16 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
                                            rhs=system.load)
 
     t0 = time.perf_counter()
-    ranks = [None if cfg.method == "direct" else lowrank.rank_from_ratio(ratio, ensemble.dim)
+    ranks = [lowrank.rank_from_ratio(ratio, ensemble.dim) if cfg.method == "smw" else None
              for ratio in ratios]
     if cfg.method == "smw":
         spectrum, forms = perturbed.plan_smw(ensemble, ranks)
     else:
-        # the direct route reads only the energy curve and k*: eigenvalues suffice
-        spectrum = lowrank.gram_spectrum(members, vectors=cfg.method == "neumann")
+        # the energy curve and k* are all these methods read: eigenvalues suffice
+        spectrum = lowrank.gram_spectrum(members, vectors=False)
+        forms = [perturbed.DIRECT]
     energy_curve = spectrum.energy_curve()
     k_star, tau_star = critical_tau(energy_curve)
-    if cfg.method == "direct":
-        forms = [perturbed.DIRECT]
-    elif cfg.method == "neumann":
-        # the series runs in the basis form at rank min(k, k*), as SMW does
-        forms = [perturbed.WoodburyForm("basis", r, vectors=spectrum.vectors[:, :r])
-                 for r in (min(k, k_star) for k in ranks)]
     rmsres = [None if k is None else lowrank.rmsre(members, spectrum, k) for k in ranks]
     timings["compress"] = time.perf_counter() - t0
 
@@ -141,16 +134,13 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     def solve(form):
         key = (form.name, form.update_rank)
         if key not in solutions:
-            if cfg.method == "neumann" and form.reads_vectors:
-                solutions[key] = perturbed.solve_neumann(ensemble, form, cfg.neumann_order,
-                                                         force=cfg.force_neumann)
-            else:
-                conditions = cfg.sample_conditions and not form.reads_vectors
-                solutions[key] = perturbed.solve_ensemble(ensemble, form, conditions)
+            conditions = cfg.sample_conditions and not form.reads_vectors
+            solutions[key] = perturbed.solve_ensemble(ensemble, form, conditions)
         return solutions[key]
 
     t0 = time.perf_counter()
-    runs = [solve(form) for form in forms]
+    runs = ([perturbed.solve_cg(ensemble)] if cfg.method == "cg"
+            else [solve(form) for form in forms])
     timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

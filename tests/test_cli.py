@@ -1,13 +1,12 @@
 import argparse
 import hashlib
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lram import cli, fem, numerics, socp, spde
+from lram import cli, fem, numerics, perturbed, socp, spde
 from lram.errors import ConfigParseError, ConfigRangeError, UnknownKeyError
 
 
@@ -205,35 +204,20 @@ def test_manifest_records_spectrum_route_and_peak_rss(tmp_path, monkeypatch):
 
 
 def test_spde_numerical_failure_exit_2(tmp_path, capsys):
-    out = tmp_path / "diverge"
+    out = tmp_path / "indefinite"
     code = run(["spde", "--h", "0.25", "--samples", "2", "--epsilon", "5.0",
-                "--method", "neumann", "--out-dir", str(out)])
-    assert code == 2
-    manifest = (out / "manifest.txt").read_text()
-    assert "error = DivergenceRiskError" in manifest
-    # the refusal names the flag that overrides it
-    assert "--force-neumann" in capsys.readouterr().err
-
-
-def test_forced_series_that_overflows_exits_2(tmp_path):
-    out = tmp_path / "overflow"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = run(["spde", "--h", "0.25", "--samples", "2", "--epsilon", "5",
-                    "--method", "neumann", "--force-neumann", "--neumann-order", "1000",
-                    "--out-dir", str(out)])
+                "--method", "cg", "--out-dir", str(out)])
     assert code == 2
     error = manifest_record(out, "error")["error"]
-    assert error.startswith("NoConvergenceError") and "sample 0" in error
-    assert [str(w.message) for w in caught] == []
+    assert error.startswith("NoConvergenceError") and "sample 1" in error
+    assert "nonpositive curvature for sample 1" in capsys.readouterr().err
 
 
 def test_failed_run_records_its_field(tmp_path, capsys):
-    # the series overflows in the solve; the field that caused it was recorded before
-    out = tmp_path / "overflow"
+    # CG breaks down in the solve; the field that caused it was recorded before
+    out = tmp_path / "indefinite"
     code = run(["spde", "--h", "0.25", "--samples", "2", "--epsilon", "5",
-                "--method", "neumann", "--force-neumann", "--neumann-order", "1000",
-                "--out-dir", str(out)])
+                "--method", "cg", "--out-dir", str(out)])
     assert code == 2
     record = manifest_record(out, "field.", "error")
     assert record["error"].startswith("NoConvergenceError")
@@ -288,21 +272,24 @@ def test_spde_manifest_records_woodbury_form(tmp_path):
         "woodbury.form": "direct", "woodbury.update_rank": "0"}
 
 
-def test_series_manifest_records_its_form_and_truncation_residual(tmp_path):
-    out = tmp_path / "series"
-    assert run(["spde", "--h", "0.1", "--samples", "4", "--method", "neumann", "--tau", "0.95",
+def test_cg_manifest_records_iterations_and_residual(tmp_path):
+    out = tmp_path / "cg"
+    assert run(["spde", "--h", "0.1", "--samples", "4", "--method", "cg",
                 "--out-dir", str(out)]) == 0
-    # N = 121, k* = 81: rank 115 runs the series in the basis form at rank 81
-    record = manifest_record(out, "woodbury.", "series.")
-    assert {key: record[key] for key in ("woodbury.form", "woodbury.update_rank")} == {
-        "woodbury.form": "basis", "woodbury.update_rank": "81"}
-    solution = spde.run_spde(spde.SpdeRunConfig(h=0.1, samples=4, method="neumann",
-                                                tau=0.95)).solution
-    assert float(record["series.truncation_residual_max"]) == max(
-        solution.truncation_residuals) > 0.0
+    # block CG makes no Woodbury update and compresses nothing
+    record = manifest_record(out, "woodbury.", "cg.")
+    solution = spde.run_spde(spde.SpdeRunConfig(h=0.1, samples=4, method="cg")).solution
+    assert record == {"woodbury.form": "none", "woodbury.update_rank": "0",
+                      "cg.iterations": str(solution.iterations),
+                      "cg.residual_max": repr(max(solution.residuals))}
+    assert 0 < solution.iterations and 0.0 < max(solution.residuals) <= 1e-10
+    header, row = (out / "report.csv").read_text().splitlines()
+    report = dict(zip(header.split(","), row.split(",")))
+    assert (report["method"], report["rank"], report["rmsre"]) == ("cg", "-1", "nan")
+    assert float(report["err_l2"]) <= 1e-10 * np.linalg.norm(solution.qoi)
     smw = tmp_path / "smw"
     assert run(["spde", "--h", "0.25", "--samples", "3", "--out-dir", str(smw)]) == 0
-    assert manifest_record(smw, "series.") == {}
+    assert manifest_record(smw, "cg.") == {}
 
 
 def test_manifest_digest_streams_the_file(tmp_path):
@@ -519,11 +506,43 @@ def test_direct_method_has_no_ratio_to_scan(splu_calls, tmp_path, capsys):
     assert splu_calls == []
 
 
+def test_cg_factors_the_base_once(splu_calls, monkeypatch, tmp_path):
+    built = []
+    for name in ("_sample_lu", "WoodburySolver"):
+        original = getattr(perturbed, name)
+        monkeypatch.setattr(perturbed, name,
+                            lambda *a, original=original, name=name, **kw:
+                            built.append(name) or original(*a, **kw))
+    assert run(["spde", "--h", "0.1", "--samples", "10", "--method", "cg", "--no-reference",
+                "--out-dir", str(tmp_path / "out")]) == 0
+    # the base's factorization and nothing else: no sample LU, no capacitance
+    assert len(splu_calls) == 1 and built == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--method", "neumann"],
+    ["--neumann-order", "4"],
+    ["--config", "force_neumann.cfg"],
+], ids=["method-neumann", "neumann-order", "force-neumann-file"])
+def test_series_settings_are_refused_before_any_work(monkeypatch, tmp_path, argv):
+    assembled = []
+    assemble = fem.assemble
+    monkeypatch.setattr(fem, "assemble",
+                        lambda *a, **kw: assembled.append(1) or assemble(*a, **kw))
+    (tmp_path / "force_neumann.cfg").write_text("force_neumann = true\n")
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    assert run(["spde", "--h", "0.5", "--samples", "2", *argv, "--out-dir", str(out)]) == 1
+    assert not out.exists()
+    assert assembled == []
+
+
 @pytest.mark.parametrize("argv", [
     ["--tau-scan", "0.5,2"],
     ["--tau-scan", "0,0.5"],
     ["--method", "direct", "--tau-scan", "0.5,1.0"],
-], ids=["above-one", "zero", "direct"])
+    ["--method", "cg", "--tau-scan", "0.5"],
+], ids=["above-one", "zero", "direct", "cg"])
 def test_tau_scan_checked_before_any_work(monkeypatch, tmp_path, capsys, argv):
     assembled = []
     assemble = fem.assemble

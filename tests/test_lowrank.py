@@ -224,19 +224,23 @@ def test_dense_route_decomposes_the_support_only(monkeypatch):
     assert np.allclose(values_only.values, spectrum.values, rtol=0.0, atol=1e-13 * scale)
 
 
+def deficient_members():
+    """Members u_m v_m^T with u_m on 6 neighbouring rows of 60: |S| = 23, k* = 4."""
+    rng = np.random.default_rng(21)
+    n = 60
+    members = []
+    for start in (0, 5, 20, 40):
+        u = np.zeros(n)
+        u[start:start + 6] = rng.standard_normal(6)
+        members.append(sp.csr_array(np.outer(u, rng.standard_normal(n))))
+    return members
+
+
 def test_band_route_matches_dense_eigenvalues(monkeypatch):
     """Values-only spectra on the band route agree with dense LAPACK to 1e-13 of the largest."""
     monkeypatch.setattr(numerics, "BAND_EIG_MAX_FRACTION", 1.0)
     _, fem_ensemble = fem_members()
-    # rank-deficient: members u_m v_m^T with u_m on 6 neighbouring rows, so k* = 4 < |S|
-    rng = np.random.default_rng(21)
-    n = 60
-    deficient = []
-    for start in (0, 5, 20, 40):
-        u = np.zeros(n)
-        u[start:start + 6] = rng.standard_normal(6)
-        deficient.append(sp.csr_array(np.outer(u, rng.standard_normal(n))))
-    for members, k_star in [(fem_ensemble, None), (deficient, 4)]:
+    for members, k_star in [(fem_ensemble, None), (deficient_members(), 4)]:
         spectrum = lowrank.gram_spectrum(members, vectors=False)
         assert spectrum.route == "band" and spectrum.bandwidth >= 1
         expected = np.linalg.eigvalsh(lowrank.ensemble_gram(members).toarray())[::-1]
@@ -270,6 +274,42 @@ def test_values_only_spectrum_holds_no_dense_square():
     assert (s, spectrum.route, spectrum.bandwidth) == (1521, "band", 78)
     # one |S|-by-|S| array of doubles is 8 |S|^2 bytes (18.5 MB)
     assert peak < 0.25 * 8 * s * s
+
+
+def test_padded_basis_is_the_support_pairs_sorted_by_value():
+    # rounding leaves 19 support values of the rank-deficient ensemble near 0, some
+    # below the exact zeros off the support: their columns move behind those zeros
+    members = deficient_members()
+    gram = lowrank.ensemble_gram(members)
+    support = lowrank.gram_support(gram)
+    n, s = gram.shape[0], support.shape[0]
+    pairs = numerics.sym_eig_topk(gram[np.ix_(support, support)], s)
+    values = np.concatenate([pairs.values, np.zeros(n - s)])
+    padded = np.zeros((n, n))
+    padded[support, :s] = pairs.vectors
+    padded[np.setdiff1d(np.arange(n), support), np.arange(s, n)] = 1.0
+    order = np.argsort(-values, kind="stable")
+    assert np.any(order != np.arange(n))
+    spectrum = lowrank.gram_spectrum(members, gram=gram)
+    assert spectrum.values.tobytes() == values[order].tobytes()
+    assert spectrum.vectors.tobytes() == padded[:, order].tobytes()
+
+
+def test_spectrum_with_vectors_holds_one_support_square_and_one_padded_square():
+    """At h = 0.025 (|S| = 1521, N = 1681) the eigenvectors and the padded basis alone."""
+    _, members = fem_members(h=0.025, num_samples=10)
+    gram = lowrank.ensemble_gram(members)
+    n, s = gram.shape[0], lowrank.gram_support(gram).shape[0]
+    tracemalloc.start()
+    try:
+        spectrum = lowrank.gram_spectrum(members, gram=gram)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (n, s, spectrum.vectors.shape) == (1681, 1521, (1681, 1681))
+    # 8 (|S|^2 + N^2) bytes is 41.1 MB; a second |S|-by-|S| or N-by-N array would add
+    # 18.5 or 22.6 MB.  1 MB covers indices and column blocks
+    assert peak < 8 * (s * s + n * n) + 1e6
 
 
 def test_numerical_rank_is_the_critical_energy_rule():

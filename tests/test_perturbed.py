@@ -9,8 +9,8 @@ from lram import cli, fem, lowrank, numerics, perturbed, spde
 from lram.errors import (
     ConfigRangeError,
     DimensionMismatchError,
-    DivergenceRiskError,
     EmptyInputError,
+    NoConvergenceError,
     SingularCapacitanceError,
     SingularSampleError,
 )
@@ -146,9 +146,9 @@ def test_smw_exactness_property(seed):
 # ---------------------------------------------------------------------------
 
 
-def fem_ensemble(h=0.1, num_samples=6, seed=21):
+def fem_ensemble(h=0.1, num_samples=6, seed=21, epsilon=0.2):
     mesh = fem.structured_mesh(h)
-    fields = fem.sample_fields(mesh, num_samples, 0.2, "normal", seed)
+    fields = fem.sample_fields(mesh, num_samples, epsilon, "normal", seed)
     system = fem.assemble(mesh, fields, lambda x, y: 1.0)
     return perturbed.PerturbedEnsemble(base=system.base, perturbations=system.perturbations,
                                        rhs=system.load)
@@ -380,81 +380,75 @@ def test_singular_complement_capacitance_raises(dense_flop_model):
 
 
 # ---------------------------------------------------------------------------
-# solve_neumann
+# solve_cg
 # ---------------------------------------------------------------------------
 
 
-def test_neumann_zero_coeffs_any_order():
-    rng = np.random.default_rng(7)
-    n, k, m = 6, 2, 2
-    base = sp.csr_array(rand_spd(rng, n))
-    zeros = [sp.csr_array((n, n)) for _ in range(m)]
-    ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=zeros,
-                                           rhs=rng.standard_normal(n))
-    for order in (0, 3):
-        sol = perturbed.solve_neumann(ensemble, basis_form(rng, n, k), order)
-        for u in sol.samples:
-            assert np.allclose(u, sol.unperturbed, atol=1e-14)
-        assert all(r == 0.0 for r in sol.truncation_residuals)
+def test_cg_zero_member_takes_no_step():
+    # member 2 is zero: its column starts exact at u0 with residual -P_2 u0 = 0, so
+    # its direction would be 0 and its curvature 0; only unconverged columns step
+    ensemble = fem_ensemble(num_samples=4)
+    members = list(ensemble.perturbations)
+    members[2] = sp.csr_array(members[2].shape)
+    ensemble = perturbed.PerturbedEnsemble(ensemble.base, members, ensemble.rhs)
+    sol = perturbed.solve_cg(ensemble)
+    assert np.array_equal(sol.samples[2], sol.unperturbed)
+    assert sol.iterations > 0 and max(sol.residuals) <= perturbed.CG_RTOL
+    direct = perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
+    for u, expected in zip(sol.samples, direct.samples):
+        assert np.linalg.norm(u - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert (sol.woodbury_form, sol.update_rank) == ("none", 0)
 
 
-def test_neumann_scalar_partial_sum():
-    # base 2, perturbation 1, rhs 2: exact solution 2/3, order-3 sum 0.625
-    base = sp.csr_array(np.array([[2.0]]))
-    pert = sp.csr_array(np.array([[1.0]]))
-    ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=[pert],
-                                           rhs=np.array([2.0]))
-    form = perturbed.WoodburyForm("basis", 1, vectors=np.array([[1.0]]))
-    sol = perturbed.solve_neumann(ensemble, form, order=3)
-    assert sol.samples[0][0] == pytest.approx(0.625, abs=1e-14)
-    assert (sol.woodbury_form, sol.update_rank) == ("basis", 1)
+@pytest.mark.parametrize("epsilon, distribution", [(0.2, "normal"), (0.9, "uniform")],
+                         ids=["normal", "uniform"])
+def test_cg_matches_direct_per_sample(epsilon, distribution):
+    # N = 1681, M = 100; the normal field's least coefficient is -0.087 (seed 131),
+    # so one sample matrix need not be definite, yet CG converges on it
+    system = fem.sampled_system(fem.Sampling(h=0.025, samples=100, epsilon=epsilon,
+                                             distribution=distribution, seed=131))
+    if distribution == "normal":
+        assert system.min_coefficient.min() == pytest.approx(-0.0874, abs=1e-4)
+    ensemble = perturbed.PerturbedEnsemble(system.base, system.perturbations, system.load)
+    sol = perturbed.solve_cg(ensemble)
+    direct = perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
+    assert np.linalg.norm(sol.qoi - direct.qoi) <= 1e-10 * np.linalg.norm(direct.qoi)
+    for u, expected in zip(sol.samples, direct.samples):
+        assert np.linalg.norm(u - expected) <= 1e-10 * np.linalg.norm(expected)
+    assert len(sol.residuals) == 100 and max(sol.residuals) <= 2 * perturbed.CG_RTOL
+    # the iteration count grows with the perturbation's size
+    assert sol.iterations == (14 if distribution == "normal" else 28)
 
 
-def test_neumann_geometric_decay_toward_smw():
-    rng = np.random.default_rng(8)
-    n, k = 8, 3
-    basis = rand_orthonormal(rng, n, k)
-    coeffs = [0.3 * basis.T]  # contraction operator has spectral norm 0.3
-    base = sp.csr_array(np.eye(n))
-    pert = [sp.csr_array(basis @ coeffs[0])]
-    ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=pert,
-                                           rhs=rng.standard_normal(n))
-    form = perturbed.WoodburyForm("basis", k, vectors=basis)
-    exact = perturbed.solve_ensemble(ensemble, form).samples[0]
-    errs = []
-    for order in range(1, 7):
-        approx = perturbed.solve_neumann(ensemble, form, order).samples[0]
-        errs.append(np.linalg.norm(approx - exact))
-    ratios = [errs[i + 1] / errs[i] for i in range(len(errs) - 1)]
-    assert all(0.25 <= r <= 0.35 for r in ratios)
-    # discrepancy vs the closed-form route is monotone in the order
-    assert all(errs[i] >= errs[i + 1] - 1e-12 for i in range(len(errs) - 1))
+def test_cg_refuses_nonpositive_curvature():
+    # base + P_1 = diag(-1, 1, 1): the first direction of sample 1 is e_1
+    n = 3
+    members = [sp.csr_array(np.diag([0.5, 0.0, 0.0])), sp.csr_array(np.diag([-2.0, 0.0, 0.0]))]
+    ensemble = perturbed.PerturbedEnsemble(sp.csr_array(np.eye(n)), members, np.ones(n))
+    with pytest.raises(NoConvergenceError, match="nonpositive curvature for sample 1"):
+        perturbed.solve_cg(ensemble)
+    # every sample of the h = 0.05 ensemble at epsilon 0.9 has a nonpositive coefficient
+    with pytest.raises(NoConvergenceError, match="curvature for sample 5$"):
+        perturbed.solve_cg(fem_ensemble(h=0.05, num_samples=100, seed=131, epsilon=0.9))
 
 
-def test_neumann_refuses_divergent_then_forced():
+def test_cg_refuses_a_non_finite_iterate():
+    # |rhs|^2 overflows, so the first step is not finite
+    n = 3
+    members = [sp.csr_array((n, n)), sp.csr_array(np.diag([0.5, 0.25, 0.0]))]
+    ensemble = perturbed.PerturbedEnsemble(sp.csr_array(np.eye(n)), members,
+                                           np.full(n, 1e300))
+    with pytest.raises(NoConvergenceError, match="non-finite iterate for sample 1"):
+        perturbed.solve_cg(ensemble)
+
+
+def test_cg_stops_after_n_iterations(monkeypatch):
+    # at a tolerance of 0 no column converges short of an exactly zero residual
     rng = np.random.default_rng(9)
-    n, k = 6, 2
-    basis = rand_orthonormal(rng, n, k)
-    coeffs = [1.5 * basis.T]
-    base = sp.csr_array(np.eye(n))
-    pert = [sp.csr_array(basis @ coeffs[0])]
-    ensemble = perturbed.PerturbedEnsemble(base=base, perturbations=pert,
-                                           rhs=np.ones(n))
-    form = perturbed.WoodburyForm("basis", k, vectors=basis)
-    with pytest.raises(DivergenceRiskError) as err:
-        perturbed.solve_neumann(ensemble, form, order=2)
-    assert err.value.norm_estimate >= 1.0
-    sol = perturbed.solve_neumann(ensemble, form, order=2, force=True)
-    assert len(sol.samples) == 1
-
-
-def test_neumann_reads_the_basis_form_alone():
-    rng = np.random.default_rng(9)
-    ensemble, _ = synthetic_instance(rng, 6, 2, 2)
-    complement = perturbed.WoodburyForm("complement", 2, vectors=rand_orthonormal(rng, 6, 2))
-    for form in (complement, perturbed.DIRECT):
-        with pytest.raises(ConfigRangeError):
-            perturbed.solve_neumann(ensemble, form, order=2)
+    ensemble, _ = synthetic_instance(rng, 5, 2, 2)
+    monkeypatch.setattr(perturbed, "CG_RTOL", 0.0)
+    with pytest.raises(NoConvergenceError, match="reached 5 iterations unconverged for sample 0"):
+        perturbed.solve_cg(ensemble)
 
 
 # ---------------------------------------------------------------------------

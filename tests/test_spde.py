@@ -33,10 +33,15 @@ def test_full_ratio_matches_direct_reference():
     assert report.err_l2 <= 1e-9 * scale
 
 
-def test_neumann_method_runs_and_reports_residuals():
-    report = spde.run_spde(small_cfg(method="neumann", neumann_order=8))
-    assert report.solution.truncation_residuals is not None
-    assert report.err_l2 < 1e-3  # epsilon 0.2 contracts well on this mesh
+def test_cg_method_runs_and_reports_residuals():
+    report = spde.run_spde(small_cfg(method="cg"))
+    assert len(report.solution.residuals) == 6
+    assert max(report.solution.residuals) <= perturbed.CG_RTOL
+    # the direct reference solves the same uncompressed systems
+    assert report.err_l2 <= 1e-10 * np.linalg.norm(report.qoi)
+    assert report.rank is None and report.rmsre is None
+    with pytest.raises(ConfigRangeError, match="cg method has no reduction ratio"):
+        spde.run_spde(small_cfg(method="cg"), [0.5])
 
 
 def test_direct_method_reference_is_itself():
@@ -194,8 +199,9 @@ def spectral_calls(monkeypatch):
 
 @pytest.mark.parametrize("run, vectors", [
     (lambda tmp: spde.run_spde(small_cfg()), True),
-    (lambda tmp: spde.run_spde(small_cfg(method="neumann", neumann_order=8)), True),
-    # the direct route and diagnose need eigenvalues only: no eigenvector array is built
+    # the direct and cg routes and diagnose need eigenvalues only: no eigenvector array
+    # is built
+    (lambda tmp: spde.run_spde(small_cfg(method="cg")), False),
     (lambda tmp: spde.run_spde(small_cfg(method="direct")), False),
     (lambda tmp: spde.run_spde(small_cfg(), [0.4, 0.6, 0.8, 1.0]), True),
     (lambda tmp: cli.main(["diagnose", "--h", "0.25", "--out-dir", str(tmp)]), False),
@@ -204,7 +210,7 @@ def spectral_calls(monkeypatch):
     # N = 441, |S| = k* = 361: rank 419 prices SMW in the direct form, which reads
     # no eigenvector
     (lambda tmp: spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.95)), False),
-], ids=["smw", "neumann", "direct", "scan", "diagnose", "compress", "smw-direct-form"])
+], ids=["smw", "cg", "direct", "scan", "diagnose", "compress", "smw-direct-form"])
 def test_one_spectral_pass_per_ensemble(spectral_calls, run, vectors, tmp_path):
     run(tmp_path)
     assert spectral_calls == {"gram": 1, "eig": 1, "vectors": [vectors]}
@@ -214,14 +220,13 @@ def test_one_spectral_pass_per_ensemble(spectral_calls, run, vectors, tmp_path):
     (lambda: spde.run_spde(small_cfg(tau=0.6)), "basis"),
     (lambda: spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.7)), "complement"),
     (lambda: spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.95)), "direct"),
-    (lambda: spde.run_spde(small_cfg(method="neumann", neumann_order=3, force_neumann=True),
-                           [0.2, 0.3]), "basis"),
+    (lambda: spde.run_spde(small_cfg(method="cg")), "none"),
     (lambda: socp.build_control_problem(socp.SocpRunConfig(h=0.25, samples=4, tau=1.0))[1],
      "basis"),
     # rank 2 of N = 25 with the dense route capped below N: Lanczos, no k*
     (lambda: socp.build_control_problem(socp.SocpRunConfig(h=0.25, samples=4, tau=0.05))[1],
      "basis"),
-], ids=["smw-basis", "smw-complement", "smw-direct", "neumann-scan", "socp-dense",
+], ids=["smw-basis", "smw-complement", "smw-direct", "cg", "socp-dense",
         "socp-lanczos"])
 def test_nothing_in_spde_or_socp_compresses(monkeypatch, run, form):
     calls = []
@@ -237,21 +242,6 @@ def test_nothing_in_spde_or_socp_compresses(monkeypatch, run, form):
     solution = getattr(result, "solution", result)
     assert solution.woodbury_form == form
     assert calls == []
-
-
-def test_neumann_scan_at_or_above_k_star_is_one_series_solve(monkeypatch):
-    # N = 121, k* = 81: ranks 109 and 121 both run the series in the basis form at
-    # rank 81, one solve
-    series = []
-    solve_neumann = perturbed.solve_neumann
-    monkeypatch.setattr(perturbed, "solve_neumann",
-                        lambda ensemble, form, *a, **kw:
-                        series.append(form.update_rank) or solve_neumann(ensemble, form, *a, **kw))
-    report = spde.run_spde(small_cfg(h=0.1, samples=4, method="neumann"), [0.9, 1.0])
-    assert [row[1] for row in report.rows] == [109, 121]
-    assert report.k_star == 81 and series == [81]
-    assert (report.solution.woodbury_form, report.solution.update_rank) == ("basis", 81)
-    assert report.rows[0][2] == report.rows[1][2]
 
 
 def test_smw_above_half_rank_builds_no_coefficient_matrix(monkeypatch):
