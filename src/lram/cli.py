@@ -290,6 +290,9 @@ def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict]
     _record_spectrum(record, report.spectrum_route, report.spectrum_bandwidth)
     if cfg.reference:
         record["reference.reused"] = report.reference_reused
+    if report.concurrent_phases:
+        # those phases' timings overlap, so their sum can exceed the wall time
+        record["timing.concurrent"] = ",".join(report.concurrent_phases)
     ranks = [row[1] for row in report.rows if row[1] is not None]
     _warn(_record_ranks(record, ranks, report.k_star))
     if scan:

@@ -5,16 +5,20 @@ arrays.  The module provides the symmetric top-k eigensolver, a reusable SPD
 factorization handle, norm and condition estimates, and MatrixMarket
 import/export.  All tolerances are module constants and can be
 overridden per call.  Matrices are treated as immutable after construction;
-factorization handles are read-only and safe to share across threads.
+factorization handles are read-only and safe to share across threads.  The
+band eigensolver releases the GIL while it runs (``_band_eigenvalues``), so
+another thread's work proceeds beside it.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.io as sio
 import scipy.linalg as sla
+import scipy.linalg.cython_lapack as cython_lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -40,7 +44,8 @@ DENSE_EIG_MAX_DIM = 2000
 #: 0.25-0.36 s on the band against 0.24-0.42 s dense, and of 6241 rows (158,
 #: 0.025) 9.6-11.4 s against 12.1-17.1 s; a wide-band random ``a @ a.T`` took
 #: 316 ms on the band against 49 ms dense at n = 800, and 2.04 s against
-#: 0.25 s at n = 1500.
+#: 0.25 s at n = 1500.  The band route also releases the GIL
+#: (``_band_eigenvalues``), where the dense one holds it.
 BAND_EIG_MAX_FRACTION = 0.1
 
 _TINY = 1e-300
@@ -184,6 +189,58 @@ def _lower_band(s) -> np.ndarray | None:
     return band
 
 
+def _cython_lapack(name: str, *argtypes):
+    """LAPACK routine ``name`` of SciPy's Cython LAPACK as a ctypes C function.
+
+    A ctypes C function releases the GIL for the call; every SciPy f2py LAPACK
+    wrapper holds it, so another thread's Python work would wait out the call.
+    """
+    capsule = cython_lapack.__pyx_capi__[name]
+    name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer_of = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return ctypes.CFUNCTYPE(None, *argtypes)(pointer_of(capsule, name_of(capsule)))
+
+
+_INT, _ARRAY = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+#: LAPACK ``dsbevd(jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, lwork, iwork,
+#: liwork, info)``, the band eigensolver ``scipy.linalg.eig_banded`` runs.
+_DSBEVD = _cython_lapack("dsbevd", ctypes.c_char_p, ctypes.c_char_p, _INT, _INT, _ARRAY,
+                         _INT, _ARRAY, _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT)
+
+
+def _band_eigenvalues(band: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric matrix whose lower band is ``band``.
+
+    ``band`` has ``_lower_band``'s layout and is overwritten.  LAPACK
+    ``dsbevd`` computes the values with the workspace that
+    ``scipy.linalg.eig_banded(band, lower=True, eigvals_only=True)`` gives it,
+    so they are bitwise that function's, but without the GIL
+    (``_cython_lapack``).  Raises ``NoConvergenceError`` if the solver does
+    not converge.
+    """
+    band = np.asfortranarray(band, dtype=float)
+    rows, n = band.shape
+    values, work = np.empty(n), np.empty(2 * n)
+    unused_vectors, iwork = np.empty(1), np.empty(1, dtype=np.intc)
+    info = ctypes.c_int()
+
+    def ref(value):
+        return ctypes.byref(ctypes.c_int(value))
+
+    _DSBEVD(b"N", b"L", ref(n), ref(rows - 1), band.ctypes.data, ref(rows),
+            values.ctypes.data, unused_vectors.ctypes.data, ref(1),
+            work.ctypes.data, ref(work.size), iwork.ctypes.data, ref(iwork.size),
+            ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"dsbevd: argument {-info.value} has an illegal value")
+    if info.value > 0:
+        raise NoConvergenceError(f"band eigensolver: {info.value} off-diagonal "
+                                 "entries did not converge")
+    return values
+
+
 def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True) -> EigenPairs:
     """Return the ``k`` largest eigenvalues and eigenvectors of a symmetric matrix.
 
@@ -195,7 +252,8 @@ def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True) -> EigenPairs:
     dense route a sparse ``s`` whose reverse Cuthill-McKee bandwidth is at
     most ``BAND_EIG_MAX_FRACTION`` of n is then decomposed as a band, never
     densified: on a FEM Gram support of 1521 rows that holds 0.9 MB where the
-    dense matrix holds 18.5 MB.  The dense route symmetrizes as
+    dense matrix holds 18.5 MB, and the solver releases the GIL
+    (``_band_eigenvalues``).  The dense route symmetrizes as
     ``0.5 * (S + S^T)``, a sparse ``s`` before it densifies once, and LAPACK
     overwrites that one copy.  Raises ``NonSymmetricError`` if the asymmetry
     exceeds ``sym_tol * ||S||_F``, ``ValueError`` if an entry is not finite
@@ -215,8 +273,7 @@ def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True) -> EigenPairs:
             sym = to_csr((s + s.T) * 0.5)
             band = None if vectors else _lower_band(sym)
             if band is not None:
-                w = sla.eig_banded(band, lower=True, eigvals_only=True,
-                                   overwrite_a_band=True, check_finite=False)
+                w = _band_eigenvalues(band)
                 return EigenPairs(values=w[::-1][:k].copy(), vectors=None, route="band",
                                   bandwidth=band.shape[0] - 1)
             sd = sym.toarray(order="F")

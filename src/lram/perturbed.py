@@ -110,7 +110,9 @@ class PerturbedEnsemble:
     ``sample_lu0``, sample 0's LU, is made on first use too: pricing reads
     its size, sample 0 solves with it, and its fill-reducing ordering
     (``sample_order``) serves every later sample LU, so an ensemble makes
-    one ordering.
+    one ordering.  Where two threads share an ensemble, one of them builds
+    both first: ``spde.run_spde`` makes them before its worker thread prices
+    the forms, so neither is made on both threads.
     """
 
     base: sp.csr_array

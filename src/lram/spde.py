@@ -14,13 +14,17 @@ form and update rank, so each is made once (every k >= k* is one solve).
 The reference is the direct-form solve of that same key: the one the run
 already made (the direct method, or SMW in the direct form), so the reported
 gap isolates the compression error, and its sample LUs also serve the
-sample condition estimates.  Also hosts the critical reduction-ratio
+sample condition estimates.  The solves that read no spectrum (the
+reference, the direct method and cg) and the diagnostics run on the calling
+thread while one worker thread computes the spectrum, whose band eigensolver
+releases the GIL (``numerics``).  Also hosts the critical reduction-ratio
 diagnostics (an all-zero ensemble has k* = 0) and a Monte-Carlo convergence
 study.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import time
 from dataclasses import dataclass, replace
 
@@ -58,7 +62,7 @@ class SpdeReport:
     rows: list[tuple]
     qoi: np.ndarray
     qoi_reference: np.ndarray | None
-    # the reference is a solution of the run: every sample was already solved by its own LU
+    # the reference is a solution of the run: one of its own solves ran in the direct form
     reference_reused: bool
     err_l2: float | None
     # the unperturbed solution u0 against the reference: the error of compressing to rank 0
@@ -72,6 +76,8 @@ class SpdeReport:
     sample_conditions: tuple[float, ...] | None
     solution: perturbed.EnsembleSolution
     timings: dict[str, float]
+    # the phases that ran at the same time, on two threads (``run_spde``); empty if none
+    concurrent_phases: tuple[str, ...]
     # the Gram eigensolve's route and band, as in ``lowrank.GramSpectrum``
     spectrum_route: str
     spectrum_bandwidth: int | None
@@ -98,9 +104,13 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     (``perturbed.plan_smw``), so a run whose every form is direct computes
     eigenvalues only.  Solves are keyed by (form, update rank), and each is
     made once; the reference is the direct form's, and its sample LUs are
-    the ensemble's (sample 0's is the one pricing made).  Two runs with
-    identical configs produce bitwise-identical vectors: the sampling is
-    keyed per (seed, sample) and every reduction uses a fixed order.
+    the ensemble's (sample 0's is the one pricing made).  Where the run makes
+    solves that read no spectrum (the reference, the direct method, cg), they
+    and the diagnostics run on the calling thread while one worker thread
+    computes the spectrum (``SpdeReport.concurrent_phases``); the worker has
+    ended when this returns or raises.  Two runs with identical configs
+    produce bitwise-identical vectors: the sampling is keyed per (seed,
+    sample) and every reduction uses a fixed order.
     """
     if ratios is not None and cfg.method != "smw":
         raise ConfigRangeError(f"the {cfg.method} method has no reduction ratio to scan")
@@ -115,19 +125,19 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     ensemble = perturbed.PerturbedEnsemble(base=system.base, perturbations=members,
                                            rhs=system.load)
 
-    t0 = time.perf_counter()
     ranks = [lowrank.rank_from_ratio(ratio, ensemble.dim) if cfg.method == "smw" else None
              for ratio in ratios]
-    if cfg.method == "smw":
-        spectrum, forms = perturbed.plan_smw(ensemble, ranks)
-    else:
-        # the energy curve and k* are all these methods read: eigenvalues suffice
-        spectrum = lowrank.gram_spectrum(members, vectors=False)
-        forms = [perturbed.DIRECT]
-    energy_curve = spectrum.energy_curve()
-    k_star, tau_star = critical_tau(energy_curve)
-    rmsres = [None if k is None else lowrank.rmsre(members, spectrum, k) for k in ranks]
-    timings["compress"] = time.perf_counter() - t0
+
+    def compress():
+        """The spectrum and what reads it, and the seconds they took (``timing.compress``)."""
+        t0 = time.perf_counter()
+        if cfg.method == "smw":
+            spectrum, forms = perturbed.plan_smw(ensemble, ranks)
+        else:
+            # the energy curve and k* are all these methods read: eigenvalues suffice
+            spectrum, forms = lowrank.gram_spectrum(members, vectors=False), [perturbed.DIRECT]
+        rmsres = [None if k is None else lowrank.rmsre(members, spectrum, k) for k in ranks]
+        return spectrum, forms, rmsres, time.perf_counter() - t0
 
     solutions = {}  # (form, update rank) -> solution
 
@@ -138,31 +148,58 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
             solutions[key] = perturbed.solve_ensemble(ensemble, form, conditions)
         return solutions[key]
 
-    t0 = time.perf_counter()
-    runs = ([perturbed.solve_cg(ensemble)] if cfg.method == "cg"
-            else [solve(form) for form in forms])
-    timings["solve"] = time.perf_counter() - t0
+    def diagnostics():
+        t0 = time.perf_counter()
+        cond_base = numerics.condition_estimate(system.base, solve=ensemble.base_factor.solve)
+        sample_conds = None
+        if cfg.sample_conditions:
+            # a direct-form solve estimated with its sample LUs
+            sample_conds = next((s.sample_conditions for s in solutions.values()
+                                 if s.sample_conditions is not None), None)
+            if sample_conds is None:
+                sample_conds = perturbed.sample_conditions(ensemble)
+        timings["diagnostics"] = time.perf_counter() - t0
+        return cond_base, sample_conds
+
+    # The reference, the direct method and cg read no spectrum: they and the diagnostics
+    # run here while one worker computes it.  SMW solves in the forms the spectrum
+    # decides, so without the reference it runs serially.
+    overlap = cfg.reference or cfg.method != "smw"
+    runs = []
+    if overlap:
+        # made here, so that no cached property of the ensemble is built on both threads
+        ensemble.base_factor
+        if cfg.method == "smw":
+            ensemble.sample_lu0  # pricing reads it
+        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+            spectral = pool.submit(compress)
+            t0 = time.perf_counter()
+            if cfg.reference or cfg.method == "direct":
+                solve(perturbed.DIRECT)
+            if cfg.method == "cg":
+                runs.append(perturbed.solve_cg(ensemble))
+            timings["solve"] = time.perf_counter() - t0
+            cond_base, sample_conds = diagnostics()
+            spectrum, forms, rmsres, timings["compress"] = spectral.result()
+    else:
+        spectrum, forms, rmsres, timings["compress"] = compress()
+    energy_curve = spectrum.energy_curve()
+    k_star, tau_star = critical_tau(energy_curve)
 
     t0 = time.perf_counter()
-    reference, reused = None, False
-    if cfg.reference:
-        reused = ("direct", 0) in solutions
-        reference = solve(perturbed.DIRECT)
+    if cfg.method != "cg":
+        runs = [solve(form) for form in forms]
+    timings["solve"] = timings.get("solve", 0.0) + time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    reference = solve(perturbed.DIRECT) if cfg.reference else None
+    reused = cfg.reference and any(run.woodbury_form == "direct" for run in runs)
     rows = [(float(ratio), rank,
              None if reference is None else float(np.linalg.norm(reference.qoi - sol.qoi)),
              rmsre_value) for ratio, rank, rmsre_value, sol in zip(ratios, ranks, rmsres, runs)]
     timings["reference"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    cond_base = numerics.condition_estimate(system.base, solve=ensemble.base_factor.solve)
-    sample_conds = None
-    if cfg.sample_conditions:
-        # a direct-form solve estimated with its sample LUs
-        sample_conds = next((s.sample_conditions for s in solutions.values()
-                             if s.sample_conditions is not None), None)
-        if sample_conds is None:
-            sample_conds = perturbed.sample_conditions(ensemble)
-    timings["diagnostics"] = time.perf_counter() - t0
+    if not overlap:
+        cond_base, sample_conds = diagnostics()
 
     _, rank, err, rmsre_value = rows[-1]
     solution = runs[-1]
@@ -183,6 +220,7 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
         sample_conditions=sample_conds,
         solution=solution,
         timings=timings,
+        concurrent_phases=("compress", "solve", "diagnostics") if overlap else (),
         spectrum_route=spectrum.route,
         spectrum_bandwidth=spectrum.bandwidth,
     )

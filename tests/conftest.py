@@ -1,6 +1,19 @@
+import threading
+
 import pytest
 
 from lram import perturbed
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail a test that leaves a thread it started alive (``spde.run_spde`` joins its worker)."""
+    before = set(threading.enumerate())
+    yield
+    alive = [thread.name for thread in threading.enumerate()
+             if thread not in before and thread.is_alive()]
+    if alive:
+        pytest.fail(f"threads left alive: {alive}")
 
 
 @pytest.fixture

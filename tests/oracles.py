@@ -59,6 +59,15 @@ def jacobi_eigh(a, tol=1e-13, max_sweeps=200):
     return w[order], v[:, order]
 
 
+def band_eigenvalues(band):
+    """Ascending eigenvalues of the symmetric matrix whose lower band is ``band``.
+
+    SciPy's f2py ``eig_banded``: the same LAPACK ``dsbevd``, called with the GIL
+    held.
+    """
+    return sla.eig_banded(band, lower=True, eigvals_only=True, check_finite=False)
+
+
 def fix_column_signs(vectors):
     """Column by column: negate a column whose first entry above 1e-12 of its largest is < 0."""
     out = np.array(vectors, copy=True)

@@ -1,13 +1,20 @@
 import argparse
 import hashlib
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lram import cli, fem, numerics, perturbed, socp, spde
-from lram.errors import ConfigParseError, ConfigRangeError, UnknownKeyError
+from lram import cli, fem, lowrank, numerics, perturbed, socp, spde
+from lram.errors import (
+    ConfigParseError,
+    ConfigRangeError,
+    NoConvergenceError,
+    SingularSampleError,
+    UnknownKeyError,
+)
 
 
 def run(argv):
@@ -224,6 +231,79 @@ def test_failed_run_records_its_field(tmp_path, capsys):
     assert float(record["field.min_coefficient"]) < 0.0
     assert int(record["field.nonpositive_samples"]) > 0
     assert "nonpositive diffusion coefficient" in capsys.readouterr().err
+
+
+def test_sample_failure_while_the_spectrum_runs_exits_2(monkeypatch, tmp_path):
+    # the direct method factors every sample of the --epsilon 5 field; here sample 1's
+    # matrix is made singular, and its LU fails on the calling thread while the worker
+    # thread computes the spectrum
+    sampled_system = fem.sampled_system
+
+    def singular_sample_1(cfg):
+        system = sampled_system(cfg)
+        system.perturbations[1] = -system.base
+        return system
+
+    failed, worker = threading.Event(), []
+    sample_lu, gram_spectrum = perturbed._sample_lu, lowrank.gram_spectrum
+
+    def failing(ensemble, m):
+        try:
+            return sample_lu(ensemble, m)
+        except SingularSampleError:
+            failed.set()
+            raise
+
+    def waiting(*args, **kwargs):
+        worker.append((threading.current_thread() is threading.main_thread(), failed.wait(60)))
+        return gram_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "sampled_system", singular_sample_1)
+    monkeypatch.setattr(perturbed, "_sample_lu", failing)
+    monkeypatch.setattr(lowrank, "gram_spectrum", waiting)
+    out = tmp_path / "singular"
+    assert run(["spde", "--h", "0.25", "--samples", "2", "--epsilon", "5",
+                "--method", "direct", "--out-dir", str(out)]) == 2
+    # the worker, off the main thread, was still running when the sample failed
+    assert worker == [(False, True)]
+    record = manifest_record(out, "error", "timing.")
+    assert record == {"error": "SingularSampleError: perturbed matrix singular for sample 1"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--method", "direct"],
+    ["--method", "cg"],
+    [],
+], ids=["direct", "cg", "smw-reference"])
+def test_spectrum_failure_on_the_worker_exits_as_a_serial_run(monkeypatch, tmp_path, argv):
+    def unconverged(*args, **kwargs):
+        raise NoConvergenceError("Lanczos solver converged for 0 of 9 pairs")
+
+    monkeypatch.setattr(lowrank, "gram_spectrum", unconverged)
+    outs = {}
+    for name, extra in [("serial", ["--no-reference"]), ("overlapped", argv)]:
+        outs[name] = tmp_path / name
+        assert run(["spde", "--h", "0.25", "--samples", "3", *extra,
+                    "--out-dir", str(outs[name])]) == 2
+    serial, overlapped = (manifest_record(out, "error") for out in outs.values())
+    assert overlapped == serial == {
+        "error": "NoConvergenceError: Lanczos solver converged for 0 of 9 pairs"}
+
+
+@pytest.mark.parametrize("argv, concurrent", [
+    ([], "compress,solve,diagnostics"),
+    (["--method", "direct", "--no-reference"], "compress,solve,diagnostics"),
+    (["--method", "cg", "--no-reference"], "compress,solve,diagnostics"),
+    (["--tau-scan", "0.5,1.0"], "compress,solve,diagnostics"),
+    (["--no-reference"], None),
+], ids=["smw-reference", "direct", "cg", "scan", "smw-no-reference"])
+def test_manifest_names_the_phases_that_overlapped(tmp_path, argv, concurrent):
+    # their timings overlap, so timing.compress + timing.solve can exceed the wall time
+    out = tmp_path / "out"
+    assert run(["spde", "--h", "0.25", "--samples", "3", *argv, "--out-dir", str(out)]) == 0
+    record = manifest_record(out, "timing.")
+    assert {"timing.compress", "timing.solve", "timing.diagnostics"} <= set(record)
+    assert record.get("timing.concurrent") == concurrent
 
 
 def test_spde_export_samples_columns(tmp_path):

@@ -12,6 +12,7 @@ from lram.errors import (
     ConfigRangeError,
     DimensionMismatchError,
     EmptyEnsembleError,
+    NoConvergenceError,
 )
 
 import oracles
@@ -247,6 +248,32 @@ def test_band_route_matches_dense_eigenvalues(monkeypatch):
         assert np.max(np.abs(spectrum.values - expected)) <= 1e-13 * expected[0]
         if k_star is not None:
             assert lowrank.numerical_rank(spectrum.energy_curve()) == k_star
+
+
+@pytest.mark.parametrize("members", [
+    lambda: fem_members(h=0.025, num_samples=10)[1],
+    deficient_members,
+], ids=["fem-h0.025", "rank-deficient"])
+def test_band_eigenvalues_are_eig_banded_bitwise(monkeypatch, members):
+    """The GIL-free band eigensolver gives SciPy ``eig_banded``'s values bit for bit."""
+    monkeypatch.setattr(numerics, "BAND_EIG_MAX_FRACTION", 1.0)
+    gram = lowrank.ensemble_gram(members())
+    support = lowrank.gram_support(gram)
+    on_support = gram[np.ix_(support, support)]
+    band = numerics._lower_band(numerics.to_csr((on_support + on_support.T) * 0.5))
+    expected = oracles.band_eigenvalues(band)
+    assert numerics._band_eigenvalues(band.copy(order="F")).tobytes() == expected.tobytes()
+    pairs = numerics.sym_eig_topk(on_support, support.shape[0], vectors=False)
+    assert pairs.route == "band" and pairs.values.tobytes() == expected[::-1].tobytes()
+
+
+def test_band_eigenvalues_refuse_what_does_not_converge():
+    # LAPACK reports a NaN band as unconverged, as SciPy's eig_banded does
+    band = np.full((3, 10), np.nan, order="F")
+    with pytest.raises(np.linalg.LinAlgError):
+        oracles.band_eigenvalues(band.copy(order="F"))
+    with pytest.raises(NoConvergenceError, match="did not converge"):
+        numerics._band_eigenvalues(band)
 
 
 def test_band_route_fraction_decides_for_fem_gram():

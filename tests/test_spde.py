@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -214,6 +215,53 @@ def spectral_calls(monkeypatch):
 def test_one_spectral_pass_per_ensemble(spectral_calls, run, vectors, tmp_path):
     run(tmp_path)
     assert spectral_calls == {"gram": 1, "eig": 1, "vectors": [vectors]}
+
+
+@pytest.mark.parametrize("cfg", [
+    # N = 441, k* = 361: rank 419 solves SMW in the direct form, rank 265 in the basis form
+    small_cfg(h=0.05, samples=3, tau=0.95),
+    small_cfg(h=0.05, samples=3, tau=0.6),
+    small_cfg(method="direct"),
+    small_cfg(method="cg"),
+], ids=["smw-direct", "smw-basis", "direct", "cg"])
+def test_overlapped_run_matches_serial_library_calls(spectral_calls, monkeypatch, cfg):
+    # the same spectrum, solves and diagnostics, made one after the other
+    system = fem.sampled_system(cfg)
+    ensemble = perturbed.PerturbedEnsemble(base=system.base, perturbations=system.perturbations,
+                                           rhs=system.load)
+    if cfg.method == "smw":
+        rank = lowrank.rank_from_ratio(cfg.tau, ensemble.dim)
+        spectrum, (form,) = perturbed.plan_smw(ensemble, [rank])
+    else:
+        spectrum = lowrank.gram_spectrum(system.perturbations, vectors=False)
+    direct = perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
+    run = {"smw": lambda: perturbed.solve_ensemble(ensemble, form),
+           "direct": lambda: direct, "cg": lambda: perturbed.solve_cg(ensemble)}[cfg.method]()
+    cond_base = numerics.condition_estimate(system.base, solve=ensemble.base_factor.solve)
+
+    spectral_calls.update(gram=0, eig=0, vectors=[])
+    splu_threads = []
+    splu = perturbed.spla.splu
+    monkeypatch.setattr(perturbed.spla, "splu", lambda *a, **kw: splu_threads.append(
+        threading.current_thread()) or splu(*a, **kw))
+    built_before_pricing = []
+    plan_smw = perturbed.plan_smw
+    monkeypatch.setattr(perturbed, "plan_smw", lambda ensemble, ranks: built_before_pricing.append(
+        {"base_factor", "sample_lu0"} <= vars(ensemble).keys()) or plan_smw(ensemble, ranks))
+    report = spde.run_spde(cfg, system=system)
+    assert report.concurrent_phases == ("compress", "solve", "diagnostics")
+    # one Gram build, one eigensolve, and M sample LUs plus the base's, every LU on the
+    # calling thread: the worker prices with the sample 0 LU made before it started
+    assert (spectral_calls["gram"], spectral_calls["eig"]) == (1, 1)
+    assert splu_threads == [threading.main_thread()] * (cfg.samples + 1)
+    assert built_before_pricing == ([True] if cfg.method == "smw" else [])
+    assert report.solution.woodbury_form == run.woodbury_form
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(report.solution.samples, run.samples))
+    assert report.qoi.tobytes() == run.qoi.tobytes()
+    assert report.qoi_reference.tobytes() == direct.qoi.tobytes()
+    assert report.err_l2 == float(np.linalg.norm(direct.qoi - run.qoi))
+    assert report.energy_curve == spectrum.energy_curve()
+    assert report.cond_base == cond_base
 
 
 @pytest.mark.parametrize("run, form", [
