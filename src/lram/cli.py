@@ -241,11 +241,15 @@ def _record_woodbury(record: dict, run) -> None:
     record["woodbury.update_rank"] = run.update_rank
 
 
-def _record_spectrum(record: dict, route: str, bandwidth: int | None) -> None:
-    """The route of the Gram eigensolve (``lowrank.GramSpectrum``), and its band's width."""
+def _record_spectrum(record: dict, route: str, bandwidth: int | None,
+                     products: int | None = None) -> None:
+    """The route of the Gram eigensolve (``lowrank.GramSpectrum``), its band's width
+    and its block products with the Gram matrix."""
     record["spectrum.route"] = route
     if bandwidth is not None:
         record["spectrum.bandwidth"] = bandwidth
+    if products is not None:
+        record["spectrum.products"] = products
 
 
 def _record_field(record: dict, min_coefficient) -> list[str]:
@@ -348,7 +352,8 @@ def cmd_socp(out_dir: Path, record: dict, cfg: SocpCommand,
     _, problem = socp.build_control_problem(cfg, system)
     timings["build"] = time.perf_counter() - t0
     _record_woodbury(record, problem)
-    _record_spectrum(record, problem.spectrum_route, problem.spectrum_bandwidth)
+    _record_spectrum(record, problem.spectrum_route, problem.spectrum_bandwidth,
+                     problem.spectrum_products)
     control0 = np.full(problem.dim, cfg.control_init)
 
     methods = list(socp.METHODS) if cfg.compare_methods else [spec.method]
@@ -428,19 +433,21 @@ def cmd_compress(out_dir: Path, record: dict, cfg: CompressCommand) -> tuple[lis
     t0 = time.perf_counter()
     rank = lowrank.rank_from_ratio(cfg.tau, ensemble[0].shape[0])
     spectrum = lowrank.gram_spectrum(ensemble, rank)
-    _record_spectrum(record, spectrum.route, spectrum.bandwidth)
+    _record_spectrum(record, spectrum.route, spectrum.bandwidth, spectrum.products)
     factors = lowrank.compress(ensemble, cfg.tau, spectrum)
     err = lowrank.rmsre(ensemble, spectrum, factors.rank)
     timings["compress"] = time.perf_counter() - t0
 
     lowrank.save_factors(out_dir / "factors.bin", factors)
     outputs.append("factors.bin")
+    nnz = sum(int(p.nnz) for p in ensemble)
     write_csv(out_dir / "factors.csv",
               ["dim", "rank", "samples", "tau", "rmsre", "compression_ratio",
-               "stored_scalars", "ensemble_nnz"],
+               "stored_scalars", "ensemble_nnz", "stored_over_input"],
               [[factors.dim, factors.rank, factors.num_samples, cfg.tau, err,
                 lowrank.compression_ratio(factors.dim, factors.rank, factors.num_samples),
-                factors.stored_scalars, sum(int(p.nnz) for p in ensemble)]])
+                factors.stored_scalars, nnz,
+                factors.stored_scalars / nnz if nnz else float("inf")]])
     outputs.append("factors.csv")
     if cfg.export_mm:
         written = lowrank.factors_to_matrix_market(out_dir / "factors_mm", factors)
@@ -456,7 +463,7 @@ def cmd_diagnose(out_dir: Path, record: dict, cfg: DiagnoseCommand) -> tuple[lis
     ensemble, sampled = _load_ensemble(cfg)
     # the energy curve, k* and the listed eigenvalues need no eigenvectors
     spectrum = lowrank.gram_spectrum(ensemble, vectors=False)
-    _record_spectrum(record, spectrum.route, spectrum.bandwidth)
+    _record_spectrum(record, spectrum.route, spectrum.bandwidth, spectrum.products)
     curve = spectrum.energy_curve()
     k_star, tau_star = spde.critical_tau(curve)
     timings["diagnose"] = time.perf_counter() - t0

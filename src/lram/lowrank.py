@@ -161,14 +161,15 @@ class GramSpectrum:
     """Eigenpairs of one ensemble's Gram matrix ``sum_m A_m A_m^T``, descending.
 
     Complete when it holds all N values (dense eigensolver route), else the
-    leading ones (Lanczos route).  ``trace`` is ``sum_m ||A_m||_F^2``.
+    leading ones (Chebyshev route).  ``trace`` is ``sum_m ||A_m||_F^2``.
     ``vectors`` is None for a values-only spectrum, which serves the energy
     curve and the reconstruction error but no factors.  ``support`` is the
     size |S| of the ensemble's support, the rows where some member is nonzero.
     Off it a complete spectrum holds the value 0 with unit vectors, so at most
     |S| values are nonzero and the numerical rank k* is at most |S|.
-    ``route`` and ``bandwidth`` are the eigensolve's (``numerics.EigenPairs``);
-    an all-zero ensemble needs none, and its route is ``"none"``.
+    ``route``, ``bandwidth`` and ``products`` are the eigensolve's
+    (``numerics.EigenPairs``); an all-zero ensemble needs none, and its
+    route is ``"none"``.
     """
 
     values: np.ndarray   # (p,), non-increasing
@@ -179,6 +180,7 @@ class GramSpectrum:
     support: int
     route: str = "dense"
     bandwidth: int | None = None
+    products: int | None = None
 
     @property
     def complete(self) -> bool:
@@ -228,11 +230,18 @@ def gram_spectrum(ensemble, rank: int | None = None, vectors: bool = True,
 
     ``rank=None`` asks for all pairs.  ``gram`` is the ensemble's
     ``ensemble_gram`` if the caller built it already; otherwise it is built
-    here and not kept.  The Lanczos route runs on the Gram matrix as built
-    (sparse for sparse members).  The dense route computes all pairs anyway,
-    so they are all kept: it decomposes the Gram matrix on its support S
-    (``gram_support``) and pads with the value 0 and unit vectors off S
-    (where S is every row, the pairs are kept as computed).  With
+    here and not kept.  The eigensolve runs on the Gram matrix's support S
+    (``gram_support``), as built (sparse for sparse members).  Where
+    ``numerics.dense_eig`` declines N and ``rank``, only the leading
+    ``rank`` pairs of S are computed and kept, their vectors padded with
+    zero rows off S; ``numerics.sym_eig_topk`` picks the route for the |S|
+    rows (Chebyshev where ``dense_eig`` declines |S| too), and where
+    ``rank`` exceeds |S| all pairs are computed instead.  Otherwise the
+    dense route computes all pairs anyway, so they are all kept, padded with
+    the value 0 and unit vectors off S (where S is every row, the pairs are
+    kept as computed).  An all-zero ensemble has an empty S and needs no
+    eigensolve: its spectrum is the value 0 with unit vectors, ``rank``
+    pairs of them where only the leading pairs were asked for, else N.  With
     ``vectors=False`` only the eigenvalues are computed, and a sparse Gram
     matrix is never densified where its support is a narrow band
     (``numerics.sym_eig_topk``): on a FEM support of 1521 rows, bandwidth
@@ -251,14 +260,22 @@ def gram_spectrum(ensemble, rank: int | None = None, vectors: bool = True,
         return GramSpectrum(values=values, vectors=basis, trace=trace,
                             num_samples=len(ensemble), dim=n, support=s,
                             route="none" if pairs is None else pairs.route,
-                            bandwidth=None if pairs is None else pairs.bandwidth)
+                            bandwidth=None if pairs is None else pairs.bandwidth,
+                            products=None if pairs is None else pairs.products)
 
-    if rank is not None and not numerics.dense_eig(n, rank):
-        pairs = numerics.sym_eig_topk(gram, rank, vectors=vectors)
-        return spectrum(pairs.values, pairs.vectors, pairs)
     if not s:
-        return spectrum(np.zeros(n), np.eye(n) if vectors else None, None)
-    pairs = numerics.sym_eig_topk(gram[np.ix_(support, support)], s, vectors=vectors)
+        # nothing to decompose: the value 0 with unit vectors, as many pairs as the route holds
+        pairs = n if rank is None or numerics.dense_eig(n, rank) else rank
+        return spectrum(np.zeros(pairs), np.eye(n, pairs) if vectors else None, None)
+    sub = gram[np.ix_(support, support)]
+    if rank is not None and rank <= s and not numerics.dense_eig(n, rank):
+        pairs = numerics.sym_eig_topk(sub, rank, vectors=vectors)
+        basis = pairs.vectors
+        if vectors and s < n:
+            basis = np.zeros((n, rank))
+            basis[support] = pairs.vectors
+        return spectrum(pairs.values, basis, pairs)
+    pairs = numerics.sym_eig_topk(sub, s, vectors=vectors)
     if s == n:
         return spectrum(pairs.values, pairs.vectors, pairs)
     values = np.concatenate([pairs.values, np.zeros(n - s)])
@@ -391,15 +408,17 @@ def save_factors(path, factors: LowRankFactors) -> None:
     Layout: magic ``LRFB``, little-endian uint32 version, three little-endian
     uint64 fields (dim N, rank k, samples M), then the basis (N*k doubles,
     row-major) followed by each coefficient matrix (k*N doubles, row-major);
-    all floats are little-endian 64-bit.
+    all floats are little-endian 64-bit.  Each matrix is written from the
+    buffer of its row-major copy (none where it is row-major already), not
+    from a second copy as bytes.
     """
     with open(path, "wb") as fh:
         fh.write(_FACTORS_MAGIC)
         fh.write(struct.pack("<I", _FACTORS_VERSION))
         fh.write(struct.pack("<QQQ", factors.dim, factors.rank, factors.num_samples))
-        fh.write(np.ascontiguousarray(factors.basis, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(factors.basis, dtype="<f8").data)
         for c in factors.coeffs:
-            fh.write(np.ascontiguousarray(c, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(c, dtype="<f8").data)
 
 
 def load_factors(path) -> LowRankFactors:

@@ -1,13 +1,15 @@
 """Dense and sparse matrix substrate used by every other module.
 
 Dense matrices are plain ``numpy.ndarray``; sparse matrices are SciPy CSR/CSC
-arrays.  The module provides the symmetric top-k eigensolver, a reusable SPD
-factorization handle, norm and condition estimates, and MatrixMarket
-import/export.  All tolerances are module constants and can be
-overridden per call.  Matrices are treated as immutable after construction;
-factorization handles are read-only and safe to share across threads.  The
-band eigensolver releases the GIL while it runs (``_band_eigenvalues``), so
-another thread's work proceeds beside it.
+arrays.  The module provides the symmetric top-k eigensolver (dense LAPACK,
+LAPACK's band solver for eigenvalues alone, or, for a few pairs of a large
+matrix, a Chebyshev-filtered block subspace iteration whose work is block
+products with the matrix), a reusable SPD factorization handle, norm and
+condition estimates, and MatrixMarket import/export.  All tolerances are
+module constants and can be overridden per call.  Matrices are treated as
+immutable after construction; factorization handles are read-only and safe
+to share across threads.  The band eigensolver releases the GIL while it
+runs (``_band_eigenvalues``), so another thread's work proceeds beside it.
 """
 
 from __future__ import annotations
@@ -47,6 +49,14 @@ DENSE_EIG_MAX_DIM = 2000
 #: 0.25 s at n = 1500.  The band route also releases the GIL
 #: (``_band_eigenvalues``), where the dense one holds it.
 BAND_EIG_MAX_FRACTION = 0.1
+#: Chebyshev-filtered subspace iteration (``_chebyshev_topk``): the degree of the
+#: filter applied in each outer step, the fewest guard columns the block holds
+#: beyond the k wanted (it holds ``max(k // 2, CHEB_MIN_GUARD)``), the residual
+#: tolerance relative to the largest Gershgorin bound, and the most outer steps.
+CHEB_DEGREE = 20
+CHEB_MIN_GUARD = 20
+CHEB_TOL = 1e-10
+CHEB_MAX_STEPS = 100
 
 _TINY = 1e-300
 
@@ -124,14 +134,16 @@ class EigenPairs:
     """Top-k eigenvalues in descending order with paired orthonormal vectors.
 
     ``route`` is how they were computed: ``"dense"``, ``"band"`` or
-    ``"lanczos"`` (``sym_eig_topk``); ``bandwidth`` is the band's, on the
-    band route only.
+    ``"chebyshev"`` (``sym_eig_topk``); ``bandwidth`` is the band's, on the
+    band route only, and ``products`` the number of block products with the
+    matrix, on the Chebyshev route only.
     """
 
     values: np.ndarray   # (k,), non-increasing
     vectors: np.ndarray | None  # (n, k), column j pairs with values[j]; None if not asked
     route: str = "dense"
     bandwidth: int | None = None
+    products: int | None = None
 
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
@@ -153,12 +165,14 @@ def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
 def dense_eig(n: int, k: int) -> bool:
     """Whether ``sym_eig_topk`` takes the dense route for ``k`` of ``n`` pairs.
 
-    Dense cost does not grow with ``k``; Lanczos cost grows with ``k`` and, on
-    a sparse matrix, with its entries rather than n^2.  Measured on a FEM
-    Gram matrix at n = 2601 (11.6 entries per row, support 2401; one BLAS
-    thread, 2-core VM): dense on the support 3.9-4.0 s, Lanczos on the sparse
-    matrix 1.1 s at k/n = 0.05, 2.8 s at 0.1, 4.8 s at 0.125, 6.3 s at 0.15
-    and 14.3 s at 0.3.
+    Dense cost does not grow with ``k``; the Chebyshev iteration's grows with
+    ``k`` and, on a sparse matrix, with its entries rather than n^2.
+    Measured on a FEM Gram matrix at n = 2601 (11.6 entries per row, support
+    2401, both routes on the support; one BLAS thread, 2-core VM): dense
+    3.1-3.3 s, Chebyshev 0.5-0.7 s at k/n = 0.05, 1.2 s at 0.1, 1.1-1.7 s at
+    0.125, 1.8 s at 0.15, 2.8 s at 0.2 and 5.7-5.8 s at 0.3.  The crossover
+    now lies near k/n = 0.2; the rule still splits at 0.1, where ARPACK's
+    Lanczos, the iteration before this one, took 2.8 s against dense 3.9-4.0 s.
     """
     return n <= DENSE_EIG_MAX_DIM or 10 * k > n
 
@@ -241,15 +255,116 @@ def _band_eigenvalues(band: np.ndarray) -> np.ndarray:
     return values
 
 
+def _gershgorin(a) -> tuple[float, float]:
+    """Lower and upper Gershgorin bounds of the spectrum of symmetric ``a``.
+
+    Every eigenvalue lies in some disc ``|lambda - a_ii| <= sum_{j != i}
+    |a_ij|``, so none lies outside the returned interval.
+    """
+    diagonal = a.diagonal()
+    row_sums = (np.asarray(abs(a).sum(axis=1)).ravel() if sp.issparse(a)
+                else np.abs(a).sum(axis=1))
+    radius = row_sums - np.abs(diagonal)
+    return float(np.min(diagonal - radius)), float(np.max(diagonal + radius))
+
+
+def _shifted(a, shift: float, scale: float):
+    """``(a - shift I) * scale`` as a new matrix, CSR if ``a`` is sparse."""
+    n = a.shape[0]
+    if sp.issparse(a):
+        out = a - shift * sp.eye_array(n, format="csr")
+        out.data *= scale
+        return out
+    out = a * scale
+    out.flat[::n + 1] -= shift * scale
+    return out
+
+
+def _orthonormal(block: np.ndarray) -> np.ndarray:
+    """An orthonormal basis of ``block``'s columns by Householder QR, C-contiguous.
+
+    Householder QR (LAPACK ``geqrf``) stays orthonormal to round-off when the
+    block has lower rank than columns; a Cholesky QR breaks down there.
+    """
+    q = sla.qr(block, mode="economic", overwrite_a=True, check_finite=False)[0]
+    return np.ascontiguousarray(q)
+
+
+def _chebyshev_topk(a, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The ``k`` largest eigenpairs of symmetric ``a`` by Chebyshev-filtered subspace iteration.
+
+    After Zhou, Saad, Tiago & Chelikowsky (J. Comput. Phys. 219(1), 2006).
+    The block holds b = min(n, k + max(k // 2, ``CHEB_MIN_GUARD``)) columns,
+    drawn from ``default_rng(0)`` and orthonormalized (``_orthonormal``), so
+    the output is deterministic.  Each outer step projects ``a`` on the block
+    (Rayleigh-Ritz, LAPACK ``eigh`` on the b x b matrix) and stops once each
+    of the k largest Ritz pairs has residual ``||a u - theta u||`` at most
+    ``CHEB_TOL`` times the largest Gershgorin bound in magnitude.  Otherwise
+    it applies the degree-``CHEB_DEGREE`` Chebyshev polynomial that stays
+    within [-1, 1] on [lb, cut] and grows above it, and orthonormalizes the
+    result.  lb is the Gershgorin lower bound, below which no eigenvalue lies
+    (one there would be amplified with the wanted ones); cut is the block's
+    smallest Ritz value.  ``a`` is shifted and scaled once per outer step,
+    so each degree costs one block product and updates in place, and the
+    polynomial is scaled to 1 at the Gershgorin upper bound, so the block
+    does not grow.  Each temporary block goes as soon as it is read.
+    Returns the values (descending), their vectors (n x k, unsigned) and
+    the number of block products with ``a``.  Raises ``NoConvergenceError``
+    after ``CHEB_MAX_STEPS`` outer steps.
+    """
+    n = a.shape[0]
+    b = min(n, k + max(k // 2, CHEB_MIN_GUARD))
+    lower, upper = _gershgorin(a)
+    scale = max(abs(lower), abs(upper))
+    q = _orthonormal(np.random.default_rng(0).standard_normal((n, b)))
+    products = 0
+    for _ in range(CHEB_MAX_STEPS):
+        aq = a @ q
+        products += 1
+        theta, w = sla.eigh(q.T @ aq, overwrite_a=True, check_finite=False, driver="evd")
+        wanted = w[:, b - k:]
+        vectors, residual = q @ wanted, aq @ wanted
+        del aq
+        residual -= vectors * theta[b - k:]
+        converged = int(np.count_nonzero(np.linalg.norm(residual, axis=0)
+                                         <= CHEB_TOL * scale))
+        if converged == k:
+            return theta[::-1][:k].copy(), vectors[:, ::-1], products
+        del vectors, residual
+        # the Ritz values lie within [lower, upper]; rounding can put the cut below lower
+        half = max(0.5 * (theta[0] - lower), np.finfo(float).eps * scale)
+        centre = 0.5 * (theta[0] + lower)
+        shifted = _shifted(a, centre, 1.0 / half)
+        sigma = half / (upper - centre)
+        ratio = 2.0 / sigma
+        previous, current = q, shifted @ q
+        current *= sigma
+        for _ in range(CHEB_DEGREE - 1):
+            sigma_next = 1.0 / (ratio - sigma)
+            following = shifted @ current
+            following *= 2.0 * sigma_next
+            previous *= sigma * sigma_next
+            following -= previous
+            previous, current, sigma = current, following, sigma_next
+        products += CHEB_DEGREE
+        del previous, q, shifted
+        q = _orthonormal(current)
+        del current
+    raise NoConvergenceError(f"Chebyshev subspace iteration converged for {converged} of "
+                             f"{k} pairs in {CHEB_MAX_STEPS} steps")
+
+
 def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True) -> EigenPairs:
     """Return the ``k`` largest eigenvalues and eigenvectors of a symmetric matrix.
 
     Uses a dense LAPACK decomposition where ``dense_eig`` says so and a
-    Lanczos solver otherwise, which applies ``s`` as given and never
-    densifies a sparse one.  With ``vectors=False`` only the eigenvalues
-    are computed (LAPACK takes a different route, so they can differ from the
-    paired ones in the last bits) and ``EigenPairs.vectors`` is None; on the
-    dense route a sparse ``s`` whose reverse Cuthill-McKee bandwidth is at
+    Chebyshev-filtered subspace iteration (``_chebyshev_topk``) otherwise,
+    which applies ``s`` as given and never densifies a sparse one.  With
+    ``vectors=False`` only the eigenvalues are computed and
+    ``EigenPairs.vectors`` is None.  On the Chebyshev route they are the
+    paired ones, from the same computation; on the dense route LAPACK takes a
+    different route, so they can differ from the paired ones in the last
+    bits, and a sparse ``s`` whose reverse Cuthill-McKee bandwidth is at
     most ``BAND_EIG_MAX_FRACTION`` of n is then decomposed as a band, never
     densified: on a FEM Gram support of 1521 rows that holds 0.9 MB where the
     dense matrix holds 18.5 MB, and the solver releases the GIL
@@ -257,7 +372,7 @@ def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True) -> EigenPairs:
     ``0.5 * (S + S^T)``, a sparse ``s`` before it densifies once, and LAPACK
     overwrites that one copy.  Raises ``NonSymmetricError`` if the asymmetry
     exceeds ``sym_tol * ||S||_F``, ``ValueError`` if an entry is not finite
-    and ``NoConvergenceError`` if the iterative solver stalls.
+    and ``NoConvergenceError`` if the iteration does not converge.
     """
     n = _require_square(s)
     if not 1 <= k <= n:
@@ -268,44 +383,30 @@ def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True) -> EigenPairs:
     if _asymmetry(s) > sym_tol * max(fro, _TINY):
         raise NonSymmetricError(f"asymmetry exceeds {sym_tol:g} * ||S||_F")
 
-    if dense_eig(n, k):
-        if sp.issparse(s):
-            sym = to_csr((s + s.T) * 0.5)
-            band = None if vectors else _lower_band(sym)
-            if band is not None:
-                w = _band_eigenvalues(band)
-                return EigenPairs(values=w[::-1][:k].copy(), vectors=None, route="band",
-                                  bandwidth=band.shape[0] - 1)
-            sd = sym.toarray(order="F")
-            del sym
-        else:
-            sd = np.asarray(s, dtype=float)
-            sd = 0.5 * (sd + sd.T)
-        if not vectors:
-            w = sla.eigh(sd, eigvals_only=True, overwrite_a=True, check_finite=False)
-            return EigenPairs(values=w[::-1][:k].copy(), vectors=None)
-        w, v = sla.eigh(sd, overwrite_a=True, check_finite=False)
-        del sd
-        w = w[::-1][:k].copy()
-        v = v[:, ::-1][:, :k]
-        route = "dense"
+    if not dense_eig(n, k):
+        a = to_csr(s) if sp.issparse(s) else np.asarray(s, dtype=float)
+        w, v, products = _chebyshev_topk(a, k)
+        return EigenPairs(values=w, route="chebyshev", products=products,
+                          vectors=_fix_column_signs(np.ascontiguousarray(v)) if vectors else None)
+    if sp.issparse(s):
+        sym = to_csr((s + s.T) * 0.5)
+        band = None if vectors else _lower_band(sym)
+        if band is not None:
+            w = _band_eigenvalues(band)
+            return EigenPairs(values=w[::-1][:k].copy(), vectors=None, route="band",
+                              bandwidth=band.shape[0] - 1)
+        sd = sym.toarray(order="F")
+        del sym
     else:
-        try:
-            out = spla.eigsh(s, k=k, which="LA", return_eigenvectors=vectors)
-        except spla.ArpackNoConvergence as exc:
-            got = len(exc.eigenvalues)
-            raise NoConvergenceError(
-                f"Lanczos solver converged for {got} of {k} pairs"
-            ) from exc
-        if not vectors:
-            return EigenPairs(values=np.sort(out)[::-1].copy(), vectors=None, route="lanczos")
-        w, v = out
-        order = np.argsort(w)[::-1]
-        w = w[order]
-        v = v[:, order]
-        route = "lanczos"
-    return EigenPairs(values=np.asarray(w, dtype=float),
-                      vectors=_fix_column_signs(np.ascontiguousarray(v)), route=route)
+        sd = np.asarray(s, dtype=float)
+        sd = 0.5 * (sd + sd.T)
+    if not vectors:
+        w = sla.eigh(sd, eigvals_only=True, overwrite_a=True, check_finite=False)
+        return EigenPairs(values=w[::-1][:k].copy(), vectors=None)
+    w, v = sla.eigh(sd, overwrite_a=True, check_finite=False)
+    del sd
+    return EigenPairs(values=w[::-1][:k].copy(),
+                      vectors=_fix_column_signs(np.ascontiguousarray(v[:, ::-1][:, :k])))
 
 
 class SpdFactorization:

@@ -86,9 +86,11 @@ class ReducedControlProblem:
     # Woodbury form of the sample solvers, as in ``perturbed.EnsembleSolution``
     woodbury_form: str | None = None
     update_rank: int | None = None
-    # route and band of the Gram eigensolve the form came from, as in ``lowrank.GramSpectrum``
+    # route, band and block products of the Gram eigensolve the form came from, as in
+    # ``lowrank.GramSpectrum``
     spectrum_route: str | None = None
     spectrum_bandwidth: int | None = None
+    spectrum_products: int | None = None
     # samples evaluated so far, each by one forward and at most one adjoint solve
     _sample_evals: int = field(default=0, repr=False)
 
@@ -598,7 +600,7 @@ def build_control_problem(cfg: SocpRunConfig, system: fem.AssembledSystem | None
 
     ``system`` is ``fem.sampled_system(cfg)`` if the caller built it already.
     On the dense eigensolver route (``numerics.dense_eig``) the form is
-    ``perturbed.plan_smw``'s.  On the Lanczos route the spectrum holds the
+    ``perturbed.plan_smw``'s.  On the Chebyshev route the spectrum holds the
     leading pairs only and no k*, so the form is the basis form at rank k.
     Nothing is compressed.
     """
@@ -614,7 +616,8 @@ def build_control_problem(cfg: SocpRunConfig, system: fem.AssembledSystem | None
     target = desired_state_function(cfg.desired, cfg.desired_amplitude)
     problem = build_reduced_problem(system, ensemble, form, target, cfg.beta,
                                     desired_mode=cfg.desired_mode)
-    problem.spectrum_route, problem.spectrum_bandwidth = spectrum.route, spectrum.bandwidth
+    problem.spectrum_route, problem.spectrum_bandwidth, problem.spectrum_products = (
+        spectrum.route, spectrum.bandwidth, spectrum.products)
     return system, problem
 
 

@@ -199,15 +199,53 @@ def test_manifest_records_spectrum_route_and_peak_rss(tmp_path, monkeypatch):
     assert run(["compress", "--h", "0.1", "--samples", "3", "--tau", "0.05",
                 "--out-dir", str(outs["compress"])]) == 0
     routes = {name: manifest_record(out, "spectrum.") for name, out in outs.items()}
+    # the block products of the Chebyshev route (test_chebyshev_route_records_its_products)
+    assert int(routes["compress"].pop("spectrum.products")) > 0
     assert routes == {
         "spde": {"spectrum.route": "dense"},
         "socp": {"spectrum.route": "dense"},
         # h = 0.025: |S| = 1521 with bandwidth 78, under a tenth
         "diagnose": {"spectrum.route": "band", "spectrum.bandwidth": "78"},
-        "compress": {"spectrum.route": "lanczos"},
+        "compress": {"spectrum.route": "chebyshev"},
     }
     for out in outs.values():
         assert float(manifest_record(out, "peak_rss_mb")["peak_rss_mb"]) > 1.0
+
+
+def test_chebyshev_route_records_its_products(tmp_path, monkeypatch):
+    # the Chebyshev route counts its block products with the Gram matrix: the same in
+    # two runs, which write the same factor file; socp reaches that route too
+    monkeypatch.setattr(numerics, "DENSE_EIG_MAX_DIM", 10)
+    records = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        assert run(["compress", "--h", "0.1", "--samples", "3", "--tau", "0.05",
+                    "--out-dir", str(out)]) == 0
+        records.append(manifest_record(out, "spectrum.", "sha256.factors.bin"))
+    assert records[0] == records[1]
+    assert records[0]["spectrum.route"] == "chebyshev"
+    assert int(records[0]["spectrum.products"]) > 0
+    out = tmp_path / "socp"
+    assert run(["socp", "--h", "0.1", "--samples", "3", "--tau", "0.05",
+                "--out-dir", str(out)]) == 0
+    record = manifest_record(out, "spectrum.")
+    assert record["spectrum.route"] == "chebyshev" and int(record["spectrum.products"]) > 0
+
+
+def test_all_zero_ensemble_on_the_iterative_route(tmp_path, monkeypatch):
+    # an empty support needs no eigensolve on the route that would run an iteration too
+    for m in range(3):
+        numerics.save_matrix_market(tmp_path / f"zero_{m}.mtx", sp.csr_array((60, 60)))
+    monkeypatch.setattr(numerics, "DENSE_EIG_MAX_DIM", 10)
+    assert not numerics.dense_eig(60, lowrank.rank_from_ratio(0.05, 60))
+    out = tmp_path / "out"
+    assert run(["compress", "--input", str(tmp_path / "zero_*.mtx"), "--tau", "0.05",
+                "--out-dir", str(out)]) == 0
+    assert manifest_record(out, "spectrum.") == {"spectrum.route": "none"}
+    header, row = ((out / "factors.csv").read_text().splitlines()[i].split(",") for i in (0, 1))
+    assert float(row[header.index("rmsre")]) == 0.0
+    factors = lowrank.load_factors(out / "factors.bin")
+    assert factors.basis.tobytes() == np.eye(60, 3).tobytes()
 
 
 def test_spde_numerical_failure_exit_2(tmp_path, capsys):
@@ -277,7 +315,7 @@ def test_sample_failure_while_the_spectrum_runs_exits_2(monkeypatch, tmp_path):
 ], ids=["direct", "cg", "smw-reference"])
 def test_spectrum_failure_on_the_worker_exits_as_a_serial_run(monkeypatch, tmp_path, argv):
     def unconverged(*args, **kwargs):
-        raise NoConvergenceError("Lanczos solver converged for 0 of 9 pairs")
+        raise NoConvergenceError("Chebyshev subspace iteration converged for 0 of 9 pairs")
 
     monkeypatch.setattr(lowrank, "gram_spectrum", unconverged)
     outs = {}
@@ -287,7 +325,7 @@ def test_spectrum_failure_on_the_worker_exits_as_a_serial_run(monkeypatch, tmp_p
                     "--out-dir", str(outs[name])]) == 2
     serial, overlapped = (manifest_record(out, "error") for out in outs.values())
     assert overlapped == serial == {
-        "error": "NoConvergenceError: Lanczos solver converged for 0 of 9 pairs"}
+        "error": "NoConvergenceError: Chebyshev subspace iteration converged for 0 of 9 pairs"}
 
 
 @pytest.mark.parametrize("argv, concurrent", [
@@ -677,6 +715,19 @@ def test_compress_reports_ensemble_nonzeros(tmp_path):
     (cfg,) = cli.parse_config("compress", overrides={"h": "0.1"})
     system = fem.sampled_system(cfg)
     assert int(row[header.index("ensemble_nnz")]) == sum(p.nnz for p in system.perturbations)
+
+
+def test_compress_reports_stored_scalars_over_input_nonzeros(tmp_path):
+    out = tmp_path / "fem"
+    assert run(["compress", "--h", "0.1", "--samples", "5", "--tau", "0.3",
+                "--out-dir", str(out)]) == 0
+    header, row = ((out / "factors.csv").read_text().splitlines()[i].split(",") for i in (0, 1))
+    system = fem.sampled_system(fem.Sampling(h=0.1, samples=5))
+    # counted from the members: N k for the basis and k N per member, over the nonzero
+    # entries the members store
+    n, k, m = 121, 37, 5
+    nonzeros = sum(int(np.count_nonzero(p.toarray())) for p in system.perturbations)
+    assert float(row[header.index("stored_over_input")]) == (n * k + m * k * n) / nonzeros
 
 
 def test_compress_from_matrix_market(tmp_path):

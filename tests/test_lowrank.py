@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -163,7 +165,7 @@ def fem_members(h=0.1, num_samples=5, seed=3):
 
 
 def test_sparse_gram_and_lanczos_build_no_dense_square(monkeypatch):
-    """A sparse ensemble's Gram build and Lanczos eigensolve allocate no N-by-N array."""
+    """A sparse ensemble's Gram build and iterative eigensolve allocate no N-by-N array."""
     _, members = fem_members(h=0.025, num_samples=10)
     n = members[0].shape[0]
     densified = []
@@ -186,7 +188,7 @@ def test_sparse_gram_and_lanczos_build_no_dense_square(monkeypatch):
     assert not spectrum.complete and spectrum.vectors.shape == (n, k)
     assert densified == []
     # one N-by-N array of doubles is 8 N^2 bytes; the whole build and solve stay below
-    # a quarter of that (about an eighth measured: Lanczos vectors, sparse temporaries)
+    # a quarter of that (about a sixth measured: the Chebyshev block, sparse temporaries)
     assert peak < 0.25 * 8 * n * n
     dense = gram.toarray()
     assert np.allclose(spectrum.values, np.linalg.eigvalsh(dense)[::-1][:k],
@@ -223,6 +225,35 @@ def test_dense_route_decomposes_the_support_only(monkeypatch):
     values_only = lowrank.gram_spectrum(members, vectors=False)
     assert values_only.vectors is None
     assert np.allclose(values_only.values, spectrum.values, rtol=0.0, atol=1e-13 * scale)
+
+
+def test_chebyshev_route_decomposes_the_support_and_pads_zero_rows(monkeypatch):
+    mesh, members = fem_members()
+    n = mesh.num_nodes
+    shapes = []
+
+    def recorded(s, k, **kwargs):
+        shapes.append((s.shape, k))
+        return sym_eig_topk(s, k, **kwargs)
+
+    sym_eig_topk = numerics.sym_eig_topk
+    monkeypatch.setattr(numerics, "sym_eig_topk", recorded)
+    monkeypatch.setattr(numerics, "DENSE_EIG_MAX_DIM", 10)
+    s = n - mesh.boundary_nodes.shape[0]
+    spectrum = lowrank.gram_spectrum(members, 7)
+    assert shapes == [((s, s), 7)]
+    assert (spectrum.route, spectrum.complete) == ("chebyshev", False)
+    v = spectrum.vectors
+    assert v.shape == (n, 7) and np.all(v[mesh.boundary_nodes] == 0.0)
+    gram = lowrank.ensemble_gram(members).toarray()
+    scale = np.linalg.eigvalsh(gram)[-1]
+    assert np.allclose(spectrum.values, np.linalg.eigvalsh(gram)[::-1][:7], rtol=0.0,
+                       atol=1e-12 * scale)
+    assert np.max(np.abs(v.T @ v - np.eye(7))) <= 1e-12
+    # more pairs than the support holds: all of them, on the dense route
+    deficient = deficient_members()
+    wide = lowrank.gram_spectrum(deficient, 30)
+    assert (wide.route, wide.complete, wide.support) == ("dense", True, 23)
 
 
 def deficient_members():
@@ -568,10 +599,27 @@ def test_factors_binary_roundtrip(tmp_path):
     # header spells out dims: magic, version, then N, k, M as little-endian u64
     raw = path.read_bytes()
     assert raw[:4] == b"LRFB"
-    import struct
-
     n, k, m = struct.unpack("<QQQ", raw[8:32])
     assert (n, k, m) == (6, 2, 3)
+
+
+def test_factor_file_bytes_are_the_documented_layout(tmp_path):
+    # each matrix is written from its buffer; the file is still the header followed by
+    # each matrix's row-major little-endian bytes
+    rng = np.random.default_rng(14)
+    ensemble = [sp.csr_array(rng.standard_normal((7, 7)) * (rng.random((7, 7)) < 0.4))
+                for _ in range(3)]
+    factors = lowrank.compress(ensemble, 3 / 7)
+    path = tmp_path / "factors.bin"
+    lowrank.save_factors(path, factors)
+    expected = b"LRFB" + struct.pack("<IQQQ", 1, 7, 3, 3) + b"".join(
+        np.asarray(m, dtype="<f8").tobytes()
+        for m in [factors.basis, *(np.asarray((p.T @ factors.basis).T) for p in ensemble)])
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == hashlib.sha256(expected).hexdigest()
+    back = lowrank.load_factors(path)
+    assert back.basis.tobytes() == factors.basis.tobytes()
+    assert [c.tobytes() for c in back.coeffs] == [np.asarray(c).tobytes()
+                                                   for c in factors.coeffs]
 
 
 @pytest.mark.parametrize("edit", ["truncate", "append"])

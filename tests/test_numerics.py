@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from lram import numerics
 from lram.errors import (
     DimensionMismatchError,
+    NoConvergenceError,
     NonSymmetricError,
     NotPositiveDefiniteError,
 )
@@ -86,25 +87,25 @@ def test_sym_eig_rejects_nonsymmetric():
 
 
 def test_sym_eig_route_follows_pair_fraction(monkeypatch):
-    """Above DENSE_EIG_MAX_DIM, many pairs go dense and few reach Lanczos."""
-    class LanczosReached(Exception):
+    """Above DENSE_EIG_MAX_DIM, many pairs go dense and few reach the Chebyshev iteration."""
+    class ChebyshevReached(Exception):
         pass
 
     def refuse(*args, **kwargs):
-        raise LanczosReached
+        raise ChebyshevReached
 
     monkeypatch.setattr(numerics, "DENSE_EIG_MAX_DIM", 4)
-    monkeypatch.setattr(numerics.spla, "eigsh", refuse)
+    monkeypatch.setattr(numerics, "_chebyshev_topk", refuse)
     rng = np.random.default_rng(5)
     m = rng.standard_normal((20, 20))
     s = m + m.T
     pairs = numerics.sym_eig_topk(s, 18)  # k = 0.9 n
     assert np.allclose(pairs.values, np.linalg.eigvalsh(s)[::-1][:18], atol=1e-10)
-    with pytest.raises(LanczosReached):
+    with pytest.raises(ChebyshevReached):
         numerics.sym_eig_topk(s, 2)  # k = 0.1 n
 
 
-@pytest.mark.parametrize("max_dense, k", [(100, 20), (4, 3)], ids=["dense", "lanczos"])
+@pytest.mark.parametrize("max_dense, k", [(100, 20), (4, 3)], ids=["dense", "chebyshev"])
 def test_sym_eig_values_only(monkeypatch, max_dense, k):
     monkeypatch.setattr(numerics, "DENSE_EIG_MAX_DIM", max_dense)
     rng = np.random.default_rng(6)
@@ -172,6 +173,87 @@ def test_fix_column_signs_matches_column_loop_oracle():
 def test_sym_eig_rejects_bad_k(k):
     with pytest.raises(DimensionMismatchError):
         numerics.sym_eig_topk(np.eye(3), k)
+
+
+# ---------------------------------------------------------------------------
+# the Chebyshev route: filtered block subspace iteration
+# ---------------------------------------------------------------------------
+
+
+def chebyshev_pairs(monkeypatch, s, k, vectors=True):
+    """``sym_eig_topk`` forced onto the Chebyshev route."""
+    monkeypatch.setattr(numerics, "DENSE_EIG_MAX_DIM", 10)
+    pairs = numerics.sym_eig_topk(s, k, vectors=vectors)
+    assert pairs.route == "chebyshev" and pairs.products > 0
+    return pairs
+
+
+def assert_top_pairs(pairs, dense, k):
+    """Values within 1e-12 |lambda|_max of dense ``eigvalsh``'s; orthonormal vectors."""
+    expected = np.linalg.eigvalsh(dense)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(pairs.values - expected[::-1][:k])) <= 1e-12 * scale
+    assert np.max(np.abs(pairs.vectors.T @ pairs.vectors - np.eye(k))) <= 1e-12
+
+
+def test_chebyshev_indefinite_sparse(monkeypatch):
+    rng = np.random.default_rng(31)
+    m = sp.random_array((300, 300), density=0.02, rng=rng, format="csr")
+    s = (m + m.T + sp.diags_array(rng.uniform(-2.0, 2.0, 300))).tocsr()
+    pairs = chebyshev_pairs(monkeypatch, s, 12)
+    assert_top_pairs(pairs, s.toarray(), 12)
+    residual = s @ pairs.vectors - pairs.vectors * pairs.values
+    assert np.max(np.linalg.norm(residual, axis=0)) <= 1e-9 * np.max(np.abs(pairs.values))
+    # the values alone come from the same computation: bitwise the paired ones
+    values = chebyshev_pairs(monkeypatch, s, 12, vectors=False)
+    assert values.vectors is None
+    assert values.values.tobytes() == pairs.values.tobytes()
+    assert values.products == pairs.products
+
+
+def test_chebyshev_gram_of_rank_below_the_block(monkeypatch):
+    # rank 15 < block 12 + 20 columns: the filtered block is numerically rank deficient
+    rng = np.random.default_rng(32)
+    b = sp.random_array((250, 15), density=0.2, rng=rng, format="csr")
+    s = (b @ b.T).tocsr()
+    assert np.linalg.matrix_rank(s.toarray()) == 15
+    pairs = chebyshev_pairs(monkeypatch, s, 12)
+    assert_top_pairs(pairs, s.toarray(), 12)
+
+
+def test_chebyshev_repeated_value_across_k_reaches_the_optimum(monkeypatch):
+    # the value 5 fills places 8 to 12, so the 10 leading vectors are not unique: any
+    # orthonormal basis of the first 7 directions plus 3 of the repeated ones is optimal
+    rng = np.random.default_rng(33)
+    n, k = 160, 10
+    values = np.concatenate([np.linspace(12.0, 6.0, 7), np.full(5, 5.0),
+                             np.linspace(4.0, 0.0, n - 12)])
+    q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    s = (q * values) @ q.T
+    s = 0.5 * (s + s.T)
+    pairs = chebyshev_pairs(monkeypatch, s, k)
+    assert_top_pairs(pairs, s, k)
+    u = pairs.vectors
+    optimum = float(np.sum(np.sort(values)[::-1][k:] ** 2))
+    assert abs(np.linalg.norm(s - u @ (u.T @ s)) ** 2 - optimum) <= 1e-12 * optimum
+
+
+def test_chebyshev_calls_are_bitwise_equal(monkeypatch):
+    rng = np.random.default_rng(34)
+    m = sp.random_array((200, 200), density=0.03, rng=rng, format="csr")
+    s = (m + m.T).tocsr()
+    first, second = (chebyshev_pairs(monkeypatch, s, 8) for _ in range(2))
+    assert first.values.tobytes() == second.values.tobytes()
+    assert first.vectors.tobytes() == second.vectors.tobytes()
+    assert first.products == second.products
+
+
+def test_chebyshev_refuses_after_its_outer_cap(monkeypatch):
+    rng = np.random.default_rng(35)
+    m = sp.random_array((200, 200), density=0.03, rng=rng, format="csr")
+    monkeypatch.setattr(numerics, "CHEB_MAX_STEPS", 1)
+    with pytest.raises(NoConvergenceError, match=r"converged for \d+ of 8 pairs"):
+        chebyshev_pairs(monkeypatch, (m + m.T).tocsr(), 8)
 
 
 # ---------------------------------------------------------------------------

@@ -271,11 +271,11 @@ def test_overlapped_run_matches_serial_library_calls(spectral_calls, monkeypatch
     (lambda: spde.run_spde(small_cfg(method="cg")), "none"),
     (lambda: socp.build_control_problem(socp.SocpRunConfig(h=0.25, samples=4, tau=1.0))[1],
      "basis"),
-    # rank 2 of N = 25 with the dense route capped below N: Lanczos, no k*
+    # rank 2 of N = 25 with the dense route capped below N: the leading pairs only, no k*
     (lambda: socp.build_control_problem(socp.SocpRunConfig(h=0.25, samples=4, tau=0.05))[1],
      "basis"),
 ], ids=["smw-basis", "smw-complement", "smw-direct", "cg", "socp-dense",
-        "socp-lanczos"])
+        "socp-partial"])
 def test_nothing_in_spde_or_socp_compresses(monkeypatch, run, form):
     calls = []
     compress = lowrank.compress
