@@ -1,7 +1,8 @@
 """Command-line front end: config parsing, subcommand dispatch, CSV emission.
 
 Subcommands: ``spde`` (mean-field estimation), ``socp`` (tracking control),
-``compress`` (factorize an ensemble), ``diagnose`` (spectral diagnostics).
+``compress`` (factorize an ensemble), ``diagnose`` (spectral diagnostics and
+the per-sample condition estimates).
 A subcommand's keys are the fields of its configs (``CONFIGS``): the library
 config that consumes a setting declares its default and its range check
 (``fem.Sampling``, ``spde.SpdeRunConfig``, ``socp.SocpRunConfig``,
@@ -294,9 +295,8 @@ def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict]
     _record_spectrum(record, report.spectrum_route, report.spectrum_bandwidth)
     if cfg.reference:
         record["reference.reused"] = report.reference_reused
-    if report.concurrent_phases:
-        # those phases' timings overlap, so their sum can exceed the wall time
-        record["timing.concurrent"] = ",".join(report.concurrent_phases)
+    # ``run_spde`` runs these phases on two threads, so their timings can sum past the wall time
+    record["timing.concurrent"] = "compress,solve,diagnostics"
     ranks = [row[1] for row in report.rows if row[1] is not None]
     _warn(_record_ranks(record, ranks, report.k_star))
     if scan:
@@ -333,10 +333,6 @@ def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict]
         outputs.append("qoi.csv")
     write_csv(out_dir / "energy.csv", ["rank", "energy"], report.energy_curve)
     outputs.append("energy.csv")
-    if cfg.sample_conditions:
-        write_csv(out_dir / "sample_conditions.csv", ["sample", "cond"],
-                  list(enumerate(report.sample_conditions)))
-        outputs.append("sample_conditions.csv")
     return outputs, {"assemble": assemble_s, **report.timings}
 
 
@@ -380,10 +376,6 @@ def cmd_socp(out_dir: Path, record: dict, cfg: SocpCommand,
                    "objective_final", "ratio", "error", "grad_norm_final",
                    "grad_norm_initial"], rows)
         outputs.append("methods.csv")
-        # wall-clock comparison lives outside the deterministic CSV set
-        with open(out_dir / "methods_timing.txt", "w", newline="\n") as fh:
-            for method in methods:
-                fh.write(f"{method} = {timings[f'optimize.{method}']:.6f}\n")
 
     primary = results[spec.method]
     write_csv(out_dir / "socp_history.csv",
@@ -473,7 +465,9 @@ def cmd_diagnose(out_dir: Path, record: dict, cfg: DiagnoseCommand) -> tuple[lis
     write_csv(out_dir / "eigenvalues.csv", ["index", "eigenvalue"],
               list(enumerate(spectrum.values[:20], start=1)))
     outputs.append("eigenvalues.csv")
-    cond_base = float("nan") if sampled is None else numerics.condition_estimate(sampled.base)
+    # with the base's SPD factorization, as ``spde`` estimates it
+    cond_base = (float("nan") if sampled is None
+                 else numerics.condition_estimate(sampled.base, solve=sampled.base_factor.solve))
     write_csv(out_dir / "diagnose.csv",
               ["dim", "samples", "k_star", "tau_star", "cond_base"],
               [[ensemble[0].shape[0], len(ensemble), k_star, tau_star, cond_base]])

@@ -85,13 +85,6 @@ def structured_mesh(h: float) -> TriMesh:
     return TriMesh(nodes=nodes, elements=elements, boundary_nodes=boundary, h=1.0 / n)
 
 
-def signed_areas(mesh: TriMesh) -> np.ndarray:
-    pts = mesh.nodes[mesh.elements]
-    d1 = pts[:, 1] - pts[:, 0]
-    d2 = pts[:, 2] - pts[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d2[:, 0] * d1[:, 1])
-
-
 @dataclass(frozen=True, eq=False)
 class RandomField:
     """Piecewise-constant diffusion perturbation for one Monte-Carlo sample.
@@ -195,14 +188,14 @@ def _compressed(data, rows, cols, n) -> sp.csr_array:
     return out
 
 
-def assemble(mesh: TriMesh, field_samples, source, apply_bc: bool = True) -> AssembledSystem:
+def assemble(mesh: TriMesh, field_samples, source) -> AssembledSystem:
     """Assemble the base stiffness, perturbation stiffness matrices, mass, and load.
 
     ``source`` is a callable ``f(x, y)`` evaluated at the nodes; the load is
-    the mass matrix applied to the nodal source values.  With ``apply_bc``
-    (the default) homogeneous Dirichlet conditions are imposed by symmetric
-    elimination, which preserves positive definiteness of ``base``.  Entries
-    that sum to 0 are not stored.
+    the mass matrix applied to the nodal source values.  Homogeneous
+    Dirichlet conditions are imposed by symmetric elimination, which
+    preserves positive definiteness of ``base``.  Entries that sum to 0 are
+    not stored.
 
     Every perturbation sums the same triplets, so their pattern is computed
     once: the CSR pattern of the kept triplets with a nonzero element
@@ -217,18 +210,13 @@ def assemble(mesh: TriMesh, field_samples, source, apply_bc: bool = True) -> Ass
 
     is_boundary = np.zeros(n, dtype=bool)
     is_boundary[mesh.boundary_nodes] = True
-    if apply_bc:
-        keep = ~(is_boundary[rows] | is_boundary[cols])
-    else:
-        keep = np.ones(rows.shape[0], dtype=bool)
+    keep = ~(is_boundary[rows] | is_boundary[cols])
 
     def stiffness_from(coeff):
         data = (k_geo * coeff[:, None, None]).ravel()
-        r, c, d = rows[keep], cols[keep], data[keep]
-        if apply_bc:
-            r = np.concatenate([r, mesh.boundary_nodes])
-            c = np.concatenate([c, mesh.boundary_nodes])
-            d = np.concatenate([d, np.ones(mesh.boundary_nodes.shape[0])])
+        r = np.concatenate([rows[keep], mesh.boundary_nodes])
+        c = np.concatenate([cols[keep], mesh.boundary_nodes])
+        d = np.concatenate([data[keep], np.ones(mesh.boundary_nodes.shape[0])])
         return _compressed(d, r, c, n)
 
     # the summation map: a triplet whose element stiffness is exactly 0 adds
@@ -264,9 +252,7 @@ def assemble(mesh: TriMesh, field_samples, source, apply_bc: bool = True) -> Ass
 
     nodal_source = np.array([float(source(px, py)) for px, py in mesh.nodes])
     load = mass @ nodal_source
-    if apply_bc:
-        load = load.copy()
-        load[mesh.boundary_nodes] = 0.0
+    load[mesh.boundary_nodes] = 0.0
 
     return AssembledSystem(
         base=base,

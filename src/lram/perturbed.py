@@ -65,7 +65,6 @@ import scipy.sparse.linalg as spla
 
 from . import lowrank, numerics
 from .errors import (
-    ConfigRangeError,
     DimensionMismatchError,
     EmptyInputError,
     NoConvergenceError,
@@ -110,9 +109,10 @@ class PerturbedEnsemble:
     ``sample_lu0``, sample 0's LU, is made on first use too: pricing reads
     its size, sample 0 solves with it, and its fill-reducing ordering
     (``sample_order``) serves every later sample LU, so an ensemble makes
-    one ordering.  Where two threads share an ensemble, one of them builds
-    both first: ``spde.run_spde`` makes them before its worker thread prices
-    the forms, so neither is made on both threads.
+    one ordering.  Where two threads share an ensemble, neither may build
+    one the other reads: ``spde.run_spde`` makes the base factor before its
+    worker thread prices the forms, and sample 0's LU too where its calling
+    thread solves the reference meanwhile.
     """
 
     base: sp.csr_array
@@ -164,8 +164,6 @@ class EnsembleSolution:
     # block CG only: its iteration count, and per sample the final relative residual
     iterations: int | None = None
     residuals: tuple[float, ...] | None = None
-    # per sample, the condition estimate of base + P_m, if asked of the direct form
-    sample_conditions: tuple[float, ...] | None = None
 
 
 def qoi_mean(samples) -> np.ndarray:
@@ -460,50 +458,37 @@ class WoodburySolvers(Sequence):
         return WoodburySolver(m, solve_f, solve_ft, x_solved, self._projections[m])
 
 
-def solve_ensemble(ensemble: PerturbedEnsemble, form: WoodburyForm,
-                   conditions: bool = False) -> EnsembleSolution:
+def solve_ensemble(ensemble: PerturbedEnsemble, form: WoodburyForm) -> EnsembleSolution:
     """Solve every sample with its ``WoodburySolver`` in ``form``: the one per-sample loop.
 
     In the direct form (``DIRECT``, or ``plan_smw``'s at rank 0) this is the
-    per-sample direct solve.  ``conditions`` is accepted in the direct form
-    only (``ConfigRangeError``): each sample matrix's
-    ``numerics.condition_estimate`` is then made with the LU that solved it,
-    as ``sample_conditions``.  A singular capacitance raises
+    per-sample direct solve.  A singular capacitance raises
     ``SingularCapacitanceError`` with the sample index and a condition
     estimate; a sample matrix that does not factor, or a solution that is not
     finite, raises ``SingularSampleError``.
     """
-    if conditions and form.reads_vectors:
-        raise ConfigRangeError(f"sample conditions need the direct form, not the {form.name} form")
     u0 = ensemble.base_factor.solve(ensemble.rhs)
-    samples, conds = [], []
-    for m, solver in enumerate(WoodburySolvers(ensemble, form)):
-        samples.append(_finite(solver.solve(ensemble.rhs), m))
-        if conditions:
-            conds.append(_sample_condition(ensemble, m, solver))
+    samples = [_finite(solver.solve(ensemble.rhs), m)
+               for m, solver in enumerate(WoodburySolvers(ensemble, form))]
     return EnsembleSolution(
         unperturbed=u0,
         samples=samples,
         qoi=qoi_mean(samples),
         woodbury_form=form.name,
         update_rank=form.update_rank,
-        sample_conditions=tuple(conds) if conditions else None,
     )
-
-
-def _sample_condition(ensemble: PerturbedEnsemble, m: int, solver: WoodburySolver) -> float:
-    """``numerics.condition_estimate`` of sample m's matrix with its direct-form solver, its LU."""
-    return numerics.condition_estimate(ensemble.base + ensemble.perturbations[m],
-                                       solve=solver.solve)
 
 
 def sample_conditions(ensemble: PerturbedEnsemble) -> tuple[float, ...]:
     """The condition estimate of every sample matrix ``base + P_m``, each with its sample LU.
 
-    The LUs are the direct form's (``WoodburySolvers``); a sample matrix that
-    does not factor raises ``SingularSampleError``.
+    ``numerics.condition_estimate`` solves with the direct form's solver of
+    the sample (``WoodburySolvers``); a sample matrix that does not factor
+    raises ``SingularSampleError``.  ``lram diagnose --sample-conditions``
+    reports them.
     """
-    return tuple(_sample_condition(ensemble, m, solver)
+    return tuple(numerics.condition_estimate(ensemble.base + ensemble.perturbations[m],
+                                             solve=solver.solve)
                  for m, solver in enumerate(WoodburySolvers(ensemble, DIRECT)))
 
 

@@ -619,10 +619,3 @@ def build_control_problem(cfg: SocpRunConfig, system: fem.AssembledSystem | None
     problem.spectrum_route, problem.spectrum_bandwidth, problem.spectrum_products = (
         spectrum.route, spectrum.bandwidth, spectrum.products)
     return system, problem
-
-
-def run_socp(cfg: SocpRunConfig, spec: OptimizerSpec) -> tuple[ReducedControlProblem, SocpResult]:
-    """Build the problem and minimize it with one method."""
-    _, problem = build_control_problem(cfg)
-    control0 = np.full(problem.dim, cfg.control_init)
-    return problem, optimize(problem, spec, control0)

@@ -13,13 +13,13 @@ Gram spectrum and one reference serve them all, and solves are keyed by
 form and update rank, so each is made once (every k >= k* is one solve).
 The reference is the direct-form solve of that same key: the one the run
 already made (the direct method, or SMW in the direct form), so the reported
-gap isolates the compression error, and its sample LUs also serve the
-sample condition estimates.  The solves that read no spectrum (the
-reference, the direct method and cg) and the diagnostics run on the calling
-thread while one worker thread computes the spectrum, whose band eigensolver
-releases the GIL (``numerics``).  Also hosts the critical reduction-ratio
-diagnostics (an all-zero ensemble has k* = 0) and a Monte-Carlo convergence
-study.
+gap isolates the compression error.  Every run computes the spectrum on one
+worker thread, whose band eigensolver releases the GIL (``numerics``), while
+the calling thread runs the solves that read no spectrum (the reference, the
+direct method and cg) and the base's condition estimate.  Per-sample
+condition estimates are ``lram diagnose``'s (``perturbed.sample_conditions``).
+Also hosts the critical reduction-ratio diagnostics (an all-zero ensemble has
+k* = 0) and a Monte-Carlo convergence study.
 """
 
 from __future__ import annotations
@@ -40,13 +40,11 @@ METHODS = ("smw", "cg", "direct")
 class SpdeRunConfig(fem.CompressedSampling):
     """Inputs of one mean-field estimation run: the sampling, the ratio ``tau``, the route.
 
-    ``reference`` asks for the direct per-sample reference, and
-    ``sample_conditions`` for a condition estimate of every sample matrix.
+    ``reference`` asks for the direct per-sample reference.
     """
 
     method: str = "smw"
     reference: bool = True
-    sample_conditions: bool = False
 
     def __post_init__(self):
         super().__post_init__()
@@ -73,11 +71,8 @@ class SpdeReport:
     k_star: int
     tau_star: float
     cond_base: float
-    sample_conditions: tuple[float, ...] | None
     solution: perturbed.EnsembleSolution
     timings: dict[str, float]
-    # the phases that ran at the same time, on two threads (``run_spde``); empty if none
-    concurrent_phases: tuple[str, ...]
     # the Gram eigensolve's route and band, as in ``lowrank.GramSpectrum``
     spectrum_route: str
     spectrum_bandwidth: int | None
@@ -104,10 +99,10 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     (``perturbed.plan_smw``), so a run whose every form is direct computes
     eigenvalues only.  Solves are keyed by (form, update rank), and each is
     made once; the reference is the direct form's, and its sample LUs are
-    the ensemble's (sample 0's is the one pricing made).  Where the run makes
-    solves that read no spectrum (the reference, the direct method, cg), they
-    and the diagnostics run on the calling thread while one worker thread
-    computes the spectrum (``SpdeReport.concurrent_phases``); the worker has
+    the ensemble's (sample 0's is the one pricing made).  One worker thread
+    computes the spectrum while the calling thread runs the solves that read
+    none (the reference, the direct method, cg) and the base's condition
+    estimate; the SMW solves follow on the calling thread.  The worker has
     ended when this returns or raises.  Two runs with identical configs
     produce bitwise-identical vectors: the sampling is keyed per (seed,
     sample) and every reduction uses a fixed order.
@@ -144,52 +139,34 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     def solve(form):
         key = (form.name, form.update_rank)
         if key not in solutions:
-            conditions = cfg.sample_conditions and not form.reads_vectors
-            solutions[key] = perturbed.solve_ensemble(ensemble, form, conditions)
+            solutions[key] = perturbed.solve_ensemble(ensemble, form)
         return solutions[key]
 
-    def diagnostics():
+    # made here, so that no cached property of the ensemble is built on both threads:
+    # SMW pricing on the worker reads sample 0's LU, and so does the reference here
+    ensemble.base_factor
+    if cfg.method == "smw" and cfg.reference:
+        ensemble.sample_lu0
+    runs = []
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        spectral = pool.submit(compress)
+        t0 = time.perf_counter()
+        if cfg.reference or cfg.method == "direct":
+            solve(perturbed.DIRECT)
+        if cfg.method == "cg":
+            runs.append(perturbed.solve_cg(ensemble))
+        timings["solve"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         cond_base = numerics.condition_estimate(system.base, solve=ensemble.base_factor.solve)
-        sample_conds = None
-        if cfg.sample_conditions:
-            # a direct-form solve estimated with its sample LUs
-            sample_conds = next((s.sample_conditions for s in solutions.values()
-                                 if s.sample_conditions is not None), None)
-            if sample_conds is None:
-                sample_conds = perturbed.sample_conditions(ensemble)
         timings["diagnostics"] = time.perf_counter() - t0
-        return cond_base, sample_conds
-
-    # The reference, the direct method and cg read no spectrum: they and the diagnostics
-    # run here while one worker computes it.  SMW solves in the forms the spectrum
-    # decides, so without the reference it runs serially.
-    overlap = cfg.reference or cfg.method != "smw"
-    runs = []
-    if overlap:
-        # made here, so that no cached property of the ensemble is built on both threads
-        ensemble.base_factor
-        if cfg.method == "smw":
-            ensemble.sample_lu0  # pricing reads it
-        with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
-            spectral = pool.submit(compress)
-            t0 = time.perf_counter()
-            if cfg.reference or cfg.method == "direct":
-                solve(perturbed.DIRECT)
-            if cfg.method == "cg":
-                runs.append(perturbed.solve_cg(ensemble))
-            timings["solve"] = time.perf_counter() - t0
-            cond_base, sample_conds = diagnostics()
-            spectrum, forms, rmsres, timings["compress"] = spectral.result()
-    else:
-        spectrum, forms, rmsres, timings["compress"] = compress()
+        spectrum, forms, rmsres, timings["compress"] = spectral.result()
     energy_curve = spectrum.energy_curve()
     k_star, tau_star = critical_tau(energy_curve)
 
     t0 = time.perf_counter()
     if cfg.method != "cg":
         runs = [solve(form) for form in forms]
-    timings["solve"] = timings.get("solve", 0.0) + time.perf_counter() - t0
+    timings["solve"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     reference = solve(perturbed.DIRECT) if cfg.reference else None
@@ -198,8 +175,6 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
              None if reference is None else float(np.linalg.norm(reference.qoi - sol.qoi)),
              rmsre_value) for ratio, rank, rmsre_value, sol in zip(ratios, ranks, rmsres, runs)]
     timings["reference"] = time.perf_counter() - t0
-    if not overlap:
-        cond_base, sample_conds = diagnostics()
 
     _, rank, err, rmsre_value = rows[-1]
     solution = runs[-1]
@@ -217,10 +192,8 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
         k_star=k_star,
         tau_star=tau_star,
         cond_base=cond_base,
-        sample_conditions=sample_conds,
         solution=solution,
         timings=timings,
-        concurrent_phases=("compress", "solve", "diagnostics") if overlap else (),
         spectrum_route=spectrum.route,
         spectrum_bandwidth=spectrum.bandwidth,
     )

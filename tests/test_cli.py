@@ -312,19 +312,17 @@ def test_sample_failure_while_the_spectrum_runs_exits_2(monkeypatch, tmp_path):
     ["--method", "direct"],
     ["--method", "cg"],
     [],
-], ids=["direct", "cg", "smw-reference"])
+    ["--no-reference"],
+], ids=["direct", "cg", "smw-reference", "smw-no-reference"])
 def test_spectrum_failure_on_the_worker_exits_as_a_serial_run(monkeypatch, tmp_path, argv):
+    # as if raised on the calling thread: exit 2, the error in the manifest, no timings
     def unconverged(*args, **kwargs):
         raise NoConvergenceError("Chebyshev subspace iteration converged for 0 of 9 pairs")
 
     monkeypatch.setattr(lowrank, "gram_spectrum", unconverged)
-    outs = {}
-    for name, extra in [("serial", ["--no-reference"]), ("overlapped", argv)]:
-        outs[name] = tmp_path / name
-        assert run(["spde", "--h", "0.25", "--samples", "3", *extra,
-                    "--out-dir", str(outs[name])]) == 2
-    serial, overlapped = (manifest_record(out, "error") for out in outs.values())
-    assert overlapped == serial == {
+    out = tmp_path / "out"
+    assert run(["spde", "--h", "0.25", "--samples", "3", *argv, "--out-dir", str(out)]) == 2
+    assert manifest_record(out, "error", "timing.") == {
         "error": "NoConvergenceError: Chebyshev subspace iteration converged for 0 of 9 pairs"}
 
 
@@ -333,7 +331,7 @@ def test_spectrum_failure_on_the_worker_exits_as_a_serial_run(monkeypatch, tmp_p
     (["--method", "direct", "--no-reference"], "compress,solve,diagnostics"),
     (["--method", "cg", "--no-reference"], "compress,solve,diagnostics"),
     (["--tau-scan", "0.5,1.0"], "compress,solve,diagnostics"),
-    (["--no-reference"], None),
+    (["--no-reference"], "compress,solve,diagnostics"),
 ], ids=["smw-reference", "direct", "cg", "scan", "smw-no-reference"])
 def test_manifest_names_the_phases_that_overlapped(tmp_path, argv, concurrent):
     # their timings overlap, so timing.compress + timing.solve can exceed the wall time
@@ -457,8 +455,8 @@ def test_socp_compare_methods_table(tmp_path):
                         "objective_final,ratio,error,grad_norm_final,grad_norm_initial")
     assert len(lines) == 1 + 5
     assert [line.split(",")[0] for line in lines[1:]] == list(cli.socp.METHODS)
-    timing_lines = (out / "methods_timing.txt").read_text().splitlines()
-    assert len(timing_lines) == 5
+    timings = manifest_record(out, "timing.optimize.")
+    assert sorted(timings) == sorted(f"timing.optimize.{m}" for m in cli.socp.METHODS)
     # every method starts from the same control, so from the same gradient
     initial = {line.split(",")[-1] for line in lines[1:]}
     assert len(initial) == 1 and float(initial.pop()) > 1e-3
@@ -690,7 +688,7 @@ def test_tau_scan_honours_reference_and_sample_condition_keys(tmp_path):
     args = ["spde", "--h", "0.25", "--samples", "2", "--tau-scan", "0.5,1.0"]
     plain, keyed = tmp_path / "plain", tmp_path / "keyed"
     assert run([*args, "--out-dir", str(plain)]) == 0
-    assert run([*args, "--no-reference", "--sample-conditions", "--out-dir", str(keyed)]) == 0
+    assert run([*args, "--no-reference", "--out-dir", str(keyed)]) == 0
 
     def read(out):
         return [line.split(",") for line in (out / "errors_vs_tau.csv").read_text().splitlines()]
@@ -701,11 +699,11 @@ def test_tau_scan_honours_reference_and_sample_condition_keys(tmp_path):
     assert [row[:2] + row[4:] for row in read(keyed)] == [row[:2] + row[4:]
                                                          for row in read(plain)]
     assert "reference.reused" not in manifest_record(keyed, "reference.")
-    conds = (keyed / "sample_conditions.csv").read_text().splitlines()
-    assert conds[0] == "sample,cond" and len(conds) == 1 + 2
-    assert all(float(line.split(",")[1]) >= 1.0 for line in conds[1:])
-    assert "sha256.sample_conditions.csv" in manifest_record(keyed, "sha256.")
-    assert not (plain / "sample_conditions.csv").exists()
+    # per-sample condition estimates are diagnose's: spde knows no such key
+    refused = tmp_path / "refused"
+    for argv in (["--sample-conditions"], ["--set", "sample_conditions=true"]):
+        assert run([*args, *argv, "--out-dir", str(refused)]) == 1
+    assert not refused.exists()
 
 
 def test_compress_reports_ensemble_nonzeros(tmp_path):
@@ -867,21 +865,56 @@ def test_config_file_through_cli(tmp_path):
 
 
 def test_sample_conditions_reuse_the_solve_lus(splu_calls, tmp_path):
-    # --method direct factors every sample once; the condition estimates read those
-    # LUs: 10 sample LUs and the base, where a second LU per sample made 21.
-    # diagnose solves nothing, but estimates with the same sample LUs.  One ordering
-    # per ensemble: every sample LU but sample 0's reuses its ordering.
+    # diagnose solves nothing, but estimates each sample with its direct-form sample LU:
+    # 10 sample LUs and the base's.  One ordering per ensemble: every sample LU but
+    # sample 0's reuses its ordering.
     samples = 10
     system = fem.sampled_system(fem.Sampling(h=0.1, samples=samples))
     # against estimates made on a fresh general LU of each sample matrix
     fresh = [numerics.condition_estimate(system.base + p) for p in system.perturbations]
-    for argv in [["spde", "--method", "direct"], ["diagnose"]]:
-        splu_calls.clear()
-        out = tmp_path / argv[0]
-        assert run([*argv, "--h", "0.1", "--samples", str(samples),
-                    "--sample-conditions", "--out-dir", str(out)]) == 0
-        assert len(splu_calls) == samples + 1
-        assert splu_calls.count("NATURAL") == samples - 1
-        rows = (out / "sample_conditions.csv").read_text().splitlines()[1:]
-        got = [float(row.split(",")[1]) for row in rows]
-        assert np.allclose(got, fresh, rtol=1e-8, atol=0.0)
+    splu_calls.clear()
+    out = tmp_path / "diagnose"
+    assert run(["diagnose", "--h", "0.1", "--samples", str(samples),
+                "--sample-conditions", "--out-dir", str(out)]) == 0
+    assert len(splu_calls) == samples + 1
+    assert splu_calls.count("NATURAL") == samples - 1
+    rows = (out / "sample_conditions.csv").read_text().splitlines()[1:]
+    got = [float(row.split(",")[1]) for row in rows]
+    assert np.allclose(got, fresh, rtol=1e-8, atol=0.0)
+
+
+def test_diagnose_and_spde_estimate_cond_base_alike(tmp_path):
+    # both with the base's SPD factorization, so the same name reads the same bits
+    spde_out, diag_out = tmp_path / "spde", tmp_path / "diagnose"
+    args = ["--h", "0.1", "--samples", "2"]
+    assert run(["spde", *args, "--method", "cg", "--no-reference",
+                "--out-dir", str(spde_out)]) == 0
+    assert run(["diagnose", *args, "--out-dir", str(diag_out)]) == 0
+
+    def cond_base(path):
+        header, row = (line.split(",") for line in path.read_text().splitlines())
+        return row[header.index("cond_base")]
+
+    assert cond_base(diag_out / "diagnose.csv") == cond_base(spde_out / "report.csv")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spde", "--h", "0.25", "--samples", "3", "--tau-scan", "0.5,1.0"],
+    ["spde", "--h", "0.25", "--samples", "3", "--method", "cg", "--export-samples"],
+    ["socp", "--h", "0.25", "--samples", "3", "--compare-methods"],
+    ["compress", "--h", "0.25", "--samples", "3", "--tau", "0.5", "--export-mm"],
+    ["diagnose", "--h", "0.25", "--samples", "3", "--sample-conditions"],
+], ids=["spde-scan", "spde-cg", "socp-compare-methods", "compress", "diagnose"])
+def test_only_the_manifest_differs_between_two_runs(tmp_path, argv):
+    def written(out):
+        return {str(path.relative_to(out)): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()}
+
+    first, second = tmp_path / "first", tmp_path / "second"
+    for out in (first, second):
+        assert run([*argv, "--out-dir", str(out)]) == 0
+    outputs = written(first)
+    assert "manifest.txt" in outputs
+    del outputs["manifest.txt"]
+    assert outputs and outputs == {name: data for name, data in written(second).items()
+                                   if name != "manifest.txt"}

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from lram import cli, fem, lowrank, numerics, perturbed, spde
 from lram.errors import (
-    ConfigRangeError,
     DimensionMismatchError,
     EmptyInputError,
     NoConvergenceError,
@@ -482,13 +481,16 @@ def test_direct_residuals():
 
 
 def test_sample_conditions_need_the_direct_form():
+    # each symmetric sample matrix is estimated with its direct-form solver, its sample
+    # LU: as with a fresh general LU of base + P_m
     rng = np.random.default_rng(12)
-    ensemble, form = synthetic_instance(rng, 6, 2, 2)
-    with pytest.raises(ConfigRangeError):
-        perturbed.solve_ensemble(ensemble, form, conditions=True)
-    sol = perturbed.solve_ensemble(ensemble, perturbed.DIRECT, conditions=True)
-    assert (sol.woodbury_form, sol.update_rank) == ("direct", 0)
-    assert len(sol.sample_conditions) == 2 and np.all(np.isfinite(sol.sample_conditions))
+    perts = [sp.csr_array(0.1 * rand_spd(rng, 6, shift=0.0)) for _ in range(2)]
+    ensemble = perturbed.PerturbedEnsemble(base=sp.csr_array(rand_spd(rng, 6)),
+                                           perturbations=perts, rhs=rng.standard_normal(6))
+    conds = perturbed.sample_conditions(ensemble)
+    fresh = [numerics.condition_estimate(ensemble.base + p) for p in ensemble.perturbations]
+    assert len(conds) == 2 and np.all(np.isfinite(conds))
+    assert np.allclose(conds, fresh, rtol=1e-8, atol=0.0)
 
 
 def test_direct_agrees_with_smw_at_full_ratio():

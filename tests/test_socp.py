@@ -628,7 +628,9 @@ def test_desired_mode_exposes_both_pairings():
 
 def test_run_socp_end_to_end():
     cfg = socp.SocpRunConfig(h=0.25, samples=6)
-    problem, res = socp.run_socp(cfg, socp.OptimizerSpec(method="newton"))
+    _, problem = socp.build_control_problem(cfg)
+    res = socp.optimize(problem, socp.OptimizerSpec(method="newton"),
+                        np.full(problem.dim, cfg.control_init))
     assert res.converged
     assert res.state_mean.shape == (problem.dim,)
     # tracking actually improves on the zero control
