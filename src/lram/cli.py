@@ -204,11 +204,13 @@ def _sha256(path) -> str:
 
 def write_manifest(out_dir: Path, subcommand: str, resolved: dict,
                    timings: dict, outputs: list, error: str | None = None,
-                   record: dict | None = None) -> None:
+                   record: dict | None = None, digests: dict | None = None) -> None:
     """``manifest.txt``: config, timings, peak memory, what the run did (``record``), digests.
 
     ``peak_rss_mb`` is the process's own peak resident size (``ru_maxrss``)
-    when the manifest is written.
+    when the manifest is written.  ``digests`` maps an output to the SHA-256
+    its writer took as it wrote it (``lowrank.save_factors``); every other
+    output is read back and hashed here.
     """
     lines = [
         f"tool_version = {__version__}",
@@ -224,8 +226,9 @@ def write_manifest(out_dir: Path, subcommand: str, resolved: dict,
     lines.append(f"peak_rss_mb = {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.3f}")
     for key, value in (record or {}).items():
         lines.append(f"{key} = {_fmt(value)}")
+    digests = digests or {}
     for name in outputs:
-        lines.append(f"sha256.{name} = {_sha256(out_dir / name)}")
+        lines.append(f"sha256.{name} = {digests.get(name) or _sha256(out_dir / name)}")
     if error is not None:
         lines.append(f"error = {error}")
     (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
@@ -243,14 +246,16 @@ def _record_woodbury(record: dict, run) -> None:
 
 
 def _record_spectrum(record: dict, route: str, bandwidth: int | None,
-                     products: int | None = None) -> None:
-    """The route of the Gram eigensolve (``lowrank.GramSpectrum``), its band's width
-    and its block products with the Gram matrix."""
+                     products: int | None = None, steps: int | None = None) -> None:
+    """The route of the Gram eigensolve (``lowrank.GramSpectrum``), its band's width,
+    and its block products with the Gram matrix and outer steps."""
     record["spectrum.route"] = route
     if bandwidth is not None:
         record["spectrum.bandwidth"] = bandwidth
     if products is not None:
         record["spectrum.products"] = products
+    if steps is not None:
+        record["spectrum.steps"] = steps
 
 
 def _record_field(record: dict, min_coefficient) -> list[str]:
@@ -282,7 +287,7 @@ def _nan_if_none(value):
     return float("nan") if value is None else value
 
 
-def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict]:
+def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict, dict]:
     """One ``run_spde`` call: at ``tau``, or at each ratio of ``tau_scan``."""
     outputs = []
     scan = bool(cfg.tau_scan)
@@ -333,11 +338,11 @@ def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict]
         outputs.append("qoi.csv")
     write_csv(out_dir / "energy.csv", ["rank", "energy"], report.energy_curve)
     outputs.append("energy.csv")
-    return outputs, {"assemble": assemble_s, **report.timings}
+    return outputs, {"assemble": assemble_s, **report.timings}, {}
 
 
 def cmd_socp(out_dir: Path, record: dict, cfg: SocpCommand,
-             spec: socp.OptimizerSpec) -> tuple[list, dict]:
+             spec: socp.OptimizerSpec) -> tuple[list, dict, dict]:
     """The control problem minimized by ``spec``'s method, or by each method to compare them."""
     outputs = []
     timings: dict[str, float] = {}
@@ -349,7 +354,7 @@ def cmd_socp(out_dir: Path, record: dict, cfg: SocpCommand,
     timings["build"] = time.perf_counter() - t0
     _record_woodbury(record, problem)
     _record_spectrum(record, problem.spectrum_route, problem.spectrum_bandwidth,
-                     problem.spectrum_products)
+                     problem.spectrum_products, problem.spectrum_steps)
     control0 = np.full(problem.dim, cfg.control_init)
 
     methods = list(socp.METHODS) if cfg.compare_methods else [spec.method]
@@ -388,7 +393,7 @@ def cmd_socp(out_dir: Path, record: dict, cfg: SocpCommand,
     write_csv(out_dir / "state_mean.csv", ["node", "value"],
               list(enumerate(primary.state_mean)))
     outputs.append("state_mean.csv")
-    return outputs, timings
+    return outputs, timings, {}
 
 
 def _load_ensemble(cfg: CompressCommand | DiagnoseCommand):
@@ -415,7 +420,7 @@ def _load_ensemble(cfg: CompressCommand | DiagnoseCommand):
                                                              system.load)
 
 
-def cmd_compress(out_dir: Path, record: dict, cfg: CompressCommand) -> tuple[list, dict]:
+def cmd_compress(out_dir: Path, record: dict, cfg: CompressCommand) -> tuple[list, dict, dict]:
     outputs = []
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -425,12 +430,13 @@ def cmd_compress(out_dir: Path, record: dict, cfg: CompressCommand) -> tuple[lis
     t0 = time.perf_counter()
     rank = lowrank.rank_from_ratio(cfg.tau, ensemble[0].shape[0])
     spectrum = lowrank.gram_spectrum(ensemble, rank)
-    _record_spectrum(record, spectrum.route, spectrum.bandwidth, spectrum.products)
+    _record_spectrum(record, spectrum.route, spectrum.bandwidth, spectrum.products,
+                     spectrum.steps)
     factors = lowrank.compress(ensemble, cfg.tau, spectrum)
     err = lowrank.rmsre(ensemble, spectrum, factors.rank)
     timings["compress"] = time.perf_counter() - t0
 
-    lowrank.save_factors(out_dir / "factors.bin", factors)
+    digests = {"factors.bin": lowrank.save_factors(out_dir / "factors.bin", factors)}
     outputs.append("factors.bin")
     nnz = sum(int(p.nnz) for p in ensemble)
     write_csv(out_dir / "factors.csv",
@@ -445,17 +451,18 @@ def cmd_compress(out_dir: Path, record: dict, cfg: CompressCommand) -> tuple[lis
         written = lowrank.factors_to_matrix_market(out_dir / "factors_mm", factors)
         for p in written:
             outputs.append(str(Path(p).relative_to(out_dir)))
-    return outputs, timings
+    return outputs, timings, digests
 
 
-def cmd_diagnose(out_dir: Path, record: dict, cfg: DiagnoseCommand) -> tuple[list, dict]:
+def cmd_diagnose(out_dir: Path, record: dict, cfg: DiagnoseCommand) -> tuple[list, dict, dict]:
     outputs = []
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     ensemble, sampled = _load_ensemble(cfg)
     # the energy curve, k* and the listed eigenvalues need no eigenvectors
     spectrum = lowrank.gram_spectrum(ensemble, vectors=False)
-    _record_spectrum(record, spectrum.route, spectrum.bandwidth, spectrum.products)
+    _record_spectrum(record, spectrum.route, spectrum.bandwidth, spectrum.products,
+                     spectrum.steps)
     curve = spectrum.energy_curve()
     k_star, tau_star = spde.critical_tau(curve)
     timings["diagnose"] = time.perf_counter() - t0
@@ -479,7 +486,7 @@ def cmd_diagnose(out_dir: Path, record: dict, cfg: DiagnoseCommand) -> tuple[lis
                  else [numerics.condition_estimate(a) for a in ensemble])
         write_csv(out_dir / "sample_conditions.csv", ["sample", "cond"], list(enumerate(conds)))
         outputs.append("sample_conditions.csv")
-    return outputs, timings
+    return outputs, timings, {}
 
 
 COMMANDS = {
@@ -578,7 +585,7 @@ def main(argv=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     record: dict = {}  # what the run did, filled in as it goes; kept on failure
     try:
-        outputs, timings = COMMANDS[args.subcommand](out_dir, record, *configs)
+        outputs, timings, digests = COMMANDS[args.subcommand](out_dir, record, *configs)
     except ConfigError as exc:
         print(f"lram: configuration error: {exc}", file=sys.stderr)
         return 1
@@ -587,7 +594,8 @@ def main(argv=None) -> int:
                        error=f"{type(exc).__name__}: {exc}", record=record)
         print(f"lram: numerical failure: {exc}", file=sys.stderr)
         return 2
-    write_manifest(out_dir, args.subcommand, resolved, timings, outputs, record=record)
+    write_manifest(out_dir, args.subcommand, resolved, timings, outputs, record=record,
+                   digests=digests)
     return 0
 
 

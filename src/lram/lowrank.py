@@ -18,6 +18,9 @@ binary and MatrixMarket serialization of the factors.
 
 from __future__ import annotations
 
+import concurrent.futures
+import hashlib
+import itertools
 import math
 import os
 import struct
@@ -129,7 +132,12 @@ def ensemble_gram(ensemble):
     """Accumulated Gram matrix ``sum_m A_m A_m^T``, CSR when every member is sparse.
 
     A sparse member couples few rows, so its Gram term does too: on FEM
-    ensembles the Gram matrix holds about a dozen entries per row.
+    ensembles the Gram matrix holds about a dozen entries per row.  The sum
+    goes member by member, so only one member's term is held beside it.  One
+    product of the stacked members ``H @ H.T`` (``H = [A_1 ... A_M]``) holds
+    ``H`` and the product's work arrays at once: at N = 1681, M = 100 (``lram
+    spde --h 0.025``) it built the Gram matrix in 0.051 s against 0.064 s, but
+    raised the run's peak resident size from 86 to 106 MB.
     """
     n = _check_ensemble(ensemble)
     if all(sp.issparse(a) for a in ensemble):
@@ -167,7 +175,7 @@ class GramSpectrum:
     size |S| of the ensemble's support, the rows where some member is nonzero.
     Off it a complete spectrum holds the value 0 with unit vectors, so at most
     |S| values are nonzero and the numerical rank k* is at most |S|.
-    ``route``, ``bandwidth`` and ``products`` are the eigensolve's
+    ``route``, ``bandwidth``, ``products`` and ``steps`` are the eigensolve's
     (``numerics.EigenPairs``); an all-zero ensemble needs none, and its
     route is ``"none"``.
     """
@@ -181,6 +189,7 @@ class GramSpectrum:
     route: str = "dense"
     bandwidth: int | None = None
     products: int | None = None
+    steps: int | None = None
 
     @property
     def complete(self) -> bool:
@@ -261,7 +270,8 @@ def gram_spectrum(ensemble, rank: int | None = None, vectors: bool = True,
                             num_samples=len(ensemble), dim=n, support=s,
                             route="none" if pairs is None else pairs.route,
                             bandwidth=None if pairs is None else pairs.bandwidth,
-                            products=None if pairs is None else pairs.products)
+                            products=None if pairs is None else pairs.products,
+                            steps=None if pairs is None else pairs.steps)
 
     if not s:
         # nothing to decompose: the value 0 with unit vectors, as many pairs as the route holds
@@ -269,7 +279,8 @@ def gram_spectrum(ensemble, rank: int | None = None, vectors: bool = True,
         return spectrum(np.zeros(pairs), np.eye(n, pairs) if vectors else None, None)
     sub = gram[np.ix_(support, support)]
     if rank is not None and rank <= s and not numerics.dense_eig(n, rank):
-        pairs = numerics.sym_eig_topk(sub, rank, vectors=vectors)
+        # a Gram matrix has no eigenvalue below 0: the iteration filters from there
+        pairs = numerics.sym_eig_topk(sub, rank, vectors=vectors, floor=0.0)
         basis = pairs.vectors
         if vectors and s < n:
             basis = np.zeros((n, rank))
@@ -373,13 +384,13 @@ def glram_compress(ensemble, rank: int, max_iters: int = 50,
         for a in dense:
             p = a.T @ left
             ar_gram += p @ p.T
-        right = numerics.sym_eig_topk(ar_gram, rank).vectors
+        right = numerics.sym_eig_topk(ar_gram, rank, floor=0.0).vectors
 
         al_gram = np.zeros((n, n))
         for a in dense:
             p = a @ right
             al_gram += p @ p.T
-        left = numerics.sym_eig_topk(al_gram, rank).vectors
+        left = numerics.sym_eig_topk(al_gram, rank, floor=0.0).vectors
 
         total = 0.0
         for a in dense:
@@ -402,23 +413,36 @@ def glram_compress(ensemble, rank: int, max_iters: int = 50,
 # Serialization
 # ---------------------------------------------------------------------------
 
-def save_factors(path, factors: LowRankFactors) -> None:
-    """Write factors to a binary container.
+def save_factors(path, factors: LowRankFactors) -> str:
+    """Write factors to a binary container; return the SHA-256 hex digest of its bytes.
 
     Layout: magic ``LRFB``, little-endian uint32 version, three little-endian
     uint64 fields (dim N, rank k, samples M), then the basis (N*k doubles,
     row-major) followed by each coefficient matrix (k*N doubles, row-major);
     all floats are little-endian 64-bit.  Each matrix is written from the
     buffer of its row-major copy (none where it is row-major already), not
-    from a second copy as bytes.
+    from a second copy as bytes.  The digest is taken as the file is written,
+    so no one reads it back for it: one worker thread hashes each matrix
+    while the next is projected and written (``hashlib`` releases the GIL on
+    large buffers), and at most two matrices are held at a time.  At N =
+    2601, k = 131, M = 50 (139 MB) the hash takes about 0.12 s of one core,
+    reading the file back a further 0.02 s.
     """
-    with open(path, "wb") as fh:
-        fh.write(_FACTORS_MAGIC)
-        fh.write(struct.pack("<I", _FACTORS_VERSION))
-        fh.write(struct.pack("<QQQ", factors.dim, factors.rank, factors.num_samples))
-        fh.write(np.ascontiguousarray(factors.basis, dtype="<f8").data)
-        for c in factors.coeffs:
-            fh.write(np.ascontiguousarray(c, dtype="<f8").data)
+    digest = hashlib.sha256()
+    header = (_FACTORS_MAGIC + struct.pack("<I", _FACTORS_VERSION)
+              + struct.pack("<QQQ", factors.dim, factors.rank, factors.num_samples))
+    digest.update(header)
+    with open(path, "wb") as fh, concurrent.futures.ThreadPoolExecutor(1) as hasher:
+        fh.write(header)
+        hashed = None
+        for matrix in itertools.chain([factors.basis], factors.coeffs):
+            data = np.ascontiguousarray(matrix, dtype="<f8").data
+            fh.write(data)
+            if hashed is not None:
+                hashed.result()
+            hashed = hasher.submit(digest.update, data)
+        hashed.result()
+    return digest.hexdigest()
 
 
 def load_factors(path) -> LowRankFactors:

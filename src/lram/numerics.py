@@ -53,7 +53,13 @@ BAND_EIG_MAX_FRACTION = 0.1
 #: filter applied in each outer step, the fewest guard columns the block holds
 #: beyond the k wanted (it holds ``max(k // 2, CHEB_MIN_GUARD)``), the residual
 #: tolerance relative to the largest Gershgorin bound, and the most outer steps.
-CHEB_DEGREE = 20
+#: The degree was tuned on the ``compress-lowrank`` Gram supports of seeds
+#: 2001-2006 (2401 rows, k = 131, from the floor 0 and the first cut trace / n):
+#: 24 took 3 outer steps (75 block products) on all six, degrees 16-21 took 4
+#: (68-88 products) and 25-28 took 3 (78-87).  An outer step's QR and
+#: Rayleigh-Ritz cost about 18 block products (70 against 3.5 ms; one BLAS
+#: thread, 2-core VM), so 24 costs least.
+CHEB_DEGREE = 24
 CHEB_MIN_GUARD = 20
 CHEB_TOL = 1e-10
 CHEB_MAX_STEPS = 100
@@ -135,8 +141,9 @@ class EigenPairs:
 
     ``route`` is how they were computed: ``"dense"``, ``"band"`` or
     ``"chebyshev"`` (``sym_eig_topk``); ``bandwidth`` is the band's, on the
-    band route only, and ``products`` the number of block products with the
-    matrix, on the Chebyshev route only.
+    band route only, and ``products`` and ``steps`` the number of block
+    products with the matrix and of outer (QR and Rayleigh-Ritz) steps, on
+    the Chebyshev route only.
     """
 
     values: np.ndarray   # (k,), non-increasing
@@ -144,6 +151,7 @@ class EigenPairs:
     route: str = "dense"
     bandwidth: int | None = None
     products: int | None = None
+    steps: int | None = None
 
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
@@ -168,13 +176,14 @@ def dense_eig(n: int, k: int) -> bool:
     Dense cost does not grow with ``k``; the Chebyshev iteration's grows with
     ``k`` and, on a sparse matrix, with its entries rather than n^2.
     Measured on a FEM Gram matrix at n = 2601 (11.6 entries per row, support
-    2401, both routes on the support; one BLAS thread, 2-core VM): dense
-    3.1-3.3 s, Chebyshev 0.5-0.7 s at k/n = 0.05, 1.2 s at 0.1, 1.1-1.7 s at
-    0.125, 1.8 s at 0.15, 2.8 s at 0.2 and 5.7-5.8 s at 0.3.  The crossover
-    now lies near k/n = 0.2; the rule still splits at 0.1, where ARPACK's
-    Lanczos, the iteration before this one, took 2.8 s against dense 3.9-4.0 s.
+    2401, both routes on the support with the floor 0; one BLAS thread,
+    2-core VM, medians of 3-4 alternating repetitions): dense 2.6-2.9 s,
+    Chebyshev 0.72 s at k/n = 0.1 (3 outer steps), 0.82 s at 0.15, 1.29 s at
+    0.2 and 1.91 s at 0.25 (2 steps each), 3.86 s at 0.3 and 5.23 s at 0.35
+    (3 steps each).  The crossover lies between 0.25 and 0.3, so the rule
+    splits at 0.25.
     """
-    return n <= DENSE_EIG_MAX_DIM or 10 * k > n
+    return n <= DENSE_EIG_MAX_DIM or 4 * k > n
 
 
 def _lower_band(s) -> np.ndarray | None:
@@ -290,35 +299,77 @@ def _orthonormal(block: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(q)
 
 
-def _chebyshev_topk(a, k: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _chebyshev_filter(a, block: np.ndarray, lower: float, cut: float, upper: float,
+                      scale: float) -> np.ndarray:
+    """``block`` times the degree-``CHEB_DEGREE`` Chebyshev polynomial of ``a`` for [lower, cut].
+
+    The polynomial stays within [-1, 1] on [lower, cut], grows above it, and
+    is scaled to 1 at ``upper`` so the block does not grow (``scale`` bounds
+    the spectrum's magnitude and keeps a vanishing interval's width above
+    rounding).  ``a`` is shifted once.  Each degree rescales that copy's
+    entries by the recurrence's factor, a pass over nnz(a) numbers, in place
+    of one over the n x b block, and costs one block product with it.
+    ``block`` is overwritten; each temporary block goes as soon as it is read.
+    """
+    # the Ritz values lie within [lower, upper]; rounding can put the cut below lower
+    half = max(0.5 * (cut - lower), np.finfo(float).eps * scale)
+    centre = 0.5 * (cut + lower)
+    sigma = half / (upper - centre)
+    ratio = 2.0 / sigma
+    # (a - centre I) * factor / half, its entries rescaled from one degree to the next
+    shifted, factor = _shifted(a, centre, sigma / half), sigma
+    entries = shifted.data if sp.issparse(shifted) else shifted
+    previous, current = block, shifted @ block
+    for _ in range(CHEB_DEGREE - 1):
+        sigma_next = 1.0 / (ratio - sigma)
+        entries *= 2.0 * sigma_next / factor
+        factor = 2.0 * sigma_next
+        following = shifted @ current
+        previous *= sigma * sigma_next
+        following -= previous
+        previous, current, sigma = current, following, sigma_next
+    return current
+
+
+def _chebyshev_topk(a, k: int, floor: float | None = None
+                    ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """The ``k`` largest eigenpairs of symmetric ``a`` by Chebyshev-filtered subspace iteration.
 
     After Zhou, Saad, Tiago & Chelikowsky (J. Comput. Phys. 219(1), 2006).
     The block holds b = min(n, k + max(k // 2, ``CHEB_MIN_GUARD``)) columns,
-    drawn from ``default_rng(0)`` and orthonormalized (``_orthonormal``), so
-    the output is deterministic.  Each outer step projects ``a`` on the block
-    (Rayleigh-Ritz, LAPACK ``eigh`` on the b x b matrix) and stops once each
+    drawn from ``default_rng(0)``, so the output is deterministic.  Each
+    outer step filters the block (``_chebyshev_filter``), damping the
+    interval from lb to a cut and amplifying what lies above it,
+    orthonormalizes it (``_orthonormal``) and projects ``a`` on it
+    (Rayleigh-Ritz, LAPACK ``eigh`` on the b x b matrix).  It stops once each
     of the k largest Ritz pairs has residual ``||a u - theta u||`` at most
-    ``CHEB_TOL`` times the largest Gershgorin bound in magnitude.  Otherwise
-    it applies the degree-``CHEB_DEGREE`` Chebyshev polynomial that stays
-    within [-1, 1] on [lb, cut] and grows above it, and orthonormalizes the
-    result.  lb is the Gershgorin lower bound, below which no eigenvalue lies
-    (one there would be amplified with the wanted ones); cut is the block's
-    smallest Ritz value.  ``a`` is shifted and scaled once per outer step,
-    so each degree costs one block product and updates in place, and the
-    polynomial is scaled to 1 at the Gershgorin upper bound, so the block
-    does not grow.  Each temporary block goes as soon as it is read.
-    Returns the values (descending), their vectors (n x k, unsigned) and
-    the number of block products with ``a``.  Raises ``NoConvergenceError``
-    after ``CHEB_MAX_STEPS`` outer steps.
+    ``CHEB_TOL`` times the largest Gershgorin bound in magnitude; otherwise
+    the block's smallest Ritz value is the next step's cut.  The first cut
+    is the mean eigenvalue trace / n, so the random block gets no
+    Rayleigh-Ritz step of its own.  lb is the Gershgorin lower bound, below
+    which no eigenvalue lies (one there would be amplified with the wanted
+    ones), or ``floor`` where the caller knows a higher one: 0 for a Gram
+    matrix, whose Gershgorin bound can lie far below 0 and leave half the
+    damped interval empty, so the wanted values grow more slowly.  Returns
+    the values (descending), their vectors (n x k, unsigned), the number of
+    block products with ``a`` and the number of outer steps.  Raises
+    ``NoConvergenceError`` after ``CHEB_MAX_STEPS`` outer steps.
     """
     n = a.shape[0]
     b = min(n, k + max(k // 2, CHEB_MIN_GUARD))
     lower, upper = _gershgorin(a)
     scale = max(abs(lower), abs(upper))
-    q = _orthonormal(np.random.default_rng(0).standard_normal((n, b)))
+    if floor is not None:
+        lower = max(lower, floor)
+    q = np.random.default_rng(0).standard_normal((n, b))
+    cut = float(np.mean(a.diagonal()))
     products = 0
-    for _ in range(CHEB_MAX_STEPS):
+    for step in range(1, CHEB_MAX_STEPS + 1):
+        # a spectrum of one point (a multiple of I) needs no filter: every block is exact
+        if upper > lower:
+            q = _chebyshev_filter(a, q, lower, cut, upper, scale)
+            products += CHEB_DEGREE
+        q = _orthonormal(q)
         aq = a @ q
         products += 1
         theta, w = sla.eigh(q.T @ aq, overwrite_a=True, check_finite=False, driver="evd")
@@ -329,37 +380,23 @@ def _chebyshev_topk(a, k: int) -> tuple[np.ndarray, np.ndarray, int]:
         converged = int(np.count_nonzero(np.linalg.norm(residual, axis=0)
                                          <= CHEB_TOL * scale))
         if converged == k:
-            return theta[::-1][:k].copy(), vectors[:, ::-1], products
+            return theta[::-1][:k].copy(), vectors[:, ::-1], products, step
         del vectors, residual
-        # the Ritz values lie within [lower, upper]; rounding can put the cut below lower
-        half = max(0.5 * (theta[0] - lower), np.finfo(float).eps * scale)
-        centre = 0.5 * (theta[0] + lower)
-        shifted = _shifted(a, centre, 1.0 / half)
-        sigma = half / (upper - centre)
-        ratio = 2.0 / sigma
-        previous, current = q, shifted @ q
-        current *= sigma
-        for _ in range(CHEB_DEGREE - 1):
-            sigma_next = 1.0 / (ratio - sigma)
-            following = shifted @ current
-            following *= 2.0 * sigma_next
-            previous *= sigma * sigma_next
-            following -= previous
-            previous, current, sigma = current, following, sigma_next
-        products += CHEB_DEGREE
-        del previous, q, shifted
-        q = _orthonormal(current)
-        del current
+        cut = theta[0]
     raise NoConvergenceError(f"Chebyshev subspace iteration converged for {converged} of "
                              f"{k} pairs in {CHEB_MAX_STEPS} steps")
 
 
-def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True) -> EigenPairs:
+def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True,
+                 floor: float | None = None) -> EigenPairs:
     """Return the ``k`` largest eigenvalues and eigenvectors of a symmetric matrix.
 
     Uses a dense LAPACK decomposition where ``dense_eig`` says so and a
     Chebyshev-filtered subspace iteration (``_chebyshev_topk``) otherwise,
-    which applies ``s`` as given and never densifies a sparse one.  With
+    which applies ``s`` as given and never densifies a sparse one.
+    ``floor`` is a lower bound of the spectrum that the caller knows, such as
+    0 for a Gram matrix; the iteration filters from it where it lies above
+    the Gershgorin lower bound, and the dense route needs none.  With
     ``vectors=False`` only the eigenvalues are computed and
     ``EigenPairs.vectors`` is None.  On the Chebyshev route they are the
     paired ones, from the same computation; on the dense route LAPACK takes a
@@ -385,8 +422,8 @@ def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True) -> EigenPairs:
 
     if not dense_eig(n, k):
         a = to_csr(s) if sp.issparse(s) else np.asarray(s, dtype=float)
-        w, v, products = _chebyshev_topk(a, k)
-        return EigenPairs(values=w, route="chebyshev", products=products,
+        w, v, products, steps = _chebyshev_topk(a, k, floor)
+        return EigenPairs(values=w, route="chebyshev", products=products, steps=steps,
                           vectors=_fix_column_signs(np.ascontiguousarray(v)) if vectors else None)
     if sp.issparse(s):
         sym = to_csr((s + s.T) * 0.5)

@@ -86,11 +86,12 @@ class ReducedControlProblem:
     # Woodbury form of the sample solvers, as in ``perturbed.EnsembleSolution``
     woodbury_form: str | None = None
     update_rank: int | None = None
-    # route, band and block products of the Gram eigensolve the form came from, as in
-    # ``lowrank.GramSpectrum``
+    # route, band, block products and outer steps of the Gram eigensolve the form came
+    # from, as in ``lowrank.GramSpectrum``
     spectrum_route: str | None = None
     spectrum_bandwidth: int | None = None
     spectrum_products: int | None = None
+    spectrum_steps: int | None = None
     # samples evaluated so far, each by one forward and at most one adjoint solve
     _sample_evals: int = field(default=0, repr=False)
 
@@ -616,6 +617,7 @@ def build_control_problem(cfg: SocpRunConfig, system: fem.AssembledSystem | None
     target = desired_state_function(cfg.desired, cfg.desired_amplitude)
     problem = build_reduced_problem(system, ensemble, form, target, cfg.beta,
                                     desired_mode=cfg.desired_mode)
-    problem.spectrum_route, problem.spectrum_bandwidth, problem.spectrum_products = (
-        spectrum.route, spectrum.bandwidth, spectrum.products)
+    (problem.spectrum_route, problem.spectrum_bandwidth, problem.spectrum_products,
+     problem.spectrum_steps) = (spectrum.route, spectrum.bandwidth, spectrum.products,
+                                spectrum.steps)
     return system, problem

@@ -199,8 +199,10 @@ def test_manifest_records_spectrum_route_and_peak_rss(tmp_path, monkeypatch):
     assert run(["compress", "--h", "0.1", "--samples", "3", "--tau", "0.05",
                 "--out-dir", str(outs["compress"])]) == 0
     routes = {name: manifest_record(out, "spectrum.") for name, out in outs.items()}
-    # the block products of the Chebyshev route (test_chebyshev_route_records_its_products)
+    # the block products and outer steps of the Chebyshev route
+    # (test_chebyshev_route_records_its_products)
     assert int(routes["compress"].pop("spectrum.products")) > 0
+    assert int(routes["compress"].pop("spectrum.steps")) > 0
     assert routes == {
         "spde": {"spectrum.route": "dense"},
         "socp": {"spectrum.route": "dense"},
@@ -213,8 +215,9 @@ def test_manifest_records_spectrum_route_and_peak_rss(tmp_path, monkeypatch):
 
 
 def test_chebyshev_route_records_its_products(tmp_path, monkeypatch):
-    # the Chebyshev route counts its block products with the Gram matrix: the same in
-    # two runs, which write the same factor file; socp reaches that route too
+    # the Chebyshev route counts its block products with the Gram matrix and its outer
+    # steps: the same in two runs, which write the same factor file; socp reaches that
+    # route too.  Here one step, its degree-24 filter and its Rayleigh-Ritz product.
     monkeypatch.setattr(numerics, "DENSE_EIG_MAX_DIM", 10)
     records = []
     for name in ("first", "second"):
@@ -224,12 +227,32 @@ def test_chebyshev_route_records_its_products(tmp_path, monkeypatch):
         records.append(manifest_record(out, "spectrum.", "sha256.factors.bin"))
     assert records[0] == records[1]
     assert records[0]["spectrum.route"] == "chebyshev"
-    assert int(records[0]["spectrum.products"]) > 0
+    assert (records[0]["spectrum.products"], records[0]["spectrum.steps"]) == ("25", "1")
     out = tmp_path / "socp"
     assert run(["socp", "--h", "0.1", "--samples", "3", "--tau", "0.05",
                 "--out-dir", str(out)]) == 0
     record = manifest_record(out, "spectrum.")
     assert record["spectrum.route"] == "chebyshev" and int(record["spectrum.products"]) > 0
+    assert int(record["spectrum.steps"]) > 0
+
+
+def test_compress_digests_the_factor_file_as_it_writes_it(tmp_path, monkeypatch):
+    # lowrank.save_factors hashes factors.bin as it writes it: the manifest reads back
+    # the other outputs only
+    read_back = []
+
+    def sha256(path, _original=cli._sha256):
+        assert path.name != "factors.bin", "factors.bin was read back for its digest"
+        read_back.append(path.name)
+        return _original(path)
+
+    monkeypatch.setattr(cli, "_sha256", sha256)
+    out = tmp_path / "out"
+    assert run(["compress", "--h", "0.1", "--samples", "3", "--tau", "0.05",
+                "--out-dir", str(out)]) == 0
+    assert read_back == ["factors.csv"]
+    assert manifest_record(out, "sha256.factors.bin") == {
+        "sha256.factors.bin": hashlib.sha256((out / "factors.bin").read_bytes()).hexdigest()}
 
 
 def test_all_zero_ensemble_on_the_iterative_route(tmp_path, monkeypatch):

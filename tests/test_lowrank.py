@@ -195,6 +195,26 @@ def test_sparse_gram_and_lanczos_build_no_dense_square(monkeypatch):
                        rtol=0.0, atol=1e-12 * spectrum.values[0])
 
 
+def test_gram_iteration_filters_from_zero(monkeypatch):
+    # a Gram matrix has no eigenvalue below 0, though its Gershgorin bound lies well
+    # below: filtered from 0, the iteration reaches the same values in fewer products
+    _, members = fem_members(h=0.05, num_samples=20)
+    monkeypatch.setattr(numerics, "DENSE_EIG_MAX_DIM", 10)
+    gram = lowrank.ensemble_gram(members)
+    support = lowrank.gram_support(gram)
+    sub = gram[np.ix_(support, support)]
+    assert numerics._gershgorin(sub)[0] < -3.0
+    k = 10
+    floored = lowrank.gram_spectrum(members, k, gram=gram)
+    bounded = numerics.sym_eig_topk(sub, k)
+    assert floored.route == bounded.route == "chebyshev"
+    expected = np.linalg.eigvalsh(sub.toarray())[::-1][:k]
+    for values in (floored.values, bounded.values):
+        assert np.max(np.abs(values - expected)) <= 1e-12 * expected[0]
+    assert floored.products < bounded.products
+    assert floored.steps < bounded.steps
+
+
 def test_dense_route_decomposes_the_support_only(monkeypatch):
     mesh, members = fem_members()
     n = mesh.num_nodes
@@ -605,17 +625,18 @@ def test_factors_binary_roundtrip(tmp_path):
 
 def test_factor_file_bytes_are_the_documented_layout(tmp_path):
     # each matrix is written from its buffer; the file is still the header followed by
-    # each matrix's row-major little-endian bytes
+    # each matrix's row-major little-endian bytes, and the returned digest is theirs
     rng = np.random.default_rng(14)
     ensemble = [sp.csr_array(rng.standard_normal((7, 7)) * (rng.random((7, 7)) < 0.4))
                 for _ in range(3)]
     factors = lowrank.compress(ensemble, 3 / 7)
     path = tmp_path / "factors.bin"
-    lowrank.save_factors(path, factors)
+    digest = lowrank.save_factors(path, factors)
     expected = b"LRFB" + struct.pack("<IQQQ", 1, 7, 3, 3) + b"".join(
         np.asarray(m, dtype="<f8").tobytes()
         for m in [factors.basis, *(np.asarray((p.T @ factors.basis).T) for p in ensemble)])
     assert hashlib.sha256(path.read_bytes()).hexdigest() == hashlib.sha256(expected).hexdigest()
+    assert digest == hashlib.sha256(expected).hexdigest()
     back = lowrank.load_factors(path)
     assert back.basis.tobytes() == factors.basis.tobytes()
     assert [c.tobytes() for c in back.coeffs] == [np.asarray(c).tobytes()

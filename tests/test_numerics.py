@@ -248,6 +248,14 @@ def test_chebyshev_calls_are_bitwise_equal(monkeypatch):
     assert first.products == second.products
 
 
+def test_chebyshev_multiple_of_identity_needs_no_filter(monkeypatch):
+    # every vector is an eigenvector, and the filter's interval would be one point: the
+    # Rayleigh-Ritz step on the random block converges at once
+    pairs = chebyshev_pairs(monkeypatch, sp.csr_array(2.5 * sp.eye_array(50)), 4)
+    assert np.allclose(pairs.values, 2.5, rtol=0.0, atol=1e-14)
+    assert (pairs.products, pairs.steps) == (1, 1)
+
+
 def test_chebyshev_refuses_after_its_outer_cap(monkeypatch):
     rng = np.random.default_rng(35)
     m = sp.random_array((200, 200), density=0.03, rng=rng, format="csr")
