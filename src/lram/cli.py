@@ -355,6 +355,13 @@ def cmd_socp(out_dir: Path, record: dict, cfg: SocpCommand,
     _record_woodbury(record, problem)
     _record_spectrum(record, problem.spectrum_route, problem.spectrum_bandwidth,
                      problem.spectrum_products, problem.spectrum_steps)
+    solvers = problem.solvers
+    if isinstance(solvers, perturbed.DirectSolvers):
+        # how the direct form holds its sample factors
+        record["socp.factor.route"] = solvers.route
+        if solvers.bandwidth is not None:
+            record["socp.factor.bandwidth"] = solvers.bandwidth
+        record["socp.factor.lu_samples"] = len(solvers.lu_samples)
     control0 = np.full(problem.dim, cfg.control_init)
 
     methods = list(socp.METHODS) if cfg.compare_methods else [spec.method]

@@ -4,12 +4,15 @@ Dense matrices are plain ``numpy.ndarray``; sparse matrices are SciPy CSR/CSC
 arrays.  The module provides the symmetric top-k eigensolver (dense LAPACK,
 LAPACK's band solver for eigenvalues alone, or, for a few pairs of a large
 matrix, a Chebyshev-filtered block subspace iteration whose work is block
-products with the matrix), a reusable SPD factorization handle, norm and
-condition estimates, and MatrixMarket import/export.  All tolerances are
-module constants and can be overridden per call.  Matrices are treated as
-immutable after construction; factorization handles are read-only and safe
-to share across threads.  The band eigensolver releases the GIL while it
-runs (``_band_eigenvalues``), so another thread's work proceeds beside it.
+products with the matrix), a reusable SPD factorization handle, the
+Cholesky factorization of a block-diagonal stack of SPD bands and the
+solves with it (``band_cholesky``, ``band_cholesky_solve``: one LAPACK call
+each for the whole stack), norm and condition estimates, and MatrixMarket
+import/export.  All tolerances are module constants and can be overridden
+per call.  Matrices are treated as immutable after construction;
+factorization handles are read-only and safe to share across threads.  The
+band eigensolver and the band Cholesky routines release the GIL while they
+run (``_cython_lapack``), so another thread's work proceeds beside them.
 """
 
 from __future__ import annotations
@@ -193,13 +196,9 @@ def _lower_band(s) -> np.ndarray | None:
     matrix, the layout ``scipy.linalg.eig_banded(lower=True)`` reads.  None
     when the bandwidth exceeds ``BAND_EIG_MAX_FRACTION`` of n.
     """
-    # imported here: scipy.sparse.csgraph adds about 1 MB and 5 ms to every start of
-    # lram, and only this check reads it
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
     n = s.shape[0]
     position = np.empty(n, dtype=np.intp)
-    position[reverse_cuthill_mckee(s, symmetric_mode=True)] = np.arange(n)
+    position[rcm_order(s)] = np.arange(n)
     coo = s.tocoo()
     rows, cols = position[coo.row], position[coo.col]
     lower = rows >= cols
@@ -210,6 +209,19 @@ def _lower_band(s) -> np.ndarray | None:
     band = np.zeros((bandwidth + 1, n), order="F")
     band[offsets, cols] = coo.data[lower]
     return band
+
+
+def rcm_order(s) -> np.ndarray:
+    """A reverse Cuthill-McKee ordering of sparse ``s``, whose pattern is symmetric.
+
+    ``s[order][:, order]`` is the reordered matrix, whose entries lie in a
+    narrow band around the diagonal.
+    """
+    # imported here: scipy.sparse.csgraph adds about 1 MB and 5 ms to every start of
+    # lram, and only the band routes read it
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    return reverse_cuthill_mckee(sp.csr_array(s), symmetric_mode=True)
 
 
 def _cython_lapack(name: str, *argtypes):
@@ -227,10 +239,23 @@ def _cython_lapack(name: str, *argtypes):
 
 
 _INT, _ARRAY = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+
+
+def _ref(value: int):
+    """A C int argument passed by reference, as LAPACK reads every integer."""
+    return ctypes.byref(ctypes.c_int(value))
+
+
 #: LAPACK ``dsbevd(jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, lwork, iwork,
 #: liwork, info)``, the band eigensolver ``scipy.linalg.eig_banded`` runs.
 _DSBEVD = _cython_lapack("dsbevd", ctypes.c_char_p, ctypes.c_char_p, _INT, _INT, _ARRAY,
                          _INT, _ARRAY, _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT)
+#: LAPACK ``dpbtrf(uplo, n, kd, ab, ldab, info)`` and ``dpbtrs(uplo, n, kd, nrhs, ab,
+#: ldab, b, ldb, info)``: the Cholesky factorization of a symmetric positive definite
+#: band and the solves with it.
+_DPBTRF = _cython_lapack("dpbtrf", ctypes.c_char_p, _INT, _INT, _ARRAY, _INT, _INT)
+_DPBTRS = _cython_lapack("dpbtrs", ctypes.c_char_p, _INT, _INT, _INT, _ARRAY, _INT, _ARRAY,
+                         _INT, _INT)
 
 
 def _band_eigenvalues(band: np.ndarray) -> np.ndarray:
@@ -248,13 +273,9 @@ def _band_eigenvalues(band: np.ndarray) -> np.ndarray:
     values, work = np.empty(n), np.empty(2 * n)
     unused_vectors, iwork = np.empty(1), np.empty(1, dtype=np.intc)
     info = ctypes.c_int()
-
-    def ref(value):
-        return ctypes.byref(ctypes.c_int(value))
-
-    _DSBEVD(b"N", b"L", ref(n), ref(rows - 1), band.ctypes.data, ref(rows),
-            values.ctypes.data, unused_vectors.ctypes.data, ref(1),
-            work.ctypes.data, ref(work.size), iwork.ctypes.data, ref(iwork.size),
+    _DSBEVD(b"N", b"L", _ref(n), _ref(rows - 1), band.ctypes.data, _ref(rows),
+            values.ctypes.data, unused_vectors.ctypes.data, _ref(1),
+            work.ctypes.data, _ref(work.size), iwork.ctypes.data, _ref(iwork.size),
             ctypes.byref(info))
     if info.value < 0:
         raise ValueError(f"dsbevd: argument {-info.value} has an illegal value")
@@ -262,6 +283,59 @@ def _band_eigenvalues(band: np.ndarray) -> np.ndarray:
         raise NoConvergenceError(f"band eigensolver: {info.value} off-diagonal "
                                  "entries did not converge")
     return values
+
+
+def band_cholesky(band: np.ndarray, block: int) -> list[int]:
+    """Factor, in place, a block-diagonal stack of symmetric band blocks of ``block`` rows each.
+
+    ``band`` is the stack's upper band in LAPACK's layout (row kd + i - j,
+    column j holds entry (i, j) for j - kd <= i <= j), Fortran-ordered, with
+    no entry coupling two blocks.  One LAPACK ``dpbtrf`` call, without the
+    GIL (``_cython_lapack``), factors the stack: the Cholesky factor of a
+    block-diagonal matrix is block-diagonal, so each block's factor is its
+    own.  ``dpbtrf`` stops at a block that is not positive definite; that
+    block is reset to the identity, so that solves with the stack pass
+    through it, and the call resumes at the next block.  Returns the indices
+    of those blocks, ascending.
+    """
+    rows, n = band.shape
+    if not (band.flags.f_contiguous and band.dtype == float and n % block == 0):
+        raise ValueError("band must be a Fortran-ordered float array of whole blocks")
+    failed, start, info = [], 0, ctypes.c_int()
+    while start < n:
+        _DPBTRF(b"U", _ref(n - start), _ref(rows - 1), band[:, start:].ctypes.data,
+                _ref(rows), ctypes.byref(info))
+        if info.value < 0:
+            raise ValueError(f"dpbtrf: argument {-info.value} has an illegal value")
+        if info.value == 0:
+            break
+        j = (start + info.value - 1) // block
+        failed.append(j)
+        band[:, j * block:(j + 1) * block] = 0.0
+        band[-1, j * block:(j + 1) * block] = 1.0
+        start = (j + 1) * block
+    return failed
+
+
+def band_cholesky_solve(factor: np.ndarray, rhs: np.ndarray, start: int = 0) -> np.ndarray:
+    """Solve, in place, with rows and columns ``start`` on of a ``band_cholesky`` factor.
+
+    The system is the one of those rows whose count is ``rhs.shape[0]``,
+    which must begin and end on block boundaries; ``rhs`` is a
+    Fortran-ordered float vector or matrix of right-hand sides.  One LAPACK
+    ``dpbtrs`` call, without the GIL.  Returns ``rhs``.
+    """
+    rows = factor.shape[0]
+    n = rhs.shape[0]
+    if not (rhs.flags.f_contiguous and rhs.dtype == float and start + n <= factor.shape[1]):
+        raise ValueError("rhs must be a Fortran-ordered float array within the factor")
+    info = ctypes.c_int()
+    _DPBTRS(b"U", _ref(n), _ref(rows - 1), _ref(rhs.size // max(n, 1)),
+            factor[:, start:].ctypes.data, _ref(rows), rhs.ctypes.data, _ref(max(n, 1)),
+            ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"dpbtrs: argument {-info.value} has an illegal value")
+    return rhs
 
 
 def _gershgorin(a) -> tuple[float, float]:

@@ -33,7 +33,24 @@ only add work.
 
 Every sample LU (``_sample_lu``) takes the fill-reducing ordering of sample
 0's, which belongs to the ensemble (``PerturbedEnsemble.sample_lu0``): pricing
-and the solves share it, and no sample is factored twice.
+and the solves share it, and no sample's LU is made twice.
+
+Who factors a sample how depends on how often it is solved.
+``solve_ensemble`` (``spde`` and ``diagnose``) solves each sample once, so
+``WoodburySolvers`` makes a sample's LU when the sample is reached and drops
+it after: the LUs stream, one at a time.  A band Cholesky of the whole
+ensemble does not pay there: at h = 0.025, M = 100 (N = 1681, half-bandwidth
+39), building ``DirectSolvers`` and solving once took 0.14-0.19 s with one
+OpenBLAS thread, where the streamed LUs took 0.24-0.27 s, but 0.39-1.51 s
+with two, spde's setting, where they took 0.16-0.26 s (the band Cholesky
+slows down on two threads, SuperLU does not), and the band alone holds
+54 MB.  ``socp``
+solves each sample hundreds of times, so its direct form holds every
+sample's factor (``DirectSolvers``): all samples stacked block-diagonally in
+one band, factored by one band Cholesky, and solved together in one call
+each way; the LU of a sample only where its block is not positive definite
+or where the band is wide.  Pricing still reads sample 0's LU, so socp's
+direct form factors sample 0 twice.
 
 The form (``woodbury_form``, priced by ``woodbury_costs``) needs only N, k,
 k* and sample 0's LU, so ``plan_smw`` picks it before any eigenvector
@@ -97,6 +114,27 @@ SAMPLE_LU_OVERHEAD = 1.8e7
 #: N = 1681 (2-core VM, 2 OpenBLAS threads): 2.2 ms at relax 1, panel 1;
 #: 2.8 ms at 2/2 or 4/4, 3.0 ms at 8/8 and 3.6 ms at the defaults.
 SAMPLE_LU_SUPERNODES = {"relax": 1, "panel_size": 1}
+#: Widest half-bandwidth kd, in the shared reverse Cuthill-McKee ordering, at
+#: which ``DirectSolvers`` holds the samples as one band Cholesky; wider, each
+#: keeps its sparse LU.  Band work grows like N kd^2 (factor) and N kd (solve), a
+#: sample LU's more slowly.  Measured on FEM ensembles (uniform field, epsilon
+#: 0.2; 2-core VM, one BLAS thread, 2-5 processes per rung), the build of the
+#: band against the LUs of samples 1..M-1, and one pass of M forward and M
+#: adjoint solves:
+#:
+#: ====  =====  ==  ===================  ==================
+#: kd    N      M   build, band / LU ms  pass, band / LU ms
+#: ====  =====  ==  ===================  ==================
+#: 19    441    50  10-15 / 25-27        1.0-1.1 / 2.1-2.2
+#: 39    1681   50  56-67 / 89-231       5.7-5.8 / 7.6-12.7
+#: 49    2601   20  36-64 / 53-63        4.0-4.4 / 4.7-6.1
+#: 59    3721   20  54-93 / 79-164       7.1-10.9 / 7.4-13.4
+#: 69    5041   10  55-81 / 52-75        5.3-7.0 / 4.8-8.5
+#: 79    6561   10  83-106 / 66-100      8.0-11.5 / 6.5-9.0
+#: ====  =====  ==  ===================  ==================
+#:
+#: The band wins through kd = 59, ties at 69 and loses at 79.
+SAMPLE_BAND_MAX_BANDWIDTH = 60
 #: ``solve_cg`` stops sample m once |rhs - (base + P_m) u_m| <= CG_RTOL |rhs|.
 CG_RTOL = 1e-10
 
@@ -229,6 +267,13 @@ def _sample_lu(ensemble: PerturbedEnsemble, m: int) -> SampleLU:
         return SampleLU(spla.splu(matrix, permc_spec=permc_spec, **SAMPLE_LU_SUPERNODES), order)
     except RuntimeError:
         raise SingularSampleError(m) from None
+
+
+def _exactly_symmetric(a) -> bool:
+    """Whether canonical CSR ``a`` equals its transpose bit for bit, as its CSC arrays tell."""
+    t = a.tocsc()
+    return (np.array_equal(t.indptr, a.indptr) and np.array_equal(t.indices, a.indices)
+            and np.array_equal(t.data, a.data))
 
 
 def _finite(u: np.ndarray, m: int) -> np.ndarray:
@@ -456,6 +501,105 @@ class WoodburySolvers(Sequence):
         else:
             x_solved = -_solve_columns(solve_f, self._vectors)
         return WoodburySolver(m, solve_f, solve_ft, x_solved, self._projections[m])
+
+
+class DirectSolvers(Sequence):
+    """The direct form's solver of every sample of ``ensemble``, each factored once, all held.
+
+    The shared ordering is the base's reverse Cuthill-McKee ordering, and
+    ``bandwidth`` the largest half-bandwidth of a sample matrix ``base + P_m``
+    in it.  Where every sample matrix is exactly symmetric and ``bandwidth``
+    is at most ``SAMPLE_BAND_MAX_BANDWIDTH``, the samples are held as one
+    block-diagonal upper band in that ordering, block m holding sample m,
+    and one band Cholesky factors them all (``numerics.band_cholesky``):
+    ``route`` is ``"band"``.  A block that is not positive definite passes
+    stacked solves through, and its sample is factored by its sparse LU
+    (``_sample_lu``; sample 0's is the ensemble's ``sample_lu0``), as on the
+    per-sample route ``"lu"``, where every sample is; one that fails raises
+    ``SingularSampleError``.  ``lu_samples`` lists those samples.
+    ``solve_all`` solves every sample in one band call each way, and item m
+    is a ``WoodburySolver`` at rank 0 for sample m alone, on its block.
+    """
+
+    def __init__(self, ensemble: PerturbedEnsemble):
+        n, count = ensemble.dim, ensemble.num_samples
+        self._dim, self._count = n, count
+        matrices = [numerics.to_csr(a) for a in [ensemble.base, *ensemble.perturbations]]
+        self.route, self.bandwidth = "lu", None
+        # Cholesky reads one triangle, so only exactly symmetric samples are banded
+        if all(map(_exactly_symmetric, matrices)):
+            self._order = numerics.rcm_order(matrices[0])
+            self._position = np.argsort(self._order)
+            self.bandwidth = max(int(np.abs(rows - cols).max(initial=0))
+                                 for rows, cols, _ in map(self._entries, matrices))
+            if self.bandwidth <= SAMPLE_BAND_MAX_BANDWIDTH:
+                self.route, self._factor = "band", self._stack(matrices)
+        self.lu_samples = (tuple(numerics.band_cholesky(self._factor, n))
+                           if self.route == "band" else tuple(range(count)))
+        lus, empty = WoodburySolvers(ensemble, DIRECT), np.zeros((n, 0))
+        self._solvers = [lus[m] if m in self.lu_samples else
+                         WoodburySolver(m, partial(self._solve_block, m),
+                                        partial(self._solve_block, m), empty, empty.T)
+                         for m in range(count)]
+
+    def _entries(self, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and values of canonical CSR ``a``'s entries, in the shared ordering."""
+        rows = np.repeat(np.arange(self._dim), np.diff(a.indptr))
+        return self._position[rows], self._position[a.indices], a.data
+
+    def _stack(self, matrices) -> np.ndarray:
+        """The upper band of every ``base + P_m``, sample m's block in columns m n to (m + 1) n.
+
+        ``matrices`` are the base and then each sample's P_m.  Each entry is
+        base's plus P_m's, summed as the sparse sum ``base + P_m`` sums it, so
+        the band holds that matrix's bits.
+        """
+        kd, n = self.bandwidth, self._dim
+        band = np.zeros((kd + 1, n * self._count), order="F")
+
+        def upper(a):  # entry (i, j) of a block, i <= j, lies at kd + i + kd j in it
+            rows, cols, values = self._entries(a)
+            keep = rows <= cols
+            return kd + rows[keep] + kd * cols[keep], values[keep]
+
+        base_index, base_values = upper(matrices[0])
+        for m, member in enumerate(matrices[1:]):
+            block = band[:, m * n:(m + 1) * n].reshape(-1, order="F")  # a view
+            block[base_index] = base_values
+            index, values = upper(member)
+            block[index] += values
+        return band
+
+    def _solve_block(self, m: int, rhs: np.ndarray) -> np.ndarray:
+        """Sample m's solve, on its block of the band, for a vector or the columns of a matrix."""
+        x = np.asfortranarray(rhs[self._order], dtype=float)
+        return numerics.band_cholesky_solve(self._factor, x, m * self._dim)[self._position]
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, m: int) -> WoodburySolver:
+        return self._solvers[m]
+
+    def solve_all(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """N x M: column m solves sample m with ``rhs``, or with column m of an N x M ``rhs``.
+
+        On the band route one band solve serves every sample; each sample in
+        ``lu_samples`` is then solved by its LU (with its transpose where
+        ``transpose``).  On the per-sample route every sample is.
+        """
+        if self.route == "band":
+            x = np.empty((self._dim, self._count), order="F")
+            x[:] = rhs[self._order] if rhs.ndim == 2 else rhs[self._order, None]
+            numerics.band_cholesky_solve(self._factor, x.reshape(-1, order="F"))
+            out = x[self._position]
+        else:
+            out = np.empty((self._dim, self._count))
+        for m in self.lu_samples:
+            solver = self._solvers[m]
+            out[:, m] = (solver.solve_t if transpose else solver.solve)(
+                rhs[:, m] if rhs.ndim == 2 else rhs)
+        return out
 
 
 def solve_ensemble(ensemble: PerturbedEnsemble, form: WoodburyForm) -> EnsembleSolution:

@@ -11,19 +11,27 @@ with S_m f = K_m^-1 Phi f and K_m = base + U U^T P_m for the leading k Gram
 eigenvectors U.  K_m is solved by the per-sample Woodbury solvers of
 ``perturbed`` in the form its cost model picks: rank min(k, k*) on the one
 base factorization or rank max(k* - k, 0) on a sparse LU of base + P_m,
-which at k >= k* is a direct solve.  No S_m object exists: one pass over the
-listed samples I forms Phi f once, makes |I| forward solves with it, weights
-every state residual by Phi in one product, and applies Phi once to the sum
-of the |I| adjoint solves, so a pass makes at most 3 mass products whatever
-M is.  Gradient and Hessian-vector products are exact; no N-by-N array is
-formed.  Five interchangeable minimizers: steepest descent, single-sample
-stochastic gradient, Newton, BFGS and a trust region.  Steepest descent,
-Newton and BFGS share a weak-Wolfe line search that reads the exact
-quadratic along each ray from one Hessian-vector product.  Newton and the
-trust region take their steps from one truncated-CG kernel (Steihaug-Toint)
-on that product.  ``build_control_problem`` takes the Woodbury form of the
-sampled system of ``fem.sampled_system``, the one every sampled run solves,
-from ``perturbed.plan_smw``; the form carries the eigenvectors it reads, so
+which at k >= k* is a direct solve.  An optimizer solves each sample
+hundreds of times, so the direct form holds every sample's factor
+(``perturbed.DirectSolvers``): one band Cholesky of all samples stacked
+block-diagonally where their shared band is narrow and they are positive
+definite, a sparse LU per sample where not.  ``spde`` solves each sample
+once and streams its LUs instead (``perturbed.solve_ensemble``).  No S_m
+object exists: one pass over the listed samples I forms Phi f once, makes
+|I| forward solves with it, weights every state residual by Phi in one
+product, and applies Phi once to the sum of the |I| adjoint solves, so a
+pass makes at most 3 mass products whatever M is.  Over held direct solvers
+a pass over all samples makes its forward solves in one stacked band solve
+and its adjoint solves in a second.  Gradient and Hessian-vector products
+are exact; no N-by-N array is formed.  Five interchangeable minimizers:
+steepest descent, single-sample stochastic gradient, Newton, BFGS and a
+trust region.  Steepest descent, Newton and BFGS share a weak-Wolfe line
+search that reads the exact quadratic along each ray from one
+Hessian-vector product.  Newton and the trust region take their steps from
+one truncated-CG kernel (Steihaug-Toint) on that product.
+``build_control_problem`` takes the Woodbury form of the sampled system of
+``fem.sampled_system``, the one every sampled run solves, from
+``perturbed.plan_smw``; the form carries the eigenvectors it reads, so
 nothing is compressed.
 """
 
@@ -74,7 +82,9 @@ class ReducedControlProblem:
 
     ``solvers[m]`` solves with sample m's state matrix K_m (``solve`` and
     ``solve_t``), as a ``perturbed.WoodburySolver`` does; the control enters
-    the state equation through ``mass``.
+    the state equation through ``mass``.  Where ``solvers`` is a
+    ``perturbed.DirectSolvers``, a pass over all samples solves them all at
+    once (``solve_all``).
     """
 
     mass: object
@@ -129,18 +139,20 @@ def build_reduced_problem(assembled: fem.AssembledSystem, ensemble: perturbed.Pe
     interpolant enters the state mismatch by default; the mass-weighted
     projection of that interpolant is kept alongside for the gradient pairing
     and for the alternative ``projection`` mismatch convention.  The sample solvers are
-    the ``perturbed.WoodburySolvers`` of ``form``; a singular capacitance
-    raises ``SingularCapacitanceError`` and a sample matrix that does not
-    factor ``SingularSampleError``.
+    the ``perturbed.WoodburySolvers`` of ``form``, each made once and held;
+    in the direct form they are ``perturbed.DirectSolvers``, all factored at
+    once.  A singular capacitance raises ``SingularCapacitanceError`` and a
+    sample matrix that does not factor ``SingularSampleError``.
     """
     solvers = perturbed.WoodburySolvers(ensemble, form)
+    held = perturbed.DirectSolvers(ensemble) if solvers.form == "direct" else list(solvers)
 
     coords = assembled.node_coords
     desired_nodal = np.array([float(desired_state(x, y)) for x, y in coords])
     desired_proj = assembled.mass @ desired_nodal
     return ReducedControlProblem(
         mass=assembled.mass,
-        solvers=list(solvers),
+        solvers=held,
         desired_nodal=desired_nodal,
         desired_proj=desired_proj,
         beta=float(beta),
@@ -159,14 +171,19 @@ def _evaluate(problem: ReducedControlProblem, control, indices=None, target=None
     default, repeats allowed) makes one forward solve with it and, with
     ``with_grad``, one adjoint solve; the residuals are weighted by Phi in
     one product and the adjoint solves summed before one last product with
-    Phi.  ``target`` defaults to the problem's.  An empty ``indices`` raises
-    ``EmptyInputError`` and an index outside [0, M) ``ConfigRangeError``.
+    Phi.  Over ``perturbed.DirectSolvers`` a pass over all samples (no
+    ``indices``) makes each way's solves in one ``solve_all`` call; a listed
+    sample is solved on its own.  ``target`` defaults to the problem's.  An
+    empty ``indices`` raises ``EmptyInputError`` and an index outside
+    [0, M) ``ConfigRangeError``.
     Returns (value, gradient or None, mean state).
     """
     control = np.asarray(control, dtype=float)
     if control.shape[0] != problem.dim:
         raise DimensionMismatchError("control length does not match the problem")
     solvers = problem.solvers
+    # a full pass over held direct solvers is one stacked solve each way
+    stacked = indices is None and isinstance(solvers, perturbed.DirectSolvers)
     if indices is None:
         indices = range(len(solvers))
     elif len(indices) == 0:
@@ -180,14 +197,16 @@ def _evaluate(problem: ReducedControlProblem, control, indices=None, target=None
     count = len(indices)
     problem._sample_evals += count
     forcing = mass @ control
-    states = np.column_stack([solvers[m].solve(forcing) for m in indices])
+    states = (solvers.solve_all(forcing) if stacked
+              else np.column_stack([solvers[m].solve(forcing) for m in indices]))
     diff = states - target[:, None]
     weighted = mass @ diff
     misfit = 0.5 * float(np.vdot(diff, weighted))
     value = misfit / count + 0.5 * problem.beta * float(control @ forcing)
     grad = None
     if with_grad:
-        adjoint = sum(solvers[m].solve_t(weighted[:, j]) for j, m in enumerate(indices))
+        adjoint = (solvers.solve_all(weighted, transpose=True).sum(axis=1) if stacked
+                   else sum(solvers[m].solve_t(weighted[:, j]) for j, m in enumerate(indices)))
         grad = (mass @ adjoint) / count + problem.beta * forcing
     return value, grad, states.mean(axis=1)
 

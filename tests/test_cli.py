@@ -575,10 +575,10 @@ def test_tau_scan_manifest_reports_field_and_critical_rank(tmp_path, capsys):
 
 @pytest.fixture
 def sample_work(monkeypatch):
-    """Counts of per-sample sparse LUs and of capacitance LUs made by ``perturbed``."""
+    """Counts of sample LUs, capacitance LUs and stacked band Cholesky factorizations."""
     from lram import perturbed
 
-    calls = {"sample_lu": 0, "capacitance": 0}
+    calls = {"sample_lu": 0, "capacitance": 0, "band": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -589,24 +589,51 @@ def sample_work(monkeypatch):
     monkeypatch.setattr(perturbed, "_sample_lu", counted("sample_lu", perturbed._sample_lu))
     monkeypatch.setattr(perturbed.sla, "lu_factor",
                         counted("capacitance", perturbed.sla.lu_factor))
+    monkeypatch.setattr(numerics, "band_cholesky", counted("band", numerics.band_cholesky))
     return calls
 
 
-@pytest.mark.parametrize("argv, reference", [
-    (["spde", "--tau", "0.95", "--no-reference"], {}),
-    (["spde", "--tau", "0.95"], {"reference.reused": "true"}),
-    (["socp", "--tau", "0.88"], {}),
+@pytest.mark.parametrize("argv, reference, sample_lus, bands", [
+    (["spde", "--tau", "0.95", "--no-reference"], {}, 4, 0),
+    (["spde", "--tau", "0.95"], {"reference.reused": "true"}, 4, 0),
+    (["socp", "--tau", "0.88"], {}, 1, 1),
 ], ids=["spde", "spde-reference", "socp"])
-def test_direct_route_at_or_above_k_star(sample_work, tmp_path, argv, reference):
-    # N = 441, k* = 361: ranks 419 and 389 leave no complement, so each of the M
-    # samples is one sparse LU and no capacitance is formed; the direct reference
-    # reuses those solutions instead of making the same M LUs again
+def test_direct_route_at_or_above_k_star(sample_work, tmp_path, argv, reference, sample_lus,
+                                         bands):
+    # N = 441, k* = 361: ranks 419 and 389 leave no complement, so no capacitance is
+    # formed.  spde makes each of the M samples' sparse LUs, and the direct reference
+    # reuses those solutions instead of making the same M LUs again; socp makes
+    # sample 0's LU for pricing and factors all samples by one stacked band Cholesky
     samples = 4
     out = tmp_path / "out"
     assert run([*argv, "--h", "0.05", "--samples", str(samples), "--out-dir", str(out)]) == 0
     assert manifest_record(out, "woodbury.", "reference.") == {
         "woodbury.form": "direct", "woodbury.update_rank": "0", **reference}
-    assert sample_work == {"sample_lu": samples, "capacitance": 0}
+    assert sample_work == {"sample_lu": sample_lus, "capacitance": 0, "band": bands}
+
+
+@pytest.mark.parametrize("argv, forced, record", [
+    (["--h", "0.05", "--samples", "50", "--tau", "0.88", "--epsilon", "0.2",
+      "--distribution", "uniform", "--seed", "131"], False, ("band", "19", "0")),
+    (["--h", "0.1", "--samples", "5", "--tau", "1.0", "--epsilon", "0.9",
+      "--distribution", "normal", "--seed", "1234"], True, ("band", "9", "3")),
+], ids=["socp-methods", "indefinite-samples"])
+def test_socp_manifest_records_the_held_factorization(request, tmp_path, argv, forced, record):
+    # the second ensemble's samples 0, 1 and 3 are not positive definite, so they
+    # keep their LUs; at N = 121 only the dense flop model puts it in the direct form
+    if forced:
+        request.getfixturevalue("dense_flop_model")
+    out = tmp_path / "out"
+    assert run(["socp", *argv, "--out-dir", str(out)]) == 0
+    assert manifest_record(out, "woodbury.form", "socp.factor.") == {
+        "woodbury.form": "direct", "socp.factor.route": record[0],
+        "socp.factor.bandwidth": record[1], "socp.factor.lu_samples": record[2]}
+
+
+def test_socp_outside_the_direct_form_records_no_held_factorization(tmp_path):
+    out = tmp_path / "out"
+    assert run(["socp", "--h", "0.1", "--samples", "3", "--out-dir", str(out)]) == 0
+    assert manifest_record(out, "woodbury.form", "socp.factor.") == {"woodbury.form": "basis"}
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
 """Source checks over the ``lram`` package."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,3 +105,13 @@ def test_documented_keys_are_read_from_table_and_common_line():
 def test_readme_documents_every_config_key():
     keys = set().union(*(cli.schema(name) for name in cli.CONFIGS))
     assert documented_keys(README.read_text()) == keys
+
+
+def test_cli_import_loads_no_csgraph():
+    # the band routes import scipy.sparse.csgraph where they order a band: eagerly it
+    # adds about 1 MB and 5 ms to every start of lram
+    code = "import sys, lram.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -345,6 +346,68 @@ def test_factorize_solve_matrix_rhs():
     fact = numerics.factorize_spd(np.diag([1.0, 2.0, 4.0]))
     x = fact.solve(np.eye(3))
     assert np.allclose(x, np.diag([1.0, 0.5, 0.25]), atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# stacked band Cholesky
+# ---------------------------------------------------------------------------
+
+
+def band_blocks(rng, count, n=12, kd=3, indefinite=()):
+    """``count`` random symmetric blocks of half-bandwidth ``kd``: SPD, or indefinite by index."""
+    blocks = []
+    for j in range(count):
+        a = rng.standard_normal((n, n))
+        a = np.triu(np.tril(a + a.T, kd), -kd)
+        shift = np.abs(a).sum(axis=1).max() + 1.0
+        a += (-shift if j in indefinite else shift) * np.eye(n)
+        blocks.append(sp.csr_array(a))
+    return blocks
+
+
+def stacked_band(blocks, kd):
+    """The blocks' upper band in LAPACK's layout, block j in columns j n to (j + 1) n."""
+    n = blocks[0].shape[0]
+    band = np.zeros((kd + 1, n * len(blocks)), order="F")
+    for j, a in enumerate(blocks):
+        coo = a.tocoo()
+        upper = coo.row <= coo.col
+        band[kd + coo.row[upper] - coo.col[upper], coo.col[upper] + j * n] = coo.data[upper]
+    return band
+
+
+@pytest.mark.parametrize("count", [3, 5])
+def test_band_cholesky_stack_matches_spsolve(count):
+    rng = np.random.default_rng(count)
+    n, kd = 12, 3
+    blocks = band_blocks(rng, count, n, kd)
+    factor = stacked_band(blocks, kd)
+    assert numerics.band_cholesky(factor, n) == []
+    rhs = rng.standard_normal((n, count))
+    stacked = numerics.band_cholesky_solve(factor, np.asfortranarray(rhs).reshape(-1, order="F"))
+    stacked = stacked.reshape((n, count), order="F")
+    for j, a in enumerate(blocks):
+        expected = spla.spsolve(a.tocsc(), rhs[:, j])
+        assert np.linalg.norm(stacked[:, j] - expected) <= 1e-12 * np.linalg.norm(expected)
+        # one block alone, on its slice of the band, two right-hand sides at once
+        alone = numerics.band_cholesky_solve(factor, np.asfortranarray(rhs[:, [j, j]]), j * n)
+        for column in alone.T:
+            assert np.linalg.norm(column - stacked[:, j]) <= 1e-14 * np.linalg.norm(expected)
+
+
+def test_band_cholesky_reports_an_indefinite_block_and_factors_the_others():
+    rng = np.random.default_rng(9)
+    n, kd = 12, 3
+    blocks = band_blocks(rng, 3, n, kd, indefinite={1})
+    factor = stacked_band(blocks, kd)
+    assert numerics.band_cholesky(factor, n) == [1]
+    # the block is reset to the identity, so a stacked solve passes it through
+    rhs = rng.standard_normal(3 * n)
+    x = numerics.band_cholesky_solve(factor, rhs.copy())
+    assert np.array_equal(x[n:2 * n], rhs[n:2 * n])
+    for j in (0, 2):
+        expected = spla.spsolve(blocks[j].tocsc(), rhs[j * n:(j + 1) * n])
+        assert np.linalg.norm(x[j * n:(j + 1) * n] - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 # ---------------------------------------------------------------------------

@@ -120,7 +120,7 @@ def test_operators_in_either_form_match_basis_form(request, h, ratio, forced, fo
 
 
 def test_complement_build_factors_each_sample_once_and_no_coefficient_matrix(monkeypatch):
-    calls = {"factorize": 0, "sample_lu": 0, "capacitance": 0, "compress": 0,
+    calls = {"factorize": 0, "sample_lu": 0, "capacitance": 0, "compress": 0, "band": 0,
              "projections": []}
 
     def counted(key, fn):
@@ -141,14 +141,17 @@ def test_complement_build_factors_each_sample_once_and_no_coefficient_matrix(mon
     monkeypatch.setattr(lowrank, "compress", counted("compress", lowrank.compress))
     monkeypatch.setattr(perturbed.sla, "lu_factor",
                         counted("capacitance", perturbed.sla.lu_factor))
+    monkeypatch.setattr(numerics, "band_cholesky", counted("band", numerics.band_cholesky))
     num_samples = 4
     _, problem = fem_problem(h=0.05, num_samples=num_samples, ratio=0.88)
     assert (problem.woodbury_form, problem.update_rank) == ("direct", 0)
     oracles.hessian(problem)
-    # at k >= k*: nothing compressed, one LU per sample (sample 0's made once, for
-    # pricing), the base never factored, no projection, no capacitance
+    # at k >= k*: nothing compressed, sample 0's LU made once, for pricing, and every
+    # sample factored by one stacked band Cholesky; the base never factored, no
+    # projection, no capacitance
     assert calls["compress"] == 0
-    assert calls["sample_lu"] == num_samples
+    assert calls["sample_lu"] == 1
+    assert calls["band"] == 1
     assert calls["factorize"] == 0
     assert calls["projections"] == []
     assert calls["capacitance"] == 0
@@ -282,7 +285,10 @@ def test_dimension_checks():
     (0.1, 0.55, True, "complement", None),
     (0.05, 0.88, False, "direct", None),
     (0.1, 0.88, False, "basis", [2, 0, 2]),
-], ids=["basis", "complement", "direct", "sgd-batch-repeats"])
+    (0.05, 0.88, False, "direct", [2, 0, 2]),
+    (0.05, 0.88, False, "direct", [1]),
+], ids=["basis", "complement", "direct", "sgd-batch-repeats", "direct-batch-repeats",
+        "direct-single"])
 def test_batched_pass_matches_per_sample_oracle(request, h, ratio, forced, form, batch):
     if forced:
         request.getfixturevalue("dense_flop_model")
@@ -316,6 +322,7 @@ class CountingMass:
 
 def test_pass_makes_three_mass_products_and_one_solve_each_way_per_sample(monkeypatch):
     _, problem = fem_problem(h=0.25, num_samples=6)
+    assert problem.woodbury_form == "basis"
     mass = CountingMass(problem.mass)
     problem = dataclasses.replace(problem, mass=mass)
     counts = collections.Counter()
@@ -338,6 +345,91 @@ def test_pass_makes_three_mass_products_and_one_solve_each_way_per_sample(monkey
     assert work(socp.objective, f) == (2, m, 0)
     assert work(socp.sample_gradient, f, [1, 4, 1]) == (3, 3, 3)
     assert work(socp.sample_objective, f, [5]) == (2, 1, 0)
+
+
+def test_direct_pass_makes_one_stacked_solve_each_way(monkeypatch):
+    _, problem = fem_problem(h=0.05, num_samples=6, ratio=0.88)
+    assert isinstance(problem.solvers, perturbed.DirectSolvers)
+    assert (problem.solvers.route, problem.solvers.lu_samples) == ("band", ())
+    mass = CountingMass(problem.mass)
+    problem = dataclasses.replace(problem, mass=mass)
+    calls = []
+    band_solve = numerics.band_cholesky_solve
+
+    def counted(factor, rhs, start=0):
+        calls.append(rhs.shape[0])
+        return band_solve(factor, rhs, start)
+
+    monkeypatch.setattr(numerics, "band_cholesky_solve", counted)
+
+    def work(evaluate, *args):
+        mass.products = 0
+        calls.clear()
+        evaluate(problem, *args)
+        return mass.products, list(calls)
+
+    f, n, m = np.ones(problem.dim), problem.dim, problem.num_samples
+    # (mass products, rows of each band solve): a full pass solves all M samples in one
+    # call each way, and a listed sample on its own block
+    assert work(socp.gradient, f) == (3, [n * m, n * m])
+    assert work(socp.hessian_vector, f) == (3, [n * m, n * m])
+    assert work(socp.objective, f) == (2, [n * m])
+    assert work(socp.sample_gradient, f, [1, 4, 1]) == (3, [n] * 6)
+    assert work(socp.sample_objective, f, [5]) == (2, [n])
+
+
+def test_stacked_pass_passes_indefinite_samples_to_their_lu():
+    # h = 0.1, epsilon 0.9: samples 0, 1 and 3 have an indefinite base + P_m (dense
+    # Cholesky fails on them), so their blocks fail and their LUs solve them
+    cfg = socp.SocpRunConfig(h=0.1, samples=5, epsilon=0.9, distribution="normal", seed=1234)
+    system = fem.sampled_system(cfg)
+    for m in range(5):
+        matrix = (system.base + system.perturbations[m]).toarray()
+        assert (np.linalg.eigvalsh(matrix)[0] < 0.0) == (m in (0, 1, 3))
+    ensemble = perturbed.PerturbedEnsemble(system.base, system.perturbations, system.load)
+    problem = socp.build_reduced_problem(system, ensemble, perturbed.DIRECT,
+                                         socp.desired_state_function("sin-pi"), 1e-4)
+    assert (problem.solvers.route, problem.solvers.lu_samples) == ("band", (0, 1, 3))
+    lus = perturbed.WoodburySolvers(ensemble, perturbed.DIRECT)
+    f = np.random.default_rng(3).standard_normal(problem.dim)
+    forcing = problem.mass @ f
+    for m in (0, 1, 3):
+        assert np.array_equal(problem.solvers[m].solve(forcing), lus[m].solve(forcing))
+    value, grad, mean = socp._evaluate(problem, f)
+    ref_value, ref_grad, ref_mean = oracles.evaluate_per_sample(problem, f)
+    assert abs(value - ref_value) <= 1e-13 * abs(ref_value)
+    for ours, expected in [(grad, ref_grad), (mean, ref_mean)]:
+        assert np.linalg.norm(ours - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_direct_solvers_keep_per_sample_lus_past_the_band_limit(monkeypatch):
+    monkeypatch.setattr(perturbed, "SAMPLE_BAND_MAX_BANDWIDTH", 18)
+    _, problem = fem_problem(h=0.05, num_samples=3, ratio=0.88)
+    solvers = problem.solvers
+    assert (solvers.route, solvers.bandwidth, solvers.lu_samples) == ("lu", 19, (0, 1, 2))
+    f = np.random.default_rng(5).standard_normal(problem.dim)
+    value, grad, mean = socp._evaluate(problem, f)
+    ref_value, ref_grad, ref_mean = oracles.evaluate_per_sample(problem, f)
+    assert abs(value - ref_value) <= 1e-13 * abs(ref_value)
+    for ours, expected in [(grad, ref_grad), (mean, ref_mean)]:
+        assert np.linalg.norm(ours - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_direct_solvers_band_only_exactly_symmetric_samples():
+    # Cholesky reads one triangle: a sample that differs from its transpose in one
+    # entry keeps every sample on its LU
+    system, _ = fem_problem(h=0.1, num_samples=2)
+    perturbations = list(system.perturbations)
+    skewed = perturbations[1].tolil()
+    skewed[12, 13] += 1e-3
+    perturbations[1] = sp.csr_array(skewed)
+    ensemble = perturbed.PerturbedEnsemble(system.base, perturbations, system.load)
+    solvers = perturbed.DirectSolvers(ensemble)
+    assert (solvers.route, solvers.lu_samples) == ("lu", (0, 1))
+    rhs = np.ones(ensemble.dim)
+    matrix = (system.base + perturbations[1]).toarray()
+    assert np.allclose(matrix @ solvers[1].solve(rhs), rhs, atol=1e-12)
+    assert np.allclose(matrix.T @ solvers[1].solve_t(rhs), rhs, atol=1e-12)
 
 
 @pytest.mark.parametrize("indices, error", [
