@@ -245,17 +245,12 @@ def _record_woodbury(record: dict, run) -> None:
     record["woodbury.update_rank"] = run.update_rank
 
 
-def _record_spectrum(record: dict, route: str, bandwidth: int | None,
-                     products: int | None = None, steps: int | None = None) -> None:
-    """The route of the Gram eigensolve (``lowrank.GramSpectrum``), its band's width,
-    and its block products with the Gram matrix and outer steps."""
-    record["spectrum.route"] = route
-    if bandwidth is not None:
-        record["spectrum.bandwidth"] = bandwidth
-    if products is not None:
-        record["spectrum.products"] = products
-    if steps is not None:
-        record["spectrum.steps"] = steps
+def _record_spectrum(record: dict, eigensolve: numerics.EigenSolve) -> None:
+    """Each field of the Gram eigensolve's record that is set, as ``spectrum.<field>``."""
+    for f in fields(eigensolve):
+        value = getattr(eigensolve, f.name)
+        if value is not None:
+            record[f"spectrum.{f.name}"] = value
 
 
 def _record_field(record: dict, min_coefficient) -> list[str]:
@@ -297,7 +292,7 @@ def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict,
     # recorded before any solve: a run that fails with exit 2 still reports its field
     _warn(_record_field(record, system.min_coefficient))
     report = spde.run_spde(cfg, cfg.tau_scan if scan else None, system)
-    _record_spectrum(record, report.spectrum_route, report.spectrum_bandwidth)
+    _record_spectrum(record, report.eigensolve)
     if cfg.reference:
         record["reference.reused"] = report.reference_reused
     # ``run_spde`` runs these phases on two threads, so their timings can sum past the wall time
@@ -353,8 +348,7 @@ def cmd_socp(out_dir: Path, record: dict, cfg: SocpCommand,
     _, problem = socp.build_control_problem(cfg, system)
     timings["build"] = time.perf_counter() - t0
     _record_woodbury(record, problem)
-    _record_spectrum(record, problem.spectrum_route, problem.spectrum_bandwidth,
-                     problem.spectrum_products, problem.spectrum_steps)
+    _record_spectrum(record, problem.eigensolve)
     solvers = problem.solvers
     if isinstance(solvers, perturbed.DirectSolvers):
         # how the direct form holds its sample factors
@@ -437,8 +431,7 @@ def cmd_compress(out_dir: Path, record: dict, cfg: CompressCommand) -> tuple[lis
     t0 = time.perf_counter()
     rank = lowrank.rank_from_ratio(cfg.tau, ensemble[0].shape[0])
     spectrum = lowrank.gram_spectrum(ensemble, rank)
-    _record_spectrum(record, spectrum.route, spectrum.bandwidth, spectrum.products,
-                     spectrum.steps)
+    _record_spectrum(record, spectrum.eigensolve)
     factors = lowrank.compress(ensemble, cfg.tau, spectrum)
     err = lowrank.rmsre(ensemble, spectrum, factors.rank)
     timings["compress"] = time.perf_counter() - t0
@@ -468,8 +461,7 @@ def cmd_diagnose(out_dir: Path, record: dict, cfg: DiagnoseCommand) -> tuple[lis
     ensemble, sampled = _load_ensemble(cfg)
     # the energy curve, k* and the listed eigenvalues need no eigenvectors
     spectrum = lowrank.gram_spectrum(ensemble, vectors=False)
-    _record_spectrum(record, spectrum.route, spectrum.bandwidth, spectrum.products,
-                     spectrum.steps)
+    _record_spectrum(record, spectrum.eigensolve)
     curve = spectrum.energy_curve()
     k_star, tau_star = spde.critical_tau(curve)
     timings["diagnose"] = time.perf_counter() - t0
@@ -589,7 +581,11 @@ def main(argv=None) -> int:
     for config in configs:
         resolved |= asdict(config)
     out_dir = Path(configs[0].out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"lram: cannot create output directory: {exc}", file=sys.stderr)
+        return 1
     record: dict = {}  # what the run did, filled in as it goes; kept on failure
     try:
         outputs, timings, digests = COMMANDS[args.subcommand](out_dir, record, *configs)

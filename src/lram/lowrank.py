@@ -175,9 +175,8 @@ class GramSpectrum:
     size |S| of the ensemble's support, the rows where some member is nonzero.
     Off it a complete spectrum holds the value 0 with unit vectors, so at most
     |S| values are nonzero and the numerical rank k* is at most |S|.
-    ``route``, ``bandwidth``, ``products`` and ``steps`` are the eigensolve's
-    (``numerics.EigenPairs``); an all-zero ensemble needs none, and its
-    route is ``"none"``.
+    ``eigensolve`` is how the eigensolve ran (``numerics.EigenSolve``); an
+    all-zero ensemble needs none, and its route is ``"none"``.
     """
 
     values: np.ndarray   # (p,), non-increasing
@@ -186,10 +185,7 @@ class GramSpectrum:
     num_samples: int
     dim: int
     support: int
-    route: str = "dense"
-    bandwidth: int | None = None
-    products: int | None = None
-    steps: int | None = None
+    eigensolve: numerics.EigenSolve
 
     @property
     def complete(self) -> bool:
@@ -265,18 +261,14 @@ def gram_spectrum(ensemble, rank: int | None = None, vectors: bool = True,
     support = gram_support(gram)
     s = support.shape[0]
 
-    def spectrum(values, basis, pairs):
+    def spectrum(values, basis, eigensolve=numerics.EigenSolve("none")):
         return GramSpectrum(values=values, vectors=basis, trace=trace,
-                            num_samples=len(ensemble), dim=n, support=s,
-                            route="none" if pairs is None else pairs.route,
-                            bandwidth=None if pairs is None else pairs.bandwidth,
-                            products=None if pairs is None else pairs.products,
-                            steps=None if pairs is None else pairs.steps)
+                            num_samples=len(ensemble), dim=n, support=s, eigensolve=eigensolve)
 
     if not s:
         # nothing to decompose: the value 0 with unit vectors, as many pairs as the route holds
         pairs = n if rank is None or numerics.dense_eig(n, rank) else rank
-        return spectrum(np.zeros(pairs), np.eye(n, pairs) if vectors else None, None)
+        return spectrum(np.zeros(pairs), np.eye(n, pairs) if vectors else None)
     sub = gram[np.ix_(support, support)]
     if rank is not None and rank <= s and not numerics.dense_eig(n, rank):
         # a Gram matrix has no eigenvalue below 0: the iteration filters from there
@@ -285,10 +277,10 @@ def gram_spectrum(ensemble, rank: int | None = None, vectors: bool = True,
         if vectors and s < n:
             basis = np.zeros((n, rank))
             basis[support] = pairs.vectors
-        return spectrum(pairs.values, basis, pairs)
+        return spectrum(pairs.values, basis, pairs.eigensolve)
     pairs = numerics.sym_eig_topk(sub, s, vectors=vectors)
     if s == n:
-        return spectrum(pairs.values, pairs.vectors, pairs)
+        return spectrum(pairs.values, pairs.vectors, pairs.eigensolve)
     values = np.concatenate([pairs.values, np.zeros(n - s)])
     # rounding can leave support values below the exact zeros off the support
     order = np.argsort(-values, kind="stable")
@@ -299,7 +291,7 @@ def gram_spectrum(ensemble, rank: int | None = None, vectors: bool = True,
         basis = np.zeros((n, n))
         basis[support[:, None], position[:s]] = pairs.vectors
         basis[np.setdiff1d(np.arange(n), support), position[s:]] = 1.0
-    return spectrum(values[order], basis, pairs)
+    return spectrum(values[order], basis, pairs.eigensolve)
 
 
 def _sample_coeffs(basis: np.ndarray, a) -> np.ndarray:

@@ -11,8 +11,8 @@ each for the whole stack), norm and condition estimates, and MatrixMarket
 import/export.  All tolerances are module constants and can be overridden
 per call.  Matrices are treated as immutable after construction;
 factorization handles are read-only and safe to share across threads.  The
-band eigensolver and the band Cholesky routines release the GIL while they
-run (``_cython_lapack``), so another thread's work proceeds beside them.
+band eigensolver, the one LAPACK call that another thread runs beside,
+releases the GIL (``_cython_lapack``); every other call goes through SciPy.
 """
 
 from __future__ import annotations
@@ -138,23 +138,26 @@ def _require_square(a):
     return rows
 
 
-@dataclass(frozen=True, eq=False)
-class EigenPairs:
-    """Top-k eigenvalues in descending order with paired orthonormal vectors.
+@dataclass(frozen=True)
+class EigenSolve:
+    """How an eigensolve ran: its route, ``"dense"``, ``"band"`` or ``"chebyshev"``
+    (``sym_eig_topk``), or ``"none"`` with nothing to decompose; the band's width
+    on the band route; and on the Chebyshev route its block products with the
+    matrix and outer (QR and Rayleigh-Ritz) steps."""
 
-    ``route`` is how they were computed: ``"dense"``, ``"band"`` or
-    ``"chebyshev"`` (``sym_eig_topk``); ``bandwidth`` is the band's, on the
-    band route only, and ``products`` and ``steps`` the number of block
-    products with the matrix and of outer (QR and Rayleigh-Ritz) steps, on
-    the Chebyshev route only.
-    """
-
-    values: np.ndarray   # (k,), non-increasing
-    vectors: np.ndarray | None  # (n, k), column j pairs with values[j]; None if not asked
-    route: str = "dense"
+    route: str
     bandwidth: int | None = None
     products: int | None = None
     steps: int | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class EigenPairs:
+    """Top-k eigenvalues in descending order with paired orthonormal vectors."""
+
+    values: np.ndarray   # (k,), non-increasing
+    vectors: np.ndarray | None  # (n, k), column j pairs with values[j]; None if not asked
+    eigensolve: EigenSolve = EigenSolve("dense")
 
 
 def _fix_column_signs(vectors: np.ndarray) -> np.ndarray:
@@ -227,8 +230,9 @@ def rcm_order(s) -> np.ndarray:
 def _cython_lapack(name: str, *argtypes):
     """LAPACK routine ``name`` of SciPy's Cython LAPACK as a ctypes C function.
 
-    A ctypes C function releases the GIL for the call; every SciPy f2py LAPACK
-    wrapper holds it, so another thread's Python work would wait out the call.
+    A ctypes C function releases the GIL for the call, where SciPy's f2py
+    wrappers hold it; so only the call that another thread runs beside is
+    bound: ``dsbevd``, on ``spde``'s worker thread.
     """
     capsule = cython_lapack.__pyx_capi__[name]
     name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -250,12 +254,6 @@ def _ref(value: int):
 #: liwork, info)``, the band eigensolver ``scipy.linalg.eig_banded`` runs.
 _DSBEVD = _cython_lapack("dsbevd", ctypes.c_char_p, ctypes.c_char_p, _INT, _INT, _ARRAY,
                          _INT, _ARRAY, _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT)
-#: LAPACK ``dpbtrf(uplo, n, kd, ab, ldab, info)`` and ``dpbtrs(uplo, n, kd, nrhs, ab,
-#: ldab, b, ldb, info)``: the Cholesky factorization of a symmetric positive definite
-#: band and the solves with it.
-_DPBTRF = _cython_lapack("dpbtrf", ctypes.c_char_p, _INT, _INT, _ARRAY, _INT, _INT)
-_DPBTRS = _cython_lapack("dpbtrs", ctypes.c_char_p, _INT, _INT, _INT, _ARRAY, _INT, _ARRAY,
-                         _INT, _INT)
 
 
 def _band_eigenvalues(band: np.ndarray) -> np.ndarray:
@@ -289,27 +287,25 @@ def band_cholesky(band: np.ndarray, block: int) -> list[int]:
     """Factor, in place, a block-diagonal stack of symmetric band blocks of ``block`` rows each.
 
     ``band`` is the stack's upper band in LAPACK's layout (row kd + i - j,
-    column j holds entry (i, j) for j - kd <= i <= j), Fortran-ordered, with
-    no entry coupling two blocks.  One LAPACK ``dpbtrf`` call, without the
-    GIL (``_cython_lapack``), factors the stack: the Cholesky factor of a
-    block-diagonal matrix is block-diagonal, so each block's factor is its
-    own.  ``dpbtrf`` stops at a block that is not positive definite; that
-    block is reset to the identity, so that solves with the stack pass
-    through it, and the call resumes at the next block.  Returns the indices
-    of those blocks, ascending.
+    column j holds entry (i, j) for j - kd <= i <= j), with no entry
+    coupling two blocks, and Fortran-ordered, so that SciPy's LAPACK
+    ``dpbtrf`` overwrites it rather than a copy.  One ``dpbtrf`` call factors
+    the stack: the Cholesky factor of a block-diagonal matrix is
+    block-diagonal, so each block's factor is its own.  ``dpbtrf`` stops at
+    a block that is not positive definite; that block is reset to the
+    identity, so that solves with the stack pass through it, and the call
+    resumes at the next block.  Returns the indices of those blocks, ascending.
     """
     rows, n = band.shape
-    if not (band.flags.f_contiguous and band.dtype == float and n % block == 0):
+    if not (rows and band.flags.f_contiguous and band.dtype == float and n % block == 0):
         raise ValueError("band must be a Fortran-ordered float array of whole blocks")
-    failed, start, info = [], 0, ctypes.c_int()
+    failed, start = [], 0
     while start < n:
-        _DPBTRF(b"U", _ref(n - start), _ref(rows - 1), band[:, start:].ctypes.data,
-                _ref(rows), ctypes.byref(info))
-        if info.value < 0:
-            raise ValueError(f"dpbtrf: argument {-info.value} has an illegal value")
-        if info.value == 0:
+        # SciPy takes n, kd and ldab from the band's shape, checked above: none is illegal
+        info = sla.lapack.dpbtrf(band[:, start:], overwrite_ab=1)[1]
+        if info == 0:
             break
-        j = (start + info.value - 1) // block
+        j = (start + info - 1) // block
         failed.append(j)
         band[:, j * block:(j + 1) * block] = 0.0
         band[-1, j * block:(j + 1) * block] = 1.0
@@ -318,24 +314,18 @@ def band_cholesky(band: np.ndarray, block: int) -> list[int]:
 
 
 def band_cholesky_solve(factor: np.ndarray, rhs: np.ndarray, start: int = 0) -> np.ndarray:
-    """Solve, in place, with rows and columns ``start`` on of a ``band_cholesky`` factor.
+    """Solve with rows and columns ``start`` on of a ``band_cholesky`` factor.
 
     The system is the one of those rows whose count is ``rhs.shape[0]``,
-    which must begin and end on block boundaries; ``rhs`` is a
-    Fortran-ordered float vector or matrix of right-hand sides.  One LAPACK
-    ``dpbtrs`` call, without the GIL.  Returns ``rhs``.
+    which must begin and end on block boundaries; ``rhs`` is a vector or
+    matrix of right-hand sides.  One call of SciPy's LAPACK ``dpbtrs``, which
+    overwrites a Fortran-ordered float ``rhs`` and solves a copy of any other.
+    Returns the solution.
     """
-    rows = factor.shape[0]
     n = rhs.shape[0]
-    if not (rhs.flags.f_contiguous and rhs.dtype == float and start + n <= factor.shape[1]):
-        raise ValueError("rhs must be a Fortran-ordered float array within the factor")
-    info = ctypes.c_int()
-    _DPBTRS(b"U", _ref(n), _ref(rows - 1), _ref(rhs.size // max(n, 1)),
-            factor[:, start:].ctypes.data, _ref(rows), rhs.ctypes.data, _ref(max(n, 1)),
-            ctypes.byref(info))
-    if info.value < 0:
-        raise ValueError(f"dpbtrs: argument {-info.value} has an illegal value")
-    return rhs
+    if start + n > factor.shape[1]:
+        raise ValueError("rhs reaches past the factor")
+    return sla.lapack.dpbtrs(factor[:, start:start + n], rhs, overwrite_b=1)[0]
 
 
 def _gershgorin(a) -> tuple[float, float]:
@@ -497,15 +487,16 @@ def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True,
     if not dense_eig(n, k):
         a = to_csr(s) if sp.issparse(s) else np.asarray(s, dtype=float)
         w, v, products, steps = _chebyshev_topk(a, k, floor)
-        return EigenPairs(values=w, route="chebyshev", products=products, steps=steps,
+        return EigenPairs(values=w, eigensolve=EigenSolve("chebyshev", products=products,
+                                                          steps=steps),
                           vectors=_fix_column_signs(np.ascontiguousarray(v)) if vectors else None)
     if sp.issparse(s):
         sym = to_csr((s + s.T) * 0.5)
         band = None if vectors else _lower_band(sym)
         if band is not None:
             w = _band_eigenvalues(band)
-            return EigenPairs(values=w[::-1][:k].copy(), vectors=None, route="band",
-                              bandwidth=band.shape[0] - 1)
+            return EigenPairs(values=w[::-1][:k].copy(), vectors=None,
+                              eigensolve=EigenSolve("band", bandwidth=band.shape[0] - 1))
         sd = sym.toarray(order="F")
         del sym
     else:

@@ -591,8 +591,8 @@ class DirectSolvers(Sequence):
         if self.route == "band":
             x = np.empty((self._dim, self._count), order="F")
             x[:] = rhs[self._order] if rhs.ndim == 2 else rhs[self._order, None]
-            numerics.band_cholesky_solve(self._factor, x.reshape(-1, order="F"))
-            out = x[self._position]
+            x = numerics.band_cholesky_solve(self._factor, x.reshape(-1, order="F"))
+            out = x.reshape((self._dim, self._count), order="F")[self._position]
         else:
             out = np.empty((self._dim, self._count))
         for m in self.lu_samples:

@@ -63,6 +63,10 @@ CG_RTOL = 1e-12
 CG_ITERS_PER_DIM = 2
 #: Trust-region radius growth after a step that reaches the boundary.
 TR_EXPAND = 2.0
+#: sgd evaluates the full gradient at every iterate, for its history, but stops where
+#: its norm meets ``grad_tol`` only at a multiple of this many iterations or the last:
+#: on socp-methods' problem (seed 131) at 10, J 0.14% above Newton's, not at 5, 7.5%.
+SGD_CHECK_EVERY = 10
 
 
 def desired_state_function(name: str, amplitude: float = 1.0):
@@ -96,12 +100,8 @@ class ReducedControlProblem:
     # Woodbury form of the sample solvers, as in ``perturbed.EnsembleSolution``
     woodbury_form: str | None = None
     update_rank: int | None = None
-    # route, band, block products and outer steps of the Gram eigensolve the form came
-    # from, as in ``lowrank.GramSpectrum``
-    spectrum_route: str | None = None
-    spectrum_bandwidth: int | None = None
-    spectrum_products: int | None = None
-    spectrum_steps: int | None = None
+    # how the Gram eigensolve the form came from ran (``lowrank.GramSpectrum``)
+    eigensolve: numerics.EigenSolve | None = None
     # samples evaluated so far, each by one forward and at most one adjoint solve
     _sample_evals: int = field(default=0, repr=False)
 
@@ -258,7 +258,6 @@ class OptimizerSpec:
     ls_max_trials: int = 50
     sgd_batch: int = 1
     sgd_decay: float = 20.0
-    sgd_check_every: int = 10
     tr_radius0: float = 1.0
     tr_radius_max: float = 1e6
     seed: int = 0
@@ -273,8 +272,6 @@ class OptimizerSpec:
         check_range(self.ls_max_trials >= 1, "ls_max_trials must be >= 1", self.ls_max_trials)
         check_range(self.sgd_batch >= 1, "sgd_batch must be >= 1", self.sgd_batch)
         check_range(self.sgd_decay > 0.0, "sgd_decay must be > 0", self.sgd_decay)
-        check_range(self.sgd_check_every >= 1, "sgd_check_every must be >= 1",
-                    self.sgd_check_every)
         check_range(self.tr_radius0 > 0.0, "tr_radius0 must be > 0", self.tr_radius0)
         check_range(self.tr_radius_max > 0.0, "tr_radius_max must be > 0", self.tr_radius_max)
         check_range(self.seed >= 0, "seed must be >= 0", self.seed)
@@ -542,25 +539,19 @@ def _optimize_sgd(problem, spec, control0):
     first_batch = rng.integers(0, m, size=spec.sgd_batch)
     step0, trials = _sgd_initial_step(problem, spec, x, first_batch)
     best = (j0, x.copy())
-    iterations = 0
-    for k in range(spec.max_iters):
-        step = step0 / (1.0 + k / spec.sgd_decay)
+    for iterations in range(1, spec.max_iters + 1):
+        step = step0 / (1.0 + (iterations - 1) / spec.sgd_decay)
         batch = rng.integers(0, m, size=spec.sgd_batch)
         x = x - step * sample_gradient(problem, x, batch)
-        iterations = k + 1
         fx, grad, _ = _evaluate(problem, x)
         gnorm = float(np.linalg.norm(grad))
         history.append((fx, gnorm, step))
         if fx < best[0]:
             best = (fx, x.copy())
-        # termination consults the full gradient only at the check cadence
-        if iterations % spec.sgd_check_every == 0 and gnorm <= spec.grad_tol:
+        if gnorm <= spec.grad_tol and (iterations % SGD_CHECK_EVERY == 0
+                                       or iterations == spec.max_iters):
             return _result(problem, "sgd", x, start, history, iterations, True, "converged",
                            trials)
-    # gnorm is the full gradient norm at the last iterate
-    if gnorm <= spec.grad_tol:
-        return _result(problem, "sgd", x, start, history, iterations, True, "converged",
-                       trials)
     return _result(problem, "sgd", best[1], start, history, iterations, False,
                    "max-iterations", trials)
 
@@ -636,7 +627,5 @@ def build_control_problem(cfg: SocpRunConfig, system: fem.AssembledSystem | None
     target = desired_state_function(cfg.desired, cfg.desired_amplitude)
     problem = build_reduced_problem(system, ensemble, form, target, cfg.beta,
                                     desired_mode=cfg.desired_mode)
-    (problem.spectrum_route, problem.spectrum_bandwidth, problem.spectrum_products,
-     problem.spectrum_steps) = (spectrum.route, spectrum.bandwidth, spectrum.products,
-                                spectrum.steps)
+    problem.eigensolve = spectrum.eigensolve
     return system, problem

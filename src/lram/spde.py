@@ -73,9 +73,7 @@ class SpdeReport:
     cond_base: float
     solution: perturbed.EnsembleSolution
     timings: dict[str, float]
-    # the Gram eigensolve's route and band, as in ``lowrank.GramSpectrum``
-    spectrum_route: str
-    spectrum_bandwidth: int | None
+    eigensolve: numerics.EigenSolve
 
 
 def critical_tau(curve) -> tuple[int, float]:
@@ -194,8 +192,7 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
         cond_base=cond_base,
         solution=solution,
         timings=timings,
-        spectrum_route=spectrum.route,
-        spectrum_bandwidth=spectrum.bandwidth,
+        eigensolve=spectrum.eigensolve,
     )
 
 

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import threading
 import tracemalloc
@@ -449,6 +450,41 @@ def test_manifest_digest_streams_the_file(tmp_path):
 def test_usage_error_exit_1(tmp_path):
     assert run(["spde", "--tau", "1.5", "--out-dir", str(tmp_path / "x")]) == 1
     assert run(["frobnicate"]) == 1
+
+
+def test_out_dir_that_cannot_be_made_exits_1(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    # an existing file, and a directory below one
+    for out in (taken, taken / "below"):
+        assert run(["diagnose", "--h", "0.25", "--samples", "2", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("lram: cannot create output directory") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert taken.read_text() == ""
+
+
+def test_sgd_check_cadence_is_no_key(tmp_path):
+    # sgd's stopping cadence is socp.SGD_CHECK_EVERY, not a key
+    out = str(tmp_path / "out")
+    assert run(["socp", "--sgd-check-every", "10", "--out-dir", out]) == 1
+    assert run(["socp", "--set", "sgd_check_every=10", "--out-dir", out]) == 1
+    assert "sgd_check_every" not in cli.schema("socp")
+
+
+def test_record_spectrum_writes_each_set_field_in_field_order():
+    def recorded(eigensolve):
+        record = {}
+        cli._record_spectrum(record, eigensolve)
+        return list(record.items())
+
+    assert recorded(numerics.EigenSolve("chebyshev", products=25, steps=1)) == [
+        ("spectrum.route", "chebyshev"), ("spectrum.products", 25), ("spectrum.steps", 1)]
+    assert recorded(numerics.EigenSolve("none")) == [("spectrum.route", "none")]
+    # a new field of the record reaches the manifest with no further change
+    names = [f.name for f in dataclasses.fields(numerics.EigenSolve)]
+    every = numerics.EigenSolve(*range(len(names)))
+    assert recorded(every) == [(f"spectrum.{name}", i) for i, name in enumerate(names)]
 
 
 # ---------------------------------------------------------------------------

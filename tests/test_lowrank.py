@@ -1,3 +1,4 @@
+import ctypes
 import hashlib
 import math
 import struct
@@ -207,12 +208,12 @@ def test_gram_iteration_filters_from_zero(monkeypatch):
     k = 10
     floored = lowrank.gram_spectrum(members, k, gram=gram)
     bounded = numerics.sym_eig_topk(sub, k)
-    assert floored.route == bounded.route == "chebyshev"
+    assert floored.eigensolve.route == bounded.eigensolve.route == "chebyshev"
     expected = np.linalg.eigvalsh(sub.toarray())[::-1][:k]
     for values in (floored.values, bounded.values):
         assert np.max(np.abs(values - expected)) <= 1e-12 * expected[0]
-    assert floored.products < bounded.products
-    assert floored.steps < bounded.steps
+    assert floored.eigensolve.products < bounded.eigensolve.products
+    assert floored.eigensolve.steps < bounded.eigensolve.steps
 
 
 def test_dense_route_decomposes_the_support_only(monkeypatch):
@@ -262,7 +263,7 @@ def test_chebyshev_route_decomposes_the_support_and_pads_zero_rows(monkeypatch):
     s = n - mesh.boundary_nodes.shape[0]
     spectrum = lowrank.gram_spectrum(members, 7)
     assert shapes == [((s, s), 7)]
-    assert (spectrum.route, spectrum.complete) == ("chebyshev", False)
+    assert (spectrum.eigensolve.route, spectrum.complete) == ("chebyshev", False)
     v = spectrum.vectors
     assert v.shape == (n, 7) and np.all(v[mesh.boundary_nodes] == 0.0)
     gram = lowrank.ensemble_gram(members).toarray()
@@ -273,7 +274,7 @@ def test_chebyshev_route_decomposes_the_support_and_pads_zero_rows(monkeypatch):
     # more pairs than the support holds: all of them, on the dense route
     deficient = deficient_members()
     wide = lowrank.gram_spectrum(deficient, 30)
-    assert (wide.route, wide.complete, wide.support) == ("dense", True, 23)
+    assert (wide.eigensolve.route, wide.complete, wide.support) == ("dense", True, 23)
 
 
 def deficient_members():
@@ -294,7 +295,7 @@ def test_band_route_matches_dense_eigenvalues(monkeypatch):
     _, fem_ensemble = fem_members()
     for members, k_star in [(fem_ensemble, None), (deficient_members(), 4)]:
         spectrum = lowrank.gram_spectrum(members, vectors=False)
-        assert spectrum.route == "band" and spectrum.bandwidth >= 1
+        assert spectrum.eigensolve.route == "band" and spectrum.eigensolve.bandwidth >= 1
         expected = np.linalg.eigvalsh(lowrank.ensemble_gram(members).toarray())[::-1]
         assert np.max(np.abs(spectrum.values - expected)) <= 1e-13 * expected[0]
         if k_star is not None:
@@ -315,7 +316,7 @@ def test_band_eigenvalues_are_eig_banded_bitwise(monkeypatch, members):
     expected = oracles.band_eigenvalues(band)
     assert numerics._band_eigenvalues(band.copy(order="F")).tobytes() == expected.tobytes()
     pairs = numerics.sym_eig_topk(on_support, support.shape[0], vectors=False)
-    assert pairs.route == "band" and pairs.values.tobytes() == expected[::-1].tobytes()
+    assert pairs.eigensolve.route == "band" and pairs.values.tobytes() == expected[::-1].tobytes()
 
 
 def test_band_eigenvalues_refuse_what_does_not_converge():
@@ -327,15 +328,24 @@ def test_band_eigenvalues_refuse_what_does_not_converge():
         numerics._band_eigenvalues(band)
 
 
+def test_band_eigensolver_is_the_one_binding_and_releases_the_gil():
+    # a ctypes CFUNCTYPE call releases the GIL, a PYFUNCTYPE one holds it; the bitwise
+    # test above cannot tell them apart.  spde's solves run beside this call.
+    bindings = [name for name, value in vars(numerics).items()
+                if isinstance(value, ctypes._CFuncPtr)]
+    assert bindings == ["_DSBEVD"]
+    assert not numerics._DSBEVD._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+
 def test_band_route_fraction_decides_for_fem_gram():
     # h = 0.1: |S| = 81, bandwidth 18 after reverse Cuthill-McKee, above a tenth: dense
     _, members = fem_members()
     spectrum = lowrank.gram_spectrum(members, vectors=False)
-    assert (spectrum.route, spectrum.bandwidth) == ("dense", None)
+    assert (spectrum.eigensolve.route, spectrum.eigensolve.bandwidth) == ("dense", None)
     # with the vectors, always dense; a zero ensemble needs no eigensolve
-    assert lowrank.gram_spectrum(members).route == "dense"
+    assert lowrank.gram_spectrum(members).eigensolve.route == "dense"
     zero = lowrank.gram_spectrum([sp.csr_array((4, 4))], vectors=False)
-    assert (zero.route, zero.bandwidth) == ("none", None)
+    assert (zero.eigensolve.route, zero.eigensolve.bandwidth) == ("none", None)
 
 
 def test_values_only_spectrum_holds_no_dense_square():
@@ -349,7 +359,7 @@ def test_values_only_spectrum_holds_no_dense_square():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (s, spectrum.route, spectrum.bandwidth) == (1521, "band", 78)
+    assert (s, spectrum.eigensolve.route, spectrum.eigensolve.bandwidth) == (1521, "band", 78)
     # one |S|-by-|S| array of doubles is 8 |S|^2 bytes (18.5 MB)
     assert peak < 0.25 * 8 * s * s
 

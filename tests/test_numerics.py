@@ -123,7 +123,7 @@ def test_wide_band_sparse_input_stays_dense():
     a = rng.standard_normal((200, 200))
     s = sp.csr_array(a @ a.T)
     pairs = numerics.sym_eig_topk(s, 200, vectors=False)
-    assert (pairs.route, pairs.bandwidth) == ("dense", None)
+    assert (pairs.eigensolve.route, pairs.eigensolve.bandwidth) == ("dense", None)
     expected = np.linalg.eigvalsh(s.toarray())[::-1]
     assert np.allclose(pairs.values, expected, rtol=0.0, atol=1e-12 * expected[0])
 
@@ -185,7 +185,7 @@ def chebyshev_pairs(monkeypatch, s, k, vectors=True):
     """``sym_eig_topk`` forced onto the Chebyshev route."""
     monkeypatch.setattr(numerics, "DENSE_EIG_MAX_DIM", 10)
     pairs = numerics.sym_eig_topk(s, k, vectors=vectors)
-    assert pairs.route == "chebyshev" and pairs.products > 0
+    assert pairs.eigensolve.route == "chebyshev" and pairs.eigensolve.products > 0
     return pairs
 
 
@@ -209,7 +209,7 @@ def test_chebyshev_indefinite_sparse(monkeypatch):
     values = chebyshev_pairs(monkeypatch, s, 12, vectors=False)
     assert values.vectors is None
     assert values.values.tobytes() == pairs.values.tobytes()
-    assert values.products == pairs.products
+    assert values.eigensolve.products == pairs.eigensolve.products
 
 
 def test_chebyshev_gram_of_rank_below_the_block(monkeypatch):
@@ -246,7 +246,7 @@ def test_chebyshev_calls_are_bitwise_equal(monkeypatch):
     first, second = (chebyshev_pairs(monkeypatch, s, 8) for _ in range(2))
     assert first.values.tobytes() == second.values.tobytes()
     assert first.vectors.tobytes() == second.vectors.tobytes()
-    assert first.products == second.products
+    assert first.eigensolve.products == second.eigensolve.products
 
 
 def test_chebyshev_multiple_of_identity_needs_no_filter(monkeypatch):
@@ -254,7 +254,7 @@ def test_chebyshev_multiple_of_identity_needs_no_filter(monkeypatch):
     # Rayleigh-Ritz step on the random block converges at once
     pairs = chebyshev_pairs(monkeypatch, sp.csr_array(2.5 * sp.eye_array(50)), 4)
     assert np.allclose(pairs.values, 2.5, rtol=0.0, atol=1e-14)
-    assert (pairs.products, pairs.steps) == (1, 1)
+    assert (pairs.eigensolve.products, pairs.eigensolve.steps) == (1, 1)
 
 
 def test_chebyshev_refuses_after_its_outer_cap(monkeypatch):
@@ -408,6 +408,13 @@ def test_band_cholesky_reports_an_indefinite_block_and_factors_the_others():
     for j in (0, 2):
         expected = spla.spsolve(blocks[j].tocsc(), rhs[j * n:(j + 1) * n])
         assert np.linalg.norm(x[j * n:(j + 1) * n] - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_band_cholesky_refuses_a_band_it_cannot_factor_in_place():
+    # LAPACK overwrites only a Fortran-ordered band, and a band of no rows has kd = -1
+    for band in (np.zeros((2, 4)), np.zeros((0, 4), order="F")):
+        with pytest.raises(ValueError, match="Fortran-ordered"):
+            numerics.band_cholesky(band, 2)
 
 
 # ---------------------------------------------------------------------------
