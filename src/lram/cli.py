@@ -313,7 +313,8 @@ def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict,
         write_csv(
             out_dir / "report.csv",
             ["nodes", "samples", "rank", "tau", "epsilon", "method",
-             "err_l2", "err_l2_u0", "rmsre", "k_star", "tau_star", "cond_base"],
+             "err_l2", "err_l2_u0", "rmsre", "k_star", "tau_star", "cond_base",
+             "form", "update_rank"],
             [[
                 report.qoi.shape[0], cfg.samples,
                 -1 if report.rank is None else report.rank,
@@ -321,6 +322,7 @@ def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict,
                 _nan_if_none(report.err_l2), _nan_if_none(report.err_l2_u0),
                 _nan_if_none(report.rmsre),
                 report.k_star, report.tau_star, report.cond_base,
+                report.solution.woodbury_form, report.solution.update_rank,
             ]],
         )
         outputs.append("report.csv")

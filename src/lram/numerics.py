@@ -512,15 +512,20 @@ def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True,
 
 
 class SpdFactorization:
-    """Opaque, reusable factorization of a symmetric positive definite matrix.
+    """Reusable sparse LU of a symmetric positive definite matrix A (``factorize_spd``).
 
-    The handle is read-only after construction: concurrent ``solve`` calls
-    against one handle are safe.
+    ``order`` is its fill-reducing ordering, ``A[order][:, order]`` being the
+    matrix it factored, ``position`` the inverse of ``order``, and ``entries``
+    the entry count of its L + U.  The handle is read-only after
+    construction: concurrent ``solve`` calls against one handle are safe.
     """
 
-    def __init__(self, solver, dim):
-        self._solver = solver
-        self.dim = dim
+    def __init__(self, lu: spla.SuperLU):
+        self._solver = lu.solve
+        self.dim = lu.shape[0]
+        self.position = lu.perm_c
+        self.order = np.argsort(lu.perm_c)
+        self.entries = lu.L.nnz + lu.U.nnz
 
     def solve(self, rhs):
         """Solve ``A x = rhs`` for a vector or a stack of columns."""
@@ -540,7 +545,7 @@ def factorize_spd(a, sym_tol=SYM_TOL) -> SpdFactorization:
     and on the diagonal (SuperLU pivots off a zero diagonal entry, so rows
     permuted unlike columns are refused).
     """
-    n = _require_square(a)
+    _require_square(a)
     fro = frobenius_norm(a)
     if _asymmetry(a) > sym_tol * max(fro, _TINY):
         raise NonSymmetricError(f"asymmetry exceeds {sym_tol:g} * ||A||_F")
@@ -559,7 +564,7 @@ def factorize_spd(a, sym_tol=SYM_TOL) -> SpdFactorization:
         raise NotPositiveDefiniteError("off-diagonal pivot encountered")
     if not np.all(lu.U.diagonal() > 0):
         raise NotPositiveDefiniteError("nonpositive pivot encountered")
-    return SpdFactorization(lu.solve, n)
+    return SpdFactorization(lu)
 
 
 def condition_estimate(a, iters=100, seed=0, solve=None) -> float:

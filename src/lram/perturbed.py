@@ -31,9 +31,10 @@ only add work.
 * Direct form, rank 0 at k >= k* (``DIRECT`` at any k): no V and no
   capacitance, one sparse LU and one solve per sample.
 
-Every sample LU (``_sample_lu``) takes the fill-reducing ordering of sample
-0's, which belongs to the ensemble (``PerturbedEnsemble.sample_lu0``): pricing
-and the solves share it, and no sample's LU is made twice.
+Every sample LU (``_sample_lu``) takes the fill-reducing ordering of the
+base's factor (``PerturbedEnsemble.base_factor``): the samples share the
+base's pattern, so one ordering, made once, serves them all, and no sample
+is special.
 
 Who factors a sample how depends on how often it is solved.
 ``solve_ensemble`` (``spde`` and ``diagnose``) solves each sample once, so
@@ -49,12 +50,12 @@ solves each sample hundreds of times, so its direct form holds every
 sample's factor (``DirectSolvers``): all samples stacked block-diagonally in
 one band, factored by one band Cholesky, and solved together in one call
 each way; the LU of a sample only where its block is not positive definite
-or where the band is wide.  Pricing still reads sample 0's LU, so socp's
-direct form factors sample 0 twice.
+or where the band is wide.
 
 The form (``woodbury_form``, priced by ``woodbury_costs``) needs only N, k,
-k* and sample 0's LU, so ``plan_smw`` picks it before any eigenvector
-exists, and computes none where the direct form wins at every rank.
+k* and the fill of the base's factor, which every sample LU shares, so
+``plan_smw`` picks it before any eigenvector exists, computes none where the
+direct form wins at every rank, and makes no sample LU.
 
 ``solve_cg`` compresses nothing and factors only the base: one block CG over
 every sample on the uncompressed ``base + P_m``, preconditioned by
@@ -143,14 +144,12 @@ CG_RTOL = 1e-10
 class PerturbedEnsemble:
     """Shared SPD base matrix, per-sample perturbations, and one right-hand side.
 
-    ``base_factor`` is made on first use and serves every solve with the base.
-    ``sample_lu0``, sample 0's LU, is made on first use too: pricing reads
-    its size, sample 0 solves with it, and its fill-reducing ordering
-    (``sample_order``) serves every later sample LU, so an ensemble makes
-    one ordering.  Where two threads share an ensemble, neither may build
-    one the other reads: ``spde.run_spde`` makes the base factor before its
-    worker thread prices the forms, and sample 0's LU too where its calling
-    thread solves the reference meanwhile.
+    ``base_factor`` is made on first use.  It serves every solve with the
+    base, its fill prices the forms (``woodbury_form``), and its ordering
+    serves every sample LU (``_sample_lu``), so an ensemble makes one
+    ordering.  Where two threads share an ensemble, neither may build it
+    while the other reads it: ``spde.run_spde`` makes it before its worker
+    thread prices the forms.
     """
 
     base: sp.csr_array
@@ -178,15 +177,6 @@ class PerturbedEnsemble:
     @cached_property
     def base_factor(self) -> numerics.SpdFactorization:
         return numerics.factorize_spd(self.base)
-
-    @cached_property
-    def sample_lu0(self) -> SampleLU:
-        return _sample_lu(self, 0)
-
-    @cached_property
-    def sample_order(self) -> np.ndarray:
-        """Sample 0's column ordering: ``A_0[:, sample_order]`` is the matrix its LU factored."""
-        return np.argsort(self.sample_lu0.lu.perm_c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,54 +207,39 @@ def qoi_mean(samples) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampleLU:
-    """Sparse LU ``lu`` of sample m's matrix A_m = ``base + P_m``.
-
-    ``lu`` factors ``A_m[order][:, order]``, or A_m itself where ``order`` is
-    None (sample 0, which SuperLU ordered).
-    """
+    """Sparse LU ``lu`` of ``A_m[order][:, order]``, A_m = ``base + P_m`` being sample m's matrix."""
 
     lu: spla.SuperLU
-    order: np.ndarray | None = None
-
-    @property
-    def entries(self) -> int:
-        """Entry count of L + U, which ``woodbury_costs`` prices."""
-        return self.lu.L.nnz + self.lu.U.nnz
+    order: np.ndarray
 
     def solve(self, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
         """A_m^-1 rhs (A_m^-T rhs with ``trans="T"``) for a vector or the columns of a matrix."""
-        if self.order is None:
-            return self.lu.solve(rhs, trans=trans)
         out = np.empty(rhs.shape)
         out[self.order] = self.lu.solve(rhs[self.order], trans=trans)
         return out
 
 
-def _sample_lu(ensemble: PerturbedEnsemble, m: int) -> SampleLU:
-    """Sparse LU of sample m's matrix ``base + P_m``, with partial pivoting.
+def _sample_lu(ensemble: PerturbedEnsemble, m: int, matrix=None) -> SampleLU:
+    """Sparse LU of sample m's matrix ``base + P_m`` (``matrix``, if the caller formed it).
 
-    Sample 0's is ordered by MMD on A + A^T.  Every later sample takes that
-    column ordering (``PerturbedEnsemble.sample_order``): it factors its
-    matrix symmetrically permuted by it, in natural order.  Sample matrices
-    of one ensemble usually share one pattern, so one ordering serves them
-    all; any ordering factors exactly, one made for another pattern only
-    costs fill.  Raises ``SingularSampleError(m)`` if the matrix is exactly
-    singular.
+    Every sample takes the fill-reducing ordering of ``ensemble.base_factor``:
+    it factors its matrix symmetrically permuted by it, in natural order,
+    with partial pivoting.  Sample matrices of one ensemble usually share the
+    base's pattern, so one ordering serves them all; any ordering factors
+    exactly, one made for another pattern only costs fill.  Raises
+    ``SingularSampleError(m)`` if the matrix is exactly singular.
     """
-    matrix = sp.csr_array(ensemble.base + ensemble.perturbations[m])
-    if m == 0:
-        order, permc_spec = None, "MMD_AT_PLUS_A"
-        matrix = matrix.tocsc()
-    else:
-        order, permc_spec = ensemble.sample_order, "NATURAL"
-        # matrix[order][:, order] as CSC: gather the rows, rename the columns,
-        # then the transposing copy that CSC needs anyway
-        rows = matrix[order]
-        rename = ensemble.sample_lu0.lu.perm_c  # the inverse of order
-        matrix = sp.csr_array((rows.data, rename[rows.indices], rows.indptr),
-                              shape=matrix.shape).tocsc()
+    if matrix is None:
+        matrix = ensemble.base + ensemble.perturbations[m]
+    factor = ensemble.base_factor
+    # matrix[order][:, order] as CSC: gather the rows, rename the columns,
+    # then the transposing copy that CSC needs anyway
+    rows = sp.csr_array(matrix)[factor.order]
+    matrix = sp.csr_array((rows.data, factor.position[rows.indices], rows.indptr),
+                          shape=matrix.shape).tocsc()
     try:
-        return SampleLU(spla.splu(matrix, permc_spec=permc_spec, **SAMPLE_LU_SUPERNODES), order)
+        return SampleLU(spla.splu(matrix, permc_spec="NATURAL", **SAMPLE_LU_SUPERNODES),
+                        factor.order)
     except RuntimeError:
         raise SingularSampleError(m) from None
 
@@ -395,16 +370,19 @@ def woodbury_form(ensemble: PerturbedEnsemble, basis_rank: int, complement_rank:
                   ) -> WoodburyForm:
     """The cheaper of the basis form and the complement form at the given ranks.
 
-    Needs no eigenvectors: only N, the two ranks and sample 0's LU.  The basis
-    form runs unless the complement rank is below the basis rank and
-    ``woodbury_costs`` prices the complement form cheaper for the ensemble's
-    ``sample_lu0`` (``SingularSampleError`` if it fails).  The complement
-    form at rank 0 is the direct form.  The form returned holds no vectors.
+    Needs no eigenvectors: only N, the two ranks and the fill of the base's
+    factor.  The basis form runs unless the complement rank is below the
+    basis rank and ``woodbury_costs`` prices the complement form cheaper,
+    each sample LU holding as many entries as ``ensemble.base_factor``: it
+    takes that factor's ordering (``_sample_lu``), and a sample matrix of
+    the base's pattern that pivots on its diagonal fills it alike.  No
+    sample is factored.  The complement form at rank 0 is the direct form.
+    The form returned holds no vectors.
     """
     if complement_rank >= basis_rank:
         return WoodburyForm("basis", basis_rank)
     basis, sampled = woodbury_costs(ensemble.dim, basis_rank, complement_rank,
-                                    ensemble.sample_lu0.entries)
+                                    ensemble.base_factor.entries)
     if sampled < basis:
         return WoodburyForm("complement" if complement_rank else "direct", complement_rank)
     return WoodburyForm("basis", basis_rank)
@@ -423,8 +401,8 @@ def plan_smw(ensemble: PerturbedEnsemble, ranks):
     (k* well below |S|) the eigenvectors are computed after all, from the
     same Gram matrix.  Otherwise one eigensolve computes the pairs.  The
     spectrum is complete (``GramSpectrum``), and each form holds the
-    eigenvectors it reads as a view of it.  Pricing makes at most one LU, the
-    ensemble's ``sample_lu0``.  Returns (spectrum, forms).
+    eigenvectors it reads as a view of it.  Pricing makes no LU: it reads the
+    ensemble's ``base_factor``.  Returns (spectrum, forms).
     """
     members = ensemble.perturbations
     gram = lowrank.ensemble_gram(members)
@@ -463,10 +441,9 @@ class WoodburySolvers(Sequence):
     ``base_factor`` and ``base^-1 V``, computed on first need; the complement
     form solves with sample m's LU and ``-(base + P_m)^-1 V``.  At rank 0
     (the direct form) there is no solve with V and no projection.  The
-    complement and direct forms make sample m's LU on access (``_sample_lu``;
-    sample 0's is the ensemble's ``sample_lu0``); one that fails raises
-    ``SingularSampleError``.  Vectors not of shape (N, ``update_rank``) raise
-    ``DimensionMismatchError``.
+    complement and direct forms make sample m's LU on access
+    (``_sample_lu``); one that fails raises ``SingularSampleError``.  Vectors
+    not of shape (N, ``update_rank``) raise ``DimensionMismatchError``.
     """
 
     def __init__(self, ensemble: PerturbedEnsemble, form: WoodburyForm):
@@ -490,7 +467,7 @@ class WoodburySolvers(Sequence):
         if self.form == "basis":
             solve_f = solve_ft = self._ensemble.base_factor.solve
         else:
-            lu = self._ensemble.sample_lu0 if m == 0 else _sample_lu(self._ensemble, m)
+            lu = _sample_lu(self._ensemble, m)
             solve_f, solve_ft = lu.solve, partial(lu.solve, trans="T")
         if not self.update_rank:
             return WoodburySolver(m, solve_f, solve_ft, self._vectors, self._vectors.T)
@@ -514,11 +491,12 @@ class DirectSolvers(Sequence):
     and one band Cholesky factors them all (``numerics.band_cholesky``):
     ``route`` is ``"band"``.  A block that is not positive definite passes
     stacked solves through, and its sample is factored by its sparse LU
-    (``_sample_lu``; sample 0's is the ensemble's ``sample_lu0``), as on the
-    per-sample route ``"lu"``, where every sample is; one that fails raises
-    ``SingularSampleError``.  ``lu_samples`` lists those samples.
-    ``solve_all`` solves every sample in one band call each way, and item m
-    is a ``WoodburySolver`` at rank 0 for sample m alone, on its block.
+    (``_sample_lu``), as on the per-sample route ``"lu"``, where every
+    sample is; one that fails raises ``SingularSampleError``.
+    ``lu_samples`` lists those samples.  ``solve_all`` solves every sample
+    in one band call each way, and item m is a ``WoodburySolver`` at rank 0
+    for sample m alone, on its block, whose solve holds the band but not
+    this object: dropping it frees the band at once.
     """
 
     def __init__(self, ensemble: PerturbedEnsemble):
@@ -536,10 +514,9 @@ class DirectSolvers(Sequence):
                 self.route, self._factor = "band", self._stack(matrices)
         self.lu_samples = (tuple(numerics.band_cholesky(self._factor, n))
                            if self.route == "band" else tuple(range(count)))
-        lus, empty = WoodburySolvers(ensemble, DIRECT), np.zeros((n, 0))
+        lus = WoodburySolvers(ensemble, DIRECT)
         self._solvers = [lus[m] if m in self.lu_samples else
-                         WoodburySolver(m, partial(self._solve_block, m),
-                                        partial(self._solve_block, m), empty, empty.T)
+                         _band_block_solver(m, self._factor, self._order, self._position)
                          for m in range(count)]
 
     def _entries(self, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -570,11 +547,6 @@ class DirectSolvers(Sequence):
             block[index] += values
         return band
 
-    def _solve_block(self, m: int, rhs: np.ndarray) -> np.ndarray:
-        """Sample m's solve, on its block of the band, for a vector or the columns of a matrix."""
-        x = np.asfortranarray(rhs[self._order], dtype=float)
-        return numerics.band_cholesky_solve(self._factor, x, m * self._dim)[self._position]
-
     def __len__(self) -> int:
         return self._count
 
@@ -602,6 +574,22 @@ class DirectSolvers(Sequence):
         return out
 
 
+def _band_block_solver(m, factor, order, position) -> WoodburySolver:
+    """Sample m's solver at rank 0 on block m of ``band_cholesky`` factor ``factor``.
+
+    ``order`` is the band's ordering and ``position`` its inverse.  The solve
+    holds these alone, not the ``DirectSolvers`` that made it.
+    """
+    n = order.shape[0]
+
+    def solve(rhs):
+        x = np.asfortranarray(rhs[order], dtype=float)
+        return numerics.band_cholesky_solve(factor, x, m * n)[position]
+
+    empty = np.zeros((n, 0))
+    return WoodburySolver(m, solve, solve, empty, empty.T)
+
+
 def solve_ensemble(ensemble: PerturbedEnsemble, form: WoodburyForm) -> EnsembleSolution:
     """Solve every sample with its ``WoodburySolver`` in ``form``: the one per-sample loop.
 
@@ -626,14 +614,13 @@ def solve_ensemble(ensemble: PerturbedEnsemble, form: WoodburyForm) -> EnsembleS
 def sample_conditions(ensemble: PerturbedEnsemble) -> tuple[float, ...]:
     """The condition estimate of every sample matrix ``base + P_m``, each with its sample LU.
 
-    ``numerics.condition_estimate`` solves with the direct form's solver of
-    the sample (``WoodburySolvers``); a sample matrix that does not factor
-    raises ``SingularSampleError``.  ``lram diagnose --sample-conditions``
-    reports them.
+    Each sum ``base + P_m`` is formed once: ``_sample_lu`` factors it and
+    ``numerics.condition_estimate`` applies it and solves with that LU.  A
+    sample matrix that does not factor raises ``SingularSampleError``.
+    ``lram diagnose --sample-conditions`` reports them.
     """
-    return tuple(numerics.condition_estimate(ensemble.base + ensemble.perturbations[m],
-                                             solve=solver.solve)
-                 for m, solver in enumerate(WoodburySolvers(ensemble, DIRECT)))
+    return tuple(numerics.condition_estimate(matrix, solve=_sample_lu(ensemble, m, matrix).solve)
+                 for m, matrix in enumerate(ensemble.base + p for p in ensemble.perturbations))
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # refused below, by sample

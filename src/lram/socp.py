@@ -134,8 +134,8 @@ def build_reduced_problem(assembled: fem.AssembledSystem, ensemble: perturbed.Pe
     """Assemble the reduced problem from one FEM system and a Woodbury form of its ensemble.
 
     ``ensemble`` is the system's base, perturbations and load, the one
-    ``form`` was priced on, so sample 0's LU is made once (its
-    ``sample_lu0``).  ``desired_state`` is a callable of (x, y).  Its nodal
+    ``form`` was priced on, so the base is factored once (its
+    ``base_factor``).  ``desired_state`` is a callable of (x, y).  Its nodal
     interpolant enters the state mismatch by default; the mass-weighted
     projection of that interpolant is kept alongside for the gradient pairing
     and for the alternative ``projection`` mismatch convention.  The sample solvers are
@@ -327,9 +327,13 @@ def wolfe_line_search(phi, value0, slope, c1=1e-4, c2=0.9, max_trials=50):
 
 
 def _result(problem, method, control, start, history, iterations, converged, status,
-            trials=0):
-    """The outcome at ``control``; ``start`` is (objective, gradient) at the initial control."""
-    value, grad, mean = _evaluate(problem, control)
+            trials=0, final=None):
+    """The outcome at ``control``; ``start`` is (objective, gradient) at the initial control.
+
+    ``final`` is (objective, gradient, mean state) at ``control`` where the
+    caller holds them from a pass; otherwise one pass computes them.
+    """
+    value, grad, mean = _evaluate(problem, control) if final is None else final
     return SocpResult(
         control=control,
         state_mean=mean,
@@ -531,29 +535,31 @@ def _sgd_initial_step(problem, spec, x, indices):
 def _optimize_sgd(problem, spec, control0):
     rng = np.random.default_rng(spec.seed)
     x = np.array(control0, dtype=float)
-    j0, g0, _ = _evaluate(problem, x)
-    start = (j0, g0)
+    # (objective, gradient, mean state) of each full pass, kept so that the outcome
+    # at the last or the best iterate needs no further pass
+    evaluated = _evaluate(problem, x)
+    start = evaluated[:2]
     history: list[tuple[float, float, float]] = []
     m = problem.num_samples
 
     first_batch = rng.integers(0, m, size=spec.sgd_batch)
     step0, trials = _sgd_initial_step(problem, spec, x, first_batch)
-    best = (j0, x.copy())
+    best_x, best = x, evaluated
     for iterations in range(1, spec.max_iters + 1):
         step = step0 / (1.0 + (iterations - 1) / spec.sgd_decay)
         batch = rng.integers(0, m, size=spec.sgd_batch)
         x = x - step * sample_gradient(problem, x, batch)
-        fx, grad, _ = _evaluate(problem, x)
-        gnorm = float(np.linalg.norm(grad))
-        history.append((fx, gnorm, step))
-        if fx < best[0]:
-            best = (fx, x.copy())
+        evaluated = _evaluate(problem, x)
+        gnorm = float(np.linalg.norm(evaluated[1]))
+        history.append((evaluated[0], gnorm, step))
+        if evaluated[0] < best[0]:
+            best_x, best = x, evaluated
         if gnorm <= spec.grad_tol and (iterations % SGD_CHECK_EVERY == 0
                                        or iterations == spec.max_iters):
             return _result(problem, "sgd", x, start, history, iterations, True, "converged",
-                           trials)
-    return _result(problem, "sgd", best[1], start, history, iterations, False,
-                   "max-iterations", trials)
+                           trials, evaluated)
+    return _result(problem, "sgd", best_x, start, history, iterations, False,
+                   "max-iterations", trials, best)
 
 
 def optimize(problem: ReducedControlProblem, spec: OptimizerSpec,

@@ -96,8 +96,7 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     its form at every rank before any eigenvector exists
     (``perturbed.plan_smw``), so a run whose every form is direct computes
     eigenvalues only.  Solves are keyed by (form, update rank), and each is
-    made once; the reference is the direct form's, and its sample LUs are
-    the ensemble's (sample 0's is the one pricing made).  One worker thread
+    made once; the reference is the direct form's.  One worker thread
     computes the spectrum while the calling thread runs the solves that read
     none (the reference, the direct method, cg) and the base's condition
     estimate; the SMW solves follow on the calling thread.  The worker has
@@ -140,11 +139,9 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
             solutions[key] = perturbed.solve_ensemble(ensemble, form)
         return solutions[key]
 
-    # made here, so that no cached property of the ensemble is built on both threads:
-    # SMW pricing on the worker reads sample 0's LU, and so does the reference here
+    # made here, so that it is not built on both threads: SMW pricing on the worker
+    # reads its fill, and every solve here its ordering
     ensemble.base_factor
-    if cfg.method == "smw" and cfg.reference:
-        ensemble.sample_lu0
     runs = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
         spectral = pool.submit(compress)

@@ -426,6 +426,7 @@ def test_cg_manifest_records_iterations_and_residual(tmp_path):
     header, row = (out / "report.csv").read_text().splitlines()
     report = dict(zip(header.split(","), row.split(",")))
     assert (report["method"], report["rank"], report["rmsre"]) == ("cg", "-1", "nan")
+    assert (report["form"], report["update_rank"]) == ("none", "0")
     assert float(report["err_l2"]) <= 1e-10 * np.linalg.norm(solution.qoi)
     smw = tmp_path / "smw"
     assert run(["spde", "--h", "0.25", "--samples", "3", "--out-dir", str(smw)]) == 0
@@ -632,20 +633,34 @@ def sample_work(monkeypatch):
 @pytest.mark.parametrize("argv, reference, sample_lus, bands", [
     (["spde", "--tau", "0.95", "--no-reference"], {}, 4, 0),
     (["spde", "--tau", "0.95"], {"reference.reused": "true"}, 4, 0),
-    (["socp", "--tau", "0.88"], {}, 1, 1),
+    (["socp", "--tau", "0.88"], {}, 0, 1),
 ], ids=["spde", "spde-reference", "socp"])
 def test_direct_route_at_or_above_k_star(sample_work, tmp_path, argv, reference, sample_lus,
                                          bands):
     # N = 441, k* = 361: ranks 419 and 389 leave no complement, so no capacitance is
     # formed.  spde makes each of the M samples' sparse LUs, and the direct reference
-    # reuses those solutions instead of making the same M LUs again; socp makes
-    # sample 0's LU for pricing and factors all samples by one stacked band Cholesky
+    # reuses those solutions instead of making the same M LUs again; socp prices by the
+    # base's factor, makes no sample LU, and factors all samples by one stacked band
+    # Cholesky
     samples = 4
     out = tmp_path / "out"
     assert run([*argv, "--h", "0.05", "--samples", str(samples), "--out-dir", str(out)]) == 0
     assert manifest_record(out, "woodbury.", "reference.") == {
         "woodbury.form": "direct", "woodbury.update_rank": "0", **reference}
     assert sample_work == {"sample_lu": sample_lus, "capacitance": 0, "band": bands}
+
+
+def test_report_csv_names_the_form_that_ran(tmp_path):
+    # N = 441, k* = 361: method smw at rank 419 runs in the direct form, at update rank 0
+    out = tmp_path / "out"
+    assert run(["spde", "--h", "0.05", "--samples", "4", "--tau", "0.95",
+                "--out-dir", str(out)]) == 0
+    header, row = (out / "report.csv").read_text().splitlines()
+    assert header == ("nodes,samples,rank,tau,epsilon,method,err_l2,err_l2_u0,rmsre,"
+                      "k_star,tau_star,cond_base,form,update_rank")
+    report = dict(zip(header.split(","), row.split(",")))
+    assert (report["method"], report["rank"], report["form"], report["update_rank"]) == (
+        "smw", "419", "direct", "0")
 
 
 @pytest.mark.parametrize("argv, forced, record", [
@@ -685,11 +700,10 @@ def splu_calls(monkeypatch):
 
 
 def test_tau_scan_solves_each_sample_once(splu_calls, tmp_path):
-    # N = 441, k* = 361: ranks 265, 397 and 441.  Rank 265 takes the basis form
-    # after one probe LU of sample 0; ranks 397 and 441 are both SMW at update rank
-    # 0, one direct-form solve of M sample LUs (sample 0's is the probe), which is
-    # also the reference.  Plus the base factored once, for both solves and its
-    # condition estimate.
+    # N = 441, k* = 361: ranks 265, 397 and 441.  Rank 265 takes the basis form,
+    # priced by the base's factor; ranks 397 and 441 are both SMW at update rank 0,
+    # one direct-form solve of M sample LUs, which is also the reference.  Plus the
+    # base factored once, for the pricing, both solves and its condition estimate.
     samples = 10
     out = tmp_path / "scan"
     assert run(["spde", "--h", "0.05", "--samples", str(samples),
@@ -952,8 +966,8 @@ def test_config_file_through_cli(tmp_path):
 
 def test_sample_conditions_reuse_the_solve_lus(splu_calls, tmp_path):
     # diagnose solves nothing, but estimates each sample with its direct-form sample LU:
-    # 10 sample LUs and the base's.  One ordering per ensemble: every sample LU but
-    # sample 0's reuses its ordering.
+    # 10 sample LUs and the base's.  One ordering per ensemble: every sample LU takes
+    # the base's, in natural order.
     samples = 10
     system = fem.sampled_system(fem.Sampling(h=0.1, samples=samples))
     # against estimates made on a fresh general LU of each sample matrix
@@ -963,7 +977,7 @@ def test_sample_conditions_reuse_the_solve_lus(splu_calls, tmp_path):
     assert run(["diagnose", "--h", "0.1", "--samples", str(samples),
                 "--sample-conditions", "--out-dir", str(out)]) == 0
     assert len(splu_calls) == samples + 1
-    assert splu_calls.count("NATURAL") == samples - 1
+    assert splu_calls.count("NATURAL") == samples
     rows = (out / "sample_conditions.csv").read_text().splitlines()[1:]
     got = [float(row.split(",")[1]) for row in rows]
     assert np.allclose(got, fresh, rtol=1e-8, atol=0.0)

@@ -331,11 +331,11 @@ def test_complement_sample_that_does_not_factor_raises(dense_flop_model):
     ensemble = perturbed.PerturbedEnsemble(base=sp.csr_array(eye),
                                            perturbations=perturbations, rhs=rhs)
     # Gram diag(1, 25, 25, 25, 0): k* = 4, so the complement is e1 alone.  Pricing
-    # the complement form against the basis form factors sample 0, which fails.
-    with pytest.raises(SingularSampleError) as err:
-        perturbed.plan_smw(ensemble, [3])
-    assert err.value.sample == 0
-    form = perturbed.WoodburyForm("complement", 1, vectors=eye[:, :1])
+    # reads the base's factor and factors no sample, so it picks the complement form
+    # and its solve fails on sample 0.
+    _, (form,) = perturbed.plan_smw(ensemble, [3])
+    assert (form.name, form.update_rank) == ("complement", 1)
+    assert np.array_equal(form.vectors, eye[:, :1])
     for solve in (lambda: perturbed.solve_ensemble(ensemble, form),
                   lambda: perturbed.solve_ensemble(ensemble, perturbed.DIRECT)):
         with pytest.raises(SingularSampleError) as err:
@@ -493,6 +493,32 @@ def test_sample_conditions_need_the_direct_form():
     assert np.allclose(conds, fresh, rtol=1e-8, atol=0.0)
 
 
+class CountedSums(sp.csr_array):
+    """A base matrix that counts the sums ``base + P_m`` formed with it."""
+
+    sums = 0
+
+    def __add__(self, other):
+        CountedSums.sums += 1
+        return sp.csr_array(super().__add__(other))
+
+
+def test_sample_conditions_form_each_sample_matrix_once():
+    ensemble = fem_ensemble(num_samples=4)
+    counted = perturbed.PerturbedEnsemble(base=CountedSums(ensemble.base),
+                                          perturbations=ensemble.perturbations,
+                                          rhs=ensemble.rhs)
+    counted.base_factor  # its symmetry check forms no sum with a sample
+    CountedSums.sums = 0
+    conds = perturbed.sample_conditions(counted)
+    assert CountedSums.sums == ensemble.num_samples
+    # each estimated with its sample LU, as the direct form solves
+    assert conds == tuple(
+        numerics.condition_estimate(ensemble.base + p, solve=solver.solve)
+        for p, solver in zip(ensemble.perturbations,
+                             perturbed.WoodburySolvers(ensemble, perturbed.DIRECT)))
+
+
 def test_direct_agrees_with_smw_at_full_ratio():
     rng = np.random.default_rng(12)
     n, m = 9, 3
@@ -508,26 +534,29 @@ def test_direct_agrees_with_smw_at_full_ratio():
 
 
 def test_one_fill_reducing_ordering_per_ensemble(monkeypatch):
-    # sample 0's LU, made for pricing and kept by the ensemble, is the only one MMD
-    # orders; every later LU, in this solve or another, factors in its ordering
+    # the base's factor holds the one ordering MMD makes: pricing reads its fill and
+    # makes no LU, and every sample LU, in this solve or another, factors in its
+    # ordering in natural order
     ensemble = fem_ensemble(h=0.05, num_samples=5)
-    ensemble.base_factor  # the base's LU, not a sample's
+    factor = ensemble.base_factor  # the base's LU, not a sample's
     specs = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu",
                         lambda a, **kw: specs.append(kw["permc_spec"]) or splu(a, **kw))
     _, (form,) = perturbed.plan_smw(ensemble, [ensemble.dim])
-    assert specs == ["MMD_AT_PLUS_A"]
+    assert specs == []
     assert form.name == "direct"
     perturbed.solve_ensemble(ensemble, form)
     perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
-    assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * 2 * (ensemble.num_samples - 1)
-    # the shared ordering fills each sample LU as its own MMD ordering would
+    assert specs == ["NATURAL"] * 2 * ensemble.num_samples
+    # the shared ordering fills each sample LU as the base's, and as the sample's own
+    # MMD ordering would
     for m in range(ensemble.num_samples):
-        lu = ensemble.sample_lu0 if m == 0 else perturbed._sample_lu(ensemble, m)
+        lu = perturbed._sample_lu(ensemble, m)
+        assert lu.order is factor.order
         fresh = splu(sp.csc_array(ensemble.base + ensemble.perturbations[m]),
                      permc_spec="MMD_AT_PLUS_A")
-        assert lu.entries == fresh.L.nnz + fresh.U.nnz
+        assert lu.lu.L.nnz + lu.lu.U.nnz == fresh.L.nnz + fresh.U.nnz == factor.entries
 
 
 def arrow_ensemble():
@@ -575,7 +604,7 @@ def test_shared_ordering_solves_match_spsolve(make, pivots):
                                (solver.solve(block), spla.spsolve(matrix, block))]:
             assert np.linalg.norm(ours - expected) <= 1e-12 * np.linalg.norm(expected)
     if pivots is not None:
-        lus = [perturbed._sample_lu(ensemble, m).lu for m in range(1, ensemble.num_samples)]
+        lus = [perturbed._sample_lu(ensemble, m).lu for m in range(ensemble.num_samples)]
         assert any(not np.array_equal(lu.perm_r, lu.perm_c) for lu in lus) == pivots
 
 

@@ -1,6 +1,8 @@
 import collections
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -146,13 +148,13 @@ def test_complement_build_factors_each_sample_once_and_no_coefficient_matrix(mon
     _, problem = fem_problem(h=0.05, num_samples=num_samples, ratio=0.88)
     assert (problem.woodbury_form, problem.update_rank) == ("direct", 0)
     oracles.hessian(problem)
-    # at k >= k*: nothing compressed, sample 0's LU made once, for pricing, and every
-    # sample factored by one stacked band Cholesky; the base never factored, no
-    # projection, no capacitance
+    # at k >= k*: nothing compressed, the base factored once, for pricing, and every
+    # sample factored by one stacked band Cholesky; no sample LU, no projection, no
+    # capacitance
     assert calls["compress"] == 0
-    assert calls["sample_lu"] == 1
+    assert calls["sample_lu"] == 0
     assert calls["band"] == 1
-    assert calls["factorize"] == 0
+    assert calls["factorize"] == 1
     assert calls["projections"] == []
     assert calls["capacitance"] == 0
 
@@ -432,6 +434,22 @@ def test_direct_solvers_band_only_exactly_symmetric_samples():
     assert np.allclose(matrix.T @ solvers[1].solve_t(rhs), rhs, atol=1e-12)
 
 
+def test_dropped_direct_solvers_are_freed_without_the_cyclic_collector():
+    # no item's solve refers back to the solvers, so the last reference's drop frees
+    # them and their band at once
+    system, _ = fem_problem(h=0.1, num_samples=4)
+    ensemble = perturbed.PerturbedEnsemble(system.base, system.perturbations, system.load)
+    solvers = perturbed.DirectSolvers(ensemble)
+    assert solvers.route == "band" and solvers.lu_samples == ()
+    dropped = weakref.ref(solvers)
+    gc.disable()
+    try:
+        del solvers
+        assert dropped() is None
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("indices, error", [
     ([], EmptyInputError),
     ([-1], ConfigRangeError),
@@ -673,6 +691,27 @@ def test_sgd_deterministic_given_seed():
     a = socp.optimize(problem, socp.OptimizerSpec(method="sgd", seed=5), f0)
     b = socp.optimize(problem, socp.OptimizerSpec(method="sgd", seed=5), f0)
     assert np.array_equal(a.control, b.control)
+
+
+@pytest.mark.parametrize("grad_tol, max_iters, status", [
+    (1e3, 50, "converged"),
+    (1e-12, 7, "max-iterations"),
+], ids=["converged", "best-iterate"])
+def test_sgd_outcome_reuses_the_last_full_pass(grad_tol, max_iters, status):
+    # one full pass at the start and one per iteration, the batch passes of the first
+    # step's search and of each iteration, and none for the outcome: it is the pass the
+    # loop made at the last iterate, or at the best one
+    _, problem = fem_problem(h=0.25, num_samples=6)
+    spec = socp.OptimizerSpec(method="sgd", grad_tol=grad_tol, max_iters=max_iters, seed=2)
+    res = socp.optimize(problem, spec, np.zeros(problem.dim))
+    assert res.status == status
+    batch, m = spec.sgd_batch, problem.num_samples
+    assert res.operator_passes == (m + (1 + res.line_search_trials) * batch
+                                   + res.iterations * (batch + m)) / m
+    value, grad, mean = socp._evaluate(problem, res.control)
+    assert res.objective_final == value == min(row[0] for row in res.history)
+    assert res.grad_norm_final == float(np.linalg.norm(grad))
+    assert np.array_equal(res.state_mean, mean)
 
 
 def test_max_iters_flagged_with_best_iterate():
