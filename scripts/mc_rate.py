@@ -5,9 +5,11 @@ import argparse
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from lram import spde  # noqa: E402
+from oracles import mc_convergence_study  # noqa: E402
 
 
 def main():
@@ -21,7 +23,7 @@ def main():
 
     cfg = spde.SpdeRunConfig(h=args.h, samples=25, epsilon=args.epsilon, seed=args.seed)
     m_list = [int(m) for m in args.m_list.split(",")]
-    study = spde.mc_convergence_study(cfg, m_list, repetitions=args.repetitions)
+    study = mc_convergence_study(cfg, m_list, repetitions=args.repetitions)
 
     print(f"{'M':>6} {'mean error':>12}")
     for m, err in study.points:

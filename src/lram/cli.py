@@ -253,6 +253,40 @@ def _record_spectrum(record: dict, eigensolve: numerics.EigenSolve) -> None:
             record[f"spectrum.{f.name}"] = value
 
 
+def _record_factor_route(record: dict, prefix: str, route: perturbed.FactorRoute | None) -> None:
+    """How the direct form factored its samples (``perturbed.FactorRoute``).
+
+    Written as ``<prefix>.route``, ``.bandwidth`` (where set) and ``.lu_samples``,
+    the count of samples on their own LU; nothing where no direct form ran.
+    """
+    if route is None:
+        return
+    record[f"{prefix}.route"] = route.route
+    if route.bandwidth is not None:
+        record[f"{prefix}.bandwidth"] = route.bandwidth
+    record[f"{prefix}.lu_samples"] = len(route.lu_samples)
+
+
+def _record_support(record: dict, support: int, k_star: int) -> list[str]:
+    """Record the Gram support size |S|; a warning if k* leaves the ensemble no low rank.
+
+    k* is at most |S|, so at k* >= |S| - 1 no compression holds less than the support.
+    """
+    record["spectrum.support"] = support
+    if support and k_star >= support - 1:
+        return [f"no low rank: k* = {k_star} of a support of {support} rows"]
+    return []
+
+
+def _direct_form_warning(ranks, forms) -> list[str]:
+    """A warning naming each SMW rank whose solve ran in the direct form, where any did."""
+    direct = [str(rank) for rank, form in zip(ranks, forms) if form == "direct"]
+    if not direct:
+        return []
+    return [f"smw at rank {', '.join(direct)} ran in the direct form: no low-rank update "
+            f"was solved"]
+
+
 def _record_field(record: dict, min_coefficient) -> list[str]:
     """Record the sampled field's least coefficient; a warning if any sample's is nonpositive."""
     least, nonpositive = float(np.min(min_coefficient)), int(np.sum(min_coefficient <= 0.0))
@@ -293,12 +327,15 @@ def cmd_spde(out_dir: Path, record: dict, cfg: SpdeCommand) -> tuple[list, dict,
     _warn(_record_field(record, system.min_coefficient))
     report = spde.run_spde(cfg, cfg.tau_scan if scan else None, system)
     _record_spectrum(record, report.eigensolve)
+    _warn(_record_support(record, report.support, report.k_star))
+    _record_factor_route(record, "factor", report.factor_route)
     if cfg.reference:
         record["reference.reused"] = report.reference_reused
     # ``run_spde`` runs these phases on two threads, so their timings can sum past the wall time
     record["timing.concurrent"] = "compress,solve,diagnostics"
     ranks = [row[1] for row in report.rows if row[1] is not None]
     _warn(_record_ranks(record, ranks, report.k_star))
+    _warn(_direct_form_warning(ranks, report.forms))
     if scan:
         record["k_star"] = report.k_star
         write_csv(out_dir / "errors_vs_tau.csv", ["tau", "rank", "err_l2", "err_l2_u0", "rmsre"],
@@ -350,14 +387,12 @@ def cmd_socp(out_dir: Path, record: dict, cfg: SocpCommand,
     _, problem = socp.build_control_problem(cfg, system)
     timings["build"] = time.perf_counter() - t0
     _record_woodbury(record, problem)
+    _warn(_direct_form_warning([lowrank.rank_from_ratio(cfg.tau, problem.dim)],
+                               [problem.woodbury_form]))
     _record_spectrum(record, problem.eigensolve)
-    solvers = problem.solvers
-    if isinstance(solvers, perturbed.DirectSolvers):
+    if isinstance(problem.solvers, perturbed.DirectSolvers):
         # how the direct form holds its sample factors
-        record["socp.factor.route"] = solvers.route
-        if solvers.bandwidth is not None:
-            record["socp.factor.bandwidth"] = solvers.bandwidth
-        record["socp.factor.lu_samples"] = len(solvers.lu_samples)
+        _record_factor_route(record, "socp.factor", problem.solvers.factor_route)
     control0 = np.full(problem.dim, cfg.control_init)
 
     methods = list(socp.METHODS) if cfg.compare_methods else [spec.method]
@@ -441,14 +476,17 @@ def cmd_compress(out_dir: Path, record: dict, cfg: CompressCommand) -> tuple[lis
     digests = {"factors.bin": lowrank.save_factors(out_dir / "factors.bin", factors)}
     outputs.append("factors.bin")
     nnz = sum(int(p.nnz) for p in ensemble)
+    stored_over_input = factors.stored_scalars / nnz if nnz else float("inf")
     write_csv(out_dir / "factors.csv",
               ["dim", "rank", "samples", "tau", "rmsre", "compression_ratio",
                "stored_scalars", "ensemble_nnz", "stored_over_input"],
               [[factors.dim, factors.rank, factors.num_samples, cfg.tau, err,
                 lowrank.compression_ratio(factors.dim, factors.rank, factors.num_samples),
-                factors.stored_scalars, nnz,
-                factors.stored_scalars / nnz if nnz else float("inf")]])
+                factors.stored_scalars, nnz, stored_over_input]])
     outputs.append("factors.csv")
+    if stored_over_input > 1.0:
+        _warn([f"no compression: the factors hold {stored_over_input:.4g} times the "
+               f"ensemble's {nnz} stored entries"])
     if cfg.export_mm:
         written = lowrank.factors_to_matrix_market(out_dir / "factors_mm", factors)
         for p in written:
@@ -466,6 +504,7 @@ def cmd_diagnose(out_dir: Path, record: dict, cfg: DiagnoseCommand) -> tuple[lis
     _record_spectrum(record, spectrum.eigensolve)
     curve = spectrum.energy_curve()
     k_star, tau_star = spde.critical_tau(curve)
+    _warn(_record_support(record, spectrum.support, k_star))
     timings["diagnose"] = time.perf_counter() - t0
 
     write_csv(out_dir / "energy.csv", ["rank", "energy"], curve)
@@ -481,10 +520,13 @@ def cmd_diagnose(out_dir: Path, record: dict, cfg: DiagnoseCommand) -> tuple[lis
               [[ensemble[0].shape[0], len(ensemble), k_star, tau_star, cond_base]])
     outputs.append("diagnose.csv")
     if cfg.sample_conditions:
-        # of A + P_m with its sample LU; MatrixMarket input carries no base, so of
-        # P_m alone there
-        conds = (perturbed.sample_conditions(sampled) if sampled is not None
-                 else [numerics.condition_estimate(a) for a in ensemble])
+        # of A + P_m with its direct-form solver; MatrixMarket input carries no base,
+        # so of P_m alone there
+        if sampled is not None:
+            conds, route = perturbed.sample_conditions(sampled)
+            _record_factor_route(record, "factor", route)
+        else:
+            conds = [numerics.condition_estimate(a) for a in ensemble]
         write_csv(out_dir / "sample_conditions.csv", ["sample", "cond"], list(enumerate(conds)))
         outputs.append("sample_conditions.csv")
     return outputs, timings, {}
@@ -562,6 +604,14 @@ def _collect_overrides(args, keys) -> dict:
     return overrides
 
 
+#: OpenBLAS threads of every run (``numerics.set_blas_threads``), whatever the
+#: environment asks for.  ``spde`` runs its eigensolve on a worker thread beside
+#: the solves, so a second BLAS thread only contends for the cores; and LAPACK's
+#: band Cholesky, which ``socp`` and the direct form run, slows down several
+#: times on two (README, "BLAS threads").
+BLAS_THREADS = 1
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -589,6 +639,9 @@ def main(argv=None) -> int:
         print(f"lram: cannot create output directory: {exc}", file=sys.stderr)
         return 1
     record: dict = {}  # what the run did, filled in as it goes; kept on failure
+    missing = numerics.set_blas_threads(BLAS_THREADS)
+    record["blas.threads"] = (f"not set: no {', '.join(missing)}" if missing
+                              else BLAS_THREADS)
     try:
         outputs, timings, digests = COMMANDS[args.subcommand](out_dir, record, *configs)
     except ConfigError as exc:

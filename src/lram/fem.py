@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import numerics
 from .errors import (
     DegenerateElementError,
     DimensionMismatchError,
@@ -314,23 +313,3 @@ def mass_norm(mass, vec) -> float:
     """Discrete L2 norm sqrt(v' * M * v) of nodal values."""
     vec = np.asarray(vec, dtype=float)
     return float(np.sqrt(max(vec @ (mass @ vec), 0.0)))
-
-
-def manufactured_check(h_list) -> list[tuple[float, float]]:
-    """L2 errors of the deterministic solve against sin(pi x) sin(pi y).
-
-    Uses unit coefficient and source ``2 pi^2 sin(pi x) sin(pi y)``, for which
-    the exact solution vanishes on the boundary.  Returns (h, error) pairs for
-    convergence-rate checks.
-    """
-    out = []
-    for h in h_list:
-        mesh = structured_mesh(h)
-        system = assemble(
-            mesh, [], lambda x, y: 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
-        )
-        fact = numerics.factorize_spd(system.base)
-        solution = fact.solve(system.load)
-        exact = np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
-        out.append((mesh.h, mass_norm(system.mass, solution - exact)))
-    return out

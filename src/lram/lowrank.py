@@ -11,9 +11,9 @@ curve and the ensemble's numerical rank k* (``numerical_rank``).  The Gram
 matrix stays sparse for sparse members, and the complete eigendecomposition
 runs on its support only.  Its eigenvalues alone serve the energy curve, k*
 and the reconstruction error; its eigenvectors serve the factors of ``lram
-compress`` and the Woodbury forms SMW reads, which hold no factors.  A
-two-sided alternating baseline and the compression ratio are included, plus
-binary and MatrixMarket serialization of the factors.
+compress`` and the Woodbury forms SMW reads, which hold no factors.  The
+compression ratio is included, plus binary and MatrixMarket serialization of
+the factors.
 """
 
 from __future__ import annotations
@@ -91,17 +91,6 @@ class LowRankFactors:
     def stored_scalars(self) -> int:
         """Scalars of the basis plus M coefficient matrices of k-by-N."""
         return int(self.basis.size) + self.num_samples * self.rank * self.dim
-
-
-@dataclass(frozen=True, eq=False)
-class GlramFactors:
-    """Two-sided factorization with shared left/right bases and k-by-k cores."""
-
-    left: np.ndarray
-    right: np.ndarray
-    cores: list[np.ndarray]
-    iterations: int
-    rmsre_history: list[float]
 
 
 def _check_ensemble(ensemble) -> int:
@@ -251,7 +240,10 @@ def gram_spectrum(ensemble, rank: int | None = None, vectors: bool = True,
     matrix is never densified where its support is a narrow band
     (``numerics.sym_eig_topk``): on a FEM support of 1521 rows, bandwidth
     78, the values took 0.27 s and 1.9 MB more resident memory, against
-    0.81 s and 64 MB with the vectors (2-core VM, 2 BLAS threads).
+    0.81 s and 64 MB with the vectors (2-core VM, 2 BLAS threads, ``dsbevd``
+    on the band).  With one BLAS thread and ``dsbevd_2stage``, the values
+    took 0.14 s and the vectors 0.82 s, the call's Python allocations
+    peaking at 3.5 MB against 39.7 MB.
     """
     n = _check_ensemble(ensemble)
     if gram is None:
@@ -347,58 +339,6 @@ def compression_ratio(dim: int, rank: int, num_samples: int) -> float:
     if rank > dim:
         raise ConfigRangeError(f"rank={rank} exceeds dim={dim}")
     return (dim * rank + num_samples * dim * rank) / (num_samples * dim * dim)
-
-
-def glram_compress(ensemble, rank: int, max_iters: int = 50,
-                   rel_tol: float = 1e-10) -> GlramFactors:
-    """Two-sided alternating factorization A_m ~ left @ cores[m] @ right^T.
-
-    Starts from the first ``rank`` identity columns and alternates
-    eigenvector updates of the right and left bases; the recorded
-    reconstruction-error history is non-increasing.  Stops when the relative
-    change drops below ``rel_tol`` or after ``max_iters`` iterations.
-    """
-    n = _check_ensemble(ensemble)
-    if not 1 <= rank <= n:
-        raise DimensionMismatchError(f"rank={rank} outside [1, {n}]")
-    if max_iters < 1:
-        raise ConfigRangeError("max_iters must be >= 1")
-
-    dense = [numerics.to_dense(a) for a in ensemble]
-    m_count = len(dense)
-
-    left = np.eye(n)[:, :rank]
-    right = None
-    history: list[float] = []
-    iterations = 0
-    for _ in range(max_iters):
-        ar_gram = np.zeros((n, n))
-        for a in dense:
-            p = a.T @ left
-            ar_gram += p @ p.T
-        right = numerics.sym_eig_topk(ar_gram, rank, floor=0.0).vectors
-
-        al_gram = np.zeros((n, n))
-        for a in dense:
-            p = a @ right
-            al_gram += p @ p.T
-        left = numerics.sym_eig_topk(al_gram, rank, floor=0.0).vectors
-
-        total = 0.0
-        for a in dense:
-            recon = left @ (left.T @ a @ right) @ right.T
-            total += float(np.linalg.norm(a - recon, "fro")) ** 2
-        err = math.sqrt(total / m_count)
-        history.append(err)
-        iterations += 1
-        if len(history) >= 2:
-            prev = history[-2]
-            if abs(prev - err) < rel_tol * max(err, 1e-300):
-                break
-
-    cores = [left.T @ a @ right for a in dense]
-    return GlramFactors(left=left, right=right, cores=cores,
-                        iterations=iterations, rmsre_history=history)
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,20 @@ each for the whole stack), norm and condition estimates, and MatrixMarket
 import/export.  All tolerances are module constants and can be overridden
 per call.  Matrices are treated as immutable after construction;
 factorization handles are read-only and safe to share across threads.  The
-band eigensolver, the one LAPACK call that another thread runs beside,
-releases the GIL (``_cython_lapack``); every other call goes through SciPy.
+band eigensolver, which ``spde`` runs on a worker thread beside its solves,
+calls LAPACK through ``ctypes`` and releases the GIL (``_band_eigenvalues``);
+every other call goes through SciPy, whose wrappers hold it, the band
+Cholesky's among them.  ``set_blas_threads`` sets the thread count of the
+OpenBLAS builds that the SciPy and NumPy wheels bundle, which are loaded on
+first use (``_bundled_openblas``), not at import.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy.io as sio
@@ -45,12 +51,16 @@ DENSE_EIG_MAX_DIM = 2000
 #: reverse Cuthill-McKee bandwidth is at most this fraction of n, else from the
 #: dense matrix.  The band solver needs O(n bw) memory against O(n^2), and its
 #: time grows with bw.  Measured on a 2-core VM with 2 BLAS threads, values
-#: only: FEM Gram supports of 1521 rows (bandwidth 78, fraction 0.051) took
-#: 0.25-0.36 s on the band against 0.24-0.42 s dense, and of 6241 rows (158,
-#: 0.025) 9.6-11.4 s against 12.1-17.1 s; a wide-band random ``a @ a.T`` took
-#: 316 ms on the band against 49 ms dense at n = 800, and 2.04 s against
-#: 0.25 s at n = 1500.  The band route also releases the GIL
-#: (``_band_eigenvalues``), where the dense one holds it.
+#: only, with ``dsbevd`` on the band: FEM Gram supports of 1521 rows (bandwidth
+#: 78, fraction 0.051) took 0.25-0.36 s on the band against 0.24-0.42 s dense,
+#: and of 6241 rows (158, 0.025) 9.6-11.4 s against 12.1-17.1 s; a wide-band
+#: random ``a @ a.T`` took 316 ms on the band against 49 ms dense at n = 800,
+#: and 2.04 s against 0.25 s at n = 1500.  With one BLAS thread and
+#: ``dsbevd_2stage`` (5 runs, min-max): the 1521 rows took 138-146 ms on the
+#: band against 309-323 ms dense, and the random full band 62-64 against
+#: 40-41 ms at n = 800 and 517-549 against 290-293 ms at n = 1500.  The band
+#: route also releases the GIL (``_band_eigenvalues``), where the dense one
+#: holds it.
 BAND_EIG_MAX_FRACTION = 0.1
 #: Chebyshev-filtered subspace iteration (``_chebyshev_topk``): the degree of the
 #: filter applied in each outer step, the fewest guard columns the block holds
@@ -141,12 +151,14 @@ def _require_square(a):
 @dataclass(frozen=True)
 class EigenSolve:
     """How an eigensolve ran: its route, ``"dense"``, ``"band"`` or ``"chebyshev"``
-    (``sym_eig_topk``), or ``"none"`` with nothing to decompose; the band's width
-    on the band route; and on the Chebyshev route its block products with the
-    matrix and outer (QR and Rayleigh-Ritz) steps."""
+    (``sym_eig_topk``), or ``"none"`` with nothing to decompose; on the band
+    route the band's width and the LAPACK routine that ran (``_band_eigenvalues``);
+    and on the Chebyshev route its block products with the matrix and outer (QR
+    and Rayleigh-Ritz) steps."""
 
     route: str
     bandwidth: int | None = None
+    kernel: str | None = None
     products: int | None = None
     steps: int | None = None
 
@@ -231,8 +243,7 @@ def _cython_lapack(name: str, *argtypes):
     """LAPACK routine ``name`` of SciPy's Cython LAPACK as a ctypes C function.
 
     A ctypes C function releases the GIL for the call, where SciPy's f2py
-    wrappers hold it; so only the call that another thread runs beside is
-    bound: ``dsbevd``, on ``spde``'s worker thread.
+    wrappers hold it.
     """
     capsule = cython_lapack.__pyx_capi__[name]
     name_of = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -242,7 +253,67 @@ def _cython_lapack(name: str, *argtypes):
     return ctypes.CFUNCTYPE(None, *argtypes)(pointer_of(capsule, name_of(capsule)))
 
 
+#: The OpenBLAS builds bundled with the SciPy and NumPy wheels, as a glob in the
+#: directory the packages are installed in; NumPy's is the 64-bit-integer build,
+#: whose symbols end in ``64_``.
+_BUNDLED_OPENBLAS = {"scipy": "scipy.libs/libscipy_openblas-*.so",
+                     "numpy": "numpy.libs/libscipy_openblas64_*.so"}
+
+
+@functools.cache
+def _bundled_openblas() -> dict:
+    """Each of ``_BUNDLED_OPENBLAS``'s libraries as a ``ctypes.CDLL``, or None where not found.
+
+    Loaded on the first call, not at import.  SciPy's and NumPy's extension
+    modules have loaded these libraries already, so this finds the copies
+    they call, not new ones.
+    """
+    site = Path(sla.__file__).resolve().parent.parent.parent
+    found = {}
+    for package, pattern in _BUNDLED_OPENBLAS.items():
+        paths = sorted(site.glob(pattern))
+        found[package] = ctypes.CDLL(str(paths[0])) if paths else None
+    return found
+
+
+def _openblas_function(package: str, name: str, *argtypes):
+    """Function ``name`` of ``package``'s bundled OpenBLAS as a ctypes C function, or None.
+
+    None where the library or the symbol is missing.  The call releases the GIL.
+    """
+    library = _bundled_openblas()[package]
+    if library is None or not hasattr(library, name):
+        return None
+    return ctypes.CFUNCTYPE(None, *argtypes)((name, library))
+
+
+#: Each bundled OpenBLAS library and its thread-count setter.
+_THREAD_SETTERS = {"scipy": "scipy_openblas_set_num_threads",
+                   "numpy": "scipy_openblas_set_num_threads64_"}
+
+
+def set_blas_threads(count: int) -> list[str]:
+    """Set the thread count of SciPy's and NumPy's bundled OpenBLAS to ``count``.
+
+    Returns the setters that were not found, empty where both ran; a library
+    whose setter is missing keeps its count (its default, or what the
+    environment set).
+    """
+    missing = []
+    for package, name in _THREAD_SETTERS.items():
+        setter = _openblas_function(package, name, ctypes.c_int)
+        if setter is None:
+            missing.append(name)
+        else:
+            setter(count)
+    return missing
+
+
 _INT, _ARRAY = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+#: The arguments of LAPACK ``dsbevd(jobz, uplo, n, kd, ab, ldab, w, z, ldz, work,
+#: lwork, iwork, liwork, info)`` and of ``dsbevd_2stage``, which takes the same.
+_DSBEVD_ARGS = (ctypes.c_char_p, ctypes.c_char_p, _INT, _INT, _ARRAY, _INT, _ARRAY, _ARRAY,
+                _INT, _ARRAY, _INT, _ARRAY, _INT, _INT)
 
 
 def _ref(value: int):
@@ -250,37 +321,63 @@ def _ref(value: int):
     return ctypes.byref(ctypes.c_int(value))
 
 
-#: LAPACK ``dsbevd(jobz, uplo, n, kd, ab, ldab, w, z, ldz, work, lwork, iwork,
-#: liwork, info)``, the band eigensolver ``scipy.linalg.eig_banded`` runs.
-_DSBEVD = _cython_lapack("dsbevd", ctypes.c_char_p, ctypes.c_char_p, _INT, _INT, _ARRAY,
-                         _INT, _ARRAY, _ARRAY, _INT, _ARRAY, _INT, _ARRAY, _INT, _INT)
+#: LAPACK ``dsbevd`` from SciPy's Cython LAPACK, the band eigensolver that
+#: ``scipy.linalg.eig_banded`` runs; ``_band_eigenvalues`` calls it where the
+#: bundled OpenBLAS has no ``dsbevd_2stage``.
+_DSBEVD = _cython_lapack("dsbevd", *_DSBEVD_ARGS)
 
 
-def _band_eigenvalues(band: np.ndarray) -> np.ndarray:
+@functools.cache
+def _dsbevd_2stage():
+    """LAPACK ``dsbevd_2stage`` of SciPy's bundled OpenBLAS, or None where it is missing.
+
+    SciPy's Cython LAPACK does not export it.  Bound on first use, from the
+    library SciPy has loaded already (``_bundled_openblas``).
+    """
+    return _openblas_function("scipy", "scipy_dsbevd_2stage_", *_DSBEVD_ARGS,
+                              ctypes.c_size_t, ctypes.c_size_t)
+
+
+def _band_eigenvalues(band: np.ndarray) -> tuple[np.ndarray, str]:
     """Eigenvalues, ascending, of the symmetric matrix whose lower band is ``band``.
 
-    ``band`` has ``_lower_band``'s layout and is overwritten.  LAPACK
-    ``dsbevd`` computes the values with the workspace that
+    ``band`` has ``_lower_band``'s layout and is overwritten.  LAPACK's
+    two-stage band reduction ``dsbevd_2stage`` (Haidar, Ltaief & Dongarra,
+    SC'11) computes the values with the workspace it asks for; where the
+    bundled OpenBLAS has none, ``dsbevd`` does, with the workspace that
     ``scipy.linalg.eig_banded(band, lower=True, eigvals_only=True)`` gives it,
-    so they are bitwise that function's, but without the GIL
-    (``_cython_lapack``).  Raises ``NoConvergenceError`` if the solver does
-    not converge.
+    so the values are bitwise that function's.  Either runs without the GIL.
+    On a FEM Gram support of 1521 rows, bandwidth 78 (one BLAS thread,
+    2-core VM), the two-stage routine took 0.14-0.16 s against 0.20-0.22 s
+    for ``dsbevd``, and its values differed from ``dsbevd``'s by at most
+    8.4e-15 of the largest.  Returns the values and the routine that ran.  Raises
+    ``NoConvergenceError`` if the solver does not converge.
     """
     band = np.asfortranarray(band, dtype=float)
     rows, n = band.shape
-    values, work = np.empty(n), np.empty(2 * n)
-    unused_vectors, iwork = np.empty(1), np.empty(1, dtype=np.intc)
-    info = ctypes.c_int()
-    _DSBEVD(b"N", b"L", _ref(n), _ref(rows - 1), band.ctypes.data, _ref(rows),
-            values.ctypes.data, unused_vectors.ctypes.data, _ref(1),
-            work.ctypes.data, _ref(work.size), iwork.ctypes.data, _ref(iwork.size),
-            ctypes.byref(info))
+    values, unused_vectors, info = np.empty(n), np.empty(1), ctypes.c_int()
+    two_stage = _dsbevd_2stage()
+    # the Fortran entry takes its two one-letter strings' lengths last
+    routine, kernel, lengths = ((_DSBEVD, "dsbevd", ()) if two_stage is None
+                                else (two_stage, "dsbevd_2stage", (1, 1)))
+
+    def call(work, iwork, lwork, liwork):
+        routine(b"N", b"L", _ref(n), _ref(rows - 1), band.ctypes.data, _ref(rows),
+                values.ctypes.data, unused_vectors.ctypes.data, _ref(1), work.ctypes.data,
+                _ref(lwork), iwork.ctypes.data, _ref(liwork), ctypes.byref(info), *lengths)
+
+    work, iwork = np.empty(2 * n), np.empty(1, dtype=np.intc)
+    if two_stage is not None:
+        call(work, iwork, -1, -1)  # the query: the sizes come back in work[0] and iwork[0]
+        work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.intc)
+    if info.value == 0:
+        call(work, iwork, work.size, iwork.size)
     if info.value < 0:
-        raise ValueError(f"dsbevd: argument {-info.value} has an illegal value")
+        raise ValueError(f"{kernel}: argument {-info.value} has an illegal value")
     if info.value > 0:
         raise NoConvergenceError(f"band eigensolver: {info.value} off-diagonal "
                                  "entries did not converge")
-    return values
+    return values, kernel
 
 
 def band_cholesky(band: np.ndarray, block: int) -> list[int]:
@@ -494,9 +591,10 @@ def sym_eig_topk(s, k, sym_tol=SYM_TOL, vectors: bool = True,
         sym = to_csr((s + s.T) * 0.5)
         band = None if vectors else _lower_band(sym)
         if band is not None:
-            w = _band_eigenvalues(band)
+            w, kernel = _band_eigenvalues(band)
             return EigenPairs(values=w[::-1][:k].copy(), vectors=None,
-                              eigensolve=EigenSolve("band", bandwidth=band.shape[0] - 1))
+                              eigensolve=EigenSolve("band", bandwidth=band.shape[0] - 1,
+                                                    kernel=kernel))
         sd = sym.toarray(order="F")
         del sym
     else:

@@ -29,28 +29,24 @@ only add work.
   LU.  It includes a per-sample sparse LU, so SMW in this form costs at
   least the direct route.
 * Direct form, rank 0 at k >= k* (``DIRECT`` at any k): no V and no
-  capacitance, one sparse LU and one solve per sample.
+  capacitance, each sample factored once and solved (``DirectSolvers``).
 
 Every sample LU (``_sample_lu``) takes the fill-reducing ordering of the
 base's factor (``PerturbedEnsemble.base_factor``): the samples share the
 base's pattern, so one ordering, made once, serves them all, and no sample
 is special.
 
-Who factors a sample how depends on how often it is solved.
-``solve_ensemble`` (``spde`` and ``diagnose``) solves each sample once, so
-``WoodburySolvers`` makes a sample's LU when the sample is reached and drops
-it after: the LUs stream, one at a time.  A band Cholesky of the whole
-ensemble does not pay there: at h = 0.025, M = 100 (N = 1681, half-bandwidth
-39), building ``DirectSolvers`` and solving once took 0.14-0.19 s with one
-OpenBLAS thread, where the streamed LUs took 0.24-0.27 s, but 0.39-1.51 s
-with two, spde's setting, where they took 0.16-0.26 s (the band Cholesky
-slows down on two threads, SuperLU does not), and the band alone holds
-54 MB.  ``socp``
-solves each sample hundreds of times, so its direct form holds every
-sample's factor (``DirectSolvers``): all samples stacked block-diagonally in
-one band, factored by one band Cholesky, and solved together in one call
-each way; the LU of a sample only where its block is not positive definite
-or where the band is wide.
+The direct form holds its samples' factors in ``DirectSolvers``: sample
+matrices stacked block-diagonally in one band, in one reverse Cuthill-McKee
+ordering shared by the ensemble (``PerturbedEnsemble.band_ordering``),
+factored by one band Cholesky and solved together in one call each way; a
+sample's LU only where its block is not positive definite or where the band
+is wide, and the base's factor for a sample with no perturbation.  ``socp``
+solves each sample hundreds of times, so it holds every sample's factor at
+once.  ``solve_ensemble`` (``spde``'s direct method and reference, the
+direct form of SMW) and ``sample_conditions`` (``diagnose``) solve each
+sample once, so they factor and solve the samples in stacks of
+``DIRECT_STACK_SAMPLES`` and drop each stack before the next.
 
 The form (``woodbury_form``, priced by ``woodbury_costs``) needs only N, k,
 k* and the fill of the base's factor, which every sample LU shares, so
@@ -95,6 +91,8 @@ CAPACITANCE_RESIDUAL_TOL = 1e-8
 #: Right-hand-side columns per solve with a sample LU.  Narrow blocks keep the
 #: dense kernels inside SuperLU small: on a 2-core VM with 2 OpenBLAS threads,
 #: 53 to 202 columns in one call solved 2 to 4 times slower than in blocks of 16.
+#: With one thread, the CLI's setting, the blocks neither win nor lose: 202
+#: columns at N = 1681 took 9.0-10.6 ms in one call and 9.3-13.7 ms in blocks.
 SOLVE_BLOCK_COLUMNS = 16
 #: Dense-flop weights of the sparse work in ``woodbury_costs``: one flop of a
 #: solve with a sample LU, one sample LU per entry of its L and U factors, and
@@ -105,7 +103,10 @@ SOLVE_BLOCK_COLUMNS = 16
 #: included) at a median 359 us for 1044 entries of L + U at N = 121 and
 #: 2358 us for 38850 at N = 1681 (5 runs of 8 x 100 LUs each), which is 53 ns
 #: per entry plus 300 us per LU.  At smaller N the dense kernels run slower
-#: than the weights assume, so a near tie keeps the basis form.
+#: than the weights assume, so a near tie keeps the basis form.  With one
+#: OpenBLAS thread, the CLI's setting, the capacitance kernels ran at 45-71 GF/s
+#: (k = 100-800, N = 1681) and a sample LU took a median 240 us at N = 121 and
+#: 1679 us at N = 1681 (5 runs of 100 LUs), about 38 ns per entry plus 200 us.
 SPARSE_SOLVE_WEIGHT = 50
 SAMPLE_LU_WEIGHT = 3200
 SAMPLE_LU_OVERHEAD = 1.8e7
@@ -113,7 +114,8 @@ SAMPLE_LU_OVERHEAD = 1.8e7
 #: panels of one column.  FEM sample matrices have small supernodes, so the
 #: defaults only add padded work.  Per sample LU in the shared ordering at
 #: N = 1681 (2-core VM, 2 OpenBLAS threads): 2.2 ms at relax 1, panel 1;
-#: 2.8 ms at 2/2 or 4/4, 3.0 ms at 8/8 and 3.6 ms at the defaults.
+#: 2.8 ms at 2/2 or 4/4, 3.0 ms at 8/8 and 3.6 ms at the defaults.  With one
+#: thread: 1.5 ms at 1/1, 1.7 ms at 4/4 and 1.9 ms at the defaults.
 SAMPLE_LU_SUPERNODES = {"relax": 1, "panel_size": 1}
 #: Widest half-bandwidth kd, in the shared reverse Cuthill-McKee ordering, at
 #: which ``DirectSolvers`` holds the samples as one band Cholesky; wider, each
@@ -134,10 +136,47 @@ SAMPLE_LU_SUPERNODES = {"relax": 1, "panel_size": 1}
 #: 79    6561   10  83-106 / 66-100      8.0-11.5 / 6.5-9.0
 #: ====  =====  ==  ===================  ==================
 #:
-#: The band wins through kd = 59, ties at 69 and loses at 79.
+#: The band wins through kd = 59, ties at 69 and loses at 79.  For callers
+#: that solve each sample once, ``solve_ensemble(ensemble, DIRECT)`` in
+#: stacks at M = 20, against each sample's LU made, solved once and dropped
+#: (same ensembles, one thread, 5 runs, min-median-max), took
+#:
+#: ====  =====  ===============  ===============
+#: kd    N      stacks ms        LUs ms
+#: ====  =====  ===============  ===============
+#: 39    1681   17-17-21         31-32-35
+#: 49    2601   31-32-33         45-47-47
+#: 59    3721   50-51-55         63-63-86
+#: 69    5041   97-109-179       87-93-102
+#: 79    6561   146-155-159      115-116-129
+#: ====  =====  ===============  ===============
+#:
+#: the band winning through kd = 59 and losing from 69: one limit serves both.
 SAMPLE_BAND_MAX_BANDWIDTH = 60
+#: Samples per ``DirectSolvers`` stack when each sample is solved once
+#: (``solve_ensemble``, ``sample_conditions``): a stack is factored, solved
+#: and dropped before the next is built, so one stack's band is held at a
+#: time.  At h = 0.025, M = 100 (``lram spde --tau 0.95``, 3 runs each) the
+#: process peaked at 85.7-86.0 MB with stacks of 5, 88.1-88.7 MB with 10 and
+#: 93.9-94.2 MB with 20, against 83.4-84.7 MB with the samples' LUs streamed
+#: one at a time; the whole ensemble's band would hold 54 MB.
+DIRECT_STACK_SAMPLES = 5
 #: ``solve_cg`` stops sample m once |rhs - (base + P_m) u_m| <= CG_RTOL |rhs|.
 CG_RTOL = 1e-10
+
+
+@dataclass(frozen=True, eq=False)
+class BandOrdering:
+    """The reverse Cuthill-McKee ordering of an ensemble's base, which its sample matrices share.
+
+    ``base[order][:, order]`` is the reordered base, ``position`` is the
+    inverse of ``order``, and ``bandwidth`` the largest half-bandwidth of a
+    sample matrix ``base + P_m`` in it.
+    """
+
+    order: np.ndarray
+    position: np.ndarray
+    bandwidth: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,9 +186,11 @@ class PerturbedEnsemble:
     ``base_factor`` is made on first use.  It serves every solve with the
     base, its fill prices the forms (``woodbury_form``), and its ordering
     serves every sample LU (``_sample_lu``), so an ensemble makes one
-    ordering.  Where two threads share an ensemble, neither may build it
-    while the other reads it: ``spde.run_spde`` makes it before its worker
-    thread prices the forms.
+    ordering.  ``band_ordering``, also made on first use, is the one band
+    ordering of every ``DirectSolvers`` of the ensemble.  Where two threads
+    share an ensemble, neither may build one of these while the other reads
+    it: ``spde.run_spde`` makes ``base_factor`` before its worker thread
+    prices the forms, and the worker reads no ``band_ordering``.
     """
 
     base: sp.csr_array
@@ -178,6 +219,45 @@ class PerturbedEnsemble:
     def base_factor(self) -> numerics.SpdFactorization:
         return numerics.factorize_spd(self.base)
 
+    @cached_property
+    def band_ordering(self) -> BandOrdering | None:
+        """The base's reverse Cuthill-McKee ordering, for ``DirectSolvers``' band.
+
+        None where the base or a perturbation is not exactly symmetric:
+        Cholesky reads one triangle, so only exactly symmetric sample matrices
+        are banded.  Each matrix is checked once per ensemble.
+        """
+        order = numerics.rcm_order(self.base)
+        position = np.argsort(order)
+        bandwidth = 0
+        for a in [self.base, *self.perturbations]:
+            a = numerics.to_csr(a)
+            if not _exactly_symmetric(a):
+                return None
+            rows, cols, _ = _ordered_entries(a, position)
+            bandwidth = max(bandwidth, int(np.abs(rows - cols).max(initial=0)))
+        return BandOrdering(order, position, bandwidth)
+
+
+def _ordered_entries(a, position) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows, columns and values of canonical CSR ``a``'s entries, renumbered by ``position``."""
+    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
+    return position[rows], position[a.indices], a.data
+
+
+@dataclass(frozen=True)
+class FactorRoute:
+    """How the direct form factored its samples (``DirectSolvers``).
+
+    ``route`` is ``"band"`` or ``"lu"``, ``bandwidth`` the samples' shared
+    half-bandwidth (None where they are not exactly symmetric), and
+    ``lu_samples`` the samples factored by their own sparse LU.
+    """
+
+    route: str
+    bandwidth: int | None
+    lu_samples: tuple[int, ...]
+
 
 @dataclass(frozen=True, eq=False)
 class EnsembleSolution:
@@ -192,6 +272,8 @@ class EnsembleSolution:
     # block CG only: its iteration count, and per sample the final relative residual
     iterations: int | None = None
     residuals: tuple[float, ...] | None = None
+    # the direct form only: how its samples were factored
+    factor_route: FactorRoute | None = None
 
 
 def qoi_mean(samples) -> np.ndarray:
@@ -219,8 +301,8 @@ class SampleLU:
         return out
 
 
-def _sample_lu(ensemble: PerturbedEnsemble, m: int, matrix=None) -> SampleLU:
-    """Sparse LU of sample m's matrix ``base + P_m`` (``matrix``, if the caller formed it).
+def _sample_lu(ensemble: PerturbedEnsemble, m: int) -> SampleLU:
+    """Sparse LU of sample m's matrix ``base + P_m``.
 
     Every sample takes the fill-reducing ordering of ``ensemble.base_factor``:
     it factors its matrix symmetrically permuted by it, in natural order,
@@ -229,8 +311,7 @@ def _sample_lu(ensemble: PerturbedEnsemble, m: int, matrix=None) -> SampleLU:
     exactly, one made for another pattern only costs fill.  Raises
     ``SingularSampleError(m)`` if the matrix is exactly singular.
     """
-    if matrix is None:
-        matrix = ensemble.base + ensemble.perturbations[m]
+    matrix = ensemble.base + ensemble.perturbations[m]
     factor = ensemble.base_factor
     # matrix[order][:, order] as CSC: gather the rows, rename the columns,
     # then the transposing copy that CSC needs anyway
@@ -388,10 +469,11 @@ def woodbury_form(ensemble: PerturbedEnsemble, basis_rank: int, complement_rank:
     return WoodburyForm("basis", basis_rank)
 
 
-def plan_smw(ensemble: PerturbedEnsemble, ranks):
+def plan_smw(ensemble: PerturbedEnsemble, ranks, gram=None):
     """The Gram spectrum SMW needs at each of ``ranks``, and the form each runs in.
 
-    The one router of SMW solves.  One Gram build.  Eigenvectors are
+    The one router of SMW solves.  One Gram build, none where ``gram`` is
+    the ensemble's ``lowrank.ensemble_gram`` already.  Eigenvectors are
     computed only if a form reads them.
     The numerical rank k* is at most the support size |S| (``GramSpectrum``),
     so where every rank is at least |S| each form is the basis form at rank
@@ -405,7 +487,8 @@ def plan_smw(ensemble: PerturbedEnsemble, ranks):
     ensemble's ``base_factor``.  Returns (spectrum, forms).
     """
     members = ensemble.perturbations
-    gram = lowrank.ensemble_gram(members)
+    if gram is None:
+        gram = lowrank.ensemble_gram(members)
     support = lowrank.gram_support(gram).shape[0]
     vectors = min(ranks) < support or woodbury_form(ensemble, support, 0).reads_vectors
     spectrum = lowrank.gram_spectrum(members, vectors=vectors, gram=gram)
@@ -439,9 +522,9 @@ class WoodburySolvers(Sequence):
     Both update forms read the form's eigenvectors V one way: C_m = V^T P_m
     (``lowrank.Projections``).  The basis form solves with the ensemble's
     ``base_factor`` and ``base^-1 V``, computed on first need; the complement
-    form solves with sample m's LU and ``-(base + P_m)^-1 V``.  At rank 0
-    (the direct form) there is no solve with V and no projection.  The
-    complement and direct forms make sample m's LU on access
+    form solves with sample m's LU and ``-(base + P_m)^-1 V``, and so, with
+    no V, does the direct form, whose solves ``solve_ensemble`` and ``socp``
+    make through ``DirectSolvers`` instead.  Sample m's LU is made on access
     (``_sample_lu``); one that fails raises ``SingularSampleError``.  Vectors
     not of shape (N, ``update_rank``) raise ``DimensionMismatchError``.
     """
@@ -466,98 +549,119 @@ class WoodburySolvers(Sequence):
             raise IndexError(m)
         if self.form == "basis":
             solve_f = solve_ft = self._ensemble.base_factor.solve
-        else:
-            lu = _sample_lu(self._ensemble, m)
-            solve_f, solve_ft = lu.solve, partial(lu.solve, trans="T")
-        if not self.update_rank:
-            return WoodburySolver(m, solve_f, solve_ft, self._vectors, self._vectors.T)
-        if self.form == "basis":
             if self._basis_solved is None:
                 self._basis_solved = _solve_columns(solve_f, self._vectors)
             x_solved = self._basis_solved
         else:
+            lu = _sample_lu(self._ensemble, m)
+            solve_f, solve_ft = lu.solve, partial(lu.solve, trans="T")
             x_solved = -_solve_columns(solve_f, self._vectors)
         return WoodburySolver(m, solve_f, solve_ft, x_solved, self._projections[m])
 
 
-class DirectSolvers(Sequence):
-    """The direct form's solver of every sample of ``ensemble``, each factored once, all held.
+def _rank_zero(m: int, solve, solve_t, n: int) -> WoodburySolver:
+    """Sample m's ``WoodburySolver`` at rank 0: ``solve`` and ``solve_t`` alone."""
+    empty = np.zeros((n, 0))
+    return WoodburySolver(m, solve, solve_t, empty, empty.T)
 
-    The shared ordering is the base's reverse Cuthill-McKee ordering, and
-    ``bandwidth`` the largest half-bandwidth of a sample matrix ``base + P_m``
-    in it.  Where every sample matrix is exactly symmetric and ``bandwidth``
-    is at most ``SAMPLE_BAND_MAX_BANDWIDTH``, the samples are held as one
-    block-diagonal upper band in that ordering, block m holding sample m,
-    and one band Cholesky factors them all (``numerics.band_cholesky``):
-    ``route`` is ``"band"``.  A block that is not positive definite passes
-    stacked solves through, and its sample is factored by its sparse LU
-    (``_sample_lu``), as on the per-sample route ``"lu"``, where every
-    sample is; one that fails raises ``SingularSampleError``.
-    ``lu_samples`` lists those samples.  ``solve_all`` solves every sample
-    in one band call each way, and item m is a ``WoodburySolver`` at rank 0
-    for sample m alone, on its block, whose solve holds the band but not
-    this object: dropping it frees the band at once.
+
+def _lu_solver(ensemble: PerturbedEnsemble, m: int) -> WoodburySolver:
+    """Sample m's solver at rank 0 on its sparse LU (``_sample_lu``)."""
+    lu = _sample_lu(ensemble, m)
+    return _rank_zero(m, lu.solve, partial(lu.solve, trans="T"), ensemble.dim)
+
+
+def _unperturbed(a) -> bool:
+    """Whether the perturbation ``a`` has no nonzero entry."""
+    return not (a.count_nonzero() if sp.issparse(a) else np.count_nonzero(a))
+
+
+class DirectSolvers(Sequence):
+    """The direct form's solver of each of ``samples`` (all by default), each factored once.
+
+    The shared ordering is ``ensemble.band_ordering``.  Where it exists
+    (every sample matrix exactly symmetric) and its bandwidth is at most
+    ``SAMPLE_BAND_MAX_BANDWIDTH``, the samples are held as one
+    block-diagonal upper band in that ordering, block j holding
+    ``samples[j]``, and one band Cholesky factors them all
+    (``numerics.band_cholesky``): ``route`` is ``"band"``.  A block that is
+    not positive definite passes stacked solves through, and its sample is
+    factored by its sparse LU (``_lu_solver``), as on the per-sample route
+    ``"lu"``, where every sample is; one that fails raises
+    ``SingularSampleError`` naming the sample.  ``lu_samples`` lists those
+    samples.  A sample with no perturbation is the base, and the base's
+    factor solves it on either route.  ``solve_all`` solves every sample in
+    one band call each way, and item j is a ``WoodburySolver`` at rank 0
+    for ``samples[j]`` alone, whose solve holds the band but not this
+    object: dropping it frees the band at once.
     """
 
-    def __init__(self, ensemble: PerturbedEnsemble):
-        n, count = ensemble.dim, ensemble.num_samples
-        self._dim, self._count = n, count
-        matrices = [numerics.to_csr(a) for a in [ensemble.base, *ensemble.perturbations]]
-        self.route, self.bandwidth = "lu", None
-        # Cholesky reads one triangle, so only exactly symmetric samples are banded
-        if all(map(_exactly_symmetric, matrices)):
-            self._order = numerics.rcm_order(matrices[0])
-            self._position = np.argsort(self._order)
-            self.bandwidth = max(int(np.abs(rows - cols).max(initial=0))
-                                 for rows, cols, _ in map(self._entries, matrices))
-            if self.bandwidth <= SAMPLE_BAND_MAX_BANDWIDTH:
-                self.route, self._factor = "band", self._stack(matrices)
-        self.lu_samples = (tuple(numerics.band_cholesky(self._factor, n))
-                           if self.route == "band" else tuple(range(count)))
-        lus = WoodburySolvers(ensemble, DIRECT)
-        self._solvers = [lus[m] if m in self.lu_samples else
-                         _band_block_solver(m, self._factor, self._order, self._position)
-                         for m in range(count)]
+    def __init__(self, ensemble: PerturbedEnsemble, samples: range | None = None):
+        self.samples = range(ensemble.num_samples) if samples is None else samples
+        n = ensemble.dim
+        self._dim, self._count = n, len(self.samples)
+        ordering = ensemble.band_ordering
+        self.bandwidth = None if ordering is None else ordering.bandwidth
+        self.route = ("band" if ordering is not None
+                      and ordering.bandwidth <= SAMPLE_BAND_MAX_BANDWIDTH else "lu")
+        unperturbed = {m for m in self.samples if _unperturbed(ensemble.perturbations[m])}
+        if self.route == "band":
+            self._order, self._position = ordering.order, ordering.position
+            self._factor = self._stack(ensemble)
+            failed = [self.samples[j] for j in numerics.band_cholesky(self._factor, n)]
+        else:
+            failed = self.samples
+        self.lu_samples = tuple(m for m in failed if m not in unperturbed)
+        base = ensemble.base_factor.solve
+        self._solvers = [
+            _rank_zero(m, base, base, n) if m in unperturbed else
+            _lu_solver(ensemble, m) if m in self.lu_samples else
+            _band_block_solver(m, j, self._factor, self._order, self._position)
+            for j, m in enumerate(self.samples)]
+        # the samples whose columns the band does not solve
+        self._apart = [j for j, m in enumerate(self.samples)
+                       if self.route == "lu" or m in unperturbed or m in self.lu_samples]
 
-    def _entries(self, a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, columns and values of canonical CSR ``a``'s entries, in the shared ordering."""
-        rows = np.repeat(np.arange(self._dim), np.diff(a.indptr))
-        return self._position[rows], self._position[a.indices], a.data
+    @property
+    def factor_route(self) -> FactorRoute:
+        return FactorRoute(self.route, self.bandwidth, self.lu_samples)
 
-    def _stack(self, matrices) -> np.ndarray:
-        """The upper band of every ``base + P_m``, sample m's block in columns m n to (m + 1) n.
+    def _stack(self, ensemble: PerturbedEnsemble) -> np.ndarray:
+        """The upper band of each sample's ``base + P_m``, block j holding ``samples[j]``.
 
-        ``matrices`` are the base and then each sample's P_m.  Each entry is
-        base's plus P_m's, summed as the sparse sum ``base + P_m`` sums it, so
-        the band holds that matrix's bits.
+        Block j lies in columns j n to (j + 1) n.  Each entry is base's plus
+        P_m's, summed as the sparse sum ``base + P_m`` sums it, so the band
+        holds that matrix's bits.
         """
         kd, n = self.bandwidth, self._dim
         band = np.zeros((kd + 1, n * self._count), order="F")
 
         def upper(a):  # entry (i, j) of a block, i <= j, lies at kd + i + kd j in it
-            rows, cols, values = self._entries(a)
+            rows, cols, values = _ordered_entries(numerics.to_csr(a), self._position)
             keep = rows <= cols
             return kd + rows[keep] + kd * cols[keep], values[keep]
 
-        base_index, base_values = upper(matrices[0])
-        for m, member in enumerate(matrices[1:]):
-            block = band[:, m * n:(m + 1) * n].reshape(-1, order="F")  # a view
+        base_index, base_values = upper(ensemble.base)
+        for j, m in enumerate(self.samples):
+            block = band[:, j * n:(j + 1) * n].reshape(-1, order="F")  # a view
             block[base_index] = base_values
-            index, values = upper(member)
+            index, values = upper(ensemble.perturbations[m])
             block[index] += values
         return band
 
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, m: int) -> WoodburySolver:
-        return self._solvers[m]
+    def __getitem__(self, j: int) -> WoodburySolver:
+        return self._solvers[j]
 
     def solve_all(self, rhs: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """N x M: column m solves sample m with ``rhs``, or with column m of an N x M ``rhs``.
+        """N x J, J = len(samples): column j solves ``samples[j]`` with ``rhs``.
 
-        On the band route one band solve serves every sample; each sample in
-        ``lu_samples`` is then solved by its LU (with its transpose where
+        ``rhs`` is a vector, or N x J, column j being ``samples[j]``'s.  On the
+        band route one band solve serves every sample; each sample the band
+        does not serve (``lu_samples``, and a sample with no perturbation) is
+        then solved by its own solver (with its transpose where
         ``transpose``).  On the per-sample route every sample is.
         """
         if self.route == "band":
@@ -567,15 +671,15 @@ class DirectSolvers(Sequence):
             out = x.reshape((self._dim, self._count), order="F")[self._position]
         else:
             out = np.empty((self._dim, self._count))
-        for m in self.lu_samples:
-            solver = self._solvers[m]
-            out[:, m] = (solver.solve_t if transpose else solver.solve)(
-                rhs[:, m] if rhs.ndim == 2 else rhs)
+        for j in self._apart:
+            solver = self._solvers[j]
+            out[:, j] = (solver.solve_t if transpose else solver.solve)(
+                rhs[:, j] if rhs.ndim == 2 else rhs)
         return out
 
 
-def _band_block_solver(m, factor, order, position) -> WoodburySolver:
-    """Sample m's solver at rank 0 on block m of ``band_cholesky`` factor ``factor``.
+def _band_block_solver(m, block, factor, order, position) -> WoodburySolver:
+    """Sample m's solver at rank 0 on block ``block`` of ``band_cholesky`` factor ``factor``.
 
     ``order`` is the band's ordering and ``position`` its inverse.  The solve
     holds these alone, not the ``DirectSolvers`` that made it.
@@ -584,43 +688,82 @@ def _band_block_solver(m, factor, order, position) -> WoodburySolver:
 
     def solve(rhs):
         x = np.asfortranarray(rhs[order], dtype=float)
-        return numerics.band_cholesky_solve(factor, x, m * n)[position]
+        return numerics.band_cholesky_solve(factor, x, block * n)[position]
 
-    empty = np.zeros((n, 0))
-    return WoodburySolver(m, solve, solve, empty, empty.T)
+    return _rank_zero(m, solve, solve, n)
+
+
+def _direct_stacks(ensemble: PerturbedEnsemble, visit) -> FactorRoute:
+    """Call ``visit`` on the ``DirectSolvers`` of each run of ``DIRECT_STACK_SAMPLES`` samples.
+
+    In sample order; each stack is dropped before the next is built, so one
+    stack's band is held at a time.  Returns how the samples were factored,
+    None where there are none.
+    """
+    count, lu_samples, route = ensemble.num_samples, [], None
+    for start in range(0, count, DIRECT_STACK_SAMPLES):
+        stack = DirectSolvers(ensemble, range(start, min(start + DIRECT_STACK_SAMPLES, count)))
+        visit(stack)
+        lu_samples += stack.lu_samples
+        route = stack.factor_route
+        del stack
+    return route and replace(route, lu_samples=tuple(lu_samples))
 
 
 def solve_ensemble(ensemble: PerturbedEnsemble, form: WoodburyForm) -> EnsembleSolution:
-    """Solve every sample with its ``WoodburySolver`` in ``form``: the one per-sample loop.
+    """Solve every sample in ``form``: the one per-sample loop.
 
-    In the direct form (``DIRECT``, or ``plan_smw``'s at rank 0) this is the
-    per-sample direct solve.  A singular capacitance raises
-    ``SingularCapacitanceError`` with the sample index and a condition
-    estimate; a sample matrix that does not factor, or a solution that is not
-    finite, raises ``SingularSampleError``.
+    In the direct form (``DIRECT``, or ``plan_smw``'s at rank 0) the samples
+    are solved directly, in ``DirectSolvers`` stacks of
+    ``DIRECT_STACK_SAMPLES`` (``factor_route`` says how they were factored);
+    in an update form each by its ``WoodburySolver``.  A singular
+    capacitance raises ``SingularCapacitanceError`` with the sample index
+    and a condition estimate; a sample matrix that does not factor, or a
+    solution that is not finite, raises ``SingularSampleError``.
     """
+    solvers = WoodburySolvers(ensemble, form)  # refuses vectors the form does not read
     u0 = ensemble.base_factor.solve(ensemble.rhs)
-    samples = [_finite(solver.solve(ensemble.rhs), m)
-               for m, solver in enumerate(WoodburySolvers(ensemble, form))]
+    factor_route = None
+    if solvers.form == "direct":
+        samples = []
+
+        def solve(stack):
+            solved = np.array(stack.solve_all(ensemble.rhs).T)  # row j: samples[j]'s solution
+            samples.extend(_finite(u, m) for m, u in zip(stack.samples, solved))
+
+        factor_route = _direct_stacks(ensemble, solve)
+    else:
+        samples = [_finite(solver.solve(ensemble.rhs), m) for m, solver in enumerate(solvers)]
     return EnsembleSolution(
         unperturbed=u0,
         samples=samples,
         qoi=qoi_mean(samples),
         woodbury_form=form.name,
         update_rank=form.update_rank,
+        factor_route=factor_route,
     )
 
 
-def sample_conditions(ensemble: PerturbedEnsemble) -> tuple[float, ...]:
-    """The condition estimate of every sample matrix ``base + P_m``, each with its sample LU.
+def sample_conditions(ensemble: PerturbedEnsemble) -> tuple[tuple[float, ...], FactorRoute]:
+    """The condition estimate of every sample matrix ``base + P_m``, each with its direct solver.
 
-    Each sum ``base + P_m`` is formed once: ``_sample_lu`` factors it and
-    ``numerics.condition_estimate`` applies it and solves with that LU.  A
-    sample matrix that does not factor raises ``SingularSampleError``.
-    ``lram diagnose --sample-conditions`` reports them.
+    The samples are factored in ``DirectSolvers`` stacks, as
+    ``solve_ensemble`` factors them in the direct form, and
+    ``numerics.condition_estimate`` applies each sum ``base + P_m``, formed
+    once here, and solves with that sample's solver.  A sample matrix that
+    does not factor raises ``SingularSampleError``.  Returns the estimates
+    and how the samples were factored.  ``lram diagnose
+    --sample-conditions`` reports them.
     """
-    return tuple(numerics.condition_estimate(matrix, solve=_sample_lu(ensemble, m, matrix).solve)
-                 for m, matrix in enumerate(ensemble.base + p for p in ensemble.perturbations))
+    conditions = []
+
+    def estimate(stack):
+        conditions.extend(numerics.condition_estimate(ensemble.base + ensemble.perturbations[m],
+                                                      solve=solver.solve)
+                          for m, solver in zip(stack.samples, stack))
+
+    factor_route = _direct_stacks(ensemble, estimate)
+    return tuple(conditions), factor_route
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # refused below, by sample

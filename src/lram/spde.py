@@ -13,20 +13,28 @@ Gram spectrum and one reference serve them all, and solves are keyed by
 form and update rank, so each is made once (every k >= k* is one solve).
 The reference is the direct-form solve of that same key: the one the run
 already made (the direct method, or SMW in the direct form), so the reported
-gap isolates the compression error.  Every run computes the spectrum on one
-worker thread, whose band eigensolver releases the GIL (``numerics``), while
+gap isolates the compression error.
+
+Thread layout: every run builds the base's factor and the Gram matrix on the
+calling thread, then computes the Gram spectrum on one worker thread while
 the calling thread runs the solves that read no spectrum (the reference, the
-direct method and cg) and the base's condition estimate.  Per-sample
-condition estimates are ``lram diagnose``'s (``perturbed.sample_conditions``).
-Also hosts the critical reduction-ratio diagnostics (an all-zero ensemble has
-k* = 0) and a Monte-Carlo convergence study.
+direct method and cg) and the base's condition estimate.  The worker's long
+call, the eigensolve, releases the GIL on the band route (``numerics``; a
+dense eigensolve with vectors holds it); the Gram build holds it, so it runs
+before the worker starts rather than on it.  The direct-form solves' band
+Cholesky holds the GIL too (SciPy's wrappers), but only the worker's short
+steps around its eigensolve wait for it.  The CLI runs one BLAS thread
+(``numerics.set_blas_threads``), so the two threads take the two cores.
+Per-sample condition estimates are ``lram diagnose``'s
+(``perturbed.sample_conditions``).  Also hosts the critical reduction-ratio
+diagnostics (an all-zero ensemble has k* = 0).
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,6 +82,12 @@ class SpdeReport:
     solution: perturbed.EnsembleSolution
     timings: dict[str, float]
     eigensolve: numerics.EigenSolve
+    # the size |S| of the ensemble's support, an upper bound of k* (``lowrank.GramSpectrum``)
+    support: int
+    # per ratio: the Woodbury form its solve ran in
+    forms: list[str]
+    # how the direct-form solve, where one ran, factored its samples
+    factor_route: perturbed.FactorRoute | None
 
 
 def critical_tau(curve) -> tuple[int, float]:
@@ -92,17 +106,17 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     ``ratios`` defaults to ``(cfg.tau,)``; rank k is reached with the
     ratio k / N, which maps back to exactly k.  Only SMW takes ``ratios``
     (``ConfigRangeError``).  ``system`` is ``fem.sampled_system(cfg)`` if the
-    caller built it already.  SMW prices
-    its form at every rank before any eigenvector exists
-    (``perturbed.plan_smw``), so a run whose every form is direct computes
-    eigenvalues only.  Solves are keyed by (form, update rank), and each is
-    made once; the reference is the direct form's.  One worker thread
-    computes the spectrum while the calling thread runs the solves that read
-    none (the reference, the direct method, cg) and the base's condition
-    estimate; the SMW solves follow on the calling thread.  The worker has
-    ended when this returns or raises.  Two runs with identical configs
-    produce bitwise-identical vectors: the sampling is keyed per (seed,
-    sample) and every reduction uses a fixed order.
+    caller built it already.  SMW prices its form at every rank before any
+    eigenvector exists (``perturbed.plan_smw``), so a run whose every form
+    is direct computes eigenvalues only.  Solves are keyed by (form, update
+    rank), and each is made once; the reference is the direct form's.  The
+    Gram matrix is built here; one worker thread then computes its spectrum
+    while the calling thread runs the solves that read none (the reference,
+    the direct method, cg) and the base's condition estimate; the SMW solves
+    follow on the calling thread.  The worker has ended when this returns or
+    raises.  Two runs with identical configs produce bitwise-identical
+    vectors: the sampling is keyed per (seed, sample) and every reduction
+    uses a fixed order.
     """
     if ratios is not None and cfg.method != "smw":
         raise ConfigRangeError(f"the {cfg.method} method has no reduction ratio to scan")
@@ -120,14 +134,15 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     ranks = [lowrank.rank_from_ratio(ratio, ensemble.dim) if cfg.method == "smw" else None
              for ratio in ratios]
 
-    def compress():
-        """The spectrum and what reads it, and the seconds they took (``timing.compress``)."""
+    def compress(gram):
+        """The spectrum of the Gram matrix ``gram``, what reads it, and the seconds they took."""
         t0 = time.perf_counter()
         if cfg.method == "smw":
-            spectrum, forms = perturbed.plan_smw(ensemble, ranks)
+            spectrum, forms = perturbed.plan_smw(ensemble, ranks, gram)
         else:
             # the energy curve and k* are all these methods read: eigenvalues suffice
-            spectrum, forms = lowrank.gram_spectrum(members, vectors=False), [perturbed.DIRECT]
+            spectrum = lowrank.gram_spectrum(members, vectors=False, gram=gram)
+            forms = [perturbed.DIRECT]
         rmsres = [None if k is None else lowrank.rmsre(members, spectrum, k) for k in ranks]
         return spectrum, forms, rmsres, time.perf_counter() - t0
 
@@ -142,9 +157,15 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
     # made here, so that it is not built on both threads: SMW pricing on the worker
     # reads its fill, and every solve here its ordering
     ensemble.base_factor
+    # built here too: the Gram build holds the GIL, so on the worker it would wait
+    # for the solves here and they for it; the worker's eigensolve releases it
+    t0 = time.perf_counter()
+    gram = lowrank.ensemble_gram(members)
+    built = time.perf_counter() - t0
     runs = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
-        spectral = pool.submit(compress)
+        spectral = pool.submit(compress, gram)
+        del gram
         t0 = time.perf_counter()
         if cfg.reference or cfg.method == "direct":
             solve(perturbed.DIRECT)
@@ -154,7 +175,8 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
         t0 = time.perf_counter()
         cond_base = numerics.condition_estimate(system.base, solve=ensemble.base_factor.solve)
         timings["diagnostics"] = time.perf_counter() - t0
-        spectrum, forms, rmsres, timings["compress"] = spectral.result()
+        spectrum, forms, rmsres, spectral_s = spectral.result()
+    timings["compress"] = built + spectral_s  # the Gram build and its spectrum
     energy_curve = spectrum.energy_curve()
     k_star, tau_star = critical_tau(energy_curve)
 
@@ -190,47 +212,8 @@ def run_spde(cfg: SpdeRunConfig, ratios=None, system=None) -> SpdeReport:
         solution=solution,
         timings=timings,
         eigensolve=spectrum.eigensolve,
+        support=spectrum.support,
+        forms=[run.woodbury_form for run in runs],
+        factor_route=(solutions[("direct", 0)].factor_route if ("direct", 0) in solutions
+                      else None),
     )
-
-
-@dataclass(frozen=True, eq=False)
-class McStudy:
-    """Monte-Carlo error decay against a same-stream high-sample reference."""
-
-    points: list[tuple[int, float]]   # (num_samples, mean error over repetitions)
-    slope: float                      # fitted log-log slope
-    errors: np.ndarray                # (repetitions, len(m_list)) raw errors
-
-
-def mc_convergence_study(cfg: SpdeRunConfig, m_list, repetitions: int = 10,
-                         reference_factor: int = 4) -> McStudy:
-    """Errors of the sample mean at increasing sample counts.
-
-    For each repetition, one stream of per-sample solutions is generated and
-    the mean over the first M entries is compared (in the mass-weighted norm)
-    with the mean over the full stream of ``reference_factor * max(m_list)``
-    entries.  Requesting M equal to the reference count therefore gives an
-    exact zero.  The slope is fitted on the repetition-averaged errors.
-    """
-    m_list = [int(m) for m in m_list]
-    if sorted(m_list) != m_list:
-        raise ConfigRangeError("m_list must be ascending")
-    m_ref = reference_factor * max(m_list)
-
-    errors = np.zeros((repetitions, len(m_list)))
-    for rep in range(repetitions):
-        system = fem.sampled_system(replace(cfg, samples=m_ref, seed=cfg.seed + 7919 * rep))
-        ensemble = perturbed.PerturbedEnsemble(
-            base=system.base, perturbations=system.perturbations, rhs=system.load
-        )
-        solution = perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
-        stacked = np.stack(solution.samples, axis=0)
-        reference = stacked.mean(axis=0)
-        for j, m in enumerate(m_list):
-            mean_m = stacked[:m].mean(axis=0)
-            errors[rep, j] = fem.mass_norm(system.mass, mean_m - reference)
-
-    mean_errors = errors.mean(axis=0)
-    slope = float(np.polyfit(np.log(m_list), np.log(np.maximum(mean_errors, 1e-300)), 1)[0])
-    points = [(m, float(e)) for m, e in zip(m_list, mean_errors)]
-    return McStudy(points=points, slope=slope, errors=errors)

@@ -2,7 +2,7 @@ import threading
 
 import pytest
 
-from lram import perturbed
+from lram import numerics, perturbed
 
 
 @pytest.fixture(autouse=True)
@@ -22,3 +22,16 @@ def dense_flop_model(monkeypatch):
     monkeypatch.setattr(perturbed, "SPARSE_SOLVE_WEIGHT", 0)
     monkeypatch.setattr(perturbed, "SAMPLE_LU_WEIGHT", 0)
     monkeypatch.setattr(perturbed, "SAMPLE_LU_OVERHEAD", 0)
+
+
+@pytest.fixture
+def no_bundled_openblas(monkeypatch):
+    """The loader finds no bundled OpenBLAS library; its caches are cleared around the test."""
+    monkeypatch.setattr(numerics, "_BUNDLED_OPENBLAS", {"scipy": "no-such-library-*.so",
+                                                        "numpy": "no-such-library-*.so"})
+    for cached in (numerics._bundled_openblas, numerics._dsbevd_2stage):
+        cached.cache_clear()
+    yield
+    monkeypatch.undo()
+    for cached in (numerics._bundled_openblas, numerics._dsbevd_2stage):
+        cached.cache_clear()

@@ -1,16 +1,24 @@
 """Independent reference implementations used only as test oracles.
 
 These deliberately avoid the library's own numerical paths (and LAPACK where
-the library relies on it) so that cross-checks stay meaningful.
+the library relies on it) so that cross-checks stay meaningful.  The last
+section holds studies that only tests and ``scripts/`` run, built on the
+library: the two-sided GLRAM baseline, the manufactured-solution check and
+the Monte-Carlo convergence study.
 """
 
+import ctypes
 import math
+from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from lram.errors import LramError
+from lram import fem, lowrank, numerics, perturbed
+from lram.errors import ConfigRangeError, DimensionMismatchError, LramError
 
 
 class SingularMatrixError(LramError):
@@ -66,6 +74,40 @@ def band_eigenvalues(band):
     held.
     """
     return sla.eig_banded(band, lower=True, eigvals_only=True, check_finite=False)
+
+
+def _scipy_openblas():
+    """SciPy's bundled OpenBLAS, found on its own, not by the library's loader."""
+    libs = Path(scipy.__file__).resolve().parent.parent / "scipy.libs"
+    return ctypes.CDLL(str(next(libs.glob("libscipy_openblas-*.so"))))
+
+
+def two_stage_band_eigenvalues(band):
+    """Ascending eigenvalues of the symmetric matrix whose lower band is ``band``.
+
+    LAPACKE's C interface to LAPACK ``dsbevd_2stage`` in SciPy's bundled
+    OpenBLAS, which queries and allocates its own workspace: a second binding
+    of the routine the library calls through its Fortran entry.
+    """
+    band = np.array(band, dtype=float, order="F")
+    rows, n = band.shape
+    values, unused_vectors = np.empty(n), np.empty(1)
+    c_int = ctypes.c_int
+    lapacke = ctypes.CFUNCTYPE(c_int, c_int, ctypes.c_char, ctypes.c_char, c_int, c_int,
+                               ctypes.c_void_p, c_int, ctypes.c_void_p, ctypes.c_void_p, c_int)(
+        ("scipy_LAPACKE_dsbevd_2stage", _scipy_openblas()))
+    column_major = 102
+    info = lapacke(column_major, b"N", b"L", n, rows - 1, band.ctypes.data, rows,
+                   values.ctypes.data, unused_vectors.ctypes.data, 1)
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACKE_dsbevd_2stage: info {info}")
+    return values
+
+
+def blas_threads():
+    """The thread count of SciPy's bundled OpenBLAS, as it reports it."""
+    return ctypes.CFUNCTYPE(ctypes.c_int)(("scipy_openblas_get_num_threads",
+                                           _scipy_openblas()))()
 
 
 def fix_column_signs(vectors):
@@ -184,6 +226,17 @@ def evaluate_per_sample(problem, control, indices=None, target=None):
     return value, grad / count + problem.beta * penalty, state_sum / count
 
 
+def streamed_direct_solutions(ensemble):
+    """Each sample's solution by its own sparse LU, made when it is reached and dropped after.
+
+    The per-sample direct loop that ``perturbed.solve_ensemble`` ran before
+    it factored the samples in band stacks: ``perturbed._sample_lu``, one
+    sample at a time.
+    """
+    return [perturbed._sample_lu(ensemble, m).solve(ensemble.rhs)
+            for m in range(ensemble.num_samples)]
+
+
 def rand_orthonormal(rng, n, k):
     """Random n-by-k matrix with orthonormal columns."""
     q, _ = np.linalg.qr(rng.standard_normal((n, k)))
@@ -292,3 +345,135 @@ def exact_line_search_descent(value_and_grad, x0, direction_state, spec):
         x, fx, gx = x_new, fx_new, gx_new
         history.append((fx, float(np.linalg.norm(gx)), step))
     return spec.max_iters, float(np.linalg.norm(gx)) <= spec.grad_tol, history
+
+
+# ---------------------------------------------------------------------------
+# Studies on the library that no subcommand runs
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class GlramFactors:
+    """Two-sided factorization with shared left/right bases and k-by-k cores."""
+
+    left: np.ndarray
+    right: np.ndarray
+    cores: list[np.ndarray]
+    iterations: int
+    rmsre_history: list[float]
+
+
+def glram_compress(ensemble, rank: int, max_iters: int = 50,
+                   rel_tol: float = 1e-10) -> GlramFactors:
+    """Two-sided alternating factorization A_m ~ left @ cores[m] @ right^T (GLRAM).
+
+    Starts from the first ``rank`` identity columns and alternates
+    eigenvector updates of the right and left bases; the recorded
+    reconstruction-error history is non-increasing.  Stops when the relative
+    change drops below ``rel_tol`` or after ``max_iters`` iterations.
+    """
+    n = lowrank._check_ensemble(ensemble)
+    if not 1 <= rank <= n:
+        raise DimensionMismatchError(f"rank={rank} outside [1, {n}]")
+    if max_iters < 1:
+        raise ConfigRangeError("max_iters must be >= 1")
+
+    dense = [numerics.to_dense(a) for a in ensemble]
+    m_count = len(dense)
+
+    left = np.eye(n)[:, :rank]
+    right = None
+    history: list[float] = []
+    iterations = 0
+    for _ in range(max_iters):
+        ar_gram = np.zeros((n, n))
+        for a in dense:
+            p = a.T @ left
+            ar_gram += p @ p.T
+        right = numerics.sym_eig_topk(ar_gram, rank, floor=0.0).vectors
+
+        al_gram = np.zeros((n, n))
+        for a in dense:
+            p = a @ right
+            al_gram += p @ p.T
+        left = numerics.sym_eig_topk(al_gram, rank, floor=0.0).vectors
+
+        total = 0.0
+        for a in dense:
+            recon = left @ (left.T @ a @ right) @ right.T
+            total += float(np.linalg.norm(a - recon, "fro")) ** 2
+        err = math.sqrt(total / m_count)
+        history.append(err)
+        iterations += 1
+        if len(history) >= 2:
+            prev = history[-2]
+            if abs(prev - err) < rel_tol * max(err, 1e-300):
+                break
+
+    cores = [left.T @ a @ right for a in dense]
+    return GlramFactors(left=left, right=right, cores=cores,
+                        iterations=iterations, rmsre_history=history)
+
+
+def manufactured_check(h_list) -> list[tuple[float, float]]:
+    """L2 errors of the deterministic solve against sin(pi x) sin(pi y).
+
+    Uses unit coefficient and source ``2 pi^2 sin(pi x) sin(pi y)``, for which
+    the exact solution vanishes on the boundary.  Returns (h, error) pairs for
+    convergence-rate checks.
+    """
+    out = []
+    for h in h_list:
+        mesh = fem.structured_mesh(h)
+        system = fem.assemble(
+            mesh, [], lambda x, y: 2.0 * np.pi ** 2 * np.sin(np.pi * x) * np.sin(np.pi * y)
+        )
+        fact = numerics.factorize_spd(system.base)
+        solution = fact.solve(system.load)
+        exact = np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
+        out.append((mesh.h, fem.mass_norm(system.mass, solution - exact)))
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class McStudy:
+    """Monte-Carlo error decay against a same-stream high-sample reference."""
+
+    points: list[tuple[int, float]]   # (num_samples, mean error over repetitions)
+    slope: float                      # fitted log-log slope
+    errors: np.ndarray                # (repetitions, len(m_list)) raw errors
+
+
+def mc_convergence_study(cfg, m_list, repetitions: int = 10,
+                         reference_factor: int = 4) -> McStudy:
+    """Errors of the sample mean at increasing sample counts.
+
+    ``cfg`` is an ``spde.SpdeRunConfig`` (any ``fem.Sampling``).  For each
+    repetition, one stream of per-sample solutions is generated and the mean
+    over the first M entries is compared (in the mass-weighted norm) with the
+    mean over the full stream of ``reference_factor * max(m_list)`` entries.
+    Requesting M equal to the reference count therefore gives an exact zero.
+    The slope is fitted on the repetition-averaged errors.
+    """
+    m_list = [int(m) for m in m_list]
+    if sorted(m_list) != m_list:
+        raise ConfigRangeError("m_list must be ascending")
+    m_ref = reference_factor * max(m_list)
+
+    errors = np.zeros((repetitions, len(m_list)))
+    for rep in range(repetitions):
+        system = fem.sampled_system(replace(cfg, samples=m_ref, seed=cfg.seed + 7919 * rep))
+        ensemble = perturbed.PerturbedEnsemble(
+            base=system.base, perturbations=system.perturbations, rhs=system.load
+        )
+        solution = perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
+        stacked = np.stack(solution.samples, axis=0)
+        reference = stacked.mean(axis=0)
+        for j, m in enumerate(m_list):
+            mean_m = stacked[:m].mean(axis=0)
+            errors[rep, j] = fem.mass_norm(system.mass, mean_m - reference)
+
+    mean_errors = errors.mean(axis=0)
+    slope = float(np.polyfit(np.log(m_list), np.log(np.maximum(mean_errors, 1e-300)), 1)[0])
+    points = [(m, float(e)) for m, e in zip(m_list, mean_errors)]
+    return McStudy(points=points, slope=slope, errors=errors)

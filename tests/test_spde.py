@@ -58,24 +58,23 @@ def test_err_l2_u0_is_the_unperturbed_solution_against_the_reference():
 
 
 def test_direct_form_reuses_solution_as_reference(monkeypatch):
-    sample_lus = []
-    sample_lu = perturbed._sample_lu
-    monkeypatch.setattr(perturbed, "_sample_lu",
-                        lambda *args: sample_lus.append(args[-1]) or sample_lu(*args))
-    # N = 441, k* = 361: rank 419 runs SMW at update rank 0, one sample LU each (sample
-    # 0's made for pricing); that solve is the run's only direct one, and the
+    stacks = []
+    direct_solvers = perturbed.DirectSolvers
+    monkeypatch.setattr(perturbed, "DirectSolvers",
+                        lambda *args: stacks.append(list(args[1])) or direct_solvers(*args))
+    # N = 441, k* = 361: rank 419 runs SMW at update rank 0, its 3 samples in one
+    # stack of one band Cholesky; that solve is the run's only direct one, and the
     # reference is no second one
     report = spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.95))
     assert report.solution.woodbury_form == "direct"
     assert report.reference_reused and report.err_l2 == 0.0
-    assert sorted(sample_lus) == [0, 1, 2]
-    # rank 265 runs the basis form, which the reference checks: its LUs are the only
-    # ones, sample 0's being the LU pricing made
-    sample_lus.clear()
+    assert stacks == [[0, 1, 2]]
+    # rank 265 runs the basis form, which the reference checks: its stack is the only one
+    stacks.clear()
     report = spde.run_spde(small_cfg(h=0.05, samples=3, tau=0.6))
     assert report.solution.woodbury_form == "basis"
     assert not report.reference_reused and report.err_l2 > 0.0
-    assert sorted(sample_lus) == [0, 1, 2]
+    assert stacks == [[0, 1, 2]]
 
 
 def test_seed_reproducibility_bitwise():
@@ -238,24 +237,29 @@ def test_overlapped_run_matches_serial_library_calls(spectral_calls, monkeypatch
     cond_base = numerics.condition_estimate(system.base, solve=ensemble.base_factor.solve)
 
     spectral_calls.update(gram=0, eig=0, vectors=[])
-    splu_threads, gram_threads = [], []
+    splu_threads, gram_threads, eig_threads = [], [], []
     splu = perturbed.spla.splu
     monkeypatch.setattr(perturbed.spla, "splu", lambda *a, **kw: splu_threads.append(
         threading.current_thread()) or splu(*a, **kw))
     ensemble_gram = lowrank.ensemble_gram
     monkeypatch.setattr(lowrank, "ensemble_gram", lambda *a, **kw: gram_threads.append(
         threading.current_thread()) or ensemble_gram(*a, **kw))
+    sym_eig_topk = numerics.sym_eig_topk
+    monkeypatch.setattr(numerics, "sym_eig_topk", lambda *a, **kw: eig_threads.append(
+        threading.current_thread()) or sym_eig_topk(*a, **kw))
     built_before_pricing = []
     plan_smw = perturbed.plan_smw
-    monkeypatch.setattr(perturbed, "plan_smw", lambda ensemble, ranks: built_before_pricing.append(
-        "base_factor" in vars(ensemble)) or plan_smw(ensemble, ranks))
+    monkeypatch.setattr(perturbed, "plan_smw", lambda ensemble, *a: built_before_pricing.append(
+        "base_factor" in vars(ensemble)) or plan_smw(ensemble, *a))
     report = spde.run_spde(cfg, system=system)
-    # one Gram build, on the worker, one eigensolve, and every LU on the calling thread:
-    # the base's and, with the reference, M sample LUs, the worker pricing with the
-    # base's factor made before it started
+    # one Gram build, on the calling thread before the worker starts, one eigensolve,
+    # on the worker, and the one LU, the base's, on the calling thread: the samples
+    # are factored on the band, the worker pricing with the base's factor made
+    # before it started
     assert (spectral_calls["gram"], spectral_calls["eig"]) == (1, 1)
-    assert len(gram_threads) == 1 and gram_threads[0] is not threading.main_thread()
-    assert splu_threads == [threading.main_thread()] * (1 + cfg.samples * cfg.reference)
+    assert gram_threads == [threading.main_thread()]
+    assert len(eig_threads) == 1 and eig_threads[0] is not threading.main_thread()
+    assert splu_threads == [threading.main_thread()]
     assert built_before_pricing == ([] if cfg.method != "smw" else [True])
     assert report.solution.woodbury_form == run.woodbury_form
     assert all(a.tobytes() == b.tobytes() for a, b in zip(report.solution.samples, run.samples))
@@ -322,12 +326,13 @@ def test_smw_above_half_rank_builds_no_coefficient_matrix(monkeypatch):
     n = report.qoi.shape[0]
     k = report.rank
     assert k > report.k_star
-    # at k >= k* the route is direct: the base factored once (for u0), one LU per
-    # sample (sample 0's made once, for pricing), no capacitance, and no projection:
-    # rmsre reads the eigenvalue tail of a values-only spectrum
+    # at k >= k* the route is direct: the base factored once (for u0), the samples on
+    # one band (no sample LU), no capacitance, and no projection: rmsre reads the
+    # eigenvalue tail of a values-only spectrum
     assert (report.solution.woodbury_form, report.solution.update_rank) == ("direct", 0)
+    assert report.solution.factor_route == perturbed.FactorRoute("band", 19, ())
     assert calls["factorize"] == 1
-    assert calls["sample_lu"] == cfg.samples
+    assert calls["sample_lu"] == 0
     assert calls["capacitance"] == 0
     assert calls["projections"] == []
     assert k < n and report.rmsre == 0.0
@@ -340,14 +345,14 @@ def test_smw_above_half_rank_builds_no_coefficient_matrix(monkeypatch):
 
 def test_mc_error_zero_when_m_equals_reference():
     cfg = small_cfg(h=0.5, samples=4)
-    study = spde.mc_convergence_study(cfg, [2, 8], repetitions=2, reference_factor=1)
+    study = oracles.mc_convergence_study(cfg, [2, 8], repetitions=2, reference_factor=1)
     # last point uses every reference sample, so the error vanishes exactly
     assert study.points[-1][1] == 0.0
 
 
 def test_mc_error_decays_with_samples():
     cfg = small_cfg(h=0.5)
-    study = spde.mc_convergence_study(cfg, [4, 16, 64], repetitions=4)
+    study = oracles.mc_convergence_study(cfg, [4, 16, 64], repetitions=4)
     errs = [e for _, e in study.points]
     assert errs[0] > errs[-1]
     assert study.slope < 0.0
@@ -356,12 +361,12 @@ def test_mc_error_decays_with_samples():
 
 def test_mc_rejects_unsorted_m_list():
     with pytest.raises(ConfigRangeError):
-        spde.mc_convergence_study(small_cfg(h=0.5), [16, 4], repetitions=1)
+        oracles.mc_convergence_study(small_cfg(h=0.5), [16, 4], repetitions=1)
 
 
 def test_mc_averaging_reduces_slope_variance():
     cfg = small_cfg(h=0.5)
-    study = spde.mc_convergence_study(cfg, [4, 16, 64], repetitions=16)
+    study = oracles.mc_convergence_study(cfg, [4, 16, 64], repetitions=16)
     m_log = np.log([4, 16, 64])
 
     def slope(errors):
